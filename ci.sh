@@ -8,6 +8,19 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Line-count ratchet (ROADMAP "track the workspace line count"): tracked
+# first-party Rust lines may not exceed the committed ceiling, and a PR
+# that shrinks the tree lowers the ceiling so the gain cannot erode.
+echo "==> line-count ratchet (docs/LOC_CEILING)"
+loc=$(git ls-files '*.rs' | grep -v -e '^vendor/' -e '^benchmark/' | xargs cat | wc -l)
+ceiling=$(cat docs/LOC_CEILING)
+if [ "$loc" -gt "$ceiling" ]; then
+  echo "first-party *.rs lines: $loc > ceiling $ceiling — remove code, or justify raising docs/LOC_CEILING" >&2
+  exit 1
+elif [ "$loc" -lt "$ceiling" ]; then
+  echo "first-party *.rs lines: $loc < ceiling $ceiling — lower docs/LOC_CEILING to $loc in this PR"
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -32,8 +45,8 @@ cargo run -q -p df-check --bin df-audit -- .
 echo "==> cargo test"
 cargo test --workspace -q
 
-# The concurrency suite (per-shard ingest workers, parallel Phase 1,
-# bounded-staleness cache) re-runs with forced test-thread parallelism so
+# The concurrency suite (per-shard ingest workers, bounded-staleness
+# cache) re-runs with forced test-thread parallelism so
 # its producer/worker threads contend with other test threads for real.
 echo "==> concurrency tests under RUST_TEST_THREADS=8"
 RUST_TEST_THREADS=8 cargo test -q --test concurrency
@@ -86,7 +99,7 @@ cargo test --doc --workspace -q "${FIRST_PARTY_EXCLUDES[@]}"
 echo "==> alg1 assembly bench (smoke, release, --test mode)"
 cargo bench -p df-bench --bench alg1_assembly -- --test
 
-echo "==> alg1 parallel ingest/phase1 bench (smoke, release, --test mode)"
+echo "==> alg1 parallel ingest bench (smoke, release, --test mode)"
 cargo bench -p df-bench --bench alg1_parallel -- --test
 
 echo "==> distributed cluster assembly bench (smoke, release, --test mode)"

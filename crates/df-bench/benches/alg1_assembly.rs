@@ -3,66 +3,20 @@
 //! production-scale traces (1k/10k/100k spans) built from capture-ladder
 //! exchanges arranged as fan-out trees and deep call chains.
 //!
-//! The `*_scale` groups bench the frontier implementation (`new`) against the
-//! full-rescan reference oracle (`reference`) on identical stores, so the
-//! speedup of the indexed path can be read straight off one run.
+//! The `*_scale` groups bench the frontier driver (`new` — `assemble_trace`,
+//! the one-shard call of the same `assemble_with` every sharded, threaded
+//! and cluster query runs) against the full-rescan reference oracle
+//! (`reference`) on identical stores, so the speedup of the indexed path
+//! can be read straight off one run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use deepflow::server::assemble::{assemble_trace, assemble_trace_reference, AssembleConfig};
 use deepflow::server::sharded::{assemble_trace_sharded, ShardedSpanStore};
 use deepflow::server::trace_cache::{CacheOutcome, TraceCache};
 use deepflow::storage::{ShardPolicy, SpanStore};
+use df_bench::corpus::{exchange_tree, fanout, push_exchange, scale_cfg, span};
 use df_types::ids::*;
-use df_types::l7::L7Protocol;
-use df_types::net::FiveTuple;
-use df_types::span::{CapturePoint, Span, SpanKind, SpanStatus, TapSide};
-use df_types::tags::TagSet;
-use df_types::TimeNs;
-use std::collections::VecDeque;
-use std::net::Ipv4Addr;
-
-fn span(tap: TapSide, req: u64, resp: u64) -> Span {
-    Span {
-        span_id: SpanId(0),
-        kind: SpanKind::Sys,
-        capture: CapturePoint {
-            node: NodeId(1),
-            tap_side: tap,
-            interface: None,
-        },
-        agent: AgentId(1),
-        flow_id: FlowId(1),
-        five_tuple: FiveTuple::tcp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            40000,
-            Ipv4Addr::new(10, 0, 0, 2),
-            80,
-        ),
-        l7_protocol: L7Protocol::Http1,
-        endpoint: "GET /".to_string(),
-        req_time: TimeNs(req),
-        resp_time: TimeNs(resp),
-        status: SpanStatus::Ok,
-        status_code: Some(200),
-        req_bytes: 1,
-        resp_bytes: 1,
-        pid: None,
-        tid: None,
-        process_name: None,
-        systrace_id_req: None,
-        systrace_id_resp: None,
-        pseudo_thread_id: None,
-        x_request_id_req: None,
-        x_request_id_resp: None,
-        tcp_seq_req: None,
-        tcp_seq_resp: None,
-        otel_trace_id: None,
-        otel_span_id: None,
-        otel_parent_span_id: None,
-        tags: TagSet::default(),
-        flow_metrics: None,
-    }
-}
+use df_types::span::TapSide;
 
 /// Build a store containing one `depth`-hop call chain (client+server span
 /// per hop, linked by systrace ids and TCP sequences) plus `noise`
@@ -95,83 +49,14 @@ fn build_store(depth: u64, noise: u64) -> (SpanStore, SpanId) {
     (st, first.unwrap())
 }
 
-/// The nine network/process capture points of one request-response exchange,
-/// outermost (client process) first.
-const LADDER: [TapSide; 9] = [
-    TapSide::ClientProcess,
-    TapSide::ClientPodNic,
-    TapSide::ClientNodeNic,
-    TapSide::ClientHypervisor,
-    TapSide::Gateway,
-    TapSide::ServerHypervisor,
-    TapSide::ServerNodeNic,
-    TapSide::ServerPodNic,
-    TapSide::ServerProcess,
-];
-
-/// Append one capture-ladder exchange: nine sys spans sharing `seq`, linked
-/// upstream via `link_in` (client side) and downstream via `link_out`
-/// (server side), plus one app span tied in through `otel`.
-fn push_exchange(spans: &mut Vec<Span>, seq: u32, link_in: u64, link_out: u64, otel: u128) {
-    let base = u64::from(seq) * 1_000_000; // unique, monotone per exchange
-    for (rank, tap) in LADDER.iter().enumerate() {
-        let r = rank as u64;
-        let mut s = span(*tap, base + r * 10, base + 900_000 - r * 10);
-        s.tcp_seq_req = Some(seq);
-        if *tap == TapSide::ClientProcess {
-            s.systrace_id_req = Some(SysTraceId(link_in));
-        }
-        if *tap == TapSide::ServerProcess {
-            s.systrace_id_req = Some(SysTraceId(link_out));
-            s.otel_trace_id = Some(OtelTraceId(otel));
-        }
-        spans.push(s);
-    }
-    let mut app = span(TapSide::ServerApp, base + 1_000, base + 800_000);
-    app.kind = SpanKind::App;
-    app.otel_trace_id = Some(OtelTraceId(otel));
-    app.otel_span_id = Some(OtelSpanId(u64::from(seq)));
-    spans.push(app);
-}
-
-/// Build one trace shaped as a `branching`-ary tree of exchanges, `levels`
-/// deep (10 spans per exchange). `branching == 1` yields a deep call chain;
-/// larger factors yield wide fan-outs. Returns the store, the root span to
-/// start assembly from, and the total span count.
+/// One [`exchange_tree`] trace in a single store. Returns the store, the
+/// root span to start assembly from, and the total span count.
 fn build_exchange_tree(branching: usize, levels: usize) -> (SpanStore, SpanId, usize) {
-    let mut spans = Vec::new();
-    let mut next_seq = 1u32;
-    let mut next_key = 1u64;
-    let mut queue = VecDeque::new();
-    queue.push_back((next_key, 0usize));
-    next_key += 1;
-    while let Some((link_in, level)) = queue.pop_front() {
-        let link_out = next_key;
-        next_key += 1;
-        let seq = next_seq;
-        next_seq += 1;
-        push_exchange(&mut spans, seq, link_in, link_out, u128::from(seq));
-        if level + 1 < levels {
-            for _ in 0..branching {
-                queue.push_back((link_out, level + 1));
-            }
-        }
-    }
+    let spans = exchange_tree(branching, levels);
     let total = spans.len();
     let mut st = SpanStore::new();
     let ids = st.insert_batch(spans);
     (st, ids[0], total)
-}
-
-/// Config for the scale benchmarks: deep chains need more search iterations
-/// than the paper's default 30, and the 100k traces exceed the default span
-/// cap. Applied to both implementations, so the comparison stays fair.
-fn scale_cfg() -> AssembleConfig {
-    AssembleConfig {
-        iterations: 50_000,
-        max_spans: 200_000,
-        ..AssembleConfig::default()
-    }
 }
 
 /// Fan-out trees (branching 10): ~1k, ~10k and ~100k spans per trace.
@@ -262,56 +147,13 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-/// Spread a template's spans over distinct flows: each exchange (identified
-/// by its TCP sequence / otel span id) gets its own five-tuple, so
-/// [`ShardPolicy`] routing actually disperses the corpus instead of hashing
-/// every span to one shard.
-fn spread_flows(spans: &mut [Span]) {
-    for s in spans {
-        let key = s
-            .tcp_seq_req
-            .or(s.otel_span_id.map(|v| v.0 as u32))
-            .unwrap_or(0);
-        s.five_tuple = FiveTuple::tcp(
-            Ipv4Addr::new(10, (key >> 8) as u8, key as u8, 1),
-            40_000,
-            Ipv4Addr::new(10, 128, (key >> 16) as u8, 2),
-            80,
-        );
-    }
-}
-
-/// The ~10k-span fan-out template used by the sharded and cache groups.
-fn template_10k() -> Vec<Span> {
-    let mut spans = Vec::new();
-    let mut next_seq = 1u32;
-    let mut next_key = 1u64;
-    let mut queue = VecDeque::new();
-    queue.push_back((next_key, 0usize));
-    next_key += 1;
-    while let Some((link_in, level)) = queue.pop_front() {
-        let link_out = next_key;
-        next_key += 1;
-        let seq = next_seq;
-        next_seq += 1;
-        push_exchange(&mut spans, seq, link_in, link_out, u128::from(seq));
-        if level + 1 < 4 {
-            for _ in 0..10usize {
-                queue.push_back((link_out, level + 1));
-            }
-        }
-    }
-    spread_flows(&mut spans);
-    spans
-}
-
 /// Cross-shard assembly at 1, 4 and 16 shards over the same ~10k-span
 /// corpus (flows spread so routing disperses spans). The 1-shard run reads
 /// as the sharding overhead against `alg1_scale_fanout/new/10k`; the wider
 /// runs show the cost of probing every shard per frontier key.
 fn bench_sharded_assembly(c: &mut Criterion) {
     let cfg = scale_cfg();
-    let template = template_10k();
+    let template = fanout(4);
     let total = template.len();
     let mut group = c.benchmark_group("alg1_sharded");
     group.throughput(Throughput::Elements(total as u64));
@@ -338,7 +180,7 @@ fn bench_sharded_assembly(c: &mut Criterion) {
 /// exist — so a regression fails the bench smoke run, not just the charts.
 fn bench_trace_cache(c: &mut Criterion) {
     let cfg = scale_cfg();
-    let template = template_10k();
+    let template = fanout(4);
     let total = template.len();
     let mut st = ShardedSpanStore::new(ShardPolicy::with_shards(4));
     let ids = st.insert_batch(template);

@@ -13,147 +13,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use deepflow::cluster::{Cluster, ClusterConfig};
-use deepflow::server::assemble::AssembleConfig;
 use deepflow::server::sharded::{assemble_trace_sharded, ShardedSpanStore};
 use deepflow::storage::ShardPolicy;
-use df_types::ids::*;
-use df_types::l7::L7Protocol;
-use df_types::net::FiveTuple;
-use df_types::span::{CapturePoint, Span, SpanKind, SpanStatus, TapSide};
-use df_types::tags::TagSet;
-use df_types::TimeNs;
-use std::collections::VecDeque;
-use std::net::Ipv4Addr;
-
-fn span(tap: TapSide, req: u64, resp: u64) -> Span {
-    Span {
-        span_id: SpanId(0),
-        kind: SpanKind::Sys,
-        capture: CapturePoint {
-            node: NodeId(1),
-            tap_side: tap,
-            interface: None,
-        },
-        agent: AgentId(1),
-        flow_id: FlowId(1),
-        five_tuple: FiveTuple::tcp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            40000,
-            Ipv4Addr::new(10, 0, 0, 2),
-            80,
-        ),
-        l7_protocol: L7Protocol::Http1,
-        endpoint: "GET /".to_string(),
-        req_time: TimeNs(req),
-        resp_time: TimeNs(resp),
-        status: SpanStatus::Ok,
-        status_code: Some(200),
-        req_bytes: 1,
-        resp_bytes: 1,
-        pid: None,
-        tid: None,
-        process_name: None,
-        systrace_id_req: None,
-        systrace_id_resp: None,
-        pseudo_thread_id: None,
-        x_request_id_req: None,
-        x_request_id_resp: None,
-        tcp_seq_req: None,
-        tcp_seq_resp: None,
-        otel_trace_id: None,
-        otel_span_id: None,
-        otel_parent_span_id: None,
-        tags: TagSet::default(),
-        flow_metrics: None,
-    }
-}
-
-/// The nine capture points of one exchange, outermost first.
-const LADDER: [TapSide; 9] = [
-    TapSide::ClientProcess,
-    TapSide::ClientPodNic,
-    TapSide::ClientNodeNic,
-    TapSide::ClientHypervisor,
-    TapSide::Gateway,
-    TapSide::ServerHypervisor,
-    TapSide::ServerNodeNic,
-    TapSide::ServerPodNic,
-    TapSide::ServerProcess,
-];
-
-/// One capture-ladder exchange (10 spans), linked by systrace ids and a
-/// TCP sequence + otel trace — the same corpus shape `alg1_parallel`
-/// uses, so the numbers compare.
-fn push_exchange(spans: &mut Vec<Span>, seq: u32, link_in: u64, link_out: u64, otel: u128) {
-    let base = u64::from(seq) * 1_000_000;
-    for (rank, tap) in LADDER.iter().enumerate() {
-        let r = rank as u64;
-        let mut s = span(*tap, base + r * 10, base + 900_000 - r * 10);
-        s.tcp_seq_req = Some(seq);
-        if *tap == TapSide::ClientProcess {
-            s.systrace_id_req = Some(SysTraceId(link_in));
-        }
-        if *tap == TapSide::ServerProcess {
-            s.systrace_id_req = Some(SysTraceId(link_out));
-            s.otel_trace_id = Some(OtelTraceId(otel));
-        }
-        spans.push(s);
-    }
-    let mut app = span(TapSide::ServerApp, base + 1_000, base + 800_000);
-    app.kind = SpanKind::App;
-    app.otel_trace_id = Some(OtelTraceId(otel));
-    app.otel_span_id = Some(OtelSpanId(u64::from(seq)));
-    spans.push(app);
-}
-
-/// Per-exchange five-tuples so shard routing disperses the corpus.
-fn spread_flows(spans: &mut [Span]) {
-    for s in spans {
-        let key = s
-            .tcp_seq_req
-            .or(s.otel_span_id.map(|v| v.0 as u32))
-            .unwrap_or(0);
-        s.five_tuple = FiveTuple::tcp(
-            Ipv4Addr::new(10, (key >> 8) as u8, key as u8, 1),
-            40_000,
-            Ipv4Addr::new(10, 128, (key >> 16) as u8, 2),
-            80,
-        );
-    }
-}
-
-/// A fan-out exchange tree (branching 10, `levels` deep), flows spread.
-/// `levels` 3 ≈ 1.1k spans.
-fn template(levels: usize) -> Vec<Span> {
-    let mut spans = Vec::new();
-    let mut next_seq = 1u32;
-    let mut next_key = 1u64;
-    let mut queue = VecDeque::new();
-    queue.push_back((next_key, 0usize));
-    next_key += 1;
-    while let Some((link_in, level)) = queue.pop_front() {
-        let link_out = next_key;
-        next_key += 1;
-        let seq = next_seq;
-        next_seq += 1;
-        push_exchange(&mut spans, seq, link_in, link_out, u128::from(seq));
-        if level + 1 < levels {
-            for _ in 0..10usize {
-                queue.push_back((link_out, level + 1));
-            }
-        }
-    }
-    spread_flows(&mut spans);
-    spans
-}
-
-fn scale_cfg() -> AssembleConfig {
-    AssembleConfig {
-        iterations: 50_000,
-        max_spans: 200_000,
-        ..AssembleConfig::default()
-    }
-}
+use df_bench::corpus::{fanout, scale_cfg};
+use df_types::span::Span;
 
 fn build_cluster(nodes: usize, spans: &[Span]) -> (Cluster, deepflow::types::SpanId) {
     build_cluster_rf(nodes, 1, spans)
@@ -178,7 +41,7 @@ fn build_cluster_rf(nodes: usize, rf: usize, spans: &[Span]) -> (Cluster, deepfl
 /// Distributed assembly at 1/2/4 nodes vs the in-process sharded
 /// baseline, on a ~1.1k-span corpus.
 fn bench_cluster_assembly(c: &mut Criterion) {
-    let spans = template(3);
+    let spans = fanout(3);
     let total = spans.len();
     let cfg = scale_cfg();
 
@@ -209,7 +72,7 @@ fn bench_cluster_assembly(c: &mut Criterion) {
 
 /// Ingest with span-batch shipping (512-span batches) at 1/2/4 nodes.
 fn bench_cluster_ingest(c: &mut Criterion) {
-    let spans = template(3);
+    let spans = fanout(3);
     let total = spans.len();
     let mut group = c.benchmark_group("cluster_ingest_1k");
     group.throughput(Throughput::Elements(total as u64));
@@ -233,7 +96,7 @@ fn bench_cluster_ingest(c: &mut Criterion) {
 /// hop, so the dead-node curve must stay within a small constant factor
 /// of healthy — that gap *is* the failover latency the tentpole buys.
 fn bench_cluster_failover(c: &mut Criterion) {
-    let spans = template(3);
+    let spans = fanout(3);
     let total = spans.len();
     let cfg = scale_cfg();
     let mut local = ShardedSpanStore::new(ShardPolicy::with_shards(4));

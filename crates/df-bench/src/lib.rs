@@ -4,6 +4,8 @@
 //! * [`datasets`] — the paper's survey datasets (Figs. 2, 3, 9, 10;
 //!   Tables 4, 5), encoded from the published numbers so the harnesses can
 //!   print them alongside our measured counterparts;
+//! * [`corpus`] — the synthetic capture-ladder corpus the criterion
+//!   microbenches share;
 //! * [`report`] — plain-text table/figure rendering and shape checks;
 //! * [`fig16`] — the end-to-end throughput/latency sweep shared by the
 //!   Fig. 16 and Fig. 19 binaries.
@@ -19,6 +21,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod corpus;
 pub mod datasets;
 pub mod fig16;
 pub mod report;

@@ -9,10 +9,9 @@
 //! black-holed path ([`Fault::Partition`]) or a sustained loss burst
 //! surfaces as an RPC failure the protocol must absorb:
 //!
-//! * **Ingest** mirrors the single-process oracle's routing exactly
-//!   (sequential global ids, per-shard row counters, soft-cap clamping),
-//!   then ships each per-shard sub-batch to the shard's *primary* as a
-//!   [`RpcBody::SpanBatch`]. The receiver applies batches through a
+//! * **Ingest** routes through the same [`Router`] as the single-process
+//!   oracle, then ships each per-shard sub-batch to the shard's *primary*
+//!   as a [`RpcBody::SpanBatch`]. The receiver applies batches through a
 //!   [`BatchReorder`], so retried or reordered batches land in row order
 //!   and every copy of the shard stays byte-identical to the oracle's.
 //! * **Replication**: with `replication_factor ≥ 2` each shard has a
@@ -30,8 +29,9 @@
 //!   its co-owners ([`RpcBody::ShardSummaryRequest`]) and pull missing
 //!   row ranges ([`RpcBody::RowRangeRequest`]) through the same reorder
 //!   buffer as ingest, so a lagging copy converges byte-identically.
-//! * **Assembly** runs Algorithm 1's Phase 1 with the frontier on the
-//!   coordinator against a *pinned ownership snapshot* (a concurrent
+//! * **Assembly** is df-server's one Algorithm 1 driver
+//!   ([`assemble_with`]) with the frontier on the coordinator and a remote
+//!   prober against a *pinned ownership snapshot* (a concurrent
 //!   join/leave cannot redirect a query mid-flight): each round's
 //!   newly-discovered keys probe local shards in-process and every
 //!   remote copy via [`RpcBody::CandidateRequest`]; a [`RoundTracker`]
@@ -55,6 +55,7 @@
 //! RPC timeouts, scheduled fault heals, and scheduled membership events
 //! (kill/join) on one deterministic clock.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::io;
 use std::net::Ipv4Addr;
@@ -65,11 +66,11 @@ use df_check::sync::Arc;
 use df_net::fabric::{Delivery, Fabric, FabricConfig};
 use df_net::faults::Fault;
 use df_net::topology::{ElementId, Topology};
-use df_server::{assemble_members, probe_shard, AssembleConfig, ExpandedKeys};
+use df_server::{assemble_with, probe_shard, AssembleConfig, Loc, Router, ShardProbe};
 use df_storage::{
     persist, BufferPool, BufferPoolConfig, RecoverStats, ShardPolicy, SpanStore, SpillStats,
 };
-use df_types::rpc::{CandidateKeys, RpcBody, RpcEnvelope};
+use df_types::rpc::{CandidateKeys, CandidateSpan, RpcBody, RpcEnvelope};
 use df_types::wire::{self, WireDecodeError};
 use df_types::{DurationNs, FiveTuple, NodeId, Segment, Span, SpanId, TcpFlags, TimeNs, Trace};
 
@@ -228,6 +229,24 @@ struct NodeState {
     tier: Option<NodeTier>,
 }
 
+impl NodeState {
+    /// Probe every shard copy this node holds with a round's keys,
+    /// capturing each candidate's span alongside its location.
+    fn probe(&self, keys: &CandidateKeys, seen: &HashSet<Loc>) -> Vec<(Loc, Span)> {
+        let mut found = Vec::new();
+        for (&si, store) in &self.shards {
+            probe_shard(si, store, keys, seen, &mut found);
+        }
+        found
+            .into_iter()
+            .map(|loc| {
+                let span = self.shards[&loc.shard].span_at(loc.row);
+                (loc, span.expect("probed row resident").into_owned())
+            })
+            .collect()
+    }
+}
+
 #[derive(Debug)]
 enum EventKind {
     Deliver(Delivery),
@@ -335,10 +354,8 @@ pub struct Cluster {
     cfg: ClusterConfig,
     nodes: Vec<NodeState>,
     map: ShardMap,
-    // Coordinator routing state — mirrors the oracle's `RouteState`.
-    route: Vec<(u16, u32)>,
-    shard_rows: Vec<u32>,
-    clamped: u64,
+    /// Coordinator routing state — the same router the oracle uses.
+    router: Router,
     // Virtual time.
     clock: TimeNs,
     heap: BinaryHeap<Event>,
@@ -363,7 +380,9 @@ impl Cluster {
     /// Build a cluster of `cfg.nodes` simple nodes (one pod each, one
     /// rack), shards spread round-robin with
     /// `cfg.replication_factor` copies each.
-    pub fn new(cfg: ClusterConfig) -> Self {
+    pub fn new(mut cfg: ClusterConfig) -> Self {
+        let router = Router::new(cfg.policy);
+        cfg.policy = *router.policy(); // shard count clamped
         let n = cfg.nodes.clamp(1, 200);
         let mut topo = Topology::new();
         let mut nodes = Vec::with_capacity(n);
@@ -389,9 +408,7 @@ impl Cluster {
             fabric: Fabric::new(topo, cfg.fabric.clone()),
             nodes,
             map,
-            route: Vec::new(),
-            shard_rows: vec![0; shards],
-            clamped: 0,
+            router,
             clock: TimeNs(0),
             heap: BinaryHeap::new(),
             next_event_seq: 0,
@@ -756,21 +773,11 @@ impl Cluster {
                 })
             }
             RpcBody::CandidateRequest { round, keys } => {
-                let node = &self.nodes[idx];
-                let empty = HashSet::new();
-                let mut candidates = Vec::new();
-                for (&si, store) in &node.shards {
-                    for row in probe_shard(si, store, &keys, &empty) {
-                        candidates.push(df_types::rpc::CandidateSpan {
-                            shard: si,
-                            row,
-                            span: store
-                                .span_at(row)
-                                .expect("probed row resident")
-                                .into_owned(),
-                        });
-                    }
-                }
+                let candidates = self.nodes[idx]
+                    .probe(&keys, &HashSet::new())
+                    .into_iter()
+                    .map(|(Loc { shard, row }, span)| CandidateSpan { shard, row, span })
+                    .collect();
                 Some(RpcBody::CandidateResponse { round, candidates })
             }
             RpcBody::SpanFetch { shard, row } => {
@@ -1003,49 +1010,31 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Route and store a batch of spans, shipping remote sub-batches over
-    /// the fabric. Id assignment and shard routing replicate the
-    /// single-process oracle exactly, so a fault-free cluster holds the
-    /// same rows in the same shards. With replication, each sub-batch is
-    /// acknowledged at its write quorum and fails over through the
-    /// shard's owner list before any span is counted lost.
+    /// the fabric. Ids and rows come from the oracle's own [`Router`], so
+    /// a fault-free cluster holds the same rows in the same shards. With
+    /// replication, each sub-batch is acknowledged at its write quorum and
+    /// fails over through the shard's owner list before any span is
+    /// counted lost.
     pub fn ingest(&mut self, spans: Vec<Span>) -> Vec<SpanId> {
         if spans.is_empty() {
             return Vec::new();
         }
-        let mut ids = Vec::with_capacity(spans.len());
-        let mut per_shard: Vec<Option<(u32, Vec<Span>)>> = vec![None; self.cfg.policy.shards];
-        for mut span in spans {
-            let id = SpanId(self.route.len() as u64 + 1);
-            span.span_id = id;
-            let shard = self.pick_shard(self.cfg.policy.route(&span));
-            let row = self.shard_rows[shard as usize];
-            self.shard_rows[shard as usize] += 1;
-            self.route.push((shard, row));
-            per_shard[shard as usize]
-                .get_or_insert_with(|| (row, Vec::new()))
-                .1
-                .push(span);
-            ids.push(id);
-        }
+        let (ids, subs) = self.router.split(spans);
         let mut ship_ids = Vec::new();
-        for (si, sub) in per_shard.into_iter().enumerate() {
-            let Some((start_row, spans)) = sub else {
-                continue;
-            };
-            self.stats.spans_shipped += spans.len() as u64;
-            // Encoded once here; owner failover and replication forwards
-            // all retransmit the same bytes.
-            let batch = Bytes::from(wire::encode_batch(&spans));
+        for sub in subs {
+            self.stats.spans_shipped += sub.spans.len() as u64;
             let ship_id = self.next_ship_id;
             self.next_ship_id += 1;
             self.ships.insert(
                 ship_id,
                 Ship {
-                    shard: si as u16,
-                    start_row,
-                    count: spans.len() as u32,
-                    wire: batch,
-                    owners: self.map.owners_of(si as u16).to_vec(),
+                    shard: sub.shard,
+                    start_row: sub.start_row,
+                    count: sub.spans.len() as u32,
+                    // Encoded once here; owner failover and replication
+                    // forwards all retransmit the same bytes.
+                    wire: Bytes::from(wire::encode_batch(&sub.spans)),
+                    owners: self.map.owners_of(sub.shard).to_vec(),
                     tried: 0,
                     done: false,
                 },
@@ -1068,40 +1057,9 @@ impl Cluster {
         Ok(self.ingest(wire::decode_batch(batch)?))
     }
 
-    /// The oracle's `RouteState::pick_shard`, verbatim.
-    fn pick_shard(&mut self, preferred: usize) -> u16 {
-        if (self.shard_rows[preferred] as usize) < self.cfg.policy.max_shard_rows {
-            return preferred as u16;
-        }
-        self.clamped += 1;
-        self.shard_rows
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &rows)| rows)
-            .map(|(i, _)| i as u16)
-            .unwrap_or(preferred as u16)
-    }
-
     // ------------------------------------------------------------------
     // Distributed assembly (Algorithm 1, Phase 1 over RPC)
     // ------------------------------------------------------------------
-
-    /// Record as missing every shard whose *entire* owner list has
-    /// failed — with replicas, one dead owner degrades nothing.
-    fn extend_missing_for_failures(
-        map: &ShardMap,
-        failed: &HashSet<usize>,
-        missing: &mut BTreeSet<u16>,
-    ) {
-        if failed.is_empty() {
-            return;
-        }
-        for shard in 0..map.shard_count() as u16 {
-            if map.owners_of(shard).iter().all(|o| failed.contains(o)) {
-                missing.insert(shard);
-            }
-        }
-    }
 
     /// Assemble the trace containing `start`, probing remote shards over
     /// the fabric. Never hangs: an unreachable owner fails after the
@@ -1113,208 +1071,38 @@ impl Cluster {
     /// per-round settle loops) cannot redirect later rounds, though a
     /// freshly-joined node holding stores is still probed.
     pub fn assemble(&mut self, start: SpanId) -> DistributedTrace {
-        let mut missing: BTreeSet<u16> = BTreeSet::new();
-        let mut failed_nodes: HashSet<usize> = HashSet::new();
-        let map = self.map.clone();
-
-        let Some(&(s_shard, s_row)) = start
-            .raw()
-            .checked_sub(1)
-            .and_then(|i| self.route.get(i as usize))
-        else {
+        let Some(loc) = self.router.loc(start) else {
             return DistributedTrace {
                 trace: Trace::default(),
                 missing_shards: Vec::new(),
                 rounds: 0,
             };
         };
-        let Some(start_span) =
-            self.fetch_span(&map, s_shard, s_row, &mut failed_nodes, &mut missing)
-        else {
-            self.stats.degraded_queries += 1;
-            return DistributedTrace {
-                trace: Trace::default(),
-                missing_shards: missing.into_iter().collect(),
-                rounds: 0,
-            };
+        let cfg = self.cfg.assemble.clone();
+        let mut probe = RemoteProbe {
+            map: self.map.clone(),
+            cluster: self,
+            span_of: HashMap::new(),
+            failed_nodes: HashSet::new(),
+            missing: BTreeSet::new(),
+            tracker: RoundTracker::new(),
         };
-
-        let mut seen: HashSet<(u16, u32)> = HashSet::new();
-        seen.insert((s_shard, s_row));
-        let mut span_of: HashMap<(u16, u32), Span> = HashMap::new();
-        span_of.insert((s_shard, s_row), start_span);
-        let mut members: Vec<(u16, u32)> = vec![(s_shard, s_row)];
-        let mut frontier = members.clone();
-        let mut keys = ExpandedKeys::default();
-        let mut tracker = RoundTracker::new();
-        let mut rounds = 0u32;
-
-        for iter in 0..self.cfg.assemble.iterations {
-            if members.len() >= self.cfg.assemble.max_spans {
-                break;
+        let (trace, rounds) = match probe.fetch_span(loc) {
+            Some(span) => {
+                probe.span_of.insert(loc, span);
+                assemble_with(&mut probe, loc, start, &cfg)
             }
-            let mut batch = CandidateKeys::default();
-            for loc in &frontier {
-                keys.collect(&mut batch, &span_of[loc]);
-            }
-            if batch.is_empty() {
-                break;
-            }
-            rounds += 1;
-
-            // Local probes: the coordinator's own shards, against the
-            // real visited set. Spans are captured eagerly — a scheduled
-            // join firing inside this round's settle loop may move the
-            // store before the merge below runs.
-            let mut per_shard: BTreeMap<u16, Vec<(u32, Span)>> = BTreeMap::new();
-            for (&si, store) in &self.nodes[0].shards {
-                for row in probe_shard(si, store, &batch, &seen) {
-                    let span = store
-                        .span_at(row)
-                        .expect("probed row resident")
-                        .into_owned();
-                    per_shard.entry(si).or_default().push((row, span));
-                }
-            }
-
-            // Remote probes: every node that could hold a candidate —
-            // each shard copy answers, so one dead owner costs nothing.
-            // A node outside the snapshot that holds stores (it joined
-            // mid-assembly) is probed too.
-            let mut round_rpcs: Vec<(u64, usize)> = Vec::new();
-            for idx in 1..self.nodes.len() {
-                if failed_nodes.contains(&idx) {
-                    continue;
-                }
-                if map.shards_of(idx).is_empty() && self.nodes[idx].shards.is_empty() {
-                    continue;
-                }
-                let id = self.send_rpc(
-                    0,
-                    idx,
-                    RpcBody::CandidateRequest {
-                        round: iter as u32,
-                        keys: batch.clone(),
-                    },
-                    RpcPurpose::Driver,
-                );
-                round_rpcs.push((id, idx));
-            }
-            let ids: Vec<u64> = round_rpcs.iter().map(|&(id, _)| id).collect();
-            tracker.begin_round(iter as u32, &ids);
-            self.run_until_settled(&ids);
-            for (id, idx) in round_rpcs {
-                match self.completed.remove(&id) {
-                    Some(RpcResult::Ok(RpcBody::CandidateResponse { round, candidates }))
-                        if tracker.accept(round, id) =>
-                    {
-                        for c in candidates {
-                            per_shard.entry(c.shard).or_default().push((c.row, c.span));
-                        }
-                    }
-                    _ => {
-                        // Timed out, wrong body, or a round-label the
-                        // tracker refused: the node is out of this
-                        // query. Its shards go missing only if no other
-                        // copy can answer for them.
-                        failed_nodes.insert(idx);
-                    }
-                }
-            }
-            Self::extend_missing_for_failures(&map, &failed_nodes, &mut missing);
-
-            // Merge in global shard order — the same order the oracle's
-            // `phase1_members` produces, so member sets match under caps.
-            // Replicated shards answer once per copy; `seen` dedups.
-            let mut next: Vec<(u16, u32)> = Vec::new();
-            for (si, rows) in per_shard {
-                for (row, span) in rows {
-                    if seen.insert((si, row)) {
-                        span_of.insert((si, row), span);
-                        next.push((si, row));
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            members.extend_from_slice(&next);
-            frontier = next;
-        }
-
-        let spans: Vec<Span> = members
-            .iter()
-            .map(|loc| span_of.remove(loc).expect("member without span"))
-            .collect();
-        let trace = assemble_members(spans, start, &self.cfg.assemble);
-        if !missing.is_empty() {
-            self.stats.degraded_queries += 1;
+            None => (Trace::default(), 0),
+        };
+        // A start span no copy could produce is itself a degraded answer.
+        if trace.is_empty() || !probe.missing.is_empty() {
+            probe.cluster.stats.degraded_queries += 1;
         }
         DistributedTrace {
             trace,
-            missing_shards: missing.into_iter().collect(),
+            missing_shards: probe.missing.into_iter().collect(),
             rounds,
         }
-    }
-
-    /// Point-read a row, trying each owner in slot order (the
-    /// coordinator's own copy is read in-process). `Ok(None)` from one
-    /// copy falls through to the next — a lagging replica must not hide
-    /// a row its co-owner holds.
-    fn fetch_span(
-        &mut self,
-        map: &ShardMap,
-        shard: u16,
-        row: u32,
-        failed_nodes: &mut HashSet<usize>,
-        missing: &mut BTreeSet<u16>,
-    ) -> Option<Span> {
-        let owners = map.owners_of(shard).to_vec();
-        let mut answered = false;
-        for owner in owners {
-            if failed_nodes.contains(&owner) {
-                continue;
-            }
-            if owner == 0 {
-                match self.nodes[0]
-                    .shards
-                    .get(&shard)
-                    .and_then(|s| s.span_at(row))
-                {
-                    Some(s) => return Some(s.into_owned()),
-                    None => {
-                        answered = true;
-                        continue;
-                    }
-                }
-            }
-            let id = self.send_rpc(
-                0,
-                owner,
-                RpcBody::SpanFetch { shard, row },
-                RpcPurpose::Driver,
-            );
-            self.run_until_settled(&[id]);
-            match self.completed.remove(&id) {
-                Some(RpcResult::Ok(RpcBody::SpanFetchResponse { span: Some(s), .. })) => {
-                    return Some(*s)
-                }
-                Some(RpcResult::Ok(RpcBody::SpanFetchResponse { span: None, .. })) => {
-                    answered = true;
-                }
-                _ => {
-                    failed_nodes.insert(owner);
-                }
-            }
-        }
-        // No copy produced the span. Attribute the degradation honestly:
-        // shards all of whose owners failed, plus — if some owner did
-        // answer — this shard, whose rows were lost in ingest.
-        Self::extend_missing_for_failures(map, failed_nodes, missing);
-        if answered {
-            missing.insert(shard);
-        }
-        None
     }
 
     // ------------------------------------------------------------------
@@ -1760,17 +1548,17 @@ impl Cluster {
 
     /// Spans routed through ingest (whether or not their batch survived).
     pub fn len(&self) -> usize {
-        self.route.len()
+        self.router.len()
     }
 
     /// Whether nothing has been ingested.
     pub fn is_empty(&self) -> bool {
-        self.route.is_empty()
+        self.router.is_empty()
     }
 
     /// Spans routed away from their preferred shard by the row cap.
     pub fn routing_clamped(&self) -> u64 {
-        self.clamped
+        self.router.clamped()
     }
 
     /// Rows actually present per shard, ascending by shard — for
@@ -1787,6 +1575,152 @@ impl Cluster {
                     .unwrap_or(0)
             })
             .collect()
+    }
+}
+
+/// The remote prober of [`assemble_with`]: one query's view of the
+/// cluster from the coordinator. Local shard copies are probed in-process,
+/// every other node over a `CandidateRequest` RPC; candidate spans travel
+/// with the responses and are kept here, since the coordinator cannot
+/// borrow rows it does not hold.
+struct RemoteProbe<'a> {
+    cluster: &'a mut Cluster,
+    /// Ownership as of query entry.
+    map: ShardMap,
+    /// The start span plus every candidate any round returned.
+    span_of: HashMap<Loc, Span>,
+    /// Nodes that failed an RPC of this query (not asked again).
+    failed_nodes: HashSet<usize>,
+    /// Shards no live copy could answer for.
+    missing: BTreeSet<u16>,
+    tracker: RoundTracker,
+}
+
+impl RemoteProbe<'_> {
+    /// Record as missing every shard whose *entire* owner list has
+    /// failed — with replicas, one dead owner degrades nothing.
+    fn note_missing(&mut self) {
+        if self.failed_nodes.is_empty() {
+            return;
+        }
+        for shard in 0..self.map.shard_count() as u16 {
+            let owners = self.map.owners_of(shard);
+            if owners.iter().all(|o| self.failed_nodes.contains(o)) {
+                self.missing.insert(shard);
+            }
+        }
+    }
+
+    /// Point-read a row, trying each owner in slot order (the
+    /// coordinator's own copy is read in-process). `Ok(None)` from one
+    /// copy falls through to the next — a lagging replica must not hide
+    /// a row its co-owner holds.
+    fn fetch_span(&mut self, Loc { shard, row }: Loc) -> Option<Span> {
+        let mut answered = false;
+        for owner in self.map.owners_of(shard).to_vec() {
+            if self.failed_nodes.contains(&owner) {
+                continue;
+            }
+            if owner == 0 {
+                let local = self.cluster.nodes[0].shards.get(&shard);
+                match local.and_then(|s| s.span_at(row)) {
+                    Some(s) => return Some(s.into_owned()),
+                    None => {
+                        answered = true;
+                        continue;
+                    }
+                }
+            }
+            match self
+                .cluster
+                .call(0, owner, RpcBody::SpanFetch { shard, row })
+            {
+                Some(RpcBody::SpanFetchResponse { span: Some(s), .. }) => return Some(*s),
+                Some(RpcBody::SpanFetchResponse { span: None, .. }) => answered = true,
+                _ => {
+                    self.failed_nodes.insert(owner);
+                }
+            }
+        }
+        // No copy produced the span. Attribute the degradation honestly:
+        // shards all of whose owners failed, plus — if some owner did
+        // answer — this shard, whose rows were lost in ingest.
+        self.note_missing();
+        if answered {
+            self.missing.insert(shard);
+        }
+        None
+    }
+}
+
+impl ShardProbe for RemoteProbe<'_> {
+    fn span_at(&self, loc: Loc) -> Cow<'_, Span> {
+        Cow::Borrowed(&self.span_of[&loc])
+    }
+
+    fn probe_round(&mut self, round: u32, keys: &CandidateKeys, seen: &HashSet<Loc>) -> Vec<Loc> {
+        // Local probes: the coordinator's own shards, against the real
+        // visited set. Spans are captured eagerly — a scheduled join
+        // firing inside this round's settle loop may move the store
+        // before the merge below runs.
+        let mut candidates = self.cluster.nodes[0].probe(keys, seen);
+
+        // Remote probes: every node that could hold a candidate — each
+        // shard copy answers, so one dead owner costs nothing. A node
+        // outside the snapshot that holds stores (it joined mid-assembly)
+        // is probed too.
+        let mut round_rpcs: Vec<(u64, usize)> = Vec::new();
+        for idx in 1..self.cluster.nodes.len() {
+            if self.failed_nodes.contains(&idx)
+                || (self.map.shards_of(idx).is_empty() && self.cluster.nodes[idx].shards.is_empty())
+            {
+                continue;
+            }
+            let body = RpcBody::CandidateRequest {
+                round,
+                keys: keys.clone(),
+            };
+            let id = self.cluster.send_rpc(0, idx, body, RpcPurpose::Driver);
+            round_rpcs.push((id, idx));
+        }
+        let ids: Vec<u64> = round_rpcs.iter().map(|&(id, _)| id).collect();
+        self.tracker.begin_round(round, &ids);
+        self.cluster.run_until_settled(&ids);
+        for (id, idx) in round_rpcs {
+            match self.cluster.completed.remove(&id) {
+                Some(RpcResult::Ok(RpcBody::CandidateResponse {
+                    round,
+                    candidates: found,
+                })) if self.tracker.accept(round, id) => {
+                    candidates.extend(found.into_iter().map(|c| {
+                        let (shard, row) = (c.shard, c.row);
+                        (Loc { shard, row }, c.span)
+                    }));
+                }
+                _ => {
+                    // Timed out, wrong body, or a round-label the tracker
+                    // refused: the node is out of this query. Its shards
+                    // go missing only if no other copy can answer for
+                    // them.
+                    self.failed_nodes.insert(idx);
+                }
+            }
+        }
+        self.note_missing();
+
+        // Merge in global shard order (stable: local before remote, remote
+        // in node order) — the order the in-process prober produces, so
+        // member sets match under caps. Replicated shards answer once per
+        // copy; the first copy's span is kept and the driver dedups.
+        candidates.sort_by_key(|(loc, _)| loc.shard);
+        let mut found = Vec::with_capacity(candidates.len());
+        for (loc, span) in candidates {
+            if !seen.contains(&loc) {
+                self.span_of.entry(loc).or_insert(span);
+                found.push(loc);
+            }
+        }
+        found
     }
 }
 
@@ -1813,6 +1747,25 @@ mod tests {
         assert_eq!(result.trace.spans[1].parent, Some(ids[0]));
         assert_eq!(cluster.stats().spans_lost, 0);
         assert!(cluster.stats().rpcs_sent > 0, "ingest or probe must RPC");
+    }
+
+    #[test]
+    fn out_of_range_shard_counts_are_clamped_not_fatal() {
+        // `ShardPolicy::route` is `hash % shards`: an unclamped 0 panics.
+        for (asked, clamped) in [(0, 1), (100, 64)] {
+            let mut cluster = Cluster::new(ClusterConfig {
+                policy: ShardPolicy {
+                    shards: asked,
+                    ..ShardPolicy::default()
+                },
+                ..ClusterConfig::default()
+            });
+            assert_eq!(cluster.config().policy.shards, clamped);
+            let ids = cluster.ingest(linked_pair());
+            let result = cluster.assemble(ids[1]);
+            assert!(result.is_complete());
+            assert_eq!(result.trace.len(), 2, "{asked} shards");
+        }
     }
 
     #[test]

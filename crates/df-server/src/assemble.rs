@@ -70,10 +70,13 @@
 //! as a differential-testing oracle and benchmark baseline; the property
 //! tests assert both implementations produce identical traces.
 
+use crate::router::Loc;
 use df_storage::SpanStore;
+use df_types::rpc::CandidateKeys;
 use df_types::span::{Span, SpanKind, TapSide};
 use df_types::trace::{AssembledSpan, Trace};
 use df_types::{DurationNs, SpanId};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Assembly tunables.
@@ -97,91 +100,199 @@ impl Default for AssembleConfig {
     }
 }
 
-/// Run Algorithm 1 from `start`.
-pub fn assemble_trace(store: &SpanStore, start: SpanId, cfg: &AssembleConfig) -> Trace {
-    if store.get(start).is_none() || store.is_tombstoned(start) {
-        return Trace::default();
-    }
-    let start_row = (start.raw() - 1) as u32;
+/// Where Phase 1 finds spans. The frontier search itself
+/// ([`assemble_with`]) is one loop; what differs between deployments is
+/// only how a round's keys reach the shards — borrowed rows in this
+/// process ([`LocalShards`]) or candidate-set RPCs to other nodes
+/// (`df-cluster`).
+pub trait ShardProbe {
+    /// The span at `loc`: the start span or a location an earlier
+    /// [`ShardProbe::probe_round`] returned.
+    fn span_at(&self, loc: Loc) -> Cow<'_, Span>;
 
-    // ---- Phase 1: frontier span search (lines 1–16) ----
-    // `seen` is membership only; `members`/`frontier` are Vecs so discovery
-    // order (and therefore the whole phase) is deterministic. Each index
-    // key is expanded at most once: after a bucket has been walked every
-    // row in it is in `seen`, so re-probing it could add nothing.
-    let mut seen: HashSet<u32> = HashSet::new();
-    seen.insert(start_row);
-    let mut members: Vec<u32> = vec![start_row];
-    let mut frontier: Vec<u32> = vec![start_row];
-    let mut keys_systrace: HashSet<u64> = HashSet::new();
-    let mut keys_pseudo_thread: HashSet<u64> = HashSet::new();
-    let mut keys_x_request: HashSet<u128> = HashSet::new();
-    let mut keys_tcp_seq: HashSet<u32> = HashSet::new();
-    let mut keys_otel_trace: HashSet<u128> = HashSet::new();
-    for _iter in 0..cfg.iterations {
-        if members.len() >= cfg.max_spans {
-            break; // cap crossed; truncated below
+    /// Run round `round`'s new keys against every shard and return the
+    /// matching locations in ascending shard order. Locations in `seen`
+    /// may be left out; the driver drops them (and repeats) either way.
+    fn probe_round(&mut self, round: u32, keys: &CandidateKeys, seen: &HashSet<Loc>) -> Vec<Loc>;
+}
+
+/// The in-process prober: the shards are right here, index-aligned with
+/// [`Loc::shard`], and rows are borrowed straight from them (a cold row
+/// pages in when its keys are expanded — the Phase 1 page-in path).
+pub struct LocalShards<'a>(pub &'a [&'a SpanStore]);
+
+impl ShardProbe for LocalShards<'_> {
+    fn span_at(&self, loc: Loc) -> Cow<'_, Span> {
+        self.0[loc.shard as usize]
+            .span_at(loc.row)
+            .expect("member rows exist")
+    }
+
+    fn probe_round(&mut self, _round: u32, keys: &CandidateKeys, seen: &HashSet<Loc>) -> Vec<Loc> {
+        let mut found = Vec::new();
+        for (si, shard) in self.0.iter().enumerate() {
+            probe_shard(si as u16, shard, keys, seen, &mut found);
         }
-        let mut next: Vec<u32> = Vec::new();
+        found
+    }
+}
+
+/// The per-index sets of keys already expanded during one assembly (each
+/// key is expanded — probed against every shard — at most once globally).
+#[derive(Debug, Default)]
+struct ExpandedKeys {
+    systrace: HashSet<u64>,
+    pseudo_thread: HashSet<u64>,
+    x_request: HashSet<u128>,
+    tcp_seq: HashSet<u32>,
+    otel_trace: HashSet<u128>,
+}
+
+impl ExpandedKeys {
+    /// Collect `span`'s not-yet-expanded association keys into `batch`,
+    /// marking them expanded. Key order within the batch is discovery
+    /// order, which every prober preserves.
+    fn collect(&mut self, batch: &mut CandidateKeys, span: &Span) {
+        for v in [span.systrace_id_req, span.systrace_id_resp]
+            .into_iter()
+            .flatten()
         {
-            let mut grow = |rows: &[u32]| {
-                for &r in rows {
-                    if seen.insert(r) {
-                        if store.is_tombstoned(SpanStore::id_at(r)) {
-                            continue; // consumed by re-aggregation
-                        }
-                        next.push(r);
-                    }
-                }
-            };
-            for &row in &frontier {
-                let s = store.span_at(row).expect("frontier rows exist");
-                for v in [s.systrace_id_req, s.systrace_id_resp]
-                    .into_iter()
-                    .flatten()
-                {
-                    if keys_systrace.insert(v.raw()) {
-                        grow(store.find_by_systrace(v.raw()));
-                    }
-                }
-                if let Some(p) = s.pseudo_thread_id {
-                    if keys_pseudo_thread.insert(p.raw()) {
-                        grow(store.find_by_pseudo_thread(p.raw()));
-                    }
-                }
-                for v in [s.x_request_id_req, s.x_request_id_resp]
-                    .into_iter()
-                    .flatten()
-                {
-                    if keys_x_request.insert(v.0) {
-                        grow(store.find_by_x_request(v.0));
-                    }
-                }
-                for v in [s.tcp_seq_req, s.tcp_seq_resp].into_iter().flatten() {
-                    if keys_tcp_seq.insert(v) {
-                        grow(store.find_by_tcp_seq(v));
-                    }
-                }
-                if let Some(t) = s.otel_trace_id {
-                    if keys_otel_trace.insert(t.0) {
-                        grow(store.find_by_otel_trace(t.0));
-                    }
-                }
+            if self.systrace.insert(v.raw()) {
+                batch.systrace.push(v.raw());
             }
         }
+        if let Some(p) = span.pseudo_thread_id {
+            if self.pseudo_thread.insert(p.raw()) {
+                batch.pseudo_thread.push(p.raw());
+            }
+        }
+        for v in [span.x_request_id_req, span.x_request_id_resp]
+            .into_iter()
+            .flatten()
+        {
+            if self.x_request.insert(v.0) {
+                batch.x_request.push(v.0);
+            }
+        }
+        for v in [span.tcp_seq_req, span.tcp_seq_resp].into_iter().flatten() {
+            if self.tcp_seq.insert(v) {
+                batch.tcp_seq.push(v);
+            }
+        }
+        if let Some(t) = span.otel_trace_id {
+            if self.otel_trace.insert(t.0) {
+                batch.otel_trace.push(t.0);
+            }
+        }
+    }
+}
+
+/// Probe shard `si` with a whole round's key batch, appending its *new*
+/// candidate rows to `found`: rows in `seen` are skipped, rows matched by
+/// several keys are appended once, tombstoned rows are filtered. A remote
+/// shard owner answers a
+/// [`CandidateRequest`](df_types::rpc::RpcBody::CandidateRequest) by
+/// calling exactly this with an empty `seen` set.
+pub fn probe_shard(
+    si: u16,
+    shard: &SpanStore,
+    batch: &CandidateKeys,
+    seen: &HashSet<Loc>,
+    found: &mut Vec<Loc>,
+) {
+    let mut local: HashSet<u32> = HashSet::new();
+    let mut grow = |rows: &[u32]| {
+        for &row in rows {
+            let loc = Loc { shard: si, row };
+            if seen.contains(&loc) || !local.insert(row) {
+                continue;
+            }
+            // The id is resident even for cold rows, so the tombstone
+            // filter never pages in — probing stays IO-free.
+            let id = shard.stored_id(row).expect("indexed row exists");
+            if !shard.is_tombstoned(id) {
+                found.push(loc);
+            }
+        }
+    };
+    for &k in &batch.systrace {
+        grow(shard.find_by_systrace(k));
+    }
+    for &k in &batch.pseudo_thread {
+        grow(shard.find_by_pseudo_thread(k));
+    }
+    for &k in &batch.x_request {
+        grow(shard.find_by_x_request(k));
+    }
+    for &k in &batch.tcp_seq {
+        grow(shard.find_by_tcp_seq(k));
+    }
+    for &k in &batch.otel_trace {
+        grow(shard.find_by_otel_trace(k));
+    }
+}
+
+/// Algorithm 1 from the span at `start` (whose id is `start_id`), over
+/// whatever `prober` reaches. Returns the trace and how many Phase 1
+/// rounds probed the shards.
+///
+/// Phase 1 (lines 1–16) is a frontier search: each round batches the
+/// frontier's not-yet-expanded keys ([`CandidateKeys`] — also the payload
+/// of a cross-node `CandidateRequest`), probes the batch against every
+/// shard, and the newly seen locations become the next frontier. `seen`
+/// is membership only; `members`/`frontier` are `Vec`s merged in ascending
+/// shard order, so discovery order — and with it the member set under the
+/// `max_spans` cap — is the same for every prober. Phases 2 and 3 run on
+/// the materialised member spans.
+pub fn assemble_with<P: ShardProbe>(
+    prober: &mut P,
+    start: Loc,
+    start_id: SpanId,
+    cfg: &AssembleConfig,
+) -> (Trace, u32) {
+    let mut seen: HashSet<Loc> = HashSet::from([start]);
+    let mut members: Vec<Loc> = vec![start];
+    let mut frontier: Vec<Loc> = vec![start];
+    let mut expanded = ExpandedKeys::default();
+    let mut rounds = 0u32;
+    for _ in 0..cfg.iterations {
+        if members.len() >= cfg.max_spans {
+            break; // cap crossed; truncated by `assemble_members`
+        }
+        let mut keys = CandidateKeys::default();
+        for &loc in &frontier {
+            expanded.collect(&mut keys, &prober.span_at(loc));
+        }
+        if keys.is_empty() {
+            break; // fixed point: no new keys to expand
+        }
+        let mut next = prober.probe_round(rounds, &keys, &seen);
+        rounds += 1;
+        next.retain(|&loc| seen.insert(loc));
         if next.is_empty() {
-            break; // fixed point (lines 13–14)
+            break; // fixed point (lines 13–14): nothing new matched
         }
         members.extend_from_slice(&next);
         frontier = next;
     }
-    let spans = collect_members(store, &members, start, cfg.max_spans);
+    let spans = members
+        .iter()
+        .map(|&loc| prober.span_at(loc).into_owned())
+        .collect();
+    (assemble_members(spans, start_id, cfg), rounds)
+}
 
-    // ---- Phase 2: parent assignment (lines 17–24) ----
-    let parents = set_parents_indexed(&spans, cfg);
-
-    // ---- Phase 3: sort by time and parent relationship (line 25) ----
-    sort_trace(spans, parents)
+/// Run Algorithm 1 from `start` over one standalone store: the one-shard
+/// case of [`assemble_with`].
+pub fn assemble_trace(store: &SpanStore, start: SpanId, cfg: &AssembleConfig) -> Trace {
+    if store.get(start).is_none() || store.is_tombstoned(start) {
+        return Trace::default();
+    }
+    let start_loc = Loc {
+        shard: 0,
+        row: (start.raw() - 1) as u32,
+    };
+    assemble_with(&mut LocalShards(&[store]), start_loc, start, cfg).0
 }
 
 /// Reference formulation of Algorithm 1: Phase 1 re-probes the *entire*
@@ -259,24 +370,16 @@ fn collect_members(
 
 /// Phases 2 and 3 over an already-materialised member set: sort/truncate
 /// (retaining `start`), assign parents under the 16 rules, sort the tree.
-/// The shared epilogue of every Phase 1 implementation — single-store,
-/// sharded, and the distributed cluster coordinator, which gathers member
-/// spans from remote nodes and cannot hand back store references.
-pub fn assemble_members(spans: Vec<Span>, start: SpanId, cfg: &AssembleConfig) -> Trace {
+fn assemble_members(spans: Vec<Span>, start: SpanId, cfg: &AssembleConfig) -> Trace {
     let spans = sort_and_truncate(spans, start, cfg.max_spans);
     let parents = set_parents_indexed(&spans, cfg);
     sort_trace(spans, parents)
 }
 
-/// Shared Phase-1 epilogue: sort the materialised member spans by
-/// `(req_time, span_id)` and truncate deterministically to `max_spans`,
-/// always retaining the start span. Used by both the single-store and the
-/// sharded assembly paths so their truncation semantics provably agree.
-pub(crate) fn sort_and_truncate(
-    mut spans: Vec<Span>,
-    start: SpanId,
-    max_spans: usize,
-) -> Vec<Span> {
+/// Sort the materialised member spans by `(req_time, span_id)` and
+/// truncate deterministically to `max_spans`, always retaining the start
+/// span. Shared with the reference so truncation semantics provably agree.
+fn sort_and_truncate(mut spans: Vec<Span>, start: SpanId, max_spans: usize) -> Vec<Span> {
     spans.sort_by_key(|s| (s.req_time, s.span_id));
     if spans.len() > max_spans {
         let start_pos = spans
@@ -469,7 +572,7 @@ fn build_candidate_index(spans: &[Span]) -> CandidateIndex {
 /// with the exchange's own context values; rule 14 probes the
 /// server-process index. Hash lookups replace the full-set scans of
 /// [`set_parents_reference`].
-pub(crate) fn set_parents_indexed(spans: &[Span], cfg: &AssembleConfig) -> HashMap<SpanId, SpanId> {
+fn set_parents_indexed(spans: &[Span], cfg: &AssembleConfig) -> HashMap<SpanId, SpanId> {
     let ex = group_exchanges(spans);
     let mut parent = ex.parent.clone();
     let cand = build_candidate_index(spans);
@@ -731,7 +834,7 @@ fn drop_cycles(_spans: &[Span], parent: HashMap<SpanId, SpanId>) -> HashMap<Span
         .collect()
 }
 
-pub(crate) fn sort_trace(spans: Vec<Span>, parents: HashMap<SpanId, SpanId>) -> Trace {
+fn sort_trace(spans: Vec<Span>, parents: HashMap<SpanId, SpanId>) -> Trace {
     let index: HashMap<SpanId, usize> = spans
         .iter()
         .enumerate()

@@ -1,13 +1,10 @@
 //! [`ConcurrentShardedStore`] — the shard boundary taken across threads.
 //!
-//! PR 2 partitioned the corpus into [`SpanStore`] shards behind one
-//! `&mut self`; every ingest and every assembly still serialised on the
-//! owning thread. This module makes each shard an independently locked
-//! unit owned by a **per-shard ingest worker thread**, so ingest
-//! parallelises across shards while queries run concurrently against a
-//! consistent snapshot — the ROADMAP's "take the shard boundary across
-//! threads" step, mirroring how the paper's collector keeps absorbing
-//! agent traffic while Algorithm 1 assembles on demand (§5).
+//! Each shard is an independently locked unit owned by a **per-shard
+//! ingest worker thread**, so ingest parallelises across shards while
+//! queries run concurrently against a consistent snapshot — mirroring how
+//! the paper's collector keeps absorbing agent traffic while Algorithm 1
+//! assembles on demand (§5).
 //!
 //! ## Topology
 //!
@@ -19,12 +16,13 @@
 //!                └───────────────► …
 //! ```
 //!
-//! * **Routing front-end** (`route` mutex): assigns global sequential span
-//!   ids and `(shard, row)` locations — identical to what the
-//!   single-threaded [`ShardedSpanStore`](crate::sharded::ShardedSpanStore)
-//!   would assign for the same call order, which is what makes the
-//!   differential determinism tests possible. Held only for cheap work;
-//!   channel sends happen outside it.
+//! * **Routing front-end** (`route` mutex around the one
+//!   [`Router`]): assigns global sequential span ids and `(shard, row)`
+//!   locations — identical to what the single-threaded
+//!   [`ShardedSpanStore`](crate::sharded::ShardedSpanStore) assigns for
+//!   the same call order, which is what makes the differential
+//!   determinism tests possible. Held only for cheap work; channel sends
+//!   happen outside it.
 //! * **Bounded channels**: each shard's queue holds at most
 //!   [`ConcurrentConfig::queue_depth`] messages; a full queue blocks the
 //!   producer (backpressure) instead of growing without bound.
@@ -32,8 +30,9 @@
 //!   `RwLock`, applying batches with the amortised
 //!   [`SpanStore::insert_routed_batch`]. Because sends happen outside the
 //!   routing lock, two producers' batches can arrive out of row order; the
-//!   worker stashes early batches and applies strictly in row order, so
-//!   shard contents are independent of arrival races.
+//!   worker's [`BatchReorder`] stashes early batches and releases them
+//!   strictly in row order, so shard contents are independent of arrival
+//!   races.
 //! * **Flush barrier**: [`ConcurrentShardedStore::flush`] returns only
 //!   once every message enqueued before it has been applied — tests and
 //!   benches get read-your-writes visibility on demand.
@@ -47,10 +46,10 @@
 //! generation-bumped are therefore atomic from any reader's point of view:
 //! no interleaving exists in which a cached trace misses an applied span
 //! yet records its post-apply generation (which would never invalidate —
-//! a permanently stale entry). The exhaustive two-thread schedule
-//! enumeration in this module's tests checks exactly this, including that
-//! both fine-grained orderings *would* exhibit the bug without the lock
-//! discipline.
+//! a permanently stale entry). The df-check models in
+//! `tests/df_check_models.rs` explore exactly this under every schedule,
+//! including that both fine-grained orderings *would* exhibit the bug
+//! without the lock discipline.
 //!
 //! ## Bounded staleness under ingest load
 //!
@@ -63,11 +62,13 @@
 //! the queue — the paper's dashboards prefer a milliseconds-old trace over
 //! a trace query that stalls the collector. Served-stale queries are
 //! counted separately ([`ServerStats::cache_stale_hits`]).
+//!
+//! [`CacheOutcome::Stale`]: crate::trace_cache::CacheOutcome::Stale
 
-use crate::assemble::AssembleConfig;
+use crate::assemble::{assemble_with, AssembleConfig, LocalShards};
+use crate::router::{BatchReorder, BucketTable, Router};
 use crate::server::ServerStats;
-use crate::sharded::{finish_assembly, phase1_members, Bucket, Loc, PARALLEL_MIN_KEYS};
-use crate::trace_cache::{BucketGens, CacheOutcome, TraceCache};
+use crate::trace_cache::{query_through, BucketGens, TraceCache};
 use df_check::sync::atomic::{AtomicUsize, Ordering};
 use df_check::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use df_check::sync::{Arc, Condvar, Mutex, Once, RwLock};
@@ -76,7 +77,7 @@ use df_types::trace::Trace;
 use df_types::wire::{self, WireDecodeError};
 use df_types::{Span, SpanId, TimeNs};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io;
 use std::thread;
 
@@ -93,9 +94,6 @@ pub struct ConcurrentConfig {
     /// Maximum bucket-generation drift a cached trace may have and still
     /// be served under ingest load (see the module docs).
     pub stale_window: u64,
-    /// Fan Phase 1's per-shard probes out across scoped threads when a
-    /// frontier round's key batch is large enough.
-    pub parallel_phase1: bool,
 }
 
 impl Default for ConcurrentConfig {
@@ -104,7 +102,6 @@ impl Default for ConcurrentConfig {
             queue_depth: 64,
             stale_pending_threshold: 4096,
             stale_window: 8,
-            parallel_phase1: true,
         }
     }
 }
@@ -289,79 +286,10 @@ struct ShardSlot {
     failed: Mutex<Option<String>>,
 }
 
-/// The routing front-end state: id assignment and id → location mapping.
-#[derive(Debug, Default)]
-struct RouteState {
-    /// Global id − 1 → location (ids are assigned sequentially here).
-    route: Vec<Loc>,
-    /// Next row per shard.
-    shard_rows: Vec<u32>,
-    /// Spans routed away from a full preferred shard (soft-cap clamp).
-    clamped: u64,
-}
-
-impl RouteState {
-    fn loc(&self, id: SpanId) -> Option<Loc> {
-        let idx = id.raw().checked_sub(1)? as usize;
-        self.route.get(idx).copied()
-    }
-
-    /// The preferred shard unless it is at the policy's row cap — then the
-    /// least-loaded shard, with the clamp counted (never panics).
-    fn pick_shard(&mut self, preferred: usize, policy: &ShardPolicy) -> u16 {
-        if (self.shard_rows[preferred] as usize) < policy.max_shard_rows {
-            return preferred as u16;
-        }
-        self.clamped += 1;
-        self.shard_rows
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &rows)| rows)
-            .map(|(i, _)| i as u16)
-            .unwrap_or(preferred as u16)
-    }
-}
-
-/// The time-bucket generation table, shared between workers (bumping) and
-/// readers (validating cache entries, windowing queries).
-#[derive(Debug, Default)]
-struct GenTable {
-    buckets: HashMap<u64, Bucket>,
-}
-
-impl GenTable {
-    fn touch(&mut self, bucket: u64, shard: usize) {
-        let b = self.buckets.entry(bucket).or_default();
-        b.gen += 1;
-        b.shards |= 1u64 << shard;
-    }
-
-    fn gen(&self, bucket: u64) -> u64 {
-        self.buckets.get(&bucket).map(|b| b.gen).unwrap_or(0)
-    }
-
-    /// Bitmask of shards holding applied spans in `[from, to)`; all-ones
-    /// when the window is unbounded.
-    fn window_mask(&self, policy: &ShardPolicy, from: Option<TimeNs>, to: Option<TimeNs>) -> u64 {
-        let (Some(from), Some(to)) = (from, to) else {
-            return u64::MAX;
-        };
-        if to.as_nanos() == 0 {
-            return 0;
-        }
-        let lo = policy.bucket_of(from);
-        let hi = policy.bucket_of(TimeNs(to.as_nanos() - 1));
-        self.buckets
-            .iter()
-            .filter(|(b, _)| (lo..=hi).contains(*b))
-            .fold(0u64, |m, (_, b)| m | b.shards)
-    }
-}
-
 /// [`BucketGens`] view over the concurrent store's locked generation
 /// table, so the [`TraceCache`] stays store-agnostic.
 struct GenView<'a> {
-    gens: &'a Mutex<GenTable>,
+    gens: &'a Mutex<BucketTable>,
     policy: &'a ShardPolicy,
 }
 
@@ -379,8 +307,8 @@ impl BucketGens for GenView<'_> {
 /// messages can arrive out of row order).
 #[derive(Debug, Default)]
 struct WorkerState {
-    /// Early batches, keyed by their start row.
-    batches: BTreeMap<u32, Vec<Span>>,
+    /// Early batches, released in row order.
+    batches: BatchReorder<Span>,
     /// Early row ops, keyed by target row (arrival order kept per row).
     ops: BTreeMap<u32, Vec<RowOp>>,
     /// Flush gates deferred until the reorder buffers drain.
@@ -417,10 +345,10 @@ pub struct ConcurrentShardedStore {
     cfg: ConcurrentConfig,
     assemble_cfg: AssembleConfig,
     slots: Vec<Arc<ShardSlot>>,
-    gens: Arc<Mutex<GenTable>>,
+    gens: Arc<Mutex<BucketTable>>,
     senders: Vec<SyncSender<ShardMsg>>,
     workers: Vec<thread::JoinHandle<()>>,
-    route: Mutex<RouteState>,
+    route: Mutex<Router>,
     cache: Mutex<TraceCache>,
     stats: Mutex<ServerStats>,
     /// Hot/cold tiering: the shared buffer pool and spill directory, if
@@ -433,16 +361,16 @@ pub struct ConcurrentShardedStore {
 
 impl ConcurrentShardedStore {
     /// Store under `policy` with default [`ConcurrentConfig`], spawning one
-    /// ingest worker per shard. Shard counts above 64 are clamped exactly
-    /// as in the single-threaded store.
+    /// ingest worker per shard (shard count clamped by [`Router::new`]).
     pub fn new(policy: ShardPolicy) -> Self {
         Self::with_config(policy, ConcurrentConfig::default())
     }
 
     /// Store with explicit concurrency tunables.
-    pub fn with_config(mut policy: ShardPolicy, cfg: ConcurrentConfig) -> Self {
-        policy.shards = policy.shards.clamp(1, 64);
-        let gens = Arc::new(Mutex::new(GenTable::default()));
+    pub fn with_config(policy: ShardPolicy, cfg: ConcurrentConfig) -> Self {
+        let router = Router::new(policy);
+        let policy = *router.policy();
+        let gens = Arc::new(Mutex::new(BucketTable::default()));
         let mut slots = Vec::with_capacity(policy.shards);
         let mut senders = Vec::with_capacity(policy.shards);
         let mut workers = Vec::with_capacity(policy.shards);
@@ -464,11 +392,7 @@ impl ConcurrentShardedStore {
             workers.push(handle);
         }
         ConcurrentShardedStore {
-            route: Mutex::new(RouteState {
-                route: Vec::new(),
-                shard_rows: vec![0; policy.shards],
-                clamped: 0,
-            }),
+            route: Mutex::new(router),
             policy,
             cfg,
             assemble_cfg: AssembleConfig::default(),
@@ -570,7 +494,7 @@ impl ConcurrentShardedStore {
 
     /// Spans routed (ids assigned), including spans still in queues.
     pub fn len(&self) -> usize {
-        self.route.lock().expect("route lock poisoned").route.len()
+        self.route.lock().expect("route lock poisoned").len()
     }
 
     /// Whether no span has been routed yet.
@@ -598,7 +522,7 @@ impl ConcurrentShardedStore {
     /// Spans routed away from their preferred shard because it was at
     /// [`ShardPolicy::max_shard_rows`] (soft-cap clamp; nothing is lost).
     pub fn routing_clamped(&self) -> u64 {
-        self.route.lock().expect("route lock poisoned").clamped
+        self.route.lock().expect("route lock poisoned").clamped()
     }
 
     /// A coherent snapshot of the counters: every snapshot satisfies
@@ -635,37 +559,18 @@ impl ConcurrentShardedStore {
         if spans.is_empty() {
             return Ok(Vec::new());
         }
-        let mut ids = Vec::with_capacity(spans.len());
-        let mut per_shard: Vec<Option<(u32, Vec<Span>)>> = vec![None; self.slots.len()];
-        {
-            let mut rt = self.route.lock().expect("route lock poisoned");
-            rt.route.reserve(spans.len());
-            for mut span in spans {
-                let id = SpanId(rt.route.len() as u64 + 1);
-                span.span_id = id;
-                let shard = rt.pick_shard(self.policy.route(&span), &self.policy);
-                let row = rt.shard_rows[shard as usize];
-                rt.shard_rows[shard as usize] += 1;
-                rt.route.push(Loc { shard, row });
-                per_shard[shard as usize]
-                    .get_or_insert_with(|| (row, Vec::new()))
-                    .1
-                    .push(span);
-                ids.push(id);
-            }
-        } // routing lock released before potentially-blocking sends
+        // Routing lock released before the potentially-blocking sends.
+        let (ids, subs) = self.route.lock().expect("route lock poisoned").split(spans);
         let mut enqueued = 0u64;
         let mut first_err: Option<WorkerPanic> = None;
-        for (si, sub) in per_shard.into_iter().enumerate() {
-            let Some((start_row, spans)) = sub else {
-                continue;
+        for sub in subs {
+            let (si, n) = (sub.shard as usize, sub.spans.len());
+            let msg = ShardMsg::Batch {
+                start_row: sub.start_row,
+                spans: sub.spans,
             };
-            let n = spans.len();
             self.slots[si].pending.fetch_add(n, Ordering::AcqRel);
-            if self.senders[si]
-                .send(ShardMsg::Batch { start_row, spans })
-                .is_err()
-            {
+            if self.senders[si].send(msg).is_err() {
                 // The worker is gone: undo the gauge and report the cause.
                 self.slots[si].pending.fetch_sub(n, Ordering::AcqRel);
                 if first_err.is_none() {
@@ -718,49 +623,30 @@ impl ConcurrentShardedStore {
     /// races against; eviction compaction triggers in the worker once the
     /// shard crosses [`ShardPolicy::evict_threshold`].
     pub fn tombstone(&self, id: SpanId) {
-        let loc = self.route.lock().expect("route lock poisoned").loc(id);
-        let Some(loc) = loc else {
-            return;
-        };
-        self.slots[loc.shard as usize]
-            .pending
-            .fetch_add(1, Ordering::AcqRel);
-        if self.senders[loc.shard as usize]
-            .send(ShardMsg::Op {
-                row: loc.row,
-                op: RowOp::Tombstone,
-            })
-            .is_err()
-        {
-            self.slots[loc.shard as usize]
-                .pending
-                .fetch_sub(1, Ordering::AcqRel);
-            panic!("{}", self.worker_panic(loc.shard as usize));
-        }
+        self.send_op(id, RowOp::Tombstone);
     }
 
     /// Merge a late response into an Incomplete span (server-side
     /// re-aggregation), routed through the owning shard's queue. The
     /// outcome is observable after [`Self::flush`] via [`Self::get`].
     pub fn complete_span(&self, id: SpanId, resp: Span) {
+        self.send_op(id, RowOp::Complete(Box::new(resp)));
+    }
+
+    /// Enqueue a row op to the shard owning `id` (no-op for unknown ids).
+    fn send_op(&self, id: SpanId, op: RowOp) {
         let loc = self.route.lock().expect("route lock poisoned").loc(id);
         let Some(loc) = loc else {
             return;
         };
-        self.slots[loc.shard as usize]
-            .pending
-            .fetch_add(1, Ordering::AcqRel);
-        if self.senders[loc.shard as usize]
-            .send(ShardMsg::Op {
-                row: loc.row,
-                op: RowOp::Complete(Box::new(resp)),
-            })
+        let si = loc.shard as usize;
+        self.slots[si].pending.fetch_add(1, Ordering::AcqRel);
+        if self.senders[si]
+            .send(ShardMsg::Op { row: loc.row, op })
             .is_err()
         {
-            self.slots[loc.shard as usize]
-                .pending
-                .fetch_sub(1, Ordering::AcqRel);
-            panic!("{}", self.worker_panic(loc.shard as usize));
+            self.slots[si].pending.fetch_sub(1, Ordering::AcqRel);
+            panic!("{}", self.worker_panic(si));
         }
     }
 
@@ -898,48 +784,16 @@ impl ConcurrentShardedStore {
             gens: &self.gens,
             policy: &self.policy,
         };
-        let outcome = self
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .lookup_bounded(start, &view, window);
-        enum Kind {
-            Hit,
-            Stale,
-            Miss,
-            Invalidated,
-        }
-        let (arc, kind) = match outcome {
-            CacheOutcome::Hit(t) => (t, Kind::Hit),
-            CacheOutcome::Stale(t) => (t, Kind::Stale),
-            other => {
-                let arc = self.assemble_and_cache(start);
-                let kind = match other {
-                    CacheOutcome::Invalidated => Kind::Invalidated,
-                    _ => Kind::Miss,
-                };
-                (arc, kind)
-            }
-        };
-        {
-            // One acquisition for all counters of this query → coherent.
-            let mut st = self.stats.lock().expect("stats lock poisoned");
-            st.trace_queries += 1;
-            match kind {
-                Kind::Hit => st.cache_hits += 1,
-                Kind::Stale => st.cache_stale_hits += 1,
-                Kind::Miss => st.cache_misses += 1,
-                Kind::Invalidated => st.cache_invalidations += 1,
-            }
-        }
-        arc
+        query_through(&self.cache, &self.stats, &view, start, window, || {
+            self.assemble_and_cache(start, &view)
+        })
     }
 
     /// Assemble (Algorithm 1) from `start` against a consistent snapshot:
     /// all shard read locks are held from Phase 1 through the cache store,
     /// so the recorded generations exactly match the assembled span set
     /// (module docs: the staleness-correctness invariant).
-    fn assemble_and_cache(&self, start: SpanId) -> Arc<Trace> {
+    fn assemble_and_cache(&self, start: SpanId, view: &GenView<'_>) -> Arc<Trace> {
         let loc = self.route.lock().expect("route lock poisoned").loc(start);
         let Some(loc) = loc else {
             return Arc::new(Trace::default());
@@ -958,23 +812,13 @@ impl ConcurrentShardedStore {
         {
             return Arc::new(Trace::default());
         }
-        let parallel = if self.cfg.parallel_phase1 {
-            Some(PARALLEL_MIN_KEYS)
-        } else {
-            None
-        };
-        let members = phase1_members(&refs, (loc.shard, loc.row), &self.assemble_cfg, parallel);
-        let trace = finish_assembly(&refs, &members, start, &self.assemble_cfg);
-        let view = GenView {
-            gens: &self.gens,
-            policy: &self.policy,
-        };
+        let (trace, _) = assemble_with(&mut LocalShards(&refs), loc, start, &self.assemble_cfg);
         // Cache while the guards are held: generations cannot move between
         // assembly and the dependency snapshot.
         self.cache
             .lock()
             .expect("cache lock poisoned")
-            .store(start, trace, &view)
+            .store(start, trace, view)
     }
 }
 
@@ -1002,35 +846,33 @@ impl Drop for ConcurrentShardedStore {
 fn worker_loop(
     si: usize,
     slot: Arc<ShardSlot>,
-    gens: Arc<Mutex<GenTable>>,
+    gens: Arc<Mutex<BucketTable>>,
     policy: ShardPolicy,
     rx: Receiver<ShardMsg>,
 ) {
     let mut state = WorkerState::default();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         while let Ok(msg) = rx.recv() {
-            match msg {
-                ShardMsg::Batch { start_row, spans } => {
-                    state.batches.insert(start_row, spans);
-                }
+            let batch = match msg {
+                ShardMsg::Batch { start_row, spans } => Some((start_row, spans)),
                 ShardMsg::Op { row, op } => {
                     state.ops.entry(row).or_default().push(op);
+                    None
                 }
                 ShardMsg::Flush(token) => {
                     state.flushes.push(token.accept());
+                    None
                 }
                 ShardMsg::Panic => panic!("injected worker panic (test hook)"),
-            }
-            drain(si, &slot, &gens, &policy, &mut state);
+            };
+            drain(si as u16, &slot, &gens, &policy, &mut state, batch);
         }
     }));
     match outcome {
         Ok(()) => {
-            // Teardown: the store dropped its senders. Apply anything
-            // applicable and release any flushers (only reachable if the
-            // store is dropped mid-flush, which the &self API prevents —
-            // belt and braces).
-            drain(si, &slot, &gens, &policy, &mut state);
+            // Teardown: the store dropped its senders. Release any
+            // flushers (only reachable if the store is dropped mid-flush,
+            // which the &self API prevents — belt and braces).
             for gate in state.flushes.drain(..) {
                 gate.arrive();
             }
@@ -1060,79 +902,69 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Apply every ready message: contiguous batches (in row order), then row
-/// ops whose rows exist. Generation bumps happen while the shard write
-/// lock is held, making rows-visible + generation-bumped atomic for any
-/// reader holding the read lock (the staleness-correctness invariant).
+/// Apply everything `batch` makes ready: the batches the reorder buffer
+/// releases (contiguous, in row order), then row ops whose rows exist.
+/// Generation bumps happen while the shard write lock is held, making
+/// rows-visible + generation-bumped atomic for any reader holding the read
+/// lock (the staleness-correctness invariant).
 fn drain(
-    si: usize,
+    si: u16,
     slot: &ShardSlot,
-    gens: &Mutex<GenTable>,
+    gens: &Mutex<BucketTable>,
     policy: &ShardPolicy,
     state: &mut WorkerState,
+    batch: Option<(u32, Vec<Span>)>,
 ) {
-    loop {
-        let mut progressed = false;
-        {
-            let mut store = slot.store.write().expect("shard lock poisoned");
-            // Batches: apply while the next stashed batch is contiguous
-            // with the rows already applied.
-            while let Some(entry) = state.batches.first_entry() {
-                if *entry.key() != store.len() as u32 {
-                    break; // gap: an earlier batch is still in flight
+    {
+        let mut store = slot.store.write().expect("shard lock poisoned");
+        let runs = batch.map_or_else(Vec::new, |(start_row, spans)| {
+            state.batches.offer(store.len() as u32, start_row, spans)
+        });
+        for spans in runs {
+            let applied = spans.len();
+            let touched: Vec<u64> = spans.iter().map(|s| policy.bucket_of(s.req_time)).collect();
+            store.insert_routed_batch(spans);
+            {
+                let mut g = gens.lock().expect("gen table poisoned");
+                for b in touched {
+                    g.touch(b, si);
                 }
-                let spans = entry.remove();
-                let applied = spans.len();
-                let touched: Vec<u64> =
-                    spans.iter().map(|s| policy.bucket_of(s.req_time)).collect();
-                store.insert_routed_batch(spans);
-                {
-                    let mut g = gens.lock().expect("gen table poisoned");
-                    for b in touched {
-                        g.touch(b, si);
-                    }
-                }
-                slot.pending.fetch_sub(applied, Ordering::AcqRel);
-                progressed = true;
             }
-            // Row ops: apply any whose target row has been applied.
-            let applied_rows = store.len() as u32;
-            let ready: Vec<u32> = state
-                .ops
-                .range(..applied_rows)
-                .map(|(&row, _)| row)
-                .collect();
-            for row in ready {
-                let ops = state.ops.remove(&row).expect("ready row present");
-                for op in ops {
-                    // `req_time_at` stays resident for cold rows, so op
-                    // bucket accounting never pages in on the worker.
-                    let bucket = store.req_time_at(row).map(|t| policy.bucket_of(t));
-                    let mutated = match op {
-                        RowOp::Tombstone => {
-                            store.tombstone_row(row);
-                            if store.pending_evictions() >= policy.evict_threshold {
-                                store.evict_tombstoned();
-                            }
-                            true
-                        }
-                        RowOp::Complete(resp) => store.complete_span_row(row, &resp),
-                    };
-                    if mutated {
-                        if let Some(b) = bucket {
-                            gens.lock().expect("gen table poisoned").touch(b, si);
-                        }
-                    }
-                    slot.pending.fetch_sub(1, Ordering::AcqRel);
-                }
-                progressed = true;
-            }
+            slot.pending.fetch_sub(applied, Ordering::AcqRel);
         }
-        if !progressed {
-            break;
+        // Row ops: apply any whose target row has been applied.
+        let applied_rows = store.len() as u32;
+        let ready: Vec<u32> = state
+            .ops
+            .range(..applied_rows)
+            .map(|(&row, _)| row)
+            .collect();
+        for row in ready {
+            let ops = state.ops.remove(&row).expect("ready row present");
+            for op in ops {
+                // `req_time_at` stays resident for cold rows, so op
+                // bucket accounting never pages in on the worker.
+                let bucket = store.req_time_at(row).map(|t| policy.bucket_of(t));
+                let mutated = match op {
+                    RowOp::Tombstone => {
+                        store.tombstone_row(row);
+                        if store.pending_evictions() >= policy.evict_threshold {
+                            store.evict_tombstoned();
+                        }
+                        true
+                    }
+                    RowOp::Complete(resp) => store.complete_span_row(row, &resp),
+                };
+                if mutated {
+                    if let Some(b) = bucket {
+                        gens.lock().expect("gen table poisoned").touch(b, si);
+                    }
+                }
+                slot.pending.fetch_sub(1, Ordering::AcqRel);
+            }
         }
     }
-    if state.batches.is_empty() && state.ops.is_empty() {
+    if state.batches.pending() == 0 && state.ops.is_empty() {
         for gate in state.flushes.drain(..) {
             gate.arrive();
         }
@@ -1311,12 +1143,6 @@ mod tests {
         store.insert_batch(linked_pair(7, 1_000));
         drop(store); // must not hang or panic with messages still queued
     }
-
-    // The exhaustive generation-bump interleaving checks that used to
-    // live here (a hand-rolled Step enum + schedule enumerator) are now
-    // df-check model tests: see `tests/df_check_models.rs`, which explores
-    // the same invariant with real Mutex/RwLock shims, preemption
-    // bounding, and replayable counterexamples.
 
     #[test]
     fn worker_panic_fails_flush_and_inserts_instead_of_hanging() {

@@ -1,7 +1,7 @@
 //! # df-server — the DeepFlow Server
 //!
 //! Cluster-level process (paper Fig. 4): "responsible for storing spans in
-//! the database and assembling them into traces when users query". Five
+//! the database and assembling them into traces when users query". The
 //! pieces:
 //!
 //! * [`dictionary`] — the resource-tag dictionary built from the
@@ -9,21 +9,24 @@
 //!   **phase 2**: resolving each span's agent-written `(vpc, ip)` ints into
 //!   the full integer resource-tag block (step ⑦), and **phase 3**: joining
 //!   self-defined string labels at query time (step ⑧);
-//! * [`assemble`] — **Algorithm 1**: iterative span search over the store's
-//!   implicit-context indexes, then parent assignment under the 16 rules,
+//! * [`assemble`] — **Algorithm 1**: iterative span search over the
+//!   implicit-context indexes (one driver, [`assemble_with`], generic over
+//!   where the shards are), then parent assignment under the 16 rules,
 //!   then time/parent sorting;
+//! * [`router`] — the one [`Router`] (global ids, shard pick, id →
+//!   `(shard, row)` table, batch → per-shard split), the time-bucket
+//!   generation table and the [`BatchReorder`] that re-serialises
+//!   sub-batches on the receiving side;
 //! * [`sharded`] — the span corpus partitioned into
 //!   [`SpanStore`](df_storage::SpanStore) shards per
 //!   [`ShardPolicy`](df_storage::ShardPolicy), with
-//!   [`assemble_trace_sharded`] running Algorithm 1's frontier search
-//!   *across* the shards;
+//!   [`assemble_trace_sharded`] running Algorithm 1 *across* the shards;
 //! * [`trace_cache`] — incremental assembled-trace cache memoized by start
 //!   span, invalidated through the sharded store's time-bucket
 //!   generations;
 //! * [`concurrent`] — the shard boundary taken across threads: one ingest
-//!   worker per shard behind bounded queues, scoped-thread fan-out for
-//!   Algorithm 1's cross-shard probes, and a bounded-staleness mode for
-//!   the trace cache under ingest load;
+//!   worker per shard behind bounded queues, and a bounded-staleness mode
+//!   for the trace cache under ingest load;
 //! * [`server`] — the facade: ingest (phase-2 enrichment + routed store
 //!   insert), span-list queries, cached trace queries, coherent stats.
 //!
@@ -56,16 +59,17 @@
 pub mod assemble;
 pub mod concurrent;
 pub mod dictionary;
+pub mod router;
 pub mod server;
 pub mod sharded;
 pub mod trace_cache;
 
-pub use assemble::{assemble_members, assemble_trace, AssembleConfig};
+pub use assemble::{
+    assemble_trace, assemble_with, probe_shard, AssembleConfig, LocalShards, ShardProbe,
+};
 pub use concurrent::{ConcurrentConfig, ConcurrentShardedStore, WireIngestError, WorkerPanic};
 pub use dictionary::TagDictionary;
+pub use router::{BatchReorder, Loc, Router, SubBatch};
 pub use server::{Server, ServerStats};
-pub use sharded::{
-    assemble_trace_sharded, assemble_trace_sharded_parallel, phase1_members, probe_shard,
-    ExpandedKeys, ShardedSpanStore,
-};
+pub use sharded::{assemble_trace_sharded, ShardedSpanStore};
 pub use trace_cache::{BucketGens, CacheOutcome, TraceCache};

@@ -1,10 +1,10 @@
 //! The server facade: ingest spans, answer queries.
 //!
-//! Since the sharding PR the server stores spans in a
-//! [`ShardedSpanStore`] (routing per [`df_storage::ShardPolicy`]) and
-//! serves trace queries through the incremental [`TraceCache`] — see
-//! [`crate::sharded`] and [`crate::trace_cache`] for the corpus layout and
-//! the cache's staleness contract.
+//! The server stores spans in a [`ShardedSpanStore`] (routing per
+//! [`df_storage::ShardPolicy`]) and serves trace queries through the
+//! incremental [`TraceCache`] — see [`crate::sharded`] and
+//! [`crate::trace_cache`] for the corpus layout and the cache's staleness
+//! contract.
 //!
 //! ## Stats coherence
 //!
@@ -12,15 +12,14 @@
 //! and every operation updates *all* of its counters under **one** lock
 //! acquisition. [`Server::stats`] therefore returns a coherent snapshot:
 //! derived invariants (e.g. `trace_queries == cache_hits + cache_misses +
-//! cache_invalidations`) hold in every snapshot, never just eventually.
-//! (The previous implementation used independent atomic cells; a reader
-//! could observe the trace-query counter incremented but not yet the
-//! cache counter — an incoherent state no single execution ever was in.)
+//! cache_invalidations`) hold in every snapshot, never just eventually
+//! (independent atomic cells would let a reader observe the trace-query
+//! counter incremented but not yet the cache counter).
 
 use crate::assemble::AssembleConfig;
 use crate::dictionary::TagDictionary;
 use crate::sharded::{assemble_trace_sharded, ShardedSpanStore};
-use crate::trace_cache::{CacheOutcome, TraceCache};
+use crate::trace_cache::{query_through, TraceCache};
 use df_check::sync::Mutex;
 use df_storage::{ShardPolicy, SpanQuery};
 use df_types::tags::ResourceInventory;
@@ -196,36 +195,13 @@ impl Server {
     /// assembly output; labels are joined per query so dictionary updates
     /// are always reflected.
     pub fn trace(&self, start: SpanId) -> Trace {
-        let outcome = self
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .lookup(start, &self.store);
-        let (arc, outcome_kind) = match outcome {
-            CacheOutcome::Hit(t) => (t, CacheKind::Hit),
-            other => {
-                let fresh = assemble_trace_sharded(&self.store, start, &self.assemble_cfg);
-                let arc = self.cache.lock().expect("cache lock poisoned").store(
-                    start,
-                    fresh,
-                    &self.store,
-                );
-                match other {
-                    CacheOutcome::Invalidated => (arc, CacheKind::Invalidated),
-                    _ => (arc, CacheKind::Miss),
-                }
-            }
-        };
-        {
-            // One acquisition for all counters of this query → coherent.
-            let mut st = self.stats.lock().expect("stats lock poisoned");
-            st.trace_queries += 1;
-            match outcome_kind {
-                CacheKind::Hit => st.cache_hits += 1,
-                CacheKind::Miss => st.cache_misses += 1,
-                CacheKind::Invalidated => st.cache_invalidations += 1,
-            }
-        }
+        let arc = query_through(&self.cache, &self.stats, &self.store, start, 0, || {
+            let fresh = assemble_trace_sharded(&self.store, start, &self.assemble_cfg);
+            self.cache
+                .lock()
+                .expect("cache lock poisoned")
+                .store(start, fresh, &self.store)
+        });
         let mut trace = (*arc).clone();
         for s in &mut trace.spans {
             join_labels(&self.dict, &mut s.span);
@@ -329,13 +305,6 @@ impl Server {
         };
         self.span_list(&q)
     }
-}
-
-/// Which way a trace query was served (stat accounting only).
-enum CacheKind {
-    Hit,
-    Miss,
-    Invalidated,
 }
 
 fn join_labels(dict: &TagDictionary, span: &mut Span) {

@@ -1,40 +1,18 @@
 //! [`ShardedSpanStore`] — the span corpus partitioned across shards, with
 //! cross-shard trace assembly.
 //!
-//! PR 1 made Algorithm 1 frontier-based and index-driven, but assembly
-//! still ran against one in-memory [`SpanStore`]. This module takes the
-//! next scale step (ROADMAP "assembly at scale"): the corpus is split into
-//! [`ShardPolicy::shards`] shards, each a plain [`SpanStore`], and
-//! [`assemble_trace_sharded`] runs Phase 1's frontier expansion *across*
-//! the shards — each index key is still expanded at most once globally,
-//! but an expansion probes every shard's `find_by_*` index and merges the
-//! candidate rows. Phases 2 and 3 are byte-for-byte the single-store
-//! implementations (the member set, once materialised, no longer cares
-//! where spans were stored), so the differential oracle
+//! The corpus is split into [`ShardPolicy::shards`] shards, each a plain
+//! [`SpanStore`]. Ids, rows and the id → `(shard, row)` table come from
+//! the one [`Router`]; per-time-bucket generations and shard occupancy
+//! live in its [`BucketTable`](crate::router) (see that module for both).
+//! [`assemble_trace_sharded`] is Algorithm 1's one driver
+//! ([`assemble_with`]) over the in-process prober: each index key is
+//! expanded at most once globally, an expansion probes every shard's
+//! `find_by_*` index, and Phases 2 and 3 run on the merged member set — so
+//! the differential oracle
 //! [`assemble_trace_reference`](crate::assemble::assemble_trace_reference)
-//! keeps holding against the sharded path at any shard count — the
-//! property tests assert it for 1, 4 and 16 shards.
-//!
-//! ## Id regime
-//!
-//! The sharded store owns id assignment: ids are global, sequential in
-//! insertion order (`1, 2, 3, …` — exactly what a single [`SpanStore`]
-//! would have assigned for the same insertion sequence, which is what
-//! makes differential testing possible). A routing table maps each id to
-//! its `(shard, row)` location; shards store spans via the row-addressed
-//! [`SpanStore::insert_routed`] regime and are never asked to translate
-//! ids themselves.
-//!
-//! ## Routing table and bucket generations
-//!
-//! Per [`ShardPolicy::bucket_of`] time bucket the store tracks which
-//! shards hold spans in that bucket (so time-windowed queries skip shards
-//! with nothing in the window) and a monotonically increasing
-//! **generation**, bumped by any mutation whose spans fall in the bucket
-//! (insert, tombstone, re-aggregation completing a span). The incremental
-//! trace cache ([`crate::trace_cache::TraceCache`]) snapshots the
-//! generations of the buckets a trace touches and re-validates them on
-//! lookup — see that module for the staleness contract.
+//! holds against the sharded path at any shard count (the property tests
+//! assert it for 1, 4 and 16 shards).
 //!
 //! ## Tombstones
 //!
@@ -45,24 +23,16 @@
 //! paying for rows every reader filters. The server also compacts
 //! unconditionally after each re-aggregation pass.
 
-use crate::assemble::{assemble_members, AssembleConfig};
+use crate::assemble::{assemble_with, AssembleConfig, LocalShards};
+use crate::router::{BucketTable, Loc, Router};
 use df_check::sync::Arc;
 use df_storage::{
     BufferPool, ShardPolicy, SpanQuery, SpanStore, SpillStats, StoreStats, TierConfig,
 };
-use df_types::rpc::CandidateKeys;
 use df_types::trace::Trace;
 use df_types::{Span, SpanId, TimeNs};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 use std::io;
-
-/// Location of a span inside the sharded corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Loc {
-    pub(crate) shard: u16,
-    pub(crate) row: u32,
-}
 
 /// Tiering state shared by every shard: one buffer pool (one frame
 /// budget, one background disk scheduler) and the spill directory.
@@ -79,15 +49,6 @@ impl TierState {
             cfg,
         }
     }
-}
-
-/// Per-time-bucket routing-table entry.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Bucket {
-    /// Bumped on every mutation touching the bucket (trace-cache epoch).
-    pub(crate) gen: u64,
-    /// Bit `i` set ⇔ shard `i` holds at least one span in this bucket.
-    pub(crate) shards: u64,
 }
 
 /// A span corpus partitioned across [`SpanStore`] shards.
@@ -115,29 +76,23 @@ pub(crate) struct Bucket {
 /// ```
 #[derive(Debug)]
 pub struct ShardedSpanStore {
-    policy: ShardPolicy,
+    router: Router,
     shards: Vec<SpanStore>,
-    /// Global id − 1 → location. Ids are assigned sequentially here.
-    route: Vec<Loc>,
-    buckets: HashMap<u64, Bucket>,
-    /// Spans routed away from their preferred shard because it was at
-    /// [`ShardPolicy::max_shard_rows`] (see [`ShardedSpanStore::routing_clamped`]).
-    routing_clamped: u64,
+    buckets: BucketTable,
     /// Hot/cold tiering, if enabled (see [`ShardedSpanStore::enable_tiering`]).
     tier: Option<TierState>,
 }
 
 impl ShardedSpanStore {
-    /// Empty store under `policy`. Shard counts above 64 are clamped (the
-    /// routing table tracks per-bucket occupancy as a 64-bit mask).
-    pub fn new(mut policy: ShardPolicy) -> Self {
-        policy.shards = policy.shards.clamp(1, 64);
+    /// Empty store under `policy` (shard count clamped by [`Router::new`]).
+    pub fn new(policy: ShardPolicy) -> Self {
+        let router = Router::new(policy);
         ShardedSpanStore {
-            shards: (0..policy.shards).map(|_| SpanStore::new()).collect(),
-            policy,
-            route: Vec::new(),
-            buckets: HashMap::new(),
-            routing_clamped: 0,
+            shards: (0..router.policy().shards)
+                .map(|_| SpanStore::new())
+                .collect(),
+            router,
+            buckets: BucketTable::default(),
             tier: None,
         }
     }
@@ -184,7 +139,7 @@ impl ShardedSpanStore {
         let mut total = SpillStats::default();
         for (si, shard) in self.shards.iter_mut().enumerate() {
             total.merge(shard.spill_before(
-                &self.policy,
+                self.router.policy(),
                 watermark,
                 &tier.pool,
                 &tier.cfg.dir,
@@ -205,14 +160,14 @@ impl ShardedSpanStore {
                 "tiering not enabled on this store",
             ));
         };
-        let Some(&newest) = self.buckets.keys().max() else {
+        let Some(newest) = self.buckets.newest() else {
             return Ok(SpillStats::default());
         };
         let hot = tier.cfg.hot_buckets.max(1);
         let Some(first_hot) = (newest + 1).checked_sub(hot) else {
             return Ok(SpillStats::default());
         };
-        let watermark = TimeNs(first_hot.saturating_mul(self.policy.time_bucket.as_nanos()));
+        let watermark = TimeNs(first_hot.saturating_mul(self.policy().time_bucket.as_nanos()));
         self.spill_before(watermark)
     }
 
@@ -225,7 +180,7 @@ impl ShardedSpanStore {
 
     /// The routing policy this store was built with.
     pub fn policy(&self) -> &ShardPolicy {
-        &self.policy
+        self.router.policy()
     }
 
     /// Number of shards.
@@ -245,46 +200,28 @@ impl ShardedSpanStore {
 
     /// Total spans stored (across all shards).
     pub fn len(&self) -> usize {
-        self.route.len()
+        self.router.len()
     }
 
     /// Whether the store holds no spans.
     pub fn is_empty(&self) -> bool {
-        self.route.is_empty()
+        self.router.is_empty()
     }
 
     /// Insert one span: assign the next global id, route it to its shard,
     /// bump its time bucket's generation. Returns the id.
     ///
-    /// This path never panics on routing-table pressure: when the preferred
-    /// shard is already at [`ShardPolicy::max_shard_rows`] the span is
-    /// *clamped* to the least-loaded shard instead (counted by
-    /// [`ShardedSpanStore::routing_clamped`]). The cap is soft — if every
-    /// shard is full the least-loaded one still accepts the span — so
-    /// ingest degrades by rebalancing rather than by erroring.
+    /// This path never panics on routing-table pressure: a full preferred
+    /// shard is *clamped* to the least-loaded one instead (see
+    /// [`ShardedSpanStore::routing_clamped`]).
     pub fn insert(&mut self, mut span: Span) -> SpanId {
-        let id = SpanId(self.route.len() as u64 + 1);
-        span.span_id = id;
-        let shard = self.pick_shard(self.policy.route(&span));
-        self.touch_bucket(self.policy.bucket_of(span.req_time), shard);
-        let row = self.shards[shard as usize].insert_routed(span);
-        self.route.push(Loc { shard, row });
+        let loc = self.router.assign(&mut span);
+        let id = span.span_id;
+        self.buckets
+            .touch(self.policy().bucket_of(span.req_time), loc.shard);
+        let row = self.shards[loc.shard as usize].insert_routed(span);
+        debug_assert_eq!(row, loc.row, "router and shard agree on the row");
         id
-    }
-
-    /// The preferred shard, unless it is at the policy's row cap — then the
-    /// least-loaded shard, with the clamp counted.
-    fn pick_shard(&mut self, preferred: usize) -> u16 {
-        if self.shards[preferred].len() < self.policy.max_shard_rows {
-            return preferred as u16;
-        }
-        self.routing_clamped += 1;
-        self.shards
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.len())
-            .map(|(i, _)| i as u16)
-            .unwrap_or(preferred as u16)
     }
 
     /// How many spans were routed away from their preferred shard because
@@ -292,28 +229,28 @@ impl ShardedSpanStore {
     /// means flow locality is degraded (cross-shard probes do the work) but
     /// no span was refused or lost.
     pub fn routing_clamped(&self) -> u64 {
-        self.routing_clamped
+        self.router.clamped()
     }
 
     /// Insert a batch (what an agent ships per flush): each span is routed
     /// independently; ids are assigned in batch order.
     pub fn insert_batch(&mut self, spans: Vec<Span>) -> Vec<SpanId> {
-        self.route.reserve(spans.len());
+        self.router.reserve(spans.len());
         spans.into_iter().map(|s| self.insert(s)).collect()
     }
 
     /// Fetch by global id (tier-aware: a cold span pages in and is
     /// returned owned; hot spans stay borrowed).
     pub fn get(&self, id: SpanId) -> Option<Cow<'_, Span>> {
-        let loc = self.loc(id)?;
+        let loc = self.router.loc(id)?;
         self.shards[loc.shard as usize].span_at(loc.row)
     }
 
     /// Whether a span is tombstoned (consumed by re-aggregation).
     pub fn is_tombstoned(&self, id: SpanId) -> bool {
-        self.loc(id)
-            .map(|l| self.shards[l.shard as usize].is_tombstoned(id))
-            .unwrap_or(false)
+        self.router
+            .loc(id)
+            .is_some_and(|l| self.shards[l.shard as usize].is_tombstoned(id))
     }
 
     /// Hide a span from queries. Bumps the span's bucket generation (a
@@ -321,17 +258,12 @@ impl ShardedSpanStore {
     /// owning shard's indexes once its pending-eviction count crosses
     /// [`ShardPolicy::evict_threshold`].
     pub fn tombstone(&mut self, id: SpanId) {
-        let Some(loc) = self.loc(id) else {
+        let Some(loc) = self.router.loc(id) else {
             return;
         };
-        let bucket = self.shards[loc.shard as usize]
-            .req_time_at(loc.row)
-            .map(|t| self.policy.bucket_of(t));
         self.shards[loc.shard as usize].tombstone_row(loc.row);
-        if let Some(b) = bucket {
-            self.touch_bucket(b, loc.shard);
-        }
-        if self.shards[loc.shard as usize].pending_evictions() >= self.policy.evict_threshold {
+        self.touch_row(loc);
+        if self.shards[loc.shard as usize].pending_evictions() >= self.policy().evict_threshold {
             self.shards[loc.shard as usize].evict_tombstoned();
         }
     }
@@ -340,17 +272,12 @@ impl ShardedSpanStore {
     /// re-aggregation, §3.3.1), routed to the owning shard. Bumps the
     /// span's bucket generation on success.
     pub fn complete_span(&mut self, id: SpanId, resp: &Span) -> bool {
-        let Some(loc) = self.loc(id) else {
+        let Some(loc) = self.router.loc(id) else {
             return false;
         };
         let done = self.shards[loc.shard as usize].complete_span_row(loc.row, resp);
         if done {
-            let bucket = self.shards[loc.shard as usize]
-                .req_time_at(loc.row)
-                .map(|t| self.policy.bucket_of(t));
-            if let Some(b) = bucket {
-                self.touch_bucket(b, loc.shard);
-            }
+            self.touch_row(loc);
         }
         done
     }
@@ -375,7 +302,7 @@ impl ShardedSpanStore {
     /// no spans in the query's time window (per the routing table) are
     /// skipped entirely.
     pub fn query(&self, q: &SpanQuery) -> Vec<Cow<'_, Span>> {
-        let mask = self.shards_for_window(q.from, q.to);
+        let mask = self.buckets.window_mask(self.policy(), q.from, q.to);
         let mut merged: Vec<Cow<'_, Span>> = Vec::new();
         for (i, shard) in self.shards.iter().enumerate() {
             if mask & (1u64 << i) == 0 {
@@ -391,7 +318,7 @@ impl ShardedSpanStore {
     /// Iterate all spans in global-id order (diagnostics, re-aggregation).
     /// Tier-aware: cold spans page in as the iterator reaches them.
     pub fn iter(&self) -> impl Iterator<Item = Cow<'_, Span>> + '_ {
-        self.route.iter().map(move |loc| {
+        self.router.locs().iter().map(move |loc| {
             self.shards[loc.shard as usize]
                 .span_at(loc.row)
                 .expect("routed row exists")
@@ -403,313 +330,41 @@ impl ShardedSpanStore {
     /// tombstone / completion) whose span lies in the bucket. The trace
     /// cache's validity check.
     pub fn bucket_gen(&self, bucket: u64) -> u64 {
-        self.buckets.get(&bucket).map(|b| b.gen).unwrap_or(0)
+        self.buckets.gen(bucket)
     }
 
     /// The time bucket containing `t` (delegates to the policy).
     pub fn bucket_of(&self, t: TimeNs) -> u64 {
-        self.policy.bucket_of(t)
+        self.policy().bucket_of(t)
     }
 
-    /// Internal: the shards (index-aligned) for the assembly hot loop.
-    pub(crate) fn shards(&self) -> &[SpanStore] {
-        &self.shards
-    }
-
-    fn loc(&self, id: SpanId) -> Option<Loc> {
-        let idx = id.raw().checked_sub(1)? as usize;
-        self.route.get(idx).copied()
-    }
-
-    fn touch_bucket(&mut self, bucket: u64, shard: u16) {
-        let b = self.buckets.entry(bucket).or_default();
-        b.gen += 1;
-        b.shards |= 1u64 << u64::from(shard);
-    }
-
-    /// Bitmask of shards holding spans in `[from, to)` per the routing
-    /// table; all-ones when the window is unbounded.
-    fn shards_for_window(&self, from: Option<TimeNs>, to: Option<TimeNs>) -> u64 {
-        let (Some(from), Some(to)) = (from, to) else {
-            return u64::MAX;
-        };
-        if to.as_nanos() == 0 {
-            return 0;
-        }
-        let lo = self.policy.bucket_of(from);
-        let hi = self.policy.bucket_of(TimeNs(to.as_nanos() - 1));
-        self.buckets
-            .iter()
-            .filter(|(b, _)| (lo..=hi).contains(*b))
-            .fold(0u64, |m, (_, b)| m | b.shards)
-    }
-}
-
-/// The per-index sets of keys already expanded during one assembly (each
-/// key is expanded — probed against every shard — at most once globally).
-/// The frontier round's *new* keys accumulate into a
-/// [`CandidateKeys`] batch — the exact payload a
-/// [`CandidateRequest`](df_types::rpc::RpcBody::CandidateRequest) RPC
-/// carries to a remote shard owner, so local scoped-thread probing and
-/// cross-node probing share one batching discipline.
-#[derive(Debug, Default)]
-pub struct ExpandedKeys {
-    systrace: HashSet<u64>,
-    pseudo_thread: HashSet<u64>,
-    x_request: HashSet<u128>,
-    tcp_seq: HashSet<u32>,
-    otel_trace: HashSet<u128>,
-}
-
-impl ExpandedKeys {
-    /// Collect `span`'s not-yet-expanded association keys into `batch`,
-    /// marking them expanded. Key order within the batch is discovery
-    /// order, which every consumer (local probe, remote RPC) preserves.
-    pub fn collect(&mut self, batch: &mut CandidateKeys, span: &Span) {
-        for v in [span.systrace_id_req, span.systrace_id_resp]
-            .into_iter()
-            .flatten()
-        {
-            if self.systrace.insert(v.raw()) {
-                batch.systrace.push(v.raw());
-            }
-        }
-        if let Some(p) = span.pseudo_thread_id {
-            if self.pseudo_thread.insert(p.raw()) {
-                batch.pseudo_thread.push(p.raw());
-            }
-        }
-        for v in [span.x_request_id_req, span.x_request_id_resp]
-            .into_iter()
-            .flatten()
-        {
-            if self.x_request.insert(v.0) {
-                batch.x_request.push(v.0);
-            }
-        }
-        for v in [span.tcp_seq_req, span.tcp_seq_resp].into_iter().flatten() {
-            if self.tcp_seq.insert(v) {
-                batch.tcp_seq.push(v);
-            }
-        }
-        if let Some(t) = span.otel_trace_id {
-            if self.otel_trace.insert(t.0) {
-                batch.otel_trace.push(t.0);
-            }
+    /// Bump the generation of the bucket the (already stored) row lies in.
+    fn touch_row(&mut self, loc: Loc) {
+        // `req_time_at` stays resident for cold rows: no page-in here.
+        if let Some(t) = self.shards[loc.shard as usize].req_time_at(loc.row) {
+            self.buckets.touch(self.policy().bucket_of(t), loc.shard);
         }
     }
 }
 
-/// Probe one shard with a whole round's key batch. Returns the shard's
-/// *new* candidate rows: rows already in the global visited set are
-/// skipped, rows matched by several keys are returned once, tombstoned
-/// rows are filtered. Takes only shared references, so the per-shard
-/// probes of one round can run on scoped threads concurrently — and a
-/// remote shard owner answers a
-/// [`CandidateRequest`](df_types::rpc::RpcBody::CandidateRequest) by
-/// calling exactly this with an empty `seen` set (the coordinator filters
-/// against its own visited set when merging).
-pub fn probe_shard(
-    si: u16,
-    shard: &SpanStore,
-    batch: &CandidateKeys,
-    seen: &HashSet<(u16, u32)>,
-) -> Vec<u32> {
-    let mut local: HashSet<u32> = HashSet::new();
-    let mut out: Vec<u32> = Vec::new();
-    {
-        let mut grow = |rows: &[u32]| {
-            for &r in rows {
-                if seen.contains(&(si, r)) || !local.insert(r) {
-                    continue;
-                }
-                // The id is resident even for cold rows, so the tombstone
-                // filter never pages in — probing stays IO-free.
-                let id = shard.stored_id(r).expect("indexed row exists");
-                if shard.is_tombstoned(id) {
-                    continue; // consumed by re-aggregation
-                }
-                out.push(r);
-            }
-        };
-        for &k in &batch.systrace {
-            grow(shard.find_by_systrace(k));
-        }
-        for &k in &batch.pseudo_thread {
-            grow(shard.find_by_pseudo_thread(k));
-        }
-        for &k in &batch.x_request {
-            grow(shard.find_by_x_request(k));
-        }
-        for &k in &batch.tcp_seq {
-            grow(shard.find_by_tcp_seq(k));
-        }
-        for &k in &batch.otel_trace {
-            grow(shard.find_by_otel_trace(k));
-        }
-    }
-    out
-}
-
-/// Minimum keys in a round's batch before the parallel path fans probes
-/// out to scoped threads. Below it the spawn cost dominates the probe
-/// cost, so small rounds (deep chains expand ~2 keys per round) stay
-/// inline even in the parallel assembly.
-pub const PARALLEL_MIN_KEYS: usize = 16;
-
-/// Phase 1 over an explicit shard list: frontier rounds in which each
-/// round batches the frontier's newly seen keys ([`CandidateKeys`]) and
-/// probes the batch against every shard, merging per-shard candidate sets
-/// into the global visited set. With `parallel_min_keys = Some(t)`, any
-/// round whose batch holds ≥ `t` keys probes the shards concurrently via
-/// [`std::thread::scope`]; shards and the visited set are only read during
-/// a round, so the fan-out is safe by construction and the merged member
-/// set is *identical* to the sequential walk (per-shard results are merged
-/// in shard order either way). The distributed cluster reproduces this
-/// exact member order by probing remote shards with the same per-round
-/// [`CandidateKeys`] batch and merging responses in ascending global
-/// shard order — the differential tests lean on that equality.
-pub fn phase1_members(
-    shards: &[&SpanStore],
-    start: (u16, u32),
-    cfg: &AssembleConfig,
-    parallel_min_keys: Option<usize>,
-) -> Vec<(u16, u32)> {
-    let mut seen: HashSet<(u16, u32)> = HashSet::new();
-    seen.insert(start);
-    let mut members: Vec<(u16, u32)> = vec![start];
-    let mut frontier: Vec<(u16, u32)> = vec![start];
-    let mut keys = ExpandedKeys::default();
-    for _iter in 0..cfg.iterations {
-        if members.len() >= cfg.max_spans {
-            break; // cap crossed; truncated by the caller
-        }
-        let mut batch = CandidateKeys::default();
-        for &(si, row) in &frontier {
-            // Key expansion needs the span's association attributes, so a
-            // cold frontier member pages in here — this is the Phase 1
-            // page-in path the tiered differential tests exercise.
-            let span = shards[si as usize]
-                .span_at(row)
-                .expect("frontier rows exist");
-            keys.collect(&mut batch, &span);
-        }
-        if batch.is_empty() {
-            break; // fixed point: no new keys to expand
-        }
-        let fan_out = shards.len() > 1 && parallel_min_keys.is_some_and(|min| batch.len() >= min);
-        let per_shard: Vec<Vec<u32>> = if fan_out {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .enumerate()
-                    .map(|(si, shard)| {
-                        let (batch, seen) = (&batch, &seen);
-                        scope.spawn(move || probe_shard(si as u16, shard, batch, seen))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard probe thread panicked"))
-                    .collect()
-            })
-        } else {
-            shards
-                .iter()
-                .enumerate()
-                .map(|(si, shard)| probe_shard(si as u16, shard, &batch, &seen))
-                .collect()
-        };
-        let mut next: Vec<(u16, u32)> = Vec::new();
-        for (si, rows) in per_shard.into_iter().enumerate() {
-            for r in rows {
-                if seen.insert((si as u16, r)) {
-                    next.push((si as u16, r));
-                }
-            }
-        }
-        if next.is_empty() {
-            break; // fixed point: keys expanded, nothing new matched
-        }
-        members.extend_from_slice(&next);
-        frontier = next;
-    }
-    members
-}
-
-/// Shared epilogue: materialise the member locations, then run Phases 2
-/// and 3 exactly as the single-store path does (via
-/// [`assemble_members`]).
-pub fn finish_assembly(
-    shards: &[&SpanStore],
-    members: &[(u16, u32)],
-    start: SpanId,
-    cfg: &AssembleConfig,
-) -> Trace {
-    let spans: Vec<Span> = members
-        .iter()
-        .map(|&(si, row)| {
-            shards[si as usize]
-                .span_at(row)
-                .expect("member rows exist")
-                .into_owned()
-        })
-        .collect();
-    assemble_members(spans, start, cfg)
-}
-
-fn assemble_sharded_inner(
-    store: &ShardedSpanStore,
-    start: SpanId,
-    cfg: &AssembleConfig,
-    parallel_min_keys: Option<usize>,
-) -> Trace {
-    let Some(start_loc) = store.loc(start) else {
-        return Trace::default();
-    };
-    if store.is_tombstoned(start) {
-        return Trace::default();
-    }
-    let shard_refs: Vec<&SpanStore> = store.shards().iter().collect();
-    let members = phase1_members(
-        &shard_refs,
-        (start_loc.shard, start_loc.row),
-        cfg,
-        parallel_min_keys,
-    );
-    finish_assembly(&shard_refs, &members, start, cfg)
-}
-
-/// Algorithm 1 over a sharded corpus. Phase 1 is the same frontier search
-/// as [`assemble_trace`](crate::assemble::assemble_trace) — each index
-/// *key* expanded at most once — but an expansion probes the key against
-/// **every** shard's association index and merges the candidate sets;
-/// visited-row memoization is per `(shard, row)`. Phases 2 and 3 reuse the
-/// single-store implementations verbatim on the merged member set, so the
-/// assembled trace is identical at any shard count (property-tested
-/// against the reference oracle for 1, 4 and 16 shards).
+/// Algorithm 1 over a sharded corpus: [`assemble_with`] over the
+/// in-process prober, so an expansion probes a key against **every**
+/// shard's association index and visited-row memoization is per
+/// `(shard, row)`. The assembled trace is identical at any shard count
+/// (property-tested against the reference oracle for 1, 4 and 16 shards).
 pub fn assemble_trace_sharded(
     store: &ShardedSpanStore,
     start: SpanId,
     cfg: &AssembleConfig,
 ) -> Trace {
-    assemble_sharded_inner(store, start, cfg, None)
-}
-
-/// [`assemble_trace_sharded`] with Phase 1's per-shard probes fanned out
-/// across scoped threads: each frontier round ships the accumulated
-/// probe batch to every shard concurrently and merges the candidate
-/// sets back into the global visited set. Rounds with fewer than
-/// `PARALLEL_MIN_KEYS` new keys stay inline (thread spawn would dominate
-/// the probe cost). The member set — and therefore the assembled trace —
-/// is identical to the sequential walk by construction; the property tests
-/// assert it.
-pub fn assemble_trace_sharded_parallel(
-    store: &ShardedSpanStore,
-    start: SpanId,
-    cfg: &AssembleConfig,
-) -> Trace {
-    assemble_sharded_inner(store, start, cfg, Some(PARALLEL_MIN_KEYS))
+    let Some(start_loc) = store.router.loc(start) else {
+        return Trace::default();
+    };
+    if store.is_tombstoned(start) {
+        return Trace::default();
+    }
+    let shards: Vec<&SpanStore> = store.shards.iter().collect();
+    assemble_with(&mut LocalShards(&shards), start_loc, start, cfg).0
 }
 
 #[cfg(test)]
@@ -837,24 +492,6 @@ mod tests {
         });
         assert_eq!(capped.len(), 2);
         assert_eq!(capped[0].req_time, TimeNs(0));
-    }
-
-    #[test]
-    fn parallel_phase1_matches_sequential_assembly() {
-        for shards in [1, 2, 4, 16] {
-            let mut st = ShardedSpanStore::new(ShardPolicy::with_shards(shards));
-            let ids = st.insert_batch(corpus());
-            st.tombstone(ids[3]);
-            for &start in &ids {
-                let seq = assemble_trace_sharded(&st, start, &AssembleConfig::default());
-                let par = assemble_trace_sharded_parallel(&st, start, &AssembleConfig::default());
-                assert_eq!(
-                    edges(&seq),
-                    edges(&par),
-                    "{shards} shards, start {start:?}: parallel Phase 1 diverged"
-                );
-            }
-        }
     }
 
     #[test]

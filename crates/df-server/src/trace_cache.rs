@@ -41,8 +41,9 @@
 //! pointer clone — the bench's warm-vs-cold comparison
 //! (`alg1_trace_cache`) shows the resulting speedup.
 
+use crate::server::ServerStats;
 use crate::sharded::ShardedSpanStore;
-use df_check::sync::Arc;
+use df_check::sync::{Arc, Mutex};
 use df_types::trace::Trace;
 use df_types::{SpanId, TimeNs};
 use std::collections::HashMap;
@@ -237,6 +238,41 @@ impl TraceCache {
         }
         Some((lo..=hi).map(|b| (b, store.bucket_gen(b))).collect())
     }
+}
+
+/// One trace query through `cache`: look `start` up (tolerating a drift
+/// of `window` generations; 0 is strict), on anything but a servable
+/// entry run `assemble_and_store`, and count the query. All counters of
+/// one query move under one `stats` acquisition, so every snapshot keeps
+/// `trace_queries == hits + stale hits + misses + invalidations`.
+///
+/// `assemble_and_store` must return the assembled trace *via*
+/// [`TraceCache::store`] on this same cache, taken while whatever pins the
+/// corpus it assembled from is still held — storing is the caller's so
+/// that the recorded generations match the assembled rows. The cache lock
+/// is not held while it runs.
+pub(crate) fn query_through(
+    cache: &Mutex<TraceCache>,
+    stats: &Mutex<ServerStats>,
+    gens: &impl BucketGens,
+    start: SpanId,
+    window: u64,
+    assemble_and_store: impl FnOnce() -> Arc<Trace>,
+) -> Arc<Trace> {
+    let outcome = cache
+        .lock()
+        .expect("cache lock poisoned")
+        .lookup_bounded(start, gens, window);
+    let (trace, counter): (_, fn(&mut ServerStats) -> &mut u64) = match outcome {
+        CacheOutcome::Hit(t) => (t, |st| &mut st.cache_hits),
+        CacheOutcome::Stale(t) => (t, |st| &mut st.cache_stale_hits),
+        CacheOutcome::Invalidated => (assemble_and_store(), |st| &mut st.cache_invalidations),
+        CacheOutcome::Miss => (assemble_and_store(), |st| &mut st.cache_misses),
+    };
+    let mut st = stats.lock().expect("stats lock poisoned");
+    st.trace_queries += 1;
+    *counter(&mut st) += 1;
+    trace
 }
 
 #[cfg(test)]

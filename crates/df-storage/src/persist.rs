@@ -1,10 +1,8 @@
-//! Disk persistence: segment files for tag tables, DFW1-based span
-//! segments for the cold tier, and JSON export for spans.
+//! Disk persistence: segment files for tag tables and DFW1-based span
+//! segments for the cold tier.
 //!
 //! The Fig. 14 harness measures *actual written bytes*, so [`write_segment`]
-//! really writes the columnar image to disk and reports its size. Span JSON
-//! export exists for the examples and for feeding external tooling
-//! (DeepFlow's own front end consumes JSON from the server).
+//! really writes the columnar image to disk and reports its size.
 //!
 //! # Span segments (cold tier)
 //!
@@ -24,11 +22,10 @@
 //! original store row ids, the `(req_time, offset)` time-index image, and
 //! the five association-index images.
 
-use crate::store::SpanStore;
 use crate::tagtable::TagTable;
 use df_types::{wire, Span};
 use std::fs;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 
 /// Magic prefixing tag-table segment files.
@@ -448,39 +445,6 @@ pub fn ensure_dir(path: &Path) -> io::Result<()> {
     fs::create_dir_all(path)
 }
 
-/// Export all spans as JSON lines.
-pub fn export_spans_json(store: &SpanStore, path: &Path) -> io::Result<usize> {
-    let mut f = io::BufWriter::new(fs::File::create(path)?);
-    let mut n = 0usize;
-    for span in store.iter() {
-        let line = serde_json::to_string(span.as_ref())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        f.write_all(line.as_bytes())?;
-        f.write_all(b"\n")?;
-        n = n.saturating_add(1);
-    }
-    f.flush()?;
-    Ok(n)
-}
-
-/// Load spans back from a JSON-lines file, streaming line by line instead
-/// of reading the whole file into memory.
-pub fn import_spans_json(path: &Path) -> io::Result<Vec<Span>> {
-    let f = io::BufReader::new(fs::File::open(path)?);
-    let mut spans = Vec::new();
-    for line in f.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        spans.push(
-            serde_json::from_str(&line)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
-        );
-    }
-    Ok(spans)
-}
-
 /// Unique-per-test temp directory with drop cleanup, for crate-internal
 /// tests that touch the filesystem. Parallel test runs get distinct
 /// paths (process id + a per-process counter), and the directory is
@@ -807,22 +771,5 @@ mod tests {
         let empty = scan_span_segments(&dir.path().join("nope"), 2).unwrap();
         assert!(empty.segments.is_empty());
         assert_eq!(empty.rejected, 0);
-    }
-
-    #[test]
-    fn span_json_round_trip() {
-        let mut store = SpanStore::new();
-        let mut s = demo_span(0);
-        s.span_id = SpanId(0);
-        s.endpoint = "GET /json".to_string();
-        store.insert(s);
-
-        let dir = test_dir("jsonl");
-        let path = dir.path().join("spans.jsonl");
-        assert_eq!(export_spans_json(&store, &path).unwrap(), 1);
-        let back = import_spans_json(&path).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].endpoint, "GET /json");
-        assert_eq!(back[0].tcp_seq_req, Some(77));
     }
 }

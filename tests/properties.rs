@@ -351,13 +351,16 @@ proptest! {
 
 proptest! {
     /// Cross-shard assembly is extensionally identical to the single-store
-    /// reference oracle at every shard count: the sharded store assigns
-    /// the same global sequential ids a single store would, and
-    /// `assemble_trace_sharded` must produce the same span set and parent
-    /// edges whether the corpus lives in 1, 4 or 16 shards. Spans of one
-    /// logical exchange are deliberately spread over *different* flows
-    /// (per-index five-tuples) so the frontier search genuinely crosses
-    /// shard boundaries.
+    /// reference oracle at every shard count and through every prober of
+    /// the one Phase-1 driver: the router assigns the same global
+    /// sequential ids a single store would, and the assembled span set and
+    /// parent edges must be the same whether the corpus lives in 1, 4 or
+    /// 16 in-process shards, behind the threaded store's workers, or on a
+    /// 3-node RF=2 cluster (ingested in `batch`-span chunks, so the
+    /// per-shard split and reorder paths run). Spans of one logical
+    /// exchange are deliberately spread over *different* flows (per-index
+    /// five-tuples) so the frontier search genuinely crosses shard
+    /// boundaries.
     #[test]
     fn sharded_assembly_matches_reference(
         specs in proptest::collection::vec(
@@ -378,11 +381,12 @@ proptest! {
         start_idx in 0usize..60,
         tombstone_mask in any::<u64>(),
         max_spans in 1usize..80,
+        batch in 1usize..24,
     ) {
+        use deepflow::cluster::{Cluster, ClusterConfig};
         use deepflow::server::assemble::{assemble_trace_reference, AssembleConfig};
-        use deepflow::server::sharded::{
-            assemble_trace_sharded, assemble_trace_sharded_parallel, ShardedSpanStore,
-        };
+        use deepflow::server::concurrent::ConcurrentShardedStore;
+        use deepflow::server::sharded::{assemble_trace_sharded, ShardedSpanStore};
         use deepflow::storage::{ShardPolicy, SpanStore};
         use deepflow::types::SpanId;
 
@@ -407,14 +411,9 @@ proptest! {
         for s in &spans {
             reference.insert(s.clone());
         }
-        for i in 0..spans.len().min(64) {
-            if tombstone_mask & (1 << i) != 0 {
-                reference.tombstone(SpanId(i as u64 + 1));
-            }
-        }
         let start = SpanId((start_idx % spans.len()) as u64 + 1);
         let cfg = AssembleConfig { max_spans, ..Default::default() };
-        let oracle = assemble_trace_reference(&reference, start, &cfg);
+        let last_id = Some(SpanId(spans.len() as u64));
         let edges = |t: &deepflow::types::trace::Trace| {
             let mut e: Vec<(SpanId, Option<SpanId>)> =
                 t.spans.iter().map(|s| (s.span.span_id, s.parent)).collect();
@@ -422,33 +421,64 @@ proptest! {
             e
         };
 
+        // The cluster has no tombstone path: it is checked against the
+        // oracle before any span is hidden.
+        let mut cluster = Cluster::new(ClusterConfig {
+            nodes: 3,
+            replication_factor: 2,
+            assemble: cfg.clone(),
+            ..ClusterConfig::default()
+        });
+        let mut ids = Vec::new();
+        for chunk in spans.chunks(batch) {
+            ids.extend(cluster.ingest(chunk.to_vec()));
+        }
+        prop_assert_eq!(ids.last().copied(), last_id, "cluster ids are sequential");
+        let remote = cluster.assemble(start);
+        prop_assert!(remote.is_complete());
+        prop_assert_eq!(
+            edges(&remote.trace),
+            edges(&assemble_trace_reference(&reference, start, &cfg)),
+            "cluster vs reference diverged"
+        );
+
+        let tombstoned = (0..spans.len().min(64))
+            .filter(|i| tombstone_mask & (1 << i) != 0)
+            .map(|i| SpanId(i as u64 + 1));
+        for id in tombstoned.clone() {
+            reference.tombstone(id);
+        }
+        let oracle = assemble_trace_reference(&reference, start, &cfg);
+
+        let mut threaded = ConcurrentShardedStore::new(ShardPolicy::with_shards(4));
+        threaded.set_assemble_config(cfg.clone());
+        let mut ids = Vec::new();
+        for chunk in spans.chunks(batch) {
+            ids.extend(threaded.insert_batch(chunk.to_vec()));
+        }
+        prop_assert_eq!(ids.last().copied(), last_id, "threaded ids are sequential");
+        for id in tombstoned.clone() {
+            threaded.tombstone(id);
+        }
+        threaded.flush();
+        prop_assert_eq!(
+            edges(&threaded.query_trace(start)),
+            edges(&oracle),
+            "threaded store vs reference diverged"
+        );
+
         for shards in [1usize, 4, 16] {
             let mut sharded = ShardedSpanStore::new(ShardPolicy::with_shards(shards));
             let ids = sharded.insert_batch(spans.clone());
-            prop_assert_eq!(
-                ids.last().copied(),
-                Some(SpanId(spans.len() as u64)),
-                "global ids are sequential"
-            );
-            for i in 0..spans.len().min(64) {
-                if tombstone_mask & (1 << i) != 0 {
-                    sharded.tombstone(SpanId(i as u64 + 1));
-                }
+            prop_assert_eq!(ids.last().copied(), last_id, "global ids are sequential");
+            for id in tombstoned.clone() {
+                sharded.tombstone(id);
             }
             let got = assemble_trace_sharded(&sharded, start, &cfg);
             prop_assert_eq!(
                 edges(&got),
                 edges(&oracle),
                 "sharded ({}) vs reference diverged",
-                shards
-            );
-            // The scoped-thread fan-out of Phase 1 must be extensionally
-            // identical to the sequential walk (same merge order).
-            let par = assemble_trace_sharded_parallel(&sharded, start, &cfg);
-            prop_assert_eq!(
-                edges(&par),
-                edges(&oracle),
-                "parallel Phase 1 ({}) vs reference diverged",
                 shards
             );
         }
