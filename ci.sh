@@ -82,6 +82,13 @@ cargo test -q -p df-cluster --test replication
 echo "==> chaos fault-schedule sweep"
 cargo test -q -p df-cluster --test chaos
 
+# The six examples are the paper's §4 case studies, end to end; `cargo
+# test` only compiles them.
+echo "==> examples (release, each must exit 0)"
+for example in examples/*.rs; do
+  cargo run -q --release --example "$(basename "$example" .rs)" >/dev/null
+done
+
 # Doc gates cover the first-party crates; the vendored stand-ins in
 # vendor/ are excluded (they are minimal API shims, not documentation
 # surface).

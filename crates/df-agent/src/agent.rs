@@ -3,26 +3,27 @@
 //! One [`Agent`] per node (paper Fig. 4: "An Agent is deployed in each
 //! container node, virtual machine, or physical machine"). `install`
 //! attaches the verified eBPF programs to every Table 3 ABI — in zero code,
-//! while the monitored processes run. `poll` drains the perf ring,
-//! coroutine events and capture taps, and turns them into spans carrying
-//! every implicit-context attribute plus the phase-1 smart-encoded tags.
+//! while the monitored processes run. `poll` runs the one pipeline over
+//! its three sources — the perf ring (syscall and TLS-uprobe messages) and
+//! the capture taps (packets): one inference engine classifies each
+//! message, a session aggregator pairs it, `span_builder` builds
+//! the span, and every span leaves through one exit that attaches flow
+//! metrics and the phase-1 smart-encoded tags and counts it.
 
-use crate::ebpf::{SharedSyscallProgram, SharedTlsProgram};
+use crate::ebpf::{DeepFlowSyscallProgram, DeepFlowTlsProgram, SharedProgram};
 use crate::flow_table::FlowTable;
-use crate::net_spans::{hash2, NetSpanBuilder, TapContext};
+use crate::net_spans::{NetSpanBuilder, TapContext, PACKET_FLOW_BIT};
 use crate::pseudo_thread::PseudoThreadTracker;
 use crate::session::{SessionAggregator, SessionOutcome};
+use crate::span_builder::{build_span, Observed};
 use crate::systrace::SystraceTracker;
 use df_kernel::hooks::{AttachPoint, KernelEvent, ProbeKind};
 use df_kernel::{Kernel, VerifierError};
 use df_net::fabric::Fabric;
-use df_protocols::inference::InferenceEngine;
-use df_protocols::ParsedMessage;
+use df_protocols::inference::{CustomProtocol, InferenceEngine};
 use df_types::span::{CapturePoint, Span, SpanKind, SpanStatus, TapSide};
-use df_types::tags::TagSet;
 use df_types::{
-    AgentId, Direction, DurationNs, FlowId, L7Metrics, MessageData, NodeId, SpanId, SyscallAbi,
-    TimeNs,
+    AgentId, Direction, DurationNs, L7Metrics, L7Protocol, MessageData, NodeId, SyscallAbi, TimeNs,
 };
 use std::collections::HashMap;
 
@@ -86,6 +87,8 @@ pub struct AgentStats {
     pub net_spans: u64,
     /// Incomplete spans produced by expiry.
     pub incomplete_spans: u64,
+    /// ResponseOnly fragments shipped for server-side re-aggregation.
+    pub response_only_spans: u64,
     /// Messages whose flow defied protocol inference.
     pub unclassified: u64,
     /// Sessions matched out-of-window (server re-aggregation candidates).
@@ -96,11 +99,12 @@ pub struct AgentStats {
 pub struct Agent {
     cfg: AgentConfig,
     id: AgentId,
-    syscall_prog: SharedSyscallProgram,
+    /// The one engine: syscall and packet flows share its protocol
+    /// specifications and keep apart in its cache by `PACKET_FLOW_BIT`.
     inference: InferenceEngine,
     systrace: SystraceTracker,
     pseudo: PseudoThreadTracker,
-    sessions: SessionAggregator<(MessageData, ParsedMessage)>,
+    sessions: SessionAggregator<Observed>,
     net: NetSpanBuilder,
     /// The agent's flow table (public: examples query it directly, like the
     /// §4.1.2 operators inspecting ARP counts per interface).
@@ -119,7 +123,6 @@ impl Agent {
         let id = AgentId(cfg.node.raw());
         let net = NetSpanBuilder::new(cfg.node, id, cfg.session_slot);
         Agent {
-            syscall_prog: SharedSyscallProgram::new(cfg.snap_len),
             inference: InferenceEngine::default(),
             systrace: SystraceTracker::with_namespace(cfg.node.raw()),
             pseudo: PseudoThreadTracker::with_namespace(cfg.node.raw()),
@@ -164,20 +167,19 @@ impl Agent {
         } else {
             ProbeKind::Kprobe
         };
+        let syscalls = SharedProgram::new(DeepFlowSyscallProgram::new(self.cfg.snap_len));
         for abi in SyscallAbi::ALL {
-            kernel.hooks.attach(
+            for point in [
                 AttachPoint::SyscallEnter(abi),
-                kind,
-                Box::new(self.syscall_prog.clone()),
-            )?;
-            kernel.hooks.attach(
                 AttachPoint::SyscallExit(abi),
-                kind,
-                Box::new(self.syscall_prog.clone()),
-            )?;
+            ] {
+                kernel
+                    .hooks
+                    .attach(point, kind, Box::new(syscalls.clone()))?;
+            }
         }
         if self.cfg.enable_uprobes {
-            let tls = SharedTlsProgram::new(self.cfg.snap_len);
+            let tls = SharedProgram::new(DeepFlowTlsProgram::new(self.cfg.snap_len));
             for sym in ["ssl_read", "ssl_write"] {
                 kernel.hooks.attach(
                     AttachPoint::UserFnEnter(sym),
@@ -199,17 +201,10 @@ impl Agent {
         self.net.register_tap(interface, ctx);
     }
 
-    /// Register a user-supplied protocol specification (paper §3.3.1) for
-    /// both the syscall path and the packet path. The factory is invoked
-    /// twice because each inference engine owns its specification.
-    pub fn register_custom_protocol(
-        &mut self,
-        mut factory: impl FnMut() -> df_protocols::inference::CustomProtocol,
-    ) -> df_types::L7Protocol {
-        let slot = self.inference.register_custom(factory());
-        let net_slot = self.net.register_custom_protocol(factory());
-        debug_assert_eq!(slot, net_slot, "sys and net engines stay in lockstep");
-        slot
+    /// Register a user-supplied protocol specification (paper §3.3.1); the
+    /// syscall path and the packet path both classify with it.
+    pub fn register_custom_protocol(&mut self, proto: CustomProtocol) -> L7Protocol {
+        self.inference.register_custom(proto)
     }
 
     /// Drain kernel + tap observations, producing spans.
@@ -228,26 +223,20 @@ impl Agent {
         // 3. Capture taps → flow metrics + net spans.
         for (_kind, cap) in fabric.taps.drain_for_node(self.cfg.node) {
             self.flows.observe(&cap.interface, &cap.frame, cap.ts);
-            if let Some(mut span) = self.net.offer(&cap.interface, &cap.frame, cap.ts) {
-                span.flow_metrics = self.flows.metrics(
-                    span.capture.interface.as_deref().unwrap_or(""),
-                    &span.five_tuple,
-                );
-                self.phase1_tags(&mut span);
-                self.stats.net_spans += 1;
-                self.out.push(span);
+            let offered = self
+                .net
+                .offer(&mut self.inference, cap.interface, &cap.frame, cap.ts);
+            if let Some(span) = offered {
+                self.emit(span);
             }
         }
 
         // 4. Expiry: overdue requests become Incomplete spans.
-        for (msg, parse) in self.sessions.expire(now) {
-            let span = self.build_incomplete_sys_span(msg, parse);
-            self.stats.incomplete_spans += 1;
-            self.out.push(span);
+        for req in self.sessions.expire(now) {
+            self.emit_sys(Some(req), None);
         }
         for span in self.net.expire(now) {
-            self.stats.incomplete_spans += 1;
-            self.out.push(span);
+            self.emit(span);
         }
 
         std::mem::take(&mut self.out)
@@ -272,7 +261,7 @@ impl Agent {
         }
     }
 
-    fn process_message(&mut self, mut msg: MessageData) {
+    fn process_message(&mut self, msg: MessageData) {
         self.stats.messages += 1;
         // Implicit intra-component association (Figure 7).
         let systrace = self.systrace.assign(
@@ -282,253 +271,67 @@ impl Agent {
             msg.network.socket_id,
             msg.capture_ns(),
         );
-        msg.context.systrace_id = Some(systrace);
-        if let Some(coroutine) = msg.program.coroutine {
-            msg.context.pseudo_thread_id =
-                Some(self.pseudo.pseudo_thread(msg.program.pid, coroutine));
-        }
+        let pseudo = msg
+            .program
+            .coroutine
+            .map(|coroutine| self.pseudo.pseudo_thread(msg.program.pid, coroutine));
         // Protocol inference + parse (Figure 6 phase 2).
-        let flow_key = msg.network.socket_id.raw();
+        let flow_key = msg.network.socket_id.raw() & !PACKET_FLOW_BIT;
         let Some(parse) = self.inference.parse_for(flow_key, &msg.syscall.payload) else {
             self.stats.unclassified += 1;
             return;
         };
-        msg.context.l7_protocol = Some(parse.protocol);
-        msg.context.message_type = Some(parse.msg_type);
-        msg.context.session_key = Some(parse.session_key);
-        msg.context.x_request_id = parse.headers.x_request_id;
-        msg.context.otel_trace_id = parse.headers.trace_id;
-        msg.context.otel_span_id = parse.headers.span_id;
         // Session aggregation (Figure 6 phase 3).
-        let ts = msg.capture_ns();
-        let key = parse.session_key;
-        let mtype = parse.msg_type;
-        match self.sessions.offer(flow_key, key, mtype, ts, (msg, parse)) {
+        let (key, mtype, ts) = (parse.session_key, parse.msg_type, msg.capture_ns());
+        let observed = Observed::from_syscall(msg, parse, systrace, pseudo);
+        match self.sessions.offer(flow_key, key, mtype, ts, observed) {
             SessionOutcome::Matched { request, response } => {
-                let span = self.build_sys_span(request, response);
-                self.stats.sys_spans += 1;
-                self.out.push(span);
+                self.emit_sys(Some(request), Some(response));
             }
             SessionOutcome::OutOfWindow { request, response } => {
                 self.stats.out_of_window += 1;
-                let span = self.build_sys_span(request, response);
-                self.stats.sys_spans += 1;
-                self.out.push(span);
+                self.emit_sys(Some(request), Some(response));
             }
-            SessionOutcome::OrphanResponse((resp, parse)) => {
-                // The request already expired out of the time window.
-                // Ship the response as a ResponseOnly fragment so the
-                // server can re-aggregate it against the Incomplete span
-                // (§3.3.1 server-side re-aggregation).
-                let span = self.build_response_only_span(resp, parse);
-                self.out.push(span);
-            }
+            // The request already expired out of the time window. Ship the
+            // response as a ResponseOnly fragment so the server can
+            // re-aggregate it against the Incomplete span (§3.3.1
+            // server-side re-aggregation).
+            SessionOutcome::OrphanResponse(response) => self.emit_sys(None, Some(response)),
             SessionOutcome::Stored | SessionOutcome::Ignored(_) => {}
         }
     }
 
-    fn build_response_only_span(&mut self, resp: MessageData, parse: ParsedMessage) -> Span {
-        // A response travels server→client: the observer that *receives* it
-        // is the client.
-        let client_side = resp.tracing.direction == Direction::Ingress;
-        let five_tuple = if client_side {
-            resp.network.five_tuple
-        } else {
-            resp.network.five_tuple.reversed()
+    /// Build and emit the sys span of a session. The observed process is
+    /// the client when it *sends* the request or *receives* the response.
+    fn emit_sys(&mut self, req: Option<Observed>, resp: Option<Observed>) {
+        let direction = |m: &Option<Observed>| Some(m.as_ref()?.process.as_ref()?.direction);
+        let client_side = match direction(&req) {
+            Some(sent_request) => sent_request == Direction::Egress,
+            None => direction(&resp) == Some(Direction::Ingress),
         };
-        let udp = resp.network.five_tuple.protocol == df_types::TransportProtocol::Udp;
-        let mut span = Span {
-            span_id: SpanId(0),
-            kind: SpanKind::Sys,
-            capture: CapturePoint {
-                node: self.cfg.node,
-                tap_side: if client_side {
-                    TapSide::ClientProcess
-                } else {
-                    TapSide::ServerProcess
-                },
-                interface: None,
-            },
-            agent: self.id,
-            flow_id: FlowId(hash2("flow", five_tuple.canonical())),
-            five_tuple,
-            l7_protocol: parse.protocol,
-            endpoint: parse.endpoint.clone(),
-            req_time: resp.capture_ns(),
-            resp_time: resp.capture_ns(),
-            status: SpanStatus::ResponseOnly,
-            status_code: parse.status_code,
-            req_bytes: 0,
-            resp_bytes: resp.syscall.byte_len as u64,
-            pid: Some(resp.program.pid),
-            tid: Some(resp.program.tid),
-            process_name: Some(resp.program.process_name.clone()),
-            systrace_id_req: None,
-            systrace_id_resp: resp.context.systrace_id,
-            pseudo_thread_id: resp.context.pseudo_thread_id,
-            x_request_id_req: None,
-            x_request_id_resp: resp.context.x_request_id,
-            tcp_seq_req: None,
-            tcp_seq_resp: if udp {
-                None
+        let capture = CapturePoint {
+            node: self.cfg.node,
+            tap_side: if client_side {
+                TapSide::ClientProcess
             } else {
-                Some(resp.network.tcp_seq)
+                TapSide::ServerProcess
             },
-            otel_trace_id: resp.context.otel_trace_id,
-            otel_span_id: resp.context.otel_span_id,
-            otel_parent_span_id: None,
-            tags: TagSet::default(),
-            flow_metrics: None,
+            interface: None,
         };
-        self.phase1_tags(&mut span);
-        span
+        self.emit(build_span(self.id, capture, req, resp));
     }
 
-    fn build_sys_span(
-        &mut self,
-        (req, req_parse): (MessageData, ParsedMessage),
-        (resp, resp_parse): (MessageData, ParsedMessage),
-    ) -> Span {
-        // Observer side: a component that *sends* the request is the client.
-        let client_side = req.tracing.direction == Direction::Egress;
-        let tap_side = if client_side {
-            TapSide::ClientProcess
-        } else {
-            TapSide::ServerProcess
+    /// The one exit of [`Self::poll`]: every span gets its flow metrics and
+    /// phase-1 tags and is counted once, so `AgentStats`' four span
+    /// counters always sum to the spans returned.
+    #[inline] // takes the `Span` by value: see `build_span`
+    fn emit(&mut self, mut span: Span) {
+        span.flow_metrics = match span.capture.interface.as_deref() {
+            Some(interface) => self.flows.metrics(interface, &span.five_tuple),
+            None => self.flows.metrics_any_interface(&span.five_tuple),
         };
-        let five_tuple = if client_side {
-            req.network.five_tuple
-        } else {
-            req.network.five_tuple.reversed()
-        };
-        let status = if resp_parse.server_error {
-            SpanStatus::ServerError
-        } else if resp_parse.client_error {
-            SpanStatus::ClientError
-        } else {
-            SpanStatus::Ok
-        };
-        let udp = req.network.five_tuple.protocol == df_types::TransportProtocol::Udp;
-        let mut span = Span {
-            span_id: SpanId(0),
-            kind: SpanKind::Sys,
-            capture: CapturePoint {
-                node: self.cfg.node,
-                tap_side,
-                interface: None,
-            },
-            agent: self.id,
-            flow_id: FlowId(hash2("flow", five_tuple.canonical())),
-            five_tuple,
-            l7_protocol: req_parse.protocol,
-            endpoint: req_parse.endpoint.clone(),
-            req_time: req.capture_ns(),
-            resp_time: resp.capture_ns(),
-            status,
-            status_code: resp_parse.status_code,
-            req_bytes: req.syscall.byte_len as u64,
-            resp_bytes: resp.syscall.byte_len as u64,
-            pid: Some(req.program.pid),
-            tid: Some(req.program.tid),
-            process_name: Some(req.program.process_name.clone()),
-            systrace_id_req: req.context.systrace_id,
-            systrace_id_resp: resp.context.systrace_id,
-            pseudo_thread_id: req
-                .context
-                .pseudo_thread_id
-                .or(resp.context.pseudo_thread_id),
-            x_request_id_req: req.context.x_request_id,
-            x_request_id_resp: resp.context.x_request_id,
-            tcp_seq_req: if udp { None } else { Some(req.network.tcp_seq) },
-            tcp_seq_resp: if udp {
-                None
-            } else {
-                Some(resp.network.tcp_seq)
-            },
-            otel_trace_id: req.context.otel_trace_id,
-            otel_span_id: req.context.otel_span_id,
-            otel_parent_span_id: None,
-            tags: TagSet::default(),
-            flow_metrics: None,
-        };
-        span.flow_metrics = self.flows.metrics_any_interface(&span.five_tuple);
-        self.phase1_tags(&mut span);
-        self.l7_metrics
-            .entry((
-                span.process_name.clone().unwrap_or_default(),
-                span.endpoint.clone(),
-            ))
-            .or_default()
-            .record_session(
-                span.duration(),
-                span.status == SpanStatus::ClientError,
-                span.status == SpanStatus::ServerError,
-            );
-        span
-    }
-
-    fn build_incomplete_sys_span(&mut self, req: MessageData, parse: ParsedMessage) -> Span {
-        let client_side = req.tracing.direction == Direction::Egress;
-        let five_tuple = if client_side {
-            req.network.five_tuple
-        } else {
-            req.network.five_tuple.reversed()
-        };
-        let udp = req.network.five_tuple.protocol == df_types::TransportProtocol::Udp;
-        let mut span = Span {
-            span_id: SpanId(0),
-            kind: SpanKind::Sys,
-            capture: CapturePoint {
-                node: self.cfg.node,
-                tap_side: if client_side {
-                    TapSide::ClientProcess
-                } else {
-                    TapSide::ServerProcess
-                },
-                interface: None,
-            },
-            agent: self.id,
-            flow_id: FlowId(hash2("flow", five_tuple.canonical())),
-            five_tuple,
-            l7_protocol: parse.protocol,
-            endpoint: parse.endpoint.clone(),
-            req_time: req.capture_ns(),
-            resp_time: req.capture_ns(),
-            status: SpanStatus::Incomplete,
-            status_code: None,
-            req_bytes: req.syscall.byte_len as u64,
-            resp_bytes: 0,
-            pid: Some(req.program.pid),
-            tid: Some(req.program.tid),
-            process_name: Some(req.program.process_name.clone()),
-            systrace_id_req: req.context.systrace_id,
-            systrace_id_resp: None,
-            pseudo_thread_id: req.context.pseudo_thread_id,
-            x_request_id_req: req.context.x_request_id,
-            x_request_id_resp: None,
-            tcp_seq_req: if udp { None } else { Some(req.network.tcp_seq) },
-            tcp_seq_resp: None,
-            otel_trace_id: req.context.otel_trace_id,
-            otel_span_id: req.context.otel_span_id,
-            otel_parent_span_id: None,
-            tags: TagSet::default(),
-            flow_metrics: None,
-        };
-        span.flow_metrics = self.flows.metrics_any_interface(&span.five_tuple);
-        self.phase1_tags(&mut span);
-        self.l7_metrics
-            .entry((
-                span.process_name.clone().unwrap_or_default(),
-                span.endpoint.clone(),
-            ))
-            .or_default()
-            .record_timeout();
-        span
-    }
-
-    /// Smart-encoding phase 1 (Fig. 8 ④–⑥): the agent writes only the VPC
-    /// id and the observed component's IP, as integers.
-    fn phase1_tags(&self, span: &mut Span) {
+        // Smart-encoding phase 1 (Fig. 8 ④–⑥): the agent writes only the
+        // VPC id and the observed component's IP, as integers.
         span.tags.resource.vpc_id = self.cfg.vpc_id;
         let local_ip = if span.capture.tap_side.is_client_side() {
             span.five_tuple.src_ip
@@ -536,6 +339,32 @@ impl Agent {
             span.five_tuple.dst_ip
         };
         span.tags.resource.ip = Some(u32::from(local_ip));
+        let counter = match (span.status, span.kind) {
+            (SpanStatus::Incomplete, _) => &mut self.stats.incomplete_spans,
+            (SpanStatus::ResponseOnly, _) => &mut self.stats.response_only_spans,
+            (_, SpanKind::Net) => &mut self.stats.net_spans,
+            (_, _) => &mut self.stats.sys_spans,
+        };
+        *counter += 1;
+        if span.kind == SpanKind::Sys && span.status != SpanStatus::ResponseOnly {
+            let series = self
+                .l7_metrics
+                .entry((
+                    span.process_name.clone().unwrap_or_default(),
+                    span.endpoint.clone(),
+                ))
+                .or_default();
+            if span.status == SpanStatus::Incomplete {
+                series.record_timeout();
+            } else {
+                series.record_session(
+                    span.duration(),
+                    span.status == SpanStatus::ClientError,
+                    span.status == SpanStatus::ServerError,
+                );
+            }
+        }
+        self.out.push(span);
     }
 }
 
@@ -586,6 +415,17 @@ mod tests {
             }
         }
         wakeups
+    }
+
+    /// `poll`, checking the conservation law on the way out: the spans it
+    /// returned are exactly what the four span counters gained.
+    fn poll_checked(a: &mut Agent, k: &mut Kernel, f: &mut Fabric, now: TimeNs) -> Vec<Span> {
+        let counted =
+            |s: AgentStats| s.sys_spans + s.net_spans + s.incomplete_spans + s.response_only_spans;
+        let before = counted(a.stats());
+        let spans = a.poll(k, f, now);
+        assert_eq!(spans.len() as u64, counted(a.stats()) - before);
+        spans
     }
 
     fn world() -> World {
@@ -659,8 +499,18 @@ mod tests {
         let t4 = TimeNs::from_millis(4);
         w.ka.sys_read(ctid, cpid, cfd, 4096, t4).unwrap_complete();
 
-        let spans_a = agent_a.poll(&mut w.ka, &mut w.fabric, TimeNs::from_millis(5));
-        let spans_b = agent_b.poll(&mut w.kb, &mut w.fabric, TimeNs::from_millis(5));
+        let spans_a = poll_checked(
+            &mut agent_a,
+            &mut w.ka,
+            &mut w.fabric,
+            TimeNs::from_millis(5),
+        );
+        let spans_b = poll_checked(
+            &mut agent_b,
+            &mut w.kb,
+            &mut w.fabric,
+            TimeNs::from_millis(5),
+        );
 
         assert_eq!(spans_a.len(), 1, "client agent: one sys span");
         assert_eq!(spans_b.len(), 1, "server agent: one sys span");
@@ -747,7 +597,12 @@ mod tests {
         w.ka.sys_read(ctid, cpid, cfd, 4096, TimeNs(4000))
             .unwrap_complete();
 
-        let spans = agent_a.poll(&mut w.ka, &mut w.fabric, TimeNs::from_millis(10));
+        let spans = poll_checked(
+            &mut agent_a,
+            &mut w.ka,
+            &mut w.fabric,
+            TimeNs::from_millis(10),
+        );
         let sys: Vec<&Span> = spans.iter().filter(|s| s.kind == SpanKind::Sys).collect();
         let net: Vec<&Span> = spans.iter().filter(|s| s.kind == SpanKind::Net).collect();
         assert_eq!(sys.len(), 1);
@@ -789,7 +644,12 @@ mod tests {
         )
         .unwrap_complete();
         // server never responds; poll 5 minutes later
-        let spans = agent_a.poll(&mut w.ka, &mut w.fabric, TimeNs::from_secs(300));
+        let spans = poll_checked(
+            &mut agent_a,
+            &mut w.ka,
+            &mut w.fabric,
+            TimeNs::from_secs(300),
+        );
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].status, SpanStatus::Incomplete);
         assert_eq!(spans[0].endpoint, "GET /hang");

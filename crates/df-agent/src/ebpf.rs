@@ -1,34 +1,83 @@
-//! The DeepFlow syscall-tracing eBPF program (paper Figure 5 / Figure 6
-//! phase 1).
+//! The DeepFlow eBPF programs (paper Figure 5 / Figure 6 phase 1).
 //!
-//! One instance attaches to both the enter and exit points of every Table 3
-//! ABI. At *enter* it records the arguments in a BPF-map analogue keyed by
-//! `(Pid, Tid)` — sound because "the kernel can simultaneously handle only
-//! one selected system call for a given (Process_ID, Thread_ID)" (§3.3.1).
-//! At *exit* it joins the stashed enter record with the results and emits a
-//! combined [`MessageData`] into the perf ring.
+//! Both programs are the same enter/exit join. One instance attaches to the
+//! enter and the exit point of its hooks. At *enter* it records the
+//! timestamp in a BPF-map analogue keyed by `(Pid, Tid)` — sound because
+//! "the kernel can simultaneously handle only one selected system call for
+//! a given (Process_ID, Thread_ID)" (§3.3.1). At *exit* it joins the stashed
+//! enter with the results and emits a combined [`MessageData`] into the
+//! perf ring (`emit_message`). [`DeepFlowSyscallProgram`] hooks the ten
+//! Table 3 ABIs, [`DeepFlowTlsProgram`] the `ssl_read`/`ssl_write` uprobes;
+//! they differ only in where direction, capture source and `first_syscall`
+//! come from, and in what an exit without an enter means.
 
 use bytes::Bytes;
 use df_kernel::hooks::{BpfProgram, HookContext, HookPhase, KernelEvent};
 use df_kernel::ringbuf::PerfRingBuffer;
-use df_kernel::verifier::ProgramSpec;
+use df_kernel::verifier::{Helper, ProgramSpec};
 use df_types::message::{
     CaptureSource, MessageContext, NetworkInfo, ProgramInfo, SyscallInfo, TracingInfo,
 };
 use df_types::{Direction, MessageData, Pid, Tid, TimeNs};
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
-#[derive(Debug, Clone)]
-struct EnterRecord {
-    ts: TimeNs,
-    requested: usize,
+/// The exit half of the join, shared by both programs: combine the stashed
+/// enter time with the exit context into one [`MessageData`] and push it.
+/// Returns whether a message reached the ring.
+fn emit_message(
+    ctx: &HookContext<'_>,
+    ring: &mut PerfRingBuffer<KernelEvent>,
+    snap_len: usize,
+    enter_ns: TimeNs,
+    direction: Direction,
+    source: CaptureSource,
+    first_syscall: bool,
+) -> bool {
+    let (Some(socket_id), Some(five_tuple)) = (ctx.socket_id, ctx.five_tuple) else {
+        return false; // not a socket operation — nothing to trace
+    };
+    // Skip zero-byte transfers (EOF reads) — no message.
+    if ctx.byte_len == 0 {
+        return false;
+    }
+    let payload = ctx
+        .payload
+        .map(|p| Bytes::copy_from_slice(&p[..p.len().min(snap_len)]))
+        .unwrap_or_default();
+    ring.push(KernelEvent::Message(MessageData {
+        program: ProgramInfo {
+            pid: ctx.pid,
+            tid: ctx.tid,
+            coroutine: ctx.coroutine,
+            process_name: ctx.process_name.to_string(),
+        },
+        network: NetworkInfo {
+            socket_id,
+            five_tuple,
+            tcp_seq: ctx.tcp_seq.unwrap_or(0),
+        },
+        tracing: TracingInfo {
+            enter_ns,
+            exit_ns: ctx.ts,
+            direction,
+            source,
+            node: ctx.node,
+        },
+        syscall: SyscallInfo {
+            byte_len: ctx.byte_len,
+            payload,
+            first_syscall,
+        },
+        context: MessageContext::default(),
+    }))
 }
 
 /// The syscall-tracing program.
 pub struct DeepFlowSyscallProgram {
     spec: ProgramSpec,
-    /// The BPF-map analogue: (pid, tid) → stashed enter arguments.
-    enter_map: HashMap<(Pid, Tid), EnterRecord>,
+    /// The BPF-map analogue: (pid, tid) → stashed enter time.
+    enter_map: HashMap<(Pid, Tid), TimeNs>,
     /// Messages emitted.
     pub emitted: u64,
     /// Exits with no matching enter (should stay zero; counted defensively).
@@ -48,14 +97,14 @@ impl DeepFlowSyscallProgram {
                 max_loop_bound: Some(8),
                 stack_bytes: 480,
                 helpers: vec![
-                    df_kernel::verifier::Helper::MapLookup,
-                    df_kernel::verifier::Helper::MapUpdate,
-                    df_kernel::verifier::Helper::MapDelete,
-                    df_kernel::verifier::Helper::ProbeRead,
-                    df_kernel::verifier::Helper::GetCurrentPidTgid,
-                    df_kernel::verifier::Helper::GetCurrentComm,
-                    df_kernel::verifier::Helper::KtimeGetNs,
-                    df_kernel::verifier::Helper::PerfEventOutput,
+                    Helper::MapLookup,
+                    Helper::MapUpdate,
+                    Helper::MapDelete,
+                    Helper::ProbeRead,
+                    Helper::GetCurrentPidTgid,
+                    Helper::GetCurrentComm,
+                    Helper::KtimeGetNs,
+                    Helper::PerfEventOutput,
                 ],
                 unchecked_memory_access: false,
             },
@@ -81,13 +130,7 @@ impl BpfProgram for DeepFlowSyscallProgram {
         let key = (ctx.pid, ctx.tid);
         match ctx.phase {
             HookPhase::Enter => {
-                self.enter_map.insert(
-                    key,
-                    EnterRecord {
-                        ts: ctx.ts,
-                        requested: ctx.byte_len,
-                    },
-                );
+                self.enter_map.insert(key, ctx.ts);
             }
             HookPhase::Exit => {
                 // An exit without a stashed enter means the program was
@@ -96,94 +139,20 @@ impl BpfProgram for DeepFlowSyscallProgram {
                 // still valuable: synthesize the enter at the exit time,
                 // exactly as the real agent does when it races a blocking
                 // recv.
-                let enter = self.enter_map.remove(&key).unwrap_or_else(|| {
+                let enter_ns = self.enter_map.remove(&key).unwrap_or_else(|| {
                     self.orphan_exits += 1;
-                    EnterRecord {
-                        ts: ctx.ts,
-                        requested: ctx.byte_len,
-                    }
+                    ctx.ts
                 });
-                let (Some(abi), Some(direction), Some(socket_id), Some(five_tuple)) =
-                    (ctx.abi, ctx.direction, ctx.socket_id, ctx.five_tuple)
-                else {
+                let (Some(abi), Some(direction)) = (ctx.abi, ctx.direction) else {
                     return; // not a socket operation — nothing to trace
                 };
-                // Skip zero-byte transfers (EOF reads) — no message.
-                if ctx.byte_len == 0 {
-                    return;
-                }
-                let payload = ctx
-                    .payload
-                    .map(|p| Bytes::copy_from_slice(&p[..p.len().min(self.snap_len)]))
-                    .unwrap_or_default();
-                let msg = MessageData {
-                    program: ProgramInfo {
-                        pid: ctx.pid,
-                        tid: ctx.tid,
-                        coroutine: ctx.coroutine,
-                        process_name: ctx.process_name.to_string(),
-                    },
-                    network: NetworkInfo {
-                        socket_id,
-                        five_tuple,
-                        tcp_seq: ctx.tcp_seq.unwrap_or(0),
-                    },
-                    tracing: TracingInfo {
-                        enter_ns: enter.ts,
-                        exit_ns: ctx.ts,
-                        direction,
-                        source: CaptureSource::Ebpf(abi),
-                        node: ctx.node,
-                    },
-                    syscall: SyscallInfo {
-                        byte_len: ctx.byte_len.max(enter.requested.min(ctx.byte_len)),
-                        payload,
-                        first_syscall: ctx.first_syscall,
-                    },
-                    context: MessageContext::default(),
-                };
-                if ring.push(KernelEvent::Message(msg)) {
+                let source = CaptureSource::Ebpf(abi);
+                let first = ctx.first_syscall;
+                if emit_message(ctx, ring, self.snap_len, enter_ns, direction, source, first) {
                     self.emitted += 1;
                 }
             }
         }
-    }
-}
-
-/// A handle sharing one [`DeepFlowSyscallProgram`] between its enter and
-/// exit attach points — the analogue of enter/exit eBPF programs sharing one
-/// BPF map. The simulation is single-threaded per node; the mutex exists
-/// only to satisfy the `Send` bound and is never contended.
-#[derive(Clone)]
-pub struct SharedSyscallProgram {
-    inner: std::sync::Arc<std::sync::Mutex<DeepFlowSyscallProgram>>,
-    spec: ProgramSpec,
-}
-
-impl SharedSyscallProgram {
-    /// Wrap a program for shared attachment.
-    pub fn new(snap_len: usize) -> Self {
-        let prog = DeepFlowSyscallProgram::new(snap_len);
-        let spec = prog.spec.clone();
-        SharedSyscallProgram {
-            inner: std::sync::Arc::new(std::sync::Mutex::new(prog)),
-            spec,
-        }
-    }
-
-    /// Messages emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.inner.lock().expect("uncontended").emitted
-    }
-}
-
-impl BpfProgram for SharedSyscallProgram {
-    fn spec(&self) -> &ProgramSpec {
-        &self.spec
-    }
-
-    fn run(&mut self, ctx: &HookContext<'_>, ring: &mut PerfRingBuffer<KernelEvent>) {
-        self.inner.lock().expect("uncontended").run(ctx, ring);
     }
 }
 
@@ -208,10 +177,10 @@ impl DeepFlowTlsProgram {
                 max_loop_bound: Some(4),
                 stack_bytes: 384,
                 helpers: vec![
-                    df_kernel::verifier::Helper::MapLookup,
-                    df_kernel::verifier::Helper::MapUpdate,
-                    df_kernel::verifier::Helper::ProbeRead,
-                    df_kernel::verifier::Helper::PerfEventOutput,
+                    Helper::MapLookup,
+                    Helper::MapUpdate,
+                    Helper::ProbeRead,
+                    Helper::PerfEventOutput,
                 ],
                 unchecked_memory_access: false,
             },
@@ -234,7 +203,9 @@ impl BpfProgram for DeepFlowTlsProgram {
                 self.enter_map.insert(key, ctx.ts);
             }
             HookPhase::Exit => {
-                let Some(enter_ts) = self.enter_map.remove(&key) else {
+                // A uretprobe with no stashed uprobe (attached mid-call) is
+                // dropped, not synthesized.
+                let Some(enter_ns) = self.enter_map.remove(&key) else {
                     return;
                 };
                 let direction = match ctx.symbol {
@@ -242,43 +213,8 @@ impl BpfProgram for DeepFlowTlsProgram {
                     Some("ssl_write") => Direction::Egress,
                     _ => return,
                 };
-                let (Some(socket_id), Some(five_tuple)) = (ctx.socket_id, ctx.five_tuple) else {
-                    return;
-                };
-                if ctx.byte_len == 0 {
-                    return;
-                }
-                let payload = ctx
-                    .payload
-                    .map(|p| Bytes::copy_from_slice(&p[..p.len().min(self.snap_len)]))
-                    .unwrap_or_default();
-                let msg = MessageData {
-                    program: ProgramInfo {
-                        pid: ctx.pid,
-                        tid: ctx.tid,
-                        coroutine: ctx.coroutine,
-                        process_name: ctx.process_name.to_string(),
-                    },
-                    network: NetworkInfo {
-                        socket_id,
-                        five_tuple,
-                        tcp_seq: ctx.tcp_seq.unwrap_or(0),
-                    },
-                    tracing: TracingInfo {
-                        enter_ns: enter_ts,
-                        exit_ns: ctx.ts,
-                        direction,
-                        source: CaptureSource::Uprobe,
-                        node: ctx.node,
-                    },
-                    syscall: SyscallInfo {
-                        byte_len: ctx.byte_len,
-                        payload,
-                        first_syscall: true,
-                    },
-                    context: MessageContext::default(),
-                };
-                if ring.push(KernelEvent::Message(msg)) {
+                let source = CaptureSource::Uprobe;
+                if emit_message(ctx, ring, self.snap_len, enter_ns, direction, source, true) {
                     self.emitted += 1;
                 }
             }
@@ -286,26 +222,36 @@ impl BpfProgram for DeepFlowTlsProgram {
     }
 }
 
-/// A handle sharing one [`DeepFlowTlsProgram`] between uprobe and uretprobe.
-#[derive(Clone)]
-pub struct SharedTlsProgram {
-    inner: std::sync::Arc<std::sync::Mutex<DeepFlowTlsProgram>>,
+/// A handle sharing one program between its enter and exit attach points —
+/// the analogue of enter/exit eBPF programs sharing one BPF map. The
+/// simulation is single-threaded per node; the mutex exists only to satisfy
+/// the `Send` bound and is never contended.
+pub struct SharedProgram<P> {
+    inner: Arc<Mutex<P>>,
     spec: ProgramSpec,
 }
 
-impl SharedTlsProgram {
-    /// Wrap a TLS program for shared attachment.
-    pub fn new(snap_len: usize) -> Self {
-        let prog = DeepFlowTlsProgram::new(snap_len);
-        let spec = prog.spec.clone();
-        SharedTlsProgram {
-            inner: std::sync::Arc::new(std::sync::Mutex::new(prog)),
+impl<P: BpfProgram> SharedProgram<P> {
+    /// Wrap a program for shared attachment.
+    pub fn new(prog: P) -> Self {
+        let spec = prog.spec().clone();
+        SharedProgram {
+            inner: Arc::new(Mutex::new(prog)),
             spec,
         }
     }
 }
 
-impl BpfProgram for SharedTlsProgram {
+impl<P> Clone for SharedProgram<P> {
+    fn clone(&self) -> Self {
+        SharedProgram {
+            inner: self.inner.clone(),
+            spec: self.spec.clone(),
+        }
+    }
+}
+
+impl<P: BpfProgram> BpfProgram for SharedProgram<P> {
     fn spec(&self) -> &ProgramSpec {
         &self.spec
     }

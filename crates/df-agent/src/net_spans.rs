@@ -1,34 +1,26 @@
 //! Net spans from cBPF / AF_PACKET captures (paper §3.2.1 instrumentation
 //! extensions + Appendix A).
 //!
-//! Each tapped interface yields frames; this builder runs the same protocol
-//! inference and session aggregation over them as the syscall path runs
-//! over messages, producing one span per request/response pair *per capture
-//! point* — the hop-by-hop spans that let Fig. 11's operators see exactly
-//! which infrastructure element misbehaved.
+//! Each tapped interface yields frames; this module is the packet source of
+//! the agent's one pipeline: it classifies a frame's payload with the
+//! agent's inference engine, normalises it into an `Observed` message,
+//! aggregates sessions, and resolves the capture point — one span per
+//! request/response pair *per capture point*, the hop-by-hop spans that let
+//! Fig. 11's operators see exactly which infrastructure element misbehaved.
 
 use crate::session::{SessionAggregator, SessionOutcome};
+use crate::span_builder::{build_span, hash2, Observed};
 use df_net::taps::TapKind;
 use df_protocols::inference::InferenceEngine;
-use df_protocols::ParsedMessage;
 use df_types::packet::Frame;
-use df_types::span::{CapturePoint, Span, SpanKind, SpanStatus, TapSide};
-use df_types::tags::TagSet;
-use df_types::{AgentId, DurationNs, FiveTuple, FlowId, L7Protocol, NodeId, SpanId, TimeNs};
-use std::collections::hash_map::DefaultHasher;
+use df_types::span::{CapturePoint, Span, TapSide};
+use df_types::{AgentId, DurationNs, FiveTuple, MessageType, NodeId, TimeNs};
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
-/// One captured L7 message (request or response) at a tap.
-#[derive(Debug, Clone)]
-pub struct NetMsg {
-    ts: TimeNs,
-    tuple: FiveTuple,
-    tcp_seq: u32,
-    byte_len: usize,
-    parse: ParsedMessage,
-}
+/// Set on every packet-path flow key and clear on every syscall-path one,
+/// so the two sources never alias in the shared inference engine's cache.
+pub(crate) const PACKET_FLOW_BIT: u64 = 1 << 63;
 
 /// Per-interface capture context: what kind of tap, and which IPs are local
 /// to it (a veth knows its pod; a node NIC knows the node's pods).
@@ -44,8 +36,8 @@ pub struct TapContext {
 pub struct NetSpanBuilder {
     node: NodeId,
     agent: AgentId,
-    inference: InferenceEngine,
-    sessions: SessionAggregator<NetMsg>,
+    /// Pending requests, each remembering the interface it was seen on.
+    sessions: SessionAggregator<(String, Observed)>,
     taps: HashMap<String, TapContext>,
     /// Flow → client endpoint (set by SYN or first request).
     flow_client: HashMap<FiveTuple, (Ipv4Addr, u16)>,
@@ -61,7 +53,6 @@ impl NetSpanBuilder {
         NetSpanBuilder {
             node,
             agent,
-            inference: InferenceEngine::default(),
             sessions: SessionAggregator::new(slot),
             taps: HashMap::new(),
             flow_client: HashMap::new(),
@@ -75,16 +66,16 @@ impl NetSpanBuilder {
         self.taps.insert(interface.to_string(), ctx);
     }
 
-    /// Register a user-supplied protocol specification for packet parsing.
-    pub fn register_custom_protocol(
+    /// Offer one captured frame, classified with the agent's `inference`
+    /// engine; may complete a span. The capture's owned `interface` label
+    /// travels with the message and ends up in the span's capture point.
+    pub fn offer(
         &mut self,
-        proto: df_protocols::inference::CustomProtocol,
-    ) -> df_types::L7Protocol {
-        self.inference.register_custom(proto)
-    }
-
-    /// Offer one captured frame; may complete a span.
-    pub fn offer(&mut self, interface: &str, frame: &Frame, ts: TimeNs) -> Option<Span> {
+        inference: &mut InferenceEngine,
+        interface: String,
+        frame: &Frame,
+        ts: TimeNs,
+    ) -> Option<Span> {
         let Frame::Segment(seg) = frame else {
             return None; // ARP handled by the flow table
         };
@@ -98,91 +89,55 @@ impl NetSpanBuilder {
         if seg.payload.is_empty() {
             return None;
         }
-        let flow_key = hash2(interface, canon);
-        let Some(parse) = self.inference.parse_for(flow_key, &seg.payload) else {
+        let flow_key = hash2(&interface, canon) | PACKET_FLOW_BIT;
+        let Some(parse) = inference.parse_for(flow_key, &seg.payload) else {
             self.unparsed_frames += 1;
             return None;
         };
         // First request also pins the client if no SYN was seen (taps can
         // start mid-connection).
-        if parse.msg_type == df_types::MessageType::Request {
+        if parse.msg_type == MessageType::Request {
             self.flow_client
                 .entry(canon)
                 .or_insert((seg.five_tuple.src_ip, seg.five_tuple.src_port));
         }
-        let msg = NetMsg {
-            ts,
-            tuple: seg.five_tuple,
-            tcp_seq: seg.seq,
-            byte_len: seg.payload.len(),
-            parse: parse.clone(),
-        };
-        match self
-            .sessions
-            .offer(flow_key, parse.session_key, parse.msg_type, ts, msg)
-        {
+        let (key, msg_type) = (parse.session_key, parse.msg_type);
+        let msg = (interface, Observed::from_packet(seg, ts, parse));
+        match self.sessions.offer(flow_key, key, msg_type, ts, msg) {
             SessionOutcome::Matched { request, response }
             | SessionOutcome::OutOfWindow { request, response } => {
-                Some(self.build_span(interface, request, response))
+                Some(self.build(request.0, request.1, Some(response.1)))
             }
             _ => None,
         }
     }
 
-    fn build_span(&mut self, interface: &str, req: NetMsg, resp: NetMsg) -> Span {
-        self.spans_built += 1;
-        let client_tuple = req.tuple; // the request's sender is the client
-        let canon = client_tuple.canonical();
-        let client = self
-            .flow_client
-            .get(&canon)
-            .copied()
-            .unwrap_or((client_tuple.src_ip, client_tuple.src_port));
-        let tap_side = self.resolve_tap_side(interface, client.0, &client_tuple);
-        let status = status_of(&resp.parse);
-        Span {
-            span_id: SpanId(0),
-            kind: SpanKind::Net,
-            capture: CapturePoint {
-                node: self.node,
-                tap_side,
-                interface: Some(interface.to_string()),
-            },
-            agent: self.agent,
-            flow_id: FlowId(hash2("flow", canon)),
-            five_tuple: client_tuple,
-            l7_protocol: req.parse.protocol,
-            endpoint: req.parse.endpoint.clone(),
-            req_time: req.ts,
-            resp_time: resp.ts,
-            status,
-            status_code: resp.parse.status_code,
-            req_bytes: req.byte_len as u64,
-            resp_bytes: resp.byte_len as u64,
-            pid: None,
-            tid: None,
-            process_name: None,
-            systrace_id_req: None,
-            systrace_id_resp: None,
-            pseudo_thread_id: None,
-            x_request_id_req: req.parse.headers.x_request_id,
-            x_request_id_resp: resp.parse.headers.x_request_id,
-            tcp_seq_req: tcp_seq_or_none(req.parse.protocol, req.tcp_seq),
-            tcp_seq_resp: tcp_seq_or_none(resp.parse.protocol, resp.tcp_seq),
-            otel_trace_id: req.parse.headers.trace_id,
-            otel_span_id: req.parse.headers.span_id,
-            otel_parent_span_id: req.parse.headers.parent_span_id,
-            tags: TagSet::default(),
-            flow_metrics: None,
-        }
+    /// Expire stale pending requests into incomplete net spans, each at the
+    /// capture point its matched sibling on that tap would have had.
+    pub fn expire(&mut self, now: TimeNs) -> Vec<Span> {
+        let stale = self.sessions.expire(now);
+        stale
+            .into_iter()
+            .map(|(interface, req)| self.build(interface, req, None))
+            .collect()
     }
 
-    fn resolve_tap_side(
-        &self,
-        interface: &str,
-        client_ip: Ipv4Addr,
-        _tuple: &FiveTuple,
-    ) -> TapSide {
+    fn build(&mut self, interface: String, req: Observed, resp: Option<Observed>) -> Span {
+        self.spans_built += 1;
+        // The request's sender is the client unless a SYN said otherwise.
+        let client_ip = match self.flow_client.get(&req.tuple.canonical()) {
+            Some((ip, _)) => *ip,
+            None => req.tuple.src_ip,
+        };
+        let capture = CapturePoint {
+            node: self.node,
+            tap_side: self.resolve_tap_side(&interface, client_ip),
+            interface: Some(interface),
+        };
+        build_span(self.agent, capture, Some(req), resp)
+    }
+
+    fn resolve_tap_side(&self, interface: &str, client_ip: Ipv4Addr) -> TapSide {
         let Some(ctx) = self.taps.get(interface) else {
             return TapSide::Gateway; // unregistered tap: mid-path observer
         };
@@ -212,88 +167,6 @@ impl NetSpanBuilder {
             TapKind::TorMirror | TapKind::Gateway => TapSide::Gateway,
         }
     }
-
-    /// Expire stale pending requests into incomplete net spans.
-    pub fn expire(&mut self, now: TimeNs) -> Vec<Span> {
-        let stale = self.sessions.expire(now);
-        stale
-            .into_iter()
-            .map(|req| {
-                self.spans_built += 1;
-                let canon = req.tuple.canonical();
-                let client = self
-                    .flow_client
-                    .get(&canon)
-                    .copied()
-                    .unwrap_or((req.tuple.src_ip, req.tuple.src_port));
-                let mut span = Span {
-                    span_id: SpanId(0),
-                    kind: SpanKind::Net,
-                    capture: CapturePoint {
-                        node: self.node,
-                        tap_side: TapSide::Gateway,
-                        interface: None,
-                    },
-                    agent: self.agent,
-                    flow_id: FlowId(hash2("flow", canon)),
-                    five_tuple: req.tuple,
-                    l7_protocol: req.parse.protocol,
-                    endpoint: req.parse.endpoint.clone(),
-                    req_time: req.ts,
-                    resp_time: req.ts,
-                    status: SpanStatus::Incomplete,
-                    status_code: None,
-                    req_bytes: req.byte_len as u64,
-                    resp_bytes: 0,
-                    pid: None,
-                    tid: None,
-                    process_name: None,
-                    systrace_id_req: None,
-                    systrace_id_resp: None,
-                    pseudo_thread_id: None,
-                    x_request_id_req: req.parse.headers.x_request_id,
-                    x_request_id_resp: None,
-                    tcp_seq_req: tcp_seq_or_none(req.parse.protocol, req.tcp_seq),
-                    tcp_seq_resp: None,
-                    otel_trace_id: req.parse.headers.trace_id,
-                    otel_span_id: req.parse.headers.span_id,
-                    otel_parent_span_id: req.parse.headers.parent_span_id,
-                    tags: TagSet::default(),
-                    flow_metrics: None,
-                };
-                span.capture.tap_side = self.resolve_tap_side("", client.0, &req.tuple);
-                span
-            })
-            .collect()
-    }
-}
-
-fn status_of(parse: &ParsedMessage) -> SpanStatus {
-    if parse.server_error {
-        SpanStatus::ServerError
-    } else if parse.client_error {
-        SpanStatus::ClientError
-    } else {
-        SpanStatus::Ok
-    }
-}
-
-/// UDP has no sequence numbers; a 0 seq would spuriously associate every
-/// UDP span (paper's inter-component association is a TCP property).
-fn tcp_seq_or_none(proto: L7Protocol, seq: u32) -> Option<u32> {
-    if proto == L7Protocol::Dns {
-        None
-    } else {
-        Some(seq)
-    }
-}
-
-/// Stable hash of (label, tuple) — flow keys and flow ids.
-pub fn hash2<A: Hash, B: Hash>(a: A, b: B) -> u64 {
-    let mut h = DefaultHasher::new();
-    a.hash(&mut h);
-    b.hash(&mut h);
-    h.finish()
 }
 
 #[cfg(test)]
@@ -303,7 +176,8 @@ mod tests {
     use df_protocols::http1;
     use df_types::net::TcpFlags;
     use df_types::packet::Segment;
-    use df_types::MessageType;
+    use df_types::span::{SpanKind, SpanStatus};
+    use df_types::L7Protocol;
 
     const C: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 1);
     const S: Ipv4Addr = Ipv4Addr::new(10, 1, 1, 1);
@@ -325,7 +199,7 @@ mod tests {
         })
     }
 
-    fn builder() -> NetSpanBuilder {
+    fn builder() -> (NetSpanBuilder, InferenceEngine) {
         let mut b = NetSpanBuilder::new(NodeId(1), AgentId(1), DurationNs::from_secs(60));
         b.register_tap(
             "eth0",
@@ -334,19 +208,19 @@ mod tests {
                 local_ips: [C].into_iter().collect(),
             },
         );
-        b
+        (b, InferenceEngine::default())
     }
 
     #[test]
     fn request_response_pair_builds_a_net_span() {
-        let mut b = builder();
+        let (mut b, mut e) = builder();
         let req = http1::request("GET", "/reviews/1", &[], b"");
         let resp = http1::response(200, &[], b"ok");
         assert!(b
-            .offer("eth0", &seg(true, 1000, req), TimeNs(100))
+            .offer(&mut e, "eth0".into(), &seg(true, 1000, req), TimeNs(100))
             .is_none());
         let span = b
-            .offer("eth0", &seg(false, 2000, resp), TimeNs(900))
+            .offer(&mut e, "eth0".into(), &seg(false, 2000, resp), TimeNs(900))
             .expect("span completed");
         assert_eq!(span.kind, SpanKind::Net);
         assert_eq!(span.capture.tap_side, TapSide::ClientNodeNic);
@@ -361,6 +235,7 @@ mod tests {
     #[test]
     fn server_side_tap_resolves_server_tap_side() {
         let mut b = NetSpanBuilder::new(NodeId(2), AgentId(2), DurationNs::from_secs(60));
+        let mut e = InferenceEngine::default();
         b.register_tap(
             "eth0",
             TapContext {
@@ -369,13 +244,15 @@ mod tests {
             },
         );
         b.offer(
-            "eth0",
+            &mut e,
+            "eth0".into(),
             &seg(true, 1, http1::request("GET", "/", &[], b"")),
             TimeNs(0),
         );
         let span = b
             .offer(
-                "eth0",
+                &mut e,
+                "eth0".into(),
                 &seg(false, 2, http1::response(200, &[], b"")),
                 TimeNs(10),
             )
@@ -385,15 +262,17 @@ mod tests {
 
     #[test]
     fn error_response_sets_span_status() {
-        let mut b = builder();
+        let (mut b, mut e) = builder();
         b.offer(
-            "eth0",
+            &mut e,
+            "eth0".into(),
             &seg(true, 1, http1::request("GET", "/broken", &[], b"")),
             TimeNs(0),
         );
         let span = b
             .offer(
-                "eth0",
+                &mut e,
+                "eth0".into(),
                 &seg(false, 2, http1::response(404, &[], b"")),
                 TimeNs(10),
             )
@@ -404,7 +283,7 @@ mod tests {
 
     #[test]
     fn control_segments_and_unparseable_payloads_are_skipped() {
-        let mut b = builder();
+        let (mut b, mut e) = builder();
         // SYN (no payload)
         let syn = Frame::Segment(Segment {
             five_tuple: FiveTuple::tcp(C, 40000, S, 80),
@@ -415,11 +294,12 @@ mod tests {
             payload: Bytes::new(),
             is_retransmission: false,
         });
-        assert!(b.offer("eth0", &syn, TimeNs(0)).is_none());
+        assert!(b.offer(&mut e, "eth0".into(), &syn, TimeNs(0)).is_none());
         // junk payload
         assert!(b
             .offer(
-                "eth0",
+                &mut e,
+                "eth0".into(),
                 &seg(true, 1, Bytes::from_static(b"\x00\x01garbage")),
                 TimeNs(1)
             )
@@ -429,9 +309,10 @@ mod tests {
 
     #[test]
     fn expire_produces_incomplete_net_spans() {
-        let mut b = builder();
+        let (mut b, mut e) = builder();
         b.offer(
-            "eth0",
+            &mut e,
+            "eth0".into(),
             &seg(true, 1, http1::request("GET", "/hang", &[], b"")),
             TimeNs::from_secs(0),
         );
@@ -439,17 +320,21 @@ mod tests {
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].status, SpanStatus::Incomplete);
         assert_eq!(spans[0].endpoint, "GET /hang");
+        // Same capture point a matched span on this tap would carry.
+        assert_eq!(spans[0].capture.tap_side, TapSide::ClientNodeNic);
+        assert_eq!(spans[0].capture.interface.as_deref(), Some("eth0"));
     }
 
     #[test]
     fn x_request_id_headers_carried_onto_span() {
-        let mut b = builder();
+        let (mut b, mut e) = builder();
         let xid = df_types::XRequestId(0x1234_5678_9abc_def0_1111_2222_3333_4444);
         let req = http1::request("GET", "/", &[("X-Request-ID".into(), xid.to_wire())], b"");
-        b.offer("eth0", &seg(true, 1, req), TimeNs(0));
+        b.offer(&mut e, "eth0".into(), &seg(true, 1, req), TimeNs(0));
         let span = b
             .offer(
-                "eth0",
+                &mut e,
+                "eth0".into(),
                 &seg(false, 2, http1::response(200, &[], b"")),
                 TimeNs(1),
             )
@@ -459,7 +344,7 @@ mod tests {
 
     #[test]
     fn udp_dns_spans_have_no_tcp_seq() {
-        let mut b = builder();
+        let (mut b, mut e) = builder();
         let q = df_protocols::dns::query(9, "svc.local");
         let a = df_protocols::dns::answer(9, "svc.local", df_protocols::dns::RCODE_OK);
         let mk = |from_client: bool, payload: Bytes| {
@@ -478,13 +363,48 @@ mod tests {
                 is_retransmission: false,
             })
         };
-        assert!(b.offer("eth0", &mk(true, q), TimeNs(0)).is_none());
-        let span = b.offer("eth0", &mk(false, a), TimeNs(5)).unwrap();
+        assert!(b
+            .offer(&mut e, "eth0".into(), &mk(true, q), TimeNs(0))
+            .is_none());
+        let span = b
+            .offer(&mut e, "eth0".into(), &mk(false, a), TimeNs(5))
+            .unwrap();
         assert_eq!(span.l7_protocol, L7Protocol::Dns);
         assert_eq!(span.tcp_seq_req, None);
         assert_eq!(span.tcp_seq_resp, None);
         // sanity: parse typed them correctly
         assert_eq!(span.endpoint, "A svc.local");
-        let _ = MessageType::Request;
+    }
+
+    #[test]
+    fn sequence_numbers_follow_the_transport_not_the_protocol() {
+        let (mut b, mut e) = builder();
+        // DNS over TCP keeps its sequence numbers.
+        let q = df_protocols::dns::query(9, "svc.local");
+        let a = df_protocols::dns::answer(9, "svc.local", df_protocols::dns::RCODE_OK);
+        b.offer(&mut e, "eth0".into(), &seg(true, 700, q), TimeNs(0));
+        let span = b.offer(&mut e, "eth0".into(), &seg(false, 800, a), TimeNs(5));
+        let span = span.expect("dns over tcp pairs");
+        assert_eq!(span.l7_protocol, L7Protocol::Dns);
+        assert_eq!(
+            (span.tcp_seq_req, span.tcp_seq_resp),
+            (Some(700), Some(800))
+        );
+        // A non-DNS protocol over UDP has none to keep.
+        let udp = |from_client: bool, payload: Bytes| {
+            let Frame::Segment(mut s) = seg(from_client, 0, payload) else {
+                unreachable!()
+            };
+            s.five_tuple.protocol = df_types::TransportProtocol::Udp;
+            Frame::Segment(s)
+        };
+        let req = udp(true, http1::request("GET", "/udp", &[], b""));
+        b.offer(&mut e, "eth0".into(), &req, TimeNs(10));
+        let resp = udp(false, http1::response(200, &[], b""));
+        let span = b
+            .offer(&mut e, "eth0".into(), &resp, TimeNs(15))
+            .expect("pairs");
+        assert_eq!(span.l7_protocol, L7Protocol::Http1);
+        assert_eq!((span.tcp_seq_req, span.tcp_seq_resp), (None, None));
     }
 }

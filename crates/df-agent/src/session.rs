@@ -147,44 +147,37 @@ impl<M> SessionAggregator<M> {
     /// "DeepFlow considers any missing responses as outcomes resulting from
     /// unexpected execution terminations" (§3.3.1).
     pub fn expire(&mut self, now: TimeNs) -> Vec<M> {
-        let cutoff_slot = now.slot(self.slot).saturating_sub(2);
-        let mut expired = Vec::new();
-        let stale_keys: Vec<(u64, u64)> = self
+        let (slot, cutoff_slot) = (self.slot, now.slot(self.slot).saturating_sub(2));
+        self.take_pending(|ts| ts.slot(slot) < cutoff_slot)
+    }
+
+    /// Drain every pending request (end-of-run flush).
+    pub fn drain_pending(&mut self) -> Vec<M> {
+        self.take_pending(|_| true)
+    }
+
+    /// Remove the pending requests whose time is `stale`, ordered by
+    /// (request time, flow key, session id) so that which Incomplete span
+    /// gets which id does not depend on hash-map iteration order.
+    fn take_pending(&mut self, stale: impl Fn(TimeNs) -> bool) -> Vec<M> {
+        let mut taken: Vec<_> = self
             .mux
-            .iter()
-            .filter(|(_, p)| p.ts.slot(self.slot) < cutoff_slot)
-            .map(|(k, _)| *k)
+            .extract_if(|_, p| stale(p.ts))
+            .map(|((flow, id), p)| ((p.ts, flow, Some(id)), p.item))
             .collect();
-        for k in stale_keys {
-            if let Some(p) = self.mux.remove(&k) {
-                expired.push(p.item);
-            }
-        }
-        for q in self.fifo.values_mut() {
-            while let Some(front) = q.front() {
-                if front.ts.slot(self.slot) < cutoff_slot {
-                    expired.push(q.pop_front().expect("front checked").item);
-                } else {
-                    break;
-                }
+        for (&flow, q) in self.fifo.iter_mut() {
+            while let Some(p) = q.pop_front_if(|p| stale(p.ts)) {
+                taken.push(((p.ts, flow, None), p.item));
             }
         }
         self.fifo.retain(|_, q| !q.is_empty());
-        expired
+        taken.sort_by_key(|(order, _)| *order);
+        taken.into_iter().map(|(_, item)| item).collect()
     }
 
     /// Requests currently pending.
     pub fn pending(&self) -> usize {
         self.mux.len() + self.fifo.values().map(VecDeque::len).sum::<usize>()
-    }
-
-    /// Drain every pending request (end-of-run flush).
-    pub fn drain_pending(&mut self) -> Vec<M> {
-        let mut out: Vec<M> = self.mux.drain().map(|(_, p)| p.item).collect();
-        for (_, mut q) in self.fifo.drain() {
-            out.extend(q.drain(..).map(|p| p.item));
-        }
-        out
     }
 }
 
@@ -333,6 +326,28 @@ mod tests {
         assert!(expired.contains(&"old"));
         assert!(expired.contains(&"old-mux"));
         assert_eq!(a.pending(), 1);
+    }
+
+    #[test]
+    fn expiry_order_is_by_time_then_flow_then_session_id() {
+        // Many flows, both kinds, shared timestamps: the order must not
+        // depend on either map's (per-instance, randomly seeded) iteration.
+        let feed = || {
+            let mut a = SessionAggregator::default();
+            for flow in (0..40u64).rev() {
+                let ts = TimeNs::from_secs(flow % 4);
+                a.offer(flow, SessionKey::Ordered, Request, ts, (ts, flow, None));
+                let id = 100 - flow;
+                let key = SessionKey::Multiplexed(id);
+                a.offer(flow, key, Request, ts, (ts, flow, Some(id)));
+            }
+            a
+        };
+        let expired = feed().expire(TimeNs::from_secs(240));
+        assert_eq!(expired.len(), 80);
+        assert!(expired.is_sorted(), "ordered by (time, flow, id)");
+        assert_eq!(expired, feed().expire(TimeNs::from_secs(240)));
+        assert_eq!(expired, feed().drain_pending());
     }
 
     #[test]

@@ -21,10 +21,7 @@ use df_types::span::Span;
 fn concurrent_ingest(workers: usize, spans: &[Span], batch: Option<usize>) -> usize {
     let store = ConcurrentShardedStore::with_config(
         ShardPolicy::with_shards(workers),
-        ConcurrentConfig {
-            queue_depth: 64,
-            ..ConcurrentConfig::default()
-        },
+        ConcurrentConfig { queue_depth: 64 },
     );
     match batch {
         Some(n) => {

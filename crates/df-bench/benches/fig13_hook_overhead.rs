@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use df_agent::ebpf::{EmptyProgram, SharedSyscallProgram};
+use df_agent::ebpf::{DeepFlowSyscallProgram, EmptyProgram, SharedProgram};
 use df_kernel::hooks::{
     AttachPoint, HookContext, HookEngine, HookOverheadModel, HookPhase, ProbeKind,
 };
@@ -40,7 +40,7 @@ fn ctx<'a>(abi: SyscallAbi, phase: HookPhase, payload: &'a [u8]) -> HookContext<
 fn engine(abi: SyscallAbi, kind: ProbeKind, deepflow: bool) -> HookEngine {
     let mut engine = HookEngine::new(1 << 20, HookOverheadModel::default());
     if deepflow {
-        let prog = SharedSyscallProgram::new(256);
+        let prog = SharedProgram::new(DeepFlowSyscallProgram::new(256));
         engine
             .attach(AttachPoint::SyscallEnter(abi), kind, Box::new(prog.clone()))
             .unwrap();

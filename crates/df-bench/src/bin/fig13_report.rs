@@ -7,7 +7,7 @@
 //! per-event cost and DeepFlow's addition over the empty baseline.
 
 use bytes::Bytes;
-use df_agent::ebpf::{EmptyProgram, SharedSyscallProgram};
+use df_agent::ebpf::{DeepFlowSyscallProgram, EmptyProgram, SharedProgram};
 use df_bench::report;
 use df_kernel::hooks::{
     AttachPoint, HookContext, HookEngine, HookOverheadModel, HookPhase, ProbeKind,
@@ -48,7 +48,7 @@ fn ctx<'a>(abi: SyscallAbi, phase: HookPhase, payload: &'a [u8]) -> HookContext<
 fn measure(abi: SyscallAbi, kind: ProbeKind, deepflow: bool) -> f64 {
     let mut engine = HookEngine::new(1 << 20, HookOverheadModel::default());
     if deepflow {
-        let prog = SharedSyscallProgram::new(256);
+        let prog = SharedProgram::new(DeepFlowSyscallProgram::new(256));
         engine
             .attach(AttachPoint::SyscallEnter(abi), kind, Box::new(prog.clone()))
             .unwrap();
@@ -122,7 +122,7 @@ fn main() {
 
     report::header("Fig. 13(b): uprobe-class extension points");
     let mut engine = HookEngine::new(1 << 20, HookOverheadModel::default());
-    let tls = df_agent::ebpf::SharedTlsProgram::new(256);
+    let tls = SharedProgram::new(df_agent::ebpf::DeepFlowTlsProgram::new(256));
     engine
         .attach(
             AttachPoint::UserFnEnter("ssl_read"),

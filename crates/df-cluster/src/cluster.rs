@@ -41,7 +41,7 @@
 //!   [`DistributedTrace::missing_shards`] only when *every* owner is
 //!   unreachable or lost the rows — with RF ≥ 2 a single node failure
 //!   degrades nothing. Owners that exhaust a retry budget enter a
-//!   bounded probation ([`ClusterConfig::suspect_probation`]) during
+//!   bounded probation ([`SUSPECT_PROBATION`]) during
 //!   which new RPCs to them fast-fail after a single base-timeout probe
 //!   instead of the full backoff ladder.
 //! * **Crash recovery**: nodes spill cold time buckets to DFSPANS1
@@ -81,6 +81,20 @@ use crate::tracker::{BatchReorder, RoundTracker};
 /// Frame budget for each node's tier buffer pool.
 const TIER_POOL_FRAMES: usize = 64;
 
+/// Base RPC timeout; attempt `n` waits `RPC_TIMEOUT << min(n, 6)`. Twice
+/// the default fabric RTO, so one fabric-level retransmission finishes
+/// before the cluster-level retry fires.
+pub const RPC_TIMEOUT: DurationNs = DurationNs::from_millis(400);
+/// Cluster-level retries per RPC before it is declared failed.
+pub const MAX_RPC_RETRIES: u32 = 5;
+/// How long an owner that exhausted a retry budget stays suspected. While
+/// suspected, new RPCs to it fast-fail after a single base-timeout probe;
+/// the probe succeeding (e.g. after a partition heals) clears the
+/// suspicion immediately.
+pub const SUSPECT_PROBATION: DurationNs = DurationNs::from_secs(60);
+/// Upper bound on rows per anti-entropy [`RpcBody::RowRangeRequest`].
+pub const ANTI_ENTROPY_PULL_MAX: u32 = 512;
+
 /// Cluster tunables.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -92,12 +106,6 @@ pub struct ClusterConfig {
     pub assemble: AssembleConfig,
     /// Fabric tunables (fault-level retransmission underneath RPC retry).
     pub fabric: FabricConfig,
-    /// Base RPC timeout; attempt `n` waits `rpc_timeout << min(n, 6)`.
-    /// The default of 2× the fabric RTO lets one fabric-level
-    /// retransmission finish before the cluster-level retry fires.
-    pub rpc_timeout: DurationNs,
-    /// Cluster-level retries per RPC before it is declared failed.
-    pub max_rpc_retries: u32,
     /// Copies of every shard (primary + replicas), clamped to the node
     /// count. 1 reproduces the pre-replication single-owner protocol.
     pub replication_factor: usize,
@@ -105,13 +113,6 @@ pub struct ClusterConfig {
     /// applied a batch before ingest is acknowledged. 0 means *all*
     /// owners; otherwise clamped to `[1, replication_factor]`.
     pub write_quorum: usize,
-    /// How long an owner that exhausted a retry budget stays suspected.
-    /// While suspected, new RPCs to it fast-fail after a single
-    /// base-timeout probe; the probe succeeding (e.g. after a partition
-    /// heals) clears the suspicion immediately.
-    pub suspect_probation: DurationNs,
-    /// Upper bound on rows per anti-entropy [`RpcBody::RowRangeRequest`].
-    pub anti_entropy_pull_max: u32,
     /// Base directory for tiered (spill/recovery) segment files; each
     /// node uses the `node{idx}` subdirectory. Required by
     /// [`Cluster::spill_node`] and [`Cluster::restart_node`].
@@ -125,12 +126,8 @@ impl Default for ClusterConfig {
             policy: ShardPolicy::with_shards(4),
             assemble: AssembleConfig::default(),
             fabric: FabricConfig::default(),
-            rpc_timeout: DurationNs::from_millis(400),
-            max_rpc_retries: 5,
             replication_factor: 1,
             write_quorum: 0,
-            suspect_probation: DurationNs::from_millis(60_000),
-            anti_entropy_pull_max: 512,
             tier_dir: None,
         }
     }
@@ -523,7 +520,7 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     fn timeout_for(&self, attempt: u32) -> DurationNs {
-        DurationNs(self.cfg.rpc_timeout.0 << attempt.min(6))
+        DurationNs(RPC_TIMEOUT.0 << attempt.min(6))
     }
 
     /// Whether `node` is currently under probation. Expired suspicions
@@ -550,7 +547,7 @@ impl Cluster {
             self.stats.fast_fails += 1;
             1
         } else {
-            self.cfg.max_rpc_retries + 1
+            MAX_RPC_RETRIES + 1
         };
         let encoded = RpcEnvelope { rpc_id, body }.encode();
         self.pending.insert(
@@ -642,8 +639,7 @@ impl Cluster {
         };
         self.stats.rpcs_failed += 1;
         if suspect {
-            self.suspected
-                .insert(p.to, self.clock + self.cfg.suspect_probation);
+            self.suspected.insert(p.to, self.clock + SUSPECT_PROBATION);
         }
         match p.purpose {
             RpcPurpose::Driver => {
@@ -1124,7 +1120,7 @@ impl Cluster {
     /// co-owners and pulls the row ranges it is missing, applied through
     /// the same [`BatchReorder`] as ingest so the copies converge
     /// byte-identically. Pulls are bounded per RPC by
-    /// [`ClusterConfig::anti_entropy_pull_max`] and never reach past a
+    /// [`ANTI_ENTROPY_PULL_MAX`] and never reach past a
     /// stashed out-of-order batch (which would strand it as a false
     /// duplicate).
     pub fn anti_entropy_round(&mut self) -> AntiEntropyReport {
@@ -1168,7 +1164,7 @@ impl Cluster {
                             .unwrap_or(u32::MAX);
                         let end = peer_rows
                             .min(cap)
-                            .min(my_rows.saturating_add(self.cfg.anti_entropy_pull_max.max(1)));
+                            .min(my_rows.saturating_add(ANTI_ENTROPY_PULL_MAX));
                         if end <= my_rows {
                             break;
                         }

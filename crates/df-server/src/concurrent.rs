@@ -55,9 +55,8 @@
 //!
 //! [`ConcurrentShardedStore::query_trace`] measures ingest pressure as the
 //! spans enqueued-but-unapplied across all shards. Above
-//! [`ConcurrentConfig::stale_pending_threshold`], a cached trace whose
-//! bucket generations drifted by at most
-//! [`ConcurrentConfig::stale_window`] is served as-is
+//! [`STALE_PENDING_THRESHOLD`], a cached trace whose bucket generations
+//! drifted by at most [`STALE_WINDOW`] is served as-is
 //! ([`CacheOutcome::Stale`]) instead of re-assembling synchronously behind
 //! the queue — the paper's dashboards prefer a milliseconds-old trace over
 //! a trace query that stalls the collector. Served-stale queries are
@@ -81,28 +80,25 @@ use std::collections::BTreeMap;
 use std::io;
 use std::thread;
 
-/// Tunables of the concurrent store (queue depths, staleness policy).
+/// Pending (enqueued-but-unapplied) span count above which
+/// [`ConcurrentShardedStore::query_trace`] switches the trace cache to
+/// bounded-staleness mode.
+pub const STALE_PENDING_THRESHOLD: usize = 4096;
+/// Maximum bucket-generation drift a cached trace may have and still be
+/// served under ingest load (see the module docs).
+pub const STALE_WINDOW: u64 = 8;
+
+/// Tunables of the concurrent store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConcurrentConfig {
     /// Messages a shard's ingest queue holds before `insert_batch` blocks
     /// on that shard (backpressure).
     pub queue_depth: usize,
-    /// Pending (enqueued-but-unapplied) span count above which
-    /// [`ConcurrentShardedStore::query_trace`] switches the trace cache to
-    /// bounded-staleness mode.
-    pub stale_pending_threshold: usize,
-    /// Maximum bucket-generation drift a cached trace may have and still
-    /// be served under ingest load (see the module docs).
-    pub stale_window: u64,
 }
 
 impl Default for ConcurrentConfig {
     fn default() -> Self {
-        ConcurrentConfig {
-            queue_depth: 64,
-            stale_pending_threshold: 4096,
-            stale_window: 8,
-        }
+        ConcurrentConfig { queue_depth: 64 }
     }
 }
 
@@ -342,7 +338,6 @@ struct WorkerState {
 #[derive(Debug)]
 pub struct ConcurrentShardedStore {
     policy: ShardPolicy,
-    cfg: ConcurrentConfig,
     assemble_cfg: AssembleConfig,
     slots: Vec<Arc<ShardSlot>>,
     gens: Arc<Mutex<BucketTable>>,
@@ -394,7 +389,6 @@ impl ConcurrentShardedStore {
         ConcurrentShardedStore {
             route: Mutex::new(router),
             policy,
-            cfg,
             assemble_cfg: AssembleConfig::default(),
             slots,
             gens,
@@ -598,14 +592,6 @@ impl ConcurrentShardedStore {
             .map_err(WireIngestError::Worker)
     }
 
-    /// [`Self::insert_batch`] over DFW1 bytes: decode errors are returned
-    /// (the store untouched), worker panics panic exactly like
-    /// [`Self::insert_batch`].
-    pub fn insert_batch_wire(&self, batch: &[u8]) -> Result<Vec<SpanId>, WireDecodeError> {
-        let spans = wire::decode_batch(batch)?;
-        Ok(self.insert_batch(spans))
-    }
-
     /// The error for a shard whose worker disconnected, preferring the
     /// panic message the worker recorded before dropping its receiver.
     fn worker_panic(&self, shard: usize) -> WorkerPanic {
@@ -762,13 +748,13 @@ impl ConcurrentShardedStore {
     }
 
     /// Trace query through the cache. Under ingest load (pending queue
-    /// depth above [`ConcurrentConfig::stale_pending_threshold`]) a cached
-    /// trace stale by at most [`ConcurrentConfig::stale_window`] bucket
-    /// generations is served instead of re-assembling synchronously; the
-    /// stats count hit / stale-hit / miss / invalidation disjointly.
+    /// depth above [`STALE_PENDING_THRESHOLD`]) a cached trace stale by at
+    /// most [`STALE_WINDOW`] bucket generations is served instead of
+    /// re-assembling synchronously; the stats count hit / stale-hit / miss
+    /// / invalidation disjointly.
     pub fn query_trace(&self, start: SpanId) -> Arc<Trace> {
-        let window = if self.pending() > self.cfg.stale_pending_threshold {
-            self.cfg.stale_window
+        let window = if self.pending() > STALE_PENDING_THRESHOLD {
+            STALE_WINDOW
         } else {
             0
         };
@@ -1183,10 +1169,7 @@ mod tests {
         // (this used to deadlock the producer forever).
         let store = ConcurrentShardedStore::with_config(
             ShardPolicy::with_shards(1),
-            ConcurrentConfig {
-                queue_depth: 1,
-                ..ConcurrentConfig::default()
-            },
+            ConcurrentConfig { queue_depth: 1 },
         );
         store.inject_worker_panic(0);
         let err = loop {

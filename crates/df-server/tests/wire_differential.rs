@@ -156,15 +156,12 @@ fn malformed_batch_leaves_store_untouched() {
     let ids = store.ingest_wire(&valid).expect("valid bytes");
     assert_eq!(ids[0], SpanId(1));
 
-    // insert_batch_wire rejects the same way.
+    // A header-only prefix is rejected the same way.
     let store2 = ConcurrentShardedStore::new(ShardPolicy::with_shards(1));
-    assert!(store2.insert_batch_wire(&valid[..4]).is_err());
+    assert!(store2.ingest_wire(&valid[..4]).is_err());
     store2.flush();
     assert_eq!(store2.len(), 0);
-    assert_eq!(
-        store2.insert_batch_wire(&valid).expect("valid")[0],
-        SpanId(1)
-    );
+    assert_eq!(store2.ingest_wire(&valid).expect("valid")[0], SpanId(1));
 }
 
 #[test]

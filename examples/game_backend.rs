@@ -96,7 +96,7 @@ fn main() {
     // The operator feeds DeepFlow the protocol spec reverse-engineered from
     // captures; every agent picks it up.
     for agent in df.agents.values_mut() {
-        agent.register_custom_protocol(game_spec);
+        agent.register_custom_protocol(game_spec());
     }
     df.run(&mut world, TimeNs::from_secs(3), D::from_millis(100));
 

@@ -8,10 +8,11 @@
 //! agents and ships spans as the world runs.
 
 use df_agent::net_spans::TapContext;
-use df_agent::{Agent, AgentConfig};
-use df_kernel::VerifierError;
+use df_agent::{Agent, AgentConfig, AgentStats};
+use df_kernel::{Kernel, VerifierError};
 use df_mesh::apps::{install_taps, standard_taps};
 use df_mesh::World;
+use df_net::fabric::Fabric;
 use df_server::Server;
 use df_types::{DurationNs, NodeId, Span, TimeNs};
 use std::collections::BTreeMap;
@@ -73,16 +74,28 @@ impl Deployment {
         })
     }
 
+    /// The one per-agent loop: hand `f` each agent with its node's kernel,
+    /// the fabric and the server.
+    fn each_agent(
+        &mut self,
+        world: &mut World,
+        mut f: impl FnMut(&mut Agent, &mut Kernel, &mut Fabric, &mut Server),
+    ) {
+        for (node, agent) in self.agents.iter_mut() {
+            let kernel = world.kernels.get_mut(node).expect("agent node");
+            f(agent, kernel, &mut world.fabric, &mut self.server);
+        }
+    }
+
     /// Poll every agent once and ship the spans to the server. Returns how
     /// many spans were shipped.
     pub fn poll(&mut self, world: &mut World, now: TimeNs) -> usize {
         let mut total = 0;
-        for (&node, agent) in self.agents.iter_mut() {
-            let kernel = world.kernels.get_mut(&node).expect("agent node");
-            let spans = agent.poll(kernel, &mut world.fabric, now);
+        self.each_agent(world, |agent, kernel, fabric, server| {
+            let spans = agent.poll(kernel, fabric, now);
             total += spans.len();
-            self.server.ingest_batch(spans);
-        }
+            server.ingest_batch(spans);
+        });
         self.shipped += total as u64;
         total
     }
@@ -94,16 +107,12 @@ impl Deployment {
     /// result is identical to [`Self::poll`] on the same world state.
     pub fn poll_wire(&mut self, world: &mut World, now: TimeNs) -> usize {
         let mut total = 0;
-        for (&node, agent) in self.agents.iter_mut() {
-            let kernel = world.kernels.get_mut(&node).expect("agent node");
-            if let Some(batch) = agent.poll_wire(kernel, &mut world.fabric, now) {
-                total += self
-                    .server
-                    .ingest_wire(&batch)
-                    .expect("agent-encoded batch decodes")
-                    .len();
+        self.each_agent(world, |agent, kernel, fabric, server| {
+            if let Some(batch) = agent.poll_wire(kernel, fabric, now) {
+                let ids = server.ingest_wire(&batch);
+                total += ids.expect("agent-encoded batch decodes").len();
             }
-        }
+        });
         self.shipped += total as u64;
         total
     }
@@ -112,10 +121,9 @@ impl Deployment {
     /// that want the raw stream).
     pub fn poll_collect(&mut self, world: &mut World, now: TimeNs) -> Vec<Span> {
         let mut out = Vec::new();
-        for (&node, agent) in self.agents.iter_mut() {
-            let kernel = world.kernels.get_mut(&node).expect("agent node");
-            out.extend(agent.poll(kernel, &mut world.fabric, now));
-        }
+        self.each_agent(world, |agent, kernel, fabric, _| {
+            out.extend(agent.poll(kernel, fabric, now));
+        });
         out
     }
 
@@ -132,18 +140,19 @@ impl Deployment {
         self.poll(world, until);
     }
 
-    /// Aggregate agent statistics.
-    pub fn agent_stats(&self) -> df_agent::AgentStats {
-        let mut total = df_agent::AgentStats::default();
-        for a in self.agents.values() {
-            let s = a.stats();
-            total.messages += s.messages;
-            total.sys_spans += s.sys_spans;
-            total.net_spans += s.net_spans;
-            total.incomplete_spans += s.incomplete_spans;
-            total.unclassified += s.unclassified;
-            total.out_of_window += s.out_of_window;
-        }
-        total
+    /// Aggregate agent statistics. The sum is an exhaustive struct literal,
+    /// so a counter added to [`AgentStats`] fails to compile until it is
+    /// summed here.
+    pub fn agent_stats(&self) -> AgentStats {
+        let stats = self.agents.values().map(Agent::stats);
+        stats.fold(AgentStats::default(), |t, s| AgentStats {
+            messages: t.messages + s.messages,
+            sys_spans: t.sys_spans + s.sys_spans,
+            net_spans: t.net_spans + s.net_spans,
+            incomplete_spans: t.incomplete_spans + s.incomplete_spans,
+            response_only_spans: t.response_only_spans + s.response_only_spans,
+            unclassified: t.unclassified + s.unclassified,
+            out_of_window: t.out_of_window + s.out_of_window,
+        })
     }
 }

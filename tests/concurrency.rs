@@ -166,7 +166,6 @@ fn multi_producer_stress_loses_nothing_and_keeps_stats_coherent() {
         ConcurrentConfig {
             // Shallow queues: producers hit backpressure for real.
             queue_depth: 4,
-            ..ConcurrentConfig::default()
         },
     );
 
@@ -293,10 +292,7 @@ fn multi_producer_stress_loses_nothing_and_keeps_stats_coherent() {
 fn minimal_queue_depth_only_slows_ingest_down() {
     let store = ConcurrentShardedStore::with_config(
         ShardPolicy::with_shards(2),
-        ConcurrentConfig {
-            queue_depth: 1,
-            ..ConcurrentConfig::default()
-        },
+        ConcurrentConfig { queue_depth: 1 },
     );
     let spans = corpus(30);
     let n = spans.len();

@@ -130,7 +130,7 @@ fn user_supplied_protocol_specifications_extend_inference() {
     });
     let mut agent_b = Agent::new(AgentConfig::for_node(kb.node()));
     agent_b.install(&mut kb).unwrap();
-    let slot = agent_b.register_custom_protocol(acme_spec);
+    let slot = agent_b.register_custom_protocol(acme_spec());
     assert_eq!(slot, L7Protocol::Custom(0));
 
     // Minimal fabric to carry segments.
@@ -297,6 +297,14 @@ fn server_side_re_aggregation_reunites_out_of_window_sessions() {
     .unwrap();
     df.run(&mut world, TimeNs::from_secs(20), D::from_millis(500));
     assert!(world.clients[client].completed > 0);
+    // Conservation: every span the agents returned is counted by exactly
+    // one of the four span counters — ResponseOnly fragments included.
+    let stats = df.agent_stats();
+    assert!(stats.response_only_spans > 0, "late responses shipped");
+    assert_eq!(
+        df.shipped,
+        stats.sys_spans + stats.net_spans + stats.incomplete_spans + stats.response_only_spans
+    );
 
     let before = df.server.span_list(&SpanQuery {
         limit: usize::MAX,
@@ -311,6 +319,13 @@ fn server_side_re_aggregation_reunites_out_of_window_sessions() {
         "requests expired out of the 1s window"
     );
 
+    // A fragment leaves `Agent::poll` decorated like every other span.
+    for f in before
+        .iter()
+        .filter(|s| s.status == SpanStatus::ResponseOnly)
+    {
+        assert!(f.flow_metrics.is_some() && f.tags.resource.ip.is_some());
+    }
     let merged = df.server.re_aggregate();
     assert!(merged > 0, "re-aggregation reunited sessions: {merged}");
 

@@ -162,6 +162,15 @@ fn blackhole_produces_incomplete_spans_not_silence() {
         incomplete > 0,
         "blackholed requests became Incomplete spans"
     );
+    // Hop-by-hop localisation (§4.1, Fig. 11) needs every vanished request
+    // placed on its tap, and the server needs the phase-1 `ip` to enrich it.
+    for s in &all {
+        if s.status == SpanStatus::Incomplete && s.kind == SpanKind::Net {
+            assert!(s.capture.interface.is_some(), "tapped interface: {s:?}");
+            assert_ne!(s.capture.tap_side, TapSide::Gateway, "a pod/node tap");
+            assert!(s.tags.resource.ip.is_some(), "phase-1 ip tag: {s:?}");
+        }
+    }
     let client = &world.clients[handles.client];
     assert!(client.failed > 0, "client saw timeouts");
 }

@@ -176,3 +176,35 @@ fn agents_observe_flow_metrics_alongside_traces() {
         .count();
     assert_eq!(anomalous, 0, "healthy bookinfo shows no network anomalies");
 }
+
+/// The agent pipeline's byte-level golden: healthy Bookinfo at 100 RPS for
+/// 2 s, polled every 100 ms over the DFW1 wire path, hashed with FNV-1a-64.
+/// Any change to what `Agent::poll` emits on the healthy path — a field, an
+/// order, a tag — moves the digest (ROADMAP 3(a)'s "span output
+/// byte-identical on the seeded run" instrument).
+#[test]
+fn seeded_bookinfo_wire_stream_is_byte_identical() {
+    let mut make_tracer = || apps::no_tracer();
+    let (mut world, _handles) = apps::bookinfo(100.0, DurationNs::from_secs(2), &mut make_tracer);
+    let mut df = Deployment::install(&mut world).expect("programs verify");
+    let (mut spans, mut bytes, mut fnv) = (0u64, 0usize, 0xcbf2_9ce4_8422_2325u64);
+    for step in 1..=30 {
+        let now = TimeNs::from_millis(step * 100);
+        world.run_until(now);
+        for (node, agent) in df.agents.iter_mut() {
+            let kernel = world.kernels.get_mut(node).expect("agent node");
+            let Some(batch) = agent.poll_wire(kernel, &mut world.fabric, now) else {
+                continue;
+            };
+            spans += deepflow::types::wire::peek_span_count(&batch).expect("header parses");
+            bytes += batch.len();
+            for b in batch {
+                fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(
+        (spans, bytes, format!("{fnv:016x}").as_str()),
+        (7_200, 721_469, "db5da4cf892b7f67")
+    );
+}
