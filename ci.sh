@@ -112,13 +112,18 @@ cargo bench -p df-bench --bench alg1_parallel -- --test
 echo "==> distributed cluster assembly bench (smoke, release, --test mode)"
 cargo bench -p df-bench --bench cluster_assembly -- --test
 
-echo "==> DFW1 wire decode bench (smoke, release, --test mode)"
-cargo bench -p df-bench --bench wire_decode -- --test
-
 # The tiered-storage bench also *asserts* the LRU-K scan-resistance claim
 # (hit rate above LRU and FIFO on a scan-then-point workload), so the
 # smoke run is a correctness gate, not just a does-it-compile check.
 echo "==> tiered storage buffer-pool bench (smoke, release, --test mode)"
 cargo bench -p df-bench --bench storage_tiered -- --test
+
+# The repo benchmark is its own workspace, so nothing above compiles it: a
+# signature change in SpanStore / ShardedSpanStore / Server would break
+# the instrument unnoticed. Build it, and check BENCHMARK.json is still
+# what it describes.
+echo "==> benchmark crate builds and describes BENCHMARK.json"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- describe | diff - BENCHMARK.json
 
 echo "ci.sh: all gates passed"

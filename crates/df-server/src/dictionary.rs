@@ -6,6 +6,7 @@
 //! phase 3 joins free-form labels only when a query returns.
 
 use df_types::tags::{ResourceInventory, ResourceTags};
+use df_types::IntMap;
 use std::collections::HashMap;
 
 /// A string interner: one per tag family.
@@ -91,7 +92,7 @@ pub struct TagDictionary {
     pub services: Interner,
     /// Pods.
     pub pods: Interner,
-    by_ip: HashMap<u32, IpEntry>,
+    by_ip: IntMap<u32, IpEntry>,
 }
 
 impl TagDictionary {

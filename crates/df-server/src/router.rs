@@ -18,8 +18,9 @@
 //! row order before they touch the shard.
 
 use df_storage::ShardPolicy;
+use df_types::IntMap;
 use df_types::{Span, SpanId, TimeNs};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Location of a span inside a sharded corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -173,7 +174,7 @@ struct Bucket {
 /// re-validates them on lookup.
 #[derive(Debug, Default)]
 pub(crate) struct BucketTable {
-    buckets: HashMap<u64, Bucket>,
+    buckets: IntMap<u64, Bucket>,
 }
 
 impl BucketTable {

@@ -129,22 +129,14 @@ impl Server {
         &self.store
     }
 
-    /// Ingest one span: smart-encoding phase 2 (Fig. 8 ⑦) then insert.
-    pub fn ingest(&mut self, mut span: Span) -> SpanId {
-        self.dict.enrich(&mut span.tags.resource);
-        let enriched = span.tags.resource.is_enriched();
-        {
-            let mut st = self.stats.lock().expect("stats lock poisoned");
-            st.ingested += 1;
-            if enriched {
-                st.enriched += 1;
-            }
-        }
-        self.store.insert(span)
+    /// Ingest one span: a batch of one.
+    pub fn ingest(&mut self, span: Span) -> SpanId {
+        self.ingest_batch(vec![span])[0]
     }
 
-    /// Ingest a batch (what an agent ships per flush): enrich every span,
-    /// then insert through the store's batched path, which routes each
+    /// Ingest a batch (what an agent ships per flush): enrich every span
+    /// (smart-encoding phase 2, Fig. 8 ⑦), then insert through the store's
+    /// batched path, which routes each
     /// span to its shard and defers time-index ordering to the next query.
     pub fn ingest_batch(&mut self, mut spans: Vec<Span>) -> Vec<SpanId> {
         let mut enriched = 0u64;
@@ -320,11 +312,9 @@ fn join_labels(dict: &TagDictionary, span: &mut Span) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_types::ids::*;
-    use df_types::l7::L7Protocol;
     use df_types::net::FiveTuple;
-    use df_types::span::{CapturePoint, SpanKind, SpanStatus, TapSide};
-    use df_types::tags::{NodeResource, PodResource, TagSet};
+    use df_types::span::{SpanKind, SpanStatus, TapSide};
+    use df_types::tags::{NodeResource, PodResource};
     use std::net::Ipv4Addr;
 
     fn inventory() -> ResourceInventory {
@@ -351,53 +341,14 @@ mod tests {
     }
 
     fn span(req_ns: u64, duration: u64) -> Span {
-        Span {
-            span_id: SpanId(0),
-            kind: SpanKind::Sys,
-            capture: CapturePoint {
-                node: NodeId(1),
-                tap_side: TapSide::ClientProcess,
-                interface: None,
-            },
-            agent: AgentId(1),
-            flow_id: FlowId(1),
-            five_tuple: FiveTuple::tcp(
-                Ipv4Addr::new(10, 1, 0, 1),
-                40000,
-                Ipv4Addr::new(10, 1, 1, 1),
-                80,
-            ),
-            l7_protocol: L7Protocol::Http1,
-            endpoint: "GET /".to_string(),
-            req_time: TimeNs(req_ns),
-            resp_time: TimeNs(req_ns + duration),
-            status: SpanStatus::Ok,
-            status_code: Some(200),
-            req_bytes: 1,
-            resp_bytes: 1,
-            pid: None,
-            tid: None,
-            process_name: None,
-            systrace_id_req: None,
-            systrace_id_resp: None,
-            pseudo_thread_id: None,
-            x_request_id_req: None,
-            x_request_id_resp: None,
-            tcp_seq_req: Some(1),
-            tcp_seq_resp: Some(2),
-            otel_trace_id: None,
-            otel_span_id: None,
-            otel_parent_span_id: None,
-            tags: TagSet {
-                resource: df_types::tags::ResourceTags {
-                    vpc_id: Some(1),
-                    ip: Some(u32::from(Ipv4Addr::new(10, 1, 0, 1))),
-                    ..Default::default()
-                },
-                custom: vec![],
-            },
-            flow_metrics: None,
-        }
+        let ip = Ipv4Addr::new(10, 1, 0, 1);
+        let mut s = Span::synthetic(TapSide::ClientProcess, req_ns, req_ns + duration);
+        s.five_tuple = FiveTuple::tcp(ip, 40000, Ipv4Addr::new(10, 1, 1, 1), 80);
+        s.tcp_seq_req = Some(1);
+        s.tcp_seq_resp = Some(2);
+        s.tags.resource.vpc_id = Some(1);
+        s.tags.resource.ip = Some(u32::from(ip));
+        s
     }
 
     #[test]

@@ -211,10 +211,14 @@ impl ShardedSpanStore {
     /// Insert one span: assign the next global id, route it to its shard,
     /// bump its time bucket's generation. Returns the id.
     ///
+    /// The span is boxed here, once: the box is the row the shard keeps
+    /// (`Span` is 576 bytes; every by-value hop would copy it again).
+    ///
     /// This path never panics on routing-table pressure: a full preferred
     /// shard is *clamped* to the least-loaded one instead (see
     /// [`ShardedSpanStore::routing_clamped`]).
-    pub fn insert(&mut self, mut span: Span) -> SpanId {
+    pub fn insert(&mut self, span: Span) -> SpanId {
+        let mut span = Box::new(span);
         let loc = self.router.assign(&mut span);
         let id = span.span_id;
         self.buckets

@@ -9,10 +9,10 @@
 use df_server::{ConcurrentShardedStore, Server, WireIngestError};
 use df_storage::{ShardPolicy, SpanQuery};
 use df_types::ids::*;
-use df_types::span::{CapturePoint, SpanKind, TapSide};
-use df_types::tags::{ResourceInventory, TagSet};
+use df_types::span::{CapturePoint, TapSide};
+use df_types::tags::ResourceInventory;
 use df_types::wire;
-use df_types::{FiveTuple, L7Protocol, Span, SpanId, SpanStatus, TimeNs};
+use df_types::{FiveTuple, Span, SpanId, SpanStatus, TimeNs};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -30,9 +30,8 @@ fn corpus(seed: u64, n: usize) -> Vec<Span> {
     (0..n)
         .map(|i| {
             let t = rng.next_u64() % 1_000;
+            // Field order is draw order; the rest is `synthetic`'s.
             let mut span = Span {
-                span_id: SpanId(0),
-                kind: SpanKind::Sys,
                 capture: CapturePoint {
                     node: NodeId((rng.next_u64() % 4) as u32),
                     tap_side: tap_sides[(rng.next_u64() % 5) as usize],
@@ -46,7 +45,6 @@ fn corpus(seed: u64, n: usize) -> Vec<Span> {
                     Ipv4Addr::new(10, 0, 1, (rng.next_u64() % 250) as u8 + 1),
                     80,
                 ),
-                l7_protocol: L7Protocol::Http1,
                 endpoint: format!("GET /api/{}", rng.next_u64() % 8),
                 req_time: TimeNs(t * 1_000_000),
                 resp_time: TimeNs(t * 1_000_000 + rng.next_u64() % 5_000_000),
@@ -55,24 +53,14 @@ fn corpus(seed: u64, n: usize) -> Vec<Span> {
                 } else {
                     SpanStatus::Ok
                 },
-                status_code: Some(200),
                 req_bytes: rng.next_u64() % 4096,
                 resp_bytes: rng.next_u64() % 65536,
                 pid: Some(Pid((rng.next_u64() % 100) as u32)),
-                tid: None,
                 process_name: Some(format!("svc-{}", i % 3)),
                 systrace_id_req: Some(SysTraceId(rng.next_u64() % 8)),
-                systrace_id_resp: None,
-                pseudo_thread_id: None,
                 x_request_id_req: Some(XRequestId(rng.next_u128() % 4)),
-                x_request_id_resp: None,
                 tcp_seq_req: Some((rng.next_u64() % 10) as u32),
-                tcp_seq_resp: None,
-                otel_trace_id: None,
-                otel_span_id: None,
-                otel_parent_span_id: None,
-                tags: TagSet::default(),
-                flow_metrics: None,
+                ..Span::synthetic(TapSide::Gateway, 0, 0)
             };
             span.tags = std::mem::take(&mut span.tags).with_label("env", "prod");
             span
@@ -162,6 +150,34 @@ fn malformed_batch_leaves_store_untouched() {
     store2.flush();
     assert_eq!(store2.len(), 0);
     assert_eq!(store2.ingest_wire(&valid).expect("valid")[0], SpanId(1));
+
+    // `Server::ingest_wire` promises the same. Here only the *last* record
+    // is corrupt, so nine spans decode before the error — none of them may
+    // have reached the router, a shard, a bucket generation or a counter.
+    let torn = &valid[..valid.len() - 3];
+    let decoded = wire::WireBatch::parse(torn).expect("header and dictionary intact");
+    assert_eq!(
+        decoded.spans().filter(Result::is_ok).count(),
+        spans.len() - 1
+    );
+    let mut server = Server::new(&ResourceInventory::default());
+    let snapshot = |s: &Server| {
+        let store = s.store();
+        let gens: Vec<u64> = spans
+            .iter()
+            .map(|span| store.bucket_gen(store.bucket_of(span.req_time)))
+            .collect();
+        let (sizes, shards) = (s.shard_sizes(), store.shard_stats());
+        (s.span_count(), s.stats(), sizes, shards, gens)
+    };
+    let before = snapshot(&server);
+    assert!(server.ingest_wire(torn).is_err());
+    assert_eq!(snapshot(&server), before);
+    assert_eq!(
+        server.ingest_wire(&valid).expect("valid bytes")[0],
+        SpanId(1)
+    );
+    assert_ne!(snapshot(&server), before);
 }
 
 #[test]

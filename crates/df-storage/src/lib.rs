@@ -36,6 +36,7 @@ pub mod bufferpool;
 pub mod column;
 pub mod disk_sched;
 pub mod persist;
+mod posting;
 pub mod shard;
 pub mod store;
 pub mod tagtable;

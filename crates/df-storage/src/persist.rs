@@ -489,7 +489,6 @@ mod tests {
     use super::*;
     use crate::tagtable::TagEncoding;
     use df_types::ids::*;
-    use df_types::TimeNs;
 
     #[test]
     fn segment_round_trip_and_validation() {
@@ -543,53 +542,21 @@ mod tests {
     }
 
     fn demo_span(i: u64) -> df_types::Span {
-        use df_types::l7::L7Protocol;
-        use df_types::net::FiveTuple;
         use df_types::span::*;
-        use df_types::tags::TagSet;
-        use std::net::Ipv4Addr;
-        Span {
-            span_id: SpanId(i + 1),
-            kind: SpanKind::Net,
-            capture: CapturePoint {
-                node: NodeId(2),
-                tap_side: TapSide::ClientNodeNic,
-                interface: Some("eth0".into()),
-            },
-            agent: AgentId(2),
-            flow_id: FlowId(9),
-            five_tuple: FiveTuple::tcp(
-                Ipv4Addr::new(10, 0, 0, 1),
-                40000,
-                Ipv4Addr::new(10, 0, 0, 2),
-                80,
-            ),
-            l7_protocol: L7Protocol::Http1,
-            endpoint: format!("GET /seg/{i}"),
-            req_time: TimeNs(1_000 - i * 10),
-            resp_time: TimeNs(1_000 - i * 10 + 5),
-            status: SpanStatus::Ok,
-            status_code: Some(200),
-            req_bytes: 1,
-            resp_bytes: 2,
-            pid: None,
-            tid: None,
-            process_name: None,
-            systrace_id_req: Some(SysTraceId(3 + i)),
-            systrace_id_resp: None,
-            pseudo_thread_id: i.is_multiple_of(2).then_some(PseudoThreadId(40 + i)),
-            x_request_id_req: Some(XRequestId(u128::from(500 + i))),
-            x_request_id_resp: None,
-            tcp_seq_req: Some(77 + i as u32),
-            tcp_seq_resp: Some(77 + i as u32),
-            otel_trace_id: i
-                .is_multiple_of(3)
-                .then_some(OtelTraceId(u128::from(9_000 + i))),
-            otel_span_id: None,
-            otel_parent_span_id: None,
-            tags: TagSet::default(),
-            flow_metrics: None,
-        }
+        let mut s = Span::synthetic(TapSide::ClientNodeNic, 1_000 - i * 10, 1_005 - i * 10);
+        s.span_id = SpanId(i + 1);
+        s.kind = SpanKind::Net;
+        s.capture.interface = Some("eth0".into());
+        s.endpoint = format!("GET /seg/{i}");
+        s.systrace_id_req = Some(SysTraceId(3 + i));
+        s.pseudo_thread_id = i.is_multiple_of(2).then_some(PseudoThreadId(40 + i));
+        s.x_request_id_req = Some(XRequestId(u128::from(500 + i)));
+        s.tcp_seq_req = Some(77 + i as u32);
+        s.tcp_seq_resp = Some(77 + i as u32);
+        s.otel_trace_id = i
+            .is_multiple_of(3)
+            .then_some(OtelTraceId(u128::from(9_000 + i)));
+        s
     }
 
     #[test]

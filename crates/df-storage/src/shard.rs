@@ -167,47 +167,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_types::ids::{AgentId, FlowId, NodeId, SpanId};
-    use df_types::l7::L7Protocol;
+    use df_types::ids::SpanId;
     use df_types::net::FiveTuple;
-    use df_types::span::{CapturePoint, SpanKind, SpanStatus, TapSide};
-    use df_types::tags::TagSet;
+    use df_types::span::TapSide;
 
     fn span_with_tuple(t: FiveTuple) -> Span {
         Span {
             span_id: SpanId(7),
-            kind: SpanKind::Sys,
-            capture: CapturePoint {
-                node: NodeId(1),
-                tap_side: TapSide::ClientProcess,
-                interface: None,
-            },
-            agent: AgentId(1),
-            flow_id: FlowId(1),
             five_tuple: t,
-            l7_protocol: L7Protocol::Http1,
-            endpoint: "GET /".into(),
-            req_time: TimeNs(0),
-            resp_time: TimeNs(1),
-            status: SpanStatus::Ok,
-            status_code: Some(200),
-            req_bytes: 0,
-            resp_bytes: 0,
-            pid: None,
-            tid: None,
-            process_name: None,
-            systrace_id_req: None,
-            systrace_id_resp: None,
-            pseudo_thread_id: None,
-            x_request_id_req: None,
-            x_request_id_resp: None,
-            tcp_seq_req: None,
-            tcp_seq_resp: None,
-            otel_trace_id: None,
-            otel_span_id: None,
-            otel_parent_span_id: None,
-            tags: TagSet::default(),
-            flow_metrics: None,
+            ..Span::synthetic(TapSide::ClientProcess, 0, 1)
         }
     }
 

@@ -1,6 +1,7 @@
 //! The span store the server runs Algorithm 1 against.
 //!
-//! Row-oriented storage of [`Span`]s plus hash indexes over every
+//! Row-oriented storage of [`Span`]s plus one posting index (value → rows,
+//! short lists inline, integer keys under a seeded hasher) per
 //! implicit-context attribute (systrace ids, pseudo-thread ids,
 //! X-Request-IDs, TCP sequences, third-party trace ids) and a time index
 //! for span-list queries. Algorithm 1's `search_database(filter)` (line 12)
@@ -31,11 +32,12 @@
 
 use crate::bufferpool::{BufferPool, SegmentId};
 use crate::persist;
+use crate::posting::PostingIndex;
 use crate::shard::ShardPolicy;
 use df_check::sync::{Arc, Mutex};
 use df_types::{Span, SpanId, TimeNs};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
@@ -209,11 +211,11 @@ pub struct SpanStore {
     cold_reader: Option<Arc<BufferPool>>,
     /// How many rows are currently cold.
     cold_count: usize,
-    by_systrace: HashMap<u64, Vec<u32>>,
-    by_pseudo_thread: HashMap<u64, Vec<u32>>,
-    by_x_request: HashMap<u128, Vec<u32>>,
-    by_tcp_seq: HashMap<u32, Vec<u32>>,
-    by_otel_trace: HashMap<u128, Vec<u32>>,
+    by_systrace: PostingIndex<u64>,
+    by_pseudo_thread: PostingIndex<u64>,
+    by_x_request: PostingIndex<u128>,
+    by_tcp_seq: PostingIndex<u32>,
+    by_otel_trace: PostingIndex<u128>,
     time_index: Mutex<TimeIndex>,
     /// Spans consumed by server-side re-aggregation; hidden from queries.
     tombstones: std::collections::HashSet<SpanId>,
@@ -222,7 +224,21 @@ pub struct SpanStore {
     pending_evict: Vec<u32>,
 }
 
-const EMPTY_ROWS: &[u32] = &[];
+/// The response-side value of an attribute, unless the request side
+/// already carries it: a row is indexed once per distinct value.
+fn new_on_resp<T: PartialEq>(req: Option<T>, resp: Option<T>) -> Option<T> {
+    if resp == req {
+        None
+    } else {
+        resp
+    }
+}
+
+/// The distinct values a row is indexed under for one request/response
+/// attribute pair.
+fn distinct<T: PartialEq + Copy>(req: Option<T>, resp: Option<T>) -> impl Iterator<Item = T> {
+    [req, new_on_resp(req, resp)].into_iter().flatten()
+}
 
 impl SpanStore {
     /// Empty store.
@@ -252,13 +268,20 @@ impl SpanStore {
     /// the cold segment is unreadable — a spilled row must be
     /// recoverable; fabricating an absence would corrupt assembly.
     pub fn span_at(&self, row: u32) -> Option<Cow<'_, Span>> {
-        match self.rows.get(row as usize)? {
+        Self::page(&self.rows, self.cold_reader.as_ref(), row)
+    }
+
+    /// [`SpanStore::span_at`] over the two fields it reads, so eviction
+    /// can hold the span while it edits the indexes.
+    fn page<'a>(
+        rows: &'a [RowSlot],
+        pool: Option<&Arc<BufferPool>>,
+        row: u32,
+    ) -> Option<Cow<'a, Span>> {
+        match rows.get(row as usize)? {
             RowSlot::Hot(s) => Some(Cow::Borrowed(&**s)),
             RowSlot::Cold(c) => {
-                let pool = self
-                    .cold_reader
-                    .as_ref()
-                    .expect("cold rows require an attached cold reader");
+                let pool = pool.expect("cold rows require an attached cold reader");
                 Some(Cow::Owned(pool.read_span(c.segment, c.offset)))
             }
         }
@@ -338,25 +361,15 @@ impl SpanStore {
         span.systrace_id_resp = resp.systrace_id_resp;
         span.x_request_id_resp = resp.x_request_id_resp;
         span.tcp_seq_resp = resp.tcp_seq_resp;
-        // Index the new response-side attributes, deduplicated against the
-        // request-side values this row is already indexed under.
-        let systrace_req = span.systrace_id_req;
-        let x_request_req = span.x_request_id_req;
-        let tcp_seq_req = span.tcp_seq_req;
-        if let Some(v) = resp.systrace_id_resp {
-            if Some(v) != systrace_req {
-                self.by_systrace.entry(v.raw()).or_default().push(row);
-            }
+        // Index the response-side values the request side did not bring.
+        if let Some(v) = new_on_resp(span.systrace_id_req, resp.systrace_id_resp) {
+            self.by_systrace.push(v.raw(), row);
         }
-        if let Some(v) = resp.x_request_id_resp {
-            if Some(v) != x_request_req {
-                self.by_x_request.entry(v.0).or_default().push(row);
-            }
+        if let Some(v) = new_on_resp(span.x_request_id_req, resp.x_request_id_resp) {
+            self.by_x_request.push(v.0, row);
         }
-        if let Some(v) = resp.tcp_seq_resp {
-            if Some(v) != tcp_seq_req {
-                self.by_tcp_seq.entry(v).or_default().push(row);
-            }
+        if let Some(v) = new_on_resp(span.tcp_seq_req, resp.tcp_seq_resp) {
+            self.by_tcp_seq.push(v, row);
         }
         true
     }
@@ -412,38 +425,25 @@ impl SpanStore {
         let rows = std::mem::take(&mut self.pending_evict);
         let mut removed = 0usize;
         for &row in &rows {
-            // Copy out the (small) key fields so the index maps stay
-            // mutably borrowable. A cold row pages in here — eviction is
-            // a background compaction, so the page-in cost is off the
-            // ingest/probe paths.
-            let s = {
-                let s = self.span_at(row).expect("pending-evict row exists");
-                (
-                    s.systrace_id_req,
-                    s.systrace_id_resp,
-                    s.pseudo_thread_id,
-                    s.x_request_id_req,
-                    s.x_request_id_resp,
-                    s.tcp_seq_req,
-                    s.tcp_seq_resp,
-                    s.otel_trace_id,
-                )
-            };
-            let (sys_r, sys_p, pth, xr_r, xr_p, seq_r, seq_p, otel) = s;
-            for v in [sys_r, sys_p].into_iter().flatten() {
-                removed += Self::evict_entry(&mut self.by_systrace, v.raw(), row);
+            // A cold row pages in here — eviction is a background
+            // compaction, so the page-in cost is off the ingest/probe
+            // paths.
+            let s = Self::page(&self.rows, self.cold_reader.as_ref(), row)
+                .expect("pending-evict row exists");
+            for v in distinct(s.systrace_id_req, s.systrace_id_resp) {
+                removed += self.by_systrace.remove_row(v.raw(), row);
             }
-            if let Some(p) = pth {
-                removed += Self::evict_entry(&mut self.by_pseudo_thread, p.raw(), row);
+            if let Some(p) = s.pseudo_thread_id {
+                removed += self.by_pseudo_thread.remove_row(p.raw(), row);
             }
-            for v in [xr_r, xr_p].into_iter().flatten() {
-                removed += Self::evict_entry(&mut self.by_x_request, v.0, row);
+            for v in distinct(s.x_request_id_req, s.x_request_id_resp) {
+                removed += self.by_x_request.remove_row(v.0, row);
             }
-            for v in [seq_r, seq_p].into_iter().flatten() {
-                removed += Self::evict_entry(&mut self.by_tcp_seq, v, row);
+            for v in distinct(s.tcp_seq_req, s.tcp_seq_resp) {
+                removed += self.by_tcp_seq.remove_row(v, row);
             }
-            if let Some(t) = otel {
-                removed += Self::evict_entry(&mut self.by_otel_trace, t.0, row);
+            if let Some(t) = s.otel_trace_id {
+                removed += self.by_otel_trace.remove_row(t.0, row);
             }
         }
         let dead: std::collections::HashSet<u32> = rows.into_iter().collect();
@@ -452,35 +452,22 @@ impl SpanStore {
         removed
     }
 
-    /// Remove every occurrence of `row` from the bucket at `key`, dropping
-    /// the bucket when it empties. Returns how many entries were removed.
-    fn evict_entry<K: std::hash::Hash + Eq>(
-        index: &mut HashMap<K, Vec<u32>>,
-        key: K,
-        row: u32,
-    ) -> usize {
-        let Some(bucket) = index.get_mut(&key) else {
-            return 0;
-        };
-        let before = bucket.len();
-        bucket.retain(|&r| r != row);
-        let removed = before - bucket.len();
-        if bucket.is_empty() {
-            index.remove(&key);
-        }
-        removed
-    }
-
     /// Insert a span, assigning its id. Returns the id.
     pub fn insert(&mut self, span: Span) -> SpanId {
-        self.insert_unsynced(span)
+        let mut span = Box::new(span);
+        let id = Self::id_at(self.rows.len() as u32);
+        span.span_id = id;
+        self.index_and_push(span);
+        id
     }
 
     /// Insert a span that already carries an externally assigned id (one
     /// shard of a sharded corpus — the owner maps that id to the returned
     /// row). The span is indexed exactly like [`SpanStore::insert`]; only
-    /// id assignment is skipped.
-    pub fn insert_routed(&mut self, span: Span) -> u32 {
+    /// id assignment is skipped. The box is the row: the owner allocates it
+    /// once, as the span leaves its decoded batch, and it is never copied
+    /// again.
+    pub fn insert_routed(&mut self, span: Box<Span>) -> u32 {
         let row = self.rows.len() as u32;
         self.index_and_push(span);
         row
@@ -493,14 +480,9 @@ impl SpanStore {
     /// contract the sharded routing table relies on.
     pub fn insert_routed_batch(&mut self, spans: Vec<Span>) -> u32 {
         let first = self.rows.len() as u32;
-        self.rows.reserve(spans.len());
-        self.time_index
-            .get_mut()
-            .expect("time index lock poisoned")
-            .entries
-            .reserve(spans.len());
+        self.reserve(spans.len());
         for span in spans {
-            self.index_and_push(span);
+            self.index_and_push(Box::new(span));
         }
         first
     }
@@ -509,68 +491,44 @@ impl SpanStore {
     /// append-only here; the time index is re-sorted lazily by the next
     /// query, so ingest cost doesn't scale with query-side ordering.
     pub fn insert_batch(&mut self, spans: Vec<Span>) -> Vec<SpanId> {
-        let mut ids = Vec::with_capacity(spans.len());
-        self.rows.reserve(spans.len());
-        self.time_index
-            .get_mut()
-            .expect("time index lock poisoned")
-            .entries
-            .reserve(spans.len());
-        for span in spans {
-            ids.push(self.insert_unsynced(span));
-        }
-        ids
+        self.reserve(spans.len());
+        spans.into_iter().map(|span| self.insert(span)).collect()
     }
 
-    fn insert_unsynced(&mut self, mut span: Span) -> SpanId {
-        let id = Self::id_at(self.rows.len() as u32);
-        span.span_id = id;
-        self.index_and_push(span);
-        id
+    /// Make room for `n` more rows and time-index entries.
+    fn reserve(&mut self, n: usize) {
+        self.rows.reserve(n);
+        let idx = self.time_index.get_mut().expect("time index lock poisoned");
+        idx.entries.reserve(n);
     }
 
     /// Index every association attribute of `span` and append it, keeping
     /// whatever `span_id` it carries.
-    fn index_and_push(&mut self, span: Span) {
+    fn index_and_push(&mut self, span: Box<Span>) {
         let row = self.rows.len() as u32;
         self.index_attrs(&span, row);
         self.push_time_entry(span.req_time.as_nanos(), row);
-        self.rows.push(RowSlot::Hot(Box::new(span)));
+        self.rows.push(RowSlot::Hot(span));
     }
 
     /// Association-index maintenance shared by hot ingest and crash
     /// recovery: one entry per attribute value, request/response
     /// duplicates collapsed.
     fn index_attrs(&mut self, span: &Span, row: u32) {
-        if let Some(s) = span.systrace_id_req {
-            self.by_systrace.entry(s.raw()).or_default().push(row);
-        }
-        if let Some(s) = span.systrace_id_resp {
-            if Some(s) != span.systrace_id_req {
-                self.by_systrace.entry(s.raw()).or_default().push(row);
-            }
+        for v in distinct(span.systrace_id_req, span.systrace_id_resp) {
+            self.by_systrace.push(v.raw(), row);
         }
         if let Some(p) = span.pseudo_thread_id {
-            self.by_pseudo_thread.entry(p.raw()).or_default().push(row);
+            self.by_pseudo_thread.push(p.raw(), row);
         }
-        if let Some(x) = span.x_request_id_req {
-            self.by_x_request.entry(x.0).or_default().push(row);
+        for v in distinct(span.x_request_id_req, span.x_request_id_resp) {
+            self.by_x_request.push(v.0, row);
         }
-        if let Some(x) = span.x_request_id_resp {
-            if Some(x) != span.x_request_id_req {
-                self.by_x_request.entry(x.0).or_default().push(row);
-            }
-        }
-        if let Some(t) = span.tcp_seq_req {
-            self.by_tcp_seq.entry(t).or_default().push(row);
-        }
-        if let Some(t) = span.tcp_seq_resp {
-            if Some(t) != span.tcp_seq_req {
-                self.by_tcp_seq.entry(t).or_default().push(row);
-            }
+        for v in distinct(span.tcp_seq_req, span.tcp_seq_resp) {
+            self.by_tcp_seq.push(v, row);
         }
         if let Some(t) = span.otel_trace_id {
-            self.by_otel_trace.entry(t.0).or_default().push(row);
+            self.by_otel_trace.push(t.0, row);
         }
     }
 
@@ -643,42 +601,38 @@ impl SpanStore {
     /// straight from the index (no per-probe allocation); map a row to its
     /// span with [`SpanStore::get_row`] / [`SpanStore::id_at`].
     pub fn find_by_systrace(&self, v: u64) -> &[u32] {
-        Self::rows_of(self.by_systrace.get(&v))
+        self.by_systrace.get(&v)
     }
 
     /// Spans sharing a pseudo-thread id.
     pub fn find_by_pseudo_thread(&self, v: u64) -> &[u32] {
-        Self::rows_of(self.by_pseudo_thread.get(&v))
+        self.by_pseudo_thread.get(&v)
     }
 
     /// Spans sharing an X-Request-ID.
     pub fn find_by_x_request(&self, v: u128) -> &[u32] {
-        Self::rows_of(self.by_x_request.get(&v))
+        self.by_x_request.get(&v)
     }
 
     /// Spans sharing a TCP sequence number.
     pub fn find_by_tcp_seq(&self, v: u32) -> &[u32] {
-        Self::rows_of(self.by_tcp_seq.get(&v))
+        self.by_tcp_seq.get(&v)
     }
 
     /// Spans sharing a third-party trace id.
     pub fn find_by_otel_trace(&self, v: u128) -> &[u32] {
-        Self::rows_of(self.by_otel_trace.get(&v))
-    }
-
-    fn rows_of(rows: Option<&Vec<u32>>) -> &[u32] {
-        rows.map(Vec::as_slice).unwrap_or(EMPTY_ROWS)
+        self.by_otel_trace.get(&v)
     }
 
     /// Statistics.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             spans: self.rows.len(),
-            index_entries: self.by_systrace.values().map(Vec::len).sum::<usize>()
-                + self.by_pseudo_thread.values().map(Vec::len).sum::<usize>()
-                + self.by_x_request.values().map(Vec::len).sum::<usize>()
-                + self.by_tcp_seq.values().map(Vec::len).sum::<usize>()
-                + self.by_otel_trace.values().map(Vec::len).sum::<usize>(),
+            index_entries: self.by_systrace.entries()
+                + self.by_pseudo_thread.entries()
+                + self.by_x_request.entries()
+                + self.by_tcp_seq.entries()
+                + self.by_otel_trace.entries(),
         }
     }
 
@@ -913,53 +867,10 @@ impl std::ops::Index<u32> for SpanStore {
 mod tests {
     use super::*;
     use df_types::ids::*;
-    use df_types::l7::L7Protocol;
-    use df_types::net::FiveTuple;
-    use df_types::span::{CapturePoint, SpanKind, SpanStatus, TapSide};
-    use df_types::tags::TagSet;
-    use std::net::Ipv4Addr;
+    use df_types::span::{SpanStatus, TapSide};
 
     fn span(req_ns: u64) -> Span {
-        Span {
-            span_id: SpanId(0),
-            kind: SpanKind::Sys,
-            capture: CapturePoint {
-                node: NodeId(1),
-                tap_side: TapSide::ClientProcess,
-                interface: None,
-            },
-            agent: AgentId(1),
-            flow_id: FlowId(1),
-            five_tuple: FiveTuple::tcp(
-                Ipv4Addr::new(10, 0, 0, 1),
-                40000,
-                Ipv4Addr::new(10, 0, 0, 2),
-                80,
-            ),
-            l7_protocol: L7Protocol::Http1,
-            endpoint: "GET /".to_string(),
-            req_time: TimeNs(req_ns),
-            resp_time: TimeNs(req_ns + 1000),
-            status: SpanStatus::Ok,
-            status_code: Some(200),
-            req_bytes: 10,
-            resp_bytes: 20,
-            pid: None,
-            tid: None,
-            process_name: None,
-            systrace_id_req: None,
-            systrace_id_resp: None,
-            pseudo_thread_id: None,
-            x_request_id_req: None,
-            x_request_id_resp: None,
-            tcp_seq_req: None,
-            tcp_seq_resp: None,
-            otel_trace_id: None,
-            otel_span_id: None,
-            otel_parent_span_id: None,
-            tags: TagSet::default(),
-            flow_metrics: None,
-        }
+        Span::synthetic(TapSide::ClientProcess, req_ns, req_ns + 1000)
     }
 
     #[test]
@@ -1068,7 +979,12 @@ mod tests {
         assert_eq!(ids(st.find_by_x_request(99)), vec![ib]);
         assert_eq!(ids(st.find_by_otel_trace(1234)), vec![ic]);
         assert!(st.find_by_systrace(999).is_empty());
-        assert!(st.stats().index_entries >= 6);
+        // The running entry count equals the walked sum over every key.
+        let walked = st.find_by_systrace(7).len()
+            + st.find_by_tcp_seq(4242).len()
+            + st.find_by_x_request(99).len()
+            + st.find_by_otel_trace(1234).len();
+        assert_eq!((st.stats().index_entries, walked), (6, 6));
     }
 
     #[test]
@@ -1178,7 +1094,7 @@ mod tests {
         let rows: Vec<u32> = spans
             .iter()
             .cloned()
-            .map(|s| one.insert_routed(s))
+            .map(|s| one.insert_routed(Box::new(s)))
             .collect();
         let first = bulk.insert_routed_batch(spans);
         assert_eq!(first, 0);

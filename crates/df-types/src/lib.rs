@@ -4,6 +4,8 @@
 //!
 //! * [`time`] — virtual nanosecond timestamps ([`TimeNs`]) used by the
 //!   discrete-event substrate;
+//! * [`hash`] — the keyed integer hasher ([`IntMap`]) the server's
+//!   per-span tables use instead of SipHash;
 //! * [`ids`] — strongly typed identifiers (processes, threads, coroutines,
 //!   sockets, flows, spans, traces);
 //! * [`net`] — five-tuples, directions, transport protocols;
@@ -34,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod ids;
 pub mod l7;
 pub mod message;
@@ -47,6 +50,7 @@ pub mod time;
 pub mod trace;
 pub mod wire;
 
+pub use hash::{IntHasher, IntMap};
 pub use ids::*;
 pub use l7::{L7Protocol, MessageType, SessionKey};
 pub use message::MessageData;
