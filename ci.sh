@@ -20,6 +20,15 @@ if [ "$loc" -gt "$ceiling" ]; then
 elif [ "$loc" -lt "$ceiling" ]; then
   echo "first-party *.rs lines: $loc < ceiling $ceiling — lower docs/LOC_CEILING to $loc in this PR"
 fi
+# No single file may grow (back) into a monolith: a tracked first-party
+# *.rs file over MAX_FILE_LINES is split along its seams, not appended to.
+MAX_FILE_LINES=1600
+oversized=$(git ls-files '*.rs' | grep -v -e '^vendor/' -e '^benchmark/' | xargs wc -l \
+  | awk -v max="$MAX_FILE_LINES" '$2 != "total" && $1 > max { print "  " $2 ": " $1 " lines" }')
+if [ -n "$oversized" ]; then
+  printf 'first-party *.rs files over %s lines:\n%s\n' "$MAX_FILE_LINES" "$oversized" >&2
+  exit 1
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -113,8 +122,8 @@ echo "==> distributed cluster assembly bench (smoke, release, --test mode)"
 cargo bench -p df-bench --bench cluster_assembly -- --test
 
 # The tiered-storage bench also *asserts* the LRU-K scan-resistance claim
-# (hit rate above LRU and FIFO on a scan-then-point workload), so the
-# smoke run is a correctness gate, not just a does-it-compile check.
+# (K = 2 hit rate above plain LRU, K = 1, on a scan-then-point workload),
+# so the smoke run is a correctness gate, not just a does-it-compile check.
 echo "==> tiered storage buffer-pool bench (smoke, release, --test mode)"
 cargo bench -p df-bench --bench storage_tiered -- --test
 

@@ -2,8 +2,8 @@
 //!
 //! Retrofitted code swaps `use std::sync::X` for `use df_check::sync::X`
 //! and changes nothing else: the module mirrors the `std::sync` paths it
-//! replaces (`sync::{Mutex, RwLock, Condvar, Barrier, Once, Arc}`,
-//! `sync::atomic`, `sync::mpsc::sync_channel`).
+//! replaces (`sync::{Mutex, RwLock, Condvar, Arc}`, `sync::atomic`,
+//! `sync::mpsc::sync_channel`).
 //!
 //! * **Unchecked build (default):** everything here is a plain re-export
 //!   of `std::sync` — zero cost, zero behaviour change.
@@ -29,9 +29,8 @@
 mod imp {
     pub use std::sync::mpsc::sync_channel;
     pub use std::sync::{
-        Arc, Barrier, BarrierWaitResult, Condvar, LockResult, Mutex, MutexGuard, Once, OnceState,
-        PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError, TryLockResult,
-        WaitTimeoutResult,
+        Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard,
+        RwLockWriteGuard, TryLockError, TryLockResult, WaitTimeoutResult,
     };
 
     /// Mirror of `std::sync::atomic`.
@@ -478,192 +477,6 @@ mod imp {
     impl std::fmt::Debug for Condvar {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
             self.inner.fmt(f)
-        }
-    }
-
-    // -- Barrier ------------------------------------------------------
-
-    /// Checked [`std::sync::Barrier`]: composed from the shim [`Mutex`]
-    /// and [`Condvar`] so every rendezvous goes through the model
-    /// scheduler (which can interleave arrivals in every order) instead
-    /// of parking on an OS primitive the scheduler cannot see.
-    pub struct Barrier {
-        n: usize,
-        state: Mutex<BarrierState>,
-        cv: Condvar,
-    }
-
-    struct BarrierState {
-        count: usize,
-        generation: usize,
-    }
-
-    /// Mirror of [`std::sync::BarrierWaitResult`].
-    pub struct BarrierWaitResult(bool);
-
-    impl BarrierWaitResult {
-        pub fn is_leader(&self) -> bool {
-            self.0
-        }
-    }
-
-    impl Barrier {
-        #[track_caller]
-        pub fn new(n: usize) -> Self {
-            Barrier {
-                n,
-                state: Mutex::new(BarrierState {
-                    count: 0,
-                    generation: 0,
-                }),
-                cv: Condvar::new(),
-            }
-        }
-
-        #[track_caller]
-        pub fn wait(&self) -> BarrierWaitResult {
-            let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            let generation = s.generation;
-            s.count += 1;
-            if s.count >= self.n {
-                // Leader of this generation: reset for reuse and release
-                // every waiter parked on the previous generation.
-                s.count = 0;
-                s.generation = s.generation.wrapping_add(1);
-                drop(s);
-                self.cv.notify_all();
-                BarrierWaitResult(true)
-            } else {
-                while s.generation == generation {
-                    s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
-                }
-                BarrierWaitResult(false)
-            }
-        }
-    }
-
-    impl std::fmt::Debug for Barrier {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Barrier").finish_non_exhaustive()
-        }
-    }
-
-    // -- Once ---------------------------------------------------------
-
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    enum OnceStatus {
-        New,
-        Running,
-        Complete,
-        Poisoned,
-    }
-
-    /// Checked [`std::sync::Once`], composed from the shim [`Mutex`] and
-    /// [`Condvar`] so contending initializers are scheduled by the model.
-    /// One deviation from `std`: [`Once::new`] is not `const` (every shim
-    /// primitive draws a runtime instance id), so checked code holds its
-    /// `Once` in a struct or `Arc` rather than a `static`.
-    pub struct Once {
-        state: Mutex<OnceStatus>,
-        cv: Condvar,
-    }
-
-    /// Mirror of [`std::sync::OnceState`].
-    pub struct OnceState {
-        poisoned: bool,
-    }
-
-    impl OnceState {
-        pub fn is_poisoned(&self) -> bool {
-            self.poisoned
-        }
-    }
-
-    impl Once {
-        #[track_caller]
-        pub fn new() -> Self {
-            Once {
-                state: Mutex::new(OnceStatus::New),
-                cv: Condvar::new(),
-            }
-        }
-
-        pub fn is_completed(&self) -> bool {
-            *self.state.lock().unwrap_or_else(PoisonError::into_inner) == OnceStatus::Complete
-        }
-
-        #[track_caller]
-        pub fn call_once<F: FnOnce()>(&self, f: F) {
-            self.call_impl(false, |_| f());
-        }
-
-        #[track_caller]
-        pub fn call_once_force<F: FnOnce(&OnceState)>(&self, f: F) {
-            self.call_impl(true, f);
-        }
-
-        fn call_impl<F: FnOnce(&OnceState)>(&self, ignore_poison: bool, f: F) {
-            let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                match *s {
-                    OnceStatus::Complete => return,
-                    OnceStatus::Poisoned if !ignore_poison => {
-                        panic!("Once instance has previously been poisoned");
-                    }
-                    OnceStatus::New | OnceStatus::Poisoned => {
-                        let was_poisoned = *s == OnceStatus::Poisoned;
-                        *s = OnceStatus::Running;
-                        drop(s);
-                        // Poison-on-unwind guard, matching `std`: if the
-                        // closure panics, waiters must observe Poisoned
-                        // (not hang on Running forever).
-                        struct PoisonGuard<'a> {
-                            once: &'a Once,
-                            done: bool,
-                        }
-                        impl Drop for PoisonGuard<'_> {
-                            fn drop(&mut self) {
-                                let status = if self.done {
-                                    OnceStatus::Complete
-                                } else {
-                                    OnceStatus::Poisoned
-                                };
-                                *self
-                                    .once
-                                    .state
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner) = status;
-                                self.once.cv.notify_all();
-                            }
-                        }
-                        let mut guard = PoisonGuard {
-                            once: self,
-                            done: false,
-                        };
-                        f(&OnceState {
-                            poisoned: was_poisoned,
-                        });
-                        guard.done = true;
-                        return;
-                    }
-                    OnceStatus::Running => {
-                        s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
-                    }
-                }
-            }
-        }
-    }
-
-    impl Default for Once {
-        #[track_caller]
-        fn default() -> Self {
-            Once::new()
-        }
-    }
-
-    impl std::fmt::Debug for Once {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Once").finish_non_exhaustive()
         }
     }
 

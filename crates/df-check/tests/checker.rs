@@ -272,100 +272,6 @@ fn condvar_gate_wakes_and_terminates() {
 }
 
 #[test]
-fn barrier_rendezvous_synchronizes_and_elects_one_leader() {
-    if !checked_or_skip() {
-        return;
-    }
-    let report = model::explore(budget(), || {
-        let gate = sync::Arc::new(sync::Barrier::new(3));
-        let flags = sync::Arc::new((sync::Racy::new(0u64), sync::Racy::new(0u64)));
-        let mut handles = Vec::new();
-        for i in 0..2u64 {
-            let gate = sync::Arc::clone(&gate);
-            let flags = sync::Arc::clone(&flags);
-            handles.push(model::spawn(move || {
-                if i == 0 {
-                    flags.0.set(1);
-                } else {
-                    flags.1.set(1);
-                }
-                gate.wait().is_leader()
-            }));
-        }
-        let mut leaders = u32::from(gate.wait().is_leader());
-        // The rendezvous orders both pre-barrier writes before these
-        // reads regardless of arrival order — the vector-clock race
-        // detector proves the happens-before edges exist.
-        assert_eq!(flags.0.get(), 1);
-        assert_eq!(flags.1.get(), 1);
-        for h in handles {
-            leaders += u32::from(h.join());
-        }
-        assert_eq!(leaders, 1, "exactly one leader per generation");
-    });
-    assert!(report.failure.is_none(), "{:?}", report.failure);
-}
-
-#[test]
-fn once_under_contention_initializes_exactly_once() {
-    if !checked_or_skip() {
-        return;
-    }
-    let report = model::explore(budget(), || {
-        let once = sync::Arc::new(sync::Once::new());
-        let count = sync::Arc::new(sync::Racy::new(0u64));
-        let o2 = sync::Arc::clone(&once);
-        let c2 = sync::Arc::clone(&count);
-        let t = model::spawn(move || {
-            o2.call_once(|| {
-                c2.update(|v| v + 1);
-            });
-        });
-        once.call_once(|| {
-            count.update(|v| v + 1);
-        });
-        t.join();
-        assert!(once.is_completed());
-        assert_eq!(count.get(), 1, "initializer ran exactly once");
-    });
-    assert!(report.failure.is_none(), "{:?}", report.failure);
-}
-
-/// Plain-`std` semantics (valid in both builds, no model): a panicking
-/// initializer poisons the `Once`, `call_once_force` observes the poison
-/// and recovers, and a completed `Once` never reruns its closure.
-#[test]
-fn once_poison_surfaces_and_call_once_force_recovers() {
-    let once = sync::Once::new();
-    assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        once.call_once(|| panic!("init failed"));
-    }))
-    .is_err());
-    assert!(!once.is_completed());
-    let mut saw = false;
-    once.call_once_force(|state| {
-        saw = state.is_poisoned();
-    });
-    assert!(saw, "forced closure must observe the poison");
-    assert!(once.is_completed());
-    once.call_once(|| panic!("must not run again"));
-}
-
-/// Plain-`std` semantics: a `Barrier` is reusable across generations and
-/// elects exactly one leader per generation.
-#[test]
-fn barrier_generations_are_reusable() {
-    let gate = std::sync::Arc::new(sync::Barrier::new(2));
-    for _ in 0..2 {
-        let g2 = std::sync::Arc::clone(&gate);
-        let t = std::thread::spawn(move || g2.wait().is_leader());
-        let mine = gate.wait().is_leader();
-        let theirs = t.join().expect("waiter thread");
-        assert!(mine ^ theirs, "exactly one leader per generation");
-    }
-}
-
-#[test]
 fn state_dedup_prunes_commuting_schedules() {
     if !checked_or_skip() {
         return;

@@ -296,6 +296,40 @@ fn restart_reregisters_segments_and_serves_cold_spans_without_refetch() {
     assert_eq!(&result.trace, &*oracle.query_trace(ids[0]));
 }
 
+/// Without a `tier_dir` the tiered entry points are errors, not panics,
+/// and a refused restart leaves the crashed node's state as it was.
+#[test]
+fn untiered_cluster_refuses_spill_and_restart_without_losing_anything() {
+    let (oracle, mut cluster) = paired(2, 4, 2);
+    let spans = corpus(8);
+    oracle.insert_batch(spans.clone());
+    cluster.ingest(spans);
+    let spill = cluster.spill_node(1, TimeNs(u64::MAX));
+    let kind = |e: std::io::Error| e.kind();
+    assert_eq!(
+        spill.map_err(kind),
+        Err(std::io::ErrorKind::InvalidInput),
+        "no tier_dir"
+    );
+
+    cluster.kill(1);
+    let rows: Vec<_> = (0..4u16).map(|s| cluster.shard_rows_at(1, s)).collect();
+    let restart = cluster.restart_node(1);
+    assert_eq!(restart.map_err(kind), Err(std::io::ErrorKind::InvalidInput));
+    assert!(!cluster.is_alive(1));
+    let rows_after: Vec<_> = (0..4u16).map(|s| cluster.shard_rows_at(1, s)).collect();
+    assert_eq!(rows, rows_after, "nothing cleared by the refused restart");
+
+    // The cluster still ingests and assembles.
+    oracle.insert_batch(corpus(2));
+    let ids = cluster.ingest(corpus(2));
+    oracle.flush();
+    assert_eq!(cluster.stats().spans_lost, 0);
+    let result = cluster.assemble(ids[0]);
+    assert!(result.is_complete());
+    assert_eq!(&result.trace, &*oracle.query_trace(ids[0]));
+}
+
 /// Spill, crash, recover, then keep ingesting: the hot tail lands on top
 /// of the recovered cold prefix and anti-entropy still converges.
 #[test]

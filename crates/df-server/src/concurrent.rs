@@ -33,9 +33,12 @@
 //!   worker's [`BatchReorder`] stashes early batches and releases them
 //!   strictly in row order, so shard contents are independent of arrival
 //!   races.
-//! * **Flush barrier**: [`ConcurrentShardedStore::flush`] returns only
-//!   once every message enqueued before it has been applied — tests and
-//!   benches get read-your-writes visibility on demand.
+//! * **Flush barrier**: [`ConcurrentShardedStore::flush`] queues one
+//!   clone of an ack sender to every shard and returns once every worker
+//!   has applied everything enqueued before it and acked — tests and
+//!   benches get read-your-writes visibility on demand. A worker that
+//!   dies drops its clone unacked, which the flusher sees as a disconnect
+//!   ([`WorkerPanic`]), never as a hang.
 //!
 //! ## Generation-bump ordering (the staleness-correctness invariant)
 //!
@@ -64,14 +67,15 @@
 //!
 //! [`CacheOutcome::Stale`]: crate::trace_cache::CacheOutcome::Stale
 
-use crate::assemble::{assemble_with, AssembleConfig, LocalShards};
+use crate::assemble::AssembleConfig;
 use crate::router::{BatchReorder, BucketTable, Router};
 use crate::server::ServerStats;
+use crate::sharded::{assemble_local, complete_row, tombstone_row};
 use crate::trace_cache::{query_through, BucketGens, TraceCache};
 use df_check::sync::atomic::{AtomicUsize, Ordering};
 use df_check::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use df_check::sync::{Arc, Condvar, Mutex, Once, RwLock};
-use df_storage::{BufferPool, ShardPolicy, SpanQuery, SpanStore, SpillStats, TierConfig};
+use df_check::sync::{Arc, Mutex, RwLock};
+use df_storage::{BufferPool, ShardPolicy, SpanQuery, SpanStore, SpillStats, Tier, TierConfig};
 use df_types::trace::Trace;
 use df_types::wire::{self, WireDecodeError};
 use df_types::{Span, SpanId, TimeNs};
@@ -119,9 +123,9 @@ enum ShardMsg {
     Batch { start_row: u32, spans: Vec<Span> },
     /// A row-addressed mutation (applies once the row exists).
     Op { row: u32, op: RowOp },
-    /// Flush barrier: acknowledged once everything before it is applied —
-    /// or failed, if the worker dies with the token still queued.
-    Flush(FlushToken),
+    /// Flush barrier: the worker sends its shard index once everything
+    /// before the message is applied. Dropped unsent if the worker dies.
+    Flush(SyncSender<u16>),
     /// Test hook ([`ConcurrentShardedStore::inject_worker_panic`]): the
     /// worker panics on receipt, simulating a crashed ingest op.
     Panic,
@@ -183,94 +187,6 @@ impl std::error::Error for WireIngestError {
     }
 }
 
-/// Countdown the flusher waits on; each worker arrives once its queue has
-/// fully drained past the barrier message. A dead worker's parties arrive
-/// *failed* (via [`FlushToken`]'s drop guard or the worker's unwind path),
-/// so [`FlushGate::wait`] returns an error instead of hanging forever.
-#[derive(Debug)]
-struct FlushGate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct GateState {
-    remaining: usize,
-    failed: Option<WorkerPanic>,
-}
-
-impl FlushGate {
-    fn new(parties: usize) -> Arc<Self> {
-        Arc::new(FlushGate {
-            state: Mutex::new(GateState {
-                remaining: parties,
-                failed: None,
-            }),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn arrive(&self) {
-        let mut s = self.state.lock().expect("flush gate poisoned");
-        s.remaining = s.remaining.saturating_sub(1);
-        if s.remaining == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    fn arrive_failed(&self, shard: usize, message: &str) {
-        let mut s = self.state.lock().expect("flush gate poisoned");
-        if s.failed.is_none() {
-            s.failed = Some(WorkerPanic {
-                shard,
-                message: message.to_string(),
-            });
-        }
-        s.remaining = s.remaining.saturating_sub(1);
-        if s.remaining == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    fn wait(&self) -> Result<(), WorkerPanic> {
-        let mut s = self.state.lock().expect("flush gate poisoned");
-        while s.remaining > 0 {
-            s = self.cv.wait(s).expect("flush gate poisoned");
-        }
-        match &s.failed {
-            None => Ok(()),
-            Some(e) => Err(e.clone()),
-        }
-    }
-}
-
-/// Flush-barrier payload with a drop guard: if the message is dropped
-/// still armed — the send failed, or the dead worker's receiver discarded
-/// its queue — the gate is arrived *failed*, waking the flusher with an
-/// error. The worker disarms it by [`FlushToken::accept`]ing the gate.
-#[derive(Debug)]
-struct FlushToken {
-    shard: usize,
-    gate: Option<Arc<FlushGate>>,
-}
-
-impl FlushToken {
-    fn accept(mut self) -> Arc<FlushGate> {
-        self.gate.take().expect("flush token accepted once")
-    }
-}
-
-impl Drop for FlushToken {
-    fn drop(&mut self) {
-        if let Some(gate) = self.gate.take() {
-            gate.arrive_failed(
-                self.shard,
-                "shard worker died before acknowledging the flush barrier",
-            );
-        }
-    }
-}
-
 /// One shard: the store behind its lock plus the pending-mutation gauge.
 #[derive(Debug)]
 struct ShardSlot {
@@ -307,8 +223,8 @@ struct WorkerState {
     batches: BatchReorder<Span>,
     /// Early row ops, keyed by target row (arrival order kept per row).
     ops: BTreeMap<u32, Vec<RowOp>>,
-    /// Flush gates deferred until the reorder buffers drain.
-    flushes: Vec<Arc<FlushGate>>,
+    /// Flush acks deferred until the reorder buffers drain.
+    flushes: Vec<SyncSender<u16>>,
 }
 
 /// A span corpus partitioned across per-worker-owned [`SpanStore`] shards,
@@ -346,12 +262,9 @@ pub struct ConcurrentShardedStore {
     route: Mutex<Router>,
     cache: Mutex<TraceCache>,
     stats: Mutex<ServerStats>,
-    /// Hot/cold tiering: the shared buffer pool and spill directory, if
-    /// enabled via [`ConcurrentShardedStore::with_tiering`].
-    tier: Option<(Arc<BufferPool>, TierConfig)>,
-    /// One-shot spill-directory setup, run by whichever spill call gets
-    /// there first (spills may race from maintenance threads).
-    tier_init: Once,
+    /// Hot/cold tiering, if enabled via
+    /// [`ConcurrentShardedStore::with_tiering`].
+    tier: Option<Tier>,
 }
 
 impl ConcurrentShardedStore {
@@ -397,28 +310,21 @@ impl ConcurrentShardedStore {
             cache: Mutex::new(TraceCache::new()),
             stats: Mutex::new(ServerStats::default()),
             tier: None,
-            tier_init: Once::new(),
         }
     }
 
-    /// Store with hot/cold tiering enabled: one [`BufferPool`] (one frame
-    /// budget, one background disk scheduler) shared by every shard.
+    /// Store with hot/cold tiering enabled: one [`Tier`] — one
+    /// [`BufferPool`], one frame budget, one background disk scheduler —
+    /// shared by every shard.
     pub fn with_tiering(policy: ShardPolicy, cfg: ConcurrentConfig, tier: TierConfig) -> Self {
         let mut store = Self::with_config(policy, cfg);
-        let pool = Arc::new(BufferPool::new(tier.pool));
-        for slot in &store.slots {
-            slot.store
-                .write()
-                .expect("shard lock poisoned")
-                .set_cold_reader(Arc::clone(&pool));
-        }
-        store.tier = Some((pool, tier));
+        store.tier = Some(Tier::new(tier));
         store
     }
 
     /// The shared buffer pool, if tiering is enabled.
     pub fn buffer_pool(&self) -> Option<&Arc<BufferPool>> {
-        self.tier.as_ref().map(|(pool, _)| pool)
+        self.tier.as_ref().map(Tier::pool)
     }
 
     /// Spill every applied, completed span older than `watermark` to the
@@ -430,34 +336,11 @@ impl ConcurrentShardedStore {
     /// bumped**, so cached traces remain valid — the tiering tests assert
     /// a cached trace survives a spill of its own buckets.
     pub fn spill_before(&self, watermark: TimeNs) -> io::Result<SpillStats> {
-        let Some((pool, tier)) = &self.tier else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "tiering not enabled on this store",
-            ));
-        };
-        // First spill through this store creates the spill directory; the
-        // `Once` makes racing spill calls agree on exactly one creator. A
-        // failure here is not cached — the disk scheduler re-creates
-        // parent directories per write, so a transient error surfaces
-        // again (with the write's context) instead of wedging the store.
-        let mut init_err = None;
-        self.tier_init.call_once(|| {
-            if let Err(e) = df_storage::persist::ensure_dir(&tier.dir) {
-                init_err = Some(e);
-            }
-        });
-        if let Some(e) = init_err {
-            return Err(e);
-        }
+        let tier = self.tier.as_ref().ok_or_else(Tier::not_enabled)?;
         let mut total = SpillStats::default();
         for (si, slot) in self.slots.iter().enumerate() {
-            total.merge(
-                slot.store
-                    .write()
-                    .expect("shard lock poisoned")
-                    .spill_before(&self.policy, watermark, pool, &tier.dir, si as u16)?,
-            );
+            let mut store = slot.store.write().expect("shard lock poisoned");
+            total.merge(tier.spill(&mut store, &self.policy, watermark, si as u16)?);
         }
         Ok(total)
     }
@@ -645,36 +528,26 @@ impl ConcurrentShardedStore {
     }
 
     /// [`Self::flush`] that reports a crashed shard worker as an error
-    /// instead of panicking (or, before this existed, hanging forever on
-    /// the barrier). Healthy shards are still flushed to the barrier; the
-    /// first dead shard encountered is returned.
+    /// instead of panicking. Healthy shards are still flushed to the
+    /// barrier; the first dead shard is returned.
     pub fn try_flush(&self) -> Result<(), WorkerPanic> {
-        let gate = FlushGate::new(self.senders.len());
-        for (si, tx) in self.senders.iter().enumerate() {
-            let token = FlushToken {
-                shard: si,
-                gate: Some(Arc::clone(&gate)),
-            };
-            // A failed send returns the token, whose drop arrives the
-            // gate as failed — no party is ever silently lost.
-            let _ = tx.send(ShardMsg::Flush(token));
+        let (ack, acks) = sync_channel::<u16>(self.senders.len());
+        for tx in &self.senders {
+            // A dead worker's queue hands the clone back; it drops here.
+            let _ = tx.send(ShardMsg::Flush(ack.clone()));
         }
-        gate.wait().map_err(|e| {
-            // Prefer the panic message the worker recorded over the
-            // token's generic "died before acknowledging" note.
-            let recorded = self.slots[e.shard]
-                .failed
-                .lock()
-                .expect("failed flag poisoned")
-                .clone();
-            match recorded {
-                Some(message) => WorkerPanic {
-                    shard: e.shard,
-                    message,
-                },
-                None => e,
-            }
-        })
+        drop(ack);
+        // Every clone ends acked or dropped (stashed or queued in a dying
+        // worker, or handed back above): the loop ends, and a shard that
+        // never acked lost its worker.
+        let mut acked = 0u64;
+        while let Ok(si) = acks.recv() {
+            acked |= 1 << si;
+        }
+        match (0..self.slots.len()).find(|si| acked & (1 << si) == 0) {
+            None => Ok(()),
+            Some(dead) => Err(self.worker_panic(dead)),
+        }
     }
 
     /// Test hook: make shard `shard`'s ingest worker panic on its next
@@ -781,9 +654,6 @@ impl ConcurrentShardedStore {
     /// (module docs: the staleness-correctness invariant).
     fn assemble_and_cache(&self, start: SpanId, view: &GenView<'_>) -> Arc<Trace> {
         let loc = self.route.lock().expect("route lock poisoned").loc(start);
-        let Some(loc) = loc else {
-            return Arc::new(Trace::default());
-        };
         let guards: Vec<_> = self
             .slots
             .iter()
@@ -791,14 +661,11 @@ impl ConcurrentShardedStore {
             .collect();
         let refs: Vec<&SpanStore> = guards.iter().map(|g| &**g).collect();
         // The start span may still sit in its shard's queue (not applied):
-        // assemble nothing rather than panic; the empty trace is not
-        // cached, so a post-flush retry assembles for real.
-        if refs[loc.shard as usize].len() as u32 <= loc.row
-            || refs[loc.shard as usize].is_tombstoned(start)
-        {
+        // the empty trace is not cached, so a post-flush retry assembles
+        // for real.
+        let Some(trace) = assemble_local(&refs, loc, start, &self.assemble_cfg) else {
             return Arc::new(Trace::default());
-        }
-        let (trace, _) = assemble_with(&mut LocalShards(&refs), loc, start, &self.assemble_cfg);
+        };
         // Cache while the guards are held: generations cannot move between
         // assembly and the dependency snapshot.
         self.cache
@@ -825,10 +692,8 @@ impl Drop for ConcurrentShardedStore {
 ///
 /// A panic anywhere in the message loop is caught so the worker can die
 /// loudly instead of silently: the panic message is recorded on the slot
-/// *before* the receiver drops (so producers that observe the disconnect
-/// can report the cause), stashed flush gates arrive failed, and queued
-/// flush tokens arrive failed via their drop guards when the receiver's
-/// remaining queue is discarded.
+/// *before* the stashed flush acks and the receiver drop, so a flusher or
+/// producer that observes the disconnect can report the cause.
 fn worker_loop(
     si: usize,
     slot: Arc<ShardSlot>,
@@ -845,8 +710,8 @@ fn worker_loop(
                     state.ops.entry(row).or_default().push(op);
                     None
                 }
-                ShardMsg::Flush(token) => {
-                    state.flushes.push(token.accept());
+                ShardMsg::Flush(ack) => {
+                    state.flushes.push(ack);
                     None
                 }
                 ShardMsg::Panic => panic!("injected worker panic (test hook)"),
@@ -854,27 +719,12 @@ fn worker_loop(
             drain(si as u16, &slot, &gens, &policy, &mut state, batch);
         }
     }));
-    match outcome {
-        Ok(()) => {
-            // Teardown: the store dropped its senders. Release any
-            // flushers (only reachable if the store is dropped mid-flush,
-            // which the &self API prevents — belt and braces).
-            for gate in state.flushes.drain(..) {
-                gate.arrive();
-            }
-        }
-        Err(payload) => {
-            let message = panic_message(payload.as_ref());
-            // Record the cause before `rx` drops: a producer unblocked by
-            // the disconnect must be able to read why.
-            *slot.failed.lock().expect("failed flag poisoned") = Some(message.clone());
-            for gate in state.flushes.drain(..) {
-                gate.arrive_failed(si, &message);
-            }
-            // Returning drops `rx`: senders blocked on a full queue wake
-            // with an error, and undelivered flush tokens fail their gates.
-        }
+    if let Err(payload) = outcome {
+        *slot.failed.lock().expect("failed flag poisoned") = Some(panic_message(payload.as_ref()));
     }
+    // Returning drops `state` and `rx`: unacked flush senders (stashed or
+    // still queued) disconnect their flusher, and senders blocked on a
+    // full queue wake with an error.
 }
 
 /// Best-effort text of a caught panic payload.
@@ -928,31 +778,21 @@ fn drain(
         for row in ready {
             let ops = state.ops.remove(&row).expect("ready row present");
             for op in ops {
-                // `req_time_at` stays resident for cold rows, so op
-                // bucket accounting never pages in on the worker.
-                let bucket = store.req_time_at(row).map(|t| policy.bucket_of(t));
-                let mutated = match op {
-                    RowOp::Tombstone => {
-                        store.tombstone_row(row);
-                        if store.pending_evictions() >= policy.evict_threshold {
-                            store.evict_tombstoned();
-                        }
-                        true
-                    }
-                    RowOp::Complete(resp) => store.complete_span_row(row, &resp),
+                let bucket = match op {
+                    RowOp::Tombstone => tombstone_row(&mut store, policy, row),
+                    RowOp::Complete(resp) => complete_row(&mut store, policy, row, &resp),
                 };
-                if mutated {
-                    if let Some(b) = bucket {
-                        gens.lock().expect("gen table poisoned").touch(b, si);
-                    }
+                if let Some(b) = bucket {
+                    gens.lock().expect("gen table poisoned").touch(b, si);
                 }
                 slot.pending.fetch_sub(1, Ordering::AcqRel);
             }
         }
     }
     if state.batches.pending() == 0 && state.ops.is_empty() {
-        for gate in state.flushes.drain(..) {
-            gate.arrive();
+        for ack in state.flushes.drain(..) {
+            // The flusher holds the receiver until every clone is gone.
+            let _ = ack.send(si);
         }
     }
 }

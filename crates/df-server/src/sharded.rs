@@ -27,29 +27,12 @@ use crate::assemble::{assemble_with, AssembleConfig, LocalShards};
 use crate::router::{BucketTable, Loc, Router};
 use df_check::sync::Arc;
 use df_storage::{
-    BufferPool, ShardPolicy, SpanQuery, SpanStore, SpillStats, StoreStats, TierConfig,
+    BufferPool, ShardPolicy, SpanQuery, SpanStore, SpillStats, StoreStats, Tier, TierConfig,
 };
 use df_types::trace::Trace;
 use df_types::{Span, SpanId, TimeNs};
 use std::borrow::Cow;
 use std::io;
-
-/// Tiering state shared by every shard: one buffer pool (one frame
-/// budget, one background disk scheduler) and the spill directory.
-#[derive(Debug)]
-pub(crate) struct TierState {
-    pub(crate) pool: Arc<BufferPool>,
-    pub(crate) cfg: TierConfig,
-}
-
-impl TierState {
-    pub(crate) fn new(cfg: TierConfig) -> Self {
-        TierState {
-            pool: Arc::new(BufferPool::new(cfg.pool)),
-            cfg,
-        }
-    }
-}
 
 /// A span corpus partitioned across [`SpanStore`] shards.
 ///
@@ -80,7 +63,7 @@ pub struct ShardedSpanStore {
     shards: Vec<SpanStore>,
     buckets: BucketTable,
     /// Hot/cold tiering, if enabled (see [`ShardedSpanStore::enable_tiering`]).
-    tier: Option<TierState>,
+    tier: Option<Tier>,
 }
 
 impl ShardedSpanStore {
@@ -97,28 +80,14 @@ impl ShardedSpanStore {
         }
     }
 
-    /// Enable hot/cold tiering: one [`BufferPool`] (one frame budget, one
-    /// background disk scheduler) shared by every shard. Idempotent per
-    /// store; returns the pool so callers can inspect
+    /// Enable hot/cold tiering: one [`Tier`] — one [`BufferPool`], one
+    /// frame budget, one background disk scheduler — shared by every
+    /// shard. Idempotent per store: a second call keeps the tier (and the
+    /// catalog of segments already spilled through it) and ignores the
+    /// later config. Returns the pool so callers can inspect
     /// [`BufferPool::stats`].
     pub fn enable_tiering(&mut self, cfg: TierConfig) -> Arc<BufferPool> {
-        let state = TierState::new(cfg);
-        let pool = Arc::clone(&state.pool);
-        for shard in &mut self.shards {
-            shard.set_cold_reader(Arc::clone(&pool));
-        }
-        self.tier = Some(state);
-        pool
-    }
-
-    /// Whether tiering is enabled.
-    pub fn tiering_enabled(&self) -> bool {
-        self.tier.is_some()
-    }
-
-    /// The shared buffer pool, if tiering is enabled.
-    pub fn buffer_pool(&self) -> Option<&Arc<BufferPool>> {
-        self.tier.as_ref().map(|t| &t.pool)
+        Arc::clone(self.tier.get_or_insert_with(|| Tier::new(cfg)).pool())
     }
 
     /// Spill every completed span older than `watermark` to the cold
@@ -130,45 +99,25 @@ impl ShardedSpanStore {
     /// Errors if tiering was never enabled or a segment write fails (in
     /// which case no row of the failing shard flips cold).
     pub fn spill_before(&mut self, watermark: TimeNs) -> io::Result<SpillStats> {
-        let Some(tier) = &self.tier else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "tiering not enabled on this store",
-            ));
-        };
+        let tier = self.tier.as_ref().ok_or_else(Tier::not_enabled)?;
         let mut total = SpillStats::default();
         for (si, shard) in self.shards.iter_mut().enumerate() {
-            total.merge(shard.spill_before(
-                self.router.policy(),
-                watermark,
-                &tier.pool,
-                &tier.cfg.dir,
-                si as u16,
-            )?);
+            total.merge(tier.spill(shard, self.router.policy(), watermark, si as u16)?);
         }
         Ok(total)
     }
 
-    /// Spill by the configured horizon: everything older than the newest
-    /// [`TierConfig::hot_buckets`] time buckets goes cold. No-op on an
-    /// empty corpus or when the corpus spans fewer buckets than the
-    /// horizon.
+    /// Spill by the configured horizon ([`Tier::watermark`]): everything
+    /// older than the newest [`TierConfig::hot_buckets`] time buckets goes
+    /// cold. No-op on an empty corpus or when the corpus spans fewer
+    /// buckets than the horizon.
     pub fn spill_auto(&mut self) -> io::Result<SpillStats> {
-        let Some(tier) = &self.tier else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "tiering not enabled on this store",
-            ));
-        };
-        let Some(newest) = self.buckets.newest() else {
-            return Ok(SpillStats::default());
-        };
-        let hot = tier.cfg.hot_buckets.max(1);
-        let Some(first_hot) = (newest + 1).checked_sub(hot) else {
-            return Ok(SpillStats::default());
-        };
-        let watermark = TimeNs(first_hot.saturating_mul(self.policy().time_bucket.as_nanos()));
-        self.spill_before(watermark)
+        let tier = self.tier.as_ref().ok_or_else(Tier::not_enabled)?;
+        let newest = self.buckets.newest();
+        match newest.and_then(|b| tier.watermark(self.policy(), b)) {
+            Some(watermark) => self.spill_before(watermark),
+            None => Ok(SpillStats::default()),
+        }
     }
 
     /// Rows currently resident (hot) vs spilled (cold), across shards.
@@ -265,10 +214,9 @@ impl ShardedSpanStore {
         let Some(loc) = self.router.loc(id) else {
             return;
         };
-        self.shards[loc.shard as usize].tombstone_row(loc.row);
-        self.touch_row(loc);
-        if self.shards[loc.shard as usize].pending_evictions() >= self.policy().evict_threshold {
-            self.shards[loc.shard as usize].evict_tombstoned();
+        let shard = &mut self.shards[loc.shard as usize];
+        if let Some(bucket) = tombstone_row(shard, self.router.policy(), loc.row) {
+            self.buckets.touch(bucket, loc.shard);
         }
     }
 
@@ -279,11 +227,12 @@ impl ShardedSpanStore {
         let Some(loc) = self.router.loc(id) else {
             return false;
         };
-        let done = self.shards[loc.shard as usize].complete_span_row(loc.row, resp);
-        if done {
-            self.touch_row(loc);
+        let shard = &mut self.shards[loc.shard as usize];
+        let bucket = complete_row(shard, self.router.policy(), loc.row, resp);
+        if let Some(bucket) = bucket {
+            self.buckets.touch(bucket, loc.shard);
         }
-        done
+        bucket.is_some()
     }
 
     /// Compact tombstoned rows out of every shard's indexes (see
@@ -341,14 +290,57 @@ impl ShardedSpanStore {
     pub fn bucket_of(&self, t: TimeNs) -> u64 {
         self.policy().bucket_of(t)
     }
+}
 
-    /// Bump the generation of the bucket the (already stored) row lies in.
-    fn touch_row(&mut self, loc: Loc) {
-        // `req_time_at` stays resident for cold rows: no page-in here.
-        if let Some(t) = self.shards[loc.shard as usize].req_time_at(loc.row) {
-            self.buckets.touch(self.policy().bucket_of(t), loc.shard);
-        }
+/// The tombstone rule of every shard owner: hide `row`, compact the
+/// shard's indexes once its pending evictions reach
+/// [`ShardPolicy::evict_threshold`], and return the row's time bucket,
+/// whose generation the owner bumps.
+pub(crate) fn tombstone_row(shard: &mut SpanStore, policy: &ShardPolicy, row: u32) -> Option<u64> {
+    shard.tombstone_row(row);
+    if shard.pending_evictions() >= policy.evict_threshold {
+        shard.evict_tombstoned();
     }
+    row_bucket(shard, policy, row)
+}
+
+/// The completion rule of every shard owner: merge `resp` into the
+/// Incomplete span at `row`. `Some(bucket)` exactly when the merge
+/// happened — the bucket whose generation the owner bumps.
+pub(crate) fn complete_row(
+    shard: &mut SpanStore,
+    policy: &ShardPolicy,
+    row: u32,
+    resp: &Span,
+) -> Option<u64> {
+    if shard.complete_span_row(row, resp) {
+        row_bucket(shard, policy, row)
+    } else {
+        None
+    }
+}
+
+/// The time bucket of a stored row. `req_time_at` stays resident for cold
+/// rows, so bucket accounting never pages in.
+fn row_bucket(shard: &SpanStore, policy: &ShardPolicy, row: u32) -> Option<u64> {
+    shard.req_time_at(row).map(|t| policy.bucket_of(t))
+}
+
+/// Algorithm 1 from `start` over in-process shards, or `None` when there
+/// is nothing to assemble from: `start` was never routed (no `loc`), its
+/// row still sits in an ingest queue, or it is tombstoned.
+pub(crate) fn assemble_local(
+    shards: &[&SpanStore],
+    loc: Option<Loc>,
+    start: SpanId,
+    cfg: &AssembleConfig,
+) -> Option<Trace> {
+    let loc = loc?;
+    let home = shards[loc.shard as usize];
+    if home.len() as u32 <= loc.row || home.is_tombstoned(start) {
+        return None;
+    }
+    Some(assemble_with(&mut LocalShards(shards), loc, start, cfg).0)
 }
 
 /// Algorithm 1 over a sharded corpus: [`assemble_with`] over the
@@ -361,14 +353,8 @@ pub fn assemble_trace_sharded(
     start: SpanId,
     cfg: &AssembleConfig,
 ) -> Trace {
-    let Some(start_loc) = store.router.loc(start) else {
-        return Trace::default();
-    };
-    if store.is_tombstoned(start) {
-        return Trace::default();
-    }
     let shards: Vec<&SpanStore> = store.shards.iter().collect();
-    assemble_with(&mut LocalShards(&shards), start_loc, start, cfg).0
+    assemble_local(&shards, store.router.loc(start), start, cfg).unwrap_or_default()
 }
 
 #[cfg(test)]

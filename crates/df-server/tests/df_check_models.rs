@@ -1,10 +1,8 @@
-//! df-check model tests for the concurrent shard boundary.
-//!
-//! These port the invariants `crates/df-server/src/concurrent.rs` used to
-//! check with a hand-rolled step enumerator onto the df-check
-//! schedule-exploring model checker: the generation-bump lock discipline
-//! (including the *mutation* variants that must be caught), the flush
-//! barrier, channel backpressure, and the bounded-staleness drift rule.
+//! df-check model tests for the concurrent shard boundary
+//! (`crates/df-server/src/concurrent.rs`): the generation-bump lock
+//! discipline and the flush barrier (each with the *mutation* variants
+//! that must be caught), channel backpressure, and the bounded-staleness
+//! drift rule.
 //!
 //! The suite runs checked in the default workspace test run because
 //! df-server's dev-dependency on df-check enables the `checked` feature.
@@ -13,7 +11,9 @@
 
 use df_check::model::{self, CheckConfig, FailureKind};
 use df_check::sync::atomic::{AtomicUsize, Ordering};
-use df_check::sync::{sync_channel, Arc, Condvar, Mutex, Racy, RwLock};
+use df_check::sync::mpsc::{Receiver, SyncSender};
+use df_check::sync::{sync_channel, Arc, Mutex, Racy, RwLock};
+use std::collections::BTreeSet;
 
 fn budget() -> CheckConfig {
     CheckConfig::default().env_budget()
@@ -31,7 +31,7 @@ fn checked_or_skip() -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Generation-bump discipline (PR 3's staleness-correctness invariant).
+// Generation-bump discipline (the staleness-correctness invariant).
 //
 // The shipped worker bumps a bucket's generation while holding the shard
 // write lock, and the assembling reader observes row visibility and
@@ -82,7 +82,7 @@ fn locked_gen_bump_discipline_admits_no_stale_schedule() {
     assert!(report.lock_cycles.is_empty(), "no lock-order inversions");
 }
 
-/// The *mutation* of PR 3's invariant: the generation bump moved outside
+/// The *mutation* of that invariant: the generation bump moved outside
 /// the shard write lock (`bump_first` picks which side of the critical
 /// section it lands on). df-check must find the stale-cache race.
 fn unlocked_gen_bump_round(bump_first: bool) {
@@ -119,6 +119,27 @@ fn unlocked_gen_bump_round(bump_first: bool) {
     );
 }
 
+/// A seeded mutation must be caught: exploration finds a schedule whose
+/// panic names `invariant`, and that schedule is a real witness —
+/// replaying it alone reproduces the failure deterministically.
+fn assert_caught_and_replayable(round: impl Fn() + Copy + Send + Sync + 'static, invariant: &str) {
+    let failure = model::explore(budget(), round)
+        .failure
+        .unwrap_or_else(|| panic!("mutation must be detected ({invariant})"));
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(
+        failure.message.contains(invariant),
+        "failure names the invariant: {}",
+        failure.message
+    );
+    assert!(!failure.trace.is_empty(), "counterexample has a trace");
+    let replayed = model::replay(failure.schedule, round);
+    let rf = replayed.failure.expect("replay reproduces the failure");
+    assert_eq!(rf.kind, FailureKind::Panic);
+    assert!(rf.message.contains(invariant));
+    assert_eq!(replayed.schedules, 1, "replay runs exactly one schedule");
+}
+
 #[test]
 fn moving_the_gen_bump_outside_the_lock_is_caught_and_replayable() {
     if !checked_or_skip() {
@@ -127,31 +148,10 @@ fn moving_the_gen_bump_outside_the_lock_is_caught_and_replayable() {
     // Both fine-grained orders break — that is exactly why the shipped
     // worker bumps inside the write lock.
     for bump_first in [false, true] {
-        let report = model::explore(budget(), move || unlocked_gen_bump_round(bump_first));
-        let failure = report
-            .failure
-            .unwrap_or_else(|| panic!("mutation (bump_first={bump_first}) must be detected"));
-        assert_eq!(failure.kind, FailureKind::Panic);
-        assert!(
-            failure.message.contains("permanently stale"),
-            "failure names the invariant: {}",
-            failure.message
+        assert_caught_and_replayable(
+            move || unlocked_gen_bump_round(bump_first),
+            "permanently stale",
         );
-        assert!(
-            !failure.schedule.is_empty(),
-            "counterexample has a schedule"
-        );
-        assert!(!failure.trace.is_empty(), "counterexample has a trace");
-
-        // The reported schedule is a real witness: replaying it alone
-        // reproduces the failure deterministically.
-        let replayed = model::replay(failure.schedule.clone(), move || {
-            unlocked_gen_bump_round(bump_first)
-        });
-        let rf = replayed.failure.expect("replay reproduces the failure");
-        assert_eq!(rf.kind, FailureKind::Panic);
-        assert!(rf.message.contains("permanently stale"));
-        assert_eq!(replayed.schedules, 1, "replay runs exactly one schedule");
     }
 }
 
@@ -178,57 +178,145 @@ fn unsynchronized_gen_counter_is_a_data_race() {
 }
 
 // ---------------------------------------------------------------------
-// Flush barrier (ConcurrentShardedStore::flush / FlushGate).
+// Flush barrier (ConcurrentShardedStore::try_flush / worker_loop): an ack
+// channel. The flusher queues one clone of an ack sender to every shard,
+// drops its own and receives until every clone is gone; a worker acks
+// with its shard index once its reorder stash is empty. The model is that
+// protocol in miniature: rows apply strictly in row order, so a row that
+// arrives before its predecessor is stashed.
 // ---------------------------------------------------------------------
+
+enum ShardMsg {
+    /// A one-row batch; applies only once every earlier row has.
+    Row(u32),
+    Flush(SyncSender<u16>),
+    /// The worker dies on receipt, as on a panic in the real store.
+    Die,
+}
+
+/// The shipped worker discipline: a flush ack waits until the reorder
+/// stash is empty. `ack_early` is the seeded mutation — ack on receipt.
+fn shard_worker(si: u16, rx: Receiver<ShardMsg>, applied: Arc<AtomicUsize>, ack_early: bool) {
+    let mut next_row = 0u32;
+    let mut stash = BTreeSet::new();
+    let mut flushes = Vec::new();
+    while let Ok(msg) = rx.recv() {
+        match msg {
+            ShardMsg::Row(row) => {
+                stash.insert(row);
+            }
+            ShardMsg::Flush(ack) if ack_early => {
+                let _ = ack.send(si);
+            }
+            ShardMsg::Flush(ack) => flushes.push(ack),
+            ShardMsg::Die => return,
+        }
+        while stash.remove(&next_row) {
+            next_row += 1;
+            applied.fetch_add(1, Ordering::SeqCst);
+        }
+        if stash.is_empty() {
+            for ack in flushes.drain(..) {
+                let _ = ack.send(si);
+            }
+        }
+    }
+}
+
+/// `try_flush` in miniature; `Err` names the first shard that never acked.
+fn flush(queues: &[SyncSender<ShardMsg>]) -> Result<(), usize> {
+    let (ack, acks) = sync_channel::<u16>(queues.len());
+    for tx in queues {
+        let _ = tx.send(ShardMsg::Flush(ack.clone()));
+    }
+    drop(ack);
+    let mut acked = 0u64;
+    while let Ok(si) = acks.recv() {
+        acked |= 1 << si;
+    }
+    match (0..queues.len()).find(|si| acked & (1 << si) == 0) {
+        None => Ok(()),
+        Some(dead) => Err(dead),
+    }
+}
+
+/// Two shards. One producer inserts (shard 0 row 1, shard 1 row 0) and
+/// flushes while a second thread owes shard 0 its `late` message, so the
+/// first producer's row may sit stashed when its flush arrives. Returns
+/// the flush result and whether both of the producer's rows were applied
+/// when it returned.
+fn flush_round(ack_early: bool, late: ShardMsg) -> (Result<(), usize>, bool) {
+    let mut queues = Vec::new();
+    let mut applied = Vec::new();
+    let mut workers = Vec::new();
+    for si in 0..2u16 {
+        let (tx, rx) = sync_channel::<ShardMsg>(4);
+        let count = Arc::new(AtomicUsize::new(0));
+        queues.push(tx);
+        applied.push(Arc::clone(&count));
+        workers.push(model::spawn(move || shard_worker(si, rx, count, ack_early)));
+    }
+    let second = {
+        let tx = queues[0].clone();
+        model::spawn(move || {
+            let _ = tx.send(late);
+        })
+    };
+    let _ = queues[0].send(ShardMsg::Row(1)); // shard 0 may be dead already
+    queues[1].send(ShardMsg::Row(0)).expect("worker alive");
+    let flushed = flush(&queues);
+    let visible = applied[0].load(Ordering::SeqCst) == 2 && applied[1].load(Ordering::SeqCst) == 1;
+    second.join();
+    drop(queues);
+    for w in workers {
+        w.join();
+    }
+    (flushed, visible)
+}
+
+/// The barrier guarantee is read-your-writes: the second thread's row 0
+/// always arrives, and once `flush` returns `Ok` the rows enqueued before
+/// it are applied.
+fn barrier_round(ack_early: bool) {
+    let outcome = flush_round(ack_early, ShardMsg::Row(0));
+    assert_eq!(outcome, (Ok(()), true), "flush is a barrier");
+}
 
 #[test]
 fn flush_barrier_model_never_deadlocks_and_orders_all_prior_work() {
     if !checked_or_skip() {
         return;
     }
-    let report = model::check(budget(), || {
-        // A one-shard model of the ingest pipeline: `None` is the flush
-        // token; the gate is the (Mutex, Condvar) countdown FlushGate uses.
-        let (tx, rx) = sync_channel::<Option<u32>>(2);
-        let gate = Arc::new((Mutex::new(1usize), Condvar::new()));
-        let applied = Arc::new(AtomicUsize::new(0));
-        let worker = {
-            let gate = Arc::clone(&gate);
-            let applied = Arc::clone(&applied);
-            model::spawn(move || {
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        Some(_) => {
-                            applied.fetch_add(1, Ordering::SeqCst);
-                        }
-                        None => {
-                            let (remaining, cv) = &*gate;
-                            let mut r = remaining.lock().expect("gate lock");
-                            *r -= 1;
-                            cv.notify_all();
-                        }
-                    }
-                }
-            })
-        };
-        tx.send(Some(1)).expect("worker alive");
-        tx.send(Some(2)).expect("worker alive");
-        tx.send(None).expect("worker alive");
-        drop(tx);
-        // flush(): wait until the worker has drained past the token.
-        {
-            let (remaining, cv) = &*gate;
-            let mut r = remaining.lock().expect("gate lock");
-            while *r > 0 {
-                r = cv.wait(r).expect("gate lock");
-            }
-        }
-        // The barrier guarantee: everything enqueued before the token is
-        // applied once the gate releases.
-        assert_eq!(applied.load(Ordering::SeqCst), 2, "flush is a barrier");
-        worker.join();
-    });
+    let report = model::check(budget(), || barrier_round(false));
     assert!(report.complete, "barrier model explored exhaustively");
+    assert!(report.lock_cycles.is_empty());
+}
+
+#[test]
+fn acking_before_the_reorder_stash_drains_is_caught_and_replayable() {
+    if !checked_or_skip() {
+        return;
+    }
+    assert_caught_and_replayable(|| barrier_round(true), "flush is a barrier");
+}
+
+#[test]
+fn flush_reports_a_dead_worker_in_every_schedule_and_never_blocks() {
+    if !checked_or_skip() {
+        return;
+    }
+    // Shard 0's row 0 never comes, so a flush message it receives is
+    // stashed, not acked — and the second thread kills the worker: before
+    // the flush message is sent (the send hands it back), while it is
+    // queued, or once it is stashed. In every case the worker's clone of
+    // the ack sender is dropped unacked, so the flusher sees shard 1's
+    // ack, then the disconnect. A flusher that blocked instead would fail
+    // the check as a deadlock.
+    let report = model::check(budget(), || {
+        let (flushed, _) = flush_round(false, ShardMsg::Die);
+        assert_eq!(flushed, Err(0), "the dead shard is reported");
+    });
+    assert!(report.complete, "every schedule explored");
     assert!(report.lock_cycles.is_empty());
 }
 

@@ -11,7 +11,7 @@
 
 use df_server::sharded::assemble_trace_sharded;
 use df_server::{AssembleConfig, ConcurrentConfig, ConcurrentShardedStore, ShardedSpanStore};
-use df_storage::{BufferPoolConfig, EvictionPolicy, ShardPolicy, TierConfig};
+use df_storage::{BufferPoolConfig, ShardPolicy, TierConfig};
 use df_types::ids::{FlowId, NodeId, Pid, SysTraceId, XRequestId};
 use df_types::span::TapSide;
 use df_types::trace::Trace;
@@ -102,9 +102,10 @@ fn edges(t: &Trace) -> Vec<(SpanId, Option<SpanId>)> {
     e
 }
 
-/// The core differential: same corpus into an all-hot oracle and a
-/// tiered store; spill the tiered store at `watermark_ms`; every start
-/// span must assemble identically.
+/// The core differential: same corpus into an all-hot oracle, a tiered
+/// store and a tiered threaded store; spill both tiered stores at
+/// `watermark_ms`; they must spill the same segments, and every start
+/// span must assemble identically on all three.
 fn assert_tiered_matches_oracle(
     tag: &str,
     spans: Vec<Span>,
@@ -118,43 +119,57 @@ fn assert_tiered_matches_oracle(
 
     let mut oracle = ShardedSpanStore::new(policy);
     let mut tiered = ShardedSpanStore::new(policy);
+    // 3 frames: tighter than the cold-bucket count → real eviction.
+    let pool =
+        |sub: &str| TierConfig::new(dir.path.join(sub)).with_pool(BufferPoolConfig::with_frames(3));
+    let cfg = AssembleConfig {
+        max_spans,
+        ..AssembleConfig::default()
+    };
+    let mut threaded =
+        ConcurrentShardedStore::with_tiering(policy, ConcurrentConfig::default(), pool("threaded"));
+    threaded.set_assemble_config(cfg.clone());
     let ids_a = oracle.insert_batch(spans.clone());
-    let ids_b = tiered.insert_batch(spans);
+    let ids_b = tiered.insert_batch(spans.clone());
+    let ids_c = threaded.insert_batch(spans);
     assert_eq!(ids_a, ids_b, "tiering must not disturb id assignment");
+    assert_eq!(ids_a, ids_c, "nor must threading");
 
     if let Some(k) = tombstone_every {
         for &id in ids_a.iter().filter(|id| id.raw() % k == 0) {
             oracle.tombstone(id);
             tiered.tombstone(id);
+            threaded.tombstone(id);
         }
     }
+    threaded.flush();
 
-    let pool = TierConfig::new(&dir.path).with_pool(BufferPoolConfig {
-        frames: 3, // tighter than the cold-bucket count → real eviction
-        k: 2,
-        policy: EvictionPolicy::LruK,
-        queue_depth: 16,
-    });
-    tiered.enable_tiering(pool);
-    let stats = tiered
-        .spill_before(TimeNs(watermark_ms * 1_000_000))
-        .expect("spill succeeds");
+    tiered.enable_tiering(pool("sharded"));
+    let watermark = TimeNs(watermark_ms * 1_000_000);
+    let stats = tiered.spill_before(watermark).expect("spill succeeds");
     let (hot, cold) = tiered.tier_occupancy();
     assert_eq!(cold, stats.spans, "flip count matches spill stats");
     assert_eq!(hot + cold, oracle.len());
+    assert_eq!(
+        threaded.spill_before(watermark).expect("spill succeeds"),
+        stats,
+        "both stores spill the same segments"
+    );
+    assert_eq!(threaded.tier_occupancy(), (hot, cold));
 
-    let cfg = AssembleConfig {
-        max_spans,
-        ..AssembleConfig::default()
-    };
     for &id in &ids_a {
-        let want = assemble_trace_sharded(&oracle, id, &cfg);
-        let got = assemble_trace_sharded(&tiered, id, &cfg);
+        let want = edges(&assemble_trace_sharded(&oracle, id, &cfg));
+        let context =
+            format!("start {id:?} (watermark {watermark_ms} ms, {shards} shards, cap {max_spans})");
         assert_eq!(
-            edges(&want),
-            edges(&got),
-            "tiered assembly diverged from all-hot oracle at start {id:?} \
-             (watermark {watermark_ms} ms, {shards} shards, cap {max_spans})"
+            want,
+            edges(&assemble_trace_sharded(&tiered, id, &cfg)),
+            "tiered assembly diverged from all-hot oracle at {context}"
+        );
+        assert_eq!(
+            want,
+            edges(&threaded.query_trace(id)),
+            "threaded tiered assembly diverged from all-hot oracle at {context}"
         );
     }
 }
@@ -189,6 +204,29 @@ fn spill_does_not_bump_bucket_generations() {
     for &id in &ids {
         assert!(st.get(id).is_some(), "cold span {id:?} pages back in");
     }
+}
+
+/// A second `enable_tiering` keeps the tier: the pool that knows the
+/// segments already spilled stays attached, and the later config is
+/// ignored. (A fresh pool here used to panic the next cold read with
+/// "unknown segment id 0".)
+#[test]
+fn enabling_tiering_twice_keeps_the_spilled_segments_readable() {
+    let dir = test_dir("twice");
+    let mut st = ShardedSpanStore::new(ShardPolicy::with_shards(2));
+    let ids = st.insert_batch(corpus(11, 32));
+    let first = st.enable_tiering(TierConfig::new(dir.path.join("first")));
+    let stats = st.spill_before(TimeNs(u64::MAX)).expect("spill");
+    assert_eq!(stats.spans, ids.len());
+    let second = st.enable_tiering(TierConfig::new(dir.path.join("second")));
+    assert!(
+        std::sync::Arc::ptr_eq(&first, &second),
+        "one pool per store"
+    );
+    for &id in &ids {
+        assert_eq!(st.get(id).expect("cold span pages back in").span_id, id);
+    }
+    assert!(!dir.path.join("second").exists(), "later config ignored");
 }
 
 #[test]

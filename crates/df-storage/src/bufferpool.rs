@@ -20,8 +20,8 @@
 //!   evicted first (oldest first). A single full-corpus scan touches each
 //!   segment once, so scan pages stay in the "< K accesses" class and
 //!   evict each other, while the point-query working set (≥ K touches)
-//!   survives. `K = 1` degenerates to plain LRU; FIFO is also provided so
-//!   the `storage_tiered` bench can compare hit rates.
+//!   survives. `K = 1` degenerates to plain LRU, the baseline the
+//!   `storage_tiered` bench compares hit rates against.
 //! - **Miss handling**: a miss inserts a `Loading` placeholder and does
 //!   the read *outside* the pool lock via the background
 //!   [`DiskScheduler`]; concurrent fetchers of the same segment wait on a
@@ -40,26 +40,13 @@ use std::path::PathBuf;
 /// Identifier of one spilled span segment (unique within a store).
 pub type SegmentId = u64;
 
-/// Page-replacement policy for the pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Backward-K-distance eviction (scan-resistant). The default.
-    LruK,
-    /// Plain least-recently-used (`LruK` with K = 1).
-    Lru,
-    /// First-in-first-out by frame install time.
-    Fifo,
-}
-
 /// Configuration for a [`BufferPool`].
 #[derive(Debug, Clone, Copy)]
 pub struct BufferPoolConfig {
     /// Frame budget: maximum resident decoded segments.
     pub frames: usize,
-    /// K for LRU-K (ignored by `Lru`/`Fifo`).
+    /// K for LRU-K (1 is plain LRU).
     pub k: usize,
-    /// Replacement policy.
-    pub policy: EvictionPolicy,
     /// Disk-scheduler queue depth.
     pub queue_depth: usize,
 }
@@ -69,7 +56,6 @@ impl Default for BufferPoolConfig {
         BufferPoolConfig {
             frames: 64,
             k: 2,
-            policy: EvictionPolicy::LruK,
             queue_depth: 128,
         }
     }
@@ -114,8 +100,6 @@ struct FrameHistory {
     /// Last up-to-K access ticks, oldest at the front.
     history: VecDeque<u64>,
     evictable: bool,
-    /// Tick at which the frame was installed (FIFO key).
-    inserted: u64,
 }
 
 /// Replacement bookkeeping, factored out of the pool so the df-check
@@ -124,22 +108,16 @@ struct FrameHistory {
 /// pool mutex.
 #[derive(Debug)]
 pub struct Replacer {
-    policy: EvictionPolicy,
     k: usize,
     tick: u64,
     entries: HashMap<usize, FrameHistory>,
 }
 
 impl Replacer {
-    /// Replacer with the given policy; `k` is clamped to at least 1.
-    pub fn new(policy: EvictionPolicy, k: usize) -> Self {
-        let k = match policy {
-            EvictionPolicy::Lru | EvictionPolicy::Fifo => 1,
-            EvictionPolicy::LruK => k.max(1),
-        };
+    /// LRU-K replacer; `k` is clamped to at least 1.
+    pub fn new(k: usize) -> Self {
         Replacer {
-            policy,
-            k,
+            k: k.max(1),
             tick: 0,
             entries: HashMap::new(),
         }
@@ -155,7 +133,6 @@ impl Replacer {
         let entry = self.entries.entry(frame).or_insert_with(|| FrameHistory {
             history: VecDeque::with_capacity(k),
             evictable: false,
-            inserted: tick,
         });
         if entry.history.len() == k {
             entry.history.pop_front();
@@ -170,56 +147,30 @@ impl Replacer {
         }
     }
 
-    /// Whether `frame` is currently registered and evictable.
-    pub fn is_evictable(&self, frame: usize) -> bool {
-        self.entries.get(&frame).is_some_and(|e| e.evictable)
-    }
-
     /// Pick and unregister a victim, or `None` if nothing is evictable.
     ///
     /// LRU-K: frames with fewer than K accesses have infinite backward-K
     /// distance and are preferred (oldest first access first); among
     /// fully-histogrammed frames the victim has the *oldest* Kth-most-
-    /// recent access. FIFO ignores accesses and evicts the oldest
-    /// install.
+    /// recent access.
     pub fn evict(&mut self) -> Option<usize> {
-        let victim = match self.policy {
-            EvictionPolicy::Fifo => self
-                .entries
-                .iter()
-                .filter(|(_, e)| e.evictable)
-                .min_by_key(|(frame, e)| (e.inserted, **frame))
-                .map(|(frame, _)| *frame),
-            EvictionPolicy::Lru | EvictionPolicy::LruK => self
-                .entries
-                .iter()
-                .filter(|(_, e)| e.evictable)
-                .min_by_key(|(frame, e)| {
-                    // Class 0 (< K accesses, infinite distance) sorts
-                    // before class 1; within a class the oldest relevant
-                    // tick wins. The frame index breaks exact ties
-                    // deterministically.
-                    let class = usize::from(e.history.len() >= self.k);
-                    let tick = e.history.front().copied().unwrap_or(0);
-                    (class, tick, **frame)
-                })
-                .map(|(frame, _)| *frame),
-        };
+        let victim = self
+            .entries
+            .iter()
+            .filter(|(_, e)| e.evictable)
+            .min_by_key(|(frame, e)| {
+                // Class 0 (< K accesses, infinite distance) sorts before
+                // class 1; within a class the oldest relevant tick wins.
+                // The frame index breaks exact ties deterministically.
+                let class = usize::from(e.history.len() >= self.k);
+                let tick = e.history.front().copied().unwrap_or(0);
+                (class, tick, **frame)
+            })
+            .map(|(frame, _)| *frame);
         if let Some(frame) = victim {
             self.entries.remove(&frame);
         }
         victim
-    }
-
-    /// Unregister `frame` without evicting (frame freed for other
-    /// reasons). No-op if unregistered.
-    pub fn remove(&mut self, frame: usize) {
-        self.entries.remove(&frame);
-    }
-
-    /// Number of registered frames currently evictable.
-    pub fn evictable_count(&self) -> usize {
-        self.entries.values().filter(|e| e.evictable).count()
     }
 }
 
@@ -289,7 +240,7 @@ impl BufferPool {
                 frames: (0..frames).map(|_| None).collect(),
                 free: (0..frames).rev().collect(),
                 table: HashMap::new(),
-                replacer: Replacer::new(cfg.policy, cfg.k),
+                replacer: Replacer::new(cfg.k),
                 catalog: HashMap::new(),
                 stats: PoolStats::default(),
                 next_segment: 0,
@@ -504,7 +455,7 @@ mod tests {
 
     #[test]
     fn lru_k_prefers_infinite_distance_then_oldest_kth_access() {
-        let mut r = Replacer::new(EvictionPolicy::LruK, 2);
+        let mut r = Replacer::new(2);
         for f in 0..3 {
             r.record_access(f); // ticks 1, 2, 3
             r.set_evictable(f, true);
@@ -524,8 +475,8 @@ mod tests {
     #[test]
     fn lru_k_is_scan_resistant_where_lru_is_not() {
         // Hot set {0, 1} touched twice; then a scan touches {2, 3} once.
-        let setup = |policy| {
-            let mut r = Replacer::new(policy, 2);
+        let setup = |k| {
+            let mut r = Replacer::new(k);
             for f in [0usize, 1] {
                 r.record_access(f);
                 r.record_access(f);
@@ -539,19 +490,19 @@ mod tests {
         };
         // LRU-K: scan frames have infinite backward-2 distance → they go
         // first and the hot set survives.
-        let mut lruk = setup(EvictionPolicy::LruK);
+        let mut lruk = setup(2);
         assert_eq!(lruk.evict(), Some(2));
         assert_eq!(lruk.evict(), Some(3));
-        // Plain LRU: the hot set is now the *least recent* → flushed by
-        // the scan.
-        let mut lru = setup(EvictionPolicy::Lru);
+        // Plain LRU (K = 1): the hot set is now the *least recent* →
+        // flushed by the scan.
+        let mut lru = setup(1);
         assert_eq!(lru.evict(), Some(0));
         assert_eq!(lru.evict(), Some(1));
     }
 
     #[test]
     fn pinned_frames_are_never_victims() {
-        let mut r = Replacer::new(EvictionPolicy::LruK, 2);
+        let mut r = Replacer::new(2);
         r.record_access(0);
         r.record_access(1);
         r.set_evictable(1, true);
@@ -560,18 +511,5 @@ mod tests {
         assert_eq!(r.evict(), None);
         r.set_evictable(0, true);
         assert_eq!(r.evict(), Some(0));
-    }
-
-    #[test]
-    fn fifo_evicts_by_install_order_regardless_of_reaccess() {
-        let mut r = Replacer::new(EvictionPolicy::Fifo, 2);
-        for f in 0..3 {
-            r.record_access(f);
-            r.set_evictable(f, true);
-        }
-        r.record_access(0); // re-access must not save frame 0 under FIFO
-        assert_eq!(r.evict(), Some(0));
-        assert_eq!(r.evict(), Some(1));
-        assert_eq!(r.evict(), Some(2));
     }
 }

@@ -41,9 +41,9 @@ pub mod shard;
 pub mod store;
 pub mod tagtable;
 
-pub use bufferpool::{BufferPool, BufferPoolConfig, EvictionPolicy, PoolStats, SegmentId};
+pub use bufferpool::{BufferPool, BufferPoolConfig, PoolStats, SegmentId};
 pub use column::{Column, ColumnStats};
 pub use disk_sched::DiskScheduler;
-pub use shard::{ShardPolicy, TierConfig};
+pub use shard::{ShardPolicy, Tier, TierConfig};
 pub use store::{ColdRef, RecoverStats, SpanQuery, SpanStore, SpillStats, StoreStats};
 pub use tagtable::{TagEncoding, TagTable, WireTagInterner};

@@ -438,13 +438,6 @@ pub fn scan_span_segments(dir: &Path, shard: u16) -> io::Result<SegmentScan> {
     Ok(scan)
 }
 
-/// Create a directory (and parents) if absent. Exists so crates under
-/// the fs-confinement lint (df-cluster's per-node tier directories) can
-/// set up spill paths without touching `std::fs` themselves.
-pub fn ensure_dir(path: &Path) -> io::Result<()> {
-    fs::create_dir_all(path)
-}
-
 /// Unique-per-test temp directory with drop cleanup, for crate-internal
 /// tests that touch the filesystem. Parallel test runs get distinct
 /// paths (process id + a per-process counter), and the directory is

@@ -1,7 +1,7 @@
 //! Sharding policy for a partitioned span corpus.
 //!
 //! The paper's deployment stores spans from many nodes in a ClickHouse
-//! cluster; this crate's [`SpanStore`](crate::SpanStore) is the single-node
+//! cluster; this crate's [`SpanStore`] is the single-node
 //! analogue. To scale the corpus past one store, the server partitions it
 //! into shards and [`ShardPolicy`] decides, per span, which shard owns it:
 //!
@@ -20,10 +20,13 @@
 //!   that the incremental trace cache uses for invalidation.
 //! * **Eviction threshold** — how many tombstoned rows a shard accumulates
 //!   before its association indexes are compacted
-//!   ([`SpanStore::evict_tombstoned`](crate::SpanStore::evict_tombstoned)).
+//!   ([`SpanStore::evict_tombstoned`]).
 
-use crate::bufferpool::BufferPoolConfig;
+use crate::bufferpool::{BufferPool, BufferPoolConfig};
+use crate::store::{RecoverStats, SpanStore, SpillStats};
+use df_check::sync::Arc;
 use df_types::{DurationNs, Span, TimeNs};
+use std::io;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 
@@ -150,6 +153,72 @@ impl TierConfig {
     pub fn with_hot_buckets(mut self, hot_buckets: u64) -> Self {
         self.hot_buckets = hot_buckets.max(1);
         self
+    }
+}
+
+/// The hot/cold tier of one corpus: the [`BufferPool`] every shard of the
+/// corpus pages through (one frame budget, one background disk scheduler)
+/// and the [`TierConfig`] it was built from. Every owner of shards — the
+/// sharded store, the concurrent store, a cluster node — holds at most
+/// one and spills and recovers its shards through it (either attaches
+/// the pool to the shard as its cold reader). No directory is made up
+/// front: the disk scheduler creates a segment's parents when it writes,
+/// and a recovery scan reads a missing directory as empty.
+#[derive(Debug)]
+pub struct Tier {
+    pool: Arc<BufferPool>,
+    cfg: TierConfig,
+}
+
+impl Tier {
+    /// A tier with a fresh pool sized by `cfg.pool`.
+    pub fn new(cfg: TierConfig) -> Self {
+        Tier {
+            pool: Arc::new(BufferPool::new(cfg.pool)),
+            cfg,
+        }
+    }
+
+    /// The error every spill or recovery entry point returns when its
+    /// owner has no tier.
+    pub fn not_enabled() -> io::Error {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "tiering not enabled on this store",
+        )
+    }
+
+    /// The shared buffer pool (for [`BufferPool::stats`]).
+    pub fn pool(&self) -> &Arc<BufferPool> {
+        &self.pool
+    }
+
+    /// [`SpanStore::spill_before`] into this tier's directory; `shard`
+    /// namespaces the segment file names.
+    pub fn spill(
+        &self,
+        store: &mut SpanStore,
+        policy: &ShardPolicy,
+        watermark: TimeNs,
+        shard: u16,
+    ) -> io::Result<SpillStats> {
+        store.spill_before(policy, watermark, &self.pool, &self.cfg.dir, shard)
+    }
+
+    /// [`SpanStore::recover_cold_segments`] from this tier's directory
+    /// into the empty `store`.
+    pub fn recover(&self, store: &mut SpanStore, shard: u16) -> io::Result<RecoverStats> {
+        store.recover_cold_segments(&self.pool, &self.cfg.dir, shard)
+    }
+
+    /// The automatic spill watermark: the start of the oldest of the
+    /// newest [`TierConfig::hot_buckets`] buckets. `None` while the corpus
+    /// spans fewer buckets than that horizon.
+    pub fn watermark(&self, policy: &ShardPolicy, newest_bucket: u64) -> Option<TimeNs> {
+        let first_hot = (newest_bucket + 1).checked_sub(self.cfg.hot_buckets.max(1))?;
+        Some(TimeNs(
+            first_hot.saturating_mul(policy.time_bucket.as_nanos()),
+        ))
     }
 }
 

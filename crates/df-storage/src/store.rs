@@ -206,8 +206,8 @@ pub struct SpanStore {
     /// Row slots: hot spans are boxed so a cold slot costs only the
     /// [`ColdRef`] stub, not a full `Span` footprint.
     rows: Vec<RowSlot>,
-    /// Pool that pages cold rows back in; set lazily by the first spill
-    /// (or by the sharded owner, which shares one pool across shards).
+    /// Pool that pages cold rows back in; set by the first spill or by
+    /// recovery (a sharded owner hands every shard the same pool).
     cold_reader: Option<Arc<BufferPool>>,
     /// How many rows are currently cold.
     cold_count: usize,
@@ -314,13 +314,6 @@ impl SpanStore {
     /// Number of rows spilled to the cold tier.
     pub fn cold_rows(&self) -> usize {
         self.cold_count
-    }
-
-    /// Attach the buffer pool that pages this store's cold rows. The
-    /// sharded owner shares one pool across shards so the frame budget is
-    /// global.
-    pub fn set_cold_reader(&mut self, pool: Arc<BufferPool>) {
-        self.cold_reader = Some(pool);
     }
 
     /// Merge a late response's attributes into an incomplete span —

@@ -23,7 +23,7 @@
 
 use df_check::model::{self, CheckConfig, FailureKind};
 use df_check::sync::{Arc, Mutex};
-use df_storage::bufferpool::{EvictionPolicy, Replacer};
+use df_storage::bufferpool::Replacer;
 
 fn budget() -> CheckConfig {
     CheckConfig::default().env_budget()
@@ -58,7 +58,7 @@ struct PoolState {
 /// where the pinner forgets to mark the frame non-evictable.
 fn pin_discipline_round(honest_pin: bool) {
     let state = Arc::new(Mutex::new(PoolState {
-        replacer: Replacer::new(EvictionPolicy::LruK, 2),
+        replacer: Replacer::new(2),
         pins: [0, 0],
     }));
     {

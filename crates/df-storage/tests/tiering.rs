@@ -5,7 +5,7 @@
 
 use df_check::sync::Arc;
 use df_storage::persist;
-use df_storage::{BufferPool, BufferPoolConfig, EvictionPolicy, ShardPolicy, SpanQuery, SpanStore};
+use df_storage::{BufferPool, BufferPoolConfig, ShardPolicy, SpanQuery, SpanStore};
 use df_types::ids::{AgentId, FlowId, NodeId, SpanId};
 use df_types::l7::L7Protocol;
 use df_types::net::FiveTuple;
@@ -302,12 +302,7 @@ fn repeated_spill_is_idempotent_and_new_buckets_spill_later() {
 #[test]
 fn all_pinned_pool_serves_reads_through_the_bypass_path() {
     let dir = test_dir("bypass");
-    let pool = BufferPool::new(BufferPoolConfig {
-        frames: 1,
-        k: 2,
-        policy: EvictionPolicy::LruK,
-        queue_depth: 8,
-    });
+    let pool = BufferPool::new(BufferPoolConfig::with_frames(1));
 
     // Two one-span segments behind a one-frame pool.
     let mut paths = Vec::new();

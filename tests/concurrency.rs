@@ -12,10 +12,10 @@ use deepflow::server::sharded::ShardedSpanStore;
 use deepflow::storage::{ShardPolicy, SpanQuery, SpanStore};
 use deepflow::types::span::{SpanStatus, TapSide};
 use deepflow::types::{FiveTuple, Span, SpanId, TimeNs, Trace};
-use df_check::sync::Barrier;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
+use std::sync::Barrier;
 
 /// A corpus of `flows` four-span capture ladders. Each flow links its
 /// spans by TCP sequence number, and the server-side pair sits on a
