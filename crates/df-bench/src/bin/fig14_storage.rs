@@ -9,9 +9,7 @@
 //! ratios, not absolutes, are the result.
 
 use df_bench::report;
-use df_storage::persist::write_segment;
 use df_storage::{TagEncoding, TagTable};
-use std::path::PathBuf;
 
 /// Production tag profile: a mix of low-cardinality locality tags
 /// (region/az/vpc/cluster), mid-cardinality workload tags, and
@@ -91,19 +89,11 @@ fn main() {
             }
         }
         let rep = table.report();
-        // Actually write the segment to disk and take the file size.
-        let path = PathBuf::from(format!(
-            "{}/df-fig14-{}.dfseg",
-            std::env::temp_dir().display(),
-            encoding.label()
-        ));
-        let disk = write_segment(&table, &path).unwrap_or(rep.disk_bytes as u64);
-        let _ = std::fs::remove_file(&path);
         measurements.push((
             encoding,
             rep.cpu_seconds,
             rep.memory_bytes as f64,
-            disk as f64,
+            rep.disk_bytes as f64,
         ));
     }
 

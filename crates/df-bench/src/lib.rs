@@ -17,7 +17,8 @@
 //! `table4_questionnaire`, `ablation_time_window`, `ablation_alg1_iters`.
 //!
 //! Criterion benches (`cargo bench -p df-bench`): `fig13_hook_overhead`,
-//! `fig14_encoding`, `fig15_query`, `alg1_assembly`.
+//! `fig14_encoding`, `fig15_query`, `alg1_assembly`, `alg1_parallel`,
+//! `cluster_assembly`, `storage_tiered`.
 
 #![forbid(unsafe_code)]
 

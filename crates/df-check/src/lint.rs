@@ -5,8 +5,9 @@
 //! Five rules, all motivated by keeping the model checker honest:
 //!
 //! 1. **No raw `std::sync` in the sync-scoped crates** (`df-server`,
-//!    `df-storage`). Code there must import the [`crate::sync`] shims, or
-//!    the model tests silently stop seeing its lock/channel operations.
+//!    `df-storage`, `df-cluster`). Code there must import the
+//!    [`crate::sync`] shims, or the model tests silently stop seeing its
+//!    lock/channel operations.
 //! 2. **No `.unwrap()` on lock results outside `#[cfg(test)]`** —
 //!    `.lock().unwrap()`, `.read().unwrap()`, `.write().unwrap()` turn a
 //!    poisoned lock (a panic on another thread) into a cascading panic in

@@ -1,27 +1,26 @@
-//! Wire-spec synchronisation check: the normative DFW1 document in
-//! `docs/WIRE_FORMAT.md` must agree with the constants the codec in
-//! `df_types::wire` actually uses.
+//! Format-spec synchronisation check: each normative format document
+//! under `docs/` must agree with the constants its codec actually uses.
 //!
-//! Three facts are cross-checked, extracted from each side by plain text
-//! parsing (no dependencies, same philosophy as [`crate::lint`]):
+//! Both checked formats have the same shape — a magic, a version byte and
+//! one ordered name table — so one [`Format`] descriptor says where each
+//! side declares the three facts, and one parser pair and one differ
+//! serve both (plain text parsing, no dependencies, same philosophy as
+//! [`crate::lint`]):
 //!
-//! * the 4-byte **magic** (`WIRE_MAGIC` ↔ the doc's `**Magic:**` line),
-//! * the **version** byte (`WIRE_VERSION` ↔ the doc's `**Version:**` line),
-//! * the per-span **field order** (`FIELD_ORDER` ↔ the doc's field table
-//!   between the `<!-- FIELD_ORDER:BEGIN -->` / `<!-- FIELD_ORDER:END -->`
-//!   markers, first backticked token per row).
+//! * [`DFW1`], the wire format: `WIRE_MAGIC` / `WIRE_VERSION` /
+//!   `FIELD_ORDER` in `df_types::wire` ↔ the `**Magic:**` / `**Version:**`
+//!   lines and the `<!-- FIELD_ORDER:BEGIN/END -->` table of
+//!   `docs/WIRE_FORMAT.md`;
+//! * [`DFSPANS1`], the cold tier's span segments: `SPAN_SEGMENT_MAGIC` /
+//!   `SPAN_SEGMENT_VERSION` / `SPAN_SEGMENT_SECTIONS` in
+//!   `df_storage::persist` ↔ the `**Segment magic:**` /
+//!   `**Segment version:**` lines and the
+//!   `<!-- SEGMENT_SECTIONS:BEGIN/END -->` table of
+//!   `docs/SEGMENT_FORMAT.md`.
 //!
 //! The `df-spec-sync` binary runs the comparison over a repo tree and
 //! exits nonzero on any mismatch; `ci.sh` gates on it, so editing either
 //! side without the other fails CI.
-//!
-//! The same machinery covers the **DFSPANS1 segment format** (the cold
-//! tier's on-disk span segments): `docs/SEGMENT_FORMAT.md` must agree
-//! with the constants `df_storage::persist` declares — the 8-byte
-//! segment magic, the version byte, the section order
-//! (`SPAN_SEGMENT_SECTIONS` ↔ the `<!-- SEGMENT_SECTIONS:BEGIN/END -->`
-//! table) and the association-index order (`SPAN_SEGMENT_ASSOC_INDEXES`
-//! ↔ the `<!-- SEGMENT_ASSOC_INDEXES:BEGIN/END -->` table).
 //!
 //! On top of the byte-level agreement, [`check_exhaustiveness`] (run by
 //! the `df-audit` binary) enforces *coverage*: every DFR1 RPC kind in
@@ -34,21 +33,66 @@
 //! `df_storage::persist` so any future `F_*` const there comes under
 //! the rule automatically.
 
-/// The DFW1 facts one side (code or doc) declares.
+/// The facts one side (code or doc) declares about a format.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireSpec {
-    /// The 4-character frame magic.
+pub struct FormatSpec {
+    /// The frame magic, as text.
     pub magic: String,
     /// The format version byte.
     pub version: u8,
-    /// Per-span record fields, in encoding order.
-    pub fields: Vec<String>,
+    /// The format's ordered name table, in encoding order (DFW1: the
+    /// per-span record fields; DFSPANS1: the body sections).
+    pub order: Vec<String>,
 }
 
-/// Doc-side markers delimiting the normative field table.
-pub const FIELD_ORDER_BEGIN: &str = "<!-- FIELD_ORDER:BEGIN -->";
-/// See [`FIELD_ORDER_BEGIN`].
-pub const FIELD_ORDER_END: &str = "<!-- FIELD_ORDER:END -->";
+/// Where one format declares its facts on each side, and how its
+/// mismatch lines read.
+#[derive(Debug, Clone, Copy)]
+pub struct Format {
+    /// Codec const holding the magic: `NAME: &[u8; N] = b"....";`.
+    pub magic_const: &'static str,
+    /// Codec const holding the version: `NAME: u8 = N;`.
+    pub version_const: &'static str,
+    /// Codec const holding the name table: `NAME: [&str; N] = [ ... ];`.
+    pub order_const: &'static str,
+    /// Bold doc label whose line carries the magic (first backticked
+    /// token).
+    pub magic_label: &'static str,
+    /// Bold doc label whose line carries the version.
+    pub version_label: &'static str,
+    /// `NAME` of the `<!-- NAME:BEGIN -->` / `<!-- NAME:END -->` markers
+    /// delimiting the doc's name table (first backticked token per row).
+    pub table: &'static str,
+    /// Prefix of the magic/version mismatch lines.
+    pub prefix: &'static str,
+    /// What one name-table entry is called in mismatch lines.
+    pub item: &'static str,
+}
+
+/// The DFW1 wire format: `df_types::wire` ↔ `docs/WIRE_FORMAT.md`.
+pub const DFW1: Format = Format {
+    magic_const: "WIRE_MAGIC",
+    version_const: "WIRE_VERSION",
+    order_const: "FIELD_ORDER",
+    magic_label: "**Magic:**",
+    version_label: "**Version:**",
+    table: "FIELD_ORDER",
+    prefix: "",
+    item: "field",
+};
+
+/// The DFSPANS1 segment format: `df_storage::persist` ↔
+/// `docs/SEGMENT_FORMAT.md`.
+pub const DFSPANS1: Format = Format {
+    magic_const: "SPAN_SEGMENT_MAGIC",
+    version_const: "SPAN_SEGMENT_VERSION",
+    order_const: "SPAN_SEGMENT_SECTIONS",
+    magic_label: "**Segment magic:**",
+    version_label: "**Segment version:**",
+    table: "SEGMENT_SECTIONS",
+    prefix: "segment ",
+    item: "section",
+};
 
 /// First `` `backticked` `` token in a line, if any.
 fn backticked(line: &str) -> Option<&str> {
@@ -57,330 +101,139 @@ fn backticked(line: &str) -> Option<&str> {
     Some(&line[start..start + len])
 }
 
-/// Extract the spec facts from `crates/df-types/src/wire.rs` source text.
-///
-/// Recognises the three normative declarations by name:
-/// `WIRE_MAGIC: &[u8; 4] = b"....";`, `WIRE_VERSION: u8 = N;`, and the
-/// string literals of `FIELD_ORDER: [&str; N] = [ ... ];`.
-pub fn parse_source(src: &str) -> Result<WireSpec, String> {
-    let mut magic = None;
-    let mut version = None;
-    let mut fields = Vec::new();
-    let mut in_field_order = false;
-    for line in src.lines() {
-        let t = line.trim();
-        if t.starts_with("//") {
-            continue;
-        }
-        if t.contains("const WIRE_MAGIC") && t.contains("b\"") {
-            let start = t.find("b\"").expect("checked") + 2;
-            let rest = &t[start..];
-            let end = rest
-                .find('"')
-                .ok_or("unterminated WIRE_MAGIC byte string")?;
-            magic = Some(rest[..end].to_string());
-        } else if t.contains("const WIRE_VERSION") && t.contains('=') {
-            let rhs = t.split('=').nth(1).ok_or("malformed WIRE_VERSION")?;
-            let num: String = rhs.chars().filter(char::is_ascii_digit).collect();
-            version = Some(
-                num.parse::<u8>()
-                    .map_err(|e| format!("WIRE_VERSION value: {e}"))?,
-            );
-        }
-        if t.contains("const FIELD_ORDER") && t.contains('[') {
-            in_field_order = true;
-        }
-        if in_field_order {
-            let mut rest = t;
-            while let Some(start) = rest.find('"') {
-                let tail = &rest[start + 1..];
-                let Some(end) = tail.find('"') else { break };
-                // Skip the `&str` in the type position; field names are
-                // lowercase identifiers.
-                let lit = &tail[..end];
-                if !lit.is_empty() {
-                    fields.push(lit.to_string());
+impl Format {
+    /// Extract the facts from the codec's source text, recognising the
+    /// three normative declarations by const name.
+    pub fn parse_source(&self, src: &str) -> Result<FormatSpec, String> {
+        let (magic_const, version_const) = (self.magic_const, self.version_const);
+        let magic_decl = format!("const {magic_const}");
+        let version_decl = format!("const {version_const}");
+        let order_decl = format!("const {}", self.order_const);
+        let mut magic = None;
+        let mut version = None;
+        let mut order = Vec::new();
+        let mut in_order = false;
+        for line in src.lines() {
+            let t = line.trim();
+            if t.starts_with("//") {
+                continue;
+            }
+            if let Some(start) = t.find("b\"").filter(|_| t.contains(&magic_decl)) {
+                let rest = &t[start + 2..];
+                let end = rest
+                    .find('"')
+                    .ok_or(format!("unterminated {magic_const} byte string"))?;
+                magic = Some(rest[..end].to_string());
+            } else if t.contains(&version_decl) && t.contains('=') {
+                let rhs = t
+                    .split('=')
+                    .nth(1)
+                    .ok_or(format!("malformed {version_const}"))?;
+                let num: String = rhs.chars().filter(char::is_ascii_digit).collect();
+                version = Some(
+                    num.parse::<u8>()
+                        .map_err(|e| format!("{version_const} value: {e}"))?,
+                );
+            }
+            if t.contains(&order_decl) && t.contains('[') {
+                in_order = true;
+            }
+            if in_order {
+                // Every string literal up to the closing `];` is a name
+                // (the `&str` in the type position has no quotes).
+                let mut rest = t;
+                while let Some(start) = rest.find('"') {
+                    let tail = &rest[start + 1..];
+                    let Some(end) = tail.find('"') else { break };
+                    if end > 0 {
+                        order.push(tail[..end].to_string());
+                    }
+                    rest = &tail[end + 1..];
                 }
-                rest = &tail[end + 1..];
-            }
-            if t.contains("];") {
-                in_field_order = false;
+                if t.contains("];") {
+                    in_order = false;
+                }
             }
         }
+        Ok(FormatSpec {
+            magic: magic.ok_or(format!("{magic_const} not found in source"))?,
+            version: version.ok_or(format!("{version_const} not found in source"))?,
+            order,
+        })
     }
-    Ok(WireSpec {
-        magic: magic.ok_or("WIRE_MAGIC not found in source")?,
-        version: version.ok_or("WIRE_VERSION not found in source")?,
-        fields,
-    })
-}
 
-/// Extract the spec facts from `docs/WIRE_FORMAT.md` text.
-///
-/// The magic and version come from the first lines containing
-/// `**Magic:**` / `**Version:**` (first backticked token); the field
-/// order from the table rows between [`FIELD_ORDER_BEGIN`] and
-/// [`FIELD_ORDER_END`] (first backticked token per `|`-row, header and
-/// separator rows skipped).
-pub fn parse_doc(doc: &str) -> Result<WireSpec, String> {
-    let mut magic = None;
-    let mut version = None;
-    let mut fields = Vec::new();
-    let mut in_table = false;
-    for line in doc.lines() {
-        let t = line.trim();
-        if magic.is_none() && t.contains("**Magic:**") {
-            magic = Some(
-                backticked(t)
-                    .ok_or("**Magic:** line has no backticked value")?
-                    .to_string(),
-            );
-        }
-        if version.is_none() && t.contains("**Version:**") {
-            let v = backticked(t).ok_or("**Version:** line has no backticked value")?;
-            version = Some(
-                v.parse::<u8>()
-                    .map_err(|e| format!("**Version:** value {v:?}: {e}"))?,
-            );
-        }
-        if t == FIELD_ORDER_BEGIN {
-            in_table = true;
-            continue;
-        }
-        if t == FIELD_ORDER_END {
-            in_table = false;
-            continue;
-        }
-        if in_table && t.starts_with('|') {
-            if let Some(name) = backticked(t) {
-                fields.push(name.to_string());
+    /// Extract the facts from the format document's text: the first
+    /// lines carrying the two bold labels, and the marked table's rows
+    /// (header and separator rows have no backticked token).
+    pub fn parse_doc(&self, doc: &str) -> Result<FormatSpec, String> {
+        let (magic_label, version_label) = (self.magic_label, self.version_label);
+        let begin = format!("<!-- {}:BEGIN -->", self.table);
+        let end = format!("<!-- {}:END -->", self.table);
+        let mut magic = None;
+        let mut version = None;
+        let mut order = Vec::new();
+        let mut in_table = false;
+        for line in doc.lines() {
+            let t = line.trim();
+            if magic.is_none() && t.contains(magic_label) {
+                let m =
+                    backticked(t).ok_or(format!("{magic_label} line has no backticked value"))?;
+                magic = Some(m.to_string());
+            }
+            if version.is_none() && t.contains(version_label) {
+                let v =
+                    backticked(t).ok_or(format!("{version_label} line has no backticked value"))?;
+                version = Some(
+                    v.parse::<u8>()
+                        .map_err(|e| format!("{version_label} value {v:?}: {e}"))?,
+                );
+            }
+            if t == begin || t == end {
+                in_table = t == begin;
+            } else if in_table && t.starts_with('|') {
+                order.extend(backticked(t).map(str::to_string));
             }
         }
+        Ok(FormatSpec {
+            magic: magic.ok_or(format!("{magic_label} line not found in doc"))?,
+            version: version.ok_or(format!("{version_label} line not found in doc"))?,
+            order,
+        })
     }
-    Ok(WireSpec {
-        magic: magic.ok_or("**Magic:** line not found in doc")?,
-        version: version.ok_or("**Version:** line not found in doc")?,
-        fields,
-    })
-}
 
-/// Compare the code-side and doc-side facts; one human-readable line per
-/// disagreement, empty when in sync.
-pub fn diff(code: &WireSpec, doc: &WireSpec) -> Vec<String> {
-    let mut out = Vec::new();
-    if code.magic != doc.magic {
-        out.push(format!(
-            "magic mismatch: code declares {:?}, doc declares {:?}",
-            code.magic, doc.magic
-        ));
-    }
-    if code.version != doc.version {
-        out.push(format!(
-            "version mismatch: code declares {}, doc declares {}",
-            code.version, doc.version
-        ));
-    }
-    if code.fields != doc.fields {
-        if code.fields.len() != doc.fields.len() {
+    /// Compare the code-side and doc-side facts; one human-readable line
+    /// per disagreement, empty when in sync.
+    pub fn diff(&self, code: &FormatSpec, doc: &FormatSpec) -> Vec<String> {
+        let (prefix, item) = (self.prefix, self.item);
+        let mut out = Vec::new();
+        if code.magic != doc.magic {
             out.push(format!(
-                "field count mismatch: code has {}, doc table has {}",
-                code.fields.len(),
-                doc.fields.len()
+                "{prefix}magic mismatch: code declares {:?}, doc declares {:?}",
+                code.magic, doc.magic
             ));
         }
-        for (i, (c, d)) in code.fields.iter().zip(&doc.fields).enumerate() {
+        if code.version != doc.version {
+            out.push(format!(
+                "{prefix}version mismatch: code declares {}, doc declares {}",
+                code.version, doc.version
+            ));
+        }
+        if code.order.len() != doc.order.len() {
+            out.push(format!(
+                "{item} count mismatch: code has {}, doc table has {}",
+                code.order.len(),
+                doc.order.len()
+            ));
+        }
+        for (i, (c, d)) in code.order.iter().zip(&doc.order).enumerate() {
             if c != d {
                 out.push(format!(
-                    "field {i} mismatch: code says {c:?}, doc table says {d:?}"
+                    "{item} {i} mismatch: code says {c:?}, doc table says {d:?}"
                 ));
             }
         }
+        out
     }
-    out
-}
-
-// ---------------------------------------------------------------------
-// DFSPANS1 segment format (the cold tier's on-disk span segments).
-// ---------------------------------------------------------------------
-
-/// The DFSPANS1 facts one side (code or doc) declares.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentSpec {
-    /// The 8-character segment magic.
-    pub magic: String,
-    /// The segment format version byte.
-    pub version: u8,
-    /// Segment body sections, in encoding order.
-    pub sections: Vec<String>,
-    /// Association-index images inside the `assoc_index` section, in
-    /// encoding order.
-    pub assoc_indexes: Vec<String>,
-}
-
-/// Doc-side markers delimiting the normative section table.
-pub const SEGMENT_SECTIONS_BEGIN: &str = "<!-- SEGMENT_SECTIONS:BEGIN -->";
-/// See [`SEGMENT_SECTIONS_BEGIN`].
-pub const SEGMENT_SECTIONS_END: &str = "<!-- SEGMENT_SECTIONS:END -->";
-/// Doc-side markers delimiting the normative association-index table.
-pub const SEGMENT_ASSOC_BEGIN: &str = "<!-- SEGMENT_ASSOC_INDEXES:BEGIN -->";
-/// See [`SEGMENT_ASSOC_BEGIN`].
-pub const SEGMENT_ASSOC_END: &str = "<!-- SEGMENT_ASSOC_INDEXES:END -->";
-
-/// Extract the segment facts from `crates/df-storage/src/persist.rs`
-/// source text: `SPAN_SEGMENT_MAGIC: &[u8; 8] = b"...";`,
-/// `SPAN_SEGMENT_VERSION: u8 = N;`, and the string literals of
-/// `SPAN_SEGMENT_SECTIONS` / `SPAN_SEGMENT_ASSOC_INDEXES`.
-pub fn parse_segment_source(src: &str) -> Result<SegmentSpec, String> {
-    let mut magic = None;
-    let mut version = None;
-    let mut sections = Vec::new();
-    let mut assoc = Vec::new();
-    // 0 = outside, 1 = in SECTIONS array, 2 = in ASSOC_INDEXES array.
-    let mut in_array = 0u8;
-    for line in src.lines() {
-        let t = line.trim();
-        if t.starts_with("//") {
-            continue;
-        }
-        if t.contains("const SPAN_SEGMENT_MAGIC") && t.contains("b\"") {
-            let start = t.find("b\"").expect("checked") + 2;
-            let rest = &t[start..];
-            let end = rest
-                .find('"')
-                .ok_or("unterminated SPAN_SEGMENT_MAGIC byte string")?;
-            magic = Some(rest[..end].to_string());
-        } else if t.contains("const SPAN_SEGMENT_VERSION") && t.contains('=') {
-            let rhs = t
-                .split('=')
-                .nth(1)
-                .ok_or("malformed SPAN_SEGMENT_VERSION")?;
-            let num: String = rhs.chars().filter(char::is_ascii_digit).collect();
-            version = Some(
-                num.parse::<u8>()
-                    .map_err(|e| format!("SPAN_SEGMENT_VERSION value: {e}"))?,
-            );
-        }
-        if t.contains("const SPAN_SEGMENT_SECTIONS") && t.contains('[') {
-            in_array = 1;
-        } else if t.contains("const SPAN_SEGMENT_ASSOC_INDEXES") && t.contains('[') {
-            in_array = 2;
-        }
-        if in_array != 0 {
-            let out = if in_array == 1 {
-                &mut sections
-            } else {
-                &mut assoc
-            };
-            let mut rest = t;
-            while let Some(start) = rest.find('"') {
-                let tail = &rest[start + 1..];
-                let Some(end) = tail.find('"') else { break };
-                let lit = &tail[..end];
-                if !lit.is_empty() {
-                    out.push(lit.to_string());
-                }
-                rest = &tail[end + 1..];
-            }
-            if t.contains("];") {
-                in_array = 0;
-            }
-        }
-    }
-    Ok(SegmentSpec {
-        magic: magic.ok_or("SPAN_SEGMENT_MAGIC not found in source")?,
-        version: version.ok_or("SPAN_SEGMENT_VERSION not found in source")?,
-        sections,
-        assoc_indexes: assoc,
-    })
-}
-
-/// Extract the segment facts from `docs/SEGMENT_FORMAT.md` text: the
-/// first `**Segment magic:**` / `**Segment version:**` lines (first
-/// backticked token) and the two marked tables.
-pub fn parse_segment_doc(doc: &str) -> Result<SegmentSpec, String> {
-    let mut magic = None;
-    let mut version = None;
-    let mut sections = Vec::new();
-    let mut assoc = Vec::new();
-    let mut in_table = 0u8;
-    for line in doc.lines() {
-        let t = line.trim();
-        if magic.is_none() && t.contains("**Segment magic:**") {
-            magic = Some(
-                backticked(t)
-                    .ok_or("**Segment magic:** line has no backticked value")?
-                    .to_string(),
-            );
-        }
-        if version.is_none() && t.contains("**Segment version:**") {
-            let v = backticked(t).ok_or("**Segment version:** line has no backticked value")?;
-            version = Some(
-                v.parse::<u8>()
-                    .map_err(|e| format!("**Segment version:** value {v:?}: {e}"))?,
-            );
-        }
-        match t {
-            _ if t == SEGMENT_SECTIONS_BEGIN => in_table = 1,
-            _ if t == SEGMENT_ASSOC_BEGIN => in_table = 2,
-            _ if t == SEGMENT_SECTIONS_END || t == SEGMENT_ASSOC_END => in_table = 0,
-            _ if in_table != 0 && t.starts_with('|') => {
-                if let Some(name) = backticked(t) {
-                    if in_table == 1 {
-                        sections.push(name.to_string());
-                    } else {
-                        assoc.push(name.to_string());
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(SegmentSpec {
-        magic: magic.ok_or("**Segment magic:** line not found in doc")?,
-        version: version.ok_or("**Segment version:** line not found in doc")?,
-        sections,
-        assoc_indexes: assoc,
-    })
-}
-
-/// Compare code-side and doc-side segment facts; one line per
-/// disagreement, empty when in sync.
-pub fn diff_segment(code: &SegmentSpec, doc: &SegmentSpec) -> Vec<String> {
-    let mut out = Vec::new();
-    if code.magic != doc.magic {
-        out.push(format!(
-            "segment magic mismatch: code declares {:?}, doc declares {:?}",
-            code.magic, doc.magic
-        ));
-    }
-    if code.version != doc.version {
-        out.push(format!(
-            "segment version mismatch: code declares {}, doc declares {}",
-            code.version, doc.version
-        ));
-    }
-    for (what, c, d) in [
-        ("section", &code.sections, &doc.sections),
-        ("assoc index", &code.assoc_indexes, &doc.assoc_indexes),
-    ] {
-        if c != d {
-            if c.len() != d.len() {
-                out.push(format!(
-                    "{what} count mismatch: code has {}, doc table has {}",
-                    c.len(),
-                    d.len()
-                ));
-            }
-            for (i, (cv, dv)) in c.iter().zip(d.iter()).enumerate() {
-                if cv != dv {
-                    out.push(format!(
-                        "{what} {i} mismatch: code says {cv:?}, doc table says {dv:?}"
-                    ));
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Run the whole check over a repo root: the DFW1 wire spec
@@ -393,14 +246,20 @@ pub fn check_tree(root: &std::path::Path) -> Result<Vec<String>, String> {
         let path = root.join(rel);
         std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))
     };
-    let mut out = diff(
-        &parse_source(&read("crates/df-types/src/wire.rs")?)?,
-        &parse_doc(&read("docs/WIRE_FORMAT.md")?)?,
-    );
-    out.extend(diff_segment(
-        &parse_segment_source(&read("crates/df-storage/src/persist.rs")?)?,
-        &parse_segment_doc(&read("docs/SEGMENT_FORMAT.md")?)?,
-    ));
+    let mut out = Vec::new();
+    for (format, src, doc) in [
+        (DFW1, "crates/df-types/src/wire.rs", "docs/WIRE_FORMAT.md"),
+        (
+            DFSPANS1,
+            "crates/df-storage/src/persist.rs",
+            "docs/SEGMENT_FORMAT.md",
+        ),
+    ] {
+        out.extend(format.diff(
+            &format.parse_source(&read(src)?)?,
+            &format.parse_doc(&read(doc)?)?,
+        ));
+    }
     Ok(out)
 }
 
@@ -923,7 +782,12 @@ pub fn check_exhaustiveness(root: &std::path::Path) -> Result<Vec<Violation>, St
 mod tests {
     use super::*;
 
-    const SRC_FIXTURE: &str = r#"
+    /// One format's descriptor with an agreeing source/doc fixture pair.
+    type Fixture = (Format, &'static str, &'static str);
+
+    const WIRE_FIXTURE: Fixture = (
+        DFW1,
+        r#"
 /// The frame magic.
 pub const WIRE_MAGIC: &[u8; 4] = b"DFW1";
 /// The format version.
@@ -933,9 +797,8 @@ pub const FIELD_ORDER: [&str; 3] = [
     "span_id", "flags",
     "kind_tap",
 ];
-"#;
-
-    const DOC_FIXTURE: &str = r#"
+"#,
+        r#"
 # DFW1
 
 **Magic:** `DFW1` (4 ASCII bytes)
@@ -949,169 +812,134 @@ pub const FIELD_ORDER: [&str; 3] = [
 | 1 | `flags` | varint u32 |
 | 2 | `kind_tap` | byte |
 <!-- FIELD_ORDER:END -->
-"#;
+"#,
+    );
 
-    #[test]
-    fn fixtures_parse_and_agree() {
-        let code = parse_source(SRC_FIXTURE).expect("source parses");
-        let doc = parse_doc(DOC_FIXTURE).expect("doc parses");
-        assert_eq!(code.magic, "DFW1");
-        assert_eq!(code.version, 1);
-        assert_eq!(code.fields, vec!["span_id", "flags", "kind_tap"]);
-        assert_eq!(code, doc);
-        assert!(diff(&code, &doc).is_empty());
-    }
-
-    #[test]
-    fn seeded_version_mismatch_fails() {
-        let code = parse_source(SRC_FIXTURE).unwrap();
-        let doc = parse_doc(&DOC_FIXTURE.replace("**Version:** `1`", "**Version:** `2`")).unwrap();
-        let d = diff(&code, &doc);
-        assert_eq!(d.len(), 1);
-        assert!(d[0].contains("version mismatch"), "{d:?}");
-    }
-
-    #[test]
-    fn seeded_magic_mismatch_fails() {
-        let code = parse_source(&SRC_FIXTURE.replace("b\"DFW1\"", "b\"DFW2\"")).unwrap();
-        let doc = parse_doc(DOC_FIXTURE).unwrap();
-        assert!(diff(&code, &doc)[0].contains("magic mismatch"));
-    }
-
-    #[test]
-    fn seeded_field_rename_and_reorder_fail() {
-        let code = parse_source(SRC_FIXTURE).unwrap();
-        // Rename.
-        let doc = parse_doc(&DOC_FIXTURE.replace("`flags`", "`flag_bits`")).unwrap();
-        assert!(diff(&code, &doc).iter().any(|m| m.contains("field 1")));
-        // Reorder (swap rows 0 and 1).
-        let doc = parse_doc(
-            &DOC_FIXTURE
-                .replace(
-                    "| 0 | `span_id` | varint u64 |",
-                    "| 0 | `flags` | varint u32 |",
-                )
-                .replace(
-                    "| 1 | `flags` | varint u32 |",
-                    "| 1 | `span_id` | varint u64 |",
-                ),
-        )
-        .unwrap();
-        let d = diff(&code, &doc);
-        assert!(d.iter().any(|m| m.contains("field 0")), "{d:?}");
-        // Dropped row.
-        let doc = parse_doc(&DOC_FIXTURE.replace("| 2 | `kind_tap` | byte |\n", "")).unwrap();
-        assert!(diff(&code, &doc)
-            .iter()
-            .any(|m| m.contains("field count mismatch")));
-    }
-
-    #[test]
-    fn missing_markers_or_lines_are_errors() {
-        assert!(parse_doc("# empty").is_err());
-        assert!(parse_source("// nothing here").is_err());
-        // A doc with magic/version but no marked table yields no fields —
-        // caught as a count mismatch rather than a parse error.
-        let doc = parse_doc("**Magic:** `DFW1`\n**Version:** `1`\n").unwrap();
-        assert!(doc.fields.is_empty());
-    }
-
-    const SEG_SRC_FIXTURE: &str = r#"
+    const SEGMENT_FIXTURE: Fixture = (
+        DFSPANS1,
+        r#"
 /// The segment magic.
 pub const SPAN_SEGMENT_MAGIC: &[u8; 8] = b"DFSPANS1";
 /// The segment version.
-pub const SPAN_SEGMENT_VERSION: u8 = 1;
+pub const SPAN_SEGMENT_VERSION: u8 = 2;
 /// Normative section order.
-pub const SPAN_SEGMENT_SECTIONS: [&str; 4] = ["spans", "rows", "time_index", "assoc_index"];
-/// Normative association-index order.
-pub const SPAN_SEGMENT_ASSOC_INDEXES: [&str; 5] = [
-    "systrace",
-    "pseudo_thread",
-    "x_request",
-    "tcp_seq",
-    "otel_trace",
-];
-"#;
-
-    const SEG_DOC_FIXTURE: &str = r#"
+pub const SPAN_SEGMENT_SECTIONS: [&str; 2] = ["spans", "rows"];
+"#,
+        r#"
 # DFSPANS1
 
 **Segment magic:** `DFSPANS1` (8 ASCII bytes)
 
-**Segment version:** `1`
+**Segment version:** `2`
 
 <!-- SEGMENT_SECTIONS:BEGIN -->
 | # | Section | Contents |
 |---|---------|----------|
 | 0 | `spans` | DFW1 batch |
 | 1 | `rows` | u32 row numbers |
-| 2 | `time_index` | (u64, u32) pairs |
-| 3 | `assoc_index` | five key tables |
 <!-- SEGMENT_SECTIONS:END -->
+"#,
+    );
 
-<!-- SEGMENT_ASSOC_INDEXES:BEGIN -->
-| # | Index |
-|---|-------|
-| 0 | `systrace` |
-| 1 | `pseudo_thread` |
-| 2 | `x_request` |
-| 3 | `tcp_seq` |
-| 4 | `otel_trace` |
-<!-- SEGMENT_ASSOC_INDEXES:END -->
-"#;
+    const FIXTURES: [Fixture; 2] = [WIRE_FIXTURE, SEGMENT_FIXTURE];
 
-    #[test]
-    fn segment_fixtures_parse_and_agree() {
-        let code = parse_segment_source(SEG_SRC_FIXTURE).expect("source parses");
-        let doc = parse_segment_doc(SEG_DOC_FIXTURE).expect("doc parses");
-        assert_eq!(code.magic, "DFSPANS1");
-        assert_eq!(code.version, 1);
-        assert_eq!(
-            code.sections,
-            ["spans", "rows", "time_index", "assoc_index"]
-        );
-        assert_eq!(code.assoc_indexes.len(), 5);
-        assert_eq!(code, doc);
-        assert!(diff_segment(&code, &doc).is_empty());
+    fn assert_line(d: &[String], i: usize, want: String) {
+        assert!(d[i].starts_with(&want), "line {i} of {d:?} is not {want:?}");
     }
 
     #[test]
-    fn seeded_segment_mismatches_fail() {
-        let code = parse_segment_source(SEG_SRC_FIXTURE).unwrap();
-        // Magic drift.
-        let doc = parse_segment_doc(&SEG_DOC_FIXTURE.replace("`DFSPANS1`", "`DFSPANS2`")).unwrap();
-        assert!(diff_segment(&code, &doc)[0].contains("segment magic mismatch"));
-        // Version drift.
-        let doc = parse_segment_doc(
-            &SEG_DOC_FIXTURE.replace("**Segment version:** `1`", "**Segment version:** `2`"),
-        )
-        .unwrap();
-        assert!(diff_segment(&code, &doc)[0].contains("segment version mismatch"));
-        // Section reorder.
-        let doc = parse_segment_doc(
-            &SEG_DOC_FIXTURE
-                .replace(
-                    "| 1 | `rows` | u32 row numbers |",
-                    "| 1 | `time_index` | x |",
-                )
-                .replace(
-                    "| 2 | `time_index` | (u64, u32) pairs |",
-                    "| 2 | `rows` | x |",
-                ),
-        )
-        .unwrap();
-        assert!(diff_segment(&code, &doc)
-            .iter()
-            .any(|m| m.contains("section 1 mismatch")));
-        // Dropped assoc-index row.
-        let doc =
-            parse_segment_doc(&SEG_DOC_FIXTURE.replace("| 4 | `otel_trace` |\n", "")).unwrap();
-        assert!(diff_segment(&code, &doc)
-            .iter()
-            .any(|m| m.contains("assoc index count mismatch")));
-        // Missing normative lines are parse errors.
-        assert!(parse_segment_doc("# empty").is_err());
-        assert!(parse_segment_source("// nothing").is_err());
+    fn fixtures_parse_and_agree() {
+        for (format, src, doc) in FIXTURES {
+            let code = format.parse_source(src).expect("source parses");
+            let doc = format.parse_doc(doc).expect("doc parses");
+            assert_eq!(code, doc);
+            assert!(format.diff(&code, &doc).is_empty());
+        }
+        let (format, src, _) = WIRE_FIXTURE;
+        let code = format.parse_source(src).unwrap();
+        assert_eq!((code.magic.as_str(), code.version), ("DFW1", 1));
+        assert_eq!(code.order, ["span_id", "flags", "kind_tap"]);
+        let (format, src, _) = SEGMENT_FIXTURE;
+        let code = format.parse_source(src).unwrap();
+        assert_eq!((code.magic.as_str(), code.version), ("DFSPANS1", 2));
+        assert_eq!(code.order, ["spans", "rows"]);
+    }
+
+    #[test]
+    fn seeded_magic_and_version_mismatches_fail() {
+        for (format, src, doc) in FIXTURES {
+            let code = format.parse_source(src).unwrap();
+            let (magic, version) = (&code.magic, code.version);
+            let prefix = format.prefix;
+
+            let drifted = doc.replace(
+                &format!("{} `{version}`", format.version_label),
+                &format!("{} `9`", format.version_label),
+            );
+            let d = format.diff(&code, &format.parse_doc(&drifted).unwrap());
+            assert_eq!(d.len(), 1, "{d:?}");
+            assert_line(&d, 0, format!("{prefix}version mismatch"));
+
+            // Magic drift, once seeded on each side.
+            let drifted = doc.replace(&format!("`{magic}`"), "`DRIFTED`");
+            let d = format.diff(&code, &format.parse_doc(&drifted).unwrap());
+            assert_line(&d, 0, format!("{prefix}magic mismatch"));
+            let drifted = src.replace(&format!("b\"{magic}\""), "b\"DRIFTED\"");
+            let d = format.diff(
+                &format.parse_source(&drifted).unwrap(),
+                &format.parse_doc(doc).unwrap(),
+            );
+            assert_line(&d, 0, format!("{prefix}magic mismatch"));
+        }
+    }
+
+    #[test]
+    fn seeded_rename_reorder_and_dropped_row_fail() {
+        for (format, src, doc) in FIXTURES {
+            let code = format.parse_source(src).unwrap();
+            let item = format.item;
+            let tick = |name: &str| format!("`{name}`");
+            let (first, second) = (tick(&code.order[0]), tick(&code.order[1]));
+            let diff_of = |doc: &str| format.diff(&code, &format.parse_doc(doc).unwrap());
+
+            let d = diff_of(&doc.replace(&second, "`renamed`"));
+            assert_eq!(d.len(), 1, "{d:?}");
+            assert_line(&d, 0, format!("{item} 1 mismatch"));
+
+            // Reorder: swap the names of rows 0 and 1.
+            let swapped = doc
+                .replace(&first, "`\0`")
+                .replace(&second, &first)
+                .replace("`\0`", &second);
+            let d = diff_of(&swapped);
+            assert_line(&d, 0, format!("{item} 0 mismatch"));
+            assert_line(&d, 1, format!("{item} 1 mismatch"));
+
+            // Dropped last row.
+            let last = tick(code.order.last().unwrap());
+            let dropped: Vec<&str> = doc.lines().filter(|l| !l.contains(&last)).collect();
+            let d = diff_of(&dropped.join("\n"));
+            assert_eq!(d.len(), 1, "{d:?}");
+            assert_line(&d, 0, format!("{item} count mismatch"));
+        }
+    }
+
+    #[test]
+    fn missing_markers_or_lines_are_errors() {
+        for (format, src, doc) in FIXTURES {
+            assert!(format.parse_doc("# empty").is_err());
+            assert!(format.parse_source("// nothing here").is_err());
+            // A doc with magic/version but no marked table yields no
+            // names — caught as a count mismatch rather than a parse error.
+            let unmarked: Vec<&str> = doc.lines().filter(|l| !l.contains("<!--")).collect();
+            let parsed = format.parse_doc(&unmarked.join("\n")).unwrap();
+            assert!(parsed.order.is_empty());
+            let d = format.diff(&format.parse_source(src).unwrap(), &parsed);
+            assert!(d[0].contains("count mismatch"), "{d:?}");
+        }
+        // The other format's labels do not satisfy a parser.
+        assert!(DFSPANS1.parse_doc(WIRE_FIXTURE.2).is_err());
+        assert!(DFSPANS1.parse_source(WIRE_FIXTURE.1).is_err());
     }
 
     const RPC_SRC_FIXTURE: &str = r#"

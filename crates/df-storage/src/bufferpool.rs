@@ -26,9 +26,13 @@
 //!   the read *outside* the pool lock via the background
 //!   [`DiskScheduler`]; concurrent fetchers of the same segment wait on a
 //!   condvar instead of issuing duplicate IO.
+//! - **One loader**: every segment file — a page-in, an all-pinned
+//!   bypass read, a crash-recovery adoption — is read and decoded by
+//!   `BufferPool::load`; a frame keeps the decoded spans, recovery also
+//!   takes the row numbers.
 
 use crate::disk_sched::DiskScheduler;
-use crate::persist;
+use crate::persist::{self, SpanSegment};
 use df_check::sync::{Arc, Condvar, Mutex};
 use df_types::span::Span;
 use std::collections::{HashMap, VecDeque};
@@ -271,6 +275,15 @@ impl BufferPool {
         &self.sched
     }
 
+    /// The one segment loader: read the file at `path` on the disk
+    /// scheduler's thread and decode it. Page-in, the all-pinned bypass
+    /// and crash recovery all come through here, so a file is a valid
+    /// segment exactly when this returns `Ok`.
+    pub(crate) fn load(&self, path: PathBuf) -> io::Result<SpanSegment> {
+        let bytes = self.sched.read(path).wait()?;
+        persist::decode_span_segment(&bytes)
+    }
+
     /// Fetch `seg`, paging it in if necessary. The returned [`PageRef`]
     /// pins the frame until dropped.
     pub fn fetch(&self, seg: SegmentId) -> Result<PageRef<'_>, PoolError> {
@@ -324,12 +337,8 @@ impl BufferPool {
         inner.stats.misses += 1;
         drop(inner);
 
-        // Page-in outside the pool lock, via the background scheduler.
-        let loaded = self
-            .sched
-            .read(path)
-            .wait()
-            .and_then(|bytes| persist::decode_span_segment(&bytes));
+        // Page-in outside the pool lock.
+        let loaded = self.load(path);
 
         let mut inner = self.inner.lock().expect("buffer pool lock poisoned");
         match loaded {
@@ -384,14 +393,8 @@ impl BufferPool {
                         .cloned()
                         .unwrap_or_else(|| panic!("unknown segment id {seg}"))
                 };
-                let bytes = self
-                    .sched
-                    .read(path)
-                    .wait()
-                    .unwrap_or_else(|e| panic!("cold segment {seg} unreadable: {e}"));
-                let segment = persist::decode_span_segment(&bytes)
-                    .unwrap_or_else(|e| panic!("cold segment {seg} corrupt: {e}"));
-                segment
+                self.load(path)
+                    .unwrap_or_else(|e| panic!("cold segment {seg} unreadable: {e}"))
                     .spans
                     .get(offset as usize)
                     .unwrap_or_else(|| panic!("segment {seg} has no row at offset {offset}"))

@@ -4,8 +4,8 @@
 //! The tiered store (see [`crate::bufferpool`]) must never do file IO on
 //! an ingest worker or an assembling reader directly — those threads hold
 //! shard locks, and a slow disk would stall every producer behind the
-//! lock. Instead, all segment IO is expressed as a [`DiskOp`] queued to
-//! the scheduler thread; the requester gets a [`Completion`] it can
+//! lock. Instead, every segment read or write is queued to the
+//! scheduler thread; the requester gets a [`Completion`] it can
 //! wait on (spill waits before flipping rows cold — the page-out ordering
 //! invariant the df-check model test pins down — and a page-in waits
 //! because it cannot proceed without the bytes). Queueing decouples
@@ -30,20 +30,12 @@ use std::thread;
 
 /// One queued IO operation.
 #[derive(Debug)]
-pub enum DiskOp {
+enum DiskOp {
     /// Read the whole file at `path`.
-    Read {
-        /// File to read.
-        path: PathBuf,
-    },
+    Read { path: PathBuf },
     /// Create/overwrite the file at `path` with `bytes` (parent
     /// directories are created as needed).
-    Write {
-        /// File to write.
-        path: PathBuf,
-        /// Contents to write.
-        bytes: Vec<u8>,
-    },
+    Write { path: PathBuf, bytes: Vec<u8> },
 }
 
 /// A request on the scheduler's queue: the operation plus the completion
@@ -154,22 +146,18 @@ impl DiskScheduler {
         self.schedule(DiskOp::Write { path, bytes })
     }
 
-    /// Queue an arbitrary [`DiskOp`].
-    pub fn schedule(&self, op: DiskOp) -> Completion {
+    fn schedule(&self, op: DiskOp) -> Completion {
         // Rendezvous completion: the worker's send blocks until the
         // requester waits (or parks the result if the requester is late).
         let (done, rx) = sync_channel::<io::Result<Vec<u8>>>(1);
-        let req = DiskRequest { op, done };
-        let alive = self
+        // The send cannot fail while `self` owns the worker; if it ever
+        // did, the request drops with `done` and the completion resolves
+        // to the shut-down error.
+        let _ = self
             .tx
             .as_ref()
             .expect("scheduler queue present until drop")
-            .send(req);
-        if alive.is_err() {
-            // Unreachable while `self` owns the worker, but keep the
-            // contract total: the completion resolves to an error.
-            // (The request carried `done`; dropping it disconnects `rx`.)
-        }
+            .send(DiskRequest { op, done });
         Completion { rx }
     }
 
@@ -194,9 +182,8 @@ impl Drop for DiskScheduler {
 }
 
 /// The IO thread: service requests until every sender is gone. This is
-/// the only function in the tiered-storage stack that touches the
-/// filesystem at runtime (persist.rs holds the other, offline, IO entry
-/// points).
+/// the only function in the tiered-storage stack that reads or writes a
+/// file (persist.rs only lists a shard's segment files for recovery).
 fn service_loop(rx: Receiver<DiskRequest>, counters: Arc<SchedCounters>) {
     while let Ok(req) = rx.recv() {
         let result = match req.op {

@@ -24,10 +24,12 @@
 //! `evict_tombstoned`) an embedded shard needs.
 //!
 //! Memory is bounded by **tiering**: cold time buckets spill to disk as
-//! DFW1-encoded span segments ([`persist`]) and page back on demand
-//! through a fixed-budget buffer pool with LRU-K eviction
-//! ([`bufferpool`]), whose file IO runs on a background disk-scheduler
-//! thread ([`disk_sched`]) so ingest workers never block on disk.
+//! span segments — a DFW1 batch plus the spans' row numbers, nothing
+//! else ([`persist`]) — and page back on demand through a fixed-budget
+//! buffer pool with LRU-K eviction ([`bufferpool`]), whose one segment
+//! loader also serves crash recovery and whose file IO runs on a
+//! background disk-scheduler thread ([`disk_sched`]) so ingest workers
+//! never block on disk.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,4 +48,4 @@ pub use column::{Column, ColumnStats};
 pub use disk_sched::DiskScheduler;
 pub use shard::{ShardPolicy, Tier, TierConfig};
 pub use store::{ColdRef, RecoverStats, SpanQuery, SpanStore, SpillStats, StoreStats};
-pub use tagtable::{TagEncoding, TagTable, WireTagInterner};
+pub use tagtable::{TagEncoding, TagTable};

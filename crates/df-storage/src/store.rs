@@ -170,8 +170,8 @@ impl SpillStats {
 pub struct RecoverStats {
     /// Segment files re-registered.
     pub segments: usize,
-    /// Candidate files rejected (bad header, torn body) — counted, never
-    /// panicked over.
+    /// Candidate files that did not decode (bad header, torn body) —
+    /// counted, never panicked over.
     pub rejected_segments: usize,
     /// Rows rebuilt as cold slots (the contiguous prefix from row 0).
     pub rows: usize,
@@ -690,18 +690,15 @@ impl SpanStore {
         let mut pending = Vec::with_capacity(buckets.len());
         let mut stats = SpillStats::default();
         for (bucket, rows) in buckets {
-            let spans: Vec<Span> = rows
-                .iter()
-                .map(|&row| match &self.rows[row as usize] {
-                    RowSlot::Hot(s) => (**s).clone(),
-                    RowSlot::Cold(_) => unreachable!("grouped rows are hot"),
-                })
-                .collect();
+            let spans = rows.iter().map(|&row| match &self.rows[row as usize] {
+                RowSlot::Hot(s) => &**s,
+                RowSlot::Cold(_) => unreachable!("grouped rows are hot"),
+            });
             let segment = pool.alloc_segment();
             let path = dir.join(format!(
                 "shard{shard:04}-b{bucket:012}-seg{segment:08}.dfspan"
             ));
-            let bytes = persist::encode_span_segment(&spans, &rows);
+            let bytes = persist::encode_span_segment(spans, &rows);
             stats.bytes += bytes.len() as u64;
             let completion = pool.scheduler().write(path.clone(), bytes);
             pending.push((segment, path, rows, completion));
@@ -748,19 +745,19 @@ impl SpanStore {
     /// Crash recovery: rebuild this (empty) store from the DFSPANS1
     /// segments a previous incarnation spilled for `shard` under `dir`.
     ///
-    /// The segment catalog scan validates every candidate file's header;
-    /// corrupt or torn files are counted in
+    /// Every candidate file the catalog scan names is read and decoded
+    /// through the pool's one loader; a file that does not decode (torn,
+    /// truncated, padded, foreign version, garbage) is counted in
     /// [`RecoverStats::rejected_segments`] and skipped — recovery never
-    /// panics on bad input. Each valid segment is read through the pool's
-    /// disk scheduler, re-registered under a fresh [`SegmentId`], and its
-    /// rows rebuilt as cold slots at their original row numbers. Only the
-    /// contiguous prefix from row 0 is adopted (rows beyond a gap —
-    /// possible if a middle bucket's segment was lost — are counted as
-    /// orphans and left for anti-entropy to re-pull, keeping the
-    /// row-contiguity contract the reorder buffer relies on). Association
-    /// and time indexes are rebuilt from the decoded spans with the same
-    /// logic as hot ingest, so probe results are identical to a store
-    /// that never crashed.
+    /// panics on bad input. Each valid segment is re-registered under a
+    /// fresh [`SegmentId`], and its rows rebuilt as cold slots at their
+    /// original row numbers. Only the contiguous prefix from row 0 is
+    /// adopted (rows beyond a gap — possible if a middle bucket's
+    /// segment was lost — are counted as orphans and left for
+    /// anti-entropy to re-pull, keeping the row-contiguity contract the
+    /// reorder buffer relies on). Association and time indexes are
+    /// rebuilt from the decoded spans with the same logic as hot ingest,
+    /// so probe results are identical to a store that never crashed.
     pub fn recover_cold_segments(
         &mut self,
         pool: &Arc<BufferPool>,
@@ -771,31 +768,17 @@ impl SpanStore {
             self.is_empty(),
             "recovery rebuilds a fresh store; refusing to splice into live rows"
         );
-        let scan = persist::scan_span_segments(dir, shard)?;
-        let mut stats = RecoverStats {
-            rejected_segments: scan.rejected,
-            ..RecoverStats::default()
-        };
+        let mut stats = RecoverStats::default();
         // Original row → (segment, offset, span). BTreeMap so the
         // contiguous-prefix walk below is ordered.
         let mut recovered: BTreeMap<u32, (SegmentId, u32, Span)> = BTreeMap::new();
-        for found in scan.segments {
-            let bytes = match pool.scheduler().read(found.path.clone()).wait() {
-                Ok(bytes) => bytes,
-                Err(_) => {
-                    stats.rejected_segments += 1;
-                    continue;
-                }
-            };
-            let seg = match persist::decode_span_segment(&bytes) {
-                Ok(seg) => seg,
-                Err(_) => {
-                    stats.rejected_segments += 1;
-                    continue;
-                }
+        for path in persist::scan_span_segments(dir, shard)? {
+            let Ok(seg) = pool.load(path.clone()) else {
+                stats.rejected_segments += 1;
+                continue;
             };
             let segment = pool.alloc_segment();
-            pool.register(segment, found.path);
+            pool.register(segment, path);
             stats.segments += 1;
             for (offset, (row, span)) in seg.rows.iter().copied().zip(seg.spans).enumerate() {
                 recovered

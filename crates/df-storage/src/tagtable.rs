@@ -1,13 +1,7 @@
 //! The Fig. 14 comparison substrate: one table of tag columns, ingested
 //! under one of the three encodings, with CPU / memory / disk accounting.
-//!
-//! Also hosts [`WireTagInterner`], the bridge between DFW1 wire batches
-//! (whose string tags arrive interned against a *batch-local* dictionary)
-//! and the global SmartInt id space that [`TagEncoding::SmartInt`] tables
-//! ingest.
 
 use crate::column::Column;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// How tag columns are stored.
@@ -160,56 +154,6 @@ impl TagTable {
     }
 }
 
-/// Bridges batch-local DFW1 tag dictionaries to global SmartInt ids.
-///
-/// A DFW1 batch carries its own tag dictionary: every string tag in the
-/// batch is an index into that dictionary (interned once at encode time,
-/// on the agent). The storage tier keeps one *global* string→id map; on
-/// each arriving batch, [`WireTagInterner::map_batch`] translates the
-/// batch-local index space to global ids in one pass over the (small)
-/// dictionary, after which every tag of every span in the batch is a
-/// plain `u32` ready for [`TagTable::ingest_int_rows`] — the string→int
-/// conversion stays off the per-row ingest path (§3.4).
-#[derive(Debug, Default)]
-pub struct WireTagInterner {
-    ids: HashMap<String, u32>,
-}
-
-impl WireTagInterner {
-    /// An empty interner: no strings interned, next id is 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Distinct strings interned so far.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True when no strings have been interned.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Intern one string, returning its stable global id.
-    pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.ids.get(s) {
-            return id;
-        }
-        let id = u32::try_from(self.ids.len()).expect("more than u32::MAX distinct tags");
-        self.ids.insert(s.to_string(), id);
-        id
-    }
-
-    /// Translate a batch-local dictionary (as borrowed from
-    /// `WireBatch::dict`) into global ids: `result[i]` is the global id
-    /// of batch-local id `i`. One interner lookup per *distinct* string
-    /// in the batch, not per span.
-    pub fn map_batch(&mut self, dict: &[&str]) -> Vec<u32> {
-        dict.iter().map(|s| self.intern(s)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,66 +281,6 @@ mod tests {
         let mut t = TagTable::new(TagEncoding::Plain, 3);
         let row = vec!["a".to_string()];
         t.ingest_string_rows([row.as_slice()]);
-    }
-
-    #[test]
-    fn interner_ids_are_stable_across_batches() {
-        let mut interner = WireTagInterner::new();
-        assert!(interner.is_empty());
-        // Batch 1 dictionary: three distinct strings.
-        let m1 = interner.map_batch(&["env", "prod", "team"]);
-        assert_eq!(m1, vec![0, 1, 2]);
-        // Batch 2 reuses two of them at *different* local indices and adds
-        // one new string: known strings keep their global ids.
-        let m2 = interner.map_batch(&["team", "staging", "env"]);
-        assert_eq!(m2, vec![2, 3, 0]);
-        assert_eq!(interner.len(), 4);
-    }
-
-    /// End-to-end wire → SmartInt path: encode spans with custom tags,
-    /// decode the DFW1 batch, remap the batch-local dictionary to global
-    /// ids, and feed the rows into a smart-encoded table. The cells read
-    /// back as the global ids of the original strings.
-    #[test]
-    fn wire_dict_feeds_smart_int_ingest() {
-        use df_types::wire;
-        let mut spans = Vec::new();
-        for i in 0..4u64 {
-            let mut s =
-                df_types::Span::synthetic(df_types::TapSide::ServerProcess, i * 10, i * 10 + 5);
-            s.tags = std::mem::take(&mut s.tags)
-                .with_label("env", if i % 2 == 0 { "prod" } else { "dev" });
-            spans.push(s);
-        }
-        let bytes = wire::encode_batch(&spans);
-        let batch = wire::WireBatch::parse(&bytes).expect("valid batch");
-
-        let mut interner = WireTagInterner::new();
-        // Seed the interner so global ids visibly differ from local ones.
-        interner.intern("already-known");
-        let global = interner.map_batch(batch.dict());
-
-        // One ("env" → value) pair per span: remap each span's value id.
-        let decoded = batch.decode_all().expect("decode");
-        let rows: Vec<Vec<u32>> = decoded
-            .iter()
-            .map(|s| vec![interner.intern(s.tags.label("env").expect("env label"))])
-            .collect();
-        // Remapping via the decoded strings must agree with remapping via
-        // the dictionary (same interner, same ids).
-        for (row, s) in rows.iter().zip(&decoded) {
-            let local = batch
-                .dict()
-                .iter()
-                .position(|d| *d == s.tags.label("env").expect("env label"))
-                .expect("value in dict");
-            assert_eq!(row[0], global[local]);
-        }
-
-        let mut table = TagTable::new(TagEncoding::SmartInt, 1);
-        table.ingest_int_rows(rows.iter().map(|r| r.as_slice()));
-        assert_eq!(table.rows(), 4);
-        assert_eq!(table.cell(0, 0), Some(format!("{}", rows[0][0])));
     }
 
     #[test]

@@ -43,8 +43,8 @@ impl Drop for TestDir {
     }
 }
 
-/// A span with deterministic association keys so the hash indexes (and
-/// their segment images) carry real entries.
+/// A span with deterministic association keys so the hash indexes carry
+/// real entries.
 fn span(i: u64) -> Span {
     Span {
         span_id: SpanId(0),
@@ -164,7 +164,18 @@ fn spill_flips_old_buckets_and_preserves_every_read_path() {
         .expect("spill succeeds");
     assert_eq!(stats.segments, 2, "one segment per cold bucket");
     assert_eq!(stats.spans, 200);
-    assert!(stats.bytes > 0);
+    // The size law: a segment is its header, the bucket's DFW1 batch and
+    // the row numbers, each section behind a u64 length — nothing else.
+    let law: usize = [0..100u64, 100..200]
+        .into_iter()
+        .map(|bucket| {
+            let spans: Vec<Span> = bucket
+                .map(|i| hot.get(SpanId(i + 1)).expect("oracle has id").into_owned())
+                .collect();
+            18 + (8 + df_types::wire::encode_batch(&spans).len()) + (8 + 4 + 4 * spans.len())
+        })
+        .sum();
+    assert_eq!(stats.bytes, law as u64);
     assert_eq!(tiered.cold_rows(), 200);
     assert_eq!(tiered.hot_rows(), 200);
     assert_eq!(hot.len(), tiered.len());
@@ -351,14 +362,26 @@ fn crash_recovery_reregisters_segments_and_rebuilds_reads() {
     drop(first);
     drop(pool); // crash: all in-memory state gone
 
-    // Plant a corrupt file matching the shard's naming scheme: recovery
-    // must count it, not die on it.
+    // Plant a corrupt file and two foreign-version segments (the retired
+    // v1 and a future v3, otherwise well-formed) matching the shard's
+    // naming scheme: recovery must count them, not die on them.
     std::fs::write(
         dir.path()
             .join("shard0007-b000000000099-seg00009999.dfspan"),
         b"torn spill",
     )
     .expect("write corrupt file");
+    for version in [1u8, 3] {
+        let mut foreign = persist::encode_span_segment(&[span(300)], &[300]);
+        foreign[8] = version;
+        std::fs::write(
+            dir.path().join(format!(
+                "shard0007-b000000000003-seg0000999{version}.dfspan"
+            )),
+            foreign,
+        )
+        .expect("write foreign-version file");
+    }
 
     // Second incarnation: fresh pool, fresh store, recover from disk.
     let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_frames(8)));
@@ -367,7 +390,7 @@ fn crash_recovery_reregisters_segments_and_rebuilds_reads() {
         .recover_cold_segments(&pool, dir.path(), 7)
         .expect("recovery succeeds");
     assert_eq!(recovered.segments, 3, "every DFSPANS1 file re-registered");
-    assert_eq!(recovered.rejected_segments, 1, "corrupt file counted");
+    assert_eq!(recovered.rejected_segments, 3, "corrupt + foreign counted");
     assert_eq!(recovered.rows, 300);
     assert_eq!(recovered.orphan_rows, 0);
     assert_eq!(revived.len(), 300);
@@ -394,6 +417,59 @@ fn crash_recovery_reregisters_segments_and_rebuilds_reads() {
         );
     }
     assert!(pool.stats().misses >= 3, "reads went through the new pool");
+}
+
+#[test]
+fn recovery_adopts_valid_files_and_counts_corrupt_ones() {
+    let dir = test_dir("recovery-scan");
+    let spans: Vec<Span> = (0..3).map(span).collect();
+    let bytes = persist::encode_span_segment(&spans, &[0, 1, 2]);
+    let write = |name: &str, bytes: &[u8]| {
+        std::fs::write(dir.path().join(name), bytes).expect("write file");
+    };
+    // Two valid segments for shard 2, written out of order to check the
+    // scan sorts by path (= spill order).
+    write("shard0002-b000000000005-seg00000001.dfspan", &bytes);
+    write("shard0002-b000000000001-seg00000000.dfspan", &bytes);
+    // A different shard's segment: ignored.
+    write("shard0003-b000000000001-seg00000002.dfspan", &bytes);
+    // Garbage and a truncated-but-magic-valid file matching shard 2's
+    // pattern: counted, not fatal.
+    write("shard0002-b000000000009-seg00000009.dfspan", b"garbage");
+    write(
+        "shard0002-b000000000010-seg00000010.dfspan",
+        &bytes[..bytes.len() - 1],
+    );
+    // Unrelated noise: skipped silently.
+    write("notes.txt", b"hi");
+
+    let candidates = persist::scan_span_segments(dir.path(), 2).expect("scan");
+    let names: Vec<&str> = candidates
+        .iter()
+        .map(|p| p.file_name().unwrap().to_str().unwrap())
+        .collect();
+    assert_eq!(names.len(), 4, "shard 2's files only: {names:?}");
+    assert!(names[0].contains("seg00000000") && names[1].contains("seg00000001"));
+
+    let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_frames(2)));
+    let mut revived = SpanStore::new();
+    let recovered = revived
+        .recover_cold_segments(&pool, dir.path(), 2)
+        .expect("recovery succeeds");
+    assert_eq!(recovered.segments, 2);
+    assert_eq!(recovered.rejected_segments, 2);
+    assert_eq!((recovered.rows, recovered.orphan_rows), (3, 0));
+    assert_eq!(
+        revived.get(SpanId(3)).expect("row serves").flow_id,
+        FlowId(2)
+    );
+
+    // A directory that never existed has nothing to recover, not an error.
+    let mut empty = SpanStore::new();
+    let none = empty
+        .recover_cold_segments(&pool, &dir.path().join("nope"), 2)
+        .expect("missing directory is an empty scan");
+    assert_eq!(none, df_storage::RecoverStats::default());
 }
 
 #[test]
