@@ -36,19 +36,14 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> df-lint (sync-discipline lint over the shipped tree)"
-cargo run -q -p df-check --bin df-lint -- .
-
-# The DFW1 wire spec (docs/WIRE_FORMAT.md) must match the codec constants
-# in df_types::wire (magic, version, field order) — see df_check::spec.
-echo "==> df-spec-sync (wire spec matches df_types::wire)"
-cargo run -q -p df-check --bin df-spec-sync -- .
-
-# Structure-aware static analysis (docs/LINTS.md): decoder
-# panic-totality over wire.rs/rpc.rs/persist.rs, the static lock-order
-# graph (AB/BA cycles fail; the model suite cross-checks it against
-# runtime-observed edges), and RPC-kind / presence-bit exhaustiveness.
-echo "==> df-audit (panic-totality, lock-order, spec exhaustiveness)"
+# The static passes, one binary over one read of the tree (docs/LINTS.md):
+# the sync-discipline rules, decoder panic-totality over
+# wire.rs/rpc.rs/persist.rs, the static lock-order graph (AB/BA cycles
+# fail; the model suite cross-checks it against runtime-observed edges),
+# and spec <-> codec agreement — docs/WIRE_FORMAT.md and
+# docs/SEGMENT_FORMAT.md must match the codec constants (magic, version,
+# field order) and cover every RPC kind and presence bit.
+echo "==> df-audit (sync discipline, panic-totality, lock-order, spec sync)"
 cargo run -q -p df-check --bin df-audit -- .
 
 echo "==> cargo test"

@@ -1,6 +1,8 @@
-//! `df-audit`: structure-aware static analysis passes over the workspace.
+//! The structure-aware static passes, and [`audit_tree`], which runs
+//! every static pass — these, [`crate::lint`] and [`crate::spec`] — over
+//! one parsed tree for the `df-audit` binary.
 //!
-//! Three passes, all built on the [`crate::syntax`] token/item layer:
+//! All of them read the tree through [`crate::syntax`]:
 //!
 //! 1. **Panic-totality** (`decode-panic`, `decode-index`,
 //!    `decode-arith`): the designated total-decode modules
@@ -27,11 +29,6 @@
 //!    [`check_runtime_edges`]); an unpredicted edge means the static
 //!    analysis has a blind spot and fails CI.
 //!
-//! 3. **Spec exhaustiveness** (`spec-exhaustive`): every DFR1 RPC kind
-//!    and every DFW1 presence bit must have an encode site, a decode
-//!    arm, and a row in the normative spec tables — implemented in
-//!    [`crate::spec`], invoked from [`audit_tree`].
-//!
 //! The analyses are deliberately heuristic (no rustc internals, no type
 //! information): names are resolved within one crate, method names that
 //! collide with std collection methods are never treated as calls, and
@@ -39,8 +36,8 @@
 //! keeps those approximations honest — a real nesting the static pass
 //! misses shows up as a runtime edge with no static counterpart.
 
-use crate::lint::Violation;
-use crate::syntax::{self, is_keyword, FnItem, Token, TokenKind};
+use crate::lint::{is_model_test_file, SYNC_SCOPED_CRATES};
+use crate::syntax::{self, close_of, is_keyword, seq, FnItem, Source, Token, TokenKind, Violation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -243,14 +240,6 @@ const CALL_DENYLIST: &[&str] = &[
     "zip",
 ];
 
-fn line_of(src: &str, offset: usize) -> usize {
-    src.as_bytes()[..offset]
-        .iter()
-        .filter(|&&c| c == b'\n')
-        .count()
-        + 1
-}
-
 // ---------------------------------------------------------------------
 // Allow directives
 // ---------------------------------------------------------------------
@@ -263,24 +252,20 @@ struct Allow {
     justified: bool,
 }
 
-/// Parse every allow directive in the *original* (unscrubbed) source.
+/// Parse every allow directive. Directives live in comments, which the
+/// lexer drops, so this is the one scan over the raw text, line by line.
 /// Malformed directives and empty justifications are violations in their
 /// own right — an unexplained escape is worse than none.
-fn parse_allows(file: &Path, source: &str) -> (Vec<Allow>, Vec<Violation>) {
+fn parse_allows(src: &Source<'_>) -> (Vec<Allow>, Vec<Violation>) {
     let mut allows = Vec::new();
     let mut violations = Vec::new();
-    for (idx, raw) in source.lines().enumerate() {
+    for (idx, raw) in src.text.lines().enumerate() {
         let line = idx + 1;
         let Some(at) = raw.find("df-audit:") else {
             continue;
         };
         let rest = raw[at + "df-audit:".len()..].trim_start();
-        let bad = |message: String| Violation {
-            file: file.to_path_buf(),
-            line,
-            rule: "audit-allow",
-            message,
-        };
+        let bad = |message: String| src.violation(line, "audit-allow", message);
         let Some(args) = rest.strip_prefix("allow(") else {
             violations.push(bad(
                 "malformed df-audit directive; expected `df-audit: allow(<rule>) — \
@@ -329,34 +314,20 @@ fn allowed(allows: &[Allow], rule: &str, line: usize) -> bool {
 // Pass 1: panic-totality
 // ---------------------------------------------------------------------
 
-/// Audit one designated total-decode file. `#[cfg(test)]` regions and
-/// `#[test]` items are exempt; justified allow directives suppress
+/// Audit one designated total-decode file. Test code
+/// ([`Source::is_test`]) is exempt; justified allow directives suppress
 /// individual findings.
-pub fn audit_decode_source(file: &Path, source: &str) -> Vec<Violation> {
-    let (allows, mut out) = parse_allows(file, source);
-    let scrubbed = syntax::scrub_source(source);
-    let toks = syntax::lex(&scrubbed);
-    let items = syntax::scan_items(&toks, &scrubbed);
-    let tests = syntax::test_regions(&scrubbed);
-
-    let exempt = |off: usize| -> bool {
-        tests.iter().any(|&(a, z)| off >= a && off <= z)
-            || syntax::innermost_fn(&items, off).is_some_and(|f| f.in_test)
-    };
-    let mut push = |rule: &'static str, off: usize, message: String| {
-        let line = line_of(&scrubbed, off);
+pub fn audit_decode(src: &Source<'_>) -> Vec<Violation> {
+    let (allows, mut out) = parse_allows(src);
+    let toks = &src.tokens;
+    let mut push = |rule: &'static str, line: usize, message: String| {
         if !allowed(&allows, rule, line) {
-            out.push(Violation {
-                file: file.to_path_buf(),
-                line,
-                rule,
-                message,
-            });
+            out.push(src.violation(line, rule, message));
         }
     };
 
     for (i, t) in toks.iter().enumerate() {
-        if exempt(t.off) {
+        if src.is_test(i) {
             continue;
         }
         let prev = i.checked_sub(1).map(|p| toks[p]);
@@ -368,7 +339,7 @@ pub fn audit_decode_source(file: &Path, source: &str) -> Vec<Violation> {
                 if is_method && is_call && matches!(t.text, "unwrap" | "expect") {
                     push(
                         "decode-panic",
-                        t.off,
+                        t.line,
                         format!(
                             ".{}() in a total-decode module can panic on malformed input; \
                              return the decode error instead",
@@ -379,7 +350,7 @@ pub fn audit_decode_source(file: &Path, source: &str) -> Vec<Violation> {
                 if PANIC_MACROS.contains(&t.text) && next.is_some_and(|n| n.text == "!") {
                     push(
                         "decode-panic",
-                        t.off,
+                        t.line,
                         format!(
                             "{}! in a total-decode module; decoders must be total — return \
                              an error for every input",
@@ -400,7 +371,7 @@ pub fn audit_decode_source(file: &Path, source: &str) -> Vec<Violation> {
                     if postfix {
                         push(
                             "decode-index",
-                            t.off,
+                            t.line,
                             "direct slice/array indexing can panic on malformed input; use \
                              .get(..) / .split_first() / fixed-size reads"
                                 .to_string(),
@@ -410,13 +381,13 @@ pub fn audit_decode_source(file: &Path, source: &str) -> Vec<Violation> {
                 if matches!(t.text, "+" | "-" | "*") {
                     let binary = prev.is_some_and(|p| match p.kind {
                         TokenKind::Ident => !is_keyword(p.text),
-                        TokenKind::Number => true,
-                        TokenKind::Punct => p.text == ")" || p.text == "]",
+                        TokenKind::Number | TokenKind::Char => true,
+                        _ => p.text == ")" || p.text == "]",
                     });
-                    if binary && (len_operand_left(&toks, i) || len_operand_right(&toks, i)) {
+                    if binary && (len_operand_left(toks, i) || len_operand_right(toks, i)) {
                         push(
                             "decode-arith",
-                            t.off,
+                            t.line,
                             format!(
                                 "unchecked `{}` on a length-typed expression can overflow on \
                                  malformed input; use checked_*/saturating_* arithmetic",
@@ -432,7 +403,7 @@ pub fn audit_decode_source(file: &Path, source: &str) -> Vec<Violation> {
                     if lhs_len {
                         push(
                             "decode-arith",
-                            t.off,
+                            t.line,
                             format!(
                                 "unchecked `{}` on a length-typed variable can overflow on \
                                  malformed input; use checked_*/saturating_* arithmetic",
@@ -442,7 +413,7 @@ pub fn audit_decode_source(file: &Path, source: &str) -> Vec<Violation> {
                     }
                 }
             }
-            TokenKind::Number => {}
+            _ => {}
         }
     }
     out
@@ -571,19 +542,15 @@ struct GuardRec {
     binding: Option<String>,
 }
 
-/// Extract a lock summary from one `fn` body.
-fn summarize_fn(
-    item: &FnItem,
-    toks: &[Token<'_>],
-    scrubbed: &str,
-    krate: &str,
-    file: &str,
-) -> FnSummary {
+/// Extract a lock summary from one `fn` body; lock names are qualified
+/// with `krate`.
+fn summarize_fn(item: &FnItem<'_>, src: &Source<'_>, krate: &str) -> FnSummary {
+    let toks = &src.tokens;
     let qualify = |name: &str| format!("{krate}::{name}");
     let mut sum = FnSummary {
-        name: item.name.clone(),
+        name: item.name.to_string(),
         krate: krate.to_string(),
-        file: file.to_string(),
+        file: src.rel.to_string(),
         direct_edges: Vec::new(),
         direct_acquires: BTreeSet::new(),
         calls: Vec::new(),
@@ -592,9 +559,8 @@ fn summarize_fn(
     let mut depth = 0usize;
     let mut let_stack: Vec<usize> = Vec::new();
     let mut pending_binding: Option<String> = None;
-    let (start, end) = item.body_tokens;
-    let mut i = start;
-    while i < end.min(toks.len()) {
+    let mut i = item.body.start;
+    while i < item.body.end {
         let t = toks[i];
         match t.text {
             "{" => depth += 1,
@@ -659,10 +625,10 @@ fn summarize_fn(
                 .filter(|p| p.kind == TokenKind::Ident && !is_keyword(p.text));
             if let Some(recv) = recv {
                 let name = qualify(recv.text);
-                let line = line_of(scrubbed, t.off);
                 for g in &guards {
                     if g.name != name {
-                        sum.direct_edges.push((g.name.clone(), name.clone(), line));
+                        sum.direct_edges
+                            .push((g.name.clone(), name.clone(), t.line));
                     }
                 }
                 sum.direct_acquires.insert(name.clone());
@@ -707,8 +673,7 @@ fn summarize_fn(
             && !CALL_DENYLIST.contains(&t.text)
         {
             let held: BTreeSet<String> = guards.iter().map(|g| g.name.clone()).collect();
-            sum.calls
-                .push((t.text.to_string(), held, line_of(scrubbed, t.off)));
+            sum.calls.push((t.text.to_string(), held, t.line));
         }
         i += 1;
     }
@@ -729,50 +694,24 @@ fn chain_keeps_guard(toks: &[Token<'_>], mut i: usize) -> bool {
             return false;
         }
         // Skip the adapter's argument list.
-        let Some(open) = toks.get(i + 2).filter(|t| t.text == "(") else {
+        if !seq(toks, i + 2, &["("]) {
             return false;
-        };
-        let _ = open;
-        let mut depth = 0isize;
-        let mut j = i + 2;
-        while j < toks.len() {
-            match toks[j].text {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
         }
-        i = j + 1;
+        i = close_of(toks, i + 2) + 1;
     }
     true
 }
 
 /// Find lock creation sites (`name: Mutex::new(..)`, `let name =
 /// Arc::new(RwLock::new(..))`) in one file's token stream.
-fn creation_sites(
-    toks: &[Token<'_>],
-    scrubbed: &str,
-    krate: &str,
-    file: &str,
-    out: &mut Vec<CreationSite>,
-) {
+fn creation_sites(src: &Source<'_>, krate: &str, out: &mut Vec<CreationSite>) {
+    let toks = &src.tokens;
     for i in 0..toks.len() {
         let t = toks[i];
         if t.kind != TokenKind::Ident || !matches!(t.text, "Mutex" | "RwLock") {
             continue;
         }
-        if !(toks.get(i + 1).is_some_and(|n| n.text == "::")
-            && toks
-                .get(i + 2)
-                .is_some_and(|n| matches!(n.text, "new" | "default"))
-            && toks.get(i + 3).is_some_and(|n| n.text == "("))
-        {
+        if !(seq(toks, i + 1, &["::", "new", "("]) || seq(toks, i + 1, &["::", "default", "("])) {
             continue;
         }
         // Walk back over path/constructor noise to the binding: the
@@ -798,107 +737,44 @@ fn creation_sites(
         };
         if let Some(name) = name {
             out.push(CreationSite {
-                file: file.to_string(),
-                line: line_of(scrubbed, t.off),
+                file: src.rel.to_string(),
+                line: t.line,
                 name: format!("{krate}::{name}"),
             });
         }
     }
 }
 
-/// Crates whose sources feed the static lock-order graph: exactly the
-/// shim-visible universe ([`crate::lint::SYNC_SCOPED_CRATES`]), plus
-/// every crate's `*df_check_models*` test files — the only places model
-/// executions (and therefore runtime lock edges) come from.
-fn lock_scan_files(root: &Path) -> Result<Vec<(PathBuf, String)>, String> {
-    let crates_dir = root.join("crates");
-    let entries = std::fs::read_dir(&crates_dir)
-        .map_err(|e| format!("read_dir {}: {e}", crates_dir.display()))?;
-    let mut crate_dirs: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    let mut files = Vec::new();
-    for crate_dir in crate_dirs {
-        let krate = crate_dir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("")
-            .to_string();
-        if crate::lint::SYNC_SCOPED_CRATES.contains(&krate.as_str()) {
-            let src = crate_dir.join("src");
-            if src.is_dir() {
-                let mut src_files = Vec::new();
-                rust_files(&src, &mut src_files)?;
-                files.extend(src_files.into_iter().map(|f| (f, krate.clone())));
-            }
-        }
-        let tests = crate_dir.join("tests");
-        if tests.is_dir() {
-            let mut test_files = Vec::new();
-            rust_files(&tests, &mut test_files)?;
-            for f in test_files {
-                let is_model = f
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.contains("df_check_models"));
-                if is_model {
-                    files.push((f, krate.clone()));
-                }
-            }
-        }
-    }
-    Ok(files)
-}
-
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
-        let path = entry.path();
-        if path.is_dir() {
-            rust_files(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    out.sort();
-    Ok(())
-}
-
-fn rel_path(root: &Path, file: &Path) -> String {
-    file.strip_prefix(root)
-        .unwrap_or(file)
-        .to_string_lossy()
-        .replace('\\', "/")
-}
-
-/// Build the static lock-order graph for the tree under `root`.
-///
-/// Summaries are extracted per function (production code only in `src`
-/// files; model-test files contribute all their functions, since model
-/// scenarios are exactly what the runtime records), the intra-crate
-/// call graph propagates acquire-sets to a fixpoint, and every AB/BA
-/// cycle among the resulting edges becomes a `lock-order` violation.
+/// Build the static lock-order graph for the tree under `root` (reads
+/// the tree; [`lock_graph`] is the same analysis over a parsed one).
 pub fn analyze_locks(root: &Path) -> Result<LockAnalysis, String> {
+    let files = syntax::walk(root)?;
+    Ok(lock_graph(&syntax::parse_tree(&files)))
+}
+
+/// Build the static lock-order graph of a parsed tree.
+///
+/// The files that feed it are exactly the shim-visible universe — the
+/// sources of [`SYNC_SCOPED_CRATES`] — plus every crate's
+/// `*df_check_models*` test files, the only places model executions (and
+/// therefore runtime lock edges) come from. Summaries are extracted per
+/// function (production code only in `src` files; model-test files
+/// contribute all their functions, since model scenarios are exactly
+/// what the runtime records), the intra-crate call graph propagates
+/// acquire-sets to a fixpoint, and every AB/BA cycle among the resulting
+/// edges becomes a `lock-order` violation.
+pub fn lock_graph(tree: &[Source<'_>]) -> LockAnalysis {
     let mut summaries: Vec<FnSummary> = Vec::new();
     let mut analysis = LockAnalysis::default();
-    for (file, krate) in lock_scan_files(root)? {
-        let source =
-            std::fs::read_to_string(&file).map_err(|e| format!("read {}: {e}", file.display()))?;
-        let rel = rel_path(root, &file);
-        let scrubbed = syntax::scrub_source(&source);
-        let toks = syntax::lex(&scrubbed);
-        let items = syntax::scan_items(&toks, &scrubbed);
-        creation_sites(&toks, &scrubbed, &krate, &rel, &mut analysis.creations);
-        let is_test_file = rel.contains("/tests/");
-        for item in &items {
-            if !is_test_file && item.in_test {
-                continue;
-            }
-            summaries.push(summarize_fn(item, &toks, &scrubbed, &krate, &rel));
+    for src in tree {
+        let (krate, dir) = src.scope();
+        let model_suite = is_model_test_file(src);
+        if !(model_suite || dir == "src" && SYNC_SCOPED_CRATES.contains(&krate)) {
+            continue;
+        }
+        creation_sites(src, krate, &mut analysis.creations);
+        for item in src.fns.iter().filter(|f| model_suite || !f.in_test) {
+            summaries.push(summarize_fn(item, src, krate));
         }
     }
 
@@ -944,8 +820,7 @@ pub fn analyze_locks(root: &Path) -> Result<LockAnalysis, String> {
     }
 
     // Edges: direct nestings plus held-across-call × callee acquires.
-    for (idx, s) in summaries.iter().enumerate() {
-        let _ = idx;
+    for s in &summaries {
         for (held, acquired, line) in &s.direct_edges {
             analysis
                 .edges
@@ -984,7 +859,7 @@ pub fn analyze_locks(root: &Path) -> Result<LockAnalysis, String> {
     }
 
     analysis.violations = find_cycles(&analysis.edges);
-    Ok(analysis)
+    analysis
 }
 
 /// Every AB/BA (or longer) cycle in the edge set, one violation per
@@ -1118,19 +993,19 @@ pub fn check_runtime_edges(analysis: &LockAnalysis, runtime: &[(String, String)]
 // Tree entry point
 // ---------------------------------------------------------------------
 
-/// Run every df-audit pass over the tree at `root`: panic-totality on
-/// the designated decode modules, the static lock-order cycle check,
-/// and spec exhaustiveness. Returns all violations, sorted by file/line.
+/// Run every static pass over the tree at `root`, read and lexed once:
+/// the sync-discipline rules, panic-totality on the designated decode
+/// modules, the static lock-order cycle check, and spec ↔ codec
+/// agreement. Returns all violations, sorted by file/line.
 pub fn audit_tree(root: &Path) -> Result<Vec<Violation>, String> {
-    let mut out = Vec::new();
+    let files = syntax::walk(root)?;
+    let tree = syntax::parse_tree(&files);
+    let mut out = crate::lint::lint_tree(&tree);
     for rel in DECODE_TOTAL_FILES {
-        let path = root.join(rel);
-        let source =
-            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        out.extend(audit_decode_source(Path::new(rel), &source));
+        out.extend(audit_decode(syntax::find(&tree, rel)?));
     }
-    out.extend(analyze_locks(root)?.violations);
-    out.extend(crate::spec::check_exhaustiveness(root)?);
+    out.extend(lock_graph(&tree).violations);
+    out.extend(crate::spec::check_tree(root, &tree)?);
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(out)
 }
@@ -1140,7 +1015,7 @@ mod tests {
     use super::*;
 
     fn decode_violations(src: &str) -> Vec<Violation> {
-        audit_decode_source(Path::new("x.rs"), src)
+        audit_decode(&Source::parse("x.rs", src))
     }
 
     #[test]
@@ -1241,13 +1116,8 @@ mod tests {
     }
 
     fn summaries_for(src: &str) -> Vec<FnSummary> {
-        let scrubbed = syntax::scrub_source(src);
-        let toks = syntax::lex(&scrubbed);
-        let items = syntax::scan_items(&toks, &scrubbed);
-        items
-            .iter()
-            .map(|i| summarize_fn(i, &toks, &scrubbed, "c", "f.rs"))
-            .collect()
+        let src = Source::parse("f.rs", src);
+        src.fns.iter().map(|i| summarize_fn(i, &src, "c")).collect()
     }
 
     #[test]
@@ -1342,10 +1212,8 @@ mod tests {
                      let store = Arc::new(RwLock::new(Vec::new()));\n\
                      let s = S { gens: Mutex::new(0), cache: Mutex::new(1) };\n\
                    }";
-        let scrubbed = syntax::scrub_source(src);
-        let toks = syntax::lex(&scrubbed);
         let mut out = Vec::new();
-        creation_sites(&toks, &scrubbed, "c", "f.rs", &mut out);
+        creation_sites(&Source::parse("f.rs", src), "c", &mut out);
         let names: Vec<_> = out.iter().map(|c| (c.name.as_str(), c.line)).collect();
         assert_eq!(
             names,

@@ -1,12 +1,11 @@
 #![forbid(unsafe_code)]
-//! # df-check — concurrency correctness tooling for the DeepFlow tree
+//! # df-check — correctness tooling for the DeepFlow tree
 //!
-//! PR 3 took the shard boundary across threads; its core invariant (bucket
-//! generations bumped inside the shard write lock, the assembler holding
-//! all shard read locks through the cache store) was proven by one
-//! hand-rolled interleaving test. Every new lock or channel interaction
-//! multiplies the interleaving space faster than hand-written tests can
-//! cover it, so this crate provides systematic tooling in four layers:
+//! Every lock or channel interaction multiplies the interleaving space
+//! faster than hand-written tests can cover it, and every decoder parses
+//! bytes nobody vetted. This crate is the tooling that checks both, in
+//! four layers — two the product compiles against, two that read its
+//! source:
 //!
 //! 1. **[`sync`] — instrumented shims.** Drop-in stand-ins for
 //!    `std::sync::{Mutex, RwLock, Condvar, Arc}`,
@@ -33,34 +32,39 @@
 //!    with [`sync::Racy`]) and a **lock-order graph** whose cycles flag
 //!    potential deadlocks even on schedules that happen to pass.
 //!
-//! 3. **[`lint`] — the `df-lint` sync-discipline pass.** A token-level
-//!    source scan (no rustc internals) that bans raw `std::sync` imports
-//!    in the sync-scoped crates (they must use these shims so the model
-//!    tests stay honest), bans `.lock().unwrap()`-style lock unwraps
-//!    outside test code, checks `#![forbid(unsafe_code)]` in every
-//!    first-party crate root, confines `std::fs` to the tiering layer,
-//!    and bans OS threads (`thread::spawn`/`thread::scope`) inside
-//!    model-test files where they would escape the checked scheduler.
-//!    Shipped as the `df-lint` binary and wired into `ci.sh`.
+//! 3. **[`syntax`] — the one reader of the source tree.** A directory
+//!    walk that reads each first-party `*.rs` file once, a lexer whose
+//!    tokens carry their line (comments dropped, string literals kept as
+//!    tokens), and a brace-matched item scan that finds `fn` bodies and is
+//!    the only judge of what is test code. No rustc internals; every
+//!    static pass is a function over its tokens and reports through its
+//!    one `Violation` type.
 //!
-//! 4. **[`audit`] — the `df-audit` static analysis passes**, built on
-//!    the [`syntax`] lexer/item layer: panic-totality of the designated
+//! 4. **The static passes — [`lint`], [`audit`], [`spec`]**, run together
+//!    by the `df-audit` binary (one `ci.sh` stage; rule catalogue in
+//!    `docs/LINTS.md`). [`lint`] is sync discipline: no raw `std::sync`
+//!    in the sync-scoped crates (they must use the shims so the model
+//!    tests stay honest), no `.lock().unwrap()`-style lock unwraps outside
+//!    test code, `#![forbid(unsafe_code)]` in every first-party crate
+//!    root, `std::fs` confined to the tiering layer, no OS threads in
+//!    model-test files. [`audit`] is panic-totality of the designated
 //!    total-decode modules (no `unwrap`/`panic!`, no slice indexing, no
 //!    unchecked length arithmetic — with a justification-required
-//!    `// df-audit: allow(...)` escape), a static lock-order graph
+//!    `// df-audit: allow(...)` escape) and a static lock-order graph
 //!    derived from shim call sites and call-graph propagation (AB/BA
-//!    cycles fail CI), and spec exhaustiveness via [`spec`] (every RPC
-//!    kind and presence bit: encode site + decode arm + doc-table row).
-//!    The lock graph is cross-checked against the edges the checked
+//!    cycles fail CI), cross-checked against the edges the checked
 //!    scheduler actually observes ([`model::runtime_lock_edges`] /
-//!    [`audit::check_runtime_edges`]), so the heuristic static pass
-//!    cannot silently under-approximate. Rule catalogue:
-//!    `docs/LINTS.md`.
+//!    [`audit::check_runtime_edges`]) so the heuristic static pass cannot
+//!    silently under-approximate. [`spec`] holds each normative format
+//!    document to its codec: magic, version and name table agree, and
+//!    every RPC kind and presence bit has an encode site, a decode arm
+//!    and a doc-table row.
 //!
-//! The model tests that exercise the PR 3 invariants live next to the code
-//! they check, in `df-server/tests/df_check_models.rs`; this crate's own
-//! tests exercise the checker itself (deadlock detection, race detection,
-//! preemption bounds, replay determinism). See
+//! The model tests live next to the code they check
+//! (`df-server/tests/df_check_models.rs` and its df-storage / df-cluster
+//! siblings); this crate's own tests exercise the checker itself
+//! (deadlock detection, race detection, preemption bounds, replay
+//! determinism) and each static rule against seeded fixture trees. See
 //! `docs/ARCHITECTURE.md` § "Correctness tooling" for how to write a
 //! `df-check` test and pick a schedule budget.
 //!

@@ -1,4 +1,6 @@
-//! Seed: unchecked `+` on a length in a total-decode module (line 20).
+//! Seed: `#[cfg(test)]` on a brace-less item (the `use` on line 22) covers
+//! that item only — the production `fn` below it is still audited, and
+//! its direct index (line 25) fails `decode-index`.
 
 pub const WIRE_MAGIC: &[u8; 4] = b"DFW1";
 pub const WIRE_VERSION: u8 = 1;
@@ -16,6 +18,9 @@ pub fn decode(flags: u32) -> (bool, bool) {
     (flags & F_A != 0, flags & F_B != 0)
 }
 
-pub fn frame_len(b: &[u8]) -> usize {
-    b.len() + 5
+#[cfg(test)]
+use std::collections::BTreeMap;
+
+pub fn first(b: &[u8]) -> u8 {
+    b[0]
 }

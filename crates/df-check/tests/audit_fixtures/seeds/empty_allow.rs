@@ -1,5 +1,9 @@
-//! Seed: an allow directive with an empty justification (line 17) —
-//! with a reason it would suppress the index on line 18; empty, both fail.
+//! Seed: an allow directive with an empty justification (line 21) —
+//! with a reason it would suppress the index on line 22; empty, both fail.
+
+pub const WIRE_MAGIC: &[u8; 4] = b"DFW1";
+pub const WIRE_VERSION: u8 = 1;
+pub const FIELD_ORDER: [&str; 2] = ["span_id", "flags"];
 
 pub const F_A: u32 = 1 << 0;
 pub const F_B: u32 = 1 << 1;

@@ -6,7 +6,7 @@
 //! stay resident across a spill, and crash recovery rebuilds them from
 //! the decoded spans. The layout is normative — see
 //! `docs/SEGMENT_FORMAT.md`, kept in lockstep with the consts below by
-//! `df-spec-sync`:
+//! `df-audit`'s `spec-sync` rule:
 //!
 //! ```text
 //! magic "DFSPANS1" (8) | version u8 | section_count u8 | body_len u64 LE

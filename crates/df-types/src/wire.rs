@@ -5,9 +5,9 @@
 //! rate depends on a cheap decode path feeding the columnar smart-encoded
 //! store. DFW1 is that byte layout. The normative spec lives in
 //! `docs/WIRE_FORMAT.md`; this module is the reference implementation, and
-//! `ci.sh` runs a spec-sync gate (`df-spec-sync`) asserting the doc's
-//! magic, version and field order match [`WIRE_MAGIC`], [`WIRE_VERSION`]
-//! and [`FIELD_ORDER`] exactly.
+//! `ci.sh` runs a spec-sync gate (`df-audit`'s `spec-sync` rule) asserting
+//! the doc's magic, version and field order match [`WIRE_MAGIC`],
+//! [`WIRE_VERSION`] and [`FIELD_ORDER`] exactly.
 //!
 //! ## Frame shape
 //!
