@@ -2,7 +2,7 @@
 //! bar charts, and JSON result persistence (under `results/`).
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Print a section header.
 pub fn header(title: &str) {
@@ -62,11 +62,18 @@ pub fn bars(items: &[(String, f64)], unit: &str) {
     }
 }
 
+/// The workspace root's `results/`, anchored at compile time so a harness
+/// started from any directory rewrites the tracked snapshots
+/// EXPERIMENTS.md quotes, not a `./results` beside the caller.
+fn results_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
 /// Persist a figure's results as JSON under `results/<name>.json` so
 /// EXPERIMENTS.md can reference stable numbers. Best-effort (a read-only
 /// checkout just skips it).
 pub fn save_json(name: &str, value: &serde_json::Value) {
-    let dir = PathBuf::from("results");
+    let dir = results_dir();
     if fs::create_dir_all(&dir).is_err() {
         return;
     }
@@ -103,5 +110,14 @@ mod tests {
         );
         bars(&[("x".into(), 1.0), ("y".into(), 0.0)], "u");
         compare("m", 10.0, 12.0, 2.0);
+    }
+
+    #[test]
+    fn results_dir_sits_in_the_workspace_root() {
+        let dir = results_dir();
+        assert!(dir.ends_with("results"));
+        let manifest = fs::read_to_string(dir.with_file_name("Cargo.toml"))
+            .expect("results/ has a manifest beside it");
+        assert!(manifest.contains("[workspace]"), "not the workspace root");
     }
 }

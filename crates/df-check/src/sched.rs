@@ -19,7 +19,7 @@
 //! the same hash, which prunes commuting schedules (a cheap cousin of
 //! partial-order reduction). Dedup is sound for closures whose behaviour
 //! depends only on what they observe through the shims, which the
-//! `df-lint` import ban makes the norm.
+//! `df-audit` import ban makes the norm.
 //!
 //! Layered on the same instrumentation:
 //!
@@ -107,7 +107,6 @@ pub enum OpKind {
     RwUnlockRead,
     RwUnlockWrite,
     CvWait,
-    CvNotifyOne,
     CvNotifyAll,
     ChanSend,
     ChanRecv,
@@ -810,15 +809,8 @@ fn grant(g: &mut SchedInner, t: Tid) {
             g.threads[t].wait_mutex = Some(op.aux);
             next_status = Status::SleepCv;
         }
-        OpKind::CvNotifyOne | OpKind::CvNotifyAll => {
-            let n_waiting = g.objs[op.obj].waiters.len();
-            let n = if op.kind == OpKind::CvNotifyOne {
-                n_waiting.min(1)
-            } else {
-                n_waiting
-            };
-            let woken: Vec<Tid> = g.objs[op.obj].waiters.drain(..n).collect();
-            for w in woken {
+        OpKind::CvNotifyAll => {
+            for w in std::mem::take(&mut g.objs[op.obj].waiters) {
                 let m = g.threads[w]
                     .wait_mutex
                     .take()

@@ -439,20 +439,6 @@ mod imp {
         }
 
         #[track_caller]
-        pub fn notify_one(&self) {
-            if let Some(c) = ctx() {
-                let obj = c
-                    .sched
-                    .obj(self.instance, ObjKind::Condvar, 0, self.created);
-                let _ =
-                    c.sched
-                        .yield_op(c.tid, Op::on(OpKind::CvNotifyOne, obj), Location::caller());
-                return;
-            }
-            self.inner.notify_one();
-        }
-
-        #[track_caller]
         pub fn notify_all(&self) {
             if let Some(c) = ctx() {
                 let obj = c

@@ -18,7 +18,7 @@
 //! MPSC queue, one completion channel per request.
 //!
 //! Together with [`crate::persist`], this module is one of the two places
-//! in the sync-scoped crates allowed to touch `std::fs` — `df-lint`
+//! in the sync-scoped crates allowed to touch `std::fs` — `df-audit`
 //! enforces that confinement.
 
 use df_check::sync::atomic::{AtomicUsize, Ordering};

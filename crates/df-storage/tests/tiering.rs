@@ -1,7 +1,8 @@
 //! Integration tests for the tiered hot/cold span store: spill, page-in
 //! through the buffer pool, query equivalence against an all-hot oracle,
-//! and the frame-budget acceptance check (≥1M spans ingested, resident
-//! set bounded by the pool's frame count).
+//! the frame-budget acceptance check (≥1M spans ingested, resident set
+//! bounded by the pool's frame count), and LRU-K's scan resistance over
+//! real segment files.
 
 use df_check::sync::Arc;
 use df_storage::persist;
@@ -568,4 +569,80 @@ fn million_span_ingest_stays_within_frame_budget() {
         ps.evictions >= 3,
         "the pool recycled frames to stay in budget"
     );
+}
+
+/// LRU-K earns its complexity at the pool level, over real segment
+/// files: a hot set of 8 segments point-queried every round (twice, so
+/// it crosses the K = 2 threshold), interleaved with one-pass scans over
+/// 48 cold segments — three times the 16-frame budget. Under K = 2 the
+/// scan pages never reach K accesses and evict each other; under plain
+/// LRU (K = 1) every scan flushes the hot set. The rates are `PoolStats`
+/// counters of a single-threaded access sequence, so they are pinned.
+#[test]
+fn lru_k_pool_keeps_the_hot_set_across_scans_where_lru_does_not() {
+    const HOT: usize = 8;
+    const SCAN: usize = 48;
+    const ROUNDS: usize = 10;
+    let dir = test_dir("scan-resistance");
+    let paths: Vec<PathBuf> = (0..(HOT + SCAN) as u64)
+        .map(|seg| {
+            let spans = vec![span(2 * seg), span(2 * seg + 1)];
+            let path = dir.path().join(format!("seg{seg:04}.dfspan"));
+            std::fs::write(&path, persist::encode_span_segment(&spans, &[0, 1]))
+                .expect("segment written");
+            path
+        })
+        .collect();
+
+    // The pool's counters and the hot-set hits of the workload under
+    // replacer depth `k`.
+    let run = |k: usize| {
+        let pool = BufferPool::new(BufferPoolConfig {
+            frames: 16,
+            k,
+            queue_depth: 64,
+        });
+        let ids: Vec<u64> = paths
+            .iter()
+            .map(|p| {
+                let id = pool.alloc_segment();
+                pool.register(id, p.clone());
+                id
+            })
+            .collect();
+        let (hot, scan) = ids.split_at(HOT);
+        // Fetch one segment; true when it was resident.
+        let hit = |seg: u64| {
+            let before = pool.stats().misses;
+            assert_eq!(pool.fetch(seg).expect("segment pages in").len(), 2);
+            pool.stats().misses == before
+        };
+        let mut hot_hits = 0;
+        for _round in 0..ROUNDS {
+            hot_hits += hot.iter().filter(|&&h| hit(h)).count();
+            hot_hits += hot.iter().filter(|&&h| hit(h)).count();
+            for &s in scan {
+                hit(s);
+            }
+            hot_hits += hot.iter().filter(|&&h| hit(h)).count();
+        }
+        (pool.stats(), hot_hits)
+    };
+
+    let hot_accesses = 3 * HOT * ROUNDS;
+    let (lru_k, lru_k_hot) = run(2);
+    let (lru, lru_hot) = run(1);
+    assert!(
+        lru_k.hits > lru.hits,
+        "LRU-K must out-hit LRU: {lru_k:?} vs {lru:?}"
+    );
+    assert!(
+        lru_k_hot * 10 > hot_accesses * 9,
+        "LRU-K must keep the hot set resident across scans: {lru_k_hot} of {hot_accesses}"
+    );
+    // 232/720 = 32.2 % overall and 232/240 = 96.7 % of hot accesses (only
+    // the first round's 8 cold faults miss) against 152/720 = 21.1 % and
+    // 152/240 = 63.3 %: every hit there is, is a hot-set hit.
+    assert_eq!((lru_k.hits, lru_k.misses, lru_k_hot), (232, 488, 232));
+    assert_eq!((lru.hits, lru.misses, lru_hot), (152, 568, 152));
 }
