@@ -9,8 +9,9 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Line-count ratchet (ROADMAP "track the workspace line count"): tracked
-# first-party Rust lines may not exceed the committed ceiling, and a PR
-# that shrinks the tree lowers the ceiling so the gain cannot erode.
+# first-party Rust lines equal the committed ceiling. Above it the tree
+# grew; below it the PR that shrank the tree did not lower the ceiling, and
+# the slack would let the gain erode unseen.
 echo "==> line-count ratchet (docs/LOC_CEILING)"
 loc=$(git ls-files '*.rs' | grep -v -e '^vendor/' -e '^benchmark/' | xargs cat | wc -l)
 ceiling=$(cat docs/LOC_CEILING)
@@ -18,7 +19,8 @@ if [ "$loc" -gt "$ceiling" ]; then
   echo "first-party *.rs lines: $loc > ceiling $ceiling — remove code, or justify raising docs/LOC_CEILING" >&2
   exit 1
 elif [ "$loc" -lt "$ceiling" ]; then
-  echo "first-party *.rs lines: $loc < ceiling $ceiling — lower docs/LOC_CEILING to $loc in this PR"
+  echo "first-party *.rs lines: $loc < ceiling $ceiling — lower docs/LOC_CEILING to $loc in this PR" >&2
+  exit 1
 fi
 # No single file may grow (back) into a monolith: a tracked first-party
 # *.rs file over MAX_FILE_LINES is split along its seams, not appended to.

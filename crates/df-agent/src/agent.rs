@@ -153,11 +153,6 @@ impl Agent {
             .get(&(process.to_string(), endpoint.to_string()))
     }
 
-    /// Iterate all L7 metric series.
-    pub fn l7_metrics_iter(&self) -> impl Iterator<Item = (&(String, String), &L7Metrics)> {
-        self.l7_metrics.iter()
-    }
-
     /// Attach the syscall program to all ten ABIs (enter + exit), and the
     /// TLS program to `ssl_read`/`ssl_write` when enabled. Every program
     /// passes the verifier or nothing attaches (§2.3.1).
@@ -372,7 +367,7 @@ impl Agent {
 mod tests {
     use super::*;
 
-    use df_kernel::{KernelConfig, SyscallSurface, Wakeup};
+    use df_kernel::{KernelConfig, Wakeup};
     use df_net::topology::Topology;
     use df_net::FabricConfig;
     use df_protocols::http1;

@@ -118,9 +118,7 @@ pub(crate) fn build_span(
     let status = match (q, r) {
         (Some(_), None) => SpanStatus::Incomplete,
         (None, _) => SpanStatus::ResponseOnly,
-        (Some(_), Some(r)) if r.parse.server_error => SpanStatus::ServerError,
-        (Some(_), Some(r)) if r.parse.client_error => SpanStatus::ClientError,
-        (Some(_), Some(_)) => SpanStatus::Ok,
+        (Some(_), Some(r)) => r.parse.status(),
     };
     let first = q.or(r).expect("a span has a request, a response, or both");
     let five_tuple = match q {

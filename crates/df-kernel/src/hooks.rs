@@ -187,7 +187,6 @@ struct Attachment {
     point: AttachPoint,
     kind: ProbeKind,
     program: Box<dyn BpfProgram>,
-    invocations: u64,
 }
 
 /// The per-kernel hook engine: attachments plus the shared perf ring.
@@ -225,7 +224,6 @@ impl HookEngine {
             point,
             kind,
             program,
-            invocations: 0,
         });
         Ok(())
     }
@@ -268,7 +266,6 @@ impl HookEngine {
         for a in &mut self.attachments {
             if &a.point == point {
                 a.program.run(ctx, &mut self.ring);
-                a.invocations += 1;
                 programs += 1;
                 matched = Some(a.kind);
             }
@@ -290,14 +287,6 @@ impl HookEngine {
     /// Total firings with at least one program.
     pub fn total_firings(&self) -> u64 {
         self.total_firings
-    }
-
-    /// Per-program invocation counts `(name, count)`.
-    pub fn invocation_counts(&self) -> Vec<(String, u64)> {
-        self.attachments
-            .iter()
-            .map(|a| (a.program.spec().name.clone(), a.invocations))
-            .collect()
     }
 }
 

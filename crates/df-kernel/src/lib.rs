@@ -43,5 +43,4 @@ pub use kernel::{Fd, Kernel, KernelConfig, RecvResult, SyscallOutcome, Wakeup, W
 pub use process::{CoroutineEvent, ProcessTable, ThreadState};
 pub use ringbuf::PerfRingBuffer;
 pub use socket::{ReadOutcome, RecvChunk, Socket, SocketState, MSS};
-pub use syscalls::SyscallSurface;
 pub use verifier::{ProgramSpec, VerifierError};

@@ -13,106 +13,10 @@ use df_types::time::{DurationNs, TimeNs};
 use df_types::{Pid, SyscallAbi, Tid};
 use std::net::Ipv4Addr;
 
-/// The ten-ABI surface as an extension trait on [`Kernel`].
-pub trait SyscallSurface {
+/// The ten ABIs, each under its own calling convention.
+impl Kernel {
     /// `read(2)`.
-    fn sys_read(
-        &mut self,
-        tid: Tid,
-        pid: Pid,
-        fd: Fd,
-        max: usize,
-        now: TimeNs,
-    ) -> SyscallOutcome<RecvResult>;
-    /// `readv(2)`: scatter read into `iov_sizes`-shaped buffers; the result
-    /// is the concatenation (we return it whole, plus per-iov split points).
-    fn sys_readv(
-        &mut self,
-        tid: Tid,
-        pid: Pid,
-        fd: Fd,
-        iov_sizes: &[usize],
-        now: TimeNs,
-    ) -> SyscallOutcome<RecvResult>;
-    /// `recvfrom(2)`.
-    fn sys_recvfrom(
-        &mut self,
-        tid: Tid,
-        pid: Pid,
-        fd: Fd,
-        max: usize,
-        now: TimeNs,
-    ) -> SyscallOutcome<RecvResult>;
-    /// `recvmsg(2)`.
-    fn sys_recvmsg(
-        &mut self,
-        tid: Tid,
-        pid: Pid,
-        fd: Fd,
-        max: usize,
-        now: TimeNs,
-    ) -> SyscallOutcome<RecvResult>;
-    /// `recvmmsg(2)`: receive up to `max_msgs` messages in one call.
-    fn sys_recvmmsg(
-        &mut self,
-        tid: Tid,
-        pid: Pid,
-        fd: Fd,
-        max_msgs: usize,
-        max_bytes_each: usize,
-        now: TimeNs,
-    ) -> SyscallOutcome<Vec<RecvResult>>;
-    /// `write(2)`.
-    fn sys_write(
-        &mut self,
-        tid: Tid,
-        pid: Pid,
-        fd: Fd,
-        data: Bytes,
-        now: TimeNs,
-    ) -> SyscallOutcome<usize>;
-    /// `writev(2)`: gather write.
-    fn sys_writev(
-        &mut self,
-        tid: Tid,
-        pid: Pid,
-        fd: Fd,
-        iovs: &[Bytes],
-        now: TimeNs,
-    ) -> SyscallOutcome<usize>;
-    /// `sendto(2)` with optional explicit destination (UDP).
-    fn sys_sendto(
-        &mut self,
-        tid: Tid,
-        pid: Pid,
-        fd: Fd,
-        data: Bytes,
-        dst: Option<(Ipv4Addr, u16)>,
-        now: TimeNs,
-    ) -> SyscallOutcome<usize>;
-    /// `sendmsg(2)`.
-    fn sys_sendmsg(
-        &mut self,
-        tid: Tid,
-        pid: Pid,
-        fd: Fd,
-        data: Bytes,
-        now: TimeNs,
-    ) -> SyscallOutcome<usize>;
-    /// `sendmmsg(2)`: send multiple messages in one call. Each message gets
-    /// its own hook firing (each is a distinct L7 message).
-    fn sys_sendmmsg(
-        &mut self,
-        tid: Tid,
-        pid: Pid,
-        fd: Fd,
-        msgs: &[Bytes],
-        now: TimeNs,
-    ) -> SyscallOutcome<usize>;
-}
-
-impl SyscallSurface for Kernel {
-    fn sys_read(
+    pub fn sys_read(
         &mut self,
         tid: Tid,
         pid: Pid,
@@ -123,7 +27,9 @@ impl SyscallSurface for Kernel {
         self.syscall_recv(tid, pid, fd, max, SyscallAbi::Read, now)
     }
 
-    fn sys_readv(
+    /// `readv(2)`: scatter read into `iov_sizes`-shaped buffers; the result
+    /// is the concatenation (we return it whole, plus per-iov split points).
+    pub fn sys_readv(
         &mut self,
         tid: Tid,
         pid: Pid,
@@ -135,7 +41,8 @@ impl SyscallSurface for Kernel {
         self.syscall_recv(tid, pid, fd, total, SyscallAbi::Readv, now)
     }
 
-    fn sys_recvfrom(
+    /// `recvfrom(2)`.
+    pub fn sys_recvfrom(
         &mut self,
         tid: Tid,
         pid: Pid,
@@ -146,7 +53,8 @@ impl SyscallSurface for Kernel {
         self.syscall_recv(tid, pid, fd, max, SyscallAbi::Recvfrom, now)
     }
 
-    fn sys_recvmsg(
+    /// `recvmsg(2)`.
+    pub fn sys_recvmsg(
         &mut self,
         tid: Tid,
         pid: Pid,
@@ -157,7 +65,8 @@ impl SyscallSurface for Kernel {
         self.syscall_recv(tid, pid, fd, max, SyscallAbi::Recvmsg, now)
     }
 
-    fn sys_recvmmsg(
+    /// `recvmmsg(2)`: receive up to `max_msgs` messages in one call.
+    pub fn sys_recvmmsg(
         &mut self,
         tid: Tid,
         pid: Pid,
@@ -205,7 +114,8 @@ impl SyscallSurface for Kernel {
         }
     }
 
-    fn sys_write(
+    /// `write(2)`.
+    pub fn sys_write(
         &mut self,
         tid: Tid,
         pid: Pid,
@@ -216,7 +126,8 @@ impl SyscallSurface for Kernel {
         self.syscall_send(tid, pid, fd, data, SyscallAbi::Write, None, now)
     }
 
-    fn sys_writev(
+    /// `writev(2)`: gather write.
+    pub fn sys_writev(
         &mut self,
         tid: Tid,
         pid: Pid,
@@ -241,7 +152,8 @@ impl SyscallSurface for Kernel {
         )
     }
 
-    fn sys_sendto(
+    /// `sendto(2)` with optional explicit destination (UDP).
+    pub fn sys_sendto(
         &mut self,
         tid: Tid,
         pid: Pid,
@@ -253,7 +165,8 @@ impl SyscallSurface for Kernel {
         self.syscall_send(tid, pid, fd, data, SyscallAbi::Sendto, dst, now)
     }
 
-    fn sys_sendmsg(
+    /// `sendmsg(2)`.
+    pub fn sys_sendmsg(
         &mut self,
         tid: Tid,
         pid: Pid,
@@ -264,7 +177,9 @@ impl SyscallSurface for Kernel {
         self.syscall_send(tid, pid, fd, data, SyscallAbi::Sendmsg, None, now)
     }
 
-    fn sys_sendmmsg(
+    /// `sendmmsg(2)`: send multiple messages in one call. Each message gets
+    /// its own hook firing (each is a distinct L7 message).
+    pub fn sys_sendmmsg(
         &mut self,
         tid: Tid,
         pid: Pid,

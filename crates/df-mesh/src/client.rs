@@ -9,7 +9,7 @@
 use crate::histogram::LatencyHistogram;
 use crate::service::{build_request, tls_unwrap, tls_wrap};
 use crate::sim::{Ctx, Event, Owner};
-use df_kernel::{Fd, Kernel, SyscallOutcome, SyscallSurface};
+use df_kernel::{Fd, Kernel, SyscallOutcome};
 use df_protocols::inference;
 use df_types::{DurationNs, L7Protocol, NodeId, Pid, Tid, TimeNs, TransportProtocol};
 use rand::Rng;
@@ -366,7 +366,7 @@ fn try_read(cl: &mut Client, ctx: &mut Ctx<'_>, c: usize, now: TimeNs) {
                 if let Some(parse) = inference::infer_protocol(&plain)
                     .and_then(|p| inference::parse_message(p, &plain))
                 {
-                    if parse.client_error || parse.server_error {
+                    if parse.status().is_error() {
                         cl.errors += 1;
                     }
                 }

@@ -17,12 +17,12 @@
 use crate::sim::{Ctx, Event, Owner};
 use crate::tracer::{AppTracer, NoopTracer, ServerToken};
 use bytes::Bytes;
-use df_kernel::{Fd, Kernel, SyscallOutcome, SyscallSurface};
+use df_kernel::{Fd, Kernel, SyscallOutcome};
 use df_protocols::{amqp, dns, dubbo, http1, http2, kafka, mqtt, mysql, redis};
 use df_protocols::{inference, TraceHeaders};
 use df_types::{
-    CoroutineId, DurationNs, L7Protocol, MessageType, NodeId, Pid, SessionKey, Tid, TimeNs,
-    TransportProtocol, XRequestId,
+    CoroutineId, DurationNs, L7Protocol, MessageType, NodeId, Pid, SessionKey, SpanStatus, Tid,
+    TimeNs, TransportProtocol, XRequestId,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
@@ -702,7 +702,7 @@ fn read_call_response(
             if let Some(parse) = inference::infer_protocol(&value.data)
                 .and_then(|p| inference::parse_message(p, &value.data))
             {
-                if parse.server_error && req.status == 200 {
+                if parse.status() == SpanStatus::ServerError && req.status == 200 {
                     req.status = 503;
                 }
             }
@@ -1162,10 +1162,11 @@ mod tests {
             &[],
             b"",
         );
-        assert!(
+        assert_eq!(
             inference::parse_message(L7Protocol::Redis, &r)
                 .unwrap()
-                .server_error
+                .status(),
+            SpanStatus::ServerError
         );
         let d = build_response(
             L7Protocol::Dns,
@@ -1175,10 +1176,11 @@ mod tests {
             &[],
             b"",
         );
-        assert!(
+        assert_eq!(
             inference::parse_message(L7Protocol::Dns, &d)
                 .unwrap()
-                .client_error
+                .status(),
+            SpanStatus::ClientError
         );
         let m = build_response(
             L7Protocol::Mysql,
@@ -1188,10 +1190,11 @@ mod tests {
             &[],
             b"",
         );
-        assert!(
+        assert_eq!(
             inference::parse_message(L7Protocol::Mysql, &m)
                 .unwrap()
-                .server_error
+                .status(),
+            SpanStatus::ServerError
         );
     }
 }

@@ -128,11 +128,6 @@ impl TapRegistry {
         self.taps.remove(element).is_some()
     }
 
-    /// Whether an element is tapped.
-    pub fn is_tapped(&self, element: &ElementId) -> bool {
-        self.taps.contains_key(element)
-    }
-
     /// Offer a frame traversing `element` at `ts` on `interface`.
     pub fn observe(&mut self, element: &ElementId, interface: &str, frame: &Frame, ts: TimeNs) {
         if let Some(tap) = self.taps.get_mut(element) {
@@ -164,11 +159,6 @@ impl TapRegistry {
     /// Capture statistics for an element: `(observed, matched)`.
     pub fn stats(&self, element: &ElementId) -> Option<(u64, u64)> {
         self.taps.get(element).map(|t| (t.observed, t.matched))
-    }
-
-    /// Total frames currently buffered across all taps.
-    pub fn buffered(&self) -> usize {
-        self.taps.values().map(|t| t.captured.len()).sum()
     }
 }
 

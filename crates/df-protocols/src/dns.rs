@@ -102,8 +102,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
     );
     if is_response {
         s.status_code = Some(u16::from(rcode));
-        s.server_error = rcode == RCODE_SERVFAIL;
-        s.client_error = rcode == RCODE_NXDOMAIN;
     }
     Some(s)
 }
@@ -111,6 +109,7 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_types::SpanStatus;
 
     #[test]
     fn query_answer_round_trip() {
@@ -125,15 +124,15 @@ mod tests {
         let pa = parse(&a).unwrap();
         assert_eq!(pa.msg_type, MessageType::Response);
         assert_eq!(pa.session_key, pq.session_key);
-        assert!(!pa.server_error);
+        assert_eq!(pa.status(), SpanStatus::Ok);
     }
 
     #[test]
     fn rcode_errors_classified() {
         let nx = parse(&answer(1, "nope.local", RCODE_NXDOMAIN)).unwrap();
-        assert!(nx.client_error);
+        assert_eq!(nx.status(), SpanStatus::ClientError);
         let sf = parse(&answer(2, "svc.local", RCODE_SERVFAIL)).unwrap();
-        assert!(sf.server_error);
+        assert_eq!(sf.status(), SpanStatus::ServerError);
     }
 
     #[test]

@@ -67,8 +67,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
             format!("status-{status}"),
         );
         s.status_code = Some(u16::from(status));
-        s.server_error = status >= 70;
-        s.client_error = (30..70).contains(&status);
         Some(s)
     }
 }
@@ -76,6 +74,7 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_types::SpanStatus;
 
     #[test]
     fn request_response_round_trip() {
@@ -89,13 +88,13 @@ mod tests {
         let resp = response(555, STATUS_OK, b"{}");
         let r = parse(&resp).unwrap();
         assert_eq!(r.session_key, Key::Multiplexed(555));
-        assert!(!r.server_error);
+        assert_eq!(r.status(), SpanStatus::Ok);
     }
 
     #[test]
     fn server_error_status_classified() {
         let r = parse(&response(1, STATUS_SERVER_ERROR, b"boom")).unwrap();
-        assert!(r.server_error);
+        assert_eq!(r.status(), SpanStatus::ServerError);
         assert_eq!(r.status_code, Some(80));
     }
 

@@ -5,7 +5,7 @@
 //! `traceparent`, Zipkin B3 (`X-B3-TraceId`/`X-B3-SpanId`/
 //! `X-B3-ParentSpanId`) and proxy `X-Request-ID`.
 
-use crate::{status_class, Key, MessageSummary, TraceHeaders};
+use crate::{Key, MessageSummary, TraceHeaders};
 use bytes::Bytes;
 use df_types::{L7Protocol, MessageType, OtelSpanId, OtelTraceId, XRequestId};
 
@@ -116,7 +116,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
         // Response: HTTP/1.1 <code> <reason>
         let text = std::str::from_utf8(payload.get(..payload.len().min(64))?).ok()?;
         let code: u16 = text.split_whitespace().nth(1)?.parse().ok()?;
-        let (ce, se) = status_class(code);
         let mut s = MessageSummary::basic(
             L7Protocol::Http1,
             MessageType::Response,
@@ -124,8 +123,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
             format!("{code}"),
         );
         s.status_code = Some(code);
-        s.client_error = ce;
-        s.server_error = se;
         s.headers = trace_headers(payload);
         return Some(s);
     }
@@ -149,6 +146,7 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_types::SpanStatus;
 
     #[test]
     fn request_round_trip() {
@@ -163,17 +161,16 @@ mod tests {
 
     #[test]
     fn response_parsing_classifies_errors() {
-        for (code, ce, se) in [
-            (200u16, false, false),
-            (404, true, false),
-            (503, false, true),
+        for (code, status) in [
+            (200u16, SpanStatus::Ok),
+            (404, SpanStatus::ClientError),
+            (503, SpanStatus::ServerError),
         ] {
             let resp = response(code, &[], b"body");
             let p = parse(&resp).unwrap();
             assert_eq!(p.msg_type, MessageType::Response);
             assert_eq!(p.status_code, Some(code));
-            assert_eq!(p.client_error, ce, "{code}");
-            assert_eq!(p.server_error, se, "{code}");
+            assert_eq!(p.status(), status, "{code}");
         }
     }
 

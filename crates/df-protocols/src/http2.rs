@@ -11,7 +11,7 @@
 //! The embedded stream id is exactly the "distinguishing attribute" §3.3.1
 //! names for parallel-protocol session aggregation.
 
-use crate::{status_class, Key, MessageSummary, TraceHeaders};
+use crate::{Key, MessageSummary, TraceHeaders};
 use bytes::Bytes;
 use df_types::{L7Protocol, MessageType, OtelSpanId, OtelTraceId, XRequestId};
 
@@ -94,7 +94,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
             Some(s)
         }
         2 => {
-            let (ce, se) = status_class(status);
             let mut s = MessageSummary::basic(
                 L7Protocol::Http2,
                 MessageType::Response,
@@ -102,8 +101,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
                 format!("{status}"),
             );
             s.status_code = Some(status);
-            s.client_error = ce;
-            s.server_error = se;
             s.headers = headers;
             Some(s)
         }

@@ -5,12 +5,15 @@
 //! executing a one-time protocol inference for each newly established
 //! connection."
 //!
-//! [`infer_protocol`] tries each codec's sniffer, most-distinctive magic
-//! first (binary magics before text heuristics) so that, e.g., a Dubbo frame
-//! is never mistaken for MySQL. [`InferenceEngine`] adds the per-connection
-//! caching and bounded retry: once a flow is classified, later messages skip
-//! sniffing; a flow that defies classification a few times is marked
-//! [`L7Protocol::Unknown`] and only measured at L4.
+//! `BUILTIN` is the protocol table: one `(protocol, sniff, parse)` row per
+//! codec, in inference order — most-distinctive magic first (binary magics
+//! before text heuristics) so that, e.g., a Dubbo frame is never mistaken
+//! for MySQL. [`infer_protocol`] and [`parse_message`] walk it;
+//! [`InferenceEngine`] walks its registered [`CustomProtocol`]s ahead of it
+//! and adds the per-connection caching and bounded retry: once a flow is
+//! classified, later messages skip sniffing; a flow that defies
+//! classification a few times is marked [`L7Protocol::Unknown`] and only
+//! measured at L4.
 
 use crate::{amqp, dns, dubbo, http1, http2, kafka, mqtt, mysql, redis, MessageSummary};
 use df_types::L7Protocol;
@@ -44,57 +47,56 @@ impl std::fmt::Debug for CustomProtocol {
     }
 }
 
-/// Try every sniffer, returning the first protocol that matches.
-pub fn infer_protocol(payload: &[u8]) -> Option<L7Protocol> {
-    if payload.is_empty() {
-        return None;
-    }
-    // Binary magics first — they cannot false-positive on text protocols.
-    if dubbo::sniff(payload) {
-        return Some(L7Protocol::Dubbo);
-    }
-    if amqp::sniff(payload) {
-        return Some(L7Protocol::Amqp);
-    }
-    if http2::sniff(payload) {
-        return Some(L7Protocol::Http2);
-    }
-    if http1::sniff(payload) {
-        return Some(L7Protocol::Http1);
-    }
-    if redis::sniff(payload) {
-        return Some(L7Protocol::Redis);
-    }
-    if kafka::sniff(payload) {
-        return Some(L7Protocol::Kafka);
-    }
-    if mqtt::sniff(payload) {
-        return Some(L7Protocol::Mqtt);
-    }
-    if dns::sniff(payload) {
-        return Some(L7Protocol::Dns);
-    }
-    if mysql::sniff(payload) {
-        return Some(L7Protocol::Mysql);
-    }
-    None
+/// One row of the protocol table: what a walk reports the flow as, and the
+/// codec's two entry points.
+type Row<'a> = (
+    L7Protocol,
+    &'a dyn Fn(&[u8]) -> bool,
+    &'a dyn Fn(&[u8]) -> Option<MessageSummary>,
+);
+
+/// The built-in suite, in inference order. Binary magics come first — they
+/// cannot false-positive on text protocols.
+const BUILTIN: [Row<'static>; 9] = [
+    (L7Protocol::Dubbo, &dubbo::sniff, &dubbo::parse),
+    (L7Protocol::Amqp, &amqp::sniff, &amqp::parse),
+    (L7Protocol::Http2, &http2::sniff, &http2::parse),
+    (L7Protocol::Http1, &http1::sniff, &http1::parse),
+    (L7Protocol::Redis, &redis::sniff, &redis::parse),
+    (L7Protocol::Kafka, &kafka::sniff, &kafka::parse),
+    (L7Protocol::Mqtt, &mqtt::sniff, &mqtt::parse),
+    (L7Protocol::Dns, &dns::sniff, &dns::parse),
+    (L7Protocol::Mysql, &mysql::sniff, &mysql::parse),
+];
+
+/// The first row whose sniffer claims `payload`.
+fn infer<'a>(mut rows: impl Iterator<Item = Row<'a>>, payload: &[u8]) -> Option<L7Protocol> {
+    rows.find(|(_, sniff, _)| sniff(payload))
+        .map(|(protocol, ..)| protocol)
 }
 
-/// Parse a message under a known protocol.
+/// Parse `payload` with `protocol`'s row, reporting the message as that
+/// row's protocol (what gives a custom parse its registered slot).
+fn parse<'a>(
+    mut rows: impl Iterator<Item = Row<'a>>,
+    protocol: L7Protocol,
+    payload: &[u8],
+) -> Option<ParsedMessage> {
+    let (_, _, parse) = rows.find(|(p, ..)| *p == protocol)?;
+    let mut parsed = parse(payload)?;
+    parsed.protocol = protocol;
+    Some(parsed)
+}
+
+/// Try every built-in sniffer, returning the first protocol that matches.
+pub fn infer_protocol(payload: &[u8]) -> Option<L7Protocol> {
+    infer(BUILTIN.into_iter(), payload)
+}
+
+/// Parse a message under a known built-in protocol. Custom protocols are
+/// parsed by the engine that registered them.
 pub fn parse_message(protocol: L7Protocol, payload: &[u8]) -> Option<ParsedMessage> {
-    match protocol {
-        L7Protocol::Http1 => http1::parse(payload),
-        L7Protocol::Http2 => http2::parse(payload),
-        L7Protocol::Dns => dns::parse(payload),
-        L7Protocol::Redis => redis::parse(payload),
-        L7Protocol::Mysql => mysql::parse(payload),
-        L7Protocol::Kafka => kafka::parse(payload),
-        L7Protocol::Mqtt => mqtt::parse(payload),
-        L7Protocol::Dubbo => dubbo::parse(payload),
-        L7Protocol::Amqp => amqp::parse(payload),
-        // Custom protocols are parsed by the engine that registered them.
-        L7Protocol::Custom(_) | L7Protocol::Tls | L7Protocol::Unknown => None,
-    }
+    parse(BUILTIN.into_iter(), protocol, payload)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -149,20 +151,12 @@ impl InferenceEngine {
         self.custom.get(slot as usize).map(|c| c.name.as_str())
     }
 
-    fn infer_with_custom(&self, payload: &[u8]) -> Option<L7Protocol> {
-        for (i, c) in self.custom.iter().enumerate() {
-            if (c.sniff)(payload) {
-                return Some(L7Protocol::Custom(i as u8));
-            }
-        }
-        infer_protocol(payload)
-    }
-
-    fn parse_custom(&self, slot: u8, payload: &[u8]) -> Option<ParsedMessage> {
-        let c = self.custom.get(slot as usize)?;
-        let mut parsed = (c.parse)(payload)?;
-        parsed.protocol = L7Protocol::Custom(slot);
-        Some(parsed)
+    /// The engine's table: registered specifications, then the built-ins.
+    fn rows(&self) -> impl Iterator<Item = Row<'_>> + '_ {
+        let custom = self.custom.iter().enumerate();
+        let custom = custom
+            .map(|(slot, c)| -> Row<'_> { (L7Protocol::Custom(slot as u8), &*c.sniff, &*c.parse) });
+        custom.chain(BUILTIN)
     }
 
     /// Classify (or recall) the protocol of a flow given one message payload.
@@ -178,7 +172,7 @@ impl InferenceEngine {
                     Some(CacheEntry::Undetermined(n)) => n,
                     _ => 0,
                 };
-                match self.infer_with_custom(payload) {
+                match infer(self.rows(), payload) {
                     Some(p) => {
                         self.inferences += 1;
                         self.cache.insert(flow_key, CacheEntry::Known(p));
@@ -200,10 +194,8 @@ impl InferenceEngine {
 
     /// Parse a message for a flow, inferring the protocol if needed.
     pub fn parse_for(&mut self, flow_key: u64, payload: &[u8]) -> Option<ParsedMessage> {
-        match self.protocol_for(flow_key, payload) {
-            L7Protocol::Custom(slot) => self.parse_custom(slot, payload),
-            proto => parse_message(proto, payload),
-        }
+        let protocol = self.protocol_for(flow_key, payload);
+        parse(self.rows(), protocol, payload)
     }
 
     /// Forget a closed flow.
@@ -242,6 +234,16 @@ mod tests {
                 "payload for {expect} misclassified"
             );
         }
+    }
+
+    #[test]
+    fn the_table_has_one_row_per_concrete_protocol() {
+        let mut listed: Vec<String> = BUILTIN.iter().map(|(p, ..)| p.to_string()).collect();
+        let mut all: Vec<String> = L7Protocol::ALL.iter().map(L7Protocol::to_string).collect();
+        listed.sort();
+        all.sort();
+        assert_eq!(listed, all);
+        assert_eq!(infer_protocol(b""), None);
     }
 
     #[test]

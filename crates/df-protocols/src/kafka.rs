@@ -85,7 +85,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
             if err == 0 { "OK" } else { "ERR" },
         );
         s.status_code = Some(err as u16);
-        s.server_error = err != 0;
         return Some(s);
     }
     let api_key = i16::from_be_bytes(payload[4..6].try_into().ok()?);
@@ -101,6 +100,7 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_types::SpanStatus;
 
     #[test]
     fn produce_round_trip() {
@@ -114,13 +114,13 @@ mod tests {
         let resp = response(99, 0);
         let r = parse(&resp).unwrap();
         assert_eq!(r.session_key, Key::Multiplexed(99));
-        assert!(!r.server_error);
+        assert_eq!(r.status(), SpanStatus::Ok);
     }
 
     #[test]
     fn broker_error_classified() {
         let r = parse(&response(7, 6)).unwrap(); // NOT_LEADER_FOR_PARTITION
-        assert!(r.server_error);
+        assert_eq!(r.status(), SpanStatus::ServerError);
         assert_eq!(r.status_code, Some(6));
     }
 

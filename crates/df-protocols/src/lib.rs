@@ -34,7 +34,9 @@ pub mod redis;
 
 pub use inference::{infer_protocol, parse_message, InferenceEngine, ParsedMessage};
 
-use df_types::{L7Protocol, MessageType, OtelSpanId, OtelTraceId, SessionKey, XRequestId};
+use df_types::{
+    L7Protocol, MessageType, OtelSpanId, OtelTraceId, SessionKey, SpanStatus, XRequestId,
+};
 
 /// Tracing headers recoverable from a message (third-party span integration,
 /// paper §3.3.2).
@@ -49,12 +51,6 @@ pub struct TraceHeaders {
     pub parent_span_id: Option<OtelSpanId>,
     /// Proxy-generated X-Request-ID.
     pub x_request_id: Option<XRequestId>,
-}
-
-/// Classification helpers shared by the codecs.
-pub(crate) fn status_class(code: u16) -> (bool, bool) {
-    // (client_error, server_error)
-    ((400..500).contains(&code), code >= 500)
 }
 
 /// Re-exported for codec implementations.
@@ -73,10 +69,6 @@ pub struct MessageSummary {
     pub endpoint: String,
     /// Protocol status code, when the message carries one.
     pub status_code: Option<u16>,
-    /// Whether the message indicates a client-side error.
-    pub client_error: bool,
-    /// Whether the message indicates a server-side error.
-    pub server_error: bool,
     /// Tracing headers found in the message.
     pub headers: TraceHeaders,
 }
@@ -95,9 +87,13 @@ impl MessageSummary {
             session_key,
             endpoint: endpoint.into(),
             status_code: None,
-            client_error: false,
-            server_error: false,
             headers: TraceHeaders::default(),
         }
+    }
+
+    /// The outcome this message, as a response, completes its exchange
+    /// with ([`SpanStatus::of_response`] of its protocol and status code).
+    pub fn status(&self) -> SpanStatus {
+        SpanStatus::of_response(self.protocol, self.status_code)
     }
 }

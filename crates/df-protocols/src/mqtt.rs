@@ -100,22 +100,9 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
     }
     let ptype = payload[0] >> 4;
     let body = &payload[2..];
-    let (msg_type, key, endpoint, err) = match ptype {
-        CONNECT => (
-            MessageType::Request,
-            Key::Ordered,
-            "CONNECT".to_string(),
-            false,
-        ),
-        CONNACK => {
-            let code = body.get(1).copied().unwrap_or(0);
-            (
-                MessageType::Response,
-                Key::Ordered,
-                "CONNACK".to_string(),
-                code != 0,
-            )
-        }
+    let (msg_type, key, endpoint) = match ptype {
+        CONNECT => (MessageType::Request, Key::Ordered, "CONNECT".to_string()),
+        CONNACK => (MessageType::Response, Key::Ordered, "CONNACK".to_string()),
         PUBLISH => {
             let tlen = u16::from_be_bytes([*body.first()?, *body.get(1)?]) as usize;
             let topic = std::str::from_utf8(body.get(2..2 + tlen)?).ok()?;
@@ -124,7 +111,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
                 MessageType::Request,
                 Key::Multiplexed(u64::from(pid)),
                 format!("PUBLISH {topic}"),
-                false,
             )
         }
         PUBACK => {
@@ -133,7 +119,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
                 MessageType::Response,
                 Key::Multiplexed(u64::from(pid)),
                 "PUBACK".to_string(),
-                false,
             )
         }
         SUBSCRIBE => {
@@ -142,7 +127,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
                 MessageType::Request,
                 Key::Multiplexed(u64::from(pid)),
                 "SUBSCRIBE".to_string(),
-                false,
             )
         }
         SUBACK => {
@@ -151,36 +135,22 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
                 MessageType::Response,
                 Key::Multiplexed(u64::from(pid)),
                 "SUBACK".to_string(),
-                false,
             )
         }
-        PINGREQ => (
-            MessageType::Request,
-            Key::Ordered,
-            "PINGREQ".to_string(),
-            false,
-        ),
-        PINGRESP => (
-            MessageType::Response,
-            Key::Ordered,
-            "PINGRESP".to_string(),
-            false,
-        ),
-        _ => (
-            MessageType::Unknown,
-            Key::Ordered,
-            format!("T{ptype}"),
-            false,
-        ),
+        PINGREQ => (MessageType::Request, Key::Ordered, "PINGREQ".to_string()),
+        PINGRESP => (MessageType::Response, Key::Ordered, "PINGRESP".to_string()),
+        _ => (MessageType::Unknown, Key::Ordered, format!("T{ptype}")),
     };
     let mut s = MessageSummary::basic(L7Protocol::Mqtt, msg_type, key, endpoint);
-    s.server_error = err;
+    // The CONNACK return code (0 = accepted) is MQTT's one status code.
+    s.status_code = (ptype == CONNACK).then(|| u16::from(body.get(1).copied().unwrap_or(0)));
     Some(s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_types::SpanStatus;
 
     #[test]
     fn connect_connack_round_trip() {
@@ -191,9 +161,12 @@ mod tests {
         assert_eq!(p.endpoint, "CONNECT");
 
         let ok = parse(&connack(0)).unwrap();
-        assert!(!ok.server_error);
+        assert_eq!(ok.status(), SpanStatus::Ok);
         let bad = parse(&connack(5)).unwrap();
-        assert!(bad.server_error);
+        assert_eq!(
+            (bad.status(), bad.status_code),
+            (SpanStatus::ServerError, Some(5))
+        );
     }
 
     #[test]

@@ -114,7 +114,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
     if first == ERR_BYTE {
         let code = u16::from_le_bytes([payload[5], payload[6]]);
         s.status_code = Some(code);
-        s.server_error = true;
     } else {
         s.status_code = Some(0);
     }
@@ -124,6 +123,7 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_types::SpanStatus;
 
     #[test]
     fn query_and_ok_round_trip() {
@@ -135,13 +135,13 @@ mod tests {
 
         let r = parse(&ok(1)).unwrap();
         assert_eq!(r.msg_type, MessageType::Response);
-        assert!(!r.server_error);
+        assert_eq!(r.status(), SpanStatus::Ok);
     }
 
     #[test]
     fn err_reply_carries_code() {
         let r = parse(&err(1213, "Deadlock found")).unwrap();
-        assert!(r.server_error);
+        assert_eq!(r.status(), SpanStatus::ServerError);
         assert_eq!(r.status_code, Some(1213));
     }
 

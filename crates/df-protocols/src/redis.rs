@@ -77,7 +77,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
                 Key::Ordered,
                 "ERR",
             );
-            s.server_error = true;
             s.status_code = Some(500);
             Some(s)
         }
@@ -93,6 +92,7 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_types::SpanStatus;
 
     #[test]
     fn command_and_replies_round_trip() {
@@ -106,14 +106,14 @@ mod tests {
         for reply in [ok(), bulk(b"cached-value"), nil()] {
             let r = parse(&reply).unwrap();
             assert_eq!(r.msg_type, MessageType::Response);
-            assert!(!r.server_error);
+            assert_eq!(r.status(), SpanStatus::Ok);
         }
     }
 
     #[test]
     fn error_reply_is_server_error() {
         let r = parse(&error("OOM command not allowed")).unwrap();
-        assert!(r.server_error);
+        assert_eq!(r.status(), SpanStatus::ServerError);
         assert_eq!(r.msg_type, MessageType::Response);
     }
 

@@ -75,7 +75,7 @@ use df_storage::SpanStore;
 use df_types::rpc::CandidateKeys;
 use df_types::span::{Span, SpanKind, TapSide};
 use df_types::trace::{AssembledSpan, Trace};
-use df_types::{DurationNs, SpanId};
+use df_types::{AssocKey, DurationNs, SpanId};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
@@ -137,56 +137,6 @@ impl ShardProbe for LocalShards<'_> {
     }
 }
 
-/// The per-index sets of keys already expanded during one assembly (each
-/// key is expanded — probed against every shard — at most once globally).
-#[derive(Debug, Default)]
-struct ExpandedKeys {
-    systrace: HashSet<u64>,
-    pseudo_thread: HashSet<u64>,
-    x_request: HashSet<u128>,
-    tcp_seq: HashSet<u32>,
-    otel_trace: HashSet<u128>,
-}
-
-impl ExpandedKeys {
-    /// Collect `span`'s not-yet-expanded association keys into `batch`,
-    /// marking them expanded. Key order within the batch is discovery
-    /// order, which every prober preserves.
-    fn collect(&mut self, batch: &mut CandidateKeys, span: &Span) {
-        for v in [span.systrace_id_req, span.systrace_id_resp]
-            .into_iter()
-            .flatten()
-        {
-            if self.systrace.insert(v.raw()) {
-                batch.systrace.push(v.raw());
-            }
-        }
-        if let Some(p) = span.pseudo_thread_id {
-            if self.pseudo_thread.insert(p.raw()) {
-                batch.pseudo_thread.push(p.raw());
-            }
-        }
-        for v in [span.x_request_id_req, span.x_request_id_resp]
-            .into_iter()
-            .flatten()
-        {
-            if self.x_request.insert(v.0) {
-                batch.x_request.push(v.0);
-            }
-        }
-        for v in [span.tcp_seq_req, span.tcp_seq_resp].into_iter().flatten() {
-            if self.tcp_seq.insert(v) {
-                batch.tcp_seq.push(v);
-            }
-        }
-        if let Some(t) = span.otel_trace_id {
-            if self.otel_trace.insert(t.0) {
-                batch.otel_trace.push(t.0);
-            }
-        }
-    }
-}
-
 /// Probe shard `si` with a whole round's key batch, appending its *new*
 /// candidate rows to `found`: rows in `seen` are skipped, rows matched by
 /// several keys are appended once, tombstoned rows are filtered. A remote
@@ -215,20 +165,8 @@ pub fn probe_shard(
             }
         }
     };
-    for &k in &batch.systrace {
-        grow(shard.find_by_systrace(k));
-    }
-    for &k in &batch.pseudo_thread {
-        grow(shard.find_by_pseudo_thread(k));
-    }
-    for &k in &batch.x_request {
-        grow(shard.find_by_x_request(k));
-    }
-    for &k in &batch.tcp_seq {
-        grow(shard.find_by_tcp_seq(k));
-    }
-    for &k in &batch.otel_trace {
-        grow(shard.find_by_otel_trace(k));
+    for key in batch.iter() {
+        grow(shard.find(key));
     }
 }
 
@@ -253,7 +191,8 @@ pub fn assemble_with<P: ShardProbe>(
     let mut seen: HashSet<Loc> = HashSet::from([start]);
     let mut members: Vec<Loc> = vec![start];
     let mut frontier: Vec<Loc> = vec![start];
-    let mut expanded = ExpandedKeys::default();
+    // Each key is expanded — probed against every shard — at most once.
+    let mut expanded: HashSet<AssocKey> = HashSet::new();
     let mut rounds = 0u32;
     for _ in 0..cfg.iterations {
         if members.len() >= cfg.max_spans {
@@ -261,7 +200,13 @@ pub fn assemble_with<P: ShardProbe>(
         }
         let mut keys = CandidateKeys::default();
         for &loc in &frontier {
-            expanded.collect(&mut keys, &prober.span_at(loc));
+            // Key order within the batch is discovery order, which every
+            // prober preserves.
+            prober.span_at(loc).for_each_assoc_key(|key| {
+                if expanded.insert(key) {
+                    keys.push(key);
+                }
+            });
         }
         if keys.is_empty() {
             break; // fixed point: no new keys to expand
@@ -319,22 +264,22 @@ pub fn assemble_trace_reference(store: &SpanStore, start: SpanId, cfg: &Assemble
                 .into_iter()
                 .flatten()
             {
-                found.extend_from_slice(store.find_by_systrace(v.raw()));
+                found.extend_from_slice(store.find(AssocKey::Systrace(v.raw())));
             }
             if let Some(p) = s.pseudo_thread_id {
-                found.extend_from_slice(store.find_by_pseudo_thread(p.raw()));
+                found.extend_from_slice(store.find(AssocKey::PseudoThread(p.raw())));
             }
             for v in [s.x_request_id_req, s.x_request_id_resp]
                 .into_iter()
                 .flatten()
             {
-                found.extend_from_slice(store.find_by_x_request(v.0));
+                found.extend_from_slice(store.find(AssocKey::XRequest(v.0)));
             }
             for v in [s.tcp_seq_req, s.tcp_seq_resp].into_iter().flatten() {
-                found.extend_from_slice(store.find_by_tcp_seq(v));
+                found.extend_from_slice(store.find(AssocKey::TcpSeq(v)));
             }
             if let Some(t) = s.otel_trace_id {
-                found.extend_from_slice(store.find_by_otel_trace(t.0));
+                found.extend_from_slice(store.find(AssocKey::OtelTrace(t.0)));
             }
         }
         let before = set.len();
@@ -517,14 +462,14 @@ fn probe_index(spans: &[Span], ex: &Exchanges, head: usize) -> usize {
 /// so rules 9–12, 14 and 16 are hash lookups.
 #[derive(Default)]
 struct CandidateIndex {
-    by_systrace_req: HashMap<u64, Vec<usize>>,
-    by_systrace_resp: HashMap<u64, Vec<usize>>,
-    by_pseudo_thread: HashMap<u64, Vec<usize>>,
+    systrace_req: HashMap<u64, Vec<usize>>,
+    systrace_resp: HashMap<u64, Vec<usize>>,
+    pseudo_thread: HashMap<u64, Vec<usize>>,
     /// Both request- and response-side X-Request-IDs, deduped per span.
-    by_x_request: HashMap<u128, Vec<usize>>,
-    by_otel_trace: HashMap<u128, Vec<usize>>,
+    x_request: HashMap<u128, Vec<usize>>,
+    otel_trace: HashMap<u128, Vec<usize>>,
     /// Rule 14: server-process (non-app) spans by third-party trace id.
-    server_process_by_otel_trace: HashMap<u128, Vec<usize>>,
+    server_process_otel_trace: HashMap<u128, Vec<usize>>,
 }
 
 fn build_candidate_index(spans: &[Span]) -> CandidateIndex {
@@ -532,7 +477,7 @@ fn build_candidate_index(spans: &[Span]) -> CandidateIndex {
     for (j, s) in spans.iter().enumerate() {
         if s.kind != SpanKind::App && s.capture.tap_side == TapSide::ServerProcess {
             if let Some(t) = s.otel_trace_id {
-                idx.server_process_by_otel_trace
+                idx.server_process_otel_trace
                     .entry(t.0)
                     .or_default()
                     .push(j);
@@ -545,24 +490,24 @@ fn build_candidate_index(spans: &[Span]) -> CandidateIndex {
             continue;
         }
         if let Some(v) = s.systrace_id_req {
-            idx.by_systrace_req.entry(v.raw()).or_default().push(j);
+            idx.systrace_req.entry(v.raw()).or_default().push(j);
         }
         if let Some(v) = s.systrace_id_resp {
-            idx.by_systrace_resp.entry(v.raw()).or_default().push(j);
+            idx.systrace_resp.entry(v.raw()).or_default().push(j);
         }
         if let Some(v) = s.pseudo_thread_id {
-            idx.by_pseudo_thread.entry(v.raw()).or_default().push(j);
+            idx.pseudo_thread.entry(v.raw()).or_default().push(j);
         }
         if let Some(v) = s.x_request_id_req {
-            idx.by_x_request.entry(v.0).or_default().push(j);
+            idx.x_request.entry(v.0).or_default().push(j);
         }
         if let Some(v) = s.x_request_id_resp {
             if Some(v) != s.x_request_id_req {
-                idx.by_x_request.entry(v.0).or_default().push(j);
+                idx.x_request.entry(v.0).or_default().push(j);
             }
         }
         if let Some(t) = s.otel_trace_id {
-            idx.by_otel_trace.entry(t.0).or_default().push(j);
+            idx.otel_trace.entry(t.0).or_default().push(j);
         }
     }
     idx
@@ -590,19 +535,19 @@ fn set_parents_indexed(spans: &[Span], cfg: &AssembleConfig) -> HashMap<SpanId, 
         };
         // Rule 9: request-chain systrace.
         if let Some(v) = probe_span.systrace_id_req {
-            for &j in cand.by_systrace_req.get(&v.raw()).into_iter().flatten() {
+            for &j in cand.systrace_req.get(&v.raw()).into_iter().flatten() {
                 consider(j, &mut best);
             }
         }
         // Rule 10: response-chain systrace.
         if let Some(v) = probe_span.systrace_id_resp {
-            for &j in cand.by_systrace_resp.get(&v.raw()).into_iter().flatten() {
+            for &j in cand.systrace_resp.get(&v.raw()).into_iter().flatten() {
                 consider(j, &mut best);
             }
         }
         // Rule 11: pseudo-thread + containment.
         if let Some(v) = probe_span.pseudo_thread_id {
-            for &j in cand.by_pseudo_thread.get(&v.raw()).into_iter().flatten() {
+            for &j in cand.pseudo_thread.get(&v.raw()).into_iter().flatten() {
                 if contains(&spans[j], probe_span, cfg.time_tolerance) {
                     consider(j, &mut best);
                 }
@@ -619,7 +564,7 @@ fn set_parents_indexed(spans: &[Span], cfg: &AssembleConfig) -> HashMap<SpanId, 
             }
         }
         for v in xkeys.into_iter().flatten() {
-            for &j in cand.by_x_request.get(&v).into_iter().flatten() {
+            for &j in cand.x_request.get(&v).into_iter().flatten() {
                 if contains(&spans[j], probe_span, cfg.time_tolerance) {
                     consider(j, &mut best);
                 }
@@ -627,7 +572,7 @@ fn set_parents_indexed(spans: &[Span], cfg: &AssembleConfig) -> HashMap<SpanId, 
         }
         // Rule 16: shared third-party trace id + containment.
         if let Some(t) = probe_span.otel_trace_id {
-            for &j in cand.by_otel_trace.get(&t.0).into_iter().flatten() {
+            for &j in cand.otel_trace.get(&t.0).into_iter().flatten() {
                 if contains(&spans[j], probe_span, cfg.time_tolerance) {
                     consider(j, &mut best);
                 }
@@ -652,7 +597,7 @@ fn set_parents_indexed(spans: &[Span], cfg: &AssembleConfig) -> HashMap<SpanId, 
         let mut best: Option<usize> = None;
         if let Some(t) = s.otel_trace_id {
             for &j in cand
-                .server_process_by_otel_trace
+                .server_process_otel_trace
                 .get(&t.0)
                 .into_iter()
                 .flatten()
@@ -898,55 +843,7 @@ fn sort_trace(spans: Vec<Span>, parents: HashMap<SpanId, SpanId>) -> Trace {
 mod tests {
     use super::*;
     use df_types::ids::*;
-    use df_types::l7::L7Protocol;
-    use df_types::net::FiveTuple;
-    use df_types::span::{CapturePoint, SpanStatus};
-    use df_types::tags::TagSet;
-    use df_types::TimeNs;
-    use std::net::Ipv4Addr;
-
-    fn base_span(tap: TapSide, req: u64, resp: u64) -> Span {
-        Span {
-            span_id: SpanId(0),
-            kind: SpanKind::Sys,
-            capture: CapturePoint {
-                node: NodeId(1),
-                tap_side: tap,
-                interface: None,
-            },
-            agent: AgentId(1),
-            flow_id: FlowId(1),
-            five_tuple: FiveTuple::tcp(
-                Ipv4Addr::new(10, 0, 0, 1),
-                40000,
-                Ipv4Addr::new(10, 0, 0, 2),
-                80,
-            ),
-            l7_protocol: L7Protocol::Http1,
-            endpoint: "GET /".to_string(),
-            req_time: TimeNs(req),
-            resp_time: TimeNs(resp),
-            status: SpanStatus::Ok,
-            status_code: Some(200),
-            req_bytes: 1,
-            resp_bytes: 1,
-            pid: None,
-            tid: None,
-            process_name: None,
-            systrace_id_req: None,
-            systrace_id_resp: None,
-            pseudo_thread_id: None,
-            x_request_id_req: None,
-            x_request_id_resp: None,
-            tcp_seq_req: None,
-            tcp_seq_resp: None,
-            otel_trace_id: None,
-            otel_span_id: None,
-            otel_parent_span_id: None,
-            tags: TagSet::default(),
-            flow_metrics: None,
-        }
-    }
+    use df_types::span::SpanStatus;
 
     /// Figure-1-shaped scenario over two exchanges:
     /// user → A (exchange 1, seq 100), A → B (exchange 2, seq 200),
@@ -954,7 +851,7 @@ mod tests {
     fn figure1_store() -> (SpanStore, SpanId) {
         let mut st = SpanStore::new();
         // Exchange 1: user → A. Only A's server span (user is external).
-        let mut a_server = base_span(TapSide::ServerProcess, 0, 100);
+        let mut a_server = Span::synthetic(TapSide::ServerProcess, 0, 100);
         a_server.tcp_seq_req = Some(100);
         a_server.tcp_seq_resp = Some(150);
         a_server.systrace_id_req = Some(SysTraceId(1));
@@ -962,20 +859,20 @@ mod tests {
         let a_id = st.insert(a_server);
 
         // Exchange 2: A → B.
-        let mut a_client = base_span(TapSide::ClientProcess, 10, 80);
+        let mut a_client = Span::synthetic(TapSide::ClientProcess, 10, 80);
         a_client.tcp_seq_req = Some(200);
         a_client.tcp_seq_resp = Some(250);
         a_client.systrace_id_req = Some(SysTraceId(1)); // chained from A's ingress
         a_client.systrace_id_resp = Some(SysTraceId(2));
         let ac_id = st.insert(a_client);
 
-        let mut nic = base_span(TapSide::ClientNodeNic, 12, 78);
+        let mut nic = Span::synthetic(TapSide::ClientNodeNic, 12, 78);
         nic.kind = SpanKind::Net;
         nic.tcp_seq_req = Some(200);
         nic.tcp_seq_resp = Some(250);
         let nic_id = st.insert(nic);
 
-        let mut b_server = base_span(TapSide::ServerProcess, 20, 70);
+        let mut b_server = Span::synthetic(TapSide::ServerProcess, 20, 70);
         b_server.tcp_seq_req = Some(200);
         b_server.tcp_seq_resp = Some(250);
         b_server.systrace_id_req = Some(SysTraceId(10));
@@ -1024,7 +921,7 @@ mod tests {
     #[test]
     fn unrelated_spans_stay_out_of_the_trace() {
         let (mut st, a_id) = figure1_store();
-        let mut noise = base_span(TapSide::ServerProcess, 1000, 2000);
+        let mut noise = Span::synthetic(TapSide::ServerProcess, 1000, 2000);
         noise.tcp_seq_req = Some(999);
         noise.systrace_id_req = Some(SysTraceId(77));
         st.insert(noise);
@@ -1039,7 +936,7 @@ mod tests {
         let mut st = SpanStore::new();
         let mut first = None;
         for i in 0..20u64 {
-            let mut s = base_span(TapSide::ServerProcess, i * 10, i * 10 + 200);
+            let mut s = Span::synthetic(TapSide::ServerProcess, i * 10, i * 10 + 200);
             s.tcp_seq_req = Some(1000 + i as u32);
             s.systrace_id_req = Some(SysTraceId(i + 1));
             s.systrace_id_resp = Some(SysTraceId(i + 2)); // overlaps next span's req
@@ -1065,11 +962,11 @@ mod tests {
         // only by X-Request-ID (rule 12).
         let mut st = SpanStore::new();
         let xid = XRequestId(0xabc);
-        let mut downstream = base_span(TapSide::ServerProcess, 0, 100);
+        let mut downstream = Span::synthetic(TapSide::ServerProcess, 0, 100);
         downstream.tcp_seq_req = Some(1);
         downstream.x_request_id_resp = Some(xid);
         let d_id = st.insert(downstream);
-        let mut upstream = base_span(TapSide::ClientProcess, 10, 90);
+        let mut upstream = Span::synthetic(TapSide::ClientProcess, 10, 90);
         upstream.tcp_seq_req = Some(500);
         upstream.x_request_id_req = Some(xid);
         st.insert(upstream);
@@ -1087,11 +984,11 @@ mod tests {
     fn pseudo_thread_links_coroutine_exchanges() {
         let mut st = SpanStore::new();
         let pth = PseudoThreadId(5);
-        let mut server = base_span(TapSide::ServerProcess, 0, 100);
+        let mut server = Span::synthetic(TapSide::ServerProcess, 0, 100);
         server.tcp_seq_req = Some(1);
         server.pseudo_thread_id = Some(pth);
         let s_id = st.insert(server);
-        let mut client = base_span(TapSide::ClientProcess, 20, 60);
+        let mut client = Span::synthetic(TapSide::ClientProcess, 20, 60);
         client.tcp_seq_req = Some(2);
         client.pseudo_thread_id = Some(pth);
         st.insert(client);
@@ -1112,12 +1009,12 @@ mod tests {
         let mut st = SpanStore::new();
         let tid = OtelTraceId(0x11);
         let app_sid = OtelSpanId(0x22);
-        let mut app = base_span(TapSide::ClientApp, 0, 100);
+        let mut app = Span::synthetic(TapSide::ClientApp, 0, 100);
         app.kind = SpanKind::App;
         app.otel_trace_id = Some(tid);
         app.otel_span_id = Some(app_sid);
         let app_id = st.insert(app);
-        let mut sys = base_span(TapSide::ClientProcess, 10, 90);
+        let mut sys = Span::synthetic(TapSide::ClientProcess, 10, 90);
         sys.tcp_seq_req = Some(5);
         sys.otel_trace_id = Some(tid);
         sys.otel_span_id = Some(app_sid);
@@ -1136,12 +1033,12 @@ mod tests {
     fn app_span_ancestry_rule15() {
         let mut st = SpanStore::new();
         let tid = OtelTraceId(0x99);
-        let mut parent_app = base_span(TapSide::ServerApp, 0, 100);
+        let mut parent_app = Span::synthetic(TapSide::ServerApp, 0, 100);
         parent_app.kind = SpanKind::App;
         parent_app.otel_trace_id = Some(tid);
         parent_app.otel_span_id = Some(OtelSpanId(1));
         let p_id = st.insert(parent_app);
-        let mut child_app = base_span(TapSide::ClientApp, 10, 90);
+        let mut child_app = Span::synthetic(TapSide::ClientApp, 10, 90);
         child_app.kind = SpanKind::App;
         child_app.otel_trace_id = Some(tid);
         child_app.otel_span_id = Some(OtelSpanId(2));
@@ -1180,7 +1077,7 @@ mod tests {
         // tombstoned, and even though its index entries still resolve, the
         // assembled trace must not contain it.
         let (mut st, a_id) = figure1_store();
-        let mut fragment = base_span(TapSide::ServerProcess, 30, 60);
+        let mut fragment = Span::synthetic(TapSide::ServerProcess, 30, 60);
         fragment.status = SpanStatus::ResponseOnly;
         fragment.tcp_seq_resp = Some(200); // links into exchange 2
         let frag_id = st.insert(fragment);
@@ -1212,7 +1109,7 @@ mod tests {
         let mut st = SpanStore::new();
         let mut ids = Vec::new();
         for i in 0..50u64 {
-            let mut s = base_span(TapSide::ServerProcess, 1000 - i * 10, 2000);
+            let mut s = Span::synthetic(TapSide::ServerProcess, 1000 - i * 10, 2000);
             s.tcp_seq_req = Some(100 + i as u32);
             s.systrace_id_req = Some(SysTraceId(7));
             ids.push(st.insert(s));

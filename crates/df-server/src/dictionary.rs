@@ -165,11 +165,6 @@ impl TagDictionary {
     pub fn pod_id(&self, name: &str) -> Option<u32> {
         self.pods.get(name)
     }
-
-    /// IPs known to the dictionary.
-    pub fn known_ips(&self) -> usize {
-        self.by_ip.len()
-    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! [`assemble_trace_sharded`] is Algorithm 1's one driver
 //! ([`assemble_with`]) over the in-process prober: each index key is
 //! expanded at most once globally, an expansion probes every shard's
-//! `find_by_*` index, and Phases 2 and 3 run on the merged member set — so
+//! [`SpanStore::find`] index, and Phases 2 and 3 run on the merged member set — so
 //! the differential oracle
 //! [`assemble_trace_reference`](crate::assemble::assemble_trace_reference)
 //! holds against the sharded path at any shard count (the property tests

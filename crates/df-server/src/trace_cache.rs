@@ -140,17 +140,10 @@ impl TraceCache {
     }
 
     /// Look up the trace starting at `start`, validating its recorded
-    /// bucket generations against the store's current ones. Strict: any
-    /// drift invalidates (equivalent to [`TraceCache::lookup_bounded`]
-    /// with a zero window).
-    pub fn lookup(&mut self, start: SpanId, store: &impl BucketGens) -> CacheOutcome {
-        self.lookup_bounded(start, store, 0)
-    }
-
-    /// [`TraceCache::lookup`] with a bounded-staleness window: if the
-    /// entry's recorded generations have each drifted by at most
-    /// `staleness_window`, the entry is served as [`CacheOutcome::Stale`]
-    /// instead of being invalidated — the concurrent server's answer to
+    /// bucket generations against the store's current ones, with a
+    /// bounded-staleness window: if the entry's recorded generations have
+    /// each drifted by at most `staleness_window`, the entry is served as
+    /// [`CacheOutcome::Stale`] instead of being invalidated — the concurrent server's answer to
     /// ingest pressure (serve a slightly-old trace now rather than
     /// re-assemble synchronously behind a deep ingest queue). Drift beyond
     /// the window still invalidates. A window of 0 is the strict mode.
@@ -297,7 +290,7 @@ mod tests {
         store: &ShardedSpanStore,
         start: SpanId,
     ) -> (Arc<Trace>, &'static str) {
-        match cache.lookup(start, store) {
+        match cache.lookup_bounded(start, store, 0) {
             CacheOutcome::Hit(t) => (t, "hit"),
             outcome => {
                 let t = assemble_trace_sharded(store, start, &AssembleConfig::default());
@@ -386,7 +379,7 @@ mod tests {
             CacheOutcome::Stale(_)
         ));
         assert!(matches!(
-            cache.lookup(ids[0], &store),
+            cache.lookup_bounded(ids[0], &store, 0),
             CacheOutcome::Invalidated
         ));
 
@@ -449,32 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_window_bounded_lookup_is_the_strict_path() {
-        let mut store = ShardedSpanStore::new(ShardPolicy::with_shards(4));
-        let ids = store.insert_batch(linked_pair(7, 1_000));
-        let mut cache = TraceCache::new();
-        assemble_via_cache(&mut cache, &store, ids[0]);
-
-        // Fresh entry: both paths hit.
-        assert!(matches!(
-            cache.lookup_bounded(ids[0], &store, 0),
-            CacheOutcome::Hit(_)
-        ));
-        assert!(matches!(cache.lookup(ids[0], &store), CacheOutcome::Hit(_)));
-
-        // Drift 1: window 0 invalidates exactly like the strict lookup,
-        // and the entry is gone for both afterwards.
-        let mut c = Span::synthetic(TapSide::ServerPodNic, 1_005, 1_495);
-        c.tcp_seq_req = Some(7);
-        store.insert_batch(vec![c]);
-        assert!(matches!(
-            cache.lookup_bounded(ids[0], &store, 0),
-            CacheOutcome::Invalidated
-        ));
-        assert!(matches!(cache.lookup(ids[0], &store), CacheOutcome::Miss));
-    }
-
-    #[test]
     fn wrapped_generation_counter_is_never_served_fresh() {
         // Entry cached when every dependency bucket reported u64::MAX.
         let (start, trace) = sample_trace();
@@ -519,11 +486,14 @@ mod tests {
         }
         assert_eq!(cache.len(), 2);
         assert!(
-            matches!(cache.lookup(firsts[0], &store), CacheOutcome::Miss),
+            matches!(
+                cache.lookup_bounded(firsts[0], &store, 0),
+                CacheOutcome::Miss
+            ),
             "oldest entry evicted"
         );
         assert!(matches!(
-            cache.lookup(firsts[2], &store),
+            cache.lookup_bounded(firsts[2], &store, 0),
             CacheOutcome::Hit(_)
         ));
     }

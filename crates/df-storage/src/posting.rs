@@ -67,14 +67,12 @@ impl Postings {
 #[derive(Debug)]
 pub(crate) struct PostingIndex<K> {
     map: IntMap<K, Postings>,
-    entries: usize,
 }
 
 impl<K> Default for PostingIndex<K> {
     fn default() -> Self {
         PostingIndex {
             map: IntMap::default(),
-            entries: 0,
         }
     }
 }
@@ -84,7 +82,6 @@ impl<K: Hash + Eq> PostingIndex<K> {
     /// duplicate is).
     #[inline]
     pub(crate) fn push(&mut self, key: K, row: u32) {
-        self.entries += 1;
         match self.map.entry(key) {
             Entry::Occupied(e) => e.into_mut().push(row),
             Entry::Vacant(e) => {
@@ -108,7 +105,6 @@ impl<K: Hash + Eq> PostingIndex<K> {
         } else if removed > 0 {
             e.insert(Postings::of(&kept));
         }
-        self.entries -= removed;
         removed
     }
 
@@ -116,11 +112,6 @@ impl<K: Hash + Eq> PostingIndex<K> {
     #[inline]
     pub(crate) fn get(&self, key: &K) -> &[u32] {
         self.map.get(key).map_or(&[], Postings::as_slice)
-    }
-
-    /// Total `(key, row)` entries held.
-    pub(crate) fn entries(&self) -> usize {
-        self.entries
     }
 }
 
@@ -160,7 +151,6 @@ mod tests {
                     prop_assert!(!heap || want.len() > INLINE, "heap only past {INLINE} rows");
                 }
                 prop_assert_eq!(index.map.len(), model.len(), "empty keys are dropped");
-                prop_assert_eq!(index.entries(), model.values().map(Vec::len).sum::<usize>());
             }
         }
     }

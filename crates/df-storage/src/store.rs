@@ -24,7 +24,7 @@
 //! through [`SpanStore::span_at`], which returns a `Cow`: borrowed for
 //! hot rows (the zero-copy fast path is unchanged), owned for cold rows
 //! (a page-in through the shared [`BufferPool`]). The association and
-//! time indexes keep cold rows, so `find_by_*` probes and time-window
+//! time indexes keep cold rows, so [`SpanStore::find`] probes and time-window
 //! scans are tier-blind; only *materialising* a cold row costs a pool
 //! fetch. Spill never reorders, renumbers, or drops rows — it is
 //! extensionally invisible to assembly, which the tiered differential
@@ -35,7 +35,8 @@ use crate::persist;
 use crate::posting::PostingIndex;
 use crate::shard::ShardPolicy;
 use df_check::sync::{Arc, Mutex};
-use df_types::{Span, SpanId, TimeNs};
+use df_types::span::SpanStatus;
+use df_types::{AssocKey, Span, SpanId, TimeNs};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io;
@@ -216,28 +217,14 @@ pub struct SpanStore {
     by_x_request: PostingIndex<u128>,
     by_tcp_seq: PostingIndex<u32>,
     by_otel_trace: PostingIndex<u128>,
+    /// `(key, row)` entries across the five association indexes.
+    index_entries: usize,
     time_index: Mutex<TimeIndex>,
     /// Spans consumed by server-side re-aggregation; hidden from queries.
     tombstones: std::collections::HashSet<SpanId>,
     /// Tombstoned rows whose index entries have not been compacted away
     /// yet (drained by [`SpanStore::evict_tombstoned`]).
     pending_evict: Vec<u32>,
-}
-
-/// The response-side value of an attribute, unless the request side
-/// already carries it: a row is indexed once per distinct value.
-fn new_on_resp<T: PartialEq>(req: Option<T>, resp: Option<T>) -> Option<T> {
-    if resp == req {
-        None
-    } else {
-        resp
-    }
-}
-
-/// The distinct values a row is indexed under for one request/response
-/// attribute pair.
-fn distinct<T: PartialEq + Copy>(req: Option<T>, resp: Option<T>) -> impl Iterator<Item = T> {
-    [req, new_on_resp(req, resp)].into_iter().flatten()
 }
 
 impl SpanStore {
@@ -268,19 +255,10 @@ impl SpanStore {
     /// the cold segment is unreadable — a spilled row must be
     /// recoverable; fabricating an absence would corrupt assembly.
     pub fn span_at(&self, row: u32) -> Option<Cow<'_, Span>> {
-        Self::page(&self.rows, self.cold_reader.as_ref(), row)
-    }
-
-    /// [`SpanStore::span_at`] over the two fields it reads, so eviction
-    /// can hold the span while it edits the indexes.
-    fn page<'a>(
-        rows: &'a [RowSlot],
-        pool: Option<&Arc<BufferPool>>,
-        row: u32,
-    ) -> Option<Cow<'a, Span>> {
-        match rows.get(row as usize)? {
+        match self.rows.get(row as usize)? {
             RowSlot::Hot(s) => Some(Cow::Borrowed(&**s)),
             RowSlot::Cold(c) => {
+                let pool = self.cold_reader.as_ref();
                 let pool = pool.expect("cold rows require an attached cold reader");
                 Some(Cow::Owned(pool.read_span(c.segment, c.offset)))
             }
@@ -340,29 +318,27 @@ impl SpanStore {
         let Some(RowSlot::Hot(span)) = self.rows.get_mut(row as usize) else {
             return false;
         };
-        if span.status != df_types::span::SpanStatus::Incomplete {
+        if span.status != SpanStatus::Incomplete {
             return false;
         }
+        let mut indexed = Vec::new();
+        span.for_each_assoc_key(|key| indexed.push(key));
         span.resp_time = resp.resp_time;
-        span.status = match resp.status_code {
-            Some(code) if (400..500).contains(&code) => df_types::span::SpanStatus::ClientError,
-            Some(code) if code >= 500 => df_types::span::SpanStatus::ServerError,
-            _ => df_types::span::SpanStatus::Ok,
-        };
+        span.status = SpanStatus::of_response(span.l7_protocol, resp.status_code);
         span.status_code = resp.status_code;
         span.resp_bytes = resp.resp_bytes;
         span.systrace_id_resp = resp.systrace_id_resp;
         span.x_request_id_resp = resp.x_request_id_resp;
         span.tcp_seq_resp = resp.tcp_seq_resp;
-        // Index the response-side values the request side did not bring.
-        if let Some(v) = new_on_resp(span.systrace_id_req, resp.systrace_id_resp) {
-            self.by_systrace.push(v.raw(), row);
-        }
-        if let Some(v) = new_on_resp(span.x_request_id_req, resp.x_request_id_resp) {
-            self.by_x_request.push(v.0, row);
-        }
-        if let Some(v) = new_on_resp(span.tcp_seq_req, resp.tcp_seq_resp) {
-            self.by_tcp_seq.push(v, row);
+        // Index the keys the response brought.
+        let mut brought = Vec::new();
+        span.for_each_assoc_key(|key| {
+            if !indexed.contains(&key) {
+                brought.push(key);
+            }
+        });
+        for key in brought {
+            self.index(key, row);
         }
         true
     }
@@ -404,7 +380,7 @@ impl SpanStore {
     }
 
     /// Compact tombstoned rows out of the association and time indexes, so
-    /// `find_by_*` probes stop returning (and paying for) rows that every
+    /// [`SpanStore::find`] probes stop returning (and paying for) rows that every
     /// read path would filter anyway. Invoked by the server after
     /// re-aggregation and by the sharded store when a shard crosses its
     /// [`crate::ShardPolicy::evict_threshold`]. Semantically a no-op:
@@ -417,26 +393,16 @@ impl SpanStore {
         }
         let rows = std::mem::take(&mut self.pending_evict);
         let mut removed = 0usize;
+        let mut keys = Vec::new();
         for &row in &rows {
             // A cold row pages in here — eviction is a background
             // compaction, so the page-in cost is off the ingest/probe
             // paths.
-            let s = Self::page(&self.rows, self.cold_reader.as_ref(), row)
-                .expect("pending-evict row exists");
-            for v in distinct(s.systrace_id_req, s.systrace_id_resp) {
-                removed += self.by_systrace.remove_row(v.raw(), row);
-            }
-            if let Some(p) = s.pseudo_thread_id {
-                removed += self.by_pseudo_thread.remove_row(p.raw(), row);
-            }
-            for v in distinct(s.x_request_id_req, s.x_request_id_resp) {
-                removed += self.by_x_request.remove_row(v.0, row);
-            }
-            for v in distinct(s.tcp_seq_req, s.tcp_seq_resp) {
-                removed += self.by_tcp_seq.remove_row(v, row);
-            }
-            if let Some(t) = s.otel_trace_id {
-                removed += self.by_otel_trace.remove_row(t.0, row);
+            let span = self.span_at(row).expect("pending-evict row exists");
+            span.for_each_assoc_key(|key| keys.push(key));
+            drop(span);
+            for key in keys.drain(..) {
+                removed += self.unindex(key, row);
             }
         }
         let dead: std::collections::HashSet<u32> = rows.into_iter().collect();
@@ -499,29 +465,47 @@ impl SpanStore {
     /// whatever `span_id` it carries.
     fn index_and_push(&mut self, span: Box<Span>) {
         let row = self.rows.len() as u32;
-        self.index_attrs(&span, row);
+        span.for_each_assoc_key(|key| self.index(key, row));
         self.push_time_entry(span.req_time.as_nanos(), row);
         self.rows.push(RowSlot::Hot(span));
     }
 
-    /// Association-index maintenance shared by hot ingest and crash
-    /// recovery: one entry per attribute value, request/response
-    /// duplicates collapsed.
-    fn index_attrs(&mut self, span: &Span, row: u32) {
-        for v in distinct(span.systrace_id_req, span.systrace_id_resp) {
-            self.by_systrace.push(v.raw(), row);
+    /// Append `row` under `key` in the index of the key's kind.
+    fn index(&mut self, key: AssocKey, row: u32) {
+        self.index_entries += 1;
+        match key {
+            AssocKey::Systrace(v) => self.by_systrace.push(v, row),
+            AssocKey::PseudoThread(v) => self.by_pseudo_thread.push(v, row),
+            AssocKey::XRequest(v) => self.by_x_request.push(v, row),
+            AssocKey::TcpSeq(v) => self.by_tcp_seq.push(v, row),
+            AssocKey::OtelTrace(v) => self.by_otel_trace.push(v, row),
         }
-        if let Some(p) = span.pseudo_thread_id {
-            self.by_pseudo_thread.push(p.raw(), row);
-        }
-        for v in distinct(span.x_request_id_req, span.x_request_id_resp) {
-            self.by_x_request.push(v.0, row);
-        }
-        for v in distinct(span.tcp_seq_req, span.tcp_seq_resp) {
-            self.by_tcp_seq.push(v, row);
-        }
-        if let Some(t) = span.otel_trace_id {
-            self.by_otel_trace.push(t.0, row);
+    }
+
+    /// Take `row` out from under `key`; returns how many entries went.
+    fn unindex(&mut self, key: AssocKey, row: u32) -> usize {
+        let removed = match key {
+            AssocKey::Systrace(v) => self.by_systrace.remove_row(v, row),
+            AssocKey::PseudoThread(v) => self.by_pseudo_thread.remove_row(v, row),
+            AssocKey::XRequest(v) => self.by_x_request.remove_row(v, row),
+            AssocKey::TcpSeq(v) => self.by_tcp_seq.remove_row(v, row),
+            AssocKey::OtelTrace(v) => self.by_otel_trace.remove_row(v, row),
+        };
+        self.index_entries -= removed;
+        removed
+    }
+
+    /// The index probe — Algorithm 1's `search_database` primitive: the
+    /// rows sharing `key`, in insertion order, borrowed straight from the
+    /// index (no per-probe allocation). Map a row to its span with
+    /// [`SpanStore::span_at`] / [`SpanStore::id_at`].
+    pub fn find(&self, key: AssocKey) -> &[u32] {
+        match key {
+            AssocKey::Systrace(v) => self.by_systrace.get(&v),
+            AssocKey::PseudoThread(v) => self.by_pseudo_thread.get(&v),
+            AssocKey::XRequest(v) => self.by_x_request.get(&v),
+            AssocKey::TcpSeq(v) => self.by_tcp_seq.get(&v),
+            AssocKey::OtelTrace(v) => self.by_otel_trace.get(&v),
         }
     }
 
@@ -589,43 +573,11 @@ impl SpanStore {
         out
     }
 
-    /// Index probes — Algorithm 1's `search_database` primitives. Each
-    /// returns the rows sharing the given attribute value, borrowed
-    /// straight from the index (no per-probe allocation); map a row to its
-    /// span with [`SpanStore::get_row`] / [`SpanStore::id_at`].
-    pub fn find_by_systrace(&self, v: u64) -> &[u32] {
-        self.by_systrace.get(&v)
-    }
-
-    /// Spans sharing a pseudo-thread id.
-    pub fn find_by_pseudo_thread(&self, v: u64) -> &[u32] {
-        self.by_pseudo_thread.get(&v)
-    }
-
-    /// Spans sharing an X-Request-ID.
-    pub fn find_by_x_request(&self, v: u128) -> &[u32] {
-        self.by_x_request.get(&v)
-    }
-
-    /// Spans sharing a TCP sequence number.
-    pub fn find_by_tcp_seq(&self, v: u32) -> &[u32] {
-        self.by_tcp_seq.get(&v)
-    }
-
-    /// Spans sharing a third-party trace id.
-    pub fn find_by_otel_trace(&self, v: u128) -> &[u32] {
-        self.by_otel_trace.get(&v)
-    }
-
     /// Statistics.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             spans: self.rows.len(),
-            index_entries: self.by_systrace.entries()
-                + self.by_pseudo_thread.entries()
-                + self.by_x_request.entries()
-                + self.by_tcp_seq.entries()
-                + self.by_otel_trace.entries(),
+            index_entries: self.index_entries,
         }
     }
 
@@ -673,7 +625,7 @@ impl SpanStore {
             let RowSlot::Hot(span) = slot else {
                 continue;
             };
-            if span.req_time >= watermark || span.status == df_types::span::SpanStatus::Incomplete {
+            if span.req_time >= watermark || span.status == SpanStatus::Incomplete {
                 continue;
             }
             buckets
@@ -805,7 +757,7 @@ impl SpanStore {
                 span_id: span.span_id,
                 req_time: span.req_time,
             };
-            self.index_attrs(&span, row);
+            span.for_each_assoc_key(|key| self.index(key, row));
             self.push_time_entry(span.req_time.as_nanos(), row);
             self.rows.push(RowSlot::Cold(cold));
             self.cold_count += 1;
@@ -843,7 +795,8 @@ impl std::ops::Index<u32> for SpanStore {
 mod tests {
     use super::*;
     use df_types::ids::*;
-    use df_types::span::{SpanStatus, TapSide};
+    use df_types::span::TapSide;
+    use df_types::AssocKind;
 
     fn span(req_ns: u64) -> Span {
         Span::synthetic(TapSide::ClientProcess, req_ns, req_ns + 1000)
@@ -950,16 +903,16 @@ mod tests {
 
         let ids =
             |rows: &[u32]| -> Vec<SpanId> { rows.iter().map(|&r| SpanStore::id_at(r)).collect() };
-        assert_eq!(ids(st.find_by_systrace(7)), vec![ia, ib]);
-        assert_eq!(ids(st.find_by_tcp_seq(4242)), vec![ia, ic]);
-        assert_eq!(ids(st.find_by_x_request(99)), vec![ib]);
-        assert_eq!(ids(st.find_by_otel_trace(1234)), vec![ic]);
-        assert!(st.find_by_systrace(999).is_empty());
+        assert_eq!(ids(st.find(AssocKey::Systrace(7))), vec![ia, ib]);
+        assert_eq!(ids(st.find(AssocKey::TcpSeq(4242))), vec![ia, ic]);
+        assert_eq!(ids(st.find(AssocKey::XRequest(99))), vec![ib]);
+        assert_eq!(ids(st.find(AssocKey::OtelTrace(1234))), vec![ic]);
+        assert!(st.find(AssocKey::Systrace(999)).is_empty());
         // The running entry count equals the walked sum over every key.
-        let walked = st.find_by_systrace(7).len()
-            + st.find_by_tcp_seq(4242).len()
-            + st.find_by_x_request(99).len()
-            + st.find_by_otel_trace(1234).len();
+        let walked = st.find(AssocKey::Systrace(7)).len()
+            + st.find(AssocKey::TcpSeq(4242)).len()
+            + st.find(AssocKey::XRequest(99)).len()
+            + st.find(AssocKey::OtelTrace(1234)).len();
         assert_eq!((st.stats().index_entries, walked), (6, 6));
     }
 
@@ -970,7 +923,7 @@ mod tests {
         a.tcp_seq_req = Some(5);
         a.tcp_seq_resp = Some(5);
         let id = st.insert(a);
-        assert_eq!(st.find_by_tcp_seq(5), &[0]);
+        assert_eq!(st.find(AssocKey::TcpSeq(5)), &[0]);
 
         // The re-aggregation path gets the same dedup: completing an
         // Incomplete span with a response that repeats the request-side
@@ -987,14 +940,18 @@ mod tests {
         resp_half.x_request_id_resp = Some(XRequestId(77));
         assert!(st.complete_span(inc, &resp_half));
         let inc_row = (inc.raw() - 1) as u32;
-        assert_eq!(st.find_by_tcp_seq(9), &[inc_row], "resp seq == req seq");
         assert_eq!(
-            st.find_by_systrace(31),
+            st.find(AssocKey::TcpSeq(9)),
+            &[inc_row],
+            "resp seq == req seq"
+        );
+        assert_eq!(
+            st.find(AssocKey::Systrace(31)),
             &[inc_row],
             "resp systrace == req systrace"
         );
         // A genuinely new response-side value still gets indexed once.
-        assert_eq!(st.find_by_x_request(77), &[inc_row]);
+        assert_eq!(st.find(AssocKey::XRequest(77)), &[inc_row]);
         let _ = id;
     }
 
@@ -1016,17 +973,17 @@ mod tests {
         assert_eq!(st.pending_evictions(), 1);
         // Before eviction the probes still return the tombstoned row
         // (filtered by the callers).
-        assert_eq!(st.find_by_systrace(7).len(), 2);
+        assert_eq!(st.find(AssocKey::Systrace(7)).len(), 2);
         let removed = st.evict_tombstoned();
         assert_eq!(removed, 5, "one entry per indexed attribute");
         assert_eq!(st.pending_evictions(), 0);
         // The shared bucket kept the live row; exclusive buckets vanished.
         let ib_row = (ib.raw() - 1) as u32;
-        assert_eq!(st.find_by_systrace(7), &[ib_row]);
-        assert!(st.find_by_tcp_seq(42).is_empty());
-        assert!(st.find_by_x_request(9).is_empty());
-        assert!(st.find_by_otel_trace(3).is_empty());
-        assert!(st.find_by_pseudo_thread(5).is_empty());
+        assert_eq!(st.find(AssocKey::Systrace(7)), &[ib_row]);
+        assert!(st.find(AssocKey::TcpSeq(42)).is_empty());
+        assert!(st.find(AssocKey::XRequest(9)).is_empty());
+        assert!(st.find(AssocKey::OtelTrace(3)).is_empty());
+        assert!(st.find(AssocKey::PseudoThread(5)).is_empty());
         // The span itself is still retrievable (tombstone ≠ delete), still
         // tombstoned, and gone from time-window queries.
         assert!(st.get(ia).is_some());
@@ -1050,7 +1007,7 @@ mod tests {
         // req and resp both point at the same bucket entry; the second
         // sweep finds the bucket already gone.
         assert_eq!(st.evict_tombstoned(), 1);
-        assert!(st.find_by_tcp_seq(5).is_empty());
+        assert!(st.find(AssocKey::TcpSeq(5)).is_empty());
     }
 
     #[test]
@@ -1076,7 +1033,10 @@ mod tests {
         assert_eq!(first, 0);
         assert_eq!(rows, vec![0, 1, 2], "rows are contiguous");
         assert_eq!(one.len(), bulk.len());
-        assert_eq!(one.find_by_tcp_seq(77), bulk.find_by_tcp_seq(77));
+        assert_eq!(
+            one.find(AssocKey::TcpSeq(77)),
+            bulk.find(AssocKey::TcpSeq(77))
+        );
         let q = SpanQuery::window(TimeNs(0), TimeNs(1000));
         let ta: Vec<u64> = one
             .query(&q)
@@ -1104,5 +1064,73 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(st.query(&q).len(), 1);
+    }
+
+    /// A span whose only association key is of `kind`: `req` on the request
+    /// side, `resp` on the response side. The single-valued kinds have one
+    /// field, which takes whichever is given.
+    fn carrying(kind: AssocKind, req: Option<u32>, resp: Option<u32>) -> Span {
+        let mut s = span(100);
+        match kind {
+            AssocKind::Systrace => {
+                s.systrace_id_req = req.map(|v| SysTraceId(v.into()));
+                s.systrace_id_resp = resp.map(|v| SysTraceId(v.into()));
+            }
+            AssocKind::PseudoThread => {
+                s.pseudo_thread_id = req.or(resp).map(|v| PseudoThreadId(v.into()));
+            }
+            AssocKind::XRequest => {
+                s.x_request_id_req = req.map(|v| XRequestId(v.into()));
+                s.x_request_id_resp = resp.map(|v| XRequestId(v.into()));
+            }
+            AssocKind::TcpSeq => (s.tcp_seq_req, s.tcp_seq_resp) = (req, resp),
+            AssocKind::OtelTrace => s.otel_trace_id = req.or(resp).map(|v| OtelTraceId(v.into())),
+        }
+        s
+    }
+
+    #[test]
+    fn every_key_kind_is_indexed_found_and_evicted_once() {
+        for kind in AssocKey::KINDS {
+            let key = |v: u32| kind.key(v.into()).expect("a u32 fits every kind");
+            let mut st = SpanStore::new();
+            // Request side only, response side only, one value on both:
+            // each row is found once under its value.
+            let sides = [(Some(1), None), (None, Some(2)), (Some(3), Some(3))];
+            for (row, (req, resp)) in sides.into_iter().enumerate() {
+                st.insert(carrying(kind, req, resp));
+                let value = req.or(resp).expect("one side is set");
+                assert_eq!(st.find(key(value)), &[row as u32], "{kind:?}");
+            }
+            assert_eq!(st.stats().index_entries, 3, "{kind:?}");
+
+            // A late response indexes its value once — not at all when the
+            // request side already brought it. (A kind without a response
+            // side has nothing for a late response to bring.)
+            let mut indexed = 3;
+            let mut sides = 0;
+            carrying(kind, Some(8), Some(9)).for_each_assoc_key(|_| sides += 1);
+            if sides == 2 {
+                for (row, late) in [(3, 4), (4, 5)] {
+                    let mut request = carrying(kind, Some(4), None);
+                    request.status = SpanStatus::Incomplete;
+                    let id = st.insert(request);
+                    assert!(st.complete_span(id, &carrying(kind, None, Some(late))));
+                    assert_eq!(st.find(key(late)).iter().filter(|&&r| r == row).count(), 1);
+                }
+                assert_eq!(st.find(key(4)), &[3, 4], "{kind:?}");
+                assert_eq!(st.find(key(5)), &[4], "{kind:?}");
+                indexed += 3;
+            }
+            assert_eq!(st.stats().index_entries, indexed, "{kind:?}");
+
+            // Eviction takes out exactly what was indexed.
+            for row in 0..st.len() as u32 {
+                st.tombstone(SpanStore::id_at(row));
+            }
+            assert_eq!(st.evict_tombstoned(), indexed, "{kind:?}");
+            assert_eq!(st.stats().index_entries, 0, "{kind:?}");
+            assert!((1..=5).all(|v| st.find(key(v)).is_empty()), "{kind:?}");
+        }
     }
 }

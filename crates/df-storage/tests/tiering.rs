@@ -7,12 +7,10 @@
 use df_check::sync::Arc;
 use df_storage::persist;
 use df_storage::{BufferPool, BufferPoolConfig, ShardPolicy, SpanQuery, SpanStore};
-use df_types::ids::{AgentId, FlowId, NodeId, SpanId};
-use df_types::l7::L7Protocol;
+use df_types::ids::{FlowId, PseudoThreadId, SpanId, SysTraceId, XRequestId};
 use df_types::net::FiveTuple;
-use df_types::span::{CapturePoint, Span, SpanKind, SpanStatus, TapSide};
-use df_types::tags::TagSet;
-use df_types::TimeNs;
+use df_types::span::{Span, SpanKind, SpanStatus, TapSide};
+use df_types::{AssocKey, TimeNs};
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 
@@ -47,15 +45,8 @@ impl Drop for TestDir {
 /// A span with deterministic association keys so the hash indexes carry
 /// real entries.
 fn span(i: u64) -> Span {
+    let req_ns = i * 10_000_000; // 10 ms apart → 100 per 1 s bucket
     Span {
-        span_id: SpanId(0),
-        kind: SpanKind::Sys,
-        capture: CapturePoint {
-            node: NodeId(1),
-            tap_side: TapSide::ClientProcess,
-            interface: None,
-        },
-        agent: AgentId(1),
         flow_id: FlowId(i),
         five_tuple: FiveTuple::tcp(
             Ipv4Addr::new(10, 0, (i % 8) as u8, 1),
@@ -63,82 +54,27 @@ fn span(i: u64) -> Span {
             Ipv4Addr::new(10, 0, 0, 2),
             80,
         ),
-        l7_protocol: L7Protocol::Http1,
         endpoint: format!("GET /api/endpoint-{}", i % 16),
-        req_time: TimeNs(i * 10_000_000), // 10 ms apart → 100 per 1 s bucket
-        resp_time: TimeNs(i * 10_000_000 + 1_000_000),
-        status: SpanStatus::Ok,
-        status_code: Some(200),
         req_bytes: 10,
         resp_bytes: 20,
-        pid: None,
-        tid: None,
-        process_name: None,
-        systrace_id_req: Some(df_types::ids::SysTraceId(1_000 + i / 2)),
-        systrace_id_resp: None,
-        pseudo_thread_id: if i.is_multiple_of(3) {
-            Some(df_types::ids::PseudoThreadId(500 + i / 3))
-        } else {
-            None
-        },
-        x_request_id_req: if i.is_multiple_of(4) {
-            Some(df_types::ids::XRequestId(7_000 + i as u128))
-        } else {
-            None
-        },
-        x_request_id_resp: None,
+        systrace_id_req: Some(SysTraceId(1_000 + i / 2)),
+        pseudo_thread_id: i.is_multiple_of(3).then_some(PseudoThreadId(500 + i / 3)),
+        x_request_id_req: i.is_multiple_of(4).then_some(XRequestId(7_000 + i as u128)),
         tcp_seq_req: Some(90_000 + (i / 2) as u32),
-        tcp_seq_resp: None,
-        otel_trace_id: None,
-        otel_span_id: None,
-        otel_parent_span_id: None,
-        tags: TagSet::default(),
-        flow_metrics: None,
+        ..Span::synthetic(TapSide::ClientProcess, req_ns, req_ns + 1_000_000)
     }
 }
 
 /// A stripped-down span for the bulk 1M-row test: no association keys, a
 /// short endpoint, `bucket` selected directly.
 fn bulk_span(i: u64, bucket: u64) -> Span {
+    let req_ns = bucket * 1_000_000_000 + (i % 1_000_000);
     Span {
-        span_id: SpanId(0),
         kind: SpanKind::Net,
-        capture: CapturePoint {
-            node: NodeId(1),
-            tap_side: TapSide::ClientNodeNic,
-            interface: None,
-        },
-        agent: AgentId(1),
         flow_id: FlowId(i),
-        five_tuple: FiveTuple::tcp(
-            Ipv4Addr::new(10, 1, 0, 1),
-            40000,
-            Ipv4Addr::new(10, 1, 0, 2),
-            80,
-        ),
-        l7_protocol: L7Protocol::Http1,
         endpoint: String::new(),
-        req_time: TimeNs(bucket * 1_000_000_000 + (i % 1_000_000)),
-        resp_time: TimeNs(bucket * 1_000_000_000 + (i % 1_000_000) + 1),
-        status: SpanStatus::Ok,
         status_code: None,
-        req_bytes: 0,
-        resp_bytes: 0,
-        pid: None,
-        tid: None,
-        process_name: None,
-        systrace_id_req: None,
-        systrace_id_resp: None,
-        pseudo_thread_id: None,
-        x_request_id_req: None,
-        x_request_id_resp: None,
-        tcp_seq_req: None,
-        tcp_seq_resp: None,
-        otel_trace_id: None,
-        otel_span_id: None,
-        otel_parent_span_id: None,
-        tags: TagSet::default(),
-        flow_metrics: None,
+        ..Span::synthetic(TapSide::ClientNodeNic, req_ns, req_ns + 1)
     }
 }
 
@@ -199,8 +135,8 @@ fn spill_flips_old_buckets_and_preserves_every_read_path() {
     // name materialise to the oracle's spans.
     for i in 0..400u64 {
         let key = 1_000 + i / 2;
-        let rows = tiered.find_by_systrace(key).to_vec();
-        assert_eq!(rows, hot.find_by_systrace(key).to_vec());
+        let rows = tiered.find(AssocKey::Systrace(key)).to_vec();
+        assert_eq!(rows, hot.find(AssocKey::Systrace(key)).to_vec());
         for row in rows {
             assert_eq!(
                 *tiered.span_at(row).expect("probe row exists"),
@@ -254,8 +190,8 @@ fn tombstones_survive_spill_and_compaction_pages_in() {
     for i in (0..300u64).filter(|i| i.is_multiple_of(7)) {
         let key = 1_000 + i / 2;
         assert_eq!(
-            tiered.find_by_systrace(key).to_vec(),
-            hot.find_by_systrace(key).to_vec(),
+            tiered.find(AssocKey::Systrace(key)).to_vec(),
+            hot.find(AssocKey::Systrace(key)).to_vec(),
             "compacted probe agrees for key {key}"
         );
     }
@@ -412,8 +348,8 @@ fn crash_recovery_reregisters_segments_and_rebuilds_reads() {
     for i in 0..300u64 {
         let key = 1_000 + i / 2;
         assert_eq!(
-            revived.find_by_systrace(key).to_vec(),
-            oracle.find_by_systrace(key).to_vec(),
+            revived.find(AssocKey::Systrace(key)).to_vec(),
+            oracle.find(AssocKey::Systrace(key)).to_vec(),
             "association probe identical after recovery"
         );
     }

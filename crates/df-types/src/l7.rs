@@ -41,21 +41,11 @@ pub enum L7Protocol {
 }
 
 impl L7Protocol {
-    /// Whether the protocol multiplexes concurrent exchanges on one
-    /// connection ("parallel protocols" in §3.3.1). Multiplexed protocols
-    /// are session-aggregated by their embedded distinguishing attribute;
-    /// pipelined ones by request/response order.
-    pub fn is_multiplexed(self) -> bool {
-        matches!(
-            self,
-            L7Protocol::Http2 | L7Protocol::Dns | L7Protocol::Kafka | L7Protocol::Dubbo
-        )
-    }
-
-    /// All concrete protocols, in the order the inference engine tries them.
+    /// Every concrete protocol, in declaration order. The order inference
+    /// tries them in is the protocol table's (`df_protocols::inference`).
     pub const ALL: [L7Protocol; 9] = [
-        L7Protocol::Http2,
         L7Protocol::Http1,
+        L7Protocol::Http2,
         L7Protocol::Dns,
         L7Protocol::Redis,
         L7Protocol::Mysql,
@@ -129,15 +119,6 @@ pub enum SessionKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn multiplexed_classification_matches_paper() {
-        assert!(L7Protocol::Http2.is_multiplexed());
-        assert!(L7Protocol::Dns.is_multiplexed());
-        assert!(!L7Protocol::Http1.is_multiplexed());
-        assert!(!L7Protocol::Redis.is_multiplexed());
-        assert!(!L7Protocol::Mysql.is_multiplexed());
-    }
 
     #[test]
     fn all_contains_no_sentinels() {

@@ -16,7 +16,9 @@
 //! * [`span`] — [`Span`], one request/response session observed at one
 //!   capture point, carrying every *implicit context* attribute Algorithm 1
 //!   joins on (systrace ids, pseudo-thread ids, X-Request-IDs, TCP sequence
-//!   numbers, third-party trace ids);
+//!   numbers, third-party trace ids) — read as [`AssocKey`]s through
+//!   [`Span::for_each_assoc_key`] — and [`SpanStatus::of_response`], the
+//!   one reading of a protocol's status codes;
 //! * [`trace`] — [`Trace`], an assembled span tree;
 //! * [`rpc`] — the cluster RPC vocabulary ([`RpcEnvelope`], span-batch
 //!   shipping and Phase 1 candidate-set probes) framed into fabric-segment
@@ -59,7 +61,7 @@ pub use metrics::{FlowMetrics, L7Metrics};
 pub use net::{Direction, FiveTuple, TcpFlags, TransportProtocol};
 pub use packet::{ArpOp, CapturedFrame, Frame, Segment};
 pub use rpc::{CandidateKeys, CandidateSpan, RpcBody, RpcDecodeError, RpcEnvelope};
-pub use span::{CapturePoint, Span, SpanKind, SpanStatus, TapSide};
+pub use span::{AssocKey, AssocKind, CapturePoint, Span, SpanKind, SpanStatus, TapSide};
 pub use tags::{
     NodeResource, PodResource, ResourceInventory, ResourceTags, TagKey, TagSet, TagValue,
 };

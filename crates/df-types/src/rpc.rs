@@ -50,7 +50,7 @@
 //! fail. Decoding never panics; every failure is a structured
 //! [`RpcDecodeError`].
 
-use crate::span::Span;
+use crate::span::{AssocKey, Span};
 use crate::wire::{self, put_varint_u128, put_varint_u64, Cursor, WireDecodeError};
 use bytes::Bytes;
 use std::fmt;
@@ -82,11 +82,10 @@ pub const RPC_KINDS: &[(&str, u8)] = &[
 ];
 
 /// One frontier round's association keys, batched per index — the Phase 1
-/// probe payload. Field order mirrors the probe order on the receiving
-/// shard (systrace, pseudo-thread, X-Request-ID, TCP seq, OTel trace), so
-/// two stores probing the same batch return candidates in the same order.
-/// That is also the wire order: each index is a varint count followed by
-/// its keys as varints.
+/// probe payload. Field order is [`AssocKey::KINDS`] order, which is the
+/// probe order on the receiving shard, so two stores probing the same
+/// batch return candidates in the same order. That is also the wire order:
+/// each index is a varint count followed by its keys as varints.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CandidateKeys {
     /// Thread-propagated syscall trace ids.
@@ -102,20 +101,43 @@ pub struct CandidateKeys {
 }
 
 impl CandidateKeys {
-    /// Total keys across all indexes (saturating — the sum is a size
-    /// estimate, not an offset).
+    /// Append `key` to its kind's index.
+    pub fn push(&mut self, key: AssocKey) {
+        match key {
+            AssocKey::Systrace(v) => self.systrace.push(v),
+            AssocKey::PseudoThread(v) => self.pseudo_thread.push(v),
+            AssocKey::XRequest(v) => self.x_request.push(v),
+            AssocKey::TcpSeq(v) => self.tcp_seq.push(v),
+            AssocKey::OtelTrace(v) => self.otel_trace.push(v),
+        }
+    }
+
+    /// Every key, index by index in [`AssocKey::KINDS`] order — the probe
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = AssocKey> + '_ {
+        let systrace = self.systrace.iter().map(|&v| AssocKey::Systrace(v));
+        let pseudo_thread = self
+            .pseudo_thread
+            .iter()
+            .map(|&v| AssocKey::PseudoThread(v));
+        let x_request = self.x_request.iter().map(|&v| AssocKey::XRequest(v));
+        let tcp_seq = self.tcp_seq.iter().map(|&v| AssocKey::TcpSeq(v));
+        let otel_trace = self.otel_trace.iter().map(|&v| AssocKey::OtelTrace(v));
+        systrace
+            .chain(pseudo_thread)
+            .chain(x_request)
+            .chain(tcp_seq)
+            .chain(otel_trace)
+    }
+
+    /// Total keys across all indexes.
     pub fn len(&self) -> usize {
-        self.systrace
-            .len()
-            .saturating_add(self.pseudo_thread.len())
-            .saturating_add(self.x_request.len())
-            .saturating_add(self.tcp_seq.len())
-            .saturating_add(self.otel_trace.len())
+        self.iter().count()
     }
 
     /// Whether the batch holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.iter().next().is_none()
     }
 }
 
@@ -319,25 +341,12 @@ impl RpcBody {
             }
             RpcBody::CandidateRequest { round, keys } => {
                 out.extend_from_slice(&round.to_le_bytes());
-                put_varint_u64(out, keys.systrace.len() as u64);
-                for &k in &keys.systrace {
-                    put_varint_u64(out, k);
-                }
-                put_varint_u64(out, keys.pseudo_thread.len() as u64);
-                for &k in &keys.pseudo_thread {
-                    put_varint_u64(out, k);
-                }
-                put_varint_u64(out, keys.x_request.len() as u64);
-                for &k in &keys.x_request {
-                    put_varint_u128(out, k);
-                }
-                put_varint_u64(out, keys.tcp_seq.len() as u64);
-                for &k in &keys.tcp_seq {
-                    put_varint_u64(out, k as u64);
-                }
-                put_varint_u64(out, keys.otel_trace.len() as u64);
-                for &k in &keys.otel_trace {
-                    put_varint_u128(out, k);
+                for kind in AssocKey::KINDS {
+                    let of_kind = || keys.iter().filter(|key| key.kind() == kind);
+                    put_varint_u64(out, of_kind().count() as u64);
+                    for key in of_kind() {
+                        put_varint_u128(out, key.value());
+                    }
                 }
             }
             RpcBody::CandidateResponse { round, candidates } => {
@@ -574,41 +583,17 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<RpcBody, RpcDecodeError> {
         },
         3 => {
             let round = read_u32_le(&mut cur, "round")?;
-            let n = cur.varint_u64("systrace_count")? as usize;
-            let mut systrace = Vec::with_capacity(n.min(cur.remaining().saturating_add(1)));
-            for _ in 0..n {
-                systrace.push(cur.varint_u64("systrace_key")?);
+            let mut keys = CandidateKeys::default();
+            for kind in AssocKey::KINDS {
+                for _ in 0..cur.varint_u64("candidate_key_count")? {
+                    let value = cur.varint(kind.bits(), "candidate_key")?;
+                    let key = kind.key(value).ok_or(WireDecodeError::BadVarint {
+                        context: "candidate_key",
+                    })?;
+                    keys.push(key);
+                }
             }
-            let n = cur.varint_u64("pseudo_thread_count")? as usize;
-            let mut pseudo_thread = Vec::with_capacity(n.min(cur.remaining().saturating_add(1)));
-            for _ in 0..n {
-                pseudo_thread.push(cur.varint_u64("pseudo_thread_key")?);
-            }
-            let n = cur.varint_u64("x_request_count")? as usize;
-            let mut x_request = Vec::with_capacity(n.min(cur.remaining().saturating_add(1)));
-            for _ in 0..n {
-                x_request.push(cur.varint_u128("x_request_key")?);
-            }
-            let n = cur.varint_u64("tcp_seq_count")? as usize;
-            let mut tcp_seq = Vec::with_capacity(n.min(cur.remaining().saturating_add(1)));
-            for _ in 0..n {
-                tcp_seq.push(cur.varint_u32("tcp_seq_key")?);
-            }
-            let n = cur.varint_u64("otel_trace_count")? as usize;
-            let mut otel_trace = Vec::with_capacity(n.min(cur.remaining().saturating_add(1)));
-            for _ in 0..n {
-                otel_trace.push(cur.varint_u128("otel_trace_key")?);
-            }
-            RpcBody::CandidateRequest {
-                round,
-                keys: CandidateKeys {
-                    systrace,
-                    pseudo_thread,
-                    x_request,
-                    tcp_seq,
-                    otel_trace,
-                },
-            }
+            RpcBody::CandidateRequest { round, keys }
         }
         4 => {
             let round = read_u32_le(&mut cur, "round")?;

@@ -45,11 +45,6 @@ impl TimeNs {
         self.0
     }
 
-    /// Whole seconds since simulation start (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000_000
-    }
-
     /// Fractional seconds since simulation start.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9

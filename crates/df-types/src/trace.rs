@@ -155,52 +155,13 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::ids::*;
-    use crate::l7::L7Protocol;
-    use crate::net::FiveTuple;
-    use crate::span::{CapturePoint, SpanKind, SpanStatus, TapSide};
-    use crate::tags::TagSet;
-    use std::net::Ipv4Addr;
+    use crate::span::TapSide;
 
     fn mk_span(id: u64, req: u64, resp: u64) -> Span {
         Span {
             span_id: SpanId(id),
-            kind: SpanKind::Sys,
-            capture: CapturePoint {
-                node: NodeId(1),
-                tap_side: TapSide::ClientProcess,
-                interface: None,
-            },
-            agent: AgentId(1),
-            flow_id: FlowId(1),
-            five_tuple: FiveTuple::tcp(
-                Ipv4Addr::new(10, 0, 0, 1),
-                40000,
-                Ipv4Addr::new(10, 0, 0, 2),
-                80,
-            ),
-            l7_protocol: L7Protocol::Http1,
             endpoint: format!("op-{id}"),
-            req_time: TimeNs(req),
-            resp_time: TimeNs(resp),
-            status: SpanStatus::Ok,
-            status_code: Some(200),
-            req_bytes: 0,
-            resp_bytes: 0,
-            pid: None,
-            tid: None,
-            process_name: None,
-            systrace_id_req: None,
-            systrace_id_resp: None,
-            pseudo_thread_id: None,
-            x_request_id_req: None,
-            x_request_id_resp: None,
-            tcp_seq_req: None,
-            tcp_seq_resp: None,
-            otel_trace_id: None,
-            otel_span_id: None,
-            otel_parent_span_id: None,
-            tags: TagSet::default(),
-            flow_metrics: None,
+            ..Span::synthetic(TapSide::ClientProcess, req, resp)
         }
     }
 

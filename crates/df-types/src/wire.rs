@@ -623,7 +623,11 @@ impl<'a> Cursor<'a> {
 
     /// LEB128 decode with a bit-width cap; rejects encodings that shift
     /// significant bits past `max_bits`.
-    fn varint(&mut self, max_bits: u32, context: &'static str) -> Result<u128, WireDecodeError> {
+    pub(crate) fn varint(
+        &mut self,
+        max_bits: u32,
+        context: &'static str,
+    ) -> Result<u128, WireDecodeError> {
         let mut value: u128 = 0;
         let mut shift: u32 = 0;
         loop {

@@ -87,25 +87,12 @@ impl Deployment {
         }
     }
 
-    /// Poll every agent once and ship the spans to the server. Returns how
-    /// many spans were shipped.
+    /// Poll every agent once and ship the spans to the server over the
+    /// DFW1 wire path: each agent encodes its batch ([`Agent::poll_wire`])
+    /// and the server decodes it ([`Server::ingest_wire`]) — the bytes that
+    /// would cross the network in a real deployment. Returns how many spans
+    /// were shipped.
     pub fn poll(&mut self, world: &mut World, now: TimeNs) -> usize {
-        let mut total = 0;
-        self.each_agent(world, |agent, kernel, fabric, server| {
-            let spans = agent.poll(kernel, fabric, now);
-            total += spans.len();
-            server.ingest_batch(spans);
-        });
-        self.shipped += total as u64;
-        total
-    }
-
-    /// [`Self::poll`], but over the DFW1 wire path: each agent encodes its
-    /// batch ([`Agent::poll_wire`]) and the server decodes it
-    /// ([`Server::ingest_wire`]) — the bytes that would cross the network
-    /// in a real deployment. Returns how many spans were shipped; the
-    /// result is identical to [`Self::poll`] on the same world state.
-    pub fn poll_wire(&mut self, world: &mut World, now: TimeNs) -> usize {
         let mut total = 0;
         self.each_agent(world, |agent, kernel, fabric, server| {
             if let Some(batch) = agent.poll_wire(kernel, fabric, now) {

@@ -2,6 +2,7 @@
 //! uprobes, user-supplied protocol specifications — and failure injection
 //! on the observation plane itself (perf-ring overflow).
 
+use deepflow::agent::{Agent, AgentConfig};
 use deepflow::mesh::{Behavior, ClientSpec, ServiceSpec, World};
 use deepflow::net::fabric::{Fabric, FabricConfig};
 use deepflow::net::topology::Topology;
@@ -89,6 +90,90 @@ fn tls_services_are_traced_via_ssl_uprobes_despite_opaque_wire() {
     assert!(uprobe_spans.iter().all(|s| s.status_code == Some(200)));
 }
 
+/// One request/response exchange between a client process on node 1 and
+/// a server process on node 2, fed through the kernels' syscall path and
+/// observed by `agent`, node 2's. The server reads the request at 2 µs and
+/// answers at `respond_at`, and the agent is polled just before it answers
+/// — which expires the request first when `respond_at` is several of the
+/// agent's session slots away. Returns every span the agent produced.
+fn one_exchange(
+    mut agent: Agent,
+    request: Vec<u8>,
+    response: Vec<u8>,
+    respond_at: TimeNs,
+) -> Vec<Span> {
+    use deepflow::kernel::{Kernel, KernelConfig};
+    use deepflow::types::TransportProtocol;
+    let kernel = |node| {
+        Kernel::new(KernelConfig {
+            node,
+            ..Default::default()
+        })
+    };
+    let (mut ka, mut kb) = (kernel(NodeId(1)), kernel(NodeId(2)));
+    agent.install(&mut kb).unwrap();
+
+    // Minimal fabric to carry segments.
+    let mut topo = Topology::new();
+    let n1 = topo.add_simple_node("a", Ipv4Addr::new(10, 0, 0, 1));
+    let n2 = topo.add_simple_node("b", Ipv4Addr::new(10, 0, 0, 2));
+    assert_eq!((n1, n2), (NodeId(1), NodeId(2)));
+    let mut fabric = Fabric::new(topo, FabricConfig::default());
+
+    fn pump(ka: &mut Kernel, kb: &mut Kernel, fabric: &mut Fabric) {
+        loop {
+            let out_a = ka.drain_outbox();
+            let out_b = kb.drain_outbox();
+            if out_a.is_empty() && out_b.is_empty() {
+                break;
+            }
+            for seg in out_a {
+                for d in fabric.transmit(seg, TimeNs(0)) {
+                    let _ = kb.deliver(&d.segment, d.at);
+                }
+            }
+            for seg in out_b {
+                for d in fabric.transmit(seg, TimeNs(0)) {
+                    let _ = ka.deliver(&d.segment, d.at);
+                }
+            }
+        }
+    }
+
+    // Server listens; client connects.
+    let (spid, stid) = kb.procs.spawn_process("server");
+    let lfd = kb.socket(spid, TransportProtocol::Tcp).unwrap();
+    kb.bind(spid, lfd, Ipv4Addr::new(10, 0, 0, 2), 7000)
+        .unwrap();
+    kb.listen(spid, lfd, 16).unwrap();
+    kb.accept(stid, spid, lfd);
+    let (cpid, ctid) = ka.procs.spawn_process("client");
+    let cfd = ka.socket(cpid, TransportProtocol::Tcp).unwrap();
+    ka.connect(
+        ctid,
+        cpid,
+        cfd,
+        Ipv4Addr::new(10, 0, 0, 1),
+        (Ipv4Addr::new(10, 0, 0, 2), 7000),
+    );
+    pump(&mut ka, &mut kb, &mut fabric);
+    let (sfd, _) = kb.accept(stid, spid, lfd).unwrap_complete();
+
+    // Request → server reads → server responds.
+    ka.sys_write(ctid, cpid, cfd, request.into(), TimeNs(1000))
+        .unwrap_complete();
+    kb.sys_read(stid, spid, sfd, 4096, TimeNs(1000));
+    pump(&mut ka, &mut kb, &mut fabric);
+    kb.sys_read(stid, spid, sfd, 4096, TimeNs(2000))
+        .unwrap_complete();
+    let mut spans = agent.poll(&mut kb, &mut fabric, respond_at);
+    kb.sys_write(stid, spid, sfd, response.into(), respond_at)
+        .unwrap_complete();
+    pump(&mut ka, &mut kb, &mut fabric);
+    spans.extend(agent.poll(&mut kb, &mut fabric, respond_at + D::from_secs(1)));
+    spans
+}
+
 #[test]
 fn user_supplied_protocol_specifications_extend_inference() {
     // A proprietary length-prefixed RPC: [0xC9]['Q'|'R'][id][verb...].
@@ -116,96 +201,15 @@ fn user_supplied_protocol_specifications_extend_inference() {
         }
     }
 
-    // Feed the agent's syscall path directly through a kernel pair.
-    use deepflow::agent::{Agent, AgentConfig};
-    use deepflow::kernel::{Kernel, KernelConfig, SyscallSurface};
-    use deepflow::types::TransportProtocol;
-    let mut ka = Kernel::new(KernelConfig {
-        node: deepflow::types::NodeId(1),
-        ..Default::default()
-    });
-    let mut kb = Kernel::new(KernelConfig {
-        node: deepflow::types::NodeId(2),
-        ..Default::default()
-    });
-    let mut agent_b = Agent::new(AgentConfig::for_node(kb.node()));
-    agent_b.install(&mut kb).unwrap();
-    let slot = agent_b.register_custom_protocol(acme_spec());
+    let mut agent = Agent::new(AgentConfig::for_node(NodeId(2)));
+    let slot = agent.register_custom_protocol(acme_spec());
     assert_eq!(slot, L7Protocol::Custom(0));
-
-    // Minimal fabric to carry segments.
-    let mut topo = Topology::new();
-    let n1 = topo.add_simple_node("a", Ipv4Addr::new(10, 0, 0, 1));
-    let n2 = topo.add_simple_node("b", Ipv4Addr::new(10, 0, 0, 2));
-    assert_eq!(
-        (n1, n2),
-        (deepflow::types::NodeId(1), deepflow::types::NodeId(2))
-    );
-    let mut fabric = Fabric::new(topo, FabricConfig::default());
-
-    fn pump(ka: &mut Kernel, kb: &mut Kernel, fabric: &mut Fabric) {
-        loop {
-            let out_a = ka.drain_outbox();
-            let out_b = kb.drain_outbox();
-            if out_a.is_empty() && out_b.is_empty() {
-                break;
-            }
-            for seg in out_a {
-                for d in fabric.transmit(seg, TimeNs(0)) {
-                    let _ = kb.deliver(&d.segment, d.at);
-                }
-            }
-            for seg in out_b {
-                for d in fabric.transmit(seg, TimeNs(0)) {
-                    let _ = ka.deliver(&d.segment, d.at);
-                }
-            }
-        }
-    }
-
-    // Server listens; client speaks acme-rpc.
-    let (spid, stid) = kb.procs.spawn_process("acme-server");
-    let lfd = kb.socket(spid, TransportProtocol::Tcp).unwrap();
-    kb.bind(spid, lfd, Ipv4Addr::new(10, 0, 0, 2), 7000)
-        .unwrap();
-    kb.listen(spid, lfd, 16).unwrap();
-    kb.accept(stid, spid, lfd);
-    let (cpid, ctid) = ka.procs.spawn_process("acme-client");
-    let cfd = ka.socket(cpid, TransportProtocol::Tcp).unwrap();
-    ka.connect(
-        ctid,
-        cpid,
-        cfd,
-        Ipv4Addr::new(10, 0, 0, 1),
-        (Ipv4Addr::new(10, 0, 0, 2), 7000),
-    );
-    pump(&mut ka, &mut kb, &mut fabric);
-    let (sfd, _) = kb.accept(stid, spid, lfd).unwrap_complete();
-
-    // Request → server reads → server responds.
-    ka.sys_write(
-        ctid,
-        cpid,
-        cfd,
-        bytes::Bytes::from(vec![0xC9, b'Q', 7, b'p', b'i', b'n', b'g']),
-        TimeNs(1000),
-    )
-    .unwrap_complete();
-    kb.sys_read(stid, spid, sfd, 4096, TimeNs(1000));
-    pump(&mut ka, &mut kb, &mut fabric);
-    kb.sys_read(stid, spid, sfd, 4096, TimeNs(2000))
-        .unwrap_complete();
-    kb.sys_write(
-        stid,
-        spid,
-        sfd,
-        bytes::Bytes::from(vec![0xC9, b'R', 7, b'o', b'k']),
+    let spans = one_exchange(
+        agent,
+        vec![0xC9, b'Q', 7, b'p', b'i', b'n', b'g'],
+        vec![0xC9, b'R', 7, b'o', b'k'],
         TimeNs(3000),
-    )
-    .unwrap_complete();
-    pump(&mut ka, &mut kb, &mut fabric);
-
-    let spans = agent_b.poll(&mut kb, &mut fabric, TimeNs::from_secs(1));
+    );
     assert_eq!(spans.len(), 1, "one acme-rpc span: {spans:#?}");
     let s = &spans[0];
     assert_eq!(s.l7_protocol, L7Protocol::Custom(0));
@@ -221,7 +225,6 @@ fn perf_ring_overflow_degrades_gracefully() {
     // A tiny perf ring under heavy load: events drop (counted), the agent
     // still produces consistent spans for what survived, and nothing
     // panics — the §3.3.1 tolerance for missing halves.
-    use deepflow::agent::{Agent, AgentConfig};
     use deepflow::kernel::KernelConfig;
     let (mut world, client_ip, svc_ip) = two_pod_world();
     // Rebuild node-2's kernel with an 8-entry ring.
@@ -273,7 +276,6 @@ fn server_side_re_aggregation_reunites_out_of_window_sessions() {
     // to respond. The request expires (Incomplete), the late response
     // ships as a ResponseOnly fragment, and the SERVER re-aggregates them
     // — §3.3.1's "aggregated again using the same technique".
-    use deepflow::agent::AgentConfig;
     let (mut world, client_ip, svc_ip) = two_pod_world();
     let n2 = world.fabric.topology.node_ids()[1];
     world.add_service(
@@ -357,6 +359,83 @@ fn server_side_re_aggregation_reunites_out_of_window_sessions() {
         .filter(|s| s.status == SpanStatus::ResponseOnly)
         .count();
     assert!(fragments_after < fragments_before.max(1));
+}
+
+#[test]
+fn re_aggregated_sessions_carry_the_status_the_agent_would_have_given() {
+    // The same error exchange twice: once answered inside the agent's
+    // session window (the agent pairs it), once eleven one-second slots
+    // late (the request ships Incomplete, the response as a fragment, the
+    // server pairs them). Both read the response's status code through
+    // `SpanStatus::of_response`, so the outcomes agree — for every
+    // protocol, not only the ones whose codes look like HTTP's.
+    use deepflow::protocols::{dns, dubbo, kafka, mqtt};
+    use deepflow::types::tags::ResourceInventory;
+    let exchanges = [
+        (
+            dns::query(7, "svc.local"),
+            dns::answer(7, "svc.local", dns::RCODE_SERVFAIL),
+            SpanStatus::ServerError,
+        ),
+        (
+            dns::query(8, "nope.local"),
+            dns::answer(8, "nope.local", dns::RCODE_NXDOMAIN),
+            SpanStatus::ClientError,
+        ),
+        (
+            kafka::request(kafka::API_FETCH, 9, "orders"),
+            kafka::response(9, 6),
+            SpanStatus::ServerError,
+        ),
+        (
+            dubbo::request(10, "Svc", "call"),
+            dubbo::response(10, 40, b""),
+            SpanStatus::ClientError,
+        ),
+        (
+            dubbo::request(11, "Svc", "call"),
+            dubbo::response(11, dubbo::STATUS_SERVER_ERROR, b""),
+            SpanStatus::ServerError,
+        ),
+        (
+            mqtt::connect("dev-1"),
+            mqtt::connack(5),
+            SpanStatus::ServerError,
+        ),
+    ];
+    for (request, response, expected) in exchanges {
+        let in_window = one_exchange(
+            Agent::new(AgentConfig::for_node(NodeId(2))),
+            request.to_vec(),
+            response.to_vec(),
+            TimeNs(3000),
+        );
+        assert_eq!(in_window.len(), 1, "{in_window:#?}");
+        let agent_built = &in_window[0];
+        assert_eq!(agent_built.status, expected, "{}", agent_built.l7_protocol);
+
+        let halves = one_exchange(
+            Agent::new(AgentConfig {
+                session_slot: D::from_secs(1),
+                ..AgentConfig::for_node(NodeId(2))
+            }),
+            request.to_vec(),
+            response.to_vec(),
+            TimeNs::from_secs(11),
+        );
+        let statuses: Vec<SpanStatus> = halves.iter().map(|s| s.status).collect();
+        assert_eq!(statuses, [SpanStatus::Incomplete, SpanStatus::ResponseOnly]);
+        let mut server = Server::new(&ResourceInventory::default());
+        let ids = server.ingest_batch(halves);
+        assert_eq!(server.re_aggregate(), 1);
+        let reunited = server.trace(ids[0]).spans.remove(0).span;
+        assert_eq!(
+            (reunited.status, reunited.status_code),
+            (agent_built.status, agent_built.status_code),
+            "{}",
+            reunited.l7_protocol
+        );
+    }
 }
 
 #[test]
