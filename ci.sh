@@ -31,6 +31,12 @@ if [ -n "$oversized" ]; then
   printf 'first-party *.rs files over %s lines:\n%s\n' "$MAX_FILE_LINES" "$oversized" >&2
   exit 1
 fi
+# The architecture overview stays an overview (ROADMAP item 10's bar).
+arch_lines=$(wc -l < docs/ARCHITECTURE.md)
+if [ "$arch_lines" -gt 600 ]; then
+  echo "docs/ARCHITECTURE.md: $arch_lines lines > 600 — say it shorter, or move detail to the module docs" >&2
+  exit 1
+fi
 # The ledger stays regenerable: every tracked results/<name>.json has a
 # save_json("<name>", ..) call in a figure binary that rewrites it.
 bin_sources=$(cat crates/df-bench/src/bin/*.rs | tr -d ' \n')

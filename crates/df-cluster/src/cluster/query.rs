@@ -51,12 +51,12 @@ impl Cluster {
             missing: BTreeSet::new(),
             tracker: RoundTracker::new(),
         };
-        let (trace, rounds) = match probe.fetch_span(loc) {
+        let (trace, rounds, _) = match probe.fetch_span(loc) {
             Some(span) => {
                 probe.span_of.insert(loc, span);
                 assemble_with(&mut probe, loc, start, &cfg)
             }
-            None => (Trace::default(), 0),
+            None => (Trace::default(), 0, None),
         };
         // A start span no copy could produce is itself a degraded answer.
         if trace.is_empty() || !probe.missing.is_empty() {

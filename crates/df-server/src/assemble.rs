@@ -119,21 +119,54 @@ pub trait ShardProbe {
 /// The in-process prober: the shards are right here, index-aligned with
 /// [`Loc::shard`], and rows are borrowed straight from them (a cold row
 /// pages in when its keys are expanded — the Phase 1 page-in path).
-pub struct LocalShards<'a>(pub &'a [&'a SpanStore]);
+pub struct LocalShards<'a> {
+    /// The shards.
+    pub shards: &'a [&'a SpanStore],
+    /// Posting entries under every key probed so far, over all shards.
+    pub postings: u64,
+}
 
 impl ShardProbe for LocalShards<'_> {
     fn span_at(&self, loc: Loc) -> Cow<'_, Span> {
-        self.0[loc.shard as usize]
+        self.shards[loc.shard as usize]
             .span_at(loc.row)
             .expect("member rows exist")
     }
 
     fn probe_round(&mut self, _round: u32, keys: &CandidateKeys, seen: &HashSet<Loc>) -> Vec<Loc> {
         let mut found = Vec::new();
-        for (si, shard) in self.0.iter().enumerate() {
-            probe_shard(si as u16, shard, keys, seen, &mut found);
+        for (si, shard) in self.shards.iter().enumerate() {
+            self.postings += probe_shard(si as u16, shard, keys, seen, &mut found) as u64;
         }
         found
+    }
+}
+
+/// What a Phase 1 that reached its fixed point joined on, as the shards
+/// stood then: the keys it expanded, the posting entries under them over
+/// all shards, and the shards' summed [`SpanStore::edits`]. While the
+/// edit count stands still the lists can only have grown, so an equal
+/// posting total means no list under any of the keys changed: no span the
+/// search could reach has arrived and no member was altered.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JoinFacts {
+    pub(crate) keys: Vec<AssocKey>,
+    pub(crate) postings: u64,
+    pub(crate) edits: u64,
+}
+
+impl JoinFacts {
+    /// Whether `shards` — the whole corpus the search ran over — still
+    /// stand as recorded.
+    pub fn hold<'a>(&self, shards: impl IntoIterator<Item = &'a SpanStore>) -> bool {
+        let (mut postings, mut edits) = (0, 0);
+        for shard in shards {
+            edits += shard.edits();
+            postings += (self.keys.iter())
+                .map(|&key| shard.find(key).len() as u64)
+                .sum::<u64>();
+        }
+        (postings, edits) == (self.postings, self.edits)
     }
 }
 
@@ -142,15 +175,17 @@ impl ShardProbe for LocalShards<'_> {
 /// several keys are appended once, tombstoned rows are filtered. A remote
 /// shard owner answers a
 /// [`CandidateRequest`](df_types::rpc::RpcBody::CandidateRequest) by
-/// calling exactly this with an empty `seen` set.
+/// calling exactly this with an empty `seen` set. Returns the posting
+/// entries walked: the summed lengths of the batch's lists in this shard.
 pub fn probe_shard(
     si: u16,
     shard: &SpanStore,
     batch: &CandidateKeys,
     seen: &HashSet<Loc>,
     found: &mut Vec<Loc>,
-) {
+) -> usize {
     let mut local: HashSet<u32> = HashSet::new();
+    let mut walked = 0;
     let mut grow = |rows: &[u32]| {
         for &row in rows {
             let loc = Loc { shard: si, row };
@@ -166,13 +201,17 @@ pub fn probe_shard(
         }
     };
     for key in batch.iter() {
-        grow(shard.find(key));
+        let rows = shard.find(key);
+        walked += rows.len();
+        grow(rows);
     }
+    walked
 }
 
 /// Algorithm 1 from the span at `start` (whose id is `start_id`), over
-/// whatever `prober` reaches. Returns the trace and how many Phase 1
-/// rounds probed the shards.
+/// whatever `prober` reaches. Returns the trace, how many Phase 1 rounds
+/// probed the shards, and — when the search ended at its fixed point and
+/// not at a cap — the keys it expanded, every one of them probed.
 ///
 /// Phase 1 (lines 1–16) is a frontier search: each round batches the
 /// frontier's not-yet-expanded keys ([`CandidateKeys`] — also the payload
@@ -187,13 +226,14 @@ pub fn assemble_with<P: ShardProbe>(
     start: Loc,
     start_id: SpanId,
     cfg: &AssembleConfig,
-) -> (Trace, u32) {
+) -> (Trace, u32, Option<Vec<AssocKey>>) {
     let mut seen: HashSet<Loc> = HashSet::from([start]);
     let mut members: Vec<Loc> = vec![start];
     let mut frontier: Vec<Loc> = vec![start];
     // Each key is expanded — probed against every shard — at most once.
     let mut expanded: HashSet<AssocKey> = HashSet::new();
     let mut rounds = 0u32;
+    let mut fixed_point = false;
     for _ in 0..cfg.iterations {
         if members.len() >= cfg.max_spans {
             break; // cap crossed; truncated by `assemble_members`
@@ -209,13 +249,15 @@ pub fn assemble_with<P: ShardProbe>(
             });
         }
         if keys.is_empty() {
-            break; // fixed point: no new keys to expand
+            fixed_point = true; // no new keys to expand
+            break;
         }
         let mut next = prober.probe_round(rounds, &keys, &seen);
         rounds += 1;
         next.retain(|&loc| seen.insert(loc));
         if next.is_empty() {
-            break; // fixed point (lines 13–14): nothing new matched
+            fixed_point = true; // lines 13–14: nothing new matched
+            break;
         }
         members.extend_from_slice(&next);
         frontier = next;
@@ -224,7 +266,8 @@ pub fn assemble_with<P: ShardProbe>(
         .iter()
         .map(|&loc| prober.span_at(loc).into_owned())
         .collect();
-    (assemble_members(spans, start_id, cfg), rounds)
+    let keys = fixed_point.then(|| expanded.into_iter().collect());
+    (assemble_members(spans, start_id, cfg), rounds, keys)
 }
 
 /// Run Algorithm 1 from `start` over one standalone store: the one-shard
@@ -237,7 +280,11 @@ pub fn assemble_trace(store: &SpanStore, start: SpanId, cfg: &AssembleConfig) ->
         shard: 0,
         row: (start.raw() - 1) as u32,
     };
-    assemble_with(&mut LocalShards(&[store]), start_loc, start, cfg).0
+    let mut probe = LocalShards {
+        shards: &[store],
+        postings: 0,
+    };
+    assemble_with(&mut probe, start_loc, start, cfg).0
 }
 
 /// Reference formulation of Algorithm 1: Phase 1 re-probes the *entire*

@@ -45,11 +45,13 @@
 //! Bucket generations drive trace-cache invalidation. A worker bumps a
 //! bucket's generation **while still holding its shard's write lock**, and
 //! an assembling reader holds *all* shard read locks from Phase 1 through
-//! reading the generations it records in the cache entry. Rows-visible and
-//! generation-bumped are therefore atomic from any reader's point of view:
-//! no interleaving exists in which a cached trace misses an applied span
-//! yet records its post-apply generation (which would never invalidate —
-//! a permanently stale entry). The df-check models in
+//! reading the generations it records in the cache entry — as does a
+//! reader revalidating an entry, from comparing what the trace joined on
+//! through re-stamping it. Rows-visible and generation-bumped are
+//! therefore atomic from any reader's point of view: no interleaving
+//! exists in which a cached trace misses an applied span yet records its
+//! post-apply generation (which would never invalidate — a permanently
+//! stale entry). The df-check models in
 //! `tests/df_check_models.rs` explore exactly this under every schedule,
 //! including that both fine-grained orderings *would* exhibit the bug
 //! without the lock discipline.
@@ -67,11 +69,11 @@
 //!
 //! [`CacheOutcome::Stale`]: crate::trace_cache::CacheOutcome::Stale
 
-use crate::assemble::AssembleConfig;
+use crate::assemble::{AssembleConfig, JoinFacts};
 use crate::router::{BatchReorder, BucketTable, Router};
 use crate::server::ServerStats;
 use crate::sharded::{assemble_local, complete_row, tombstone_row};
-use crate::trace_cache::{query_through, BucketGens, TraceCache};
+use crate::trace_cache::{query_through, BucketGens, CacheOutcome, TraceCache};
 use df_check::sync::atomic::{AtomicUsize, Ordering};
 use df_check::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use df_check::sync::{Arc, Mutex, RwLock};
@@ -203,6 +205,9 @@ struct ShardSlot {
 struct GenView<'a> {
     gens: &'a Mutex<BucketTable>,
     policy: &'a ShardPolicy,
+    /// Every shard, while the caller holds all their read locks; `None`
+    /// from a caller that holds none.
+    pinned: Option<&'a [&'a SpanStore]>,
 }
 
 impl BucketGens for GenView<'_> {
@@ -211,6 +216,9 @@ impl BucketGens for GenView<'_> {
     }
     fn bucket_of(&self, t: TimeNs) -> u64 {
         self.policy.bucket_of(t)
+    }
+    fn facts_hold(&self, facts: &JoinFacts) -> Option<bool> {
+        self.pinned.map(|shards| facts.hold(shards.iter().copied()))
     }
 }
 
@@ -642,17 +650,19 @@ impl ConcurrentShardedStore {
         let view = GenView {
             gens: &self.gens,
             policy: &self.policy,
+            pinned: None,
         };
         query_through(&self.cache, &self.stats, &view, start, window, || {
-            self.assemble_and_cache(start, &view)
+            self.resolve_pinned(start, window)
         })
     }
 
-    /// Assemble (Algorithm 1) from `start` against a consistent snapshot:
-    /// all shard read locks are held from Phase 1 through the cache store,
-    /// so the recorded generations exactly match the assembled span set
-    /// (module docs: the staleness-correctness invariant).
-    fn assemble_and_cache(&self, start: SpanId, view: &GenView<'_>) -> Arc<Trace> {
+    /// Serve `start` against a consistent snapshot: all shard read locks
+    /// are held from the key check or Phase 1 through the re-stamp or the
+    /// cache store, so the recorded generations exactly match the span set
+    /// they vouch for (module docs: the staleness-correctness invariant).
+    /// The flag says the cached entry was revalidated, not re-assembled.
+    fn resolve_pinned(&self, start: SpanId, window: u64) -> (Arc<Trace>, bool) {
         let loc = self.route.lock().expect("route lock poisoned").loc(start);
         let guards: Vec<_> = self
             .slots
@@ -660,18 +670,32 @@ impl ConcurrentShardedStore {
             .map(|s| s.store.read().expect("shard lock poisoned"))
             .collect();
         let refs: Vec<&SpanStore> = guards.iter().map(|g| &**g).collect();
+        let view = GenView {
+            gens: &self.gens,
+            policy: &self.policy,
+            pinned: Some(&refs),
+        };
+        // The unpinned lookup kept an entry it could not check; look again
+        // now that no worker can append or bump a generation.
+        let again = self
+            .cache
+            .lock()
+            .expect("cache lock poisoned")
+            .lookup_bounded(start, &view, window);
+        match again {
+            CacheOutcome::Revalidated(t) => return (t, true),
+            CacheOutcome::Hit(t) | CacheOutcome::Stale(t) => return (t, false),
+            CacheOutcome::Invalidated | CacheOutcome::Miss => {}
+        }
         // The start span may still sit in its shard's queue (not applied):
         // the empty trace is not cached, so a post-flush retry assembles
         // for real.
-        let Some(trace) = assemble_local(&refs, loc, start, &self.assemble_cfg) else {
-            return Arc::new(Trace::default());
-        };
+        let (trace, facts) =
+            assemble_local(&refs, loc, start, &self.assemble_cfg).unwrap_or_default();
         // Cache while the guards are held: generations cannot move between
         // assembly and the dependency snapshot.
-        self.cache
-            .lock()
-            .expect("cache lock poisoned")
-            .store(start, trace, view)
+        let mut cache = self.cache.lock().expect("cache lock poisoned");
+        (cache.store(start, trace, facts, &view), false)
     }
 }
 

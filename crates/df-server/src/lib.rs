@@ -65,7 +65,7 @@ pub mod sharded;
 pub mod trace_cache;
 
 pub use assemble::{
-    assemble_trace, assemble_with, probe_shard, AssembleConfig, LocalShards, ShardProbe,
+    assemble_trace, assemble_with, probe_shard, AssembleConfig, JoinFacts, LocalShards, ShardProbe,
 };
 pub use concurrent::{ConcurrentConfig, ConcurrentShardedStore, WireIngestError, WorkerPanic};
 pub use dictionary::TagDictionary;

@@ -18,7 +18,7 @@
 
 use crate::assemble::AssembleConfig;
 use crate::dictionary::TagDictionary;
-use crate::sharded::{assemble_trace_sharded, ShardedSpanStore};
+use crate::sharded::ShardedSpanStore;
 use crate::trace_cache::{query_through, TraceCache};
 use df_check::sync::Mutex;
 use df_storage::{ShardPolicy, SpanQuery};
@@ -54,6 +54,11 @@ pub struct ServerStats {
     pub re_aggregated: u64,
     /// Trace queries answered from the cache (valid entry).
     pub cache_hits: u64,
+    /// The `cache_hits` that needed the key check: a bucket in the
+    /// entry's envelope had been written, and what the trace joined on
+    /// showed the write did not touch it (see [`crate::trace_cache`]). A
+    /// subset of `cache_hits`, so the sum above does not count it.
+    pub cache_revalidations: u64,
     /// Trace queries answered from the cache within a bounded-staleness
     /// window under ingest load (only the concurrent store serves these;
     /// the single-threaded [`Server`] always validates strictly, so here
@@ -62,8 +67,8 @@ pub struct ServerStats {
     /// Trace queries with no cached entry (assembled fresh).
     pub cache_misses: u64,
     /// Trace queries whose cached entry had gone stale — a mutation in the
-    /// trace's time envelope — and was re-assembled. Disjoint from
-    /// `cache_misses`.
+    /// trace's time envelope that the key check could not rule out — and
+    /// was re-assembled. Disjoint from `cache_misses`.
     pub cache_invalidations: u64,
 }
 
@@ -188,11 +193,12 @@ impl Server {
     /// are always reflected.
     pub fn trace(&self, start: SpanId) -> Trace {
         let arc = query_through(&self.cache, &self.stats, &self.store, start, 0, || {
-            let fresh = assemble_trace_sharded(&self.store, start, &self.assemble_cfg);
-            self.cache
-                .lock()
-                .expect("cache lock poisoned")
-                .store(start, fresh, &self.store)
+            let (fresh, facts) = self
+                .store
+                .assemble(start, &self.assemble_cfg)
+                .unwrap_or_default();
+            let mut cache = self.cache.lock().expect("cache lock poisoned");
+            (cache.store(start, fresh, facts, &self.store), false)
         });
         let mut trace = (*arc).clone();
         for s in &mut trace.spans {
@@ -440,6 +446,33 @@ mod tests {
             st.trace_queries,
             st.cache_hits + st.cache_misses + st.cache_invalidations,
             "snapshot invariant (module docs)"
+        );
+    }
+
+    #[test]
+    fn trace_cache_counters_tell_revalidation_from_invalidation() {
+        let mut srv = Server::new(&inventory());
+        let a = srv.ingest(span(100, 500));
+        srv.ingest(span(150, 100));
+        let cold = srv.trace(a);
+        let mut unrelated = span(200, 100);
+        (unrelated.tcp_seq_req, unrelated.tcp_seq_resp) = (Some(77), Some(78));
+        srv.ingest(unrelated); // lands in the envelope, shares no key
+        assert_eq!(srv.trace(a), cold);
+        let st = srv.stats();
+        let counters = |st: ServerStats| {
+            let (hits, revalidations) = (st.cache_hits, st.cache_revalidations);
+            (st.cache_misses, hits, revalidations, st.cache_invalidations)
+        };
+        assert_eq!(counters(st), (1, 1, 1, 0));
+        srv.ingest(span(250, 100)); // shares the trace's TCP sequence
+        assert_eq!(srv.trace(a).len(), 3, "a longer trace");
+        let st = srv.stats();
+        assert_eq!(counters(st), (1, 1, 1, 1));
+        assert_eq!(
+            st.trace_queries,
+            st.cache_hits + st.cache_misses + st.cache_invalidations,
+            "revalidations are hits, not a fifth class"
         );
     }
 

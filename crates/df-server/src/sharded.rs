@@ -23,7 +23,7 @@
 //! paying for rows every reader filters. The server also compacts
 //! unconditionally after each re-aggregation pass.
 
-use crate::assemble::{assemble_with, AssembleConfig, LocalShards};
+use crate::assemble::{assemble_with, AssembleConfig, JoinFacts, LocalShards};
 use crate::router::{BucketTable, Loc, Router};
 use df_check::sync::Arc;
 use df_storage::{
@@ -290,6 +290,21 @@ impl ShardedSpanStore {
     pub fn bucket_of(&self, t: TimeNs) -> u64 {
         self.policy().bucket_of(t)
     }
+
+    /// The shards, in [`Loc::shard`] order.
+    pub(crate) fn shards(&self) -> &[SpanStore] {
+        &self.shards
+    }
+
+    /// [`assemble_local`] over this store's shards.
+    pub(crate) fn assemble(
+        &self,
+        start: SpanId,
+        cfg: &AssembleConfig,
+    ) -> Option<(Trace, Option<JoinFacts>)> {
+        let shards: Vec<&SpanStore> = self.shards.iter().collect();
+        assemble_local(&shards, self.router.loc(start), start, cfg)
+    }
 }
 
 /// The tombstone rule of every shard owner: hide `row`, compact the
@@ -328,19 +343,30 @@ fn row_bucket(shard: &SpanStore, policy: &ShardPolicy, row: u32) -> Option<u64> 
 
 /// Algorithm 1 from `start` over in-process shards, or `None` when there
 /// is nothing to assemble from: `start` was never routed (no `loc`), its
-/// row still sits in an ingest queue, or it is tombstoned.
+/// row still sits in an ingest queue, or it is tombstoned. With the trace
+/// come the [`JoinFacts`] of its search, when that reached a fixed point.
 pub(crate) fn assemble_local(
     shards: &[&SpanStore],
     loc: Option<Loc>,
     start: SpanId,
     cfg: &AssembleConfig,
-) -> Option<Trace> {
+) -> Option<(Trace, Option<JoinFacts>)> {
     let loc = loc?;
     let home = shards[loc.shard as usize];
     if home.len() as u32 <= loc.row || home.is_tombstoned(start) {
         return None;
     }
-    Some(assemble_with(&mut LocalShards(shards), loc, start, cfg).0)
+    let mut probe = LocalShards {
+        shards,
+        postings: 0,
+    };
+    let (trace, _, keys) = assemble_with(&mut probe, loc, start, cfg);
+    let facts = keys.map(|keys| JoinFacts {
+        keys,
+        postings: probe.postings,
+        edits: shards.iter().map(|s| s.edits()).sum(),
+    });
+    Some((trace, facts))
 }
 
 /// Algorithm 1 over a sharded corpus: [`assemble_with`] over the
@@ -353,8 +379,7 @@ pub fn assemble_trace_sharded(
     start: SpanId,
     cfg: &AssembleConfig,
 ) -> Trace {
-    let shards: Vec<&SpanStore> = store.shards.iter().collect();
-    assemble_local(&shards, store.router.loc(start), start, cfg).unwrap_or_default()
+    store.assemble(start, cfg).unwrap_or_default().0
 }
 
 #[cfg(test)]

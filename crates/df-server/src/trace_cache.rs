@@ -4,43 +4,54 @@
 //! an engineer drilling into an incident re-requests the same trace as the
 //! dashboard refreshes — while the corpus mutates append-mostly. Caching
 //! the output of Algorithm 1 is therefore profitable *if* staleness can be
-//! detected cheaply. This module provides that detection via the sharded
-//! store's time-bucketed routing table:
+//! detected cheaply. A cached entry records two things for that:
 //!
-//! * When a trace is cached, the cache records the trace's **time
-//!   envelope** — every routing-table bucket from one bucket before its
-//!   earliest request to one bucket after its latest response — together
-//!   with each bucket's current *generation*
-//!   ([`ShardedSpanStore::bucket_gen`]).
-//! * Every mutation (insert, tombstone, re-aggregation completing a span)
-//!   bumps the generation of the bucket the span's request time falls in.
-//! * A lookup re-reads the generations of the recorded buckets; if any
-//!   moved, the entry is dropped ([`CacheOutcome::Invalidated`]) and the
-//!   caller re-assembles.
+//! * the trace's **time envelope** — every routing-table bucket from one
+//!   bucket before its earliest request to one bucket after its latest
+//!   response — with each bucket's *generation*
+//!   ([`ShardedSpanStore::bucket_gen`]) as it stood; every mutation
+//!   (insert, tombstone, re-aggregation completing a span) bumps the
+//!   generation of the bucket the span's request time falls in;
+//! * the [`JoinFacts`] of the search that built it, when Phase 1 reached
+//!   its fixed point: the keys it expanded, the posting entries under
+//!   them and the shards' non-append edit count.
 //!
 //! ## Staleness contract
 //!
-//! Invalidation is **bucket-granular and time-local**, not exact: any
-//! mutation inside a cached trace's time envelope invalidates it, whether
-//! or not the mutated span would actually have joined the trace
-//! (over-invalidation — always safe, costs a re-assembly). Conversely a
-//! *new* span can only extend a cached trace if some association key links
-//! it to a member; association in Algorithm 1 happens between spans of one
-//! request's execution, which are clustered in time (the paper's traces
-//! span milliseconds, buckets default to one second). The ±1-bucket margin
-//! covers members sitting at a bucket edge linking to a neighbour just
-//! outside. A hypothetical span *far outside* the envelope sharing a key
-//! (e.g. a TCP sequence number reused seconds later) would **not**
-//! invalidate — by design: Algorithm 1's own heuristics treat such distant
-//! matches as coincidence, and serving the cached trace matches the intent
-//! of trace assembly. Traces whose envelope exceeds
+//! A lookup checks in two stages. **Generations first**: if every
+//! recorded bucket generation is current, nothing was written anywhere in
+//! the envelope and the entry is served ([`CacheOutcome::Hit`]) with no
+//! key work. **Keys second**, only when a generation moved (past the
+//! caller's staleness window): the recorded facts are compared with the
+//! shards. While the edit count stands still posting lists can only have
+//! grown, so an equal posting total means no list under any key the trace
+//! joined on changed — no span Phase 1 could reach has arrived and no
+//! member was altered. The entry is re-stamped with the current
+//! generations in place and served ([`CacheOutcome::Revalidated`]);
+//! otherwise it is dropped ([`CacheOutcome::Invalidated`]) and the caller
+//! re-assembles. An entry without facts (Phase 1 stopped at `iterations`
+//! or `max_spans`) is dropped as soon as a generation moves.
+//!
+//! So the cache is **exact for anything that moves a generation in the
+//! envelope**: such a write invalidates if and only if it touched what
+//! the trace joined on (or any span was tombstoned, completed or evicted
+//! since — the edit count is one number per shard, and erring that way
+//! only costs a re-assembly). It stays **time-local** for the rest: a
+//! span *far outside* the envelope sharing a key (e.g. a TCP sequence
+//! number reused seconds later) moves no recorded generation, so the
+//! first stage serves the entry and never looks. That is by design:
+//! association in Algorithm 1 happens between spans of one request's
+//! execution, which are clustered in time (the paper's traces span
+//! milliseconds, buckets default to one second, and the ±1-bucket margin
+//! covers members at a bucket edge), and its own heuristics treat such
+//! distant matches as coincidence. Traces whose envelope exceeds
 //! [`TraceCache::max_deps`] buckets are never cached rather than tracked
 //! imprecisely.
 //!
 //! Cached traces are handed out as [`Arc<Trace>`], so a warm hit is a
-//! pointer clone — the bench's warm-vs-cold comparison
-//! (`alg1_trace_cache`) shows the resulting speedup.
+//! pointer clone.
 
+use crate::assemble::JoinFacts;
 use crate::server::ServerStats;
 use crate::sharded::ShardedSpanStore;
 use df_check::sync::{Arc, Mutex};
@@ -49,17 +60,24 @@ use df_types::{SpanId, TimeNs};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
-/// Where bucket generations come from. The cache validates entries against
-/// *some* view of the routing table's time-bucket generations — the
-/// in-process [`ShardedSpanStore`] or the concurrent store's locked
-/// generation table ([`crate::concurrent::ConcurrentShardedStore`]) — so
-/// its lookup/store methods are generic over this trait rather than tied
-/// to one store type.
+/// What the cache validates entries against: *some* view of the routing
+/// table's time-bucket generations and, where the view pins them, of the
+/// shards — the in-process [`ShardedSpanStore`] or the concurrent store's
+/// locked generation table ([`crate::concurrent::ConcurrentShardedStore`])
+/// — so its lookup/store methods are not tied to one store type.
 pub trait BucketGens {
     /// Current generation of a routing-table time bucket (0 if untouched).
     fn bucket_gen(&self, bucket: u64) -> u64;
     /// The routing-table bucket containing `t`.
     fn bucket_of(&self, t: TimeNs) -> u64;
+    /// Whether the shards still stand as `facts` recorded them
+    /// ([`JoinFacts::hold`]). `None` from a view that does not pin the
+    /// shards and so cannot look: the lookup then reports the moved
+    /// generations as [`CacheOutcome::Invalidated`] but keeps the entry,
+    /// for the caller to look again through a view that does.
+    fn facts_hold(&self, _facts: &JoinFacts) -> Option<bool> {
+        None
+    }
 }
 
 impl BucketGens for ShardedSpanStore {
@@ -69,6 +87,9 @@ impl BucketGens for ShardedSpanStore {
     fn bucket_of(&self, t: TimeNs) -> u64 {
         ShardedSpanStore::bucket_of(self, t)
     }
+    fn facts_hold(&self, facts: &JoinFacts) -> Option<bool> {
+        Some(facts.hold(self.shards()))
+    }
 }
 
 /// Result of a cache lookup, so the caller can account hits, misses and
@@ -77,14 +98,20 @@ impl BucketGens for ShardedSpanStore {
 pub enum CacheOutcome {
     /// Entry present and every recorded bucket generation still current.
     Hit(Arc<Trace>),
+    /// Entry present, a bucket in its envelope mutated, and the keys the
+    /// trace joined on say the mutation did not touch it: the entry now
+    /// carries the current generations.
+    Revalidated(Arc<Trace>),
     /// Entry present and stale, but within the staleness window the caller
     /// passed to [`TraceCache::lookup_bounded`]: every recorded bucket
     /// generation drifted by at most the window. The entry is *kept* (it
     /// may be served again while the window allows, and a later strict
-    /// lookup will invalidate it).
+    /// lookup will check it).
     Stale(Arc<Trace>),
     /// Entry present but a bucket in the trace's envelope mutated since it
-    /// was cached; the entry has been dropped.
+    /// was cached and nothing vouches for the trace; the entry has been
+    /// dropped (or kept for a pinned second look, see
+    /// [`BucketGens::facts_hold`]).
     Invalidated,
     /// No entry for this start span.
     Miss,
@@ -96,6 +123,8 @@ struct CacheEntry {
     /// `(bucket, generation at cache time)` for every bucket in the
     /// trace's time envelope.
     deps: Vec<(u64, u64)>,
+    /// What the trace joined on, if its search reached a fixed point.
+    facts: Option<JoinFacts>,
 }
 
 /// Assembled-trace cache keyed by start span id. See the module docs for
@@ -103,7 +132,8 @@ struct CacheEntry {
 #[derive(Debug)]
 pub struct TraceCache {
     entries: HashMap<SpanId, CacheEntry>,
-    /// FIFO of cached keys for capacity eviction.
+    /// The cached keys, each once, oldest store first: capacity eviction
+    /// is FIFO.
     order: VecDeque<SpanId>,
     /// Capacity in entries; the oldest entry is evicted beyond it.
     pub max_entries: usize,
@@ -143,17 +173,18 @@ impl TraceCache {
     /// bucket generations against the store's current ones, with a
     /// bounded-staleness window: if the entry's recorded generations have
     /// each drifted by at most `staleness_window`, the entry is served as
-    /// [`CacheOutcome::Stale`] instead of being invalidated — the concurrent server's answer to
-    /// ingest pressure (serve a slightly-old trace now rather than
-    /// re-assemble synchronously behind a deep ingest queue). Drift beyond
-    /// the window still invalidates. A window of 0 is the strict mode.
+    /// [`CacheOutcome::Stale`] instead of being checked — the concurrent
+    /// server's answer to ingest pressure (serve a slightly-old trace now
+    /// rather than re-assemble synchronously behind a deep ingest queue).
+    /// Drift beyond the window goes to the key check (module docs). A
+    /// window of 0 is the strict mode.
     pub fn lookup_bounded(
         &mut self,
         start: SpanId,
         store: &impl BucketGens,
         staleness_window: u64,
     ) -> CacheOutcome {
-        let Some(entry) = self.entries.get(&start) else {
+        let Some(entry) = self.entries.get_mut(&start) else {
             return CacheOutcome::Miss;
         };
         // `wrapping_sub`, not `saturating_sub`: if a bucket's counter ever
@@ -173,36 +204,60 @@ impl TraceCache {
         if drift <= staleness_window {
             return CacheOutcome::Stale(Arc::clone(&entry.trace));
         }
+        // Generations moved past the window: what the trace joined on
+        // decides. Without facts nothing vouches for it.
+        let held = entry
+            .facts
+            .as_ref()
+            .map_or(Some(false), |f| store.facts_hold(f));
+        match held {
+            Some(true) => {
+                for (bucket, gen) in &mut entry.deps {
+                    *gen = store.bucket_gen(*bucket);
+                }
+                return CacheOutcome::Revalidated(Arc::clone(&entry.trace));
+            }
+            None => return CacheOutcome::Invalidated, // kept for a pinned look
+            Some(false) => {}
+        }
         self.entries.remove(&start);
+        self.order.retain(|&cached| cached != start);
         CacheOutcome::Invalidated
     }
 
-    /// Cache a freshly assembled trace and return it as an [`Arc`]. Empty
-    /// traces and traces with an over-wide time envelope are returned
-    /// un-cached (the former are cheap to recompute and usually transient
-    /// — the start span may simply not be stored yet; the latter would
-    /// need unbounded dependency tracking).
-    pub fn store(&mut self, start: SpanId, trace: Trace, store: &impl BucketGens) -> Arc<Trace> {
+    /// Cache a freshly assembled trace, with the `facts` of its search
+    /// (`None`: the entry falls with the first generation that moves), and
+    /// return it as an [`Arc`]. Empty traces and traces with an over-wide
+    /// time envelope are returned un-cached (the former are cheap to
+    /// recompute and usually transient — the start span may simply not be
+    /// stored yet; the latter would need unbounded dependency tracking).
+    pub fn store(
+        &mut self,
+        start: SpanId,
+        trace: Trace,
+        facts: Option<JoinFacts>,
+        store: &impl BucketGens,
+    ) -> Arc<Trace> {
         let trace = Arc::new(trace);
         let Some(deps) = self.envelope(&trace, store) else {
             return trace;
         };
-        if self.entries.len() >= self.max_entries {
-            // FIFO capacity eviction; skip keys already invalidated away.
-            while let Some(old) = self.order.pop_front() {
-                if self.entries.remove(&old).is_some() {
-                    break;
+        let entry = CacheEntry {
+            trace: Arc::clone(&trace),
+            deps,
+            facts,
+        };
+        // A start already cached (two readers missed it together) keeps
+        // its place in the FIFO.
+        if !self.entries.contains_key(&start) {
+            if self.entries.len() >= self.max_entries {
+                if let Some(oldest) = self.order.pop_front() {
+                    self.entries.remove(&oldest);
                 }
             }
+            self.order.push_back(start);
         }
-        self.order.push_back(start);
-        self.entries.insert(
-            start,
-            CacheEntry {
-                trace: Arc::clone(&trace),
-                deps,
-            },
-        );
+        self.entries.insert(start, entry);
         trace
     }
 
@@ -235,36 +290,48 @@ impl TraceCache {
 
 /// One trace query through `cache`: look `start` up (tolerating a drift
 /// of `window` generations; 0 is strict), on anything but a servable
-/// entry run `assemble_and_store`, and count the query. All counters of
-/// one query move under one `stats` acquisition, so every snapshot keeps
+/// entry run `resolve`, and count the query. All counters of one query
+/// move under one `stats` acquisition, so every snapshot keeps
 /// `trace_queries == hits + stale hits + misses + invalidations`.
 ///
-/// `assemble_and_store` must return the assembled trace *via*
-/// [`TraceCache::store`] on this same cache, taken while whatever pins the
-/// corpus it assembled from is still held — storing is the caller's so
-/// that the recorded generations match the assembled rows. The cache lock
-/// is not held while it runs.
+/// `resolve` pins the corpus and, while the pin is held, returns either
+/// the entry after all and `true` — `gens` could not see the shards
+/// ([`BucketGens::facts_hold`]) and a second lookup through a view that
+/// can was [`CacheOutcome::Revalidated`] — or a freshly assembled trace
+/// *via* [`TraceCache::store`] on this same cache, and `false`. Storing
+/// is the caller's so that the recorded generations and facts match the
+/// assembled rows. The cache lock is not held while it runs.
 pub(crate) fn query_through(
     cache: &Mutex<TraceCache>,
     stats: &Mutex<ServerStats>,
     gens: &impl BucketGens,
     start: SpanId,
     window: u64,
-    assemble_and_store: impl FnOnce() -> Arc<Trace>,
+    resolve: impl FnOnce() -> (Arc<Trace>, bool),
 ) -> Arc<Trace> {
     let outcome = cache
         .lock()
         .expect("cache lock poisoned")
         .lookup_bounded(start, gens, window);
+    let mut revalidated = matches!(outcome, CacheOutcome::Revalidated(_));
     let (trace, counter): (_, fn(&mut ServerStats) -> &mut u64) = match outcome {
-        CacheOutcome::Hit(t) => (t, |st| &mut st.cache_hits),
+        CacheOutcome::Hit(t) | CacheOutcome::Revalidated(t) => (t, |st| &mut st.cache_hits),
         CacheOutcome::Stale(t) => (t, |st| &mut st.cache_stale_hits),
-        CacheOutcome::Invalidated => (assemble_and_store(), |st| &mut st.cache_invalidations),
-        CacheOutcome::Miss => (assemble_and_store(), |st| &mut st.cache_misses),
+        CacheOutcome::Miss => (resolve().0, |st| &mut st.cache_misses),
+        CacheOutcome::Invalidated => {
+            let (t, kept) = resolve();
+            revalidated = kept;
+            if kept {
+                (t, |st| &mut st.cache_hits)
+            } else {
+                (t, |st| &mut st.cache_invalidations)
+            }
+        }
     };
     let mut st = stats.lock().expect("stats lock poisoned");
     st.trace_queries += 1;
     *counter(&mut st) += 1;
+    st.cache_revalidations += u64::from(revalidated);
     trace
 }
 
@@ -298,7 +365,7 @@ mod tests {
                     CacheOutcome::Invalidated => "invalidated",
                     _ => "miss",
                 };
-                (cache.store(start, t, store), label)
+                (cache.store(start, t, None, store), label)
             }
         }
     }
@@ -402,7 +469,7 @@ mod tests {
     fn empty_and_oversized_traces_are_not_cached() {
         let mut store = ShardedSpanStore::new(ShardPolicy::single());
         let mut cache = TraceCache::new();
-        cache.store(SpanId(99), Trace::default(), &store);
+        cache.store(SpanId(99), Trace::default(), None, &store);
         assert!(cache.is_empty(), "empty trace not cached");
 
         // Two linked spans ~10 minutes apart: envelope ≫ max_deps buckets.
@@ -413,7 +480,7 @@ mod tests {
         let ids = store.insert_batch(vec![a, b]);
         let t = assemble_trace_sharded(&store, ids[0], &AssembleConfig::default());
         assert_eq!(t.len(), 2);
-        cache.store(ids[0], t, &store);
+        cache.store(ids[0], t, None, &store);
         assert!(cache.is_empty(), "over-wide envelope not cached");
     }
 
@@ -449,7 +516,7 @@ mod tests {
             gen: std::cell::Cell::new(u64::MAX),
         };
         let mut cache = TraceCache::new();
-        cache.store(start, trace, &gens);
+        cache.store(start, trace, None, &gens);
         assert!(matches!(
             cache.lookup_bounded(start, &gens, 0),
             CacheOutcome::Hit(_)
@@ -496,5 +563,36 @@ mod tests {
             cache.lookup_bounded(firsts[2], &store, 0),
             CacheOutcome::Hit(_)
         ));
+    }
+
+    #[test]
+    fn invalidate_and_restore_cycles_keep_one_fifo_slot_per_start() {
+        let (_, trace) = sample_trace();
+        let gens = FakeGens {
+            gen: std::cell::Cell::new(0),
+        };
+        let mut cache = TraceCache {
+            max_entries: 8,
+            ..TraceCache::new()
+        };
+        let cycle = |cache: &mut TraceCache, n: u64| {
+            gens.gen.set(n); // every cached entry's generations moved
+            let gone = cache.lookup_bounded(SpanId(n % 8), &gens, 0);
+            assert!(matches!(
+                gone,
+                CacheOutcome::Miss | CacheOutcome::Invalidated
+            ));
+            cache.store(SpanId(n % 8), trace.clone(), None, &gens);
+        };
+        (0..10_000).for_each(|n| cycle(&mut cache, n));
+        assert!(cache.order.len() <= 8, "FIFO leaked: {}", cache.order.len());
+        // Start 0 is the oldest; invalidated and re-stored it is the
+        // newest, so filling the cache evicts start 1 instead.
+        cycle(&mut cache, 10_000);
+        cache.store(SpanId(8), trace.clone(), None, &gens);
+        let hit =
+            |c: &mut TraceCache, id| matches!(c.lookup_bounded(id, &gens, 0), CacheOutcome::Hit(_));
+        assert!(hit(&mut cache, SpanId(0)) && hit(&mut cache, SpanId(8)));
+        assert!(!hit(&mut cache, SpanId(1)));
     }
 }

@@ -395,6 +395,69 @@ fn bounded_staleness_drift_never_exceeds_the_window() {
 }
 
 // ---------------------------------------------------------------------
+// Revalidation re-stamp (ConcurrentShardedStore::resolve_pinned): the key
+// check and the generations it stamps share the shard read locks.
+// ---------------------------------------------------------------------
+
+/// An entry recorded at (0 posting entries, generation 0) is revalidated
+/// while a worker appends under the trace's keys and bumps the generation
+/// inside the shard write lock. The shipped reader compares the postings
+/// and reads the generation it stamps under the shard read lock;
+/// `stamp_late` is the mutation that drops the guard first. Permanently
+/// stale: stamped with the final generation, without the appended row.
+fn restamp_round(stamp_late: bool) {
+    let store = Arc::new(RwLock::new(0u64)); // posting entries under the keys
+    let gens = Arc::new(Mutex::new(0u64));
+    let worker = {
+        let (store, gens) = (Arc::clone(&store), Arc::clone(&gens));
+        model::spawn(move || {
+            let mut s = store.write().expect("shard lock");
+            *s += 1;
+            let mut g = gens.lock().expect("gen table");
+            *g += 1;
+        })
+    };
+    let reader = {
+        let (store, gens) = (Arc::clone(&store), Arc::clone(&gens));
+        model::spawn(move || {
+            let s = store.read().expect("shard lock");
+            let facts_hold = *s == 0;
+            if stamp_late {
+                drop(s);
+                return facts_hold.then(|| *gens.lock().expect("gen table"));
+            }
+            let g = gens.lock().expect("gen table");
+            facts_hold.then_some(*g) // None: invalidated, Algorithm 1 runs
+        })
+    };
+    worker.join();
+    let stamped = reader.join();
+    let final_gen = *gens.lock().expect("gen table");
+    assert!(
+        stamped != Some(final_gen),
+        "permanently stale cache entry: re-stamped at gen {final_gen} without the appended row"
+    );
+}
+
+#[test]
+fn restamp_under_the_shard_read_locks_admits_no_stale_schedule() {
+    if !checked_or_skip() {
+        return;
+    }
+    let report = model::check(budget(), || restamp_round(false));
+    assert!(report.complete, "schedule space must be exhausted");
+    assert!(report.lock_cycles.is_empty(), "no lock-order inversions");
+}
+
+#[test]
+fn stamping_after_the_guards_are_dropped_is_caught_and_replayable() {
+    if !checked_or_skip() {
+        return;
+    }
+    assert_caught_and_replayable(|| restamp_round(true), "permanently stale");
+}
+
+// ---------------------------------------------------------------------
 // Static/dynamic lock-order cross-check (df-audit).
 // ---------------------------------------------------------------------
 

@@ -225,6 +225,8 @@ pub struct SpanStore {
     /// Tombstoned rows whose index entries have not been compacted away
     /// yet (drained by [`SpanStore::evict_tombstoned`]).
     pending_evict: Vec<u32>,
+    /// See [`SpanStore::edits`].
+    edits: u64,
 }
 
 impl SpanStore {
@@ -340,6 +342,7 @@ impl SpanStore {
         for key in brought {
             self.index(key, row);
         }
+        self.edits += 1;
         true
     }
 
@@ -355,7 +358,9 @@ impl SpanStore {
             }
         }
         // Unknown id: hide it anyway (idempotent), nothing to evict.
-        self.tombstones.insert(id);
+        if self.tombstones.insert(id) {
+            self.edits += 1;
+        }
     }
 
     /// Row-addressed [`SpanStore::tombstone`] for stores whose ids were
@@ -366,6 +371,7 @@ impl SpanStore {
         };
         if self.tombstones.insert(id) {
             self.pending_evict.push(row);
+            self.edits += 1;
         }
     }
 
@@ -377,6 +383,16 @@ impl SpanStore {
     /// Tombstoned rows whose index entries are still awaiting compaction.
     pub fn pending_evictions(&self) -> usize {
         self.pending_evict.len()
+    }
+
+    /// How many non-append edits this store has taken: a first tombstone
+    /// of a span, a completion that merged, an eviction that drained rows.
+    /// Inserts, spill and page-in never count. While this stands still the
+    /// posting lists under [`SpanStore::find`] can only have grown and no
+    /// stored span changed — what lets the trace cache tell, from list
+    /// lengths alone, that nothing a cached trace joined on has moved.
+    pub fn edits(&self) -> u64 {
+        self.edits
     }
 
     /// Compact tombstoned rows out of the association and time indexes, so
@@ -392,6 +408,7 @@ impl SpanStore {
             return 0;
         }
         let rows = std::mem::take(&mut self.pending_evict);
+        self.edits += 1;
         let mut removed = 0usize;
         let mut keys = Vec::new();
         for &row in &rows {
@@ -812,6 +829,45 @@ mod tests {
         assert_eq!(st.get(a).unwrap().req_time, TimeNs(100));
         assert!(st.get(SpanId(99)).is_none());
         assert!(st.get(SpanId(0)).is_none());
+    }
+
+    #[test]
+    fn edits_count_tombstones_completions_and_evictions_only() {
+        let mut st = SpanStore::new();
+        let mut request = span(100);
+        request.status = SpanStatus::Incomplete;
+        let (a, b) = (st.insert(request), st.insert(span(200)));
+        assert!(!st.complete_span(b, &span(300)), "b is not Incomplete");
+        assert_eq!(st.evict_tombstoned(), 0);
+        assert_eq!(
+            st.edits(),
+            0,
+            "inserts, a refused completion, an idle eviction"
+        );
+        assert!(st.complete_span(a, &span(300)));
+        assert_eq!(st.edits(), 1);
+        st.tombstone(b);
+        st.tombstone(b);
+        assert_eq!(st.edits(), 2, "a repeated tombstone is not an edit");
+        st.tombstone(SpanId(99));
+        assert_eq!(st.edits(), 3, "an unknown id is hidden all the same");
+        st.evict_tombstoned();
+        assert_eq!(st.edits(), 4, "the eviction drained b's row");
+        let dir = persist::test_dir("edits");
+        let pool = Arc::new(BufferPool::new(crate::BufferPoolConfig::with_frames(2)));
+        st.spill_before(
+            &ShardPolicy::single(),
+            TimeNs(u64::MAX),
+            &pool,
+            dir.path(),
+            0,
+        )
+        .expect("spill succeeds");
+        assert!(
+            st.cold_rows() > 0 && st.get(a).is_some(),
+            "spilled and paged in"
+        );
+        assert_eq!(st.edits(), 4, "spill and page-in are content-neutral");
     }
 
     #[test]
