@@ -67,9 +67,9 @@ cargo run -q -p df-check --bin df-audit -- .
 echo "==> cargo test"
 cargo test --workspace -q
 
-# The concurrency suite (per-shard ingest workers, bounded-staleness
-# cache) re-runs with forced test-thread parallelism so
-# its producer/worker threads contend with other test threads for real.
+# The concurrency suite (per-shard ingest workers, trace cache under the
+# shard read locks) re-runs with forced test-thread parallelism so its
+# producer/worker threads contend with other test threads for real.
 echo "==> concurrency tests under RUST_TEST_THREADS=8"
 RUST_TEST_THREADS=8 cargo test -q --test concurrency
 RUST_TEST_THREADS=8 cargo test -q -p df-server concurrent::
@@ -105,9 +105,10 @@ cargo test --doc --workspace -q "${FIRST_PARTY_EXCLUDES[@]}"
 # The repo benchmark is its own workspace, so nothing above compiles it: a
 # signature change in SpanStore / ShardedSpanStore / Server would break
 # the instrument unnoticed. Build it, and check BENCHMARK.json is still
-# what it describes.
+# what it describes. --locked: a manifest edit that would rewrite the
+# frozen benchmark/Cargo.lock fails here instead of dirtying it.
 echo "==> benchmark crate builds and describes BENCHMARK.json"
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- describe | diff - BENCHMARK.json
 
 echo "ci.sh: all gates passed"

@@ -13,8 +13,8 @@
 //!   per-probe-kind latency which the kernel adds to the syscall's virtual
 //!   duration. This is how instrumentation overhead propagates into the
 //!   end-to-end experiments (Figures 16 and 19);
-//! * **real cost** — the criterion bench for Figure 13 measures the actual
-//!   wall-clock cost of this dispatch machinery.
+//! * **real cost** — the `fig13_report` harness in `df-bench` measures the
+//!   actual wall-clock cost of this dispatch machinery.
 
 use crate::ringbuf::PerfRingBuffer;
 use crate::verifier::{self, ProgramSpec, VerifierError};

@@ -55,25 +55,12 @@
 //! `tests/df_check_models.rs` explore exactly this under every schedule,
 //! including that both fine-grained orderings *would* exhibit the bug
 //! without the lock discipline.
-//!
-//! ## Bounded staleness under ingest load
-//!
-//! [`ConcurrentShardedStore::query_trace`] measures ingest pressure as the
-//! spans enqueued-but-unapplied across all shards. Above
-//! [`STALE_PENDING_THRESHOLD`], a cached trace whose bucket generations
-//! drifted by at most [`STALE_WINDOW`] is served as-is
-//! ([`CacheOutcome::Stale`]) instead of re-assembling synchronously behind
-//! the queue — the paper's dashboards prefer a milliseconds-old trace over
-//! a trace query that stalls the collector. Served-stale queries are
-//! counted separately ([`ServerStats::cache_stale_hits`]).
-//!
-//! [`CacheOutcome::Stale`]: crate::trace_cache::CacheOutcome::Stale
 
-use crate::assemble::{AssembleConfig, JoinFacts};
+use crate::assemble::AssembleConfig;
 use crate::router::{BatchReorder, BucketTable, Router};
 use crate::server::ServerStats;
-use crate::sharded::{assemble_local, complete_row, tombstone_row};
-use crate::trace_cache::{query_through, BucketGens, CacheOutcome, TraceCache};
+use crate::sharded::{complete_row, query_shards, spill_shards, tier_occupancy, tombstone_row};
+use crate::trace_cache::{query_through, resolve_pinned, BucketGens, TraceCache};
 use df_check::sync::atomic::{AtomicUsize, Ordering};
 use df_check::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use df_check::sync::{Arc, Mutex, RwLock};
@@ -85,14 +72,6 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io;
 use std::thread;
-
-/// Pending (enqueued-but-unapplied) span count above which
-/// [`ConcurrentShardedStore::query_trace`] switches the trace cache to
-/// bounded-staleness mode.
-pub const STALE_PENDING_THRESHOLD: usize = 4096;
-/// Maximum bucket-generation drift a cached trace may have and still be
-/// served under ingest load (see the module docs).
-pub const STALE_WINDOW: u64 = 8;
 
 /// Tunables of the concurrent store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,28 +177,6 @@ struct ShardSlot {
     /// The worker's panic message, recorded before its receiver drops so
     /// that producers observing the disconnect can report the cause.
     failed: Mutex<Option<String>>,
-}
-
-/// [`BucketGens`] view over the concurrent store's locked generation
-/// table, so the [`TraceCache`] stays store-agnostic.
-struct GenView<'a> {
-    gens: &'a Mutex<BucketTable>,
-    policy: &'a ShardPolicy,
-    /// Every shard, while the caller holds all their read locks; `None`
-    /// from a caller that holds none.
-    pinned: Option<&'a [&'a SpanStore]>,
-}
-
-impl BucketGens for GenView<'_> {
-    fn bucket_gen(&self, bucket: u64) -> u64 {
-        self.gens.lock().expect("gen table poisoned").gen(bucket)
-    }
-    fn bucket_of(&self, t: TimeNs) -> u64 {
-        self.policy.bucket_of(t)
-    }
-    fn facts_hold(&self, facts: &JoinFacts) -> Option<bool> {
-        self.pinned.map(|shards| facts.hold(shards.iter().copied()))
-    }
 }
 
 /// Per-worker reorder state: batches and ops that arrived before the rows
@@ -345,20 +302,13 @@ impl ConcurrentShardedStore {
     /// a cached trace survives a spill of its own buckets.
     pub fn spill_before(&self, watermark: TimeNs) -> io::Result<SpillStats> {
         let tier = self.tier.as_ref().ok_or_else(Tier::not_enabled)?;
-        let mut total = SpillStats::default();
-        for (si, slot) in self.slots.iter().enumerate() {
-            let mut store = slot.store.write().expect("shard lock poisoned");
-            total.merge(tier.spill(&mut store, &self.policy, watermark, si as u16)?);
-        }
-        Ok(total)
+        let shards = (self.slots.iter()).map(|s| s.store.write().expect("shard lock poisoned"));
+        spill_shards(tier, &self.policy, watermark, shards)
     }
 
     /// Rows currently resident (hot) vs spilled (cold), across shards.
     pub fn tier_occupancy(&self) -> (usize, usize) {
-        self.slots.iter().fold((0, 0), |(h, c), slot| {
-            let store = slot.store.read().expect("shard lock poisoned");
-            (h + store.hot_rows(), c + store.cold_rows())
-        })
+        tier_occupancy((self.slots.iter()).map(|s| s.store.read().expect("shard lock poisoned")))
     }
 
     /// The routing policy this store was built with.
@@ -387,8 +337,8 @@ impl ConcurrentShardedStore {
         self.len() == 0
     }
 
-    /// Spans and row ops enqueued but not yet applied — the ingest-load
-    /// gauge the bounded-staleness mode keys off.
+    /// Spans and row ops enqueued but not yet applied: the ingest-load
+    /// gauge ([`Self::flush`] returns with it at 0).
     pub fn pending(&self) -> usize {
         self.slots
             .iter()
@@ -411,9 +361,8 @@ impl ConcurrentShardedStore {
     }
 
     /// A coherent snapshot of the counters: every snapshot satisfies
-    /// `trace_queries == cache_hits + cache_stale_hits + cache_misses +
-    /// cache_invalidations` (all counters of one query move under one lock
-    /// acquisition).
+    /// `trace_queries == cache_hits + cache_misses + cache_invalidations`
+    /// (all counters of one query move under one lock acquisition).
     pub fn stats(&self) -> ServerStats {
         *self.stats.lock().expect("stats lock poisoned")
     }
@@ -615,87 +564,40 @@ impl ConcurrentShardedStore {
                 .expect("gen table poisoned")
                 .window_mask(&self.policy, q.from, q.to);
         self.stats.lock().expect("stats lock poisoned").list_queries += 1;
-        let mut merged: Vec<Span> = Vec::new();
-        for (i, slot) in self.slots.iter().enumerate() {
-            if mask & (1u64 << i) == 0 {
-                continue;
-            }
+        query_shards(self.slots.iter(), mask, q, |slot, out| {
             let shard = slot.store.read().expect("shard lock poisoned");
-            merged.extend(shard.query(q).into_iter().map(Cow::into_owned));
-        }
-        merged.sort_by_key(|s| (s.req_time, s.span_id));
-        merged.truncate(q.limit);
-        merged
-    }
-
-    /// Trace query through the cache. Under ingest load (pending queue
-    /// depth above [`STALE_PENDING_THRESHOLD`]) a cached trace stale by at
-    /// most [`STALE_WINDOW`] bucket generations is served instead of
-    /// re-assembling synchronously; the stats count hit / stale-hit / miss
-    /// / invalidation disjointly.
-    pub fn query_trace(&self, start: SpanId) -> Arc<Trace> {
-        let window = if self.pending() > STALE_PENDING_THRESHOLD {
-            STALE_WINDOW
-        } else {
-            0
-        };
-        self.query_trace_bounded(start, window)
-    }
-
-    /// [`Self::query_trace`] with an explicit staleness tolerance: a cached
-    /// trace whose bucket generations drifted by at most `window` is served
-    /// without re-assembly (a dashboard refreshing every second can afford
-    /// a generation or two of drift; an incident drill-down passes 0).
-    pub fn query_trace_bounded(&self, start: SpanId, window: u64) -> Arc<Trace> {
-        let view = GenView {
-            gens: &self.gens,
-            policy: &self.policy,
-            pinned: None,
-        };
-        query_through(&self.cache, &self.stats, &view, start, window, || {
-            self.resolve_pinned(start, window)
+            out.extend(shard.query(q).into_iter().map(Cow::into_owned));
         })
     }
 
-    /// Serve `start` against a consistent snapshot: all shard read locks
-    /// are held from the key check or Phase 1 through the re-stamp or the
-    /// cache store, so the recorded generations exactly match the span set
-    /// they vouch for (module docs: the staleness-correctness invariant).
-    /// The flag says the cached entry was revalidated, not re-assembled.
-    fn resolve_pinned(&self, start: SpanId, window: u64) -> (Arc<Trace>, bool) {
-        let loc = self.route.lock().expect("route lock poisoned").loc(start);
-        let guards: Vec<_> = self
-            .slots
-            .iter()
-            .map(|s| s.store.read().expect("shard lock poisoned"))
-            .collect();
-        let refs: Vec<&SpanStore> = guards.iter().map(|g| &**g).collect();
-        let view = GenView {
-            gens: &self.gens,
-            policy: &self.policy,
-            pinned: Some(&refs),
-        };
-        // The unpinned lookup kept an entry it could not check; look again
-        // now that no worker can append or bump a generation.
-        let again = self
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .lookup_bounded(start, &view, window);
-        match again {
-            CacheOutcome::Revalidated(t) => return (t, true),
-            CacheOutcome::Hit(t) | CacheOutcome::Stale(t) => return (t, false),
-            CacheOutcome::Invalidated | CacheOutcome::Miss => {}
-        }
-        // The start span may still sit in its shard's queue (not applied):
-        // the empty trace is not cached, so a post-flush retry assembles
-        // for real.
-        let (trace, facts) =
-            assemble_local(&refs, loc, start, &self.assemble_cfg).unwrap_or_default();
-        // Cache while the guards are held: generations cannot move between
-        // assembly and the dependency snapshot.
-        let mut cache = self.cache.lock().expect("cache lock poisoned");
-        (cache.store(start, trace, facts, &view), false)
+    /// Trace query through the cache ([`crate::trace_cache`]): a cached
+    /// trace whose envelope saw no write is served under the cache and
+    /// generation-table locks alone. Anything else is settled while
+    /// **every** shard read lock is held — from the key check or Phase 1
+    /// through the re-stamp or the cache store — so the generations an
+    /// entry records exactly match the rows it vouches for (module docs:
+    /// the staleness-correctness invariant). The stats count hit / miss /
+    /// invalidation disjointly.
+    pub fn query_trace(&self, start: SpanId) -> Arc<Trace> {
+        query_through(&self.cache, &self.stats, self, start, || {
+            let loc = self.route.lock().expect("route lock poisoned").loc(start);
+            let guards: Vec<_> = (self.slots.iter())
+                .map(|s| s.store.read().expect("shard lock poisoned"))
+                .collect();
+            let shards: Vec<&SpanStore> = guards.iter().map(|g| &**g).collect();
+            resolve_pinned(&self.cache, self, &shards, loc, start, &self.assemble_cfg)
+        })
+    }
+}
+
+/// The generations the [`TraceCache`] validates against: the locked table
+/// the workers bump.
+impl BucketGens for ConcurrentShardedStore {
+    fn bucket_gen(&self, bucket: u64) -> u64 {
+        self.gens.lock().expect("gen table poisoned").gen(bucket)
+    }
+    fn bucket_of(&self, t: TimeNs) -> u64 {
+        self.policy.bucket_of(t)
     }
 }
 
@@ -908,40 +810,23 @@ mod tests {
     }
 
     #[test]
-    fn stale_window_serves_cached_trace_and_counts_it() {
+    fn trace_cache_counters_tell_revalidation_from_invalidation() {
         let store = ConcurrentShardedStore::new(ShardPolicy::with_shards(4));
         let ids = store.insert_batch(linked_pair(7, 1_000));
         store.flush();
         let cold = store.query_trace(ids[0]);
-        assert_eq!(cold.len(), 2);
-        let warm = store.query_trace(ids[0]);
-        assert!(Arc::ptr_eq(&cold, &warm), "warm hit is the cached Arc");
-
-        // One mutation inside the envelope: drift 1.
-        let mut c = Span::synthetic(TapSide::ServerPodNic, 1_005, 1_495);
-        c.tcp_seq_req = Some(7);
-        store.insert_batch(vec![c]);
-        store.flush();
-
-        let stale = store.query_trace_bounded(ids[0], 2);
-        assert!(
-            Arc::ptr_eq(&stale, &cold),
-            "drift 1 ≤ window 2 serves the cached trace without re-assembly"
-        );
-        let strict = store.query_trace(ids[0]);
-        assert_eq!(
-            strict.len(),
-            3,
-            "strict query re-assembles with the new span"
-        );
-
-        let st = store.stats();
-        assert_eq!(st.cache_stale_hits, 1);
-        assert_eq!(
-            st.trace_queries,
-            st.cache_hits + st.cache_stale_hits + st.cache_misses + st.cache_invalidations,
-            "stats snapshot invariant"
-        );
+        let land = |seq| {
+            let mut s = Span::synthetic(TapSide::ServerPodNic, 1_005, 1_495);
+            s.tcp_seq_req = Some(seq);
+            store.insert_batch(vec![s]);
+            store.flush();
+        };
+        land(8); // in the envelope, shares no key
+        assert!(Arc::ptr_eq(&cold, &store.query_trace(ids[0])), "kept");
+        assert_eq!(store.stats().cache_counters(), (1, 1, 1, 0));
+        land(7); // shares the trace's TCP sequence
+        assert_eq!(store.query_trace(ids[0]).len(), 3, "a longer trace");
+        assert_eq!(store.stats().cache_counters(), (1, 1, 1, 1));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   span, invalidated through the sharded store's time-bucket
 //!   generations;
 //! * [`concurrent`] — the shard boundary taken across threads: one ingest
-//!   worker per shard behind bounded queues, and a bounded-staleness mode
-//!   for the trace cache under ingest load;
+//!   worker per shard behind bounded queues, trace queries through the
+//!   same cache under the shard read locks;
 //! * [`server`] — the facade: ingest (phase-2 enrichment + routed store
 //!   insert), span-list queries, cached trace queries, coherent stats.
 //!

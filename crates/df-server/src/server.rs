@@ -19,7 +19,7 @@
 use crate::assemble::AssembleConfig;
 use crate::dictionary::TagDictionary;
 use crate::sharded::ShardedSpanStore;
-use crate::trace_cache::{query_through, TraceCache};
+use crate::trace_cache::{query_through, resolve_pinned, TraceCache};
 use df_check::sync::Mutex;
 use df_storage::{ShardPolicy, SpanQuery};
 use df_types::tags::ResourceInventory;
@@ -38,8 +38,7 @@ struct ReaggKey {
 
 /// Server counters. [`Server::stats`] returns a coherent point-in-time
 /// snapshot (see the module docs): in every snapshot
-/// `trace_queries == cache_hits + cache_stale_hits + cache_misses +
-/// cache_invalidations`.
+/// `trace_queries == cache_hits + cache_misses + cache_invalidations`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Spans ingested.
@@ -59,17 +58,27 @@ pub struct ServerStats {
     /// showed the write did not touch it (see [`crate::trace_cache`]). A
     /// subset of `cache_hits`, so the sum above does not count it.
     pub cache_revalidations: u64,
-    /// Trace queries answered from the cache within a bounded-staleness
-    /// window under ingest load (only the concurrent store serves these;
-    /// the single-threaded [`Server`] always validates strictly, so here
-    /// it stays 0). Disjoint from `cache_hits`.
-    pub cache_stale_hits: u64,
     /// Trace queries with no cached entry (assembled fresh).
     pub cache_misses: u64,
     /// Trace queries whose cached entry had gone stale — a mutation in the
     /// trace's time envelope that the key check could not rule out — and
     /// was re-assembled. Disjoint from `cache_misses`.
     pub cache_invalidations: u64,
+}
+
+#[cfg(test)]
+impl ServerStats {
+    /// (misses, hits, revalidations, invalidations) of a snapshot whose
+    /// sum holds: revalidations are hits, not a fifth class.
+    pub(crate) fn cache_counters(self) -> (u64, u64, u64, u64) {
+        let (hit, miss, inval) = (self.cache_hits, self.cache_misses, self.cache_invalidations);
+        assert_eq!(
+            self.trace_queries,
+            hit + miss + inval,
+            "snapshot invariant (module docs)"
+        );
+        (miss, hit, self.cache_revalidations, inval)
+    }
 }
 
 /// The DeepFlow Server.
@@ -192,13 +201,10 @@ impl Server {
     /// assembly output; labels are joined per query so dictionary updates
     /// are always reflected.
     pub fn trace(&self, start: SpanId) -> Trace {
-        let arc = query_through(&self.cache, &self.stats, &self.store, start, 0, || {
-            let (fresh, facts) = self
-                .store
-                .assemble(start, &self.assemble_cfg)
-                .unwrap_or_default();
-            let mut cache = self.cache.lock().expect("cache lock poisoned");
-            (cache.store(start, fresh, facts, &self.store), false)
+        let (store, cfg) = (&self.store, &self.assemble_cfg);
+        let arc = query_through(&self.cache, &self.stats, store, start, || {
+            let (loc, shards) = (store.loc(start), store.shards());
+            resolve_pinned(&self.cache, store, &shards, loc, start, cfg)
         });
         let mut trace = (*arc).clone();
         for s in &mut trace.spans {
@@ -437,16 +443,7 @@ mod tests {
         srv.ingest(late); // lands in the trace's time envelope
         let refreshed = srv.trace(a);
         assert_eq!(refreshed.len(), 3);
-        let st = srv.stats();
-        assert_eq!(
-            (st.cache_misses, st.cache_hits, st.cache_invalidations),
-            (1, 1, 1)
-        );
-        assert_eq!(
-            st.trace_queries,
-            st.cache_hits + st.cache_misses + st.cache_invalidations,
-            "snapshot invariant (module docs)"
-        );
+        assert_eq!(srv.stats().cache_counters(), (1, 1, 0, 1));
     }
 
     #[test]
@@ -459,21 +456,10 @@ mod tests {
         (unrelated.tcp_seq_req, unrelated.tcp_seq_resp) = (Some(77), Some(78));
         srv.ingest(unrelated); // lands in the envelope, shares no key
         assert_eq!(srv.trace(a), cold);
-        let st = srv.stats();
-        let counters = |st: ServerStats| {
-            let (hits, revalidations) = (st.cache_hits, st.cache_revalidations);
-            (st.cache_misses, hits, revalidations, st.cache_invalidations)
-        };
-        assert_eq!(counters(st), (1, 1, 1, 0));
+        assert_eq!(srv.stats().cache_counters(), (1, 1, 1, 0));
         srv.ingest(span(250, 100)); // shares the trace's TCP sequence
         assert_eq!(srv.trace(a).len(), 3, "a longer trace");
-        let st = srv.stats();
-        assert_eq!(counters(st), (1, 1, 1, 1));
-        assert_eq!(
-            st.trace_queries,
-            st.cache_hits + st.cache_misses + st.cache_invalidations,
-            "revalidations are hits, not a fifth class"
-        );
+        assert_eq!(srv.stats().cache_counters(), (1, 1, 1, 1));
     }
 
     #[test]
@@ -482,11 +468,7 @@ mod tests {
         let a = srv.ingest(span(100, 500));
         for _ in 0..7 {
             srv.trace(a);
-            let st = srv.stats();
-            assert_eq!(
-                st.trace_queries,
-                st.cache_hits + st.cache_misses + st.cache_invalidations
-            );
+            srv.stats().cache_counters(); // checks the sum
         }
     }
 

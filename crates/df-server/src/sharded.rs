@@ -31,8 +31,9 @@ use df_storage::{
 };
 use df_types::trace::Trace;
 use df_types::{Span, SpanId, TimeNs};
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::io;
+use std::ops::{Deref, DerefMut};
 
 /// A span corpus partitioned across [`SpanStore`] shards.
 ///
@@ -100,11 +101,12 @@ impl ShardedSpanStore {
     /// which case no row of the failing shard flips cold).
     pub fn spill_before(&mut self, watermark: TimeNs) -> io::Result<SpillStats> {
         let tier = self.tier.as_ref().ok_or_else(Tier::not_enabled)?;
-        let mut total = SpillStats::default();
-        for (si, shard) in self.shards.iter_mut().enumerate() {
-            total.merge(tier.spill(shard, self.router.policy(), watermark, si as u16)?);
-        }
-        Ok(total)
+        spill_shards(
+            tier,
+            self.router.policy(),
+            watermark,
+            self.shards.iter_mut(),
+        )
     }
 
     /// Spill by the configured horizon ([`Tier::watermark`]): everything
@@ -122,9 +124,7 @@ impl ShardedSpanStore {
 
     /// Rows currently resident (hot) vs spilled (cold), across shards.
     pub fn tier_occupancy(&self) -> (usize, usize) {
-        self.shards
-            .iter()
-            .fold((0, 0), |(h, c), s| (h + s.hot_rows(), c + s.cold_rows()))
+        tier_occupancy(self.shards.iter())
     }
 
     /// The routing policy this store was built with.
@@ -256,16 +256,9 @@ impl ShardedSpanStore {
     /// skipped entirely.
     pub fn query(&self, q: &SpanQuery) -> Vec<Cow<'_, Span>> {
         let mask = self.buckets.window_mask(self.policy(), q.from, q.to);
-        let mut merged: Vec<Cow<'_, Span>> = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            if mask & (1u64 << i) == 0 {
-                continue;
-            }
-            merged.extend(shard.query(q));
-        }
-        merged.sort_by_key(|s| (s.req_time, s.span_id));
-        merged.truncate(q.limit);
-        merged
+        query_shards(self.shards.iter(), mask, q, |shard, out| {
+            out.extend(shard.query(q))
+        })
     }
 
     /// Iterate all spans in global-id order (diagnostics, re-aggregation).
@@ -291,20 +284,60 @@ impl ShardedSpanStore {
         self.policy().bucket_of(t)
     }
 
-    /// The shards, in [`Loc::shard`] order.
-    pub(crate) fn shards(&self) -> &[SpanStore] {
-        &self.shards
+    /// The shards, in [`Loc::shard`] order: the `&self` borrow pins them.
+    pub(crate) fn shards(&self) -> Vec<&SpanStore> {
+        self.shards.iter().collect()
     }
 
-    /// [`assemble_local`] over this store's shards.
-    pub(crate) fn assemble(
-        &self,
-        start: SpanId,
-        cfg: &AssembleConfig,
-    ) -> Option<(Trace, Option<JoinFacts>)> {
-        let shards: Vec<&SpanStore> = self.shards.iter().collect();
-        assemble_local(&shards, self.router.loc(start), start, cfg)
+    /// Where `id` was routed, if it was.
+    pub(crate) fn loc(&self, id: SpanId) -> Option<Loc> {
+        self.router.loc(id)
     }
+}
+
+/// The spill loop of every shard owner: each of `shards` in turn, in
+/// [`Loc::shard`] order (a write guard the iterator yields drops before
+/// the next is taken), spills what is older than `watermark`.
+pub(crate) fn spill_shards(
+    tier: &Tier,
+    policy: &ShardPolicy,
+    watermark: TimeNs,
+    shards: impl Iterator<Item = impl DerefMut<Target = SpanStore>>,
+) -> io::Result<SpillStats> {
+    let mut total = SpillStats::default();
+    for (si, mut shard) in shards.enumerate() {
+        total.merge(tier.spill(&mut shard, policy, watermark, si as u16)?);
+    }
+    Ok(total)
+}
+
+/// Rows resident (hot) vs spilled (cold), summed over `shards`.
+pub(crate) fn tier_occupancy(
+    shards: impl Iterator<Item = impl Deref<Target = SpanStore>>,
+) -> (usize, usize) {
+    shards.fold((0, 0), |(h, c), s| (h + s.hot_rows(), c + s.cold_rows()))
+}
+
+/// The span-list merge of every shard owner: `answer` appends the matches
+/// of each shard in `mask` (the routing table's occupancy of `q`'s window;
+/// the others are neither touched nor locked), and the answers merge by
+/// `(req_time, span_id)` — the order a single store yields for the same
+/// corpus — re-capped at `q.limit`.
+pub(crate) fn query_shards<S, T: Borrow<Span>>(
+    shards: impl Iterator<Item = S>,
+    mask: u64,
+    q: &SpanQuery,
+    mut answer: impl FnMut(S, &mut Vec<T>),
+) -> Vec<T> {
+    let mut merged = Vec::new();
+    for (i, shard) in shards.enumerate() {
+        if mask & (1u64 << i) != 0 {
+            answer(shard, &mut merged);
+        }
+    }
+    merged.sort_by_key(|s| (s.borrow().req_time, s.borrow().span_id));
+    merged.truncate(q.limit);
+    merged
 }
 
 /// The tombstone rule of every shard owner: hide `row`, compact the
@@ -341,20 +374,23 @@ fn row_bucket(shard: &SpanStore, policy: &ShardPolicy, row: u32) -> Option<u64> 
     shard.req_time_at(row).map(|t| policy.bucket_of(t))
 }
 
-/// Algorithm 1 from `start` over in-process shards, or `None` when there
-/// is nothing to assemble from: `start` was never routed (no `loc`), its
-/// row still sits in an ingest queue, or it is tombstoned. With the trace
-/// come the [`JoinFacts`] of its search, when that reached a fixed point.
+/// Algorithm 1 from `start` over in-process shards; the empty trace when
+/// there is nothing to assemble from: `start` was never routed (no `loc`),
+/// its row still sits in an ingest queue, or it is tombstoned. With the
+/// trace come the [`JoinFacts`] of its search, when that reached a fixed
+/// point.
 pub(crate) fn assemble_local(
     shards: &[&SpanStore],
     loc: Option<Loc>,
     start: SpanId,
     cfg: &AssembleConfig,
-) -> Option<(Trace, Option<JoinFacts>)> {
-    let loc = loc?;
+) -> (Trace, Option<JoinFacts>) {
+    let Some(loc) = loc else {
+        return Default::default();
+    };
     let home = shards[loc.shard as usize];
     if home.len() as u32 <= loc.row || home.is_tombstoned(start) {
-        return None;
+        return Default::default();
     }
     let mut probe = LocalShards {
         shards,
@@ -366,7 +402,7 @@ pub(crate) fn assemble_local(
         postings: probe.postings,
         edits: shards.iter().map(|s| s.edits()).sum(),
     });
-    Some((trace, facts))
+    (trace, facts)
 }
 
 /// Algorithm 1 over a sharded corpus: [`assemble_with`] over the
@@ -379,7 +415,7 @@ pub fn assemble_trace_sharded(
     start: SpanId,
     cfg: &AssembleConfig,
 ) -> Trace {
-    store.assemble(start, cfg).unwrap_or_default().0
+    assemble_local(&store.shards(), store.loc(start), start, cfg).0
 }
 
 #[cfg(test)]

@@ -18,18 +18,19 @@
 //!
 //! ## Staleness contract
 //!
-//! A lookup checks in two stages. **Generations first**: if every
-//! recorded bucket generation is current, nothing was written anywhere in
-//! the envelope and the entry is served ([`CacheOutcome::Hit`]) with no
-//! key work. **Keys second**, only when a generation moved (past the
-//! caller's staleness window): the recorded facts are compared with the
+//! A query checks in two stages. **Generations first**
+//! ([`TraceCache::lookup`], no shard needed): if every recorded bucket
+//! generation is current, nothing was written anywhere in the envelope
+//! and the entry is served ([`CacheOutcome::Hit`]) with no key work.
+//! **Keys second** ([`TraceCache::revalidate`], every shard pinned), only
+//! when a generation moved: the recorded facts are compared with the
 //! shards. While the edit count stands still posting lists can only have
 //! grown, so an equal posting total means no list under any key the trace
 //! joined on changed — no span Phase 1 could reach has arrived and no
 //! member was altered. The entry is re-stamped with the current
 //! generations in place and served ([`CacheOutcome::Revalidated`]);
-//! otherwise it is dropped ([`CacheOutcome::Invalidated`]) and the caller
-//! re-assembles. An entry without facts (Phase 1 stopped at `iterations`
+//! otherwise it is dropped ([`CacheOutcome::Invalidated`]) and Algorithm 1
+//! runs again. An entry without facts (Phase 1 stopped at `iterations`
 //! or `max_spans`) is dropped as soon as a generation moves.
 //!
 //! So the cache is **exact for anything that moves a generation in the
@@ -51,33 +52,26 @@
 //! Cached traces are handed out as [`Arc<Trace>`], so a warm hit is a
 //! pointer clone.
 
-use crate::assemble::JoinFacts;
+use crate::assemble::{AssembleConfig, JoinFacts};
+use crate::router::Loc;
 use crate::server::ServerStats;
-use crate::sharded::ShardedSpanStore;
+use crate::sharded::{assemble_local, ShardedSpanStore};
 use df_check::sync::{Arc, Mutex};
+use df_storage::SpanStore;
 use df_types::trace::Trace;
 use df_types::{SpanId, TimeNs};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
-/// What the cache validates entries against: *some* view of the routing
-/// table's time-bucket generations and, where the view pins them, of the
-/// shards — the in-process [`ShardedSpanStore`] or the concurrent store's
-/// locked generation table ([`crate::concurrent::ConcurrentShardedStore`])
-/// — so its lookup/store methods are not tied to one store type.
+/// What the cache validates generations against: *some* view of the
+/// routing table's time buckets — the in-process [`ShardedSpanStore`] or
+/// the concurrent store's locked generation table
+/// ([`crate::concurrent::ConcurrentShardedStore`]) — so its methods are
+/// not tied to one store type.
 pub trait BucketGens {
     /// Current generation of a routing-table time bucket (0 if untouched).
     fn bucket_gen(&self, bucket: u64) -> u64;
     /// The routing-table bucket containing `t`.
     fn bucket_of(&self, t: TimeNs) -> u64;
-    /// Whether the shards still stand as `facts` recorded them
-    /// ([`JoinFacts::hold`]). `None` from a view that does not pin the
-    /// shards and so cannot look: the lookup then reports the moved
-    /// generations as [`CacheOutcome::Invalidated`] but keeps the entry,
-    /// for the caller to look again through a view that does.
-    fn facts_hold(&self, _facts: &JoinFacts) -> Option<bool> {
-        None
-    }
 }
 
 impl BucketGens for ShardedSpanStore {
@@ -87,33 +81,22 @@ impl BucketGens for ShardedSpanStore {
     fn bucket_of(&self, t: TimeNs) -> u64 {
         ShardedSpanStore::bucket_of(self, t)
     }
-    fn facts_hold(&self, facts: &JoinFacts) -> Option<bool> {
-        Some(facts.hold(self.shards()))
-    }
 }
 
-/// Result of a cache lookup, so the caller can account hits, misses and
-/// invalidations separately (the server's stats distinguish them).
-#[derive(Debug, Clone)]
+/// How one trace query was answered. The four are disjoint and
+/// [`ServerStats`] counts each apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// Entry present and every recorded bucket generation still current.
-    Hit(Arc<Trace>),
+    Hit,
     /// Entry present, a bucket in its envelope mutated, and the keys the
-    /// trace joined on say the mutation did not touch it: the entry now
-    /// carries the current generations.
-    Revalidated(Arc<Trace>),
-    /// Entry present and stale, but within the staleness window the caller
-    /// passed to [`TraceCache::lookup_bounded`]: every recorded bucket
-    /// generation drifted by at most the window. The entry is *kept* (it
-    /// may be served again while the window allows, and a later strict
-    /// lookup will check it).
-    Stale(Arc<Trace>),
-    /// Entry present but a bucket in the trace's envelope mutated since it
-    /// was cached and nothing vouches for the trace; the entry has been
-    /// dropped (or kept for a pinned second look, see
-    /// [`BucketGens::facts_hold`]).
+    /// trace joined on say the mutation did not touch it: the entry was
+    /// re-stamped with the current generations and served.
+    Revalidated,
+    /// Entry present, a bucket in its envelope mutated and nothing
+    /// vouched for the trace: the entry was dropped and Algorithm 1 ran.
     Invalidated,
-    /// No entry for this start span.
+    /// No entry for this start span: Algorithm 1 ran.
     Miss,
 }
 
@@ -125,6 +108,14 @@ struct CacheEntry {
     deps: Vec<(u64, u64)>,
     /// What the trace joined on, if its search reached a fixed point.
     facts: Option<JoinFacts>,
+}
+
+impl CacheEntry {
+    /// Stage one. Equality, not order: a counter that wrapped past the
+    /// recorded value still reads as moved.
+    fn current(&self, gens: &impl BucketGens) -> bool {
+        (self.deps.iter()).all(|&(bucket, gen)| gens.bucket_gen(bucket) == gen)
+    }
 }
 
 /// Assembled-trace cache keyed by start span id. See the module docs for
@@ -169,60 +160,44 @@ impl TraceCache {
         self.entries.is_empty()
     }
 
-    /// Look up the trace starting at `start`, validating its recorded
-    /// bucket generations against the store's current ones, with a
-    /// bounded-staleness window: if the entry's recorded generations have
-    /// each drifted by at most `staleness_window`, the entry is served as
-    /// [`CacheOutcome::Stale`] instead of being checked — the concurrent
-    /// server's answer to ingest pressure (serve a slightly-old trace now
-    /// rather than re-assemble synchronously behind a deep ingest queue).
-    /// Drift beyond the window goes to the key check (module docs). A
-    /// window of 0 is the strict mode.
-    pub fn lookup_bounded(
+    /// Stage one of the check (module docs), generations only: the trace
+    /// starting at `start` if it is cached and every bucket generation it
+    /// recorded is current. `None` says nothing about why — no entry, or
+    /// one whose generations moved and which [`Self::revalidate`] judges.
+    pub fn lookup(&self, start: SpanId, gens: &impl BucketGens) -> Option<Arc<Trace>> {
+        let entry = self.entries.get(&start)?;
+        entry.current(gens).then(|| Arc::clone(&entry.trace))
+    }
+
+    /// Both stages, for a caller that pins `shards` — the whole corpus —
+    /// so that no row or generation moves meanwhile. `Ok`: the entry and
+    /// how it was served, [`CacheOutcome::Hit`] or, after the key check
+    /// re-stamped it, [`CacheOutcome::Revalidated`]. `Err`: why Algorithm
+    /// 1 must run, [`CacheOutcome::Miss`] or — the entry is dropped —
+    /// [`CacheOutcome::Invalidated`].
+    pub fn revalidate(
         &mut self,
         start: SpanId,
-        store: &impl BucketGens,
-        staleness_window: u64,
-    ) -> CacheOutcome {
+        gens: &impl BucketGens,
+        shards: &[&SpanStore],
+    ) -> Result<(Arc<Trace>, CacheOutcome), CacheOutcome> {
         let Some(entry) = self.entries.get_mut(&start) else {
-            return CacheOutcome::Miss;
+            return Err(CacheOutcome::Miss);
         };
-        // `wrapping_sub`, not `saturating_sub`: if a bucket's counter ever
-        // wraps past a recorded generation, saturating would clamp the
-        // drift to 0 and serve the entry as perfectly fresh forever.
-        // Wrapping turns any mismatch into a huge drift, which correctly
-        // falls through to invalidation.
-        let drift = entry
-            .deps
-            .iter()
-            .map(|&(bucket, gen)| store.bucket_gen(bucket).wrapping_sub(gen))
-            .max()
-            .unwrap_or(0);
-        if drift == 0 {
-            return CacheOutcome::Hit(Arc::clone(&entry.trace));
-        }
-        if drift <= staleness_window {
-            return CacheOutcome::Stale(Arc::clone(&entry.trace));
-        }
-        // Generations moved past the window: what the trace joined on
-        // decides. Without facts nothing vouches for it.
-        let held = entry
-            .facts
-            .as_ref()
-            .map_or(Some(false), |f| store.facts_hold(f));
-        match held {
-            Some(true) => {
-                for (bucket, gen) in &mut entry.deps {
-                    *gen = store.bucket_gen(*bucket);
-                }
-                return CacheOutcome::Revalidated(Arc::clone(&entry.trace));
+        let outcome = if entry.current(gens) {
+            CacheOutcome::Hit
+        } else if (entry.facts.as_ref()).is_some_and(|f| f.hold(shards.iter().copied())) {
+            for (bucket, gen) in &mut entry.deps {
+                *gen = gens.bucket_gen(*bucket);
             }
-            None => return CacheOutcome::Invalidated, // kept for a pinned look
-            Some(false) => {}
-        }
-        self.entries.remove(&start);
-        self.order.retain(|&cached| cached != start);
-        CacheOutcome::Invalidated
+            CacheOutcome::Revalidated
+        } else {
+            // Without facts nothing vouches for it.
+            self.entries.remove(&start);
+            self.order.retain(|&cached| cached != start);
+            return Err(CacheOutcome::Invalidated);
+        };
+        Ok((Arc::clone(&entry.trace), outcome))
     }
 
     /// Cache a freshly assembled trace, with the `facts` of its search
@@ -288,61 +263,81 @@ impl TraceCache {
     }
 }
 
-/// One trace query through `cache`: look `start` up (tolerating a drift
-/// of `window` generations; 0 is strict), on anything but a servable
-/// entry run `resolve`, and count the query. All counters of one query
-/// move under one `stats` acquisition, so every snapshot keeps
-/// `trace_queries == hits + stale hits + misses + invalidations`.
+/// One trace query through `cache`: serve `start` from stage one where it
+/// can (the cache lock and `gens` only — no shard is touched), otherwise
+/// run `pinned`, and count the outcome either had. All counters of one
+/// query move under one `stats` acquisition, so every snapshot keeps
+/// `trace_queries == hits + misses + invalidations`.
 ///
-/// `resolve` pins the corpus and, while the pin is held, returns either
-/// the entry after all and `true` — `gens` could not see the shards
-/// ([`BucketGens::facts_hold`]) and a second lookup through a view that
-/// can was [`CacheOutcome::Revalidated`] — or a freshly assembled trace
-/// *via* [`TraceCache::store`] on this same cache, and `false`. Storing
-/// is the caller's so that the recorded generations and facts match the
-/// assembled rows. The cache lock is not held while it runs.
+/// `pinned` pins every shard — a borrow, or all the read guards — and
+/// calls [`resolve_pinned`] while it does. The cache lock is not held
+/// while it runs.
 pub(crate) fn query_through(
     cache: &Mutex<TraceCache>,
     stats: &Mutex<ServerStats>,
     gens: &impl BucketGens,
     start: SpanId,
-    window: u64,
-    resolve: impl FnOnce() -> (Arc<Trace>, bool),
+    pinned: impl FnOnce() -> (Arc<Trace>, CacheOutcome),
 ) -> Arc<Trace> {
-    let outcome = cache
+    let hit = cache
         .lock()
         .expect("cache lock poisoned")
-        .lookup_bounded(start, gens, window);
-    let mut revalidated = matches!(outcome, CacheOutcome::Revalidated(_));
-    let (trace, counter): (_, fn(&mut ServerStats) -> &mut u64) = match outcome {
-        CacheOutcome::Hit(t) | CacheOutcome::Revalidated(t) => (t, |st| &mut st.cache_hits),
-        CacheOutcome::Stale(t) => (t, |st| &mut st.cache_stale_hits),
-        CacheOutcome::Miss => (resolve().0, |st| &mut st.cache_misses),
-        CacheOutcome::Invalidated => {
-            let (t, kept) = resolve();
-            revalidated = kept;
-            if kept {
-                (t, |st| &mut st.cache_hits)
-            } else {
-                (t, |st| &mut st.cache_invalidations)
-            }
-        }
-    };
+        .lookup(start, gens);
+    let (trace, outcome) = hit.map_or_else(pinned, |t| (t, CacheOutcome::Hit));
     let mut st = stats.lock().expect("stats lock poisoned");
     st.trace_queries += 1;
-    *counter(&mut st) += 1;
-    st.cache_revalidations += u64::from(revalidated);
+    match outcome {
+        CacheOutcome::Hit => st.cache_hits += 1,
+        CacheOutcome::Revalidated => {
+            st.cache_hits += 1;
+            st.cache_revalidations += 1;
+        }
+        CacheOutcome::Invalidated => st.cache_invalidations += 1,
+        CacheOutcome::Miss => st.cache_misses += 1,
+    }
     trace
+}
+
+/// The rest of a trace query, with every shard of the corpus pinned in
+/// `shards` ([`Loc::shard`] order) so that no row is applied and no
+/// generation bumped until it returns: look again — another reader may
+/// have re-stamped or stored the entry since stage one — and on
+/// [`CacheOutcome::Miss`] or [`CacheOutcome::Invalidated`] run Algorithm 1
+/// from `loc` and cache what it built. Assembling, storing and
+/// re-stamping under the one pin is what makes the recorded generations
+/// and facts match the rows they vouch for (no permanently stale entry).
+/// The cache lock is not held across the assembly.
+pub(crate) fn resolve_pinned(
+    cache: &Mutex<TraceCache>,
+    gens: &impl BucketGens,
+    shards: &[&SpanStore],
+    loc: Option<Loc>,
+    start: SpanId,
+    cfg: &AssembleConfig,
+) -> (Arc<Trace>, CacheOutcome) {
+    let again = cache
+        .lock()
+        .expect("cache lock poisoned")
+        .revalidate(start, gens, shards);
+    let outcome = match again {
+        Ok(served) => return served,
+        Err(outcome) => outcome,
+    };
+    // The start span may still sit in its shard's queue: the empty trace
+    // is not cached, so a later query assembles for real.
+    let (trace, facts) = assemble_local(shards, loc, start, cfg);
+    let mut cache = cache.lock().expect("cache lock poisoned");
+    (cache.store(start, trace, facts, gens), outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assemble::AssembleConfig;
     use crate::sharded::assemble_trace_sharded;
     use df_storage::ShardPolicy;
     use df_types::span::TapSide;
     use df_types::Span;
+    use CacheOutcome::{Hit, Invalidated, Miss};
 
     fn linked_pair(seq: u32, base_ns: u64) -> Vec<Span> {
         let mut a = Span::synthetic(TapSide::ClientProcess, base_ns, base_ns + 500);
@@ -352,117 +347,99 @@ mod tests {
         vec![a, b]
     }
 
-    fn assemble_via_cache(
-        cache: &mut TraceCache,
+    fn on_seq(seq: u32) -> Span {
+        let mut s = Span::synthetic(TapSide::ServerPodNic, 1_005, 1_495);
+        s.tcp_seq_req = Some(seq);
+        s
+    }
+
+    /// One query at the cache level, as `query_through` runs it.
+    fn query(
+        cache: &Mutex<TraceCache>,
         store: &ShardedSpanStore,
         start: SpanId,
-    ) -> (Arc<Trace>, &'static str) {
-        match cache.lookup_bounded(start, store, 0) {
-            CacheOutcome::Hit(t) => (t, "hit"),
-            outcome => {
-                let t = assemble_trace_sharded(store, start, &AssembleConfig::default());
-                let label = match outcome {
-                    CacheOutcome::Invalidated => "invalidated",
-                    _ => "miss",
-                };
-                (cache.store(start, t, None, store), label)
-            }
+    ) -> (Arc<Trace>, CacheOutcome) {
+        if let Some(t) = cache.lock().unwrap().lookup(start, store) {
+            return (t, Hit);
         }
+        let (loc, cfg) = (store.loc(start), AssembleConfig::default());
+        resolve_pinned(cache, store, &store.shards(), loc, start, &cfg)
     }
 
     #[test]
     fn repeat_query_hits_until_envelope_mutates() {
         let mut store = ShardedSpanStore::new(ShardPolicy::with_shards(4));
         let ids = store.insert_batch(linked_pair(7, 1_000));
-        let mut cache = TraceCache::new();
+        let cache = Mutex::new(TraceCache::new());
 
-        let (t1, o1) = assemble_via_cache(&mut cache, &store, ids[0]);
-        assert_eq!(o1, "miss");
+        let (t1, o1) = query(&cache, &store, ids[0]);
+        assert_eq!(o1, Miss);
         assert_eq!(t1.len(), 2);
-        let (t2, o2) = assemble_via_cache(&mut cache, &store, ids[0]);
-        assert_eq!(o2, "hit");
+        let (t2, o2) = query(&cache, &store, ids[0]);
+        assert_eq!(o2, Hit);
         assert!(Arc::ptr_eq(&t1, &t2), "warm hit is the same allocation");
 
-        // A span landing in the trace's envelope invalidates, and the
-        // re-assembled trace includes it.
-        let mut c = Span::synthetic(TapSide::ServerPodNic, 1_005, 1_495);
-        c.tcp_seq_req = Some(7);
-        store.insert_batch(vec![c]);
-        let (t3, o3) = assemble_via_cache(&mut cache, &store, ids[0]);
-        assert_eq!(o3, "invalidated");
+        // A span landing in the trace's envelope and sharing a key
+        // invalidates, and the re-assembled trace includes it.
+        store.insert_batch(vec![on_seq(7)]);
+        let (t3, o3) = query(&cache, &store, ids[0]);
+        assert_eq!(o3, Invalidated);
         assert_eq!(t3.len(), 3);
-        let (_, o4) = assemble_via_cache(&mut cache, &store, ids[0]);
-        assert_eq!(o4, "hit");
+        assert_eq!(query(&cache, &store, ids[0]).1, Hit);
+    }
+
+    /// The race `query_through` used to miscount: reader A finds nothing
+    /// to serve at stage one, and before it pins the shards reader B runs
+    /// start to finish. A then finds the entry current: it ran no key
+    /// check and no assembly, so it is a hit, whatever B's outcome was.
+    #[test]
+    fn a_reader_that_loses_the_race_is_counted_as_the_hit_it_was() {
+        let mut store = ShardedSpanStore::new(ShardPolicy::with_shards(4));
+        let start = store.insert_batch(linked_pair(7, 1_000))[0];
+        let cache = Mutex::new(TraceCache::new());
+        let stats = Mutex::new(ServerStats::default());
+        // (misses, hits, revalidations, invalidations) after one race.
+        let race = |store: &ShardedSpanStore| {
+            let (loc, shards, cfg) = (store.loc(start), store.shards(), AssembleConfig::default());
+            let pinned = || resolve_pinned(&cache, store, &shards, loc, start, &cfg);
+            query_through(&cache, &stats, store, start, || {
+                let b = query_through(&cache, &stats, store, start, pinned);
+                let a = pinned();
+                assert!(a.1 == Hit && Arc::ptr_eq(&a.0, &b), "{:?}", a.1);
+                a
+            });
+            stats.lock().unwrap().cache_counters()
+        };
+        assert_eq!(race(&store), (1, 1, 0, 0), "one assembly, one hit");
+        store.insert_batch(vec![on_seq(8)]); // in the envelope, shares no key
+        assert_eq!(race(&store), (1, 3, 1, 0), "one key check, one hit");
+        store.insert_batch(vec![on_seq(7)]);
+        assert_eq!(race(&store), (1, 4, 1, 1), "one re-assembly, one hit");
     }
 
     #[test]
     fn mutation_outside_envelope_keeps_entry_warm() {
         let mut store = ShardedSpanStore::new(ShardPolicy::with_shards(4));
         let ids = store.insert_batch(linked_pair(7, 1_000));
-        let mut cache = TraceCache::new();
-        assemble_via_cache(&mut cache, &store, ids[0]);
+        let cache = Mutex::new(TraceCache::new());
+        query(&cache, &store, ids[0]);
         // ~10 s away — outside the ±1 s envelope of a trace at t≈1 µs.
         store.insert_batch(linked_pair(999, 10_000_000_000));
-        let (_, outcome) = assemble_via_cache(&mut cache, &store, ids[0]);
-        assert_eq!(outcome, "hit", "distant mutation must not invalidate");
+        let (_, outcome) = query(&cache, &store, ids[0]);
+        assert_eq!(outcome, Hit, "distant mutation must not invalidate");
     }
 
     #[test]
     fn tombstone_in_envelope_invalidates() {
         let mut store = ShardedSpanStore::new(ShardPolicy::with_shards(4));
         let ids = store.insert_batch(linked_pair(7, 1_000));
-        let mut cache = TraceCache::new();
-        let (t1, _) = assemble_via_cache(&mut cache, &store, ids[0]);
+        let cache = Mutex::new(TraceCache::new());
+        let (t1, _) = query(&cache, &store, ids[0]);
         assert_eq!(t1.len(), 2);
         store.tombstone(ids[1]);
-        let (t2, outcome) = assemble_via_cache(&mut cache, &store, ids[0]);
-        assert_eq!(outcome, "invalidated");
+        let (t2, outcome) = query(&cache, &store, ids[0]);
+        assert_eq!(outcome, Invalidated);
         assert_eq!(t2.len(), 1, "tombstoned member gone after re-assembly");
-    }
-
-    #[test]
-    fn bounded_staleness_serves_within_window_and_invalidates_beyond() {
-        let mut store = ShardedSpanStore::new(ShardPolicy::with_shards(4));
-        let ids = store.insert_batch(linked_pair(7, 1_000));
-        let mut cache = TraceCache::new();
-        let (t1, _) = assemble_via_cache(&mut cache, &store, ids[0]);
-        assert_eq!(t1.len(), 2);
-
-        // One mutation in the envelope: drift 1.
-        let mut c = Span::synthetic(TapSide::ServerPodNic, 1_005, 1_495);
-        c.tcp_seq_req = Some(7);
-        store.insert_batch(vec![c]);
-        match cache.lookup_bounded(ids[0], &store, 2) {
-            CacheOutcome::Stale(t) => {
-                assert!(Arc::ptr_eq(&t, &t1), "stale serve is the cached allocation");
-                assert_eq!(t.len(), 2, "stale trace misses the new span, by contract");
-            }
-            other => panic!("drift 1 ≤ window 2 must serve stale, got {other:?}"),
-        }
-        // The entry survives a stale serve — a second bounded lookup hits it
-        // again, a strict lookup invalidates it.
-        assert!(matches!(
-            cache.lookup_bounded(ids[0], &store, 2),
-            CacheOutcome::Stale(_)
-        ));
-        assert!(matches!(
-            cache.lookup_bounded(ids[0], &store, 0),
-            CacheOutcome::Invalidated
-        ));
-
-        // Re-cache, then push drift beyond the window: invalidated even in
-        // bounded mode.
-        let (_, o) = assemble_via_cache(&mut cache, &store, ids[0]);
-        assert_eq!(o, "miss");
-        for seq in 0..5u32 {
-            let mut s = Span::synthetic(TapSide::ClientProcess, 1_050 + u64::from(seq), 1_400);
-            s.tcp_seq_req = Some(1_000 + seq);
-            store.insert_batch(vec![s]);
-        }
-        assert!(matches!(
-            cache.lookup_bounded(ids[0], &store, 2),
-            CacheOutcome::Invalidated
-        ));
     }
 
     #[test]
@@ -517,52 +494,42 @@ mod tests {
         };
         let mut cache = TraceCache::new();
         cache.store(start, trace, None, &gens);
-        assert!(matches!(
-            cache.lookup_bounded(start, &gens, 0),
-            CacheOutcome::Hit(_)
-        ));
+        assert!(cache.lookup(start, &gens).is_some());
 
-        // The counter wraps: MAX → 0 → 1. With `saturating_sub` the drift
-        // would clamp to 0 and the entry would be served as fresh forever;
-        // wrapping arithmetic sees the true drift of 2.
+        // The counter wraps: MAX → 0 → 1. An ordered comparison (`<=`, or
+        // a saturating difference) would read 1 as not past MAX and serve
+        // the entry as fresh forever; "moved" is `!=`.
         gens.gen.set(1);
-        match cache.lookup_bounded(start, &gens, 10) {
-            CacheOutcome::Stale(_) => {} // drift 2 ≤ window 10, and NOT a fresh hit
-            other => panic!("wrapped counter must not serve fresh, got {other:?}"),
-        }
-        assert!(matches!(
-            cache.lookup_bounded(start, &gens, 1),
-            CacheOutcome::Invalidated
-        ));
+        assert!(cache.lookup(start, &gens).is_none());
+        assert_eq!(
+            cache.revalidate(start, &gens, &[]).unwrap_err(),
+            Invalidated
+        );
+        assert!(cache.is_empty());
     }
 
     #[test]
     fn capacity_eviction_is_fifo() {
         let mut store = ShardedSpanStore::new(ShardPolicy::with_shards(4));
-        let mut cache = TraceCache {
+        let cache = Mutex::new(TraceCache {
             max_entries: 2,
             ..TraceCache::new()
-        };
+        });
         let mut firsts = Vec::new();
         for i in 0..3u32 {
             let ids = store.insert_batch(linked_pair(i + 1, u64::from(i) * 1_000));
             firsts.push(ids[0]);
         }
         for &s in &firsts {
-            assemble_via_cache(&mut cache, &store, s);
+            query(&cache, &store, s);
         }
+        let cache = cache.lock().unwrap();
         assert_eq!(cache.len(), 2);
         assert!(
-            matches!(
-                cache.lookup_bounded(firsts[0], &store, 0),
-                CacheOutcome::Miss
-            ),
+            cache.lookup(firsts[0], &store).is_none(),
             "oldest entry evicted"
         );
-        assert!(matches!(
-            cache.lookup_bounded(firsts[2], &store, 0),
-            CacheOutcome::Hit(_)
-        ));
+        assert!(cache.lookup(firsts[2], &store).is_some());
     }
 
     #[test]
@@ -577,11 +544,8 @@ mod tests {
         };
         let cycle = |cache: &mut TraceCache, n: u64| {
             gens.gen.set(n); // every cached entry's generations moved
-            let gone = cache.lookup_bounded(SpanId(n % 8), &gens, 0);
-            assert!(matches!(
-                gone,
-                CacheOutcome::Miss | CacheOutcome::Invalidated
-            ));
+            let gone = cache.revalidate(SpanId(n % 8), &gens, &[]).unwrap_err();
+            assert_eq!(gone, if n < 8 { Miss } else { Invalidated });
             cache.store(SpanId(n % 8), trace.clone(), None, &gens);
         };
         (0..10_000).for_each(|n| cycle(&mut cache, n));
@@ -590,9 +554,8 @@ mod tests {
         // newest, so filling the cache evicts start 1 instead.
         cycle(&mut cache, 10_000);
         cache.store(SpanId(8), trace.clone(), None, &gens);
-        let hit =
-            |c: &mut TraceCache, id| matches!(c.lookup_bounded(id, &gens, 0), CacheOutcome::Hit(_));
-        assert!(hit(&mut cache, SpanId(0)) && hit(&mut cache, SpanId(8)));
-        assert!(!hit(&mut cache, SpanId(1)));
+        let hit = |c: &TraceCache, id| c.lookup(id, &gens).is_some();
+        assert!(hit(&cache, SpanId(0)) && hit(&cache, SpanId(8)));
+        assert!(!hit(&cache, SpanId(1)));
     }
 }

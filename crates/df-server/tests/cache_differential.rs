@@ -92,7 +92,7 @@ fn run(seed: u64, domain: u64, cfg: &AssembleConfig) -> [ServerStats; 2] {
             let fresh = view(&assemble_trace_sharded(srv.store(), start, cfg));
             let at = format!("seed {seed} domain {domain} step {step} {start:?}");
             assert_eq!(view(&srv.trace(start)), fresh, "server, {at}");
-            let served = store.query_trace_bounded(start, 0);
+            let served = store.query_trace(start);
             assert_eq!(view(&served), fresh, "concurrent, {at}");
         }
     }

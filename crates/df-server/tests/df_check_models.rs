@@ -1,8 +1,8 @@
 //! df-check model tests for the concurrent shard boundary
 //! (`crates/df-server/src/concurrent.rs`): the generation-bump lock
 //! discipline and the flush barrier (each with the *mutation* variants
-//! that must be caught), channel backpressure, and the bounded-staleness
-//! drift rule.
+//! that must be caught), channel backpressure, and the trace cache's
+//! pinned re-stamp, by one reader and by two racing ones.
 //!
 //! The suite runs checked in the default workspace test run because
 //! df-server's dev-dependency on df-check enables the `checked` feature.
@@ -347,57 +347,22 @@ fn bounded_channel_backpressure_preserves_fifo_under_every_schedule() {
 }
 
 // ---------------------------------------------------------------------
-// Bounded staleness (TraceCache::lookup_bounded's drift rule).
+// Revalidation re-stamp (trace_cache::resolve_pinned under
+// ConcurrentShardedStore::query_trace's guards): the key check and the
+// generations it stamps share the shard read locks.
 // ---------------------------------------------------------------------
 
-#[test]
-fn bounded_staleness_drift_never_exceeds_the_window() {
-    if !checked_or_skip() {
-        return;
-    }
-    const WINDOW: u64 = 1;
-    let report = model::check(budget(), || {
-        // (bucket_gen, updates_applied) move together under the shard
-        // lock — the discipline the locked test above verifies. A cache
-        // entry snapshots both; a later bounded lookup may serve it only
-        // while the generation drift is within the window. The invariant:
-        // a served entry is never missing more updates than the drift
-        // (and hence the window) allows.
-        let store = Arc::new(Mutex::new((0u64, 0u64)));
-        let (recorded_gen, cached_updates) = {
-            let s = store.lock().expect("shard lock");
-            (s.0, s.1)
-        };
-        let writer = {
-            let store = Arc::clone(&store);
-            model::spawn(move || {
-                for _ in 0..2 {
-                    let mut s = store.lock().expect("shard lock");
-                    s.0 = s.0.wrapping_add(1);
-                    s.1 += 1;
-                }
-            })
-        };
-        {
-            let s = store.lock().expect("shard lock");
-            let drift = s.0.wrapping_sub(recorded_gen);
-            if drift <= WINDOW {
-                let missed = s.1 - cached_updates;
-                assert!(
-                    missed <= WINDOW,
-                    "served an entry missing {missed} updates with window {WINDOW}"
-                );
-            } // else: invalidated — re-assembly, nothing served stale
-        }
-        writer.join();
-    });
-    assert!(report.complete);
+/// The shipped worker step: append a row and bump the generation inside
+/// the shard write lock (store -> gens).
+fn append_and_bump(store: &Arc<RwLock<u64>>, gens: &Arc<Mutex<u64>>) -> model::JoinHandle<()> {
+    let (store, gens) = (Arc::clone(store), Arc::clone(gens));
+    model::spawn(move || {
+        let mut s = store.write().expect("shard lock");
+        *s += 1;
+        let mut g = gens.lock().expect("gen table");
+        *g += 1;
+    })
 }
-
-// ---------------------------------------------------------------------
-// Revalidation re-stamp (ConcurrentShardedStore::resolve_pinned): the key
-// check and the generations it stamps share the shard read locks.
-// ---------------------------------------------------------------------
 
 /// An entry recorded at (0 posting entries, generation 0) is revalidated
 /// while a worker appends under the trace's keys and bumps the generation
@@ -408,15 +373,7 @@ fn bounded_staleness_drift_never_exceeds_the_window() {
 fn restamp_round(stamp_late: bool) {
     let store = Arc::new(RwLock::new(0u64)); // posting entries under the keys
     let gens = Arc::new(Mutex::new(0u64));
-    let worker = {
-        let (store, gens) = (Arc::clone(&store), Arc::clone(&gens));
-        model::spawn(move || {
-            let mut s = store.write().expect("shard lock");
-            *s += 1;
-            let mut g = gens.lock().expect("gen table");
-            *g += 1;
-        })
-    };
+    let worker = append_and_bump(&store, &gens);
     let reader = {
         let (store, gens) = (Arc::clone(&store), Arc::clone(&gens));
         model::spawn(move || {
@@ -457,6 +414,65 @@ fn stamping_after_the_guards_are_dropped_is_caught_and_replayable() {
     assert_caught_and_replayable(|| restamp_round(true), "permanently stale");
 }
 
+/// `trace_cache::{query_through, resolve_pinned}` in miniature, twice over:
+/// readers A and B both find one entry's generation moved (stamped at 0,
+/// the table at 1) while a worker appends one more unrelated row and bumps
+/// the generation inside the shard write lock. Stage one takes cache →
+/// generations; the pinned stage takes shard → cache → generations, looks
+/// again, and re-stamps only a still-moved entry — the facts hold, the
+/// rows are unrelated — recording how many rows its reader saw.
+#[test]
+fn two_readers_on_one_moved_entry_restamp_once_each_and_count_once() {
+    if !checked_or_skip() {
+        return;
+    }
+    let report = model::check(budget(), || {
+        let store = Arc::new(RwLock::new(1u64)); // rows applied
+        let gens = Arc::new(Mutex::new(1u64)); // == rows whenever the shard lock is free
+        let cache = Arc::new(Mutex::new((0u64, 0u64))); // (stamped generation, rows seen)
+        let stats = Arc::new(Mutex::new((0u64, 0u64))); // (hits, of them revalidations)
+        let worker = append_and_bump(&store, &gens);
+        let reader = || {
+            let (store, gens) = (Arc::clone(&store), Arc::clone(&gens));
+            let (cache, stats) = (Arc::clone(&cache), Arc::clone(&stats));
+            model::spawn(move || {
+                let current = {
+                    let c = cache.lock().expect("trace cache");
+                    let g = gens.lock().expect("gen table");
+                    c.0 == *g
+                };
+                let revalidated = !current && {
+                    let s = store.read().expect("shard lock");
+                    let mut c = cache.lock().expect("trace cache");
+                    let g = gens.lock().expect("gen table");
+                    let moved = c.0 != *g;
+                    if moved {
+                        *c = (*g, *s);
+                    }
+                    moved
+                };
+                let mut st = stats.lock().expect("stats");
+                st.0 += 1;
+                st.1 += u64::from(revalidated);
+                revalidated
+            })
+        };
+        let (a, b) = (reader(), reader());
+        worker.join();
+        let revalidations = u64::from(a.join()) + u64::from(b.join());
+        let (stamped, seen) = *cache.lock().expect("trace cache");
+        assert_eq!(
+            stamped, seen,
+            "permanently stale cache entry: stamped at gen {stamped} having seen {seen} rows"
+        );
+        let counted = *stats.lock().expect("stats");
+        assert_eq!(counted, (2, revalidations), "each reader counted once");
+        assert!((1..=2).contains(&revalidations), "the rest were plain hits");
+    });
+    assert!(report.complete, "schedule space must be exhausted");
+    assert!(report.lock_cycles.is_empty(), "no lock-order inversions");
+}
+
 // ---------------------------------------------------------------------
 // Static/dynamic lock-order cross-check (df-audit).
 // ---------------------------------------------------------------------
@@ -472,18 +488,7 @@ fn nested_discipline_round() {
     let store = Arc::new(RwLock::new(0u64));
     let cache = Arc::new(Mutex::new(0u64));
     let gens = Arc::new(Mutex::new(0u64));
-    let worker = {
-        let store = Arc::clone(&store);
-        let gens = Arc::clone(&gens);
-        model::spawn(move || {
-            let mut s = store.write().expect("shard lock");
-            *s += 1;
-            let mut g = gens.lock().expect("gen table");
-            *g += 1;
-            drop(g);
-            drop(s);
-        })
-    };
+    let worker = append_and_bump(&store, &gens);
     let assembler = {
         let store = Arc::clone(&store);
         let cache = Arc::clone(&cache);

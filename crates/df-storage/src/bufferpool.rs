@@ -20,8 +20,8 @@
 //!   evicted first (oldest first). A single full-corpus scan touches each
 //!   segment once, so scan pages stay in the "< K accesses" class and
 //!   evict each other, while the point-query working set (≥ K touches)
-//!   survives. `K = 1` degenerates to plain LRU, the baseline the
-//!   `storage_tiered` bench compares hit rates against.
+//!   survives. `K = 1` degenerates to plain LRU, the baseline
+//!   `tests/tiering.rs` compares hit rates against.
 //! - **Miss handling**: a miss inserts a `Loading` placeholder and does
 //!   the read *outside* the pool lock via the background
 //!   [`DiskScheduler`]; concurrent fetchers of the same segment wait on a
@@ -107,9 +107,9 @@ struct FrameHistory {
 }
 
 /// Replacement bookkeeping, factored out of the pool so the df-check
-/// model tests and the `storage_tiered` hit-rate comparison can drive it
-/// directly. Not thread-safe on its own — the pool guards it with the
-/// pool mutex.
+/// model tests can drive it directly (the K = 2 vs K = 1 hit-rate
+/// comparison drives whole pools: `tests/tiering.rs`). Not thread-safe on
+/// its own — the pool guards it with the pool mutex.
 #[derive(Debug)]
 pub struct Replacer {
     k: usize,
