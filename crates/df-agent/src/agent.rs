@@ -36,11 +36,6 @@ pub struct AgentConfig {
     pub vpc_id: Option<u32>,
     /// Payload snap length for eBPF captures.
     pub snap_len: usize,
-    /// Attach TLS uprobes (`ssl_read`/`ssl_write`).
-    pub enable_uprobes: bool,
-    /// Use tracepoints instead of kprobes for syscall hooks (Fig. 13(a)
-    /// contrasts the two).
-    pub use_tracepoints: bool,
     /// Session time-window slot width (§3.3.1: 60 s in production).
     pub session_slot: DurationNs,
     /// Fraction of the node's CPU capacity the agent's user-space
@@ -57,8 +52,6 @@ impl AgentConfig {
             node,
             vpc_id: Some(1),
             snap_len: 1024,
-            enable_uprobes: true,
-            use_tracepoints: false,
             session_slot: DurationNs::from_secs(60),
             cpu_share: 0.05,
         }
@@ -153,40 +146,32 @@ impl Agent {
             .get(&(process.to_string(), endpoint.to_string()))
     }
 
-    /// Attach the syscall program to all ten ABIs (enter + exit), and the
-    /// TLS program to `ssl_read`/`ssl_write` when enabled. Every program
-    /// passes the verifier or nothing attaches (§2.3.1).
+    /// Attach the syscall program to all ten ABIs (enter + exit) as
+    /// kprobes, and the TLS program to `ssl_read`/`ssl_write` as uprobes.
+    /// Every program passes the verifier or nothing attaches (§2.3.1).
     pub fn install(&self, kernel: &mut Kernel) -> Result<(), VerifierError> {
-        let kind = if self.cfg.use_tracepoints {
-            ProbeKind::Tracepoint
-        } else {
-            ProbeKind::Kprobe
-        };
         let syscalls = SharedProgram::new(DeepFlowSyscallProgram::new(self.cfg.snap_len));
         for abi in SyscallAbi::ALL {
             for point in [
                 AttachPoint::SyscallEnter(abi),
                 AttachPoint::SyscallExit(abi),
             ] {
-                kernel
-                    .hooks
-                    .attach(point, kind, Box::new(syscalls.clone()))?;
+                let program = Box::new(syscalls.clone());
+                kernel.hooks.attach(point, ProbeKind::Kprobe, program)?;
             }
         }
-        if self.cfg.enable_uprobes {
-            let tls = SharedProgram::new(DeepFlowTlsProgram::new(self.cfg.snap_len));
-            for sym in ["ssl_read", "ssl_write"] {
-                kernel.hooks.attach(
-                    AttachPoint::UserFnEnter(sym),
-                    ProbeKind::Uprobe,
-                    Box::new(tls.clone()),
-                )?;
-                kernel.hooks.attach(
-                    AttachPoint::UserFnExit(sym),
-                    ProbeKind::Uretprobe,
-                    Box::new(tls.clone()),
-                )?;
-            }
+        let tls = SharedProgram::new(DeepFlowTlsProgram::new(self.cfg.snap_len));
+        for sym in ["ssl_read", "ssl_write"] {
+            kernel.hooks.attach(
+                AttachPoint::UserFnEnter(sym),
+                ProbeKind::Uprobe,
+                Box::new(tls.clone()),
+            )?;
+            kernel.hooks.attach(
+                AttachPoint::UserFnExit(sym),
+                ProbeKind::Uretprobe,
+                Box::new(tls.clone()),
+            )?;
         }
         Ok(())
     }

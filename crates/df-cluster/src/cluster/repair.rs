@@ -133,12 +133,11 @@ impl Cluster {
         if self.nodes[idx].tier.is_none() {
             self.nodes[idx].tier = Some(self.node_tier(idx)?);
         }
-        let policy = self.cfg.policy;
         let NodeState { tier, shards, .. } = &mut self.nodes[idx];
         let tier = tier.as_ref().expect("tier made above");
         let mut total = SpillStats::default();
         for (&s, store) in shards {
-            total.merge(tier.spill(store, &policy, watermark, s)?);
+            total.merge(tier.spill(store, watermark, s)?);
         }
         Ok(total)
     }

@@ -25,6 +25,9 @@ use std::net::Ipv4Addr;
 /// File descriptor.
 pub type Fd = u32;
 
+/// Inherent (uninstrumented) virtual cost of one syscall.
+const BASE_SYSCALL: DurationNs = DurationNs(450);
+
 /// Kernel construction parameters.
 #[derive(Debug, Clone)]
 pub struct KernelConfig {
@@ -37,8 +40,6 @@ pub struct KernelConfig {
     pub snap_len: usize,
     /// Perf ring capacity in events.
     pub ring_capacity: usize,
-    /// Inherent (uninstrumented) virtual cost of one syscall.
-    pub base_syscall_ns: u64,
     /// Hook overhead model.
     pub overhead: HookOverheadModel,
     /// RNG seed (initial sequence numbers).
@@ -52,7 +53,6 @@ impl Default for KernelConfig {
             hostname: "node".into(),
             snap_len: 1024,
             ring_capacity: 1 << 16,
-            base_syscall_ns: 450,
             overhead: HookOverheadModel::default(),
             seed: 0x5eed,
         }
@@ -278,13 +278,12 @@ impl Kernel {
         local_ip: Ipv4Addr,
         dst: (Ipv4Addr, u16),
     ) -> SyscallOutcome<()> {
-        let base = DurationNs(self.cfg.base_syscall_ns);
         let sid = match self.sid(pid, fd) {
             Ok(s) => s,
             Err(err) => {
                 return SyscallOutcome::Error {
                     err,
-                    duration: base,
+                    duration: BASE_SYSCALL,
                 }
             }
         };
@@ -294,7 +293,7 @@ impl Kernel {
         if sock.remote.is_some() {
             return SyscallOutcome::Error {
                 err: KernelError::AlreadyConnected,
-                duration: base,
+                duration: BASE_SYSCALL,
             };
         }
         if sock.local.1 == 0 {
@@ -307,7 +306,7 @@ impl Kernel {
                 self.by_tuple.insert(tuple, sid);
                 SyscallOutcome::Complete {
                     value: (),
-                    duration: base,
+                    duration: BASE_SYSCALL,
                 }
             }
             TransportProtocol::Tcp => {
@@ -334,26 +333,25 @@ impl Kernel {
 
     /// `accept(2)`: pop an established connection or park.
     pub fn accept(&mut self, tid: Tid, pid: Pid, fd: Fd) -> SyscallOutcome<Fd> {
-        let base = DurationNs(self.cfg.base_syscall_ns);
         let sid = match self.sid(pid, fd) {
             Ok(s) => s,
             Err(err) => {
                 return SyscallOutcome::Error {
                     err,
-                    duration: base,
+                    duration: BASE_SYSCALL,
                 }
             }
         };
         let Some(listener) = self.sockets.get_mut(&sid) else {
             return SyscallOutcome::Error {
                 err: KernelError::BadFd,
-                duration: base,
+                duration: BASE_SYSCALL,
             };
         };
         if listener.state != SocketState::Listen {
             return SyscallOutcome::Error {
                 err: KernelError::Invalid("accept on non-listening socket"),
-                duration: base,
+                duration: BASE_SYSCALL,
             };
         }
         if let Some(child) = listener.accept_queue.pop_front() {
@@ -361,7 +359,7 @@ impl Kernel {
             self.socket_owner.insert(child, pid);
             SyscallOutcome::Complete {
                 value: child_fd,
-                duration: base,
+                duration: BASE_SYSCALL,
             }
         } else {
             self.parked_accepters.entry(sid).or_default().push(tid);
@@ -388,13 +386,12 @@ impl Kernel {
         now: TimeNs,
     ) -> SyscallOutcome<usize> {
         debug_assert_eq!(abi.direction(), Direction::Egress, "send with recv ABI");
-        let base = DurationNs(self.cfg.base_syscall_ns);
         let sid = match self.sid(pid, fd) {
             Ok(s) => s,
             Err(err) => {
                 return SyscallOutcome::Error {
                     err,
-                    duration: base,
+                    duration: BASE_SYSCALL,
                 }
             }
         };
@@ -441,7 +438,7 @@ impl Kernel {
             let Some(t) = tuple else {
                 return SyscallOutcome::Error {
                     err: KernelError::NotConnected,
-                    duration: base + enter_cost,
+                    duration: BASE_SYSCALL + enter_cost,
                 };
             };
             self.outbox.push(Segment {
@@ -463,14 +460,14 @@ impl Kernel {
                 Err(err) => {
                     return SyscallOutcome::Error {
                         err,
-                        duration: base + enter_cost,
+                        duration: BASE_SYSCALL + enter_cost,
                     }
                 }
             };
             self.outbox.extend(segments);
         }
         // --- exit hook ---
-        let exit_now = now + base + enter_cost;
+        let exit_now = now + BASE_SYSCALL + enter_cost;
         let exit_cost = self.fire_syscall_hook(
             HookPhase::Exit,
             abi,
@@ -486,7 +483,7 @@ impl Kernel {
         );
         SyscallOutcome::Complete {
             value: n,
-            duration: base + enter_cost + exit_cost,
+            duration: BASE_SYSCALL + enter_cost + exit_cost,
         }
     }
 
@@ -504,13 +501,12 @@ impl Kernel {
         now: TimeNs,
     ) -> SyscallOutcome<RecvResult> {
         debug_assert_eq!(abi.direction(), Direction::Ingress, "recv with send ABI");
-        let base = DurationNs(self.cfg.base_syscall_ns);
         let sid = match self.sid(pid, fd) {
             Ok(s) => s,
             Err(err) => {
                 return SyscallOutcome::Error {
                     err,
-                    duration: base,
+                    duration: BASE_SYSCALL,
                 }
             }
         };
@@ -564,7 +560,7 @@ impl Kernel {
                 let exit_cost = self.fire_syscall_hook(
                     HookPhase::Exit,
                     abi,
-                    now + base + enter_cost,
+                    now + BASE_SYSCALL + enter_cost,
                     pid,
                     tid,
                     sid,
@@ -581,7 +577,7 @@ impl Kernel {
                         msg_start,
                         peer,
                     },
-                    duration: base + enter_cost + exit_cost,
+                    duration: BASE_SYSCALL + enter_cost + exit_cost,
                 }
             }
             Err(KernelError::WouldBlock) => {
@@ -593,7 +589,7 @@ impl Kernel {
                 self.pending_enter.remove(&tid);
                 SyscallOutcome::Error {
                     err,
-                    duration: base + enter_cost,
+                    duration: BASE_SYSCALL + enter_cost,
                 }
             }
         }

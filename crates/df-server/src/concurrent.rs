@@ -40,27 +40,26 @@
 //!   dies drops its clone unacked, which the flusher sees as a disconnect
 //!   ([`WorkerPanic`]), never as a hang.
 //!
-//! ## Generation-bump ordering (the staleness-correctness invariant)
+//! ## Version ordering (the exactness invariant)
 //!
-//! Bucket generations drive trace-cache invalidation. A worker bumps a
-//! bucket's generation **while still holding its shard's write lock**, and
-//! an assembling reader holds *all* shard read locks from Phase 1 through
-//! reading the generations it records in the cache entry — as does a
-//! reader revalidating an entry, from comparing what the trace joined on
-//! through re-stamping it. Rows-visible and generation-bumped are
-//! therefore atomic from any reader's point of view: no interleaving
-//! exists in which a cached trace misses an applied span yet records its
-//! post-apply generation (which would never invalidate — a permanently
-//! stale entry). The df-check models in
-//! `tests/df_check_models.rs` explore exactly this under every schedule,
-//! including that both fine-grained orderings *would* exhibit the bug
-//! without the lock discipline.
+//! The trace cache validates against the corpus version, and the version
+//! is read off the shards themselves (the sum of their row and edit
+//! counts, [`crate::trace_cache`]): a worker moves it by applying a row
+//! under its shard's write lock, with no second counter to update. A trace
+//! query takes **every** shard read lock first and holds them from reading
+//! the version, through the key check or Phase 1, to the re-stamp or the
+//! cache store. So the version an entry records is exactly the corpus it
+//! vouches for: no interleaving caches a trace that misses an applied span
+//! yet records the version after it (which would be served forever — a
+//! permanently stale entry). The df-check models in
+//! `tests/df_check_models.rs` explore this under every schedule, including
+//! that reading the version after the guards drop *would* exhibit the bug.
 
 use crate::assemble::AssembleConfig;
-use crate::router::{BatchReorder, BucketTable, Router};
+use crate::router::{BatchReorder, Router};
 use crate::server::ServerStats;
-use crate::sharded::{complete_row, query_shards, spill_shards, tier_occupancy, tombstone_row};
-use crate::trace_cache::{query_through, resolve_pinned, BucketGens, TraceCache};
+use crate::sharded::{query_shards, spill_shards, tier_occupancy, tombstone_row};
+use crate::trace_cache::{self, TraceCache};
 use df_check::sync::atomic::{AtomicUsize, Ordering};
 use df_check::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use df_check::sync::{Arc, Mutex, RwLock};
@@ -221,7 +220,6 @@ pub struct ConcurrentShardedStore {
     policy: ShardPolicy,
     assemble_cfg: AssembleConfig,
     slots: Vec<Arc<ShardSlot>>,
-    gens: Arc<Mutex<BucketTable>>,
     senders: Vec<SyncSender<ShardMsg>>,
     workers: Vec<thread::JoinHandle<()>>,
     route: Mutex<Router>,
@@ -243,7 +241,6 @@ impl ConcurrentShardedStore {
     pub fn with_config(policy: ShardPolicy, cfg: ConcurrentConfig) -> Self {
         let router = Router::new(policy);
         let policy = *router.policy();
-        let gens = Arc::new(Mutex::new(BucketTable::default()));
         let mut slots = Vec::with_capacity(policy.shards);
         let mut senders = Vec::with_capacity(policy.shards);
         let mut workers = Vec::with_capacity(policy.shards);
@@ -255,10 +252,9 @@ impl ConcurrentShardedStore {
             });
             let (tx, rx) = sync_channel::<ShardMsg>(cfg.queue_depth.max(1));
             let worker_slot = Arc::clone(&slot);
-            let worker_gens = Arc::clone(&gens);
             let handle = thread::Builder::new()
                 .name(format!("df-shard-{si}"))
-                .spawn(move || worker_loop(si, worker_slot, worker_gens, policy, rx))
+                .spawn(move || worker_loop(si, worker_slot, policy, rx))
                 .expect("spawn shard worker");
             slots.push(slot);
             senders.push(tx);
@@ -269,7 +265,6 @@ impl ConcurrentShardedStore {
             policy,
             assemble_cfg: AssembleConfig::default(),
             slots,
-            gens,
             senders,
             workers,
             cache: Mutex::new(TraceCache::new()),
@@ -297,13 +292,13 @@ impl ConcurrentShardedStore {
     /// shard's write lock in turn — exactly the locking discipline
     /// [`ConcurrentShardedStore::evict_tombstoned`] uses. Queued-but-
     /// unapplied spans are untouched (they spill on a later pass once
-    /// applied). Spill is content-neutral: **no bucket generation is
-    /// bumped**, so cached traces remain valid — the tiering tests assert
-    /// a cached trace survives a spill of its own buckets.
+    /// applied). Spill is content-neutral: **the corpus version stands
+    /// still**, so cached traces stay hits — the tiering tests assert a
+    /// cached trace survives a spill of its own buckets.
     pub fn spill_before(&self, watermark: TimeNs) -> io::Result<SpillStats> {
         let tier = self.tier.as_ref().ok_or_else(Tier::not_enabled)?;
         let shards = (self.slots.iter()).map(|s| s.store.write().expect("shard lock poisoned"));
-        spill_shards(tier, &self.policy, watermark, shards)
+        spill_shards(tier, watermark, shards)
     }
 
     /// Rows currently resident (hot) vs spilled (cold), across shards.
@@ -554,50 +549,37 @@ impl ConcurrentShardedStore {
             .sum()
     }
 
-    /// Span-list query over applied spans: candidate shards (per the
-    /// routing table's bucket occupancy) answer under their read locks;
-    /// results merge by `(req_time, span_id)` and re-cap at `limit`.
+    /// Span-list query over applied spans: each shard answers under its
+    /// read lock; results merge by `(req_time, span_id)` and re-cap at
+    /// `limit`.
     pub fn query(&self, q: &SpanQuery) -> Vec<Span> {
-        let mask =
-            self.gens
-                .lock()
-                .expect("gen table poisoned")
-                .window_mask(&self.policy, q.from, q.to);
         self.stats.lock().expect("stats lock poisoned").list_queries += 1;
-        query_shards(self.slots.iter(), mask, q, |slot, out| {
+        query_shards(self.slots.iter(), q, |slot, out| {
             let shard = slot.store.read().expect("shard lock poisoned");
             out.extend(shard.query(q).into_iter().map(Cow::into_owned));
         })
     }
 
-    /// Trace query through the cache ([`crate::trace_cache`]): a cached
-    /// trace whose envelope saw no write is served under the cache and
-    /// generation-table locks alone. Anything else is settled while
-    /// **every** shard read lock is held — from the key check or Phase 1
-    /// through the re-stamp or the cache store — so the generations an
-    /// entry records exactly match the rows it vouches for (module docs:
-    /// the staleness-correctness invariant). The stats count hit / miss /
-    /// invalidation disjointly.
+    /// Trace query through the cache ([`crate::trace_cache`]), answered
+    /// while **every** shard read lock is held — from reading the corpus
+    /// version through the re-stamp or the cache store — so the version an
+    /// entry records exactly matches the rows it vouches for (module docs:
+    /// the exactness invariant). The stats count hit / miss / invalidation
+    /// disjointly.
     pub fn query_trace(&self, start: SpanId) -> Arc<Trace> {
-        query_through(&self.cache, &self.stats, self, start, || {
-            let loc = self.route.lock().expect("route lock poisoned").loc(start);
-            let guards: Vec<_> = (self.slots.iter())
-                .map(|s| s.store.read().expect("shard lock poisoned"))
-                .collect();
-            let shards: Vec<&SpanStore> = guards.iter().map(|g| &**g).collect();
-            resolve_pinned(&self.cache, self, &shards, loc, start, &self.assemble_cfg)
-        })
-    }
-}
-
-/// The generations the [`TraceCache`] validates against: the locked table
-/// the workers bump.
-impl BucketGens for ConcurrentShardedStore {
-    fn bucket_gen(&self, bucket: u64) -> u64 {
-        self.gens.lock().expect("gen table poisoned").gen(bucket)
-    }
-    fn bucket_of(&self, t: TimeNs) -> u64 {
-        self.policy.bucket_of(t)
+        let loc = self.route.lock().expect("route lock poisoned").loc(start);
+        let guards: Vec<_> = (self.slots.iter())
+            .map(|s| s.store.read().expect("shard lock poisoned"))
+            .collect();
+        let shards: Vec<&SpanStore> = guards.iter().map(|g| &**g).collect();
+        let (trace, outcome) =
+            trace_cache::query(&self.cache, &shards, loc, start, &self.assemble_cfg);
+        drop(guards);
+        self.stats
+            .lock()
+            .expect("stats lock poisoned")
+            .count(outcome);
+        trace
     }
 }
 
@@ -612,21 +594,14 @@ impl Drop for ConcurrentShardedStore {
 }
 
 /// The per-shard ingest worker: applies batches strictly in row order
-/// (stashing early arrivals), applies row ops once their row exists, bumps
-/// bucket generations *inside* the shard write lock (module docs), and
+/// (stashing early arrivals), applies row ops once their row exists, and
 /// acknowledges flush barriers once its reorder buffers are empty.
 ///
 /// A panic anywhere in the message loop is caught so the worker can die
 /// loudly instead of silently: the panic message is recorded on the slot
 /// *before* the stashed flush acks and the receiver drop, so a flusher or
 /// producer that observes the disconnect can report the cause.
-fn worker_loop(
-    si: usize,
-    slot: Arc<ShardSlot>,
-    gens: Arc<Mutex<BucketTable>>,
-    policy: ShardPolicy,
-    rx: Receiver<ShardMsg>,
-) {
+fn worker_loop(si: usize, slot: Arc<ShardSlot>, policy: ShardPolicy, rx: Receiver<ShardMsg>) {
     let mut state = WorkerState::default();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         while let Ok(msg) = rx.recv() {
@@ -642,7 +617,7 @@ fn worker_loop(
                 }
                 ShardMsg::Panic => panic!("injected worker panic (test hook)"),
             };
-            drain(si as u16, &slot, &gens, &policy, &mut state, batch);
+            drain(si as u16, &slot, &policy, &mut state, batch);
         }
     }));
     if let Err(payload) = outcome {
@@ -664,15 +639,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Apply everything `batch` makes ready: the batches the reorder buffer
-/// releases (contiguous, in row order), then row ops whose rows exist.
-/// Generation bumps happen while the shard write lock is held, making
-/// rows-visible + generation-bumped atomic for any reader holding the read
-/// lock (the staleness-correctness invariant).
+/// Apply everything `batch` makes ready, under the shard write lock: the
+/// batches the reorder buffer releases (contiguous, in row order), then
+/// row ops whose rows exist.
 fn drain(
     si: u16,
     slot: &ShardSlot,
-    gens: &Mutex<BucketTable>,
     policy: &ShardPolicy,
     state: &mut WorkerState,
     batch: Option<(u32, Vec<Span>)>,
@@ -684,14 +656,7 @@ fn drain(
         });
         for spans in runs {
             let applied = spans.len();
-            let touched: Vec<u64> = spans.iter().map(|s| policy.bucket_of(s.req_time)).collect();
             store.insert_routed_batch(spans);
-            {
-                let mut g = gens.lock().expect("gen table poisoned");
-                for b in touched {
-                    g.touch(b, si);
-                }
-            }
             slot.pending.fetch_sub(applied, Ordering::AcqRel);
         }
         // Row ops: apply any whose target row has been applied.
@@ -704,12 +669,11 @@ fn drain(
         for row in ready {
             let ops = state.ops.remove(&row).expect("ready row present");
             for op in ops {
-                let bucket = match op {
+                match op {
                     RowOp::Tombstone => tombstone_row(&mut store, policy, row),
-                    RowOp::Complete(resp) => complete_row(&mut store, policy, row, &resp),
-                };
-                if let Some(b) = bucket {
-                    gens.lock().expect("gen table poisoned").touch(b, si);
+                    RowOp::Complete(resp) => {
+                        store.complete_span_row(row, &resp);
+                    }
                 }
                 slot.pending.fetch_sub(1, Ordering::AcqRel);
             }
@@ -821,7 +785,7 @@ mod tests {
             store.insert_batch(vec![s]);
             store.flush();
         };
-        land(8); // in the envelope, shares no key
+        land(8); // shares no key
         assert!(Arc::ptr_eq(&cold, &store.query_trace(ids[0])), "kept");
         assert_eq!(store.stats().cache_counters(), (1, 1, 1, 0));
         land(7); // shares the trace's TCP sequence

@@ -14,16 +14,16 @@
 //!   where the shards are), then parent assignment under the 16 rules,
 //!   then time/parent sorting;
 //! * [`router`] — the one [`Router`] (global ids, shard pick, id →
-//!   `(shard, row)` table, batch → per-shard split), the time-bucket
-//!   generation table and the [`BatchReorder`] that re-serialises
-//!   sub-batches on the receiving side;
+//!   `(shard, row)` table, batch → per-shard split) and the
+//!   [`BatchReorder`] that re-serialises sub-batches on the receiving
+//!   side;
 //! * [`sharded`] — the span corpus partitioned into
 //!   [`SpanStore`](df_storage::SpanStore) shards per
 //!   [`ShardPolicy`](df_storage::ShardPolicy), with
 //!   [`assemble_trace_sharded`] running Algorithm 1 *across* the shards;
 //! * [`trace_cache`] — incremental assembled-trace cache memoized by start
-//!   span, invalidated through the sharded store's time-bucket
-//!   generations;
+//!   span and exact: an entry is served at the corpus version it was
+//!   stamped with, or re-stamped when the keys it joined on stand still;
 //! * [`concurrent`] — the shard boundary taken across threads: one ingest
 //!   worker per shard behind bounded queues, trace queries through the
 //!   same cache under the shard read locks;
@@ -72,4 +72,4 @@ pub use dictionary::TagDictionary;
 pub use router::{BatchReorder, Loc, Router, SubBatch};
 pub use server::{Server, ServerStats};
 pub use sharded::{assemble_trace_sharded, ShardedSpanStore};
-pub use trace_cache::{BucketGens, CacheOutcome, TraceCache};
+pub use trace_cache::{CacheOutcome, TraceCache};

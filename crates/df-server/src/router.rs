@@ -1,5 +1,5 @@
-//! The one router: global span ids, shard choice, the id → `(shard, row)`
-//! table and the time-bucket generation table.
+//! The one router: global span ids, shard choice and the id → `(shard,
+//! row)` table.
 //!
 //! Every store front-end — the single-threaded
 //! [`ShardedSpanStore`](crate::sharded::ShardedSpanStore), the threaded
@@ -18,8 +18,7 @@
 //! row order before they touch the shard.
 
 use df_storage::ShardPolicy;
-use df_types::IntMap;
-use df_types::{Span, SpanId, TimeNs};
+use df_types::{Span, SpanId};
 use std::collections::BTreeMap;
 
 /// Location of a span inside a sharded corpus.
@@ -55,8 +54,8 @@ pub struct Router {
 }
 
 impl Router {
-    /// Router under `policy`. The shard count is clamped to `1..=64`: the
-    /// bucket table tracks per-bucket occupancy as a 64-bit mask.
+    /// Router under `policy`. The shard count is clamped to `1..=64`: a
+    /// flush barrier tracks the shards that acked as a 64-bit mask.
     pub fn new(mut policy: ShardPolicy) -> Self {
         policy.shards = policy.shards.clamp(1, 64);
         Router {
@@ -154,67 +153,6 @@ impl Router {
                 .push(span);
         }
         (ids, per_shard.into_iter().flatten().collect())
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Bucket {
-    /// Bumped on every mutation touching the bucket (trace-cache epoch).
-    gen: u64,
-    /// Bit `i` set ⇔ shard `i` holds at least one span in this bucket.
-    shards: u64,
-}
-
-/// Per [`ShardPolicy::bucket_of`] time bucket: which shards hold spans in
-/// it (so time-windowed queries skip shards with nothing in the window)
-/// and a monotonically increasing **generation**, bumped by any mutation
-/// whose span falls in the bucket (insert, tombstone, re-aggregation
-/// completing a span). The [`TraceCache`](crate::trace_cache::TraceCache)
-/// snapshots the generations of the buckets a trace touches and
-/// re-validates them on lookup.
-#[derive(Debug, Default)]
-pub(crate) struct BucketTable {
-    buckets: IntMap<u64, Bucket>,
-}
-
-impl BucketTable {
-    /// Record a mutation of a span of `shard` lying in `bucket`.
-    pub(crate) fn touch(&mut self, bucket: u64, shard: u16) {
-        let b = self.buckets.entry(bucket).or_default();
-        b.gen += 1;
-        b.shards |= 1u64 << shard;
-    }
-
-    /// The bucket's generation; 0 if it has never been touched.
-    pub(crate) fn gen(&self, bucket: u64) -> u64 {
-        self.buckets.get(&bucket).map_or(0, |b| b.gen)
-    }
-
-    /// The newest bucket ever touched.
-    pub(crate) fn newest(&self) -> Option<u64> {
-        self.buckets.keys().max().copied()
-    }
-
-    /// Bitmask of shards holding spans in `[from, to)`; all-ones when the
-    /// window is unbounded.
-    pub(crate) fn window_mask(
-        &self,
-        policy: &ShardPolicy,
-        from: Option<TimeNs>,
-        to: Option<TimeNs>,
-    ) -> u64 {
-        let (Some(from), Some(to)) = (from, to) else {
-            return u64::MAX;
-        };
-        if to.as_nanos() == 0 {
-            return 0;
-        }
-        let lo = policy.bucket_of(from);
-        let hi = policy.bucket_of(TimeNs(to.as_nanos() - 1));
-        self.buckets
-            .iter()
-            .filter(|(b, _)| (lo..=hi).contains(*b))
-            .fold(0u64, |m, (_, b)| m | b.shards)
     }
 }
 

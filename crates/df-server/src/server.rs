@@ -19,7 +19,7 @@
 use crate::assemble::AssembleConfig;
 use crate::dictionary::TagDictionary;
 use crate::sharded::ShardedSpanStore;
-use crate::trace_cache::{query_through, resolve_pinned, TraceCache};
+use crate::trace_cache::{self, CacheOutcome, TraceCache};
 use df_check::sync::Mutex;
 use df_storage::{ShardPolicy, SpanQuery};
 use df_types::tags::ResourceInventory;
@@ -53,23 +53,37 @@ pub struct ServerStats {
     pub re_aggregated: u64,
     /// Trace queries answered from the cache (valid entry).
     pub cache_hits: u64,
-    /// The `cache_hits` that needed the key check: a bucket in the
-    /// entry's envelope had been written, and what the trace joined on
-    /// showed the write did not touch it (see [`crate::trace_cache`]). A
-    /// subset of `cache_hits`, so the sum above does not count it.
+    /// The `cache_hits` that needed the key check: the corpus had been
+    /// written since the entry was stamped, and what the trace joined on
+    /// showed no write touched it (see [`crate::trace_cache`]). A subset
+    /// of `cache_hits`, so the sum above does not count it.
     pub cache_revalidations: u64,
     /// Trace queries with no cached entry (assembled fresh).
     pub cache_misses: u64,
-    /// Trace queries whose cached entry had gone stale — a mutation in the
-    /// trace's time envelope that the key check could not rule out — and
-    /// was re-assembled. Disjoint from `cache_misses`.
+    /// Trace queries whose cached entry had gone stale — a write the key
+    /// check could not rule out — and was re-assembled. Disjoint from
+    /// `cache_misses`.
     pub cache_invalidations: u64,
 }
 
-#[cfg(test)]
 impl ServerStats {
+    /// Count one trace query answered with `outcome`.
+    pub(crate) fn count(&mut self, outcome: CacheOutcome) {
+        self.trace_queries += 1;
+        match outcome {
+            CacheOutcome::Hit => self.cache_hits += 1,
+            CacheOutcome::Revalidated => {
+                self.cache_hits += 1;
+                self.cache_revalidations += 1;
+            }
+            CacheOutcome::Invalidated => self.cache_invalidations += 1,
+            CacheOutcome::Miss => self.cache_misses += 1,
+        }
+    }
+
     /// (misses, hits, revalidations, invalidations) of a snapshot whose
     /// sum holds: revalidations are hits, not a fifth class.
+    #[cfg(test)]
     pub(crate) fn cache_counters(self) -> (u64, u64, u64, u64) {
         let (hit, miss, inval) = (self.cache_hits, self.cache_misses, self.cache_invalidations);
         assert_eq!(
@@ -101,8 +115,8 @@ impl Server {
         Self::with_policy(inventory, ShardPolicy::default())
     }
 
-    /// Server with an explicit sharding policy (shard count, routing-table
-    /// bucket width, tombstone-eviction threshold).
+    /// Server with an explicit sharding policy (shard count,
+    /// tombstone-eviction threshold, per-shard row cap).
     pub fn with_policy(inventory: &ResourceInventory, policy: ShardPolicy) -> Self {
         Server {
             store: ShardedSpanStore::new(policy),
@@ -202,10 +216,12 @@ impl Server {
     /// are always reflected.
     pub fn trace(&self, start: SpanId) -> Trace {
         let (store, cfg) = (&self.store, &self.assemble_cfg);
-        let arc = query_through(&self.cache, &self.stats, store, start, || {
-            let (loc, shards) = (store.loc(start), store.shards());
-            resolve_pinned(&self.cache, store, &shards, loc, start, cfg)
-        });
+        let (arc, outcome) =
+            trace_cache::query(&self.cache, &store.shards(), store.loc(start), start, cfg);
+        self.stats
+            .lock()
+            .expect("stats lock poisoned")
+            .count(outcome);
         let mut trace = (*arc).clone();
         for s in &mut trace.spans {
             join_labels(&self.dict, &mut s.span);
@@ -440,7 +456,7 @@ mod tests {
         assert_eq!(cold, warm, "cache returns the same labeled trace");
         let mut late = span(200, 100);
         late.capture.tap_side = TapSide::ServerProcess;
-        srv.ingest(late); // lands in the trace's time envelope
+        srv.ingest(late); // shares the trace's TCP sequence
         let refreshed = srv.trace(a);
         assert_eq!(refreshed.len(), 3);
         assert_eq!(srv.stats().cache_counters(), (1, 1, 0, 1));
@@ -454,7 +470,7 @@ mod tests {
         let cold = srv.trace(a);
         let mut unrelated = span(200, 100);
         (unrelated.tcp_seq_req, unrelated.tcp_seq_resp) = (Some(77), Some(78));
-        srv.ingest(unrelated); // lands in the envelope, shares no key
+        srv.ingest(unrelated); // shares no key
         assert_eq!(srv.trace(a), cold);
         assert_eq!(srv.stats().cache_counters(), (1, 1, 1, 0));
         srv.ingest(span(250, 100)); // shares the trace's TCP sequence

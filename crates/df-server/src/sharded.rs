@@ -3,8 +3,9 @@
 //!
 //! The corpus is split into [`ShardPolicy::shards`] shards, each a plain
 //! [`SpanStore`]. Ids, rows and the id → `(shard, row)` table come from
-//! the one [`Router`]; per-time-bucket generations and shard occupancy
-//! live in its [`BucketTable`](crate::router) (see that module for both).
+//! the one [`Router`]. The shards are also the corpus's clock:
+//! [`ShardedSpanStore::version`] sums their row and edit counts, and the
+//! trace cache ([`crate::trace_cache`]) validates against it.
 //! [`assemble_trace_sharded`] is Algorithm 1's one driver
 //! ([`assemble_with`]) over the in-process prober: each index key is
 //! expanded at most once globally, an expansion probes every shard's
@@ -24,7 +25,7 @@
 //! unconditionally after each re-aggregation pass.
 
 use crate::assemble::{assemble_with, AssembleConfig, JoinFacts, LocalShards};
-use crate::router::{BucketTable, Loc, Router};
+use crate::router::{Loc, Router};
 use df_check::sync::Arc;
 use df_storage::{
     BufferPool, ShardPolicy, SpanQuery, SpanStore, SpillStats, StoreStats, Tier, TierConfig,
@@ -62,7 +63,6 @@ use std::ops::{Deref, DerefMut};
 pub struct ShardedSpanStore {
     router: Router,
     shards: Vec<SpanStore>,
-    buckets: BucketTable,
     /// Hot/cold tiering, if enabled (see [`ShardedSpanStore::enable_tiering`]).
     tier: Option<Tier>,
 }
@@ -76,7 +76,6 @@ impl ShardedSpanStore {
                 .map(|_| SpanStore::new())
                 .collect(),
             router,
-            buckets: BucketTable::default(),
             tier: None,
         }
     }
@@ -93,30 +92,28 @@ impl ShardedSpanStore {
 
     /// Spill every completed span older than `watermark` to the cold
     /// tier, one segment per (shard, time bucket). Spill is
-    /// content-neutral — no bucket generation is bumped, because probes,
-    /// queries and assembly see the identical corpus afterwards (cached
-    /// traces stay valid; the tiering tests pin this down).
+    /// content-neutral — the [`Self::version`] stands still, because
+    /// probes, queries and assembly see the identical corpus afterwards
+    /// (cached traces stay hits; the tiering tests pin this down).
     ///
     /// Errors if tiering was never enabled or a segment write fails (in
     /// which case no row of the failing shard flips cold).
     pub fn spill_before(&mut self, watermark: TimeNs) -> io::Result<SpillStats> {
         let tier = self.tier.as_ref().ok_or_else(Tier::not_enabled)?;
-        spill_shards(
-            tier,
-            self.router.policy(),
-            watermark,
-            self.shards.iter_mut(),
-        )
+        spill_shards(tier, watermark, self.shards.iter_mut())
     }
 
     /// Spill by the configured horizon ([`Tier::watermark`]): everything
-    /// older than the newest [`TierConfig::hot_buckets`] time buckets goes
-    /// cold. No-op on an empty corpus or when the corpus spans fewer
-    /// buckets than the horizon.
+    /// older than the newest [`TierConfig::hot_buckets`] time buckets,
+    /// counted back from the newest request stored, goes cold. No-op on an
+    /// empty corpus or when the corpus spans fewer buckets than the
+    /// horizon.
     pub fn spill_auto(&mut self) -> io::Result<SpillStats> {
         let tier = self.tier.as_ref().ok_or_else(Tier::not_enabled)?;
-        let newest = self.buckets.newest();
-        match newest.and_then(|b| tier.watermark(self.policy(), b)) {
+        let newest = (self.shards.iter())
+            .flat_map(|s| (0..s.len() as u32).filter_map(|row| s.req_time_at(row)))
+            .max();
+        match newest.and_then(|t| tier.watermark(t)) {
             Some(watermark) => self.spill_before(watermark),
             None => Ok(SpillStats::default()),
         }
@@ -157,8 +154,8 @@ impl ShardedSpanStore {
         self.router.is_empty()
     }
 
-    /// Insert one span: assign the next global id, route it to its shard,
-    /// bump its time bucket's generation. Returns the id.
+    /// Insert one span: assign the next global id and route it to its
+    /// shard. Returns the id.
     ///
     /// The span is boxed here, once: the box is the row the shard keeps
     /// (`Span` is 576 bytes; every by-value hop would copy it again).
@@ -170,8 +167,6 @@ impl ShardedSpanStore {
         let mut span = Box::new(span);
         let loc = self.router.assign(&mut span);
         let id = span.span_id;
-        self.buckets
-            .touch(self.policy().bucket_of(span.req_time), loc.shard);
         let row = self.shards[loc.shard as usize].insert_routed(span);
         debug_assert_eq!(row, loc.row, "router and shard agree on the row");
         id
@@ -206,33 +201,22 @@ impl ShardedSpanStore {
             .is_some_and(|l| self.shards[l.shard as usize].is_tombstoned(id))
     }
 
-    /// Hide a span from queries. Bumps the span's bucket generation (a
-    /// cached trace containing it must re-assemble) and compacts the
-    /// owning shard's indexes once its pending-eviction count crosses
+    /// Hide a span from queries, compacting the owning shard's indexes
+    /// once its pending-eviction count crosses
     /// [`ShardPolicy::evict_threshold`].
     pub fn tombstone(&mut self, id: SpanId) {
-        let Some(loc) = self.router.loc(id) else {
-            return;
-        };
-        let shard = &mut self.shards[loc.shard as usize];
-        if let Some(bucket) = tombstone_row(shard, self.router.policy(), loc.row) {
-            self.buckets.touch(bucket, loc.shard);
+        if let Some(loc) = self.router.loc(id) {
+            let shard = &mut self.shards[loc.shard as usize];
+            tombstone_row(shard, self.router.policy(), loc.row);
         }
     }
 
     /// Merge a late response into an Incomplete span (server-side
-    /// re-aggregation, §3.3.1), routed to the owning shard. Bumps the
-    /// span's bucket generation on success.
+    /// re-aggregation, §3.3.1), routed to the owning shard. Whether it
+    /// merged.
     pub fn complete_span(&mut self, id: SpanId, resp: &Span) -> bool {
-        let Some(loc) = self.router.loc(id) else {
-            return false;
-        };
-        let shard = &mut self.shards[loc.shard as usize];
-        let bucket = complete_row(shard, self.router.policy(), loc.row, resp);
-        if let Some(bucket) = bucket {
-            self.buckets.touch(bucket, loc.shard);
-        }
-        bucket.is_some()
+        (self.router.loc(id))
+            .is_some_and(|loc| self.shards[loc.shard as usize].complete_span_row(loc.row, resp))
     }
 
     /// Compact tombstoned rows out of every shard's indexes (see
@@ -249,14 +233,11 @@ impl ShardedSpanStore {
         self.shards.iter().map(SpanStore::pending_evictions).sum()
     }
 
-    /// Span-list query: each candidate shard answers locally, results are
-    /// merged by `(req_time, span_id)` — the same order a single store
-    /// yields for the same corpus — and re-capped at `limit`. Shards with
-    /// no spans in the query's time window (per the routing table) are
-    /// skipped entirely.
+    /// Span-list query: each shard answers locally, results are merged by
+    /// `(req_time, span_id)` — the same order a single store yields for
+    /// the same corpus — and re-capped at `limit`.
     pub fn query(&self, q: &SpanQuery) -> Vec<Cow<'_, Span>> {
-        let mask = self.buckets.window_mask(self.policy(), q.from, q.to);
-        query_shards(self.shards.iter(), mask, q, |shard, out| {
+        query_shards(self.shards.iter(), q, |shard, out| {
             out.extend(shard.query(q))
         })
     }
@@ -271,17 +252,11 @@ impl ShardedSpanStore {
         })
     }
 
-    /// The generation of a routing-table time bucket: 0 if the bucket has
-    /// never been touched, otherwise bumped by every mutation (insert /
-    /// tombstone / completion) whose span lies in the bucket. The trace
-    /// cache's validity check.
-    pub fn bucket_gen(&self, bucket: u64) -> u64 {
-        self.buckets.gen(bucket)
-    }
-
-    /// The time bucket containing `t` (delegates to the policy).
-    pub fn bucket_of(&self, t: TimeNs) -> u64 {
-        self.policy().bucket_of(t)
+    /// The corpus version the trace cache validates against: the sum over
+    /// shards of [`SpanStore::len`] and [`SpanStore::edits`] (see
+    /// [`crate::trace_cache`] for what moves it and what does not).
+    pub fn version(&self) -> u64 {
+        corpus_version(&self.shards)
     }
 
     /// The shards, in [`Loc::shard`] order: the `&self` borrow pins them.
@@ -295,18 +270,25 @@ impl ShardedSpanStore {
     }
 }
 
+/// [`ShardedSpanStore::version`] of any owner's shards: a borrow, or the
+/// concurrent store's read guards.
+pub(crate) fn corpus_version<'a>(shards: impl IntoIterator<Item = &'a SpanStore>) -> u64 {
+    (shards.into_iter())
+        .map(|s| s.len() as u64 + s.edits())
+        .sum()
+}
+
 /// The spill loop of every shard owner: each of `shards` in turn, in
 /// [`Loc::shard`] order (a write guard the iterator yields drops before
 /// the next is taken), spills what is older than `watermark`.
 pub(crate) fn spill_shards(
     tier: &Tier,
-    policy: &ShardPolicy,
     watermark: TimeNs,
     shards: impl Iterator<Item = impl DerefMut<Target = SpanStore>>,
 ) -> io::Result<SpillStats> {
     let mut total = SpillStats::default();
     for (si, mut shard) in shards.enumerate() {
-        total.merge(tier.spill(&mut shard, policy, watermark, si as u16)?);
+        total.merge(tier.spill(&mut shard, watermark, si as u16)?);
     }
     Ok(total)
 }
@@ -319,59 +301,31 @@ pub(crate) fn tier_occupancy(
 }
 
 /// The span-list merge of every shard owner: `answer` appends the matches
-/// of each shard in `mask` (the routing table's occupancy of `q`'s window;
-/// the others are neither touched nor locked), and the answers merge by
-/// `(req_time, span_id)` — the order a single store yields for the same
-/// corpus — re-capped at `q.limit`.
+/// of each shard, and the answers merge by `(req_time, span_id)` — the
+/// order a single store yields for the same corpus — re-capped at
+/// `q.limit`.
 pub(crate) fn query_shards<S, T: Borrow<Span>>(
     shards: impl Iterator<Item = S>,
-    mask: u64,
     q: &SpanQuery,
     mut answer: impl FnMut(S, &mut Vec<T>),
 ) -> Vec<T> {
     let mut merged = Vec::new();
-    for (i, shard) in shards.enumerate() {
-        if mask & (1u64 << i) != 0 {
-            answer(shard, &mut merged);
-        }
+    for shard in shards {
+        answer(shard, &mut merged);
     }
     merged.sort_by_key(|s| (s.borrow().req_time, s.borrow().span_id));
     merged.truncate(q.limit);
     merged
 }
 
-/// The tombstone rule of every shard owner: hide `row`, compact the
+/// The tombstone rule of every shard owner: hide `row` and compact the
 /// shard's indexes once its pending evictions reach
-/// [`ShardPolicy::evict_threshold`], and return the row's time bucket,
-/// whose generation the owner bumps.
-pub(crate) fn tombstone_row(shard: &mut SpanStore, policy: &ShardPolicy, row: u32) -> Option<u64> {
+/// [`ShardPolicy::evict_threshold`].
+pub(crate) fn tombstone_row(shard: &mut SpanStore, policy: &ShardPolicy, row: u32) {
     shard.tombstone_row(row);
     if shard.pending_evictions() >= policy.evict_threshold {
         shard.evict_tombstoned();
     }
-    row_bucket(shard, policy, row)
-}
-
-/// The completion rule of every shard owner: merge `resp` into the
-/// Incomplete span at `row`. `Some(bucket)` exactly when the merge
-/// happened — the bucket whose generation the owner bumps.
-pub(crate) fn complete_row(
-    shard: &mut SpanStore,
-    policy: &ShardPolicy,
-    row: u32,
-    resp: &Span,
-) -> Option<u64> {
-    if shard.complete_span_row(row, resp) {
-        row_bucket(shard, policy, row)
-    } else {
-        None
-    }
-}
-
-/// The time bucket of a stored row. `req_time_at` stays resident for cold
-/// rows, so bucket accounting never pages in.
-fn row_bucket(shard: &SpanStore, policy: &ShardPolicy, row: u32) -> Option<u64> {
-    shard.req_time_at(row).map(|t| policy.bucket_of(t))
 }
 
 /// Algorithm 1 from `start` over in-process shards; the empty trace when
@@ -577,18 +531,20 @@ mod tests {
         }
     }
 
+    /// Spill and page-in leave it standing:
+    /// `tiered_differential::spill_and_page_in_leave_the_corpus_version_standing`.
     #[test]
-    fn bucket_generations_advance_on_mutation() {
+    fn version_moves_on_insert_and_tombstone() {
         let mut st = ShardedSpanStore::new(ShardPolicy::with_shards(4));
-        let mut s = Span::synthetic(TapSide::ServerProcess, 100, 500);
-        s.tcp_seq_req = Some(1);
-        let bucket = st.bucket_of(TimeNs(100));
-        assert_eq!(st.bucket_gen(bucket), 0);
-        let id = st.insert(s);
-        let g1 = st.bucket_gen(bucket);
-        assert!(g1 > 0);
-        st.tombstone(id);
-        assert!(st.bucket_gen(bucket) > g1, "tombstone bumps the bucket");
+        assert_eq!(st.version(), 0);
+        let ids = st.insert_batch(corpus());
+        let v1 = st.version();
+        assert!(v1 > 0, "inserts move it");
+        st.tombstone(ids[0]);
+        let v2 = st.version();
+        assert!(v2 > v1, "a tombstone moves it");
+        st.tombstone(ids[0]);
+        assert_eq!(st.version(), v2, "a repeated tombstone is no edit");
     }
 
     #[test]

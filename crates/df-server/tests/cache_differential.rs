@@ -1,9 +1,9 @@
-//! Differential test of the trace cache's two-stage check: whatever was
-//! ingested, tombstoned, completed or evicted since an entry was cached, a
-//! trace query equals a fresh Algorithm 1 over the same store. Key values
-//! come from small domains and request times from one envelope, so every
-//! batch writes into the cached traces' buckets, sharing their keys or
-//! not: both the revalidating and the invalidating arm fire for each seed.
+//! Differential test of the trace cache's check: whatever was ingested,
+//! tombstoned, completed or evicted since an entry was cached, and however
+//! far from it in time, a trace query equals a fresh Algorithm 1 over the
+//! same store. Key values come from small domains, so a batch shares the
+//! cached traces' keys or not: both the revalidating and the invalidating
+//! arm fire for each seed.
 
 use df_server::sharded::assemble_trace_sharded;
 use df_server::{AssembleConfig, ConcurrentShardedStore, Server, ServerStats};
@@ -23,8 +23,8 @@ fn view(t: &Trace) -> Vec<(SpanId, Option<SpanId>, SpanStatus, TimeNs)> {
     t.spans.iter().map(row).collect()
 }
 
-/// A span inside the one-second bucket 1, its keys drawn from `0..domain`,
-/// now and then half a session for re-aggregation to reunite.
+/// A span within one second, its keys drawn from `0..domain`, now and
+/// then half a session for re-aggregation to reunite.
 fn span(rng: &mut SmallRng, domain: u64) -> Span {
     let mut draw = |n: u64| rng.gen_range(0..n);
     let t = 1_000_000_000 + draw(900_000_000);
@@ -153,4 +153,43 @@ fn an_eviction_and_an_insert_that_cancel_in_the_posting_total_still_invalidate()
         "the fragment went, the late one came"
     );
     assert_eq!(srv.stats().cache_invalidations, 1);
+}
+
+/// A span sharing the cached trace's TCP sequence number four seconds
+/// after it — far outside any time window around the trace — is still a
+/// member, on both stacks.
+#[test]
+fn a_span_sharing_a_key_seconds_later_joins_the_cached_trace() {
+    let mut srv = Server::new(&ResourceInventory::default());
+    let store = ConcurrentShardedStore::new(ShardPolicy::default());
+    let on_seq_7 = |side, req: u64| {
+        let mut s = Span::synthetic(side, req, req + 500);
+        s.tcp_seq_req = Some(7);
+        s
+    };
+    let pair = vec![
+        on_seq_7(TapSide::ClientProcess, 1_000_000_000),
+        on_seq_7(TapSide::ServerProcess, 1_000_000_010),
+    ];
+    store.insert_batch(pair.clone());
+    let start = srv.ingest_batch(pair)[0];
+    store.flush();
+    assert_eq!(srv.trace(start).len(), 2);
+    assert_eq!(store.query_trace(start).len(), 2);
+
+    let late = on_seq_7(TapSide::ServerPodNic, 5_000_000_000);
+    store.insert_batch(vec![late.clone()]);
+    srv.ingest(late);
+    store.flush();
+    let fresh = view(&assemble_trace_sharded(
+        srv.store(),
+        start,
+        &AssembleConfig::default(),
+    ));
+    assert_eq!(fresh.len(), 3, "Algorithm 1 joins the late span");
+    assert_eq!(view(&srv.trace(start)), fresh, "server");
+    assert_eq!(view(&store.query_trace(start)), fresh, "concurrent");
+    for st in [srv.stats(), store.stats()] {
+        assert_eq!(st.cache_invalidations, 1, "{st:?}");
+    }
 }

@@ -1,8 +1,8 @@
 //! df-check model tests for the concurrent shard boundary
-//! (`crates/df-server/src/concurrent.rs`): the generation-bump lock
-//! discipline and the flush barrier (each with the *mutation* variants
-//! that must be caught), channel backpressure, and the trace cache's
-//! pinned re-stamp, by one reader and by two racing ones.
+//! (`crates/df-server/src/concurrent.rs`): the flush barrier and the trace
+//! cache's re-stamp of the version read under the shard read locks (each
+//! with the *mutation* variant that must be caught), the re-stamp by two
+//! racing readers, and channel backpressure.
 //!
 //! The suite runs checked in the default workspace test run because
 //! df-server's dev-dependency on df-check enables the `checked` feature.
@@ -12,7 +12,7 @@
 use df_check::model::{self, CheckConfig, FailureKind};
 use df_check::sync::atomic::{AtomicUsize, Ordering};
 use df_check::sync::mpsc::{Receiver, SyncSender};
-use df_check::sync::{sync_channel, Arc, Mutex, Racy, RwLock};
+use df_check::sync::{sync_channel, Arc, Mutex, RwLock};
 use std::collections::BTreeSet;
 
 fn budget() -> CheckConfig {
@@ -28,95 +28,6 @@ fn checked_or_skip() -> bool {
         eprintln!("skipped: df-check built without the `checked` feature");
         false
     }
-}
-
-// ---------------------------------------------------------------------
-// Generation-bump discipline (the staleness-correctness invariant).
-//
-// The shipped worker bumps a bucket's generation while holding the shard
-// write lock, and the assembling reader observes row visibility and
-// records generations under the read lock — so "rows visible" and
-// "generation bumped" are atomic for any reader. A cache entry is
-// PERMANENTLY STALE if it misses a span but records the post-bump
-// generation: strict lookups would validate it forever.
-// ---------------------------------------------------------------------
-
-/// One round of the *shipped* discipline: writer's insert+bump is a single
-/// write-lock critical section; reader's observe+record is a single
-/// read-lock critical section. Panics on a permanently-stale outcome.
-fn locked_discipline_round() {
-    // (row_visible, bucket_gen) behind one shard lock.
-    let store = Arc::new(RwLock::new((false, 0u64)));
-    let writer = {
-        let store = Arc::clone(&store);
-        model::spawn(move || {
-            let mut s = store.write().expect("shard lock");
-            s.0 = true;
-            s.1 += 1;
-        })
-    };
-    let reader = {
-        let store = Arc::clone(&store);
-        model::spawn(move || {
-            let s = store.read().expect("shard lock");
-            (s.0, s.1) // (saw_row, recorded_gen)
-        })
-    };
-    writer.join();
-    let (saw, recorded) = reader.join();
-    let final_gen = store.read().expect("shard lock").1;
-    assert!(
-        !(!saw && recorded == final_gen && final_gen > 0),
-        "permanently stale cache entry: missed the row but recorded gen {recorded}"
-    );
-}
-
-#[test]
-fn locked_gen_bump_discipline_admits_no_stale_schedule() {
-    if !checked_or_skip() {
-        return;
-    }
-    let report = model::check(budget(), locked_discipline_round);
-    assert!(report.complete, "schedule space must be exhausted");
-    assert!(report.schedules >= 2, "both thread orders explored");
-    assert!(report.lock_cycles.is_empty(), "no lock-order inversions");
-}
-
-/// The *mutation* of that invariant: the generation bump moved outside
-/// the shard write lock (`bump_first` picks which side of the critical
-/// section it lands on). df-check must find the stale-cache race.
-fn unlocked_gen_bump_round(bump_first: bool) {
-    let visible = Arc::new(RwLock::new(false));
-    let gen = Arc::new(AtomicUsize::new(0));
-    let writer = {
-        let visible = Arc::clone(&visible);
-        let gen = Arc::clone(&gen);
-        model::spawn(move || {
-            if bump_first {
-                gen.fetch_add(1, Ordering::SeqCst);
-            }
-            *visible.write().expect("shard lock") = true;
-            if !bump_first {
-                gen.fetch_add(1, Ordering::SeqCst);
-            }
-        })
-    };
-    let reader = {
-        let visible = Arc::clone(&visible);
-        let gen = Arc::clone(&gen);
-        model::spawn(move || {
-            let saw = *visible.read().expect("shard lock");
-            let recorded = gen.load(Ordering::SeqCst);
-            (saw, recorded)
-        })
-    };
-    writer.join();
-    let (saw, recorded) = reader.join();
-    let final_gen = gen.load(Ordering::SeqCst);
-    assert!(
-        !(!saw && recorded == final_gen && final_gen > 0),
-        "permanently stale cache entry: missed the row but recorded gen {recorded}"
-    );
 }
 
 /// A seeded mutation must be caught: exploration finds a schedule whose
@@ -138,43 +49,6 @@ fn assert_caught_and_replayable(round: impl Fn() + Copy + Send + Sync + 'static,
     assert_eq!(rf.kind, FailureKind::Panic);
     assert!(rf.message.contains(invariant));
     assert_eq!(replayed.schedules, 1, "replay runs exactly one schedule");
-}
-
-#[test]
-fn moving_the_gen_bump_outside_the_lock_is_caught_and_replayable() {
-    if !checked_or_skip() {
-        return;
-    }
-    // Both fine-grained orders break — that is exactly why the shipped
-    // worker bumps inside the write lock.
-    for bump_first in [false, true] {
-        assert_caught_and_replayable(
-            move || unlocked_gen_bump_round(bump_first),
-            "permanently stale",
-        );
-    }
-}
-
-#[test]
-fn unsynchronized_gen_counter_is_a_data_race() {
-    if !checked_or_skip() {
-        return;
-    }
-    // Drop the atomic too: a plain shared counter (modelled by Racy) read
-    // concurrently with a non-atomic read-modify-write is a data race the
-    // vector clocks must flag even on schedules where the values happen
-    // to come out right.
-    let report = model::explore(budget(), || {
-        let gen = Arc::new(Racy::new(0u64));
-        let writer = {
-            let gen = Arc::clone(&gen);
-            model::spawn(move || gen.update(|g| g + 1))
-        };
-        let _observed = gen.get();
-        writer.join();
-    });
-    let failure = report.failure.expect("unsynchronized counter must race");
-    assert_eq!(failure.kind, FailureKind::DataRace);
 }
 
 // ---------------------------------------------------------------------
@@ -347,52 +221,51 @@ fn bounded_channel_backpressure_preserves_fifo_under_every_schedule() {
 }
 
 // ---------------------------------------------------------------------
-// Revalidation re-stamp (trace_cache::resolve_pinned under
+// Revalidation re-stamp (trace_cache::query under
 // ConcurrentShardedStore::query_trace's guards): the key check and the
-// generations it stamps share the shard read locks.
+// version it stamps are read under the same shard read locks. The version
+// is read off the shard itself, so a worker moves it by applying a row.
 // ---------------------------------------------------------------------
 
-/// The shipped worker step: append a row and bump the generation inside
-/// the shard write lock (store -> gens).
-fn append_and_bump(store: &Arc<RwLock<u64>>, gens: &Arc<Mutex<u64>>) -> model::JoinHandle<()> {
-    let (store, gens) = (Arc::clone(store), Arc::clone(gens));
+/// The shipped worker step: append one row under the shard write lock —
+/// `(posting entries under the trace's keys, corpus version)` when
+/// `on_keys`, the version alone otherwise.
+fn append(store: &Arc<RwLock<(u64, u64)>>, on_keys: bool) -> model::JoinHandle<()> {
+    let store = Arc::clone(store);
     model::spawn(move || {
         let mut s = store.write().expect("shard lock");
-        *s += 1;
-        let mut g = gens.lock().expect("gen table");
-        *g += 1;
+        s.0 += u64::from(on_keys);
+        s.1 += 1;
     })
 }
 
-/// An entry recorded at (0 posting entries, generation 0) is revalidated
-/// while a worker appends under the trace's keys and bumps the generation
-/// inside the shard write lock. The shipped reader compares the postings
-/// and reads the generation it stamps under the shard read lock;
-/// `stamp_late` is the mutation that drops the guard first. Permanently
-/// stale: stamped with the final generation, without the appended row.
+/// An entry recorded at (0 posting entries, version 0) is revalidated
+/// while a worker appends under the trace's keys. The shipped reader
+/// compares the postings and reads the version it stamps under one shard
+/// read lock; `stamp_late` is the mutation that drops the guard and reads
+/// the version again. Permanently stale: stamped with the final version,
+/// without the appended row.
 fn restamp_round(stamp_late: bool) {
-    let store = Arc::new(RwLock::new(0u64)); // posting entries under the keys
-    let gens = Arc::new(Mutex::new(0u64));
-    let worker = append_and_bump(&store, &gens);
+    let store = Arc::new(RwLock::new((0u64, 0u64)));
+    let worker = append(&store, true);
     let reader = {
-        let (store, gens) = (Arc::clone(&store), Arc::clone(&gens));
+        let store = Arc::clone(&store);
         model::spawn(move || {
             let s = store.read().expect("shard lock");
-            let facts_hold = *s == 0;
+            let facts_hold = s.0 == 0;
             if stamp_late {
                 drop(s);
-                return facts_hold.then(|| *gens.lock().expect("gen table"));
+                return facts_hold.then(|| store.read().expect("shard lock").1);
             }
-            let g = gens.lock().expect("gen table");
-            facts_hold.then_some(*g) // None: invalidated, Algorithm 1 runs
+            facts_hold.then_some(s.1) // None: invalidated, Algorithm 1 runs
         })
     };
     worker.join();
     let stamped = reader.join();
-    let final_gen = *gens.lock().expect("gen table");
+    let final_version = store.read().expect("shard lock").1;
     assert!(
-        stamped != Some(final_gen),
-        "permanently stale cache entry: re-stamped at gen {final_gen} without the appended row"
+        stamped != Some(final_version),
+        "permanently stale cache entry: re-stamped at version {final_version} without the appended row"
     );
 }
 
@@ -407,47 +280,39 @@ fn restamp_under_the_shard_read_locks_admits_no_stale_schedule() {
 }
 
 #[test]
-fn stamping_after_the_guards_are_dropped_is_caught_and_replayable() {
+fn reading_the_version_after_the_guards_drop_is_caught_and_replayable() {
     if !checked_or_skip() {
         return;
     }
     assert_caught_and_replayable(|| restamp_round(true), "permanently stale");
 }
 
-/// `trace_cache::{query_through, resolve_pinned}` in miniature, twice over:
-/// readers A and B both find one entry's generation moved (stamped at 0,
-/// the table at 1) while a worker appends one more unrelated row and bumps
-/// the generation inside the shard write lock. Stage one takes cache →
-/// generations; the pinned stage takes shard → cache → generations, looks
-/// again, and re-stamps only a still-moved entry — the facts hold, the
-/// rows are unrelated — recording how many rows its reader saw.
+/// `trace_cache::query` in miniature, twice over: readers A and B both
+/// find one entry behind the corpus version (stamped at 0, the shard at 1)
+/// while a worker appends one more unrelated row. Each reader takes shard
+/// → cache, reads the version under the guard and re-stamps only an entry
+/// still behind it — the facts hold, the rows are unrelated — recording
+/// how many rows it saw; it counts its outcome once the guard is gone.
 #[test]
 fn two_readers_on_one_moved_entry_restamp_once_each_and_count_once() {
     if !checked_or_skip() {
         return;
     }
     let report = model::check(budget(), || {
-        let store = Arc::new(RwLock::new(1u64)); // rows applied
-        let gens = Arc::new(Mutex::new(1u64)); // == rows whenever the shard lock is free
-        let cache = Arc::new(Mutex::new((0u64, 0u64))); // (stamped generation, rows seen)
+        let store = Arc::new(RwLock::new((0u64, 1u64))); // (postings, version == rows)
+        let cache = Arc::new(Mutex::new((0u64, 0u64))); // (stamped version, rows seen)
         let stats = Arc::new(Mutex::new((0u64, 0u64))); // (hits, of them revalidations)
-        let worker = append_and_bump(&store, &gens);
+        let worker = append(&store, false);
         let reader = || {
-            let (store, gens) = (Arc::clone(&store), Arc::clone(&gens));
-            let (cache, stats) = (Arc::clone(&cache), Arc::clone(&stats));
+            let (store, cache, stats) =
+                (Arc::clone(&store), Arc::clone(&cache), Arc::clone(&stats));
             model::spawn(move || {
-                let current = {
-                    let c = cache.lock().expect("trace cache");
-                    let g = gens.lock().expect("gen table");
-                    c.0 == *g
-                };
-                let revalidated = !current && {
+                let revalidated = {
                     let s = store.read().expect("shard lock");
                     let mut c = cache.lock().expect("trace cache");
-                    let g = gens.lock().expect("gen table");
-                    let moved = c.0 != *g;
+                    let moved = c.0 != s.1;
                     if moved {
-                        *c = (*g, *s);
+                        *c = (s.1, s.1);
                     }
                     moved
                 };
@@ -463,7 +328,7 @@ fn two_readers_on_one_moved_entry_restamp_once_each_and_count_once() {
         let (stamped, seen) = *cache.lock().expect("trace cache");
         assert_eq!(
             stamped, seen,
-            "permanently stale cache entry: stamped at gen {stamped} having seen {seen} rows"
+            "permanently stale cache entry: stamped at version {stamped} having seen {seen} rows"
         );
         let counted = *stats.lock().expect("stats");
         assert_eq!(counted, (2, revalidations), "each reader counted once");
@@ -478,27 +343,21 @@ fn two_readers_on_one_moved_entry_restamp_once_each_and_count_once() {
 // ---------------------------------------------------------------------
 
 /// One bounded round of the production nesting discipline, miniaturized:
-/// the worker drains under the shard write lock and bumps generations
-/// (store -> gens); the assembler reads the shard, consults the trace
-/// cache, and validates generations (store -> cache -> gens). These are
-/// exactly the acquisition orders `ConcurrentShardedStore` uses, so the
-/// runtime edges this round records must all be predicted by df-audit's
-/// static lock-order graph.
+/// the worker appends under the shard write lock; the assembler reads the
+/// shard and its version and consults the trace cache under the guard
+/// (store -> cache). These are exactly the acquisition orders
+/// `ConcurrentShardedStore` uses, so the runtime edges this round records
+/// must all be predicted by df-audit's static lock-order graph.
 fn nested_discipline_round() {
-    let store = Arc::new(RwLock::new(0u64));
+    let store = Arc::new(RwLock::new((0u64, 0u64)));
     let cache = Arc::new(Mutex::new(0u64));
-    let gens = Arc::new(Mutex::new(0u64));
-    let worker = append_and_bump(&store, &gens);
+    let worker = append(&store, true);
     let assembler = {
-        let store = Arc::clone(&store);
-        let cache = Arc::clone(&cache);
-        let gens = Arc::clone(&gens);
+        let (store, cache) = (Arc::clone(&store), Arc::clone(&cache));
         model::spawn(move || {
             let s = store.read().expect("shard lock");
             let mut c = cache.lock().expect("trace cache");
-            let g = gens.lock().expect("gen table");
-            *c = (*s).wrapping_add(*g);
-            drop(g);
+            *c = s.1;
             drop(c);
             drop(s);
         })

@@ -153,7 +153,7 @@ fn malformed_batch_leaves_store_untouched() {
 
     // `Server::ingest_wire` promises the same. Here only the *last* record
     // is corrupt, so nine spans decode before the error — none of them may
-    // have reached the router, a shard, a bucket generation or a counter.
+    // have reached the router, a shard, the corpus version or a counter.
     let torn = &valid[..valid.len() - 3];
     let decoded = wire::WireBatch::parse(torn).expect("header and dictionary intact");
     assert_eq!(
@@ -162,13 +162,14 @@ fn malformed_batch_leaves_store_untouched() {
     );
     let mut server = Server::new(&ResourceInventory::default());
     let snapshot = |s: &Server| {
-        let store = s.store();
-        let gens: Vec<u64> = spans
-            .iter()
-            .map(|span| store.bucket_gen(store.bucket_of(span.req_time)))
-            .collect();
-        let (sizes, shards) = (s.shard_sizes(), store.shard_stats());
-        (s.span_count(), s.stats(), sizes, shards, gens)
+        let (sizes, shards) = (s.shard_sizes(), s.store().shard_stats());
+        (
+            s.span_count(),
+            s.stats(),
+            sizes,
+            shards,
+            s.store().version(),
+        )
     };
     let before = snapshot(&server);
     assert!(server.ingest_wire(torn).is_err());

@@ -13,14 +13,13 @@
 //!   stays shard-local. Spans without flow identity (an all-zero tuple,
 //!   e.g. third-party app spans imported without network context) fall back
 //!   to a span-id hash so they still spread evenly.
-//! * **Time buckets** — [`ShardPolicy::bucket_of`] quantises a timestamp
-//!   into a routing-table bucket. The sharded store keeps, per bucket, the
-//!   set of shards holding spans in that bucket (so time-windowed queries
-//!   skip shards with no data in the window) and a *generation counter*
-//!   that the incremental trace cache uses for invalidation.
 //! * **Eviction threshold** — how many tombstoned rows a shard accumulates
 //!   before its association indexes are compacted
 //!   ([`SpanStore::evict_tombstoned`]).
+//!
+//! The cold tier ([`Tier`]) cuts time into fixed one-second buckets: a
+//! spill writes one segment per shard and bucket, and the automatic spill
+//! horizon ([`TierConfig::hot_buckets`]) counts in them.
 
 use crate::bufferpool::{BufferPool, BufferPoolConfig};
 use crate::store::{RecoverStats, SpanStore, SpillStats};
@@ -39,18 +38,11 @@ use std::path::PathBuf;
 ///
 /// let policy = ShardPolicy::with_shards(4);
 /// assert_eq!(policy.shards, 4);
-/// // Bucketing quantises time into the routing-table granularity.
-/// let b0 = policy.bucket_of(df_types::TimeNs::from_millis(10));
-/// let b1 = policy.bucket_of(df_types::TimeNs::from_millis(990));
-/// assert_eq!(b0, b1, "same 1 s default bucket");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPolicy {
     /// Number of shards. One shard degrades to a plain [`crate::SpanStore`].
     pub shards: usize,
-    /// Granularity of the time-bucketed routing table (and of trace-cache
-    /// invalidation).
-    pub time_bucket: DurationNs,
     /// Tombstoned-row count at which a shard's association indexes are
     /// compacted (see [`crate::SpanStore::evict_tombstoned`]).
     pub evict_threshold: usize,
@@ -67,7 +59,6 @@ impl Default for ShardPolicy {
     fn default() -> Self {
         ShardPolicy {
             shards: 4,
-            time_bucket: DurationNs::from_secs(1),
             evict_threshold: 4096,
             max_shard_rows: u32::MAX as usize,
         }
@@ -107,11 +98,14 @@ impl ShardPolicy {
         };
         (h % self.shards as u64) as usize
     }
+}
 
-    /// The routing-table time bucket containing `t`.
-    pub fn bucket_of(&self, t: TimeNs) -> u64 {
-        t.slot(self.time_bucket)
-    }
+/// Width of the cold tier's time buckets.
+pub(crate) const TIME_BUCKET: DurationNs = DurationNs::from_secs(1);
+
+/// The time bucket containing `t`.
+pub(crate) fn bucket_of(t: TimeNs) -> u64 {
+    t.slot(TIME_BUCKET)
 }
 
 /// How a sharded corpus tiers spans between RAM and disk.
@@ -198,11 +192,10 @@ impl Tier {
     pub fn spill(
         &self,
         store: &mut SpanStore,
-        policy: &ShardPolicy,
         watermark: TimeNs,
         shard: u16,
     ) -> io::Result<SpillStats> {
-        store.spill_before(policy, watermark, &self.pool, &self.cfg.dir, shard)
+        store.spill_before(watermark, &self.pool, &self.cfg.dir, shard)
     }
 
     /// [`SpanStore::recover_cold_segments`] from this tier's directory
@@ -211,14 +204,13 @@ impl Tier {
         store.recover_cold_segments(&self.pool, &self.cfg.dir, shard)
     }
 
-    /// The automatic spill watermark: the start of the oldest of the
-    /// newest [`TierConfig::hot_buckets`] buckets. `None` while the corpus
-    /// spans fewer buckets than that horizon.
-    pub fn watermark(&self, policy: &ShardPolicy, newest_bucket: u64) -> Option<TimeNs> {
-        let first_hot = (newest_bucket + 1).checked_sub(self.cfg.hot_buckets.max(1))?;
-        Some(TimeNs(
-            first_hot.saturating_mul(policy.time_bucket.as_nanos()),
-        ))
+    /// The automatic spill watermark for a corpus whose newest request
+    /// is at `newest`: the start of the oldest of the newest
+    /// [`TierConfig::hot_buckets`] buckets. `None` while the corpus spans
+    /// fewer buckets than that horizon.
+    pub fn watermark(&self, newest: TimeNs) -> Option<TimeNs> {
+        let first_hot = (bucket_of(newest) + 1).checked_sub(self.cfg.hot_buckets.max(1))?;
+        Some(TimeNs(first_hot.saturating_mul(TIME_BUCKET.as_nanos())))
     }
 }
 

@@ -33,7 +33,7 @@
 use crate::bufferpool::{BufferPool, SegmentId};
 use crate::persist;
 use crate::posting::PostingIndex;
-use crate::shard::ShardPolicy;
+use crate::shard::bucket_of;
 use df_check::sync::{Arc, Mutex};
 use df_types::span::SpanStatus;
 use df_types::{AssocKey, Span, SpanId, TimeNs};
@@ -605,7 +605,8 @@ impl SpanStore {
     }
 
     /// Spill every hot, completed span with `req_time < watermark` to
-    /// disk, one segment per `policy` time bucket, flipping the rows cold.
+    /// disk, one segment per one-second time bucket, flipping the rows
+    /// cold.
     ///
     /// Ordering is the load-bearing part: every segment write is queued
     /// to the pool's background [`crate::disk_sched::DiskScheduler`] and
@@ -626,7 +627,6 @@ impl SpanStore {
     /// `dir` never collide.
     pub fn spill_before(
         &mut self,
-        policy: &ShardPolicy,
         watermark: TimeNs,
         pool: &Arc<BufferPool>,
         dir: &Path,
@@ -646,7 +646,7 @@ impl SpanStore {
                 continue;
             }
             buckets
-                .entry(policy.bucket_of(span.req_time))
+                .entry(bucket_of(span.req_time))
                 .or_default()
                 .push(row as u32);
         }
@@ -855,14 +855,8 @@ mod tests {
         assert_eq!(st.edits(), 4, "the eviction drained b's row");
         let dir = persist::test_dir("edits");
         let pool = Arc::new(BufferPool::new(crate::BufferPoolConfig::with_frames(2)));
-        st.spill_before(
-            &ShardPolicy::single(),
-            TimeNs(u64::MAX),
-            &pool,
-            dir.path(),
-            0,
-        )
-        .expect("spill succeeds");
+        st.spill_before(TimeNs(u64::MAX), &pool, dir.path(), 0)
+            .expect("spill succeeds");
         assert!(
             st.cold_rows() > 0 && st.get(a).is_some(),
             "spilled and paged in"

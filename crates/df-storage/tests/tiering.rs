@@ -6,7 +6,7 @@
 
 use df_check::sync::Arc;
 use df_storage::persist;
-use df_storage::{BufferPool, BufferPoolConfig, ShardPolicy, SpanQuery, SpanStore};
+use df_storage::{BufferPool, BufferPoolConfig, SpanQuery, SpanStore};
 use df_types::ids::{FlowId, PseudoThreadId, SpanId, SysTraceId, XRequestId};
 use df_types::net::FiveTuple;
 use df_types::span::{Span, SpanKind, SpanStatus, TapSide};
@@ -92,12 +92,11 @@ fn tiered_pair(n: u64) -> (SpanStore, SpanStore) {
 fn spill_flips_old_buckets_and_preserves_every_read_path() {
     let dir = test_dir("equiv");
     let (hot, mut tiered) = tiered_pair(400); // 4 one-second buckets
-    let policy = ShardPolicy::single();
     let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_frames(8)));
 
     // Spill buckets 0 and 1 (watermark = start of bucket 2).
     let stats = tiered
-        .spill_before(&policy, TimeNs(2_000_000_000), &pool, dir.path(), 0)
+        .spill_before(TimeNs(2_000_000_000), &pool, dir.path(), 0)
         .expect("spill succeeds");
     assert_eq!(stats.segments, 2, "one segment per cold bucket");
     assert_eq!(stats.spans, 200);
@@ -160,7 +159,6 @@ fn spill_flips_old_buckets_and_preserves_every_read_path() {
 fn tombstones_survive_spill_and_compaction_pages_in() {
     let dir = test_dir("tombstone");
     let (mut hot, mut tiered) = tiered_pair(300);
-    let policy = ShardPolicy::single();
     let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_frames(4)));
 
     // Tombstone every 7th span *before* the spill: tombstoned rows still
@@ -174,7 +172,7 @@ fn tombstones_survive_spill_and_compaction_pages_in() {
         tiered.tombstone(id);
     }
     tiered
-        .spill_before(&policy, TimeNs(2_000_000_000), &pool, dir.path(), 0)
+        .spill_before(TimeNs(2_000_000_000), &pool, dir.path(), 0)
         .expect("spill succeeds");
 
     let q = SpanQuery::window(TimeNs(0), TimeNs(3_000_000_000));
@@ -201,7 +199,6 @@ fn tombstones_survive_spill_and_compaction_pages_in() {
 fn incomplete_spans_never_spill() {
     let dir = test_dir("incomplete");
     let mut st = SpanStore::new();
-    let policy = ShardPolicy::single();
     let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_frames(4)));
 
     for i in 0..100u64 {
@@ -212,7 +209,7 @@ fn incomplete_spans_never_spill() {
         st.insert(s);
     }
     let stats = st
-        .spill_before(&policy, TimeNs(u64::MAX), &pool, dir.path(), 0)
+        .spill_before(TimeNs(u64::MAX), &pool, dir.path(), 0)
         .expect("spill succeeds");
     assert_eq!(stats.spans, 80, "incomplete spans stay hot");
     assert_eq!(st.hot_rows(), 20);
@@ -227,21 +224,20 @@ fn incomplete_spans_never_spill() {
 fn repeated_spill_is_idempotent_and_new_buckets_spill_later() {
     let dir = test_dir("idempotent");
     let (_, mut st) = tiered_pair(200);
-    let policy = ShardPolicy::single();
     let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_frames(4)));
 
     let first = st
-        .spill_before(&policy, TimeNs(1_000_000_000), &pool, dir.path(), 0)
+        .spill_before(TimeNs(1_000_000_000), &pool, dir.path(), 0)
         .expect("spill succeeds");
     assert_eq!(first.spans, 100);
     let again = st
-        .spill_before(&policy, TimeNs(1_000_000_000), &pool, dir.path(), 0)
+        .spill_before(TimeNs(1_000_000_000), &pool, dir.path(), 0)
         .expect("re-spill succeeds");
     assert_eq!(again.spans, 0, "already-cold rows are not re-spilled");
     assert_eq!(again.segments, 0);
 
     let rest = st
-        .spill_before(&policy, TimeNs(2_000_000_000), &pool, dir.path(), 0)
+        .spill_before(TimeNs(2_000_000_000), &pool, dir.path(), 0)
         .expect("later spill succeeds");
     assert_eq!(rest.spans, 100, "the newer bucket spills once eligible");
     assert_eq!(st.cold_rows(), 200);
@@ -286,13 +282,12 @@ fn all_pinned_pool_serves_reads_through_the_bypass_path() {
 #[test]
 fn crash_recovery_reregisters_segments_and_rebuilds_reads() {
     let dir = test_dir("recovery");
-    let policy = ShardPolicy::single();
 
     // First incarnation: ingest 3 one-second buckets, spill them all.
     let (oracle, mut first) = tiered_pair(300);
     let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_frames(8)));
     let spilled = first
-        .spill_before(&policy, TimeNs(3_000_000_000), &pool, dir.path(), 7)
+        .spill_before(TimeNs(3_000_000_000), &pool, dir.path(), 7)
         .expect("spill succeeds");
     assert_eq!(spilled.segments, 3);
     assert_eq!(spilled.spans, 300);
@@ -412,11 +407,10 @@ fn recovery_adopts_valid_files_and_counts_corrupt_ones() {
 #[test]
 fn recovery_with_a_lost_middle_segment_adopts_only_the_prefix() {
     let dir = test_dir("recovery-gap");
-    let policy = ShardPolicy::single();
     let (_, mut first) = tiered_pair(300);
     let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_frames(8)));
     first
-        .spill_before(&policy, TimeNs(3_000_000_000), &pool, dir.path(), 0)
+        .spill_before(TimeNs(3_000_000_000), &pool, dir.path(), 0)
         .expect("spill succeeds");
     drop(first);
     drop(pool);
@@ -456,7 +450,6 @@ fn million_span_ingest_stays_within_frame_budget() {
     const BUCKETS: u64 = 8;
 
     let mut st = SpanStore::new();
-    let policy = ShardPolicy::single(); // 1 s buckets
     st.insert_batch(
         (0..TOTAL)
             .map(|i| bulk_span(i, i % BUCKETS))
@@ -467,13 +460,7 @@ fn million_span_ingest_stays_within_frame_budget() {
     let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_frames(4)));
     // Keep only the newest bucket hot: 7 cold buckets → 7 segments.
     let stats = st
-        .spill_before(
-            &policy,
-            TimeNs((BUCKETS - 1) * 1_000_000_000),
-            &pool,
-            dir.path(),
-            0,
-        )
+        .spill_before(TimeNs((BUCKETS - 1) * 1_000_000_000), &pool, dir.path(), 0)
         .expect("bulk spill succeeds");
     assert_eq!(stats.segments, (BUCKETS - 1) as usize);
     assert_eq!(stats.spans as u64, TOTAL / BUCKETS * (BUCKETS - 1));
