@@ -12,7 +12,6 @@
 //! here: request dispatch on the receiving node, and the synchronous
 //! `call` the drivers (assembly, anti-entropy) wait on.
 
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
@@ -20,7 +19,7 @@ use df_net::fabric::Delivery;
 use df_server::Loc;
 use df_types::rpc::{CandidateSpan, RpcBody, RpcEnvelope};
 use df_types::wire;
-use df_types::{DurationNs, FiveTuple, Segment, TcpFlags};
+use df_types::{DurationNs, FiveTuple, IntSet, Segment, TcpFlags};
 
 use super::ingest::WriteReply;
 use super::{Cluster, EventKind, MAX_RPC_RETRIES, RPC_TIMEOUT, SUSPECT_PROBATION};
@@ -314,7 +313,7 @@ impl Cluster {
             }
             RpcBody::CandidateRequest { round, keys } => {
                 let candidates = self.nodes[idx]
-                    .probe(&keys, &HashSet::new())
+                    .probe(&keys, &IntSet::default())
                     .into_iter()
                     .map(|(Loc { shard, row }, span)| CandidateSpan { shard, row, span })
                     .collect();

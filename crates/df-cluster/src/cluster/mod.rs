@@ -21,7 +21,7 @@
 //! RPC timeouts, scheduled fault heals, and scheduled membership events
 //! (kill/join) on one deterministic clock.
 
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 
@@ -31,7 +31,7 @@ use df_net::topology::{ElementId, Topology};
 use df_server::{probe_shard, AssembleConfig, Loc, Router};
 use df_storage::{ShardPolicy, SpanStore, Tier};
 use df_types::rpc::CandidateKeys;
-use df_types::{DurationNs, NodeId, Span, TimeNs, Trace};
+use df_types::{DurationNs, IntSet, NodeId, Span, TimeNs, Trace};
 
 use crate::membership::ShardMap;
 use crate::replication;
@@ -188,7 +188,7 @@ struct NodeState {
 impl NodeState {
     /// Probe every shard copy this node holds with a round's keys,
     /// capturing each candidate's span alongside its location.
-    fn probe(&self, keys: &CandidateKeys, seen: &HashSet<Loc>) -> Vec<(Loc, Span)> {
+    fn probe(&self, keys: &CandidateKeys, seen: &IntSet<Loc>) -> Vec<(Loc, Span)> {
         let mut found = Vec::new();
         for (&si, store) in &self.shards {
             probe_shard(si, store, keys, seen, &mut found);

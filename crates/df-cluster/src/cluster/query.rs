@@ -17,7 +17,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use df_server::{assemble_with, Loc, ShardProbe};
 use df_types::rpc::{CandidateKeys, RpcBody};
-use df_types::{Span, SpanId, Trace};
+use df_types::{IntSet, Span, SpanId, Trace};
 
 use super::ladder::{RpcPurpose, RpcResult};
 use super::{Cluster, DistributedTrace};
@@ -150,7 +150,7 @@ impl ShardProbe for RemoteProbe<'_> {
         Cow::Borrowed(&self.span_of[&loc])
     }
 
-    fn probe_round(&mut self, round: u32, keys: &CandidateKeys, seen: &HashSet<Loc>) -> Vec<Loc> {
+    fn probe_round(&mut self, round: u32, keys: &CandidateKeys, seen: &IntSet<Loc>) -> Vec<Loc> {
         // Local probes: the coordinator's own shards, against the real
         // visited set. Spans are captured eagerly — a scheduled join
         // firing inside this round's settle loop may move the store

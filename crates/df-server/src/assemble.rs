@@ -8,11 +8,11 @@
 //! discovered in the previous iteration, and each index *key* is expanded
 //! at most once, so the total Phase-1 cost is bounded by the touched index
 //! entries rather than `iterations × |set| × bucket`. Probes borrow row
-//! slices straight from the store (no per-probe allocation), tombstoned
-//! spans (consumed by server-side re-aggregation, §3.3.1) are filtered at
-//! discovery time, and when the set exceeds `max_spans` it is truncated
-//! deterministically by `(req_time, span_id)`, always keeping the start
-//! span.
+//! slices straight from the store (no per-probe allocation), the search's
+//! own tables are [`IntSet`]s, tombstoned spans (consumed by server-side
+//! re-aggregation, §3.3.1) are filtered at discovery time, and when the set
+//! exceeds `max_spans` it is truncated deterministically by
+//! `(req_time, span_id)`, always keeping the start span.
 //!
 //! Phase 2 (lines 17–24): set each span's parent under **16 rules** keyed on
 //! collection location, start/finish time, span type and message type:
@@ -57,13 +57,22 @@
 //! | 15    | explicit app-span ancestry       | §3.3.2 third-party span integration |
 //! | 16    | shared trace id, tightest fit    | §3.3.2 third-party span integration (fallback) |
 //!
-//! Rules 9–12 and 16 resolve through per-trace side indexes over the
-//! parent candidates (server-process / server-app spans keyed by systrace
-//! id, pseudo-thread id, X-Request-ID and trace id), and rule 14 through a
-//! server-process-by-trace-id index, so parent assignment is hash lookups
-//! instead of a scan of the whole span set per exchange.
+//! Rules 9–12, 14 and 16 resolve through one per-trace side index over the
+//! parent candidates (server-process / server-app spans filed under their
+//! systrace ids, pseudo-thread id, X-Request-IDs and trace id; rule 14's
+//! server-process spans under their trace id): a list of
+//! `(key, position)` pairs sorted once and bisected per probe, instead of
+//! a scan of the whole span set per exchange. Rules 13 and 15 find app
+//! spans by third-party span id in a second such list.
 //!
 //! Phase 3 (line 25): sort parents-first, siblings by request time.
+//!
+//! Phases 2 and 3 run on the member spans *borrowed* from the shards, a
+//! span named by its position in `(req_time, span_id)` order: parents are
+//! positions, an exchange is a run of positions sorted by a key that
+//! borrows the endpoint, and a child list built in position order is
+//! already in sibling order. Phase 3 makes the one deep copy of each
+//! member, in trace order; before it, only a cold row paged in is owned.
 //!
 //! [`assemble_trace_reference`] keeps the original full-rescan / full-scan
 //! formulation (with the same tombstone, dedup and truncation semantics)
@@ -75,9 +84,8 @@ use df_storage::SpanStore;
 use df_types::rpc::CandidateKeys;
 use df_types::span::{Span, SpanKind, TapSide};
 use df_types::trace::{AssembledSpan, Trace};
-use df_types::{AssocKey, DurationNs, SpanId};
+use df_types::{AssocKey, DurationNs, IntSet, OtelSpanId, SpanId};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 
 /// Assembly tunables.
 #[derive(Debug, Clone)]
@@ -113,7 +121,7 @@ pub trait ShardProbe {
     /// Run round `round`'s new keys against every shard and return the
     /// matching locations in ascending shard order. Locations in `seen`
     /// may be left out; the driver drops them (and repeats) either way.
-    fn probe_round(&mut self, round: u32, keys: &CandidateKeys, seen: &HashSet<Loc>) -> Vec<Loc>;
+    fn probe_round(&mut self, round: u32, keys: &CandidateKeys, seen: &IntSet<Loc>) -> Vec<Loc>;
 }
 
 /// The in-process prober: the shards are right here, index-aligned with
@@ -133,7 +141,7 @@ impl ShardProbe for LocalShards<'_> {
             .expect("member rows exist")
     }
 
-    fn probe_round(&mut self, _round: u32, keys: &CandidateKeys, seen: &HashSet<Loc>) -> Vec<Loc> {
+    fn probe_round(&mut self, _round: u32, keys: &CandidateKeys, seen: &IntSet<Loc>) -> Vec<Loc> {
         let mut found = Vec::new();
         for (si, shard) in self.shards.iter().enumerate() {
             self.postings += probe_shard(si as u16, shard, keys, seen, &mut found) as u64;
@@ -181,10 +189,10 @@ pub fn probe_shard(
     si: u16,
     shard: &SpanStore,
     batch: &CandidateKeys,
-    seen: &HashSet<Loc>,
+    seen: &IntSet<Loc>,
     found: &mut Vec<Loc>,
 ) -> usize {
-    let mut local: HashSet<u32> = HashSet::new();
+    let mut local: IntSet<u32> = IntSet::default();
     let mut walked = 0;
     let mut grow = |rows: &[u32]| {
         for &row in rows {
@@ -220,18 +228,19 @@ pub fn probe_shard(
 /// is membership only; `members`/`frontier` are `Vec`s merged in ascending
 /// shard order, so discovery order — and with it the member set under the
 /// `max_spans` cap — is the same for every prober. Phases 2 and 3 run on
-/// the materialised member spans.
+/// the member spans as the prober lends them.
 pub fn assemble_with<P: ShardProbe>(
     prober: &mut P,
     start: Loc,
     start_id: SpanId,
     cfg: &AssembleConfig,
 ) -> (Trace, u32, Option<Vec<AssocKey>>) {
-    let mut seen: HashSet<Loc> = HashSet::from([start]);
+    let mut seen: IntSet<Loc> = IntSet::default();
+    seen.insert(start);
     let mut members: Vec<Loc> = vec![start];
     let mut frontier: Vec<Loc> = vec![start];
     // Each key is expanded — probed against every shard — at most once.
-    let mut expanded: HashSet<AssocKey> = HashSet::new();
+    let mut expanded: IntSet<AssocKey> = IntSet::default();
     let mut rounds = 0u32;
     let mut fixed_point = false;
     for _ in 0..cfg.iterations {
@@ -262,12 +271,10 @@ pub fn assemble_with<P: ShardProbe>(
         members.extend_from_slice(&next);
         frontier = next;
     }
-    let spans = members
-        .iter()
-        .map(|&loc| prober.span_at(loc).into_owned())
-        .collect();
+    let spans: Vec<Cow<'_, Span>> = members.iter().map(|&loc| prober.span_at(loc)).collect();
     let keys = fixed_point.then(|| expanded.into_iter().collect());
-    (assemble_members(spans, start_id, cfg), rounds, keys)
+    let trace = assemble_members(&spans, start_id, cfg, set_parents_indexed);
+    (trace, rounds, keys)
 }
 
 /// Run Algorithm 1 from `start` over one standalone store: the one-shard
@@ -298,7 +305,7 @@ pub fn assemble_trace_reference(store: &SpanStore, start: SpanId, cfg: &Assemble
         return Trace::default();
     }
     let start_row = (start.raw() - 1) as u32;
-    let mut set: HashSet<u32> = HashSet::new();
+    let mut set: IntSet<u32> = IntSet::default();
     set.insert(start_row);
     for _iter in 0..cfg.iterations {
         if set.len() >= cfg.max_spans {
@@ -339,40 +346,30 @@ pub fn assemble_trace_reference(store: &SpanStore, start: SpanId, cfg: &Assemble
             break; // fixed point
         }
     }
-    let members: Vec<u32> = set.into_iter().collect();
-    let spans = collect_members(store, &members, start, cfg.max_spans);
-    let parents = set_parents_reference(&spans, cfg);
-    sort_trace(&spans, parents)
+    let spans: Vec<Cow<'_, Span>> = set.iter().filter_map(|&row| store.span_at(row)).collect();
+    assemble_members(&spans, start, cfg, set_parents_reference)
 }
 
-/// Materialise the found rows, sorted by `(req_time, span_id)`, truncated
-/// deterministically to `max_spans` with the start span always retained.
-fn collect_members(
-    store: &SpanStore,
-    members: &[u32],
+/// Phases 2 and 3 over the member spans, borrowed: sort and truncate
+/// (retaining `start`), assign parents with `set_parents`, sort the tree.
+/// Both formulations share everything but `set_parents`.
+fn assemble_members(
+    members: &[Cow<'_, Span>],
     start: SpanId,
-    max_spans: usize,
-) -> Vec<Span> {
-    let spans: Vec<Span> = members
-        .iter()
-        .filter_map(|&row| store.span_at(row).map(std::borrow::Cow::into_owned))
-        .collect();
-    sort_and_truncate(spans, start, max_spans)
+    cfg: &AssembleConfig,
+    set_parents: fn(&[&Span], &AssembleConfig) -> Vec<Option<usize>>,
+) -> Trace {
+    let members = members.iter().map(|s| &**s).collect();
+    let spans = sort_and_truncate(members, start, cfg.max_spans);
+    sort_trace(&spans, &set_parents(&spans, cfg))
 }
 
-/// Phases 2 and 3 over an already-materialised member set: sort/truncate
-/// (retaining `start`), assign parents under the 16 rules, sort the tree.
-fn assemble_members(spans: Vec<Span>, start: SpanId, cfg: &AssembleConfig) -> Trace {
-    let spans = sort_and_truncate(spans, start, cfg.max_spans);
-    let parents = set_parents_indexed(&spans, cfg);
-    sort_trace(&spans, parents)
-}
-
-/// Sort the materialised member spans by `(req_time, span_id)` and
-/// truncate deterministically to `max_spans`, always retaining the start
-/// span. Shared with the reference so truncation semantics provably agree.
-fn sort_and_truncate(mut spans: Vec<Span>, start: SpanId, max_spans: usize) -> Vec<Span> {
-    spans.sort_by_key(|s| (s.req_time, s.span_id));
+/// Sort the member spans by `(req_time, span_id)` — the order a position
+/// names — and truncate deterministically to `max_spans`, always retaining
+/// the start span. A start kept past the cut sorts after every span kept,
+/// so the order holds.
+fn sort_and_truncate(mut spans: Vec<&Span>, start: SpanId, max_spans: usize) -> Vec<&Span> {
+    spans.sort_unstable_by_key(|s| (s.req_time, s.span_id));
     if spans.len() > max_spans {
         let start_pos = spans
             .iter()
@@ -393,21 +390,21 @@ fn sort_and_truncate(mut spans: Vec<Span>, start: SpanId, max_spans: usize) -> V
 
 /// Exchange identity: the unit one request/response pair forms across all
 /// its capture points.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum ExchangeKey {
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum ExchangeKey<'a> {
     /// TCP: the request sequence number (preserved across every L2/3/4 hop
     /// and across L4 gateways — Appendix A).
     Tcp(u32),
     /// UDP / sequence-less: flow + endpoint + coarse time bucket.
-    Loose(u64, String, u64),
+    Loose(u64, &'a str, u64),
 }
 
-fn exchange_key(s: &Span) -> ExchangeKey {
+fn exchange_key(s: &Span) -> ExchangeKey<'_> {
     match s.tcp_seq_req {
         Some(seq) => ExchangeKey::Tcp(seq),
         None => ExchangeKey::Loose(
             s.flow_id.raw(),
-            s.endpoint.clone(),
+            &s.endpoint,
             s.req_time.as_nanos() / 100_000_000, // 100 ms bucket
         ),
     }
@@ -422,11 +419,11 @@ fn contains(parent: &Span, child: &Span, tol: DurationNs) -> bool {
 /// `req_time`, ties broken towards the smallest span id. Explicit (rather
 /// than scan-order-dependent) so the indexed and reference rule
 /// implementations provably agree.
-fn better_candidate(spans: &[Span], best: Option<usize>, j: usize) -> Option<usize> {
+fn better_candidate(spans: &[&Span], best: Option<usize>, j: usize) -> Option<usize> {
     match best {
         None => Some(j),
         Some(b) => {
-            let (sb, sj) = (&spans[b], &spans[j]);
+            let (sb, sj) = (spans[b], spans[j]);
             if sj.req_time > sb.req_time || (sj.req_time == sb.req_time && sj.span_id < sb.span_id)
             {
                 Some(j)
@@ -437,97 +434,83 @@ fn better_candidate(spans: &[Span], best: Option<usize>, j: usize) -> Option<usi
     }
 }
 
+/// The entries of `list` — `(key, position)` pairs sorted by both — filed
+/// under `key`.
+fn filed<K: Ord + Copy>(list: &[(K, usize)], key: K) -> &[(K, usize)] {
+    let from = list.partition_point(|&(k, _)| k < key);
+    let len = list[from..].partition_point(|&(k, _)| k == key);
+    &list[from..from + len]
+}
+
 /// Exchange grouping shared by both Phase-2 implementations: rules 1–8
-/// (the capture ladder) plus the head/member bookkeeping rules 9–12+16
-/// need.
+/// (the capture ladder) plus the bookkeeping rules 9–13 need.
 struct Exchanges {
     /// Parent edges from the capture ladder.
-    parent: HashMap<SpanId, SpanId>,
-    /// Ladder-top span index of each exchange.
-    heads: Vec<usize>,
-    /// Span id → its exchange's head index.
-    members: HashMap<SpanId, usize>,
-    /// Exchange key → member span indexes.
-    by_key: HashMap<ExchangeKey, Vec<usize>>,
+    parent: Vec<Option<usize>>,
+    /// Each exchange's ladder top and probe span: its client-process
+    /// observation if present (it carries the caller's systrace/x-request
+    /// context), else the ladder top itself.
+    heads: Vec<(usize, usize)>,
+    /// Each span's ladder top; `None` for app spans.
+    head_of: Vec<Option<usize>>,
 }
 
-fn group_exchanges(spans: &[Span]) -> Exchanges {
-    let mut by_key: HashMap<ExchangeKey, Vec<usize>> = HashMap::new();
-    for (i, s) in spans.iter().enumerate() {
-        if s.kind == SpanKind::App {
-            continue; // app spans join via rules 13–15
+fn group_exchanges(spans: &[&Span]) -> Exchanges {
+    // App spans join via rules 13–15. The rest sort into one run per
+    // exchange, ladder top first.
+    let mut ladder: Vec<usize> = (0..spans.len())
+        .filter(|&i| spans[i].kind != SpanKind::App)
+        .collect();
+    ladder.sort_unstable_by_key(|&i| {
+        let s = spans[i];
+        let rank = s.capture.tap_side.path_rank();
+        (exchange_key(s), rank, s.req_time, s.span_id)
+    });
+    let mut ex = Exchanges {
+        parent: vec![None; spans.len()],
+        heads: Vec::new(),
+        head_of: vec![None; spans.len()],
+    };
+    for run in ladder.chunk_by(|&a, &b| exchange_key(spans[a]) == exchange_key(spans[b])) {
+        let head = run[0];
+        for w in run.windows(2) {
+            ex.parent[w[1]] = Some(w[0]);
         }
-        by_key.entry(exchange_key(s)).or_default().push(i);
-    }
-    let mut parent: HashMap<SpanId, SpanId> = HashMap::new();
-    let mut heads: Vec<usize> = Vec::new();
-    let mut members: HashMap<SpanId, usize> = HashMap::new();
-    for ex in by_key.values() {
-        let mut order: Vec<usize> = ex.clone();
-        order.sort_by_key(|&i| {
-            (
-                spans[i].capture.tap_side.path_rank(),
-                spans[i].req_time,
-                spans[i].span_id,
-            )
-        });
-        for w in order.windows(2) {
-            parent.insert(spans[w[1]].span_id, spans[w[0]].span_id);
+        for &i in run {
+            ex.head_of[i] = Some(head);
         }
-        let head = order[0];
-        heads.push(head);
-        for &i in &order {
-            members.insert(spans[i].span_id, head);
-        }
+        // Client-process spans share a rank, so the first in the run is
+        // also the first by position.
+        let probe = (run.iter().copied())
+            .find(|&i| spans[i].capture.tap_side == TapSide::ClientProcess)
+            .unwrap_or(head);
+        ex.heads.push((head, probe));
     }
-    // Deterministic head order regardless of hash-map iteration.
-    heads.sort_unstable();
-    Exchanges {
-        parent,
-        heads,
-        members,
-        by_key,
-    }
+    ex
 }
 
-/// The probe span for an exchange: its client-process observation if
-/// present (it carries the caller's systrace/x-request context), else the
-/// ladder head itself.
-fn probe_index(spans: &[Span], ex: &Exchanges, head: usize) -> usize {
-    ex.by_key
-        .get(&exchange_key(&spans[head]))
-        .and_then(|members| {
-            members
-                .iter()
-                .find(|&&i| spans[i].capture.tap_side == TapSide::ClientProcess)
-                .copied()
-        })
-        .unwrap_or(head)
-}
-
-/// Side indexes over the parent candidates (server-side process/app spans)
-/// so rules 9–12, 14 and 16 are hash lookups.
-#[derive(Default)]
-struct CandidateIndex {
-    systrace_req: HashMap<u64, Vec<usize>>,
-    systrace_resp: HashMap<u64, Vec<usize>>,
-    pseudo_thread: HashMap<u64, Vec<usize>>,
+/// What the side index files a parent candidate under.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Side {
+    SystraceReq,
+    SystraceResp,
+    PseudoThread,
     /// Both request- and response-side X-Request-IDs, deduped per span.
-    x_request: HashMap<u128, Vec<usize>>,
-    otel_trace: HashMap<u128, Vec<usize>>,
+    XRequest,
+    OtelTrace,
     /// Rule 14: server-process (non-app) spans by third-party trace id.
-    server_process_otel_trace: HashMap<u128, Vec<usize>>,
+    ServerProcessOtelTrace,
 }
 
-fn build_candidate_index(spans: &[Span]) -> CandidateIndex {
-    let mut idx = CandidateIndex::default();
+/// The side index over the parent candidates (server-side process/app
+/// spans) that rules 9–12, 14 and 16 search, read with [`filed`].
+fn candidate_index(spans: &[&Span]) -> Vec<((Side, u128), usize)> {
+    let mut idx = Vec::new();
     for (j, s) in spans.iter().enumerate() {
+        let mut file = |side: Side, key: u128| idx.push(((side, key), j));
         if s.kind != SpanKind::App && s.capture.tap_side == TapSide::ServerProcess {
             if let Some(t) = s.otel_trace_id {
-                idx.server_process_otel_trace
-                    .entry(t.0)
-                    .or_default()
-                    .push(j);
+                file(Side::ServerProcessOtelTrace, t.0);
             }
         }
         if !matches!(
@@ -537,144 +520,109 @@ fn build_candidate_index(spans: &[Span]) -> CandidateIndex {
             continue;
         }
         if let Some(v) = s.systrace_id_req {
-            idx.systrace_req.entry(v.raw()).or_default().push(j);
+            file(Side::SystraceReq, v.raw().into());
         }
         if let Some(v) = s.systrace_id_resp {
-            idx.systrace_resp.entry(v.raw()).or_default().push(j);
+            file(Side::SystraceResp, v.raw().into());
         }
         if let Some(v) = s.pseudo_thread_id {
-            idx.pseudo_thread.entry(v.raw()).or_default().push(j);
+            file(Side::PseudoThread, v.raw().into());
         }
         if let Some(v) = s.x_request_id_req {
-            idx.x_request.entry(v.0).or_default().push(j);
+            file(Side::XRequest, v.0);
         }
-        if let Some(v) = s.x_request_id_resp {
-            if Some(v) != s.x_request_id_req {
-                idx.x_request.entry(v.0).or_default().push(j);
-            }
+        if let Some(v) = s
+            .x_request_id_resp
+            .filter(|&v| Some(v) != s.x_request_id_req)
+        {
+            file(Side::XRequest, v.0);
         }
         if let Some(t) = s.otel_trace_id {
-            idx.otel_trace.entry(t.0).or_default().push(j);
+            file(Side::OtelTrace, t.0);
         }
     }
+    idx.sort_unstable();
     idx
 }
 
-/// Phase 2 via side indexes: rules 9–12 and 16 probe [`CandidateIndex`]
-/// with the exchange's own context values; rule 14 probes the
-/// server-process index. Hash lookups replace the full-set scans of
-/// [`set_parents_reference`].
-fn set_parents_indexed(spans: &[Span], cfg: &AssembleConfig) -> HashMap<SpanId, SpanId> {
-    let ex = group_exchanges(spans);
-    let mut parent = ex.parent.clone();
-    let cand = build_candidate_index(spans);
+/// Phase 2 via the side index: rules 9–12 and 16 look up the exchange's
+/// own context values, rule 14 the app span's trace id. Bisection
+/// replaces the full-set scans of [`set_parents_reference`].
+fn set_parents_indexed(spans: &[&Span], cfg: &AssembleConfig) -> Vec<Option<usize>> {
+    let Exchanges {
+        mut parent,
+        heads,
+        head_of,
+    } = group_exchanges(spans);
+    let cand = candidate_index(spans);
+    let tol = cfg.time_tolerance;
 
     // Rules 9–12 + 16: find a cross-exchange parent for each exchange head.
-    for &head in &ex.heads {
-        let head_id = spans[head].span_id;
-        let probe_span = &spans[probe_index(spans, &ex, head)];
+    for &(head, probe) in &heads {
+        let probe_span = spans[probe];
         let mut best: Option<usize> = None;
-        let consider = |j: usize, best: &mut Option<usize>| {
-            if ex.members.get(&spans[j].span_id) == Some(&head) {
-                return; // same exchange
-            }
-            *best = better_candidate(spans, *best, j);
-        };
-        // Rule 9: request-chain systrace.
-        if let Some(v) = probe_span.systrace_id_req {
-            for &j in cand.systrace_req.get(&v.raw()).into_iter().flatten() {
-                consider(j, &mut best);
-            }
-        }
-        // Rule 10: response-chain systrace.
-        if let Some(v) = probe_span.systrace_id_resp {
-            for &j in cand.systrace_resp.get(&v.raw()).into_iter().flatten() {
-                consider(j, &mut best);
-            }
-        }
-        // Rule 11: pseudo-thread + containment.
-        if let Some(v) = probe_span.pseudo_thread_id {
-            for &j in cand.pseudo_thread.get(&v.raw()).into_iter().flatten() {
-                if contains(&spans[j], probe_span, cfg.time_tolerance) {
-                    consider(j, &mut best);
-                }
-            }
-        }
-        // Rule 12: X-Request-ID (either side, cross-matched) + containment.
-        let mut xkeys = [None, None];
-        if let Some(v) = probe_span.x_request_id_req {
-            xkeys[0] = Some(v.0);
-        }
-        if let Some(v) = probe_span.x_request_id_resp {
-            if xkeys[0] != Some(v.0) {
-                xkeys[1] = Some(v.0);
-            }
-        }
-        for v in xkeys.into_iter().flatten() {
-            for &j in cand.x_request.get(&v).into_iter().flatten() {
-                if contains(&spans[j], probe_span, cfg.time_tolerance) {
-                    consider(j, &mut best);
-                }
-            }
-        }
-        // Rule 16: shared third-party trace id + containment.
-        if let Some(t) = probe_span.otel_trace_id {
-            for &j in cand.otel_trace.get(&t.0).into_iter().flatten() {
-                if contains(&spans[j], probe_span, cfg.time_tolerance) {
-                    consider(j, &mut best);
-                }
-            }
-        }
-        if let Some(b) = best {
-            parent.insert(head_id, spans[b].span_id);
-        }
-    }
-
-    // Rules 13 + 15 (app-span maps) shared with the reference.
-    let by_otel_span = app_spans_by_otel_id(spans);
-    apply_rule13(spans, &ex.heads, &by_otel_span, &mut parent);
-    for (i, s) in spans.iter().enumerate() {
-        if s.kind != SpanKind::App {
-            continue;
-        }
-        if apply_rule15(spans, i, &by_otel_span, &mut parent) {
-            continue;
-        }
-        // Rule 14 via the server-process index.
-        let mut best: Option<usize> = None;
-        if let Some(t) = s.otel_trace_id {
-            for &j in cand
-                .server_process_otel_trace
-                .get(&t.0)
-                .into_iter()
-                .flatten()
-            {
-                if j != i && contains(&spans[j], s, cfg.time_tolerance) {
+        // Candidates filed under `key` outside this exchange, containing
+        // the probe span where the rule asks it.
+        let mut consider = |side: Side, key: u128, contained: bool| {
+            for &(_, j) in filed(&cand, (side, key)) {
+                let fits = !contained || contains(spans[j], probe_span, tol);
+                if fits && head_of[j] != Some(head) {
                     best = better_candidate(spans, best, j);
                 }
             }
+        };
+        // Rules 9 and 10: request- and response-chain systrace.
+        if let Some(v) = probe_span.systrace_id_req {
+            consider(Side::SystraceReq, v.raw().into(), false);
+        }
+        if let Some(v) = probe_span.systrace_id_resp {
+            consider(Side::SystraceResp, v.raw().into(), false);
+        }
+        // Rule 11: pseudo-thread + containment.
+        if let Some(v) = probe_span.pseudo_thread_id {
+            consider(Side::PseudoThread, v.raw().into(), true);
+        }
+        // Rule 12: X-Request-ID (either side, cross-matched) + containment.
+        let xreq = probe_span.x_request_id_req;
+        let xresp = (probe_span.x_request_id_resp).filter(|&v| Some(v) != xreq);
+        for v in [xreq, xresp].into_iter().flatten() {
+            consider(Side::XRequest, v.0, true);
+        }
+        // Rule 16: shared third-party trace id + containment.
+        if let Some(t) = probe_span.otel_trace_id {
+            consider(Side::OtelTrace, t.0, true);
         }
         if let Some(b) = best {
-            parent.insert(s.span_id, spans[b].span_id);
+            parent[head] = Some(b);
         }
     }
 
-    drop_cycles(parent)
+    app_parents(spans, &heads, &mut parent, |i| {
+        let key = (Side::ServerProcessOtelTrace, spans[i].otel_trace_id?.0);
+        (filed(&cand, key).iter().map(|&(_, j)| j))
+            .filter(|&j| contains(spans[j], spans[i], tol))
+            .fold(None, |best, j| better_candidate(spans, best, j))
+    });
+    drop_cycles(&mut parent);
+    parent
 }
 
 /// Phase 2 as originally formulated: a scan over all spans per exchange
 /// head (rules 9–12, 16) and per app span (rule 14). Kept as the
 /// differential oracle for [`set_parents_indexed`].
-fn set_parents_reference(spans: &[Span], cfg: &AssembleConfig) -> HashMap<SpanId, SpanId> {
-    let ex = group_exchanges(spans);
-    let mut parent = ex.parent.clone();
+fn set_parents_reference(spans: &[&Span], cfg: &AssembleConfig) -> Vec<Option<usize>> {
+    let Exchanges {
+        mut parent,
+        heads,
+        head_of,
+    } = group_exchanges(spans);
+    let tol = cfg.time_tolerance;
 
-    for &head in &ex.heads {
-        let head_id = spans[head].span_id;
-        let probe_span = &spans[probe_index(spans, &ex, head)];
+    for &(head, probe) in &heads {
+        let probe_span = spans[probe];
         let mut best: Option<usize> = None;
-        for (j, cand) in spans.iter().enumerate() {
-            if ex.members.get(&cand.span_id) == Some(&head) {
+        for (j, &cand) in spans.iter().enumerate() {
+            if head_of[j] == Some(head) {
                 continue;
             }
             if !matches!(
@@ -689,200 +637,143 @@ fn set_parents_reference(spans: &[Span], cfg: &AssembleConfig) -> HashMap<SpanId
             let rule10 = m(cand.systrace_id_resp, probe_span.systrace_id_resp);
             let rule11 = cand.pseudo_thread_id.is_some()
                 && cand.pseudo_thread_id == probe_span.pseudo_thread_id
-                && contains(cand, probe_span, cfg.time_tolerance);
+                && contains(cand, probe_span, tol);
             let rule12 = (mx(cand.x_request_id_req, probe_span.x_request_id_req)
                 || mx(cand.x_request_id_resp, probe_span.x_request_id_resp)
                 || mx(cand.x_request_id_req, probe_span.x_request_id_resp)
                 || mx(cand.x_request_id_resp, probe_span.x_request_id_req))
-                && contains(cand, probe_span, cfg.time_tolerance);
+                && contains(cand, probe_span, tol);
             let rule16 = cand.otel_trace_id.is_some()
                 && cand.otel_trace_id == probe_span.otel_trace_id
-                && contains(cand, probe_span, cfg.time_tolerance);
+                && contains(cand, probe_span, tol);
             if rule9 || rule10 || rule11 || rule12 || rule16 {
                 best = better_candidate(spans, best, j);
             }
         }
         if let Some(b) = best {
-            parent.insert(head_id, spans[b].span_id);
+            parent[head] = Some(b);
         }
     }
 
-    let by_otel_span = app_spans_by_otel_id(spans);
-    apply_rule13(spans, &ex.heads, &by_otel_span, &mut parent);
+    app_parents(spans, &heads, &mut parent, |i| {
+        let s = spans[i];
+        // Rule 14: scan for a containing server-process span.
+        (0..spans.len())
+            .filter(|&j| {
+                let cand = spans[j];
+                j != i
+                    && cand.kind != SpanKind::App
+                    && cand.capture.tap_side == TapSide::ServerProcess
+                    && cand.otel_trace_id.is_some()
+                    && cand.otel_trace_id == s.otel_trace_id
+                    && contains(cand, s, tol)
+            })
+            .fold(None, |best, j| better_candidate(spans, best, j))
+    });
+    drop_cycles(&mut parent);
+    parent
+}
+
+/// Rules 13–15, shared by both Phase-2 implementations. Rule 13: an
+/// exchange that carried an app span's id in its headers hangs under that
+/// (tighter) app span. Rule 15: an app span hangs under the app span its
+/// parent id names; where that names no other span, rule 14 — `rule14`,
+/// the tightest containing server-process span — decides.
+fn app_parents(
+    spans: &[&Span],
+    heads: &[(usize, usize)],
+    parent: &mut [Option<usize>],
+    rule14: impl Fn(usize) -> Option<usize>,
+) {
+    let mut by_otel_span: Vec<(u64, usize)> = (spans.iter().enumerate())
+        .filter(|(_, s)| s.kind == SpanKind::App)
+        .filter_map(|(i, s)| s.otel_span_id.map(|id| (id.0, i)))
+        .collect();
+    by_otel_span.sort_unstable();
+    // Of two app spans with one id, the later position answers.
+    let app = |id: OtelSpanId| filed(&by_otel_span, id.0).last().map(|&(_, i)| i);
+    for &(head, _) in heads {
+        if let Some(a) = spans[head].otel_span_id.and_then(app) {
+            parent[head] = Some(a);
+        }
+    }
     for (i, s) in spans.iter().enumerate() {
         if s.kind != SpanKind::App {
             continue;
         }
-        if apply_rule15(spans, i, &by_otel_span, &mut parent) {
-            continue;
-        }
-        // Rule 14: scan for a containing server-process span.
-        let mut best: Option<usize> = None;
-        for (j, cand) in spans.iter().enumerate() {
-            if j == i || cand.kind == SpanKind::App {
-                continue;
-            }
-            if cand.capture.tap_side == TapSide::ServerProcess
-                && cand.otel_trace_id.is_some()
-                && cand.otel_trace_id == s.otel_trace_id
-                && contains(cand, s, cfg.time_tolerance)
-            {
-                best = better_candidate(spans, best, j);
-            }
-        }
-        if let Some(b) = best {
-            parent.insert(s.span_id, spans[b].span_id);
-        }
-    }
-
-    drop_cycles(parent)
-}
-
-fn app_spans_by_otel_id(spans: &[Span]) -> HashMap<u64, usize> {
-    spans
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.kind == SpanKind::App)
-        .filter_map(|(i, s)| s.otel_span_id.map(|id| (id.0, i)))
-        .collect()
-}
-
-/// Rule 13: the exchange carried an app span's id in its headers → that
-/// app span is the (tighter) parent of the exchange head.
-fn apply_rule13(
-    spans: &[Span],
-    heads: &[usize],
-    by_otel_span: &HashMap<u64, usize>,
-    parent: &mut HashMap<SpanId, SpanId>,
-) {
-    for &head in heads {
-        let head_span = &spans[head];
-        if let Some(sid) = head_span.otel_span_id {
-            if let Some(&app) = by_otel_span.get(&sid.0) {
-                parent.insert(head_span.span_id, spans[app].span_id);
+        match s.otel_parent_span_id.and_then(app) {
+            Some(p) if p != i => parent[i] = Some(p),
+            _ => {
+                if let Some(b) = rule14(i) {
+                    parent[i] = Some(b);
+                }
             }
         }
     }
 }
 
-/// Rule 15: app ancestry by explicit parent span id. Returns whether the
-/// rule fired (later rules are then skipped for this span).
-fn apply_rule15(
-    spans: &[Span],
-    i: usize,
-    by_otel_span: &HashMap<u64, usize>,
-    parent: &mut HashMap<SpanId, SpanId>,
-) -> bool {
-    if let Some(pid) = spans[i].otel_parent_span_id {
-        if let Some(&p) = by_otel_span.get(&pid.0) {
-            if p != i {
-                parent.insert(spans[i].span_id, spans[p].span_id);
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Cycle guard: drop any edge that closes a loop.
-/// Drop every parent edge whose child lies on a cycle. Each span has at most
-/// one parent, so the edges form a functional graph: one colouring walk per
-/// unvisited node resolves all cycles in O(n) total, instead of re-walking
-/// the full ancestor chain per edge (quadratic on deep call chains).
-fn drop_cycles(parent: HashMap<SpanId, SpanId>) -> HashMap<SpanId, SpanId> {
+/// Cycle guard: drop every parent edge whose child lies on a cycle. Each
+/// span has at most one parent, so the edges form a functional graph: one
+/// colouring walk per unvisited node resolves all cycles in O(n) total,
+/// instead of re-walking the full ancestor chain per edge (quadratic on
+/// deep call chains).
+fn drop_cycles(parent: &mut [Option<usize>]) {
     // 0 = unvisited, 1 = on the current walk, 2 = resolved.
-    let mut color: HashMap<SpanId, u8> = HashMap::with_capacity(parent.len());
-    let mut cyclic: HashSet<SpanId> = HashSet::new();
-    for &start in parent.keys() {
-        if color.get(&start).copied().unwrap_or(0) != 0 {
-            continue;
-        }
-        let mut path = Vec::new();
+    let mut color = vec![0u8; parent.len()];
+    let (mut path, mut cyclic) = (Vec::new(), Vec::new());
+    for start in 0..parent.len() {
         let mut cur = Some(start);
         while let Some(c) = cur {
-            match color.get(&c).copied().unwrap_or(0) {
+            match color[c] {
                 0 => {
-                    color.insert(c, 1);
+                    color[c] = 1;
                     path.push(c);
-                    cur = parent.get(&c).copied();
+                    cur = parent[c];
                 }
                 1 => {
                     // Closed a new cycle: everything from `c` onward is on it.
-                    let pos = path.iter().position(|&p| p == c).unwrap();
-                    cyclic.extend(&path[pos..]);
+                    let pos = path.iter().position(|&p| p == c).expect("on the walk");
+                    cyclic.extend_from_slice(&path[pos..]);
                     break;
                 }
                 // Joined an already-resolved walk: no new cycle here.
                 _ => break,
             }
         }
-        for p in path {
-            color.insert(p, 2);
+        for p in path.drain(..) {
+            color[p] = 2;
         }
     }
-    parent
-        .into_iter()
-        .filter(|(child, _)| !cyclic.contains(child))
-        .collect()
+    for c in cyclic {
+        parent[c] = None;
+    }
 }
 
-fn sort_trace(spans: &[Span], parents: HashMap<SpanId, SpanId>) -> Trace {
-    let index: HashMap<SpanId, usize> = spans
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.span_id, i))
-        .collect();
-    let mut children: HashMap<Option<SpanId>, Vec<usize>> = HashMap::new();
-    for (i, s) in spans.iter().enumerate() {
-        // A parent outside the assembled set degrades to root.
-        let p = parents
-            .get(&s.span_id)
-            .copied()
-            .filter(|p| index.contains_key(p));
-        children.entry(p).or_default().push(i);
+/// Phase 3: depth-first, parents before children, siblings by
+/// `(req_time, span_id)`.
+fn sort_trace(spans: &[&Span], parent: &[Option<usize>]) -> Trace {
+    // Child lists as first-child / next-sibling links, the roots under
+    // `n`. Built back to front, every list is in position order.
+    let n = spans.len();
+    let (mut first, mut next) = (vec![None; n + 1], vec![None; n]);
+    for i in (0..n).rev() {
+        next[i] = first[parent[i].unwrap_or(n)].replace(i);
     }
-    for v in children.values_mut() {
-        v.sort_by_key(|&i| (spans[i].req_time, spans[i].span_id));
-    }
-    // DFS parents-first.
-    let mut order = Vec::with_capacity(spans.len());
-    let mut stack: Vec<usize> = children
-        .get(&None)
-        .cloned()
-        .unwrap_or_default()
-        .into_iter()
-        .rev()
-        .collect();
-    let mut visited = vec![false; spans.len()];
+    let mut order = Vec::with_capacity(n);
+    let mut stack: Vec<usize> = first[n].into_iter().collect();
     while let Some(i) = stack.pop() {
-        if visited[i] {
-            continue;
-        }
-        visited[i] = true;
         order.push(i);
-        if let Some(kids) = children.get(&Some(spans[i].span_id)) {
-            for &k in kids.iter().rev() {
-                stack.push(k);
-            }
-        }
+        stack.extend(next[i]);
+        stack.extend(first[i]);
     }
-    // Any unvisited spans (shouldn't happen post cycle-guard) appended.
-    for (i, seen) in visited.iter().enumerate() {
-        if !seen {
-            order.push(i);
-        }
-    }
-    // Cloned, not moved out, on purpose: the clones' heap data is laid out
-    // in trace order, which every later copy of the cached trace walks
-    // (moving measured +8 % on a cached requery, results/pr24_benchmark.md).
-    let id_of = |i: usize| spans[i].span_id;
-    let assembled: Vec<AssembledSpan> = order
-        .iter()
+    debug_assert_eq!(order.len(), n, "acyclic parents reach every span");
+    // The one deep copy of each member, made in trace order on purpose:
+    // the copies' heap data is then laid out in the order every later copy
+    // of the cached trace walks (moving the members' own allocations in
+    // instead measured +8 % on a cached requery, results/pr24_benchmark.md).
+    let assembled = (order.iter())
         .map(|&i| AssembledSpan {
-            parent: parents
-                .get(&id_of(i))
-                .copied()
-                .filter(|p| index.contains_key(p)),
+            parent: parent[i].map(|p| spans[p].span_id),
             span: spans[i].clone(),
         })
         .collect();

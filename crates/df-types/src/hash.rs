@@ -1,9 +1,12 @@
 //! The keyed hasher for the server's integer-keyed tables.
 //!
-//! The association indexes, the bucket table and the IP dictionary are
-//! keyed by `u32`/`u64`/`u128` and probed once or more per ingested span;
-//! SipHash's byte-stream machinery is most of such a probe. [`IntHasher`]
-//! is one folded 64×64→128 multiply per word and one to finish.
+//! The association indexes and the IP dictionary are keyed by
+//! `u32`/`u64`/`u128` and probed once or more per ingested span, and a
+//! cold trace query's Phase 1 tables — the locations it has seen, the keys
+//! it has expanded, a shard's rows matched in one round — are probed once
+//! per candidate. SipHash's byte-stream machinery is most of such a probe.
+//! [`IntHasher`] is one folded 64×64→128 multiply per integer field (an
+//! enum's discriminant included) and one to finish.
 //!
 //! The keys come off the wire (`tcp_seq`, `x_request_id`, trace ids), so a
 //! sender must not be able to pre-compute keys that share a bucket: the
@@ -13,11 +16,14 @@
 //! table size remain the bound on damage.
 
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 
 /// A `HashMap` over integer keys hashed by [`IntHasher`].
 pub type IntMap<K, V> = HashMap<K, V, IntHasher>;
+
+/// A `HashSet` over integer keys hashed by [`IntHasher`].
+pub type IntSet<K> = HashSet<K, IntHasher>;
 
 /// See the module docs. A hasher that has absorbed nothing is its own
 /// [`BuildHasher`]: `default()` draws the table's seed, `build_hasher`
@@ -76,6 +82,16 @@ impl Hasher for IntHasher {
     }
 
     #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(u64::from(v));
+    }
+
+    #[inline]
     fn write_u32(&mut self, v: u32) {
         self.write_u64(u64::from(v));
     }
@@ -90,11 +106,23 @@ impl Hasher for IntHasher {
         self.write_u64(v as u64);
         self.write_u64((v >> 64) as u64);
     }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    /// A derived `Hash` writes an enum's discriminant here.
+    #[inline]
+    fn write_isize(&mut self, v: isize) {
+        self.write_u64(v as u64);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::AssocKey;
     use std::hash::Hash;
 
     const N: u64 = 1_000_000;
@@ -142,6 +170,27 @@ mod tests {
         }
         let upper = (0..N).map(|i| u128::from(i) << 64 | 7);
         close("u128 upper word", spread(&h, upper));
+        // Derived `Hash` on a struct of narrow fields and on an enum: a
+        // Phase 1 location (4 shards × sequential rows) and association
+        // keys of every kind over one sequential value range.
+        #[derive(Hash)]
+        struct Loc {
+            shard: u16,
+            row: u32,
+        }
+        let locs = (0..N).map(|i| Loc {
+            shard: (i % 4) as u16,
+            row: (i / 4) as u32,
+        });
+        close("shard × row", spread(&h, locs));
+        let keys = (0..N).map(|i| match i % 5 {
+            0 => AssocKey::Systrace(i / 5),
+            1 => AssocKey::PseudoThread(i / 5),
+            2 => AssocKey::XRequest(u128::from(i / 5)),
+            3 => AssocKey::TcpSeq((i / 5) as u32),
+            _ => AssocKey::OtelTrace(u128::from(i / 5)),
+        });
+        close("mixed-kind assoc keys", spread(&h, keys));
     }
 
     #[test]

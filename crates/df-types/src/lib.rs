@@ -4,8 +4,8 @@
 //!
 //! * [`time`] — virtual nanosecond timestamps ([`TimeNs`]) used by the
 //!   discrete-event substrate;
-//! * [`hash`] — the keyed integer hasher ([`IntMap`]) the server's
-//!   per-span tables use instead of SipHash;
+//! * [`hash`] — the keyed integer hasher ([`IntMap`], [`IntSet`]) the
+//!   server's per-span and per-query tables use instead of SipHash;
 //! * [`ids`] — strongly typed identifiers (processes, threads, coroutines,
 //!   sockets, flows, spans, traces);
 //! * [`net`] — five-tuples, directions, transport protocols;
@@ -52,7 +52,7 @@ pub mod time;
 pub mod trace;
 pub mod wire;
 
-pub use hash::{IntHasher, IntMap};
+pub use hash::{IntHasher, IntMap, IntSet};
 pub use ids::*;
 pub use l7::{L7Protocol, MessageType, SessionKey};
 pub use message::MessageData;
