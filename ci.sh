@@ -82,10 +82,14 @@ echo "==> df-check model suite (checked scheduler)"
 cargo test -q -p df-check --features checked
 
 # The six examples are the paper's §4 case studies, end to end; `cargo
-# test` only compiles them.
-echo "==> examples (release, each must exit 0)"
+# test` only compiles them. Their output is deterministic, so each run's
+# stdout must equal its golden file under examples/expected/: a change
+# that alters what a case study prints fails here with the diff.
+echo "==> examples (release, each must exit 0 and print its golden output)"
 for example in examples/*.rs; do
-  cargo run -q --release --example "$(basename "$example" .rs)" >/dev/null
+  name=$(basename "$example" .rs)
+  cargo run -q --release --example "$name" | diff -u "examples/expected/$name.txt" - \
+    || { echo "examples/$name.rs: failed, or its stdout differs from examples/expected/$name.txt" >&2; exit 1; }
 done
 
 # Doc gates cover the first-party crates; the vendored stand-ins in

@@ -311,10 +311,11 @@ impl ConcurrentShardedStore {
         &self.policy
     }
 
-    /// Override assembly tunables (construction-time; the store is shared
-    /// immutably afterwards).
+    /// Override assembly tunables. Cached traces were built under the old
+    /// config, so the cache is emptied.
     pub fn set_assemble_config(&mut self, cfg: AssembleConfig) {
         self.assemble_cfg = cfg;
+        *self.cache.get_mut().expect("cache lock poisoned") = TraceCache::new();
     }
 
     /// Number of shards (== ingest workers).
@@ -573,7 +574,7 @@ impl ConcurrentShardedStore {
             .collect();
         let shards: Vec<&SpanStore> = guards.iter().map(|g| &**g).collect();
         let (trace, outcome) =
-            trace_cache::query(&self.cache, &shards, loc, start, &self.assemble_cfg);
+            trace_cache::query(&self.cache, &shards, loc, start, &self.assemble_cfg, |_| {});
         drop(guards);
         self.stats
             .lock()

@@ -20,7 +20,7 @@ use crate::assemble::AssembleConfig;
 use crate::dictionary::TagDictionary;
 use crate::sharded::ShardedSpanStore;
 use crate::trace_cache::{self, CacheOutcome, TraceCache};
-use df_check::sync::Mutex;
+use df_check::sync::{Arc, Mutex};
 use df_storage::{ShardPolicy, SpanQuery};
 use df_types::tags::ResourceInventory;
 use df_types::trace::Trace;
@@ -128,8 +128,11 @@ impl Server {
     }
 
     /// Override assembly tunables (the Alg. 1 iteration-cap ablation).
+    /// Cached traces were built under the old config, so the cache is
+    /// emptied.
     pub fn set_assemble_config(&mut self, cfg: AssembleConfig) {
         self.assemble_cfg = cfg;
+        *self.cache.get_mut().expect("cache lock poisoned") = TraceCache::new();
     }
 
     /// The tag dictionary (display lookups).
@@ -210,22 +213,23 @@ impl Server {
     }
 
     /// Trace query: Algorithm 1 from a user-chosen span (Fig. 15's
-    /// "trace"), answered through the incremental trace cache, with
-    /// phase-3 label join on every span. The cache stores the *unlabeled*
-    /// assembly output; labels are joined per query so dictionary updates
-    /// are always reflected.
-    pub fn trace(&self, start: SpanId) -> Trace {
-        let (store, cfg) = (&self.store, &self.assemble_cfg);
-        let (arc, outcome) =
-            trace_cache::query(&self.cache, &store.shards(), store.loc(start), start, cfg);
+    /// "trace"), answered through the incremental trace cache. Returns the
+    /// cache's shared trace, with the phase-3 label join applied to every
+    /// span once, when the trace was built; the span store itself holds
+    /// no labels.
+    pub fn trace(&self, start: SpanId) -> Arc<Trace> {
+        let label = |trace: &mut Trace| {
+            for s in &mut trace.spans {
+                join_labels(&self.dict, &mut s.span);
+            }
+        };
+        let (shards, loc) = (self.store.shards(), self.store.loc(start));
+        let (trace, outcome) =
+            trace_cache::query(&self.cache, &shards, loc, start, &self.assemble_cfg, label);
         self.stats
             .lock()
             .expect("stats lock poisoned")
             .count(outcome);
-        let mut trace = (*arc).clone();
-        for s in &mut trace.spans {
-            join_labels(&self.dict, &mut s.span);
-        }
         trace
     }
 
@@ -426,14 +430,15 @@ mod tests {
         child.capture.tap_side = TapSide::ClientNodeNic;
         child.kind = SpanKind::Net;
         srv.ingest(child); // same seq → same exchange
-        let trace = srv.trace(a);
-        assert_eq!(trace.len(), 2);
-        assert!(trace.is_well_formed());
-        assert!(trace
-            .spans
-            .iter()
-            .all(|s| s.span.tags.label("version") == Some("v3")));
-        assert_eq!(srv.stats().trace_queries, 1);
+        for _ in 0..3 {
+            let trace = srv.trace(a);
+            assert_eq!(trace.len(), 2);
+            assert!(trace.is_well_formed());
+            // Joined once, when the trace was built: no hit joins again.
+            let once = [("version".to_string(), "v3".to_string())];
+            assert!((trace.spans.iter()).all(|s| s.span.tags.custom == once));
+        }
+        assert_eq!(srv.stats().cache_counters(), (1, 2, 0, 0));
     }
 
     #[test]
@@ -453,12 +458,13 @@ mod tests {
         srv.ingest(span(150, 100));
         let cold = srv.trace(a);
         let warm = srv.trace(a);
-        assert_eq!(cold, warm, "cache returns the same labeled trace");
+        assert!(Arc::ptr_eq(&cold, &warm), "a hit is the stored allocation");
         let mut late = span(200, 100);
         late.capture.tap_side = TapSide::ServerProcess;
         srv.ingest(late); // shares the trace's TCP sequence
         let refreshed = srv.trace(a);
         assert_eq!(refreshed.len(), 3);
+        assert!(!Arc::ptr_eq(&cold, &refreshed), "re-assembled anew");
         assert_eq!(srv.stats().cache_counters(), (1, 1, 0, 1));
     }
 
@@ -471,10 +477,12 @@ mod tests {
         let mut unrelated = span(200, 100);
         (unrelated.tcp_seq_req, unrelated.tcp_seq_resp) = (Some(77), Some(78));
         srv.ingest(unrelated); // shares no key
-        assert_eq!(srv.trace(a), cold);
+        assert!(Arc::ptr_eq(&srv.trace(a), &cold), "the entry was kept");
         assert_eq!(srv.stats().cache_counters(), (1, 1, 1, 0));
         srv.ingest(span(250, 100)); // shares the trace's TCP sequence
-        assert_eq!(srv.trace(a).len(), 3, "a longer trace");
+        let longer = srv.trace(a);
+        assert_eq!(longer.len(), 3, "a longer trace");
+        assert!(!Arc::ptr_eq(&longer, &cold), "re-assembled anew");
         assert_eq!(srv.stats().cache_counters(), (1, 1, 1, 1));
     }
 

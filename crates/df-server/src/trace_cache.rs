@@ -32,7 +32,8 @@
 //! * else the entry is dropped ([`CacheOutcome::Invalidated`]) — an entry
 //!   without facts (Phase 1 stopped at `iterations` or `max_spans`) falls
 //!   with the first write — or there was none ([`CacheOutcome::Miss`]), and
-//!   Algorithm 1 runs and is cached at the current version.
+//!   Algorithm 1 runs, the caller's `finish` step completes the fresh
+//!   trace, and it is cached at the current version.
 //!
 //! So the cache is **exact**: after any write, a served trace equals a
 //! fresh Algorithm 1 run over the same corpus. It errs only one way — the
@@ -40,8 +41,13 @@
 //! eviction anywhere drops an entry it could not have touched, which costs
 //! a re-assembly, never a wrong answer.
 //!
-//! Cached traces are handed out as [`Arc<Trace>`], so a warm hit is a
-//! pointer clone.
+//! `finish` is what the caller does to every answer, done once per
+//! assembly instead of once per query: the server joins the phase-3
+//! labels there (its dictionary is fixed at construction, so a label
+//! joined at store time is the label a later join would produce), and the
+//! concurrent store passes a no-op. Cached traces are handed out as
+//! [`Arc<Trace>`] and both callers return that `Arc` as is, so a warm hit
+//! is a lookup and a pointer clone, end to end.
 
 use crate::assemble::{AssembleConfig, JoinFacts};
 use crate::router::Loc;
@@ -184,16 +190,17 @@ impl TraceCache {
 /// ([`Loc::shard`] order) so that nothing is written until it returns:
 /// read the corpus version, serve the entry for `start` if
 /// [`TraceCache::lookup`] can, and otherwise run Algorithm 1 from `loc`
-/// and cache what it built. Reading, checking and storing under the one
-/// pin is what makes an entry's version match the rows it vouches for. The
-/// cache lock is not held across the assembly. Returns the trace and the
-/// outcome the caller counts.
+/// and cache what it built, once `finish` has run on it. Reading, checking
+/// and storing under the one pin is what makes an entry's version match
+/// the rows it vouches for. The cache lock is not held across the assembly.
+/// Returns the trace and the outcome the caller counts.
 pub(crate) fn query(
     cache: &Mutex<TraceCache>,
     shards: &[&SpanStore],
     loc: Option<Loc>,
     start: SpanId,
     cfg: &AssembleConfig,
+    finish: impl FnOnce(&mut Trace),
 ) -> (Arc<Trace>, CacheOutcome) {
     let version = corpus_version(shards.iter().copied());
     let looked = cache
@@ -204,7 +211,8 @@ pub(crate) fn query(
         Ok(served) => return served,
         Err(outcome) => outcome,
     };
-    let (trace, facts) = assemble_local(shards, loc, start, cfg);
+    let (mut trace, facts) = assemble_local(shards, loc, start, cfg);
+    finish(&mut trace);
     let mut cache = cache.lock().expect("cache lock poisoned");
     (cache.store(start, trace, version, facts), outcome)
 }
@@ -238,8 +246,8 @@ mod tests {
         store: &ShardedSpanStore,
         start: SpanId,
     ) -> (Arc<Trace>, CacheOutcome) {
-        let cfg = AssembleConfig::default();
-        query(cache, &store.shards(), store.loc(start), start, &cfg)
+        let (shards, cfg) = (store.shards(), AssembleConfig::default());
+        query(cache, &shards, store.loc(start), start, &cfg, |_| {})
     }
 
     #[test]

@@ -155,18 +155,34 @@ fn an_eviction_and_an_insert_that_cancel_in_the_posting_total_still_invalidate()
     assert_eq!(srv.stats().cache_invalidations, 1);
 }
 
-/// A span sharing the cached trace's TCP sequence number four seconds
-/// after it — far outside any time window around the trace — is still a
-/// member, on both stacks.
+/// A config change drops what the old config built: a trace cached under
+/// the default is re-assembled under `max_spans: 1`, on both stacks.
 #[test]
-fn a_span_sharing_a_key_seconds_later_joins_the_cached_trace() {
+fn a_config_change_is_not_served_the_old_configs_trace() {
     let mut srv = Server::new(&ResourceInventory::default());
-    let store = ConcurrentShardedStore::new(ShardPolicy::default());
-    let on_seq_7 = |side, req: u64| {
-        let mut s = Span::synthetic(side, req, req + 500);
-        s.tcp_seq_req = Some(7);
-        s
+    let mut store = ConcurrentShardedStore::new(ShardPolicy::default());
+    let start = cache_a_linked_pair(&mut srv, &store);
+    let one = AssembleConfig {
+        max_spans: 1,
+        ..AssembleConfig::default()
     };
+    srv.set_assemble_config(one.clone());
+    store.set_assemble_config(one.clone());
+    let fresh = view(&assemble_trace_sharded(srv.store(), start, &one));
+    assert_eq!(fresh.len(), 1);
+    assert_eq!(view(&srv.trace(start)), fresh, "server");
+    assert_eq!(view(&store.query_trace(start)), fresh, "concurrent");
+}
+
+fn on_seq_7(side: TapSide, req: u64) -> Span {
+    let mut s = Span::synthetic(side, req, req + 500);
+    s.tcp_seq_req = Some(7);
+    s
+}
+
+/// Ingest a client's and a server's span on TCP sequence 7 into both
+/// stacks and cache the trace from the first on each.
+fn cache_a_linked_pair(srv: &mut Server, store: &ConcurrentShardedStore) -> SpanId {
     let pair = vec![
         on_seq_7(TapSide::ClientProcess, 1_000_000_000),
         on_seq_7(TapSide::ServerProcess, 1_000_000_010),
@@ -176,7 +192,17 @@ fn a_span_sharing_a_key_seconds_later_joins_the_cached_trace() {
     store.flush();
     assert_eq!(srv.trace(start).len(), 2);
     assert_eq!(store.query_trace(start).len(), 2);
+    start
+}
 
+/// A span sharing the cached trace's TCP sequence number four seconds
+/// after it — far outside any time window around the trace — is still a
+/// member, on both stacks.
+#[test]
+fn a_span_sharing_a_key_seconds_later_joins_the_cached_trace() {
+    let mut srv = Server::new(&ResourceInventory::default());
+    let store = ConcurrentShardedStore::new(ShardPolicy::default());
+    let start = cache_a_linked_pair(&mut srv, &store);
     let late = on_seq_7(TapSide::ServerPodNic, 5_000_000_000);
     store.insert_batch(vec![late.clone()]);
     srv.ingest(late);

@@ -428,7 +428,7 @@ fn re_aggregated_sessions_carry_the_status_the_agent_would_have_given() {
         let mut server = Server::new(&ResourceInventory::default());
         let ids = server.ingest_batch(halves);
         assert_eq!(server.re_aggregate(), 1);
-        let reunited = server.trace(ids[0]).spans.remove(0).span;
+        let reunited = server.trace(ids[0]).spans[0].span.clone();
         assert_eq!(
             (reunited.status, reunited.status_code),
             (agent_built.status, agent_built.status_code),
