@@ -56,13 +56,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # The static passes, one binary over one read of the tree (docs/LINTS.md):
 # the sync-discipline rules, decoder panic-totality over
-# wire.rs/rpc.rs/persist.rs, the static lock-order graph (AB/BA cycles
-# fail; the model suite cross-checks it against runtime-observed edges),
-# and spec <-> codec agreement — docs/WIRE_FORMAT.md and
-# docs/SEGMENT_FORMAT.md must match the codec constants (magic, version,
-# field order) and cover every RPC kind and presence bit.
+# wire.rs/rpc.rs/persist.rs, the static lock-order graph over production
+# sources (AB/BA cycles fail), and spec <-> codec agreement —
+# docs/WIRE_FORMAT.md and docs/SEGMENT_FORMAT.md must match the codec
+# constants (magic, version, field order) and cover every RPC kind and
+# presence bit.
 echo "==> df-audit (sync discipline, panic-totality, lock-order, spec sync)"
 cargo run -q -p df-check --bin df-audit -- .
+# The lock-order graph's edges are a reviewed file, like the example
+# goldens: a new or lost nesting fails here until docs/LOCK_ORDER.txt is
+# regenerated with the command below (minus the diff).
+cargo run -q -p df-check --bin df-audit -- --graph . | sed 's/  (via .*//' \
+  | diff -u docs/LOCK_ORDER.txt - \
+  || { echo "df-audit --graph: lock-order edges differ from docs/LOCK_ORDER.txt" >&2; exit 1; }
 
 echo "==> cargo test"
 cargo test --workspace -q

@@ -22,21 +22,18 @@
 //!    `df_check::sync` shim call sites (`.lock()`, `.read()`,
 //!    `.write()`), guards are tracked through `let` bindings and block
 //!    scopes, and the summaries are propagated over an intra-crate
-//!    call-graph approximation into a global lock-order graph. Any
-//!    AB/BA cycle in that graph fails the audit. The graph is also the
-//!    static half of a *cross-check*: every lock edge the runtime
-//!    scheduler records during the model suite must appear here (see
-//!    [`check_runtime_edges`]); an unpredicted edge means the static
-//!    analysis has a blind spot and fails CI.
+//!    call-graph approximation into a global lock-order graph over the
+//!    production sources. Any AB/BA cycle in that graph fails the audit.
 //!
 //! The analyses are deliberately heuristic (no rustc internals, no type
 //! information): names are resolved within one crate, method names that
 //! collide with std collection methods are never treated as calls, and
-//! cross-crate edges are invisible. The runtime cross-check is what
-//! keeps those approximations honest — a real nesting the static pass
-//! misses shows up as a runtime edge with no static counterpart.
+//! cross-crate edges are invisible. The graph can therefore both miss a
+//! nesting and invent one (a call resolved by bare name to the wrong
+//! type's method); `docs/LOCK_ORDER.txt` pins the edges it derives today,
+//! so either kind of change to the graph is a reviewed diff.
 
-use crate::lint::{is_model_test_file, SYNC_SCOPED_CRATES};
+use crate::lint::SYNC_SCOPED_CRATES;
 use crate::syntax::{self, close_of, is_keyword, seq, FnItem, Source, Token, TokenKind, Violation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -90,7 +87,7 @@ const PANIC_MACROS: &[&str] = &[
 /// collide with first-party function names (`get`, `insert`, `query`
 /// receivers are fine — the *name* is what must not resolve) and
 /// fabricate edges. A real nesting reached only through such a name is
-/// caught by the runtime cross-check instead.
+/// invisible to the pass.
 const CALL_DENYLIST: &[&str] = &[
     "abs",
     "all",
@@ -492,28 +489,12 @@ pub struct EdgeSite {
     pub via: String,
 }
 
-/// A lock creation site (`name: Mutex::new(..)` / `let name =
-/// RwLock::new(..)`), used to resolve the runtime scheduler's
-/// creation-`Location`s back to static lock names.
-#[derive(Debug, Clone)]
-pub struct CreationSite {
-    /// Repo-relative path of the file.
-    pub file: String,
-    /// Line of the `Mutex::new` / `RwLock::new` token (what
-    /// `#[track_caller]` records at runtime).
-    pub line: usize,
-    /// Crate-qualified lock name, e.g. `df-server::gens`.
-    pub name: String,
-}
-
 /// The statically derived lock-order graph for a tree.
 #[derive(Debug, Default)]
 pub struct LockAnalysis {
     /// (held, acquired) → where that edge was induced. Names are
     /// crate-qualified; self-edges are never recorded.
     pub edges: BTreeMap<(String, String), EdgeSite>,
-    /// Every lock creation site found in the scanned files.
-    pub creations: Vec<CreationSite>,
     /// Cycle violations (rule `lock-order`).
     pub violations: Vec<Violation>,
 }
@@ -702,49 +683,6 @@ fn chain_keeps_guard(toks: &[Token<'_>], mut i: usize) -> bool {
     true
 }
 
-/// Find lock creation sites (`name: Mutex::new(..)`, `let name =
-/// Arc::new(RwLock::new(..))`) in one file's token stream.
-fn creation_sites(src: &Source<'_>, krate: &str, out: &mut Vec<CreationSite>) {
-    let toks = &src.tokens;
-    for i in 0..toks.len() {
-        let t = toks[i];
-        if t.kind != TokenKind::Ident || !matches!(t.text, "Mutex" | "RwLock") {
-            continue;
-        }
-        if !(seq(toks, i + 1, &["::", "new", "("]) || seq(toks, i + 1, &["::", "default", "("])) {
-            continue;
-        }
-        // Walk back over path/constructor noise to the binding: the
-        // nearest `=` or `:` whose preceding token is the bound name.
-        let mut j = i;
-        let name = loop {
-            if j == 0 {
-                break None;
-            }
-            j -= 1;
-            match toks[j].text {
-                "=" | ":" => {
-                    break j
-                        .checked_sub(1)
-                        .map(|p| toks[p])
-                        .filter(|p| p.kind == TokenKind::Ident && !is_keyword(p.text))
-                        .map(|p| p.text.to_string());
-                }
-                "::" | "(" | "&" => continue,
-                _ if toks[j].kind == TokenKind::Ident => continue,
-                _ => break None,
-            }
-        };
-        if let Some(name) = name {
-            out.push(CreationSite {
-                file: src.rel.to_string(),
-                line: t.line,
-                name: format!("{krate}::{name}"),
-            });
-        }
-    }
-}
-
 /// Build the static lock-order graph for the tree under `root` (reads
 /// the tree; [`lock_graph`] is the same analysis over a parsed one).
 pub fn analyze_locks(root: &Path) -> Result<LockAnalysis, String> {
@@ -754,26 +692,20 @@ pub fn analyze_locks(root: &Path) -> Result<LockAnalysis, String> {
 
 /// Build the static lock-order graph of a parsed tree.
 ///
-/// The files that feed it are exactly the shim-visible universe — the
-/// sources of [`SYNC_SCOPED_CRATES`] — plus every crate's
-/// `*df_check_models*` test files, the only places model executions (and
-/// therefore runtime lock edges) come from. Summaries are extracted per
-/// function (production code only in `src` files; model-test files
-/// contribute all their functions, since model scenarios are exactly
-/// what the runtime records), the intra-crate call graph propagates
-/// acquire-sets to a fixpoint, and every AB/BA cycle among the resulting
-/// edges becomes a `lock-order` violation.
+/// The files that feed it are exactly the shim-visible production code:
+/// the non-test functions in the `src` of [`SYNC_SCOPED_CRATES`].
+/// Summaries are extracted per function, the intra-crate call graph
+/// propagates acquire-sets to a fixpoint, and every AB/BA cycle among the
+/// resulting edges becomes a `lock-order` violation.
 pub fn lock_graph(tree: &[Source<'_>]) -> LockAnalysis {
     let mut summaries: Vec<FnSummary> = Vec::new();
     let mut analysis = LockAnalysis::default();
     for src in tree {
         let (krate, dir) = src.scope();
-        let model_suite = is_model_test_file(src);
-        if !(model_suite || dir == "src" && SYNC_SCOPED_CRATES.contains(&krate)) {
+        if dir != "src" || !SYNC_SCOPED_CRATES.contains(&krate) {
             continue;
         }
-        creation_sites(src, krate, &mut analysis.creations);
-        for item in src.fns.iter().filter(|f| model_suite || !f.in_test) {
+        for item in src.fns.iter().filter(|f| !f.in_test) {
             summaries.push(summarize_fn(item, src, krate));
         }
     }
@@ -934,59 +866,6 @@ fn find_cycles(edges: &BTreeMap<(String, String), EdgeSite>) -> Vec<Violation> {
         });
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// Runtime cross-check
-// ---------------------------------------------------------------------
-
-/// Resolve a runtime creation site (`file:line`, as recorded by the
-/// scheduler from `#[track_caller]`) to a crate-qualified lock name.
-pub fn resolve_creation(analysis: &LockAnalysis, site: &str) -> Option<String> {
-    let (file, line) = site.rsplit_once(':')?;
-    let line: usize = line.parse().ok()?;
-    analysis
-        .creations
-        .iter()
-        .find(|c| c.line == line && (file.ends_with(&c.file) || c.file.ends_with(file)))
-        .map(|c| c.name.clone())
-}
-
-/// Check that every runtime lock edge (pairs of creation `file:line`
-/// sites, from [`crate::model::runtime_lock_edges`]) is predicted by
-/// the static graph. Returns a description of every gap: an unresolvable
-/// creation site or an edge the static analysis missed. Same-name edges
-/// (two instances created at one site, e.g. two shard `store` locks) are
-/// skipped — instance ordering within one name is the dynamic checker's
-/// job, not the static graph's.
-pub fn check_runtime_edges(analysis: &LockAnalysis, runtime: &[(String, String)]) -> Vec<String> {
-    let mut gaps = Vec::new();
-    for (held_site, acq_site) in runtime {
-        let Some(held) = resolve_creation(analysis, held_site) else {
-            gaps.push(format!(
-                "runtime lock created at {held_site} has no static creation site \
-                 (is the file outside the lock-order scan set?)"
-            ));
-            continue;
-        };
-        let Some(acq) = resolve_creation(analysis, acq_site) else {
-            gaps.push(format!(
-                "runtime lock created at {acq_site} has no static creation site \
-                 (is the file outside the lock-order scan set?)"
-            ));
-            continue;
-        };
-        if held == acq {
-            continue;
-        }
-        if !analysis.edges.contains_key(&(held.clone(), acq.clone())) {
-            gaps.push(format!(
-                "runtime lock edge {held} -> {acq} (created {held_site}, {acq_site}) is \
-                 not in the static lock-order graph — the static analysis has a blind spot"
-            ));
-        }
-    }
-    gaps
 }
 
 // ---------------------------------------------------------------------
@@ -1204,72 +1083,5 @@ mod tests {
 
         edges.remove(&("b".to_string(), "a".to_string()));
         assert!(find_cycles(&edges).is_empty());
-    }
-
-    #[test]
-    fn creation_sites_found_for_let_and_field_forms() {
-        let src = "fn f() {\n\
-                     let store = Arc::new(RwLock::new(Vec::new()));\n\
-                     let s = S { gens: Mutex::new(0), cache: Mutex::new(1) };\n\
-                   }";
-        let mut out = Vec::new();
-        creation_sites(&Source::parse("f.rs", src), "c", &mut out);
-        let names: Vec<_> = out.iter().map(|c| (c.name.as_str(), c.line)).collect();
-        assert_eq!(
-            names,
-            vec![("c::store", 2), ("c::gens", 3), ("c::cache", 3)],
-            "{out:?}"
-        );
-    }
-
-    #[test]
-    fn runtime_edge_cross_check_finds_gaps_and_matches() {
-        let mut analysis = LockAnalysis::default();
-        analysis.creations.push(CreationSite {
-            file: "crates/x/src/a.rs".to_string(),
-            line: 10,
-            name: "x::a".to_string(),
-        });
-        analysis.creations.push(CreationSite {
-            file: "crates/x/src/a.rs".to_string(),
-            line: 20,
-            name: "x::b".to_string(),
-        });
-        analysis.edges.insert(
-            ("x::a".to_string(), "x::b".to_string()),
-            EdgeSite {
-                file: "crates/x/src/a.rs".to_string(),
-                line: 30,
-                via: "f".to_string(),
-            },
-        );
-        let ok = vec![(
-            "crates/x/src/a.rs:10".to_string(),
-            "crates/x/src/a.rs:20".to_string(),
-        )];
-        assert!(check_runtime_edges(&analysis, &ok).is_empty());
-
-        // Same-name edges (two instances from one site) are skipped.
-        let same = vec![(
-            "crates/x/src/a.rs:10".to_string(),
-            "crates/x/src/a.rs:10".to_string(),
-        )];
-        assert!(check_runtime_edges(&analysis, &same).is_empty());
-
-        let reversed = vec![(
-            "crates/x/src/a.rs:20".to_string(),
-            "crates/x/src/a.rs:10".to_string(),
-        )];
-        let gaps = check_runtime_edges(&analysis, &reversed);
-        assert_eq!(gaps.len(), 1, "{gaps:?}");
-        assert!(gaps[0].contains("x::b -> x::a"), "{gaps:?}");
-
-        let unknown = vec![(
-            "crates/x/src/zzz.rs:1".to_string(),
-            "crates/x/src/a.rs:20".to_string(),
-        )];
-        let gaps = check_runtime_edges(&analysis, &unknown);
-        assert_eq!(gaps.len(), 1);
-        assert!(gaps[0].contains("no static creation site"));
     }
 }

@@ -18,9 +18,6 @@ fn run(graph: bool, root: PathBuf) -> Result<ExitCode, String> {
                 site.via, site.file, site.line
             );
         }
-        for c in &analysis.creations {
-            println!("lock {} created at {}:{}", c.name, c.file, c.line);
-        }
         return Ok(ExitCode::SUCCESS);
     }
     let violations = df_check::audit::audit_tree(&root)?;

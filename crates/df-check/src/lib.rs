@@ -27,9 +27,7 @@
 //!    state hash, and a failing schedule is reported as the exact
 //!    interleaving (with source locations) plus a decision vector that
 //!    [`model::replay`] re-executes verbatim. Layered on the same
-//!    instrumentation are a **vector-clock data-race detector** (per-thread
-//!    clocks joined on release→acquire edges; racy accesses are modelled
-//!    with [`sync::Racy`]) and a **lock-order graph** whose cycles flag
+//!    instrumentation is a **lock-order graph** whose cycles flag
 //!    potential deadlocks even on schedules that happen to pass.
 //!
 //! 3. **[`syntax`] — the one reader of the source tree.** A directory
@@ -50,23 +48,21 @@
 //!    model-test files. [`audit`] is panic-totality of the designated
 //!    total-decode modules (no `unwrap`/`panic!`, no slice indexing, no
 //!    unchecked length arithmetic — with a justification-required
-//!    `// df-audit: allow(...)` escape) and a static lock-order graph
-//!    derived from shim call sites and call-graph propagation (AB/BA
-//!    cycles fail CI), cross-checked against the edges the checked
-//!    scheduler actually observes ([`model::runtime_lock_edges`] /
-//!    [`audit::check_runtime_edges`]) so the heuristic static pass cannot
-//!    silently under-approximate. [`spec`] holds each normative format
-//!    document to its codec: magic, version and name table agree, and
-//!    every RPC kind and presence bit has an encode site, a decode arm
-//!    and a doc-table row.
+//!    `// df-audit: allow(...)` escape) and a static lock-order graph over
+//!    the production sources, derived from shim call sites and call-graph
+//!    propagation (AB/BA cycles fail CI; `ci.sh` also diffs its edges
+//!    against the reviewed `docs/LOCK_ORDER.txt`). [`spec`] holds each
+//!    normative format document to its codec: magic, version and name
+//!    table agree, and every RPC kind and presence bit has an encode
+//!    site, a decode arm and a doc-table row.
 //!
 //! The model tests live next to the code they check
 //! (`df-server/tests/df_check_models.rs` and its df-storage / df-cluster
 //! siblings); this crate's own tests exercise the checker itself
-//! (deadlock detection, race detection, preemption bounds, replay
+//! (deadlock detection, lock-order cycles, preemption bounds, replay
 //! determinism) and each static rule against seeded fixture trees. See
 //! `docs/ARCHITECTURE.md` § "Correctness tooling" for how to write a
-//! `df-check` test and pick a schedule budget.
+//! `df-check` test.
 //!
 //! ## Example (degrades gracefully when `checked` is off)
 //!

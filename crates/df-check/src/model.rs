@@ -9,9 +9,9 @@
 //!   interleaving and decision vector on failure.
 //! * [`replay`] re-executes one recorded decision vector deterministically
 //!   — paste the `schedule` from a failure report to single-step a bug.
-//! * [`spawn`]/[`JoinHandle`]/[`yield_now`] are the thread API model
-//!   closures use; outside a model execution (or in an unchecked build)
-//!   they fall through to `std::thread`.
+//! * [`spawn`]/[`JoinHandle`] are the thread API model closures use;
+//!   outside a model execution (or in an unchecked build) they fall
+//!   through to `std::thread`.
 //!
 //! Without the `checked` feature (or `--cfg df_check`) the scheduler is
 //! not compiled at all and [`explore`] degrades to running the closure
@@ -23,22 +23,22 @@ use crate::sched;
 #[cfg(any(feature = "checked", df_check))]
 use std::sync::{Arc, Mutex};
 
-/// Exploration tunables. `Default` is a good starting point for protocol
-/// models of 2–4 threads; see docs/ARCHITECTURE.md for budget guidance.
+/// Schedules explored before giving up (`complete: false`).
+#[cfg(any(feature = "checked", df_check))]
+const MAX_SCHEDULES: usize = 50_000;
+
+/// Per-run decision cap — exceeding it fails the run as a probable
+/// livelock ([`FailureKind::StepLimit`]).
+#[cfg(any(feature = "checked", df_check))]
+pub(crate) const MAX_STEPS: usize = 20_000;
+
+/// Exploration settings. `Default` is a good starting point for protocol
+/// models of 2–4 threads.
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
     /// Preemption bound: schedules needing more involuntary context
     /// switches are not explored (2–3 finds almost all real bugs).
     pub max_preemptions: usize,
-    /// Total schedules to explore before giving up (`complete: false`).
-    pub max_schedules: usize,
-    /// Per-run decision cap — exceeding it fails the run as a probable
-    /// livelock ([`FailureKind::StepLimit`]).
-    pub max_steps: usize,
-    /// Treat a detected data race as a failure (on by default).
-    pub fail_on_race: bool,
-    /// Treat a lock-order cycle as a failure (on by default).
-    pub fail_on_lock_cycle: bool,
     /// Replay exactly this decision vector once instead of exploring.
     pub replay: Option<Vec<usize>>,
 }
@@ -47,34 +47,8 @@ impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
             max_preemptions: 2,
-            max_schedules: 50_000,
-            max_steps: 20_000,
-            fail_on_race: true,
-            fail_on_lock_cycle: true,
             replay: None,
         }
-    }
-}
-
-impl CheckConfig {
-    /// Apply CI budget overrides from the environment:
-    /// `DF_CHECK_MAX_SCHEDULES` caps the schedule count and
-    /// `DF_CHECK_MAX_PREEMPTIONS` the preemption bound, so `ci.sh` can
-    /// bound the whole suite without editing each test.
-    pub fn env_budget(mut self) -> Self {
-        if let Some(n) = std::env::var("DF_CHECK_MAX_SCHEDULES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            self.max_schedules = n;
-        }
-        if let Some(n) = std::env::var("DF_CHECK_MAX_PREEMPTIONS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            self.max_preemptions = n;
-        }
-        self
     }
 }
 
@@ -85,12 +59,10 @@ pub enum FailureKind {
     Panic,
     /// Every live thread was blocked.
     Deadlock,
-    /// Two [`crate::sync::Racy`] accesses unordered by happens-before.
-    DataRace,
     /// The lock-order graph contains a cycle that could block (reported
     /// even when every explored schedule passed).
     LockOrderCycle,
-    /// A run exceeded [`CheckConfig::max_steps`] decisions.
+    /// A run exceeded the per-run cap of 20 000 scheduling decisions.
     StepLimit,
 }
 
@@ -168,7 +140,7 @@ where
     let mut target = cfg.replay.clone().unwrap_or_default();
     let mut seen = std::collections::HashSet::new();
     loop {
-        let sched = sched::Scheduler::new(cfg.clone(), target.clone(), std::mem::take(&mut seen));
+        let sched = sched::Scheduler::new(target.clone(), std::mem::take(&mut seen));
         let body = Arc::clone(&f);
         let s2 = Arc::clone(&sched);
         let main = std::thread::Builder::new()
@@ -177,7 +149,7 @@ where
             .expect("spawn model main thread");
         let outcome = sched.finish_run(main);
         report.schedules += 1;
-        report.states_pruned = outcome.pruned;
+        report.states_pruned += outcome.pruned;
         seen = outcome.seen;
         for c in outcome.lock_cycles {
             if !report.lock_cycles.contains(&c) {
@@ -188,7 +160,7 @@ where
             report.failure = Some(failure);
             return report;
         }
-        if cfg.fail_on_lock_cycle && !report.lock_cycles.is_empty() {
+        if !report.lock_cycles.is_empty() {
             report.failure = Some(Failure {
                 kind: FailureKind::LockOrderCycle,
                 message: format!(
@@ -210,7 +182,7 @@ where
                 return report;
             }
         }
-        if report.schedules >= cfg.max_schedules {
+        if report.schedules >= MAX_SCHEDULES {
             return report;
         }
     }
@@ -236,23 +208,6 @@ where
             schedule: Vec::new(),
         }),
     }
-}
-
-/// Every lock-order edge observed by model executions in this process,
-/// as `(held, acquired)` lock-creation-site pairs formatted `file:line`.
-/// `df-audit`'s static/dynamic cross-check feeds these to
-/// [`crate::audit::check_runtime_edges`] to assert the static lock-order
-/// graph predicted every edge the model suite actually exercised.
-#[cfg(any(feature = "checked", df_check))]
-pub fn runtime_lock_edges() -> Vec<(String, String)> {
-    crate::sched::runtime_lock_edges()
-}
-
-/// Unchecked fallback: plain `std` locks record nothing, so the runtime
-/// lock-order graph is empty.
-#[cfg(not(any(feature = "checked", df_check)))]
-pub fn runtime_lock_edges() -> Vec<(String, String)> {
-    Vec::new()
 }
 
 /// [`explore`] with a test-friendly contract: panic with the rendered
@@ -375,20 +330,4 @@ where
         });
     }
     JoinHandle(Imp::Std(std::thread::spawn(f)))
-}
-
-/// A pure scheduling yield point (no object involved) — use it to give the
-/// explorer a branch point inside busy loops.
-#[track_caller]
-pub fn yield_now() {
-    #[cfg(any(feature = "checked", df_check))]
-    if let Some(ctx) = sched::current() {
-        let _ = ctx.sched.yield_op(
-            ctx.tid,
-            sched::Op::new(sched::OpKind::Yield),
-            std::panic::Location::caller(),
-        );
-        return;
-    }
-    std::thread::yield_now();
 }

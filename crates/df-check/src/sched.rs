@@ -21,22 +21,15 @@
 //! depends only on what they observe through the shims, which the
 //! `df-audit` import ban makes the norm.
 //!
-//! Layered on the same instrumentation:
-//!
-//! * **Vector clocks** — each thread and each sync object carries a clock;
-//!   release joins the thread clock into the object, acquire joins the
-//!   object clock into the thread (channel sends attach the sender's clock
-//!   to the message). [`crate::sync::Racy`] accesses are checked against
-//!   these clocks: a pair of accesses (at least one write) unordered by
-//!   happens-before is reported as a data race with both sites.
-//! * **Lock-order graph** — acquiring `B` while holding `A` records the
-//!   edge `A → B` with both hold modes; a cycle whose edges are not all
-//!   shared/shared is a potential deadlock and is reported even when every
-//!   explored schedule happens to pass.
+//! Layered on the same instrumentation is a **lock-order graph**:
+//! acquiring `B` while holding `A` records the edge `A → B` with both hold
+//! modes; a cycle whose edges are not all shared/shared is a potential
+//! deadlock and is reported even when every explored schedule happens to
+//! pass.
 
-use crate::model::{payload_msg, CheckConfig, Failure, FailureKind};
+use crate::model::{payload_msg, Failure, FailureKind, MAX_STEPS};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::panic::Location;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -56,35 +49,6 @@ pub fn next_instance() -> u64 {
     INSTANCES.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Process-global registry of every lock-order edge any model execution
-/// has observed, as `(held, acquired)` creation-site pairs formatted
-/// `file:line`. `df-audit`'s static/dynamic cross-check reads this after
-/// the model suite runs to assert every runtime edge was statically
-/// predicted (see [`crate::audit::check_runtime_edges`]).
-static RUNTIME_LOCK_EDGES: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
-
-fn record_runtime_edge(held: &'static Location<'static>, acquired: &'static Location<'static>) {
-    let pair = (
-        format!("{}:{}", held.file(), held.line()),
-        format!("{}:{}", acquired.file(), acquired.line()),
-    );
-    let mut reg = RUNTIME_LOCK_EDGES
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if !reg.contains(&pair) {
-        reg.push(pair);
-    }
-}
-
-/// Every lock-order edge recorded by model executions in this process,
-/// as `(held creation site, acquired creation site)` `file:line` pairs.
-pub(crate) fn runtime_lock_edges() -> Vec<(String, String)> {
-    RUNTIME_LOCK_EDGES
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone()
-}
-
 /// What kind of shim object an [`ObjId`] refers to (for reports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObjKind {
@@ -93,7 +57,6 @@ pub enum ObjKind {
     Condvar,
     Channel,
     Atomic,
-    Racy,
 }
 
 /// One yield-point operation.
@@ -113,11 +76,8 @@ pub enum OpKind {
     AtomicLoad,
     AtomicStore,
     AtomicRmw,
-    RacyRead,
-    RacyWrite,
     Spawn,
     Join,
-    Yield,
     Finish,
 }
 
@@ -215,7 +175,6 @@ struct ThreadRec {
     status: Status,
     pending: Option<(Op, &'static Location<'static>)>,
     grant: Option<Grant>,
-    vc: Vec<u64>,
     hist: u64,
     held: Vec<(ObjId, Mode)>,
     /// The mutex to reacquire when this thread is woken from a condvar.
@@ -223,12 +182,11 @@ struct ThreadRec {
 }
 
 impl ThreadRec {
-    fn new(vc: Vec<u64>) -> Self {
+    fn new(begin_site: &'static Location<'static>) -> Self {
         ThreadRec {
             status: Status::Ready,
-            pending: None,
+            pending: Some((Op::new(OpKind::Begin), begin_site)),
             grant: None,
-            vc,
             hist: 0x9e3779b97f4a7c15,
             held: Vec::new(),
             wait_mutex: None,
@@ -240,7 +198,6 @@ impl ThreadRec {
 struct ObjRec {
     kind: ObjKind,
     created: &'static Location<'static>,
-    vc: Vec<u64>,
     sig: u64,
     /// Mutex owner / RwLock writer.
     owner: Option<Tid>,
@@ -253,10 +210,6 @@ struct ObjRec {
     len: usize,
     senders: usize,
     rx_alive: bool,
-    msg_vcs: VecDeque<Vec<u64>>,
-    /// Racy-cell access history for the race detector.
-    last_write: Option<(Tid, Vec<u64>, &'static Location<'static>)>,
-    reads: Vec<(Tid, Vec<u64>, &'static Location<'static>)>,
 }
 
 impl ObjRec {
@@ -264,7 +217,6 @@ impl ObjRec {
         ObjRec {
             kind,
             created,
-            vc: Vec::new(),
             sig: 0x517cc1b727220a95,
             owner: None,
             readers: Vec::new(),
@@ -273,9 +225,6 @@ impl ObjRec {
             len: 0,
             senders: 1,
             rx_alive: true,
-            msg_vcs: VecDeque::new(),
-            last_write: None,
-            reads: Vec::new(),
         }
     }
 }
@@ -292,7 +241,6 @@ pub struct Decision {
 }
 
 struct SchedInner {
-    cfg: CheckConfig,
     target: Vec<usize>,
     threads: Vec<ThreadRec>,
     objs: Vec<ObjRec>,
@@ -352,27 +300,6 @@ pub fn current() -> Option<Ctx> {
     CTX.with(|c| c.borrow().clone())
 }
 
-// ---------------------------------------------------------------------
-// Vector-clock helpers
-// ---------------------------------------------------------------------
-
-fn vc_join(a: &mut Vec<u64>, b: &[u64]) {
-    if a.len() < b.len() {
-        a.resize(b.len(), 0);
-    }
-    for (i, &v) in b.iter().enumerate() {
-        if a[i] < v {
-            a[i] = v;
-        }
-    }
-}
-
-fn vc_leq(a: &[u64], b: &[u64]) -> bool {
-    a.iter()
-        .enumerate()
-        .all(|(i, &v)| v <= b.get(i).copied().unwrap_or(0))
-}
-
 fn mix(h: u64, v: u64) -> u64 {
     (h ^ v)
         .wrapping_mul(0x0001_0000_0000_01b3)
@@ -385,14 +312,11 @@ fn op_hash(op: &Op) -> u64 {
 }
 
 impl Scheduler {
-    pub fn new(cfg: CheckConfig, target: Vec<usize>, seen: HashSet<u64>) -> Arc<Self> {
-        let mut main = ThreadRec::new(vec![1]);
-        main.pending = Some((Op::new(OpKind::Begin), Location::caller()));
+    pub fn new(target: Vec<usize>, seen: HashSet<u64>) -> Arc<Self> {
         Arc::new(Scheduler {
             inner: Mutex::new(SchedInner {
-                cfg,
                 target,
-                threads: vec![main],
+                threads: vec![ThreadRec::new(Location::caller())],
                 objs: Vec::new(),
                 obj_ids: HashMap::new(),
                 decisions: Vec::new(),
@@ -626,11 +550,11 @@ impl Scheduler {
                 self.cv.notify_all();
                 return;
             }
-            if g.decisions.len() >= g.cfg.max_steps {
+            if g.decisions.len() >= MAX_STEPS {
                 fail(
                     g,
                     FailureKind::StepLimit,
-                    format!("run exceeded {} decisions (livelock?)", g.cfg.max_steps),
+                    format!("run exceeded {MAX_STEPS} decisions (livelock?)"),
                 );
                 self.cv.notify_all();
                 return;
@@ -739,7 +663,6 @@ fn op_enabled(g: &SchedInner, t: Tid) -> bool {
 }
 
 fn release_obj(g: &mut SchedInner, tid: Tid, obj: ObjId, mode: Mode) {
-    let vc = g.threads[tid].vc.clone();
     let o = &mut g.objs[obj];
     match mode {
         Mode::Excl => o.owner = None,
@@ -749,32 +672,23 @@ fn release_obj(g: &mut SchedInner, tid: Tid, obj: ObjId, mode: Mode) {
             }
         }
     }
-    vc_join(&mut o.vc, &vc);
-    let rec = &mut g.threads[tid];
-    if rec.vc.len() <= tid {
-        rec.vc.resize(tid + 1, 0);
-    }
-    rec.vc[tid] += 1;
-    if let Some(pos) = rec.held.iter().position(|&(h, _)| h == obj) {
-        rec.held.remove(pos);
+    let held = &mut g.threads[tid].held;
+    if let Some(pos) = held.iter().position(|&(h, _)| h == obj) {
+        held.remove(pos);
     }
 }
 
 fn acquire_obj(g: &mut SchedInner, tid: Tid, obj: ObjId, mode: Mode) {
     // Lock-order edges from everything currently held to the new lock.
-    let held = g.threads[tid].held.clone();
-    for (h, hm) in held {
+    for &(h, hm) in &g.threads[tid].held {
         if h != obj {
             g.lock_edges.entry((h, obj)).or_insert((hm, mode));
-            record_runtime_edge(g.objs[h].created, g.objs[obj].created);
         }
     }
     match mode {
         Mode::Excl => g.objs[obj].owner = Some(tid),
         Mode::Shared => g.objs[obj].readers.push(tid),
     }
-    let ovc = g.objs[obj].vc.clone();
-    vc_join(&mut g.threads[tid].vc, &ovc);
     g.threads[tid].held.push((obj, mode));
 }
 
@@ -798,7 +712,13 @@ fn grant(g: &mut SchedInner, t: Tid) {
     });
     let mut next_status = Status::Running;
     match op.kind {
-        OpKind::Begin | OpKind::Yield => {}
+        // Atomics and joins only order the schedule; `Join` is enabled
+        // once its target has finished.
+        OpKind::Begin
+        | OpKind::Join
+        | OpKind::AtomicLoad
+        | OpKind::AtomicStore
+        | OpKind::AtomicRmw => {}
         OpKind::MutexLock | OpKind::RwWrite => acquire_obj(g, t, op.obj, Mode::Excl),
         OpKind::RwRead => acquire_obj(g, t, op.obj, Mode::Shared),
         OpKind::MutexUnlock | OpKind::RwUnlockWrite => release_obj(g, t, op.obj, Mode::Excl),
@@ -820,122 +740,32 @@ fn grant(g: &mut SchedInner, t: Tid) {
             }
         }
         OpKind::ChanSend => {
-            if g.objs[op.obj].rx_alive {
-                let vc = g.threads[t].vc.clone();
-                let o = &mut g.objs[op.obj];
+            let o = &mut g.objs[op.obj];
+            let grant = if o.rx_alive {
                 o.len += 1;
-                o.msg_vcs.push_back(vc.clone());
-                vc_join(&mut o.vc, &vc);
-                let rec = &mut g.threads[t];
-                if rec.vc.len() <= t {
-                    rec.vc.resize(t + 1, 0);
-                }
-                rec.vc[t] += 1;
-                g.threads[t].grant = Some(Grant::Ok);
+                Grant::Ok
             } else {
-                g.threads[t].grant = Some(Grant::SendDisconnected);
-            }
+                Grant::SendDisconnected
+            };
+            g.threads[t].grant = Some(grant);
         }
         OpKind::ChanRecv => {
-            if g.objs[op.obj].len > 0 {
-                g.objs[op.obj].len -= 1;
-                let mvc = g.objs[op.obj]
-                    .msg_vcs
-                    .pop_front()
-                    .expect("msg clock in lockstep");
-                vc_join(&mut g.threads[t].vc, &mvc);
-                g.threads[t].grant = Some(Grant::Ok);
+            let o = &mut g.objs[op.obj];
+            let grant = if o.len > 0 {
+                o.len -= 1;
+                Grant::Ok
             } else {
-                g.threads[t].grant = Some(Grant::RecvDisconnected);
-            }
-        }
-        OpKind::AtomicLoad => {
-            let ovc = g.objs[op.obj].vc.clone();
-            vc_join(&mut g.threads[t].vc, &ovc);
-        }
-        OpKind::AtomicStore | OpKind::AtomicRmw => {
-            let ovc = g.objs[op.obj].vc.clone();
-            vc_join(&mut g.threads[t].vc, &ovc);
-            let vc = g.threads[t].vc.clone();
-            vc_join(&mut g.objs[op.obj].vc, &vc);
-            let rec = &mut g.threads[t];
-            if rec.vc.len() <= t {
-                rec.vc.resize(t + 1, 0);
-            }
-            rec.vc[t] += 1;
-        }
-        OpKind::RacyRead => {
-            let vc = g.threads[t].vc.clone();
-            let race = g.objs[op.obj]
-                .last_write
-                .as_ref()
-                .filter(|(wt, wvc, _)| *wt != t && !vc_leq(wvc, &vc))
-                .map(|(wt, _, wsite)| (*wt, *wsite));
-            if let Some((wt, wsite)) = race {
-                if g.cfg.fail_on_race {
-                    let msg = format!(
-                        "data race on {:?}#{} (created {}): write by T{wt} at {wsite} is unordered with read by T{t} at {site}",
-                        g.objs[op.obj].kind, op.obj, g.objs[op.obj].created
-                    );
-                    fail(g, FailureKind::DataRace, msg);
-                    return;
-                }
-            }
-            g.objs[op.obj].reads.push((t, vc, site));
-        }
-        OpKind::RacyWrite => {
-            let vc = g.threads[t].vc.clone();
-            let prior_write = g.objs[op.obj]
-                .last_write
-                .as_ref()
-                .filter(|(wt, wvc, _)| *wt != t && !vc_leq(wvc, &vc))
-                .map(|(wt, _, wsite)| (*wt, *wsite, "write"));
-            let prior_read = g.objs[op.obj]
-                .reads
-                .iter()
-                .find(|(rt, rvc, _)| *rt != t && !vc_leq(rvc, &vc))
-                .map(|(rt, _, rsite)| (*rt, *rsite, "read"));
-            if let Some((ot, osite, what)) = prior_write.or(prior_read) {
-                if g.cfg.fail_on_race {
-                    let msg = format!(
-                        "data race on {:?}#{} (created {}): {what} by T{ot} at {osite} is unordered with write by T{t} at {site}",
-                        g.objs[op.obj].kind, op.obj, g.objs[op.obj].created
-                    );
-                    fail(g, FailureKind::DataRace, msg);
-                    return;
-                }
-            }
-            g.objs[op.obj].last_write = Some((t, vc, site));
-            g.objs[op.obj].reads.clear();
+                Grant::RecvDisconnected
+            };
+            g.threads[t].grant = Some(grant);
         }
         OpKind::Spawn => {
             let child = g.threads.len();
-            let mut vc = g.threads[t].vc.clone();
-            if vc.len() <= child {
-                vc.resize(child + 1, 0);
-            }
-            vc[child] = 1;
-            let mut rec = ThreadRec::new(vc);
-            rec.pending = Some((Op::new(OpKind::Begin), site));
-            g.threads.push(rec);
+            g.threads.push(ThreadRec::new(site));
             g.live += 1;
-            let parent = &mut g.threads[t];
-            if parent.vc.len() <= t {
-                parent.vc.resize(t + 1, 0);
-            }
-            parent.vc[t] += 1;
             g.threads[t].grant = Some(Grant::Spawned(child));
         }
-        OpKind::Join => {
-            let tvc = g.threads[op.aux].vc.clone();
-            vc_join(&mut g.threads[t].vc, &tvc);
-        }
         OpKind::Finish => {
-            let rec = &mut g.threads[t];
-            if rec.vc.len() <= t {
-                rec.vc.resize(t + 1, 0);
-            }
-            rec.vc[t] += 1;
             next_status = Status::Finished;
             g.live -= 1;
             if g.live == 0 {

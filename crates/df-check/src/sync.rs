@@ -11,19 +11,13 @@
 //!   become thin wrappers holding the real `std` primitive plus an
 //!   instance id. When the calling thread belongs to a
 //!   [`crate::model`] execution, every acquire/release/send/recv first
-//!   yields to the model scheduler (which decides who runs, maintains
-//!   vector clocks and the lock-order graph) and only then performs the
-//!   real operation — which at that point is guaranteed uncontended,
-//!   because exactly one model thread runs between yield points. On any
-//!   thread *outside* a model execution the wrappers pass straight
-//!   through to `std`, so production code keeps exact `std` semantics
-//!   even in checked builds (cargo feature unification is harmless).
-//!
-//! [`Racy`] is the one addition over `std::sync`: a deliberately
-//! unsynchronized-looking cell for modelling shared state that the code
-//! under test is *supposed* to protect by other means. The checker's
-//! vector-clock detector reports a data race when two `Racy` accesses
-//! (at least one a write) are not ordered by happens-before.
+//!   yields to the model scheduler (which decides who runs and maintains
+//!   the lock-order graph) and only then performs the real operation —
+//!   which at that point is guaranteed uncontended, because exactly one
+//!   model thread runs between yield points. On any thread *outside* a
+//!   model execution the wrappers pass straight through to `std`, so
+//!   production code keeps exact `std` semantics even in checked builds
+//!   (cargo feature unification is harmless).
 
 #[cfg(not(any(feature = "checked", df_check)))]
 mod imp {
@@ -41,43 +35,6 @@ mod imp {
     /// Mirror of `std::sync::mpsc`.
     pub mod mpsc {
         pub use std::sync::mpsc::*;
-    }
-
-    /// Unchecked [`Racy`](crate::sync::Racy): an ordinary mutex-protected
-    /// cell (the race detector only exists in checked builds).
-    pub struct Racy<T> {
-        cell: std::sync::Mutex<T>,
-    }
-
-    impl<T: Copy> Racy<T> {
-        pub fn new(value: T) -> Self {
-            Racy {
-                cell: std::sync::Mutex::new(value),
-            }
-        }
-
-        fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-            let mut guard = match self.cell.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            f(&mut guard)
-        }
-
-        pub fn get(&self) -> T {
-            self.with(|v| *v)
-        }
-
-        pub fn set(&self, value: T) {
-            self.with(|v| *v = value)
-        }
-
-        pub fn update(&self, f: impl FnOnce(T) -> T) -> T {
-            self.with(|v| {
-                *v = f(*v);
-                *v
-            })
-        }
     }
 }
 
@@ -674,72 +631,6 @@ mod imp {
     }
 
     pub use self::mpsc::sync_channel;
-
-    // -- Racy ---------------------------------------------------------
-
-    /// A cell for shared state the code under test must order by *other*
-    /// means (locks, channel edges): every access is tracked by the
-    /// vector-clock detector and two happens-before-unordered accesses
-    /// (at least one a write) fail the check as a data race. Storage is a
-    /// real mutex so the wrapper itself stays `unsafe`-free; the model's
-    /// race check is on the happens-before relation, not on UB.
-    pub struct Racy<T> {
-        instance: u64,
-        created: &'static Location<'static>,
-        cell: std::sync::Mutex<T>,
-    }
-
-    impl<T: Copy> Racy<T> {
-        #[track_caller]
-        pub fn new(value: T) -> Self {
-            Racy {
-                instance: sched::next_instance(),
-                created: Location::caller(),
-                cell: std::sync::Mutex::new(value),
-            }
-        }
-
-        fn hook(&self, kind: OpKind, site: &'static Location<'static>) {
-            if let Some(c) = ctx() {
-                let obj = c.sched.obj(self.instance, ObjKind::Racy, 0, self.created);
-                let _ = c.sched.yield_op(c.tid, Op::on(kind, obj), site);
-            }
-        }
-
-        fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-            let mut guard = match self.cell.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            f(&mut guard)
-        }
-
-        #[track_caller]
-        pub fn get(&self) -> T {
-            self.hook(OpKind::RacyRead, Location::caller());
-            self.with(|v| *v)
-        }
-
-        #[track_caller]
-        pub fn set(&self, value: T) {
-            self.hook(OpKind::RacyWrite, Location::caller());
-            self.with(|v| *v = value)
-        }
-
-        /// A non-atomic read-modify-write: a racy read, the closure, then
-        /// a racy write — the scheduler can (and will) interleave other
-        /// threads between the two halves.
-        #[track_caller]
-        pub fn update(&self, f: impl FnOnce(T) -> T) -> T {
-            let site = Location::caller();
-            self.hook(OpKind::RacyRead, site);
-            let old = self.with(|v| *v);
-            let new = f(old);
-            self.hook(OpKind::RacyWrite, site);
-            self.with(|v| *v = new);
-            new
-        }
-    }
 }
 
 pub use imp::*;

@@ -11,8 +11,9 @@
 //! This is deliberately *not* a Rust parser (std-only, no rustc
 //! internals): it understands exactly as much structure as the passes
 //! need — token classes, bracket nesting, item boundaries — and nothing
-//! more. The passes built on it are heuristic by design; the runtime
-//! cross-check in [`crate::audit`] is what keeps the heuristics honest.
+//! more. The passes built on it are heuristic by design; their fixtures,
+//! and the lock-order edges pinned in `docs/LOCK_ORDER.txt`, are what
+//! keep the heuristics honest.
 
 use std::fmt;
 use std::ops::Range;

@@ -15,18 +15,11 @@
 //! replicated write *exactly once*, and only when the quorum is met or
 //! nothing is left outstanding ([`WriteQuorum`]). Modeled the same way,
 //! with the naive eager-ack counter caught and replayed.
-//!
-//! Budgets respect `DF_CHECK_MAX_SCHEDULES` / `DF_CHECK_MAX_PREEMPTIONS`
-//! (see `ci.sh`).
 
 use df_check::model::{self, CheckConfig, FailureKind};
 use df_check::sync::{Arc, Mutex};
 use df_cluster::{BatchReorder, RoundTracker, WriteQuorum};
 use std::collections::HashSet;
-
-fn budget() -> CheckConfig {
-    CheckConfig::default().env_budget()
-}
 
 fn checked_or_skip() -> bool {
     if df_check::is_checked() {
@@ -94,7 +87,7 @@ fn rpc_retry_never_reorders_candidate_rounds() {
     if !checked_or_skip() {
         return;
     }
-    let report = model::check(budget(), tracker_round);
+    let report = model::check(CheckConfig::default(), tracker_round);
     assert!(report.complete, "schedule space must be exhausted");
     assert!(report.schedules >= 2, "multiple delivery orders explored");
     assert!(report.lock_cycles.is_empty(), "no lock-order inversions");
@@ -147,7 +140,7 @@ fn round_agnostic_merging_is_caught_and_replayable() {
     if !checked_or_skip() {
         return;
     }
-    let report = model::explore(budget(), naive_tracker_round);
+    let report = model::explore(CheckConfig::default(), naive_tracker_round);
     let failure = report
         .failure
         .expect("ignoring round labels must reorder rounds in some schedule");
@@ -206,7 +199,7 @@ fn reordered_batches_apply_in_row_order_under_every_schedule() {
     if !checked_or_skip() {
         return;
     }
-    let report = model::check(budget(), reorder_round);
+    let report = model::check(CheckConfig::default(), reorder_round);
     assert!(report.complete, "schedule space must be exhausted");
     assert!(report.schedules >= 2, "multiple delivery orders explored");
     assert!(report.lock_cycles.is_empty(), "no lock-order inversions");
@@ -278,11 +271,11 @@ fn replicated_writes_ack_exactly_once_at_quorum() {
     if !checked_or_skip() {
         return;
     }
-    let report = model::check(budget(), quorum_round);
+    let report = model::check(CheckConfig::default(), quorum_round);
     assert!(report.complete, "schedule space must be exhausted");
     assert!(report.schedules >= 2, "multiple ack orders explored");
     assert!(report.lock_cycles.is_empty(), "no lock-order inversions");
-    let report = model::check(budget(), quorum_shortfall_round);
+    let report = model::check(CheckConfig::default(), quorum_shortfall_round);
     assert!(report.complete, "schedule space must be exhausted");
     assert!(report.lock_cycles.is_empty(), "no lock-order inversions");
 }
@@ -333,7 +326,7 @@ fn eager_quorum_acks_are_caught_and_replayable() {
     if !checked_or_skip() {
         return;
     }
-    let report = model::explore(budget(), naive_quorum_round);
+    let report = model::explore(CheckConfig::default(), naive_quorum_round);
     let failure = report
         .failure
         .expect("quorum-met re-checks must double-ack in some schedule");
@@ -373,7 +366,7 @@ fn arrival_order_application_is_caught() {
     if !checked_or_skip() {
         return;
     }
-    let report = model::explore(budget(), naive_apply_round);
+    let report = model::explore(CheckConfig::default(), naive_apply_round);
     let failure = report
         .failure
         .expect("arrival-order application must corrupt some schedule");

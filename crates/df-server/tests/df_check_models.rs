@@ -6,18 +6,12 @@
 //!
 //! The suite runs checked in the default workspace test run because
 //! df-server's dev-dependency on df-check enables the `checked` feature.
-//! Budgets respect `DF_CHECK_MAX_SCHEDULES` / `DF_CHECK_MAX_PREEMPTIONS`
-//! so CI can bound wall-clock (see `ci.sh`).
 
 use df_check::model::{self, CheckConfig, FailureKind};
 use df_check::sync::atomic::{AtomicUsize, Ordering};
 use df_check::sync::mpsc::{Receiver, SyncSender};
 use df_check::sync::{sync_channel, Arc, Mutex, RwLock};
 use std::collections::BTreeSet;
-
-fn budget() -> CheckConfig {
-    CheckConfig::default().env_budget()
-}
 
 /// All model tests no-op when the shims compile as plain std re-exports
 /// (they only explore schedules under the `checked` feature).
@@ -34,7 +28,7 @@ fn checked_or_skip() -> bool {
 /// panic names `invariant`, and that schedule is a real witness —
 /// replaying it alone reproduces the failure deterministically.
 fn assert_caught_and_replayable(round: impl Fn() + Copy + Send + Sync + 'static, invariant: &str) {
-    let failure = model::explore(budget(), round)
+    let failure = model::explore(CheckConfig::default(), round)
         .failure
         .unwrap_or_else(|| panic!("mutation must be detected ({invariant})"));
     assert_eq!(failure.kind, FailureKind::Panic);
@@ -161,7 +155,7 @@ fn flush_barrier_model_never_deadlocks_and_orders_all_prior_work() {
     if !checked_or_skip() {
         return;
     }
-    let report = model::check(budget(), || barrier_round(false));
+    let report = model::check(CheckConfig::default(), || barrier_round(false));
     assert!(report.complete, "barrier model explored exhaustively");
     assert!(report.lock_cycles.is_empty());
 }
@@ -186,7 +180,7 @@ fn flush_reports_a_dead_worker_in_every_schedule_and_never_blocks() {
     // the ack sender is dropped unacked, so the flusher sees shard 1's
     // ack, then the disconnect. A flusher that blocked instead would fail
     // the check as a deadlock.
-    let report = model::check(budget(), || {
+    let report = model::check(CheckConfig::default(), || {
         let (flushed, _) = flush_round(false, ShardMsg::Die);
         assert_eq!(flushed, Err(0), "the dead shard is reported");
     });
@@ -199,7 +193,7 @@ fn bounded_channel_backpressure_preserves_fifo_under_every_schedule() {
     if !checked_or_skip() {
         return;
     }
-    let report = model::check(budget(), || {
+    let report = model::check(CheckConfig::default(), || {
         // queue_depth 1: the producer blocks on every send until the
         // worker drains — the store's backpressure mode.
         let (tx, rx) = sync_channel::<u32>(1);
@@ -274,7 +268,7 @@ fn restamp_under_the_shard_read_locks_admits_no_stale_schedule() {
     if !checked_or_skip() {
         return;
     }
-    let report = model::check(budget(), || restamp_round(false));
+    let report = model::check(CheckConfig::default(), || restamp_round(false));
     assert!(report.complete, "schedule space must be exhausted");
     assert!(report.lock_cycles.is_empty(), "no lock-order inversions");
 }
@@ -298,7 +292,7 @@ fn two_readers_on_one_moved_entry_restamp_once_each_and_count_once() {
     if !checked_or_skip() {
         return;
     }
-    let report = model::check(budget(), || {
+    let report = model::check(CheckConfig::default(), || {
         let store = Arc::new(RwLock::new((0u64, 1u64))); // (postings, version == rows)
         let cache = Arc::new(Mutex::new((0u64, 0u64))); // (stamped version, rows seen)
         let stats = Arc::new(Mutex::new((0u64, 0u64))); // (hits, of them revalidations)
@@ -336,61 +330,4 @@ fn two_readers_on_one_moved_entry_restamp_once_each_and_count_once() {
     });
     assert!(report.complete, "schedule space must be exhausted");
     assert!(report.lock_cycles.is_empty(), "no lock-order inversions");
-}
-
-// ---------------------------------------------------------------------
-// Static/dynamic lock-order cross-check (df-audit).
-// ---------------------------------------------------------------------
-
-/// One bounded round of the production nesting discipline, miniaturized:
-/// the worker appends under the shard write lock; the assembler reads the
-/// shard and its version and consults the trace cache under the guard
-/// (store -> cache). These are exactly the acquisition orders
-/// `ConcurrentShardedStore` uses, so the runtime edges this round records
-/// must all be predicted by df-audit's static lock-order graph.
-fn nested_discipline_round() {
-    let store = Arc::new(RwLock::new((0u64, 0u64)));
-    let cache = Arc::new(Mutex::new(0u64));
-    let worker = append(&store, true);
-    let assembler = {
-        let (store, cache) = (Arc::clone(&store), Arc::clone(&cache));
-        model::spawn(move || {
-            let s = store.read().expect("shard lock");
-            let mut c = cache.lock().expect("trace cache");
-            *c = s.1;
-            drop(c);
-            drop(s);
-        })
-    };
-    worker.join();
-    assembler.join();
-}
-
-/// The df-audit cross-check: every lock-order edge the scheduler records
-/// at runtime (by lock *creation site*) must be an edge the static
-/// analysis predicted. A gap here means `df_check::audit` has a blind
-/// spot — the static cycle check could then silently miss a real
-/// inversion, so a gap fails CI.
-#[test]
-fn static_lock_graph_predicts_every_runtime_edge() {
-    if !checked_or_skip() {
-        return;
-    }
-    let report = model::check(budget(), nested_discipline_round);
-    assert!(
-        report.lock_cycles.is_empty(),
-        "discipline must stay acyclic"
-    );
-
-    let runtime = model::runtime_lock_edges();
-    assert!(!runtime.is_empty(), "the model run must record lock edges");
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let analysis = df_check::audit::analyze_locks(&root).expect("static lock analysis");
-    let gaps = df_check::audit::check_runtime_edges(&analysis, &runtime);
-    assert!(
-        gaps.is_empty(),
-        "static graph missed runtime edges:\n{}",
-        gaps.join("\n")
-    );
 }

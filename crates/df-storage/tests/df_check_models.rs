@@ -18,16 +18,11 @@
 //!
 //! The suite runs checked in the default workspace test run because
 //! df-storage's dev-dependency on df-check enables the `checked`
-//! feature. Budgets respect `DF_CHECK_MAX_SCHEDULES` /
-//! `DF_CHECK_MAX_PREEMPTIONS` so CI can bound wall-clock (see `ci.sh`).
+//! feature.
 
 use df_check::model::{self, CheckConfig, FailureKind};
 use df_check::sync::{Arc, Mutex};
 use df_storage::bufferpool::Replacer;
-
-fn budget() -> CheckConfig {
-    CheckConfig::default().env_budget()
-}
 
 /// All model tests no-op when the shims compile as plain std re-exports
 /// (they only explore schedules under the `checked` feature).
@@ -108,7 +103,7 @@ fn eviction_never_selects_a_pinned_frame_under_any_schedule() {
     if !checked_or_skip() {
         return;
     }
-    let report = model::check(budget(), || pin_discipline_round(true));
+    let report = model::check(CheckConfig::default(), || pin_discipline_round(true));
     assert!(report.complete, "schedule space must be exhausted");
     assert!(report.schedules >= 2, "interleavings actually explored");
     assert!(report.lock_cycles.is_empty(), "no lock-order inversions");
@@ -119,7 +114,7 @@ fn forgetting_set_evictable_on_pin_is_caught_and_replays() {
     if !checked_or_skip() {
         return;
     }
-    let report = model::explore(budget(), || pin_discipline_round(false));
+    let report = model::explore(CheckConfig::default(), || pin_discipline_round(false));
     let failure = report
         .failure
         .expect("pin without set_evictable(false) must lose a schedule");
@@ -200,7 +195,7 @@ fn write_then_flip_ordering_admits_no_stale_page_in() {
     if !checked_or_skip() {
         return;
     }
-    let report = model::check(budget(), || page_out_ordering_round(true));
+    let report = model::check(CheckConfig::default(), || page_out_ordering_round(true));
     assert!(report.complete, "schedule space must be exhausted");
     assert!(report.schedules >= 2, "interleavings actually explored");
     assert!(report.lock_cycles.is_empty(), "no lock-order inversions");
@@ -211,7 +206,7 @@ fn flip_before_write_is_caught_and_replays() {
     if !checked_or_skip() {
         return;
     }
-    let report = model::explore(budget(), || page_out_ordering_round(false));
+    let report = model::explore(CheckConfig::default(), || page_out_ordering_round(false));
     let failure = report
         .failure
         .expect("flipping before the write completes must lose a schedule");
