@@ -54,14 +54,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# The static passes, one binary over one read of the tree (docs/LINTS.md):
-# the sync-discipline rules, decoder panic-totality over
-# wire.rs/rpc.rs/persist.rs, the static lock-order graph over production
-# sources (AB/BA cycles fail), and spec <-> codec agreement —
-# docs/WIRE_FORMAT.md and docs/SEGMENT_FORMAT.md must match the codec
-# constants (magic, version, field order) and cover every RPC kind and
-# presence bit.
-echo "==> df-audit (sync discipline, panic-totality, lock-order, spec sync)"
+# The static passes, one binary over one read of the Rust sources
+# (docs/LINTS.md): the sync-discipline rules, decoder panic-totality over
+# wire.rs/rpc.rs/persist.rs, and the static lock-order graph over
+# production sources (AB/BA cycles fail). The format documents under docs/
+# are checked by `cargo test` below, each by a test beside its codec.
+echo "==> df-audit (sync discipline, panic-totality, lock-order)"
 cargo run -q -p df-check --bin df-audit -- .
 # The lock-order graph's edges are a reviewed file, like the example
 # goldens: a new or lost nesting fails here until docs/LOCK_ORDER.txt is

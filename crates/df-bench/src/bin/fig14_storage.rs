@@ -1,6 +1,6 @@
 //! Fig. 14 — trace-storage resource consumption: smart-encoding vs direct
-//! insertion vs low-cardinality, measured for real over this repository's
-//! columnar store.
+//! insertion vs low-cardinality, measured for real over the columns of
+//! `df_bench::fig14`.
 //!
 //! Protocol mirrors §5.2: synthetic traces with ~100 tags each are
 //! ingested; we record CPU seconds, resident memory and on-disk bytes per
@@ -8,8 +8,8 @@
 //! paper inserts 10^7 rows; we default to 10^5 (scale with `FIG14_ROWS`) —
 //! ratios, not absolutes, are the result.
 
+use df_bench::fig14::{TagEncoding, TagTable};
 use df_bench::report;
-use df_storage::{TagEncoding, TagTable};
 
 /// Production tag profile: a mix of low-cardinality locality tags
 /// (region/az/vpc/cluster), mid-cardinality workload tags, and

@@ -1,6 +1,6 @@
 //! The structure-aware static passes, and [`audit_tree`], which runs
-//! every static pass — these, [`crate::lint`] and [`crate::spec`] — over
-//! one parsed tree for the `df-audit` binary.
+//! every static pass — these and [`crate::lint`] — over one parsed tree
+//! for the `df-audit` binary.
 //!
 //! All of them read the tree through [`crate::syntax`]:
 //!
@@ -874,8 +874,8 @@ fn find_cycles(edges: &BTreeMap<(String, String), EdgeSite>) -> Vec<Violation> {
 
 /// Run every static pass over the tree at `root`, read and lexed once:
 /// the sync-discipline rules, panic-totality on the designated decode
-/// modules, the static lock-order cycle check, and spec ↔ codec
-/// agreement. Returns all violations, sorted by file/line.
+/// modules, and the static lock-order cycle check. Returns all
+/// violations, sorted by file/line.
 pub fn audit_tree(root: &Path) -> Result<Vec<Violation>, String> {
     let files = syntax::walk(root)?;
     let tree = syntax::parse_tree(&files);
@@ -884,7 +884,6 @@ pub fn audit_tree(root: &Path) -> Result<Vec<Violation>, String> {
         out.extend(audit_decode(syntax::find(&tree, rel)?));
     }
     out.extend(lock_graph(&tree).violations);
-    out.extend(crate::spec::check_tree(root, &tree)?);
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(out)
 }

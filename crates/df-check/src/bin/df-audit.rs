@@ -1,7 +1,7 @@
-//! The `df-audit` binary: every static pass over the repository tree —
-//! sync discipline ([`df_check::lint`]), decoder panic-totality and
-//! static lock order ([`df_check::audit`]), spec ↔ codec agreement
-//! ([`df_check::spec`]) — exiting nonzero if any violation is found.
+//! The `df-audit` binary: every static pass over the repository's Rust
+//! sources — sync discipline ([`df_check::lint`]), decoder
+//! panic-totality and static lock order ([`df_check::audit`]) — exiting
+//! nonzero if any violation is found.
 //! Usage: `df-audit [repo-root]` (default `.`); `df-audit --graph
 //! [repo-root]` prints the derived static lock-order graph instead of
 //! auditing.

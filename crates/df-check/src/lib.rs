@@ -38,7 +38,7 @@
 //!    static pass is a function over its tokens and reports through its
 //!    one `Violation` type.
 //!
-//! 4. **The static passes — [`lint`], [`audit`], [`spec`]**, run together
+//! 4. **The static passes — [`lint`] and [`audit`]**, run together
 //!    by the `df-audit` binary (one `ci.sh` stage; rule catalogue in
 //!    `docs/LINTS.md`). [`lint`] is sync discipline: no raw `std::sync`
 //!    in the sync-scoped crates (they must use the shims so the model
@@ -51,10 +51,9 @@
 //!    `// df-audit: allow(...)` escape) and a static lock-order graph over
 //!    the production sources, derived from shim call sites and call-graph
 //!    propagation (AB/BA cycles fail CI; `ci.sh` also diffs its edges
-//!    against the reviewed `docs/LOCK_ORDER.txt`). [`spec`] holds each
-//!    normative format document to its codec: magic, version and name
-//!    table agree, and every RPC kind and presence bit has an encode
-//!    site, a decode arm and a doc-table row.
+//!    against the reviewed `docs/LOCK_ORDER.txt`). The format documents
+//!    under `docs/` are not read here: each is checked by a plain test
+//!    beside its codec (`df_types::{wire, rpc}`, `df_storage::persist`).
 //!
 //! The model tests live next to the code they check
 //! (`df-server/tests/df_check_models.rs` and its df-storage / df-cluster
@@ -85,7 +84,6 @@
 pub mod audit;
 pub mod lint;
 pub mod model;
-pub mod spec;
 pub mod sync;
 pub mod syntax;
 

@@ -1,10 +1,10 @@
 //! How the static checks read a repository tree. Everything
-//! [`crate::lint`], [`crate::audit`] and [`crate::spec`] know about Rust
-//! source they learn here: [`walk`] reads each `*.rs` file under
-//! `crates/` once, [`lex`] turns it into tokens that carry their line
-//! (comments dropped, string and char literals kept whole as one token
-//! each), and [`Source::parse`] adds the brace-matched item scan — the
-//! `fn` items and the single judgement of which tokens are test code.
+//! [`crate::lint`] and [`crate::audit`] know about Rust source they learn
+//! here: [`walk`] reads each `*.rs` file under `crates/` once, [`lex`]
+//! turns it into tokens that carry their line (comments dropped, string
+//! and char literals kept whole as one token each), and [`Source::parse`]
+//! adds the brace-matched item scan — the `fn` items and the single
+//! judgement of which tokens are test code.
 //! The passes are functions over `&Source` tokens and report through the
 //! one [`Violation`] type.
 //!
@@ -67,17 +67,6 @@ pub struct Token<'a> {
     pub text: &'a str,
     /// 1-based line the token starts on.
     pub line: usize,
-}
-
-impl<'a> Token<'a> {
-    /// A `Str` token's contents: prefix, hashes and quotes removed,
-    /// escapes left as written.
-    pub fn unquoted(&self) -> &'a str {
-        let body = self.text.trim_start_matches(['b', 'r']).trim_matches('#');
-        body.strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .unwrap_or(body)
-    }
 }
 
 /// Multi-character operators, longest first so `..=` wins over `..`.
@@ -379,28 +368,6 @@ impl<'a> Source<'a> {
         self.rel.rsplit('/').next().unwrap_or(self.rel)
     }
 
-    /// The first `fn` named `name`.
-    pub fn fn_named(&self, name: &str) -> Option<&FnItem<'a>> {
-        self.fns.iter().find(|f| f.name == name)
-    }
-
-    /// Tokens of `const <name>: … = <value>;`'s value (between the `=`
-    /// and the closing `;`), with the index of the name token.
-    pub fn const_value(&self, name: &str) -> Option<(usize, &[Token<'a>])> {
-        let at = (0..self.tokens.len()).find(|&i| seq(&self.tokens, i, &["const", name]))?;
-        let eq = (at..self.tokens.len()).find(|&i| self.tokens[i].text == "=")?;
-        let mut depth = 0isize;
-        let semi = (eq + 1..self.tokens.len()).find(|&i| {
-            match self.tokens[i].text {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                _ => {}
-            }
-            depth == 0 && self.tokens[i].text == ";"
-        })?;
-        Some((at + 1, &self.tokens[eq + 1..semi]))
-    }
-
     /// A finding in this file.
     pub fn violation(&self, line: usize, rule: &'static str, message: String) -> Violation {
         Violation {
@@ -504,15 +471,15 @@ mod tests {
         let src = r####"f("std::sync {", b"by\"te", r"raw\", r#"ha"sh"#, br##"two"#"##, r#try)"####;
         let toks = lex(src);
         let strs: Vec<_> = toks.iter().filter(|t| t.kind == TokenKind::Str).collect();
-        let contents: Vec<_> = strs.iter().map(|t| t.unquoted()).collect();
+        let literals: Vec<_> = strs.iter().map(|t| t.text).collect();
         assert_eq!(
-            contents,
+            literals,
             [
-                "std::sync {",
-                r#"by\"te"#,
-                r"raw\",
-                r#"ha"sh"#,
-                r##"two"#"##
+                r#""std::sync {""#,
+                r#"b"by\"te""#,
+                r#"r"raw\""#,
+                r##"r#"ha"sh"#"##,
+                r###"br##"two"#"##"###
             ]
         );
         // Literals keep their quotes as written, so none of them is
@@ -573,12 +540,14 @@ mod tests {
                    fn g<T: Clone>(v: Vec<[u8; 4]>) -> Option<T> where T: Default { None }\n\
                    trait T { fn decl(&self) -> u32; fn with_default(&self) -> u32 { 1 } }\n\
                    fn nest() { fn inner() { let x = 1; } inner(); }";
-        let s = Source::parse("x.rs", src);
+        let s = Source::parse("crates/df-types/src/wire.rs", src);
+        assert_eq!((s.scope(), s.file_name()), (("df-types", "src"), "wire.rs"));
+        assert_eq!(Source::parse("x.rs", "").scope(), ("", ""));
         let names: Vec<_> = s.fns.iter().map(|f| f.name).collect();
         assert_eq!(names, ["outer", "g", "with_default", "nest", "inner"]);
         assert!(s.fns.iter().all(|f| !f.in_test));
         let body = |name| {
-            let f = s.fn_named(name).unwrap();
+            let f = s.fns.iter().find(|f| f.name == name).unwrap();
             let texts: Vec<_> = s.tokens[f.body.clone()].iter().map(|t| t.text).collect();
             texts.join(" ")
         };
@@ -597,7 +566,7 @@ mod tests {
                    #[derive(Debug)]\nstruct S { a: u8 }\n\
                    #[cfg(not(test))]\nfn also_prod() {}";
         let s = Source::parse("x.rs", src);
-        let in_test = |name| s.fn_named(name).unwrap().in_test;
+        let in_test = |name| s.fns.iter().find(|f| f.name == name).unwrap().in_test;
         assert!(in_test("t") && in_test("helper"));
         assert!(!in_test("prod") && !in_test("also_prod"));
         let test_lines: Vec<_> = (0..s.tokens.len())
@@ -610,22 +579,5 @@ mod tests {
             !test_lines.contains(&10),
             "prod() follows brace-less test items"
         );
-    }
-
-    #[test]
-    fn const_values_and_scopes() {
-        let s = Source::parse(
-            "crates/df-types/src/wire.rs",
-            "pub const A: [&str; 2] = [\"x\", \"y\"];\nconst B: u8 = (1 << 3) - 1;",
-        );
-        let (at, value) = s.const_value("A").unwrap();
-        assert_eq!((s.tokens[at].text, s.tokens[at].line), ("A", 1));
-        let value: Vec<_> = value.iter().map(|t| t.text).collect();
-        assert_eq!(value, ["[", "\"x\"", ",", "\"y\"", "]"]);
-        assert_eq!(s.const_value("B").unwrap().1.len(), 7);
-        assert!(s.const_value("C").is_none());
-        assert_eq!(s.scope(), ("df-types", "src"));
-        assert_eq!(s.file_name(), "wire.rs");
-        assert_eq!(Source::parse("x.rs", "").scope(), ("", ""));
     }
 }

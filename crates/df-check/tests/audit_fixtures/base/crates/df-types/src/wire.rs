@@ -1,20 +1,4 @@
-//! Fixture wire codec: total decode, two presence bits, no violations.
-
-pub const WIRE_MAGIC: &[u8; 4] = b"DFW1";
-pub const WIRE_VERSION: u8 = 1;
-pub const FIELD_ORDER: [&str; 2] = ["span_id", "flags"];
-
-pub const F_A: u32 = 1 << 0;
-pub const F_B: u32 = 1 << 1;
-
-pub fn encode(flags: &mut u32) {
-    *flags |= F_A;
-    *flags |= F_B;
-}
-
-pub fn decode(flags: u32) -> (bool, bool) {
-    (flags & F_A != 0, flags & F_B != 0)
-}
+//! Fixture wire codec: total decode, no violations.
 
 pub fn first(b: &[u8]) -> Option<u8> {
     b.first().copied()

@@ -1,20 +1,10 @@
-//! # df-storage — embedded columnar span store
+//! # df-storage — embedded span store
 //!
-//! The paper stores traces in ClickHouse and evaluates three ways of storing
-//! the up-to-100 tags a trace carries (§5.2, Fig. 14):
-//!
-//! * **direct** — tags as plain strings ("storing a tag as a string requires
-//!   more bytes (one char per digit) and thus more calculation and hardware
-//!   resources");
-//! * **low-cardinality** — ClickHouse's per-column dictionary encoding;
-//! * **smart-encoding** — DeepFlow's scheme: tags arrive already as global
-//!   dictionary integers (the string→int mapping happened *once*, at tag
-//!   collection time — §3.4), so the store just writes fixed-width ints.
-//!
-//! This crate reproduces the comparison with an honest implementation of all
-//! three ([`tagtable`]), plus the span store the server runs Algorithm 1
-//! against ([`store`]): a row store with hash indexes over every
-//! implicit-context attribute and a time index for span-list queries.
+//! The paper stores traces in ClickHouse. This crate is the span store the
+//! server runs Algorithm 1 against ([`store`]): a row store with hash
+//! indexes over every implicit-context attribute and a time index for
+//! span-list queries. (The three tag encodings of Fig. 14 are measured by
+//! `df_bench::fig14`, next to the figure's harness.)
 //!
 //! At scale the corpus is partitioned: [`shard`] provides the routing
 //! policy (hash of the canonical flow five-tuple, a time-bucketed routing
@@ -35,17 +25,13 @@
 #![warn(missing_docs)]
 
 pub mod bufferpool;
-pub mod column;
 pub mod disk_sched;
 pub mod persist;
 mod posting;
 pub mod shard;
 pub mod store;
-pub mod tagtable;
 
 pub use bufferpool::{BufferPool, BufferPoolConfig, PoolStats, SegmentId};
-pub use column::{Column, ColumnStats};
 pub use disk_sched::DiskScheduler;
 pub use shard::{ShardPolicy, Tier, TierConfig};
 pub use store::{ColdRef, RecoverStats, SpanQuery, SpanStore, SpillStats, StoreStats};
-pub use tagtable::{TagEncoding, TagTable};

@@ -6,7 +6,7 @@
 //! stay resident across a spill, and crash recovery rebuilds them from
 //! the decoded spans. The layout is normative — see
 //! `docs/SEGMENT_FORMAT.md`, kept in lockstep with the consts below by
-//! `df-audit`'s `spec-sync` rule:
+//! this module's test `segment_format_doc_matches_the_codec`:
 //!
 //! ```text
 //! magic "DFSPANS1" (8) | version u8 | section_count u8 | body_len u64 LE
@@ -254,6 +254,37 @@ mod tests {
         let spans: Vec<df_types::Span> = (0..n).map(demo_span).collect();
         let rows: Vec<u32> = (0..n as u32).collect();
         encode_span_segment(&spans, &rows)
+    }
+
+    /// The `(number, name)` rows of the Markdown table between `doc`'s
+    /// `<!-- table:BEGIN -->` and `<!-- table:END -->` markers: each row's
+    /// first cell and the backticked name in its second. Header and
+    /// separator rows have no number and are skipped.
+    fn doc_table<'d>(doc: &'d str, table: &str) -> Vec<(u32, &'d str)> {
+        let marker = |side: &str| format!("<!-- {table}:{side} -->");
+        let (_, rest) = doc.split_once(&marker("BEGIN")).expect("BEGIN marker");
+        let (rows, _) = rest.split_once(&marker("END")).expect("END marker");
+        let row = |line: &'d str| {
+            let mut cells = line.split('|').skip(1).map(str::trim);
+            Some((cells.next()?.parse().ok()?, cells.next()?.trim_matches('`')))
+        };
+        rows.lines().filter_map(row).collect()
+    }
+
+    /// The normative document agrees with the codec: magic, version and
+    /// the whole section table.
+    #[test]
+    fn segment_format_doc_matches_the_codec() {
+        let doc = include_str!("../../../docs/SEGMENT_FORMAT.md");
+        let magic = std::str::from_utf8(SPAN_SEGMENT_MAGIC).unwrap();
+        for line in [
+            format!("**Segment magic:** `{magic}`"),
+            format!("**Segment version:** `{SPAN_SEGMENT_VERSION}`"),
+        ] {
+            assert!(doc.contains(&line), "SEGMENT_FORMAT.md lacks {line:?}");
+        }
+        let sections: Vec<(u32, &str)> = (0..).zip(SPAN_SEGMENT_SECTIONS).collect();
+        assert_eq!(doc_table(doc, "SEGMENT_SECTIONS"), sections);
     }
 
     /// The size law: a segment is the header, the DFW1 batch and the row

@@ -49,6 +49,11 @@
 //! value has exactly one byte encoding and nothing in the pipeline can
 //! fail. Decoding never panics; every failure is a structured
 //! [`RpcDecodeError`].
+//!
+//! The normative kind table is the `RPC_KINDS` table of
+//! `docs/WIRE_FORMAT.md`; this module's test
+//! `rpc_kind_table_matches_the_codec` holds it to [`RpcBody::kind`] and
+//! to the decoder, kind byte by kind byte.
 
 use crate::span::{AssocKey, Span};
 use crate::wire::{self, put_varint_u128, put_varint_u64, Cursor, WireDecodeError};
@@ -60,26 +65,6 @@ pub const RPC_MAGIC: &[u8; 4] = b"DFR1";
 
 /// Fixed header length: magic (4) + rpc_id (8) + kind (1) + body len (4).
 pub const RPC_HEADER_LEN: usize = 17;
-
-/// Normative table of every DFR1 RPC kind: `(variant name, kind byte)`.
-/// `df-audit`'s spec-exhaustiveness pass cross-checks this table against
-/// [`RpcBody::kind`], `decode_body`, and the RPC_KINDS table in
-/// `docs/WIRE_FORMAT.md` — adding a kind without updating all four is a
-/// CI failure.
-pub const RPC_KINDS: &[(&str, u8)] = &[
-    ("SpanBatch", 1),
-    ("SpanBatchAck", 2),
-    ("CandidateRequest", 3),
-    ("CandidateResponse", 4),
-    ("SpanFetch", 5),
-    ("SpanFetchResponse", 6),
-    ("ReplicateBatch", 7),
-    ("ReplicateAck", 8),
-    ("ShardSummaryRequest", 9),
-    ("ShardSummaryResponse", 10),
-    ("RowRangeRequest", 11),
-    ("RowRangeResponse", 12),
-];
 
 /// One frontier round's association keys, batched per index — the Phase 1
 /// probe payload. Field order is [`AssocKey::KINDS`] order, which is the
@@ -763,10 +748,10 @@ mod tests {
         assert!(CandidateKeys::default().is_empty());
     }
 
-    #[test]
-    fn envelope_round_trips_every_body_kind() {
+    /// At least one body of every kind, edge shapes included.
+    fn sample_bodies() -> Vec<RpcBody> {
         let span = Span::synthetic(TapSide::ServerProcess, 100, 900);
-        let bodies = vec![
+        vec![
             RpcBody::span_batch(3, 17, std::slice::from_ref(&span)),
             RpcBody::SpanBatchAck {
                 shard: 3,
@@ -830,8 +815,61 @@ mod tests {
             },
             RpcBody::row_range_response(6, 128, std::slice::from_ref(&span)),
             RpcBody::row_range_response(6, 0, &[]),
-        ];
-        for body in bodies {
+        ]
+    }
+
+    /// The variant's name as `docs/WIRE_FORMAT.md` spells it. Exhaustive
+    /// on purpose: a new variant does not compile until it is named here,
+    /// which is the cue to add its sample to `sample_bodies`; the table
+    /// test then requires a doc row and a decode arm for it, and a sample
+    /// and a doc row for any decode arm.
+    fn variant(body: &RpcBody) -> &'static str {
+        match body {
+            RpcBody::SpanBatch { .. } => "SpanBatch",
+            RpcBody::SpanBatchAck { .. } => "SpanBatchAck",
+            RpcBody::CandidateRequest { .. } => "CandidateRequest",
+            RpcBody::CandidateResponse { .. } => "CandidateResponse",
+            RpcBody::SpanFetch { .. } => "SpanFetch",
+            RpcBody::SpanFetchResponse { .. } => "SpanFetchResponse",
+            RpcBody::ReplicateBatch { .. } => "ReplicateBatch",
+            RpcBody::ReplicateAck { .. } => "ReplicateAck",
+            RpcBody::ShardSummaryRequest { .. } => "ShardSummaryRequest",
+            RpcBody::ShardSummaryResponse { .. } => "ShardSummaryResponse",
+            RpcBody::RowRangeRequest { .. } => "RowRangeRequest",
+            RpcBody::RowRangeResponse { .. } => "RowRangeResponse",
+        }
+    }
+
+    /// The doc's kind table is exactly the samples' `(kind(), variant)`
+    /// pairs, and the decoder knows exactly those kind bytes: a header-only
+    /// frame is `BadKind` for every other byte and a truncated body for a
+    /// documented one (every body starts with at least 2 bytes).
+    #[test]
+    fn rpc_kind_table_matches_the_codec() {
+        let doc = include_str!("../../../docs/WIRE_FORMAT.md");
+        let mut kinds: Vec<(u32, &str)> = sample_bodies()
+            .iter()
+            .map(|body| (u32::from(body.kind()), variant(body)))
+            .collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(wire::doc_table(doc, "RPC_KINDS"), kinds);
+        for kind in 0..=u8::MAX {
+            let frame = [&RPC_MAGIC[..], &[0; 8], &[kind], &[0; 4]].concat();
+            let documented = kinds.iter().any(|&(k, _)| k == u32::from(kind));
+            match RpcEnvelope::decode(&frame) {
+                Err(RpcDecodeError::BadKind { .. }) => assert!(!documented, "kind {kind}"),
+                Err(RpcDecodeError::Body(WireDecodeError::Truncated { .. })) => {
+                    assert!(documented, "kind {kind} decodes but has no doc row")
+                }
+                other => panic!("kind {kind}: a header-only frame gave {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn envelope_round_trips_every_body_kind() {
+        for body in sample_bodies() {
             let env = RpcEnvelope { rpc_id: 77, body };
             let wire = env.encode();
             let back = RpcEnvelope::decode(&wire).expect("decodes");

@@ -5,9 +5,9 @@
 //! rate depends on a cheap decode path feeding the columnar smart-encoded
 //! store. DFW1 is that byte layout. The normative spec lives in
 //! `docs/WIRE_FORMAT.md`; this module is the reference implementation, and
-//! `ci.sh` runs a spec-sync gate (`df-audit`'s `spec-sync` rule) asserting
-//! the doc's magic, version and field order match [`WIRE_MAGIC`],
-//! [`WIRE_VERSION`] and [`FIELD_ORDER`] exactly.
+//! its test `wire_format_doc_matches_the_codec` asserts the doc's magic,
+//! version, field order and presence bits match [`WIRE_MAGIC`],
+//! [`WIRE_VERSION`], [`FIELD_ORDER`] and the `F_*` bits exactly.
 //!
 //! ## Frame shape
 //!
@@ -78,9 +78,9 @@ pub const WIRE_VERSION: u8 = 1;
 /// follows is a varint, so the full header is variable-length.
 pub const WIRE_PREFIX_LEN: usize = 5;
 
-/// The span-record field order, normative and version-locked. The
-/// spec-sync gate asserts `docs/WIRE_FORMAT.md` lists exactly these
-/// fields in exactly this order; changing it requires a version bump.
+/// The span-record field order, normative and version-locked.
+/// `docs/WIRE_FORMAT.md` lists exactly these fields in exactly this
+/// order (a test checks it); changing it requires a version bump.
 pub const FIELD_ORDER: [&str; 32] = [
     "span_id",
     "flags",
@@ -1129,10 +1129,69 @@ pub fn peek_span_count(bytes: &[u8]) -> Result<u64, WireDecodeError> {
     cur.varint_u64("span_count")
 }
 
+/// The `(number, name)` rows of the Markdown table between `doc`'s
+/// `<!-- table:BEGIN -->` and `<!-- table:END -->` markers: each row's
+/// first cell and the backticked name in its second. Header and
+/// separator rows have no number and are skipped.
+#[cfg(test)]
+pub(crate) fn doc_table<'d>(doc: &'d str, table: &str) -> Vec<(u32, &'d str)> {
+    let marker = |side: &str| format!("<!-- {table}:{side} -->");
+    let (_, rest) = doc.split_once(&marker("BEGIN")).expect("BEGIN marker");
+    let (rows, _) = rest.split_once(&marker("END")).expect("END marker");
+    let row = |line: &'d str| {
+        let mut cells = line.split('|').skip(1).map(str::trim);
+        Some((cells.next()?.parse().ok()?, cells.next()?.trim_matches('`')))
+    };
+    rows.lines().filter_map(row).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::span::TapSide;
+
+    /// Every presence bit, named as `docs/WIRE_FORMAT.md` names it. Their
+    /// OR must be `F_KNOWN`, so a new bit cannot be left off this list.
+    const PRESENCE_BITS: [(&str, u32); 16] = [
+        ("F_INTERFACE", F_INTERFACE),
+        ("F_STATUS_CODE", F_STATUS_CODE),
+        ("F_PID", F_PID),
+        ("F_TID", F_TID),
+        ("F_PROCESS_NAME", F_PROCESS_NAME),
+        ("F_SYSTRACE_REQ", F_SYSTRACE_REQ),
+        ("F_SYSTRACE_RESP", F_SYSTRACE_RESP),
+        ("F_PSEUDO_THREAD", F_PSEUDO_THREAD),
+        ("F_XREQ_REQ", F_XREQ_REQ),
+        ("F_XREQ_RESP", F_XREQ_RESP),
+        ("F_TCP_SEQ_REQ", F_TCP_SEQ_REQ),
+        ("F_TCP_SEQ_RESP", F_TCP_SEQ_RESP),
+        ("F_OTEL_TRACE", F_OTEL_TRACE),
+        ("F_OTEL_SPAN", F_OTEL_SPAN),
+        ("F_OTEL_PARENT", F_OTEL_PARENT),
+        ("F_FLOW_METRICS", F_FLOW_METRICS),
+    ];
+
+    /// The normative document agrees with the codec: magic, version, the
+    /// whole field table and the whole presence-bit table. Encode and
+    /// decode of each bit are checked by the round trips
+    /// (`tests/wire_proptests.rs` sets every optional field).
+    #[test]
+    fn wire_format_doc_matches_the_codec() {
+        let doc = include_str!("../../../docs/WIRE_FORMAT.md");
+        let magic = std::str::from_utf8(WIRE_MAGIC).unwrap();
+        for line in [
+            format!("**Magic:** `{magic}`"),
+            format!("**Version:** `{WIRE_VERSION}`"),
+        ] {
+            assert!(doc.contains(&line), "WIRE_FORMAT.md lacks {line:?}");
+        }
+        let fields: Vec<(u32, &str)> = (0..).zip(FIELD_ORDER).collect();
+        assert_eq!(doc_table(doc, "FIELD_ORDER"), fields);
+        let bits = PRESENCE_BITS.map(|(name, bit)| (bit.trailing_zeros(), name));
+        assert_eq!(doc_table(doc, "PRESENCE_BITS"), bits);
+        let all = PRESENCE_BITS.iter().fold(0, |all, (_, bit)| all | bit);
+        assert_eq!(all, F_KNOWN, "a presence bit is missing from PRESENCE_BITS");
+    }
 
     fn rich_span() -> Span {
         let mut s = Span::synthetic(TapSide::Gateway, 5_000, 9_000);
