@@ -119,4 +119,18 @@ echo "==> benchmark crate builds and describes BENCHMARK.json"
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- describe | diff - BENCHMARK.json
 
+# A build does not show the answers are right. Each run checks its own
+# (span lists, the Bookinfo trace shape, traces against the reference
+# oracle), so a change that compiles but lists or assembles wrongly fails
+# here.
+echo "==> benchmark smoke run (each workload once, answers checked)"
+for workload in bookinfo_e2e wire_ingest query_preloaded mixed_live; do
+  result=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  case "$result" in
+    *'"correct":true'*'"failed":0,'*) ;;
+    *) echo "benchmark $workload: want \"correct\":true and \"failed\":0, got: ${result:0:200}" >&2; exit 1 ;;
+  esac
+done
+
 echo "ci.sh: all gates passed"

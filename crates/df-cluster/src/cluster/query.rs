@@ -12,10 +12,10 @@
 //! unreachable or lost the rows — with RF ≥ 2 a single node failure
 //! degrades nothing.
 
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use df_server::{assemble_with, Loc, ShardProbe};
+use df_storage::SpanRef;
 use df_types::rpc::{CandidateKeys, RpcBody};
 use df_types::{IntSet, Span, SpanId, Trace};
 
@@ -146,8 +146,8 @@ impl RemoteProbe<'_> {
 }
 
 impl ShardProbe for RemoteProbe<'_> {
-    fn span_at(&self, loc: Loc) -> Cow<'_, Span> {
-        Cow::Borrowed(&self.span_of[&loc])
+    fn span_at(&self, loc: Loc) -> SpanRef<'_> {
+        SpanRef::Borrowed(&self.span_of[&loc])
     }
 
     fn probe_round(&mut self, round: u32, keys: &CandidateKeys, seen: &IntSet<Loc>) -> Vec<Loc> {

@@ -80,12 +80,11 @@
 //! tests assert both implementations produce identical traces.
 
 use crate::router::Loc;
-use df_storage::SpanStore;
+use df_storage::{SpanRef, SpanStore};
 use df_types::rpc::CandidateKeys;
 use df_types::span::{Span, SpanKind, TapSide};
 use df_types::trace::{AssembledSpan, Trace};
 use df_types::{AssocKey, DurationNs, IntSet, OtelSpanId, SpanId};
-use std::borrow::Cow;
 
 /// Assembly tunables.
 #[derive(Debug, Clone)]
@@ -116,7 +115,7 @@ impl Default for AssembleConfig {
 pub trait ShardProbe {
     /// The span at `loc`: the start span or a location an earlier
     /// [`ShardProbe::probe_round`] returned.
-    fn span_at(&self, loc: Loc) -> Cow<'_, Span>;
+    fn span_at(&self, loc: Loc) -> SpanRef<'_>;
 
     /// Run round `round`'s new keys against every shard and return the
     /// matching locations in ascending shard order. Locations in `seen`
@@ -135,7 +134,7 @@ pub struct LocalShards<'a> {
 }
 
 impl ShardProbe for LocalShards<'_> {
-    fn span_at(&self, loc: Loc) -> Cow<'_, Span> {
+    fn span_at(&self, loc: Loc) -> SpanRef<'_> {
         self.shards[loc.shard as usize]
             .span_at(loc.row)
             .expect("member rows exist")
@@ -271,7 +270,7 @@ pub fn assemble_with<P: ShardProbe>(
         members.extend_from_slice(&next);
         frontier = next;
     }
-    let spans: Vec<Cow<'_, Span>> = members.iter().map(|&loc| prober.span_at(loc)).collect();
+    let spans: Vec<SpanRef<'_>> = members.iter().map(|&loc| prober.span_at(loc)).collect();
     let keys = fixed_point.then(|| expanded.into_iter().collect());
     let trace = assemble_members(&spans, start_id, cfg, set_parents_indexed);
     (trace, rounds, keys)
@@ -346,7 +345,7 @@ pub fn assemble_trace_reference(store: &SpanStore, start: SpanId, cfg: &Assemble
             break; // fixed point
         }
     }
-    let spans: Vec<Cow<'_, Span>> = set.iter().filter_map(|&row| store.span_at(row)).collect();
+    let spans: Vec<SpanRef<'_>> = set.iter().filter_map(|&row| store.span_at(row)).collect();
     assemble_members(&spans, start, cfg, set_parents_reference)
 }
 
@@ -354,7 +353,7 @@ pub fn assemble_trace_reference(store: &SpanStore, start: SpanId, cfg: &Assemble
 /// (retaining `start`), assign parents with `set_parents`, sort the tree.
 /// Both formulations share everything but `set_parents`.
 fn assemble_members(
-    members: &[Cow<'_, Span>],
+    members: &[SpanRef<'_>],
     start: SpanId,
     cfg: &AssembleConfig,
     set_parents: fn(&[&Span], &AssembleConfig) -> Vec<Option<usize>>,

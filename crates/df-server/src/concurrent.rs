@@ -63,11 +63,12 @@ use crate::trace_cache::{self, TraceCache};
 use df_check::sync::atomic::{AtomicUsize, Ordering};
 use df_check::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use df_check::sync::{Arc, Mutex, RwLock};
-use df_storage::{BufferPool, ShardPolicy, SpanQuery, SpanStore, SpillStats, Tier, TierConfig};
+use df_storage::{
+    BufferPool, ShardPolicy, SpanQuery, SpanRef, SpanStore, SpillStats, Tier, TierConfig,
+};
 use df_types::trace::Trace;
 use df_types::wire::{self, WireDecodeError};
 use df_types::{Span, SpanId, TimeNs};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io;
 use std::thread;
@@ -520,7 +521,7 @@ impl ConcurrentShardedStore {
             .read()
             .expect("shard lock poisoned")
             .span_at(loc.row)
-            .map(Cow::into_owned)
+            .map(SpanRef::into_owned)
     }
 
     /// Whether an applied span is tombstoned.
@@ -557,7 +558,7 @@ impl ConcurrentShardedStore {
         self.stats.lock().expect("stats lock poisoned").list_queries += 1;
         query_shards(self.slots.iter(), q, |slot, out| {
             let shard = slot.store.read().expect("shard lock poisoned");
-            out.extend(shard.query(q).into_iter().map(Cow::into_owned));
+            out.extend(shard.query(q).into_iter().map(SpanRef::into_owned));
         })
     }
 

@@ -70,6 +70,6 @@ pub use assemble::{
 pub use concurrent::{ConcurrentConfig, ConcurrentShardedStore, WireIngestError, WorkerPanic};
 pub use dictionary::TagDictionary;
 pub use router::{BatchReorder, Loc, Router, SubBatch};
-pub use server::{Server, ServerStats};
+pub use server::{Listed, Server, ServerStats};
 pub use sharded::{assemble_trace_sharded, ShardedSpanStore};
 pub use trace_cache::{CacheOutcome, TraceCache};

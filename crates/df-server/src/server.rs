@@ -21,11 +21,12 @@ use crate::dictionary::TagDictionary;
 use crate::sharded::ShardedSpanStore;
 use crate::trace_cache::{self, CacheOutcome, TraceCache};
 use df_check::sync::{Arc, Mutex};
-use df_storage::{ShardPolicy, SpanQuery};
+use df_storage::{ShardPolicy, SpanQuery, SpanRef};
 use df_types::tags::ResourceInventory;
 use df_types::trace::Trace;
 use df_types::wire::{self, WireDecodeError};
 use df_types::{Span, SpanId, TimeNs};
+use std::ops::Deref;
 
 /// Re-aggregation matching key: the capture point + flow + protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -194,22 +195,18 @@ impl Server {
         Ok(self.ingest_batch(spans))
     }
 
-    /// Span-list query (Fig. 15's "span list"), with phase-3 label join
-    /// (Fig. 8 ⑧) applied to the results.
-    pub fn span_list(&self, query: &SpanQuery) -> Vec<Span> {
+    /// Span-list query (Fig. 15's "span list"): the stored rows, lent, each
+    /// with its phase-3 labels (Fig. 8 ⑧) beside it ([`Listed::label`]).
+    pub fn span_list(&self, query: &SpanQuery) -> Vec<Listed<'_>> {
         self.stats.lock().expect("stats lock poisoned").list_queries += 1;
-        let dict = &self.dict;
-        let results: Vec<Span> = self
-            .store
-            .query(query)
-            .into_iter()
-            .map(std::borrow::Cow::into_owned)
-            .map(|mut s| {
-                join_labels(dict, &mut s);
-                s
+        let labels =
+            |s: &Span| (s.tags.resource.ip).map_or(&[][..], |ip| self.dict.labels_for_ip(ip));
+        (self.store.query(query).into_iter())
+            .map(|span| Listed {
+                labels: labels(&span),
+                span,
             })
-            .collect();
-        results
+            .collect()
     }
 
     /// Trace query: Algorithm 1 from a user-chosen span (Fig. 15's
@@ -322,12 +319,41 @@ impl Server {
     }
 
     /// Convenience: error spans in a window.
-    pub fn error_spans(&self, from: TimeNs, to: TimeNs) -> Vec<Span> {
+    pub fn error_spans(&self, from: TimeNs, to: TimeNs) -> Vec<Listed<'_>> {
         let q = SpanQuery {
             errors_only: true,
             ..SpanQuery::window(from, to)
         };
         self.span_list(&q)
+    }
+}
+
+/// One [`Server::span_list`] row: the stored span as the store lends it,
+/// and the dictionary's labels for its IP, joined by [`Listed::label`]
+/// instead of copied in.
+#[derive(Debug)]
+pub struct Listed<'a> {
+    /// The stored span.
+    pub span: SpanRef<'a>,
+    /// The dictionary's labels for the span's IP (empty without one).
+    pub labels: &'a [(String, String)],
+}
+
+impl Listed<'_> {
+    /// The label under `key`: the span's own value wins, and the
+    /// dictionary fills in a key the span lacks — the precedence
+    /// [`Server::trace`]'s joined labels have.
+    pub fn label(&self, key: &str) -> Option<&str> {
+        let joined = || self.labels.iter().find(|(k, _)| k == key);
+        (self.span.tags.label(key)).or_else(|| joined().map(|(_, v)| v.as_str()))
+    }
+}
+
+impl Deref for Listed<'_> {
+    type Target = Span;
+
+    fn deref(&self) -> &Span {
+        &self.span
     }
 }
 
@@ -405,7 +431,11 @@ mod tests {
         srv.ingest(span(100, 50));
         let got = srv.span_list(&SpanQuery::window(TimeNs(0), TimeNs(1000)));
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].tags.label("version"), Some("v3"));
+        assert_eq!(got[0].label("version"), Some("v3"));
+        assert!(
+            got[0].tags.custom.is_empty(),
+            "the stored row is lent as is"
+        );
     }
 
     #[test]

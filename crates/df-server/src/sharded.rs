@@ -28,11 +28,12 @@ use crate::assemble::{assemble_with, AssembleConfig, JoinFacts, LocalShards};
 use crate::router::{Loc, Router};
 use df_check::sync::Arc;
 use df_storage::{
-    BufferPool, ShardPolicy, SpanQuery, SpanStore, SpillStats, StoreStats, Tier, TierConfig,
+    BufferPool, ShardPolicy, SpanQuery, SpanRef, SpanStore, SpillStats, StoreStats, Tier,
+    TierConfig,
 };
 use df_types::trace::Trace;
 use df_types::{Span, SpanId, TimeNs};
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 use std::io;
 use std::ops::{Deref, DerefMut};
 
@@ -189,7 +190,7 @@ impl ShardedSpanStore {
 
     /// Fetch by global id (tier-aware: a cold span pages in and is
     /// returned owned; hot spans stay borrowed).
-    pub fn get(&self, id: SpanId) -> Option<Cow<'_, Span>> {
+    pub fn get(&self, id: SpanId) -> Option<SpanRef<'_>> {
         let loc = self.router.loc(id)?;
         self.shards[loc.shard as usize].span_at(loc.row)
     }
@@ -236,7 +237,7 @@ impl ShardedSpanStore {
     /// Span-list query: each shard answers locally, results are merged by
     /// `(req_time, span_id)` — the same order a single store yields for
     /// the same corpus — and re-capped at `limit`.
-    pub fn query(&self, q: &SpanQuery) -> Vec<Cow<'_, Span>> {
+    pub fn query(&self, q: &SpanQuery) -> Vec<SpanRef<'_>> {
         query_shards(self.shards.iter(), q, |shard, out| {
             out.extend(shard.query(q))
         })
@@ -244,7 +245,7 @@ impl ShardedSpanStore {
 
     /// Iterate all spans in global-id order (diagnostics, re-aggregation).
     /// Tier-aware: cold spans page in as the iterator reaches them.
-    pub fn iter(&self) -> impl Iterator<Item = Cow<'_, Span>> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = SpanRef<'_>> + '_ {
         self.router.locs().iter().map(move |loc| {
             self.shards[loc.shard as usize]
                 .span_at(loc.row)

@@ -34,4 +34,4 @@ pub mod store;
 pub use bufferpool::{BufferPool, BufferPoolConfig, PoolStats, SegmentId};
 pub use disk_sched::DiskScheduler;
 pub use shard::{ShardPolicy, Tier, TierConfig};
-pub use store::{ColdRef, RecoverStats, SpanQuery, SpanStore, SpillStats, StoreStats};
+pub use store::{ColdRef, RecoverStats, SpanQuery, SpanRef, SpanStore, SpillStats, StoreStats};

@@ -21,12 +21,11 @@
 //! span was spilled to a disk segment by [`SpanStore::spill_before`] and
 //! only a [`ColdRef`] — segment id, in-segment offset, span id, request
 //! time — remains resident). Everything that needs the full span goes
-//! through [`SpanStore::span_at`], which returns a `Cow`: borrowed for
-//! hot rows (the zero-copy fast path is unchanged), owned for cold rows
-//! (a page-in through the shared [`BufferPool`]). The association and
-//! time indexes keep cold rows, so [`SpanStore::find`] probes and time-window
-//! scans are tier-blind; only *materialising* a cold row costs a pool
-//! fetch. Spill never reorders, renumbers, or drops rows — it is
+//! through [`SpanStore::span_at`], which returns a [`SpanRef`]: borrowed
+//! for hot rows (the zero-copy fast path), owned for cold rows (a page-in
+//! through the shared [`BufferPool`]). The association and time indexes
+//! keep cold rows, so [`SpanStore::find`] probes and time-window scans are
+//! tier-blind; only *materialising* a cold row costs a pool fetch. Spill never reorders, renumbers, or drops rows — it is
 //! extensionally invisible to assembly, which the tiered differential
 //! proptests pin down.
 
@@ -37,9 +36,10 @@ use crate::shard::bucket_of;
 use df_check::sync::{Arc, Mutex};
 use df_types::span::SpanStatus;
 use df_types::{AssocKey, Span, SpanId, TimeNs};
-use std::borrow::Cow;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::io;
+use std::ops::Deref;
 use std::path::Path;
 
 /// A span-list query (the Fig. 15 "span list" request).
@@ -95,6 +95,44 @@ impl SpanQuery {
             }
         }
         true
+    }
+}
+
+/// A stored span as the store lends it: borrowed from a hot row (or from
+/// whatever the caller already holds), or owned after a cold page-in. Two
+/// words, so a span list moves pointers, not 576-byte `Span`s.
+#[derive(Debug)]
+pub enum SpanRef<'a> {
+    /// A span that lives elsewhere for `'a`.
+    Borrowed(&'a Span),
+    /// A span paged in from the cold tier.
+    Owned(Box<Span>),
+}
+
+impl SpanRef<'_> {
+    /// The span by value: a clone of a borrowed span, an owned one unboxed.
+    pub fn into_owned(self) -> Span {
+        match self {
+            SpanRef::Borrowed(s) => s.clone(),
+            SpanRef::Owned(s) => *s,
+        }
+    }
+}
+
+impl Deref for SpanRef<'_> {
+    type Target = Span;
+
+    fn deref(&self) -> &Span {
+        match self {
+            SpanRef::Borrowed(s) => s,
+            SpanRef::Owned(s) => s,
+        }
+    }
+}
+
+impl Borrow<Span> for SpanRef<'_> {
+    fn borrow(&self) -> &Span {
+        self
     }
 }
 
@@ -256,13 +294,15 @@ impl SpanStore {
     /// Panics if the row is cold and no cold reader is attached, or if
     /// the cold segment is unreadable — a spilled row must be
     /// recoverable; fabricating an absence would corrupt assembly.
-    pub fn span_at(&self, row: u32) -> Option<Cow<'_, Span>> {
+    pub fn span_at(&self, row: u32) -> Option<SpanRef<'_>> {
         match self.rows.get(row as usize)? {
-            RowSlot::Hot(s) => Some(Cow::Borrowed(&**s)),
+            RowSlot::Hot(s) => Some(SpanRef::Borrowed(s)),
             RowSlot::Cold(c) => {
                 let pool = self.cold_reader.as_ref();
                 let pool = pool.expect("cold rows require an attached cold reader");
-                Some(Cow::Owned(pool.read_span(c.segment, c.offset)))
+                Some(SpanRef::Owned(Box::new(
+                    pool.read_span(c.segment, c.offset),
+                )))
             }
         }
     }
@@ -538,7 +578,7 @@ impl SpanStore {
     }
 
     /// Fetch by id (tier-aware: cold spans page in).
-    pub fn get(&self, id: SpanId) -> Option<Cow<'_, Span>> {
+    pub fn get(&self, id: SpanId) -> Option<SpanRef<'_>> {
         let row = id.raw().checked_sub(1)?;
         self.span_at(u32::try_from(row).ok()?)
     }
@@ -558,7 +598,7 @@ impl SpanStore {
     /// Tier-aware: the time index covers cold rows, which page in as
     /// they are materialised (tombstones are filtered by resident id
     /// first, so hidden cold rows cost nothing).
-    pub fn query(&self, q: &SpanQuery) -> Vec<Cow<'_, Span>> {
+    pub fn query(&self, q: &SpanQuery) -> Vec<SpanRef<'_>> {
         let mut idx = self.time_index.lock().expect("time index lock poisoned");
         if !idx.sorted {
             idx.entries.sort_unstable();
@@ -570,6 +610,9 @@ impl SpanStore {
         };
         let mut out = Vec::new();
         for &(ts, row) in &idx.entries[start..] {
+            if out.len() >= q.limit {
+                break;
+            }
             if let Some(t) = q.to {
                 if ts >= t.as_nanos() {
                     break;
@@ -582,9 +625,6 @@ impl SpanStore {
             let span = self.span_at(row).expect("time-indexed row exists");
             if q.matches(&span) {
                 out.push(span);
-                if out.len() >= q.limit {
-                    break;
-                }
             }
         }
         out
@@ -600,7 +640,7 @@ impl SpanStore {
 
     /// Iterate all spans (diagnostics / persistence). Tier-aware: cold
     /// rows page in as the iterator reaches them.
-    pub fn iter(&self) -> impl Iterator<Item = Cow<'_, Span>> {
+    pub fn iter(&self) -> impl Iterator<Item = SpanRef<'_>> {
         (0..self.rows.len() as u32).map(|row| self.span_at(row).expect("row in range"))
     }
 
@@ -933,6 +973,8 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(st.query(&q).len(), 7);
+        let none = SpanQuery { limit: 0, ..q };
+        assert!(st.query(&none).is_empty(), "a zero cap returns nothing");
     }
 
     #[test]

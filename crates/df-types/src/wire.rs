@@ -1366,6 +1366,28 @@ mod tests {
     }
 
     #[test]
+    fn rejects_unknown_resource_tag_bits() {
+        // The bitmap starts where a record with `vpc_id` (bit 0) set first
+        // differs from the same record without it.
+        let plain = Span::synthetic(TapSide::ClientProcess, 1, 2);
+        let mut tagged = plain.clone();
+        tagged.tags.resource.vpc_id = Some(1);
+        let mut bytes = encode_batch(&[plain]);
+        let tagged = encode_batch(&[tagged]);
+        let at = (bytes.iter().zip(&tagged)).position(|(a, b)| a != b);
+        let at = at.expect("the bitmaps differ");
+        assert_eq!(bytes[at..at + 2], [0x00, 0x00]);
+        bytes[at + 1] = 0x10; // bit 12, the first reserved bit
+        assert!(matches!(
+            decode_batch(&bytes),
+            Err(WireDecodeError::BadEnum {
+                field: "resource_tags",
+                ..
+            })
+        ));
+    }
+
+    #[test]
     fn varint_rejects_overwide_encodings() {
         let mut cur = Cursor::new(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02]);
         assert_eq!(

@@ -37,7 +37,7 @@ fn main() {
         limit: usize::MAX,
         ..Default::default()
     });
-    let incomplete: Vec<&Span> = all
+    let incomplete: Vec<_> = all
         .iter()
         .filter(|s| s.status == SpanStatus::Incomplete && s.l7_protocol == L7Protocol::Amqp)
         .collect();

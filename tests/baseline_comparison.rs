@@ -127,7 +127,7 @@ fn context_propagation_dies_at_headerless_protocols_but_deepflow_continues() {
         limit: usize::MAX,
         ..Default::default()
     });
-    let mysql_sys: Vec<&Span> = all
+    let mysql_sys: Vec<_> = all
         .iter()
         .filter(|s| s.l7_protocol == L7Protocol::Mysql && s.kind == SpanKind::Sys)
         .collect();

@@ -71,7 +71,7 @@ fn tls_services_are_traced_via_ssl_uprobes_despite_opaque_wire() {
     assert_eq!(net_plain, 0, "taps must not see plaintext of TLS traffic");
     // Yet the server-side uprobe spans DO: "easy access to important
     // information, such as the original payload prior to TLS encryption".
-    let uprobe_spans: Vec<&Span> = all
+    let uprobe_spans: Vec<_> = all
         .iter()
         .filter(|s| {
             s.kind == SpanKind::Sys
@@ -328,6 +328,10 @@ fn server_side_re_aggregation_reunites_out_of_window_sessions() {
     {
         assert!(f.flow_metrics.is_some() && f.tags.resource.ip.is_some());
     }
+    let fragments_before = before
+        .iter()
+        .filter(|s| s.status == SpanStatus::ResponseOnly)
+        .count();
     let merged = df.server.re_aggregate();
     assert!(merged > 0, "re-aggregation reunited sessions: {merged}");
 
@@ -351,10 +355,6 @@ fn server_side_re_aggregation_reunites_out_of_window_sessions() {
     assert_eq!(reunited.status_code, Some(200));
     // Consumed fragments no longer appear in queries.
     let fragments_after = after
-        .iter()
-        .filter(|s| s.status == SpanStatus::ResponseOnly)
-        .count();
-    let fragments_before = before
         .iter()
         .filter(|s| s.status == SpanStatus::ResponseOnly)
         .count();

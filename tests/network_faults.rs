@@ -120,7 +120,7 @@ fn amqp_backlog_yields_zero_windows_then_resets() {
         limit: usize::MAX,
         ..Default::default()
     });
-    let incomplete: Vec<&Span> = all
+    let incomplete: Vec<_> = all
         .iter()
         .filter(|s| s.status == SpanStatus::Incomplete && s.l7_protocol == L7Protocol::Amqp)
         .collect();

@@ -99,6 +99,7 @@ fn run_case(case: &Case) -> (Vec<Span>, u64) {
         limit: usize::MAX,
         ..Default::default()
     });
+    let spans = spans.into_iter().map(|s| s.span.into_owned()).collect();
     (spans, completed)
 }
 

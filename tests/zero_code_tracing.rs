@@ -114,7 +114,7 @@ fn smart_encoded_tags_let_users_filter_by_pod() {
     assert!(
         reviews_spans
             .iter()
-            .any(|s| s.tags.label("version") == Some("v2")),
+            .any(|s| s.label("version") == Some("v2")),
         "self-defined labels joined at query time"
     );
 }
