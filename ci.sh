@@ -55,11 +55,12 @@ echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The static passes, one binary over one read of the Rust sources
-# (docs/LINTS.md): the sync-discipline rules, decoder panic-totality over
-# wire.rs/rpc.rs/persist.rs, and the static lock-order graph over
-# production sources (AB/BA cycles fail). The format documents under docs/
-# are checked by `cargo test` below, each by a test beside its codec.
-echo "==> df-audit (sync discipline, panic-totality, lock-order)"
+# (docs/LINTS.md): the lock-unwrap, forbid-unsafe and fs-confinement
+# rules, decoder panic-totality over wire.rs/rpc.rs/persist.rs, and the
+# static lock-order graph over production sources (AB/BA cycles fail).
+# The format documents under docs/ are checked by `cargo test` below,
+# each by a test beside its codec.
+echo "==> df-audit (lock-unwrap/forbid-unsafe/fs-confinement, panic-totality, lock-order)"
 cargo run -q -p df-check --bin df-audit -- .
 # The lock-order graph's edges are a reviewed file, like the example
 # goldens: a new or lost nesting fails here until docs/LOCK_ORDER.txt is
@@ -71,19 +72,14 @@ cargo run -q -p df-check --bin df-audit -- --graph . | sed 's/  (via .*//' \
 echo "==> cargo test"
 cargo test --workspace -q
 
-# The concurrency suite (per-shard ingest workers, trace cache under the
-# shard read locks) re-runs with forced test-thread parallelism so its
-# producer/worker threads contend with other test threads for real.
+# The concurrency suites (per-shard ingest workers, trace cache under the
+# shard read locks, buffer-pool fetchers sharing one page-in) re-run with
+# forced test-thread parallelism so their threads contend with other test
+# threads for real.
 echo "==> concurrency tests under RUST_TEST_THREADS=8"
 RUST_TEST_THREADS=8 cargo test -q --test concurrency
 RUST_TEST_THREADS=8 cargo test -q -p df-server concurrent::
-
-# df-check's own suite needs the `checked` scheduler compiled in by
-# feature; the df-server / df-cluster / df-storage model suites already
-# ran checked, each test under its own full schedule budget, in the
-# workspace pass above (dev-dependency feature unification).
-echo "==> df-check model suite (checked scheduler)"
-cargo test -q -p df-check --features checked
+RUST_TEST_THREADS=8 cargo test -q -p df-storage --test tiering
 
 # The six examples are the paper's §4 case studies, end to end; `cargo
 # test` only compiles them. Their output is deterministic, so each run's

@@ -18,12 +18,12 @@
 //!    the audit itself when the justification is empty.
 //!
 //! 2. **Static lock-order** (`lock-order`): per-function
-//!    lock-acquisition summaries are extracted from
-//!    `df_check::sync` shim call sites (`.lock()`, `.read()`,
-//!    `.write()`), guards are tracked through `let` bindings and block
-//!    scopes, and the summaries are propagated over an intra-crate
-//!    call-graph approximation into a global lock-order graph over the
-//!    production sources. Any AB/BA cycle in that graph fails the audit.
+//!    lock-acquisition summaries are extracted from `.lock()`,
+//!    `.read()` and `.write()` call sites (matched by name), guards are
+//!    tracked through `let` bindings and block scopes, and the summaries
+//!    are propagated over an intra-crate call-graph approximation into a
+//!    global lock-order graph over the production sources. Any AB/BA
+//!    cycle in that graph fails the audit.
 //!
 //! The analyses are deliberately heuristic (no rustc internals, no type
 //! information): names are resolved within one crate, method names that
@@ -692,8 +692,8 @@ pub fn analyze_locks(root: &Path) -> Result<LockAnalysis, String> {
 
 /// Build the static lock-order graph of a parsed tree.
 ///
-/// The files that feed it are exactly the shim-visible production code:
-/// the non-test functions in the `src` of [`SYNC_SCOPED_CRATES`].
+/// The files that feed it are the lock-taking production code: the
+/// non-test functions in the `src` of [`SYNC_SCOPED_CRATES`].
 /// Summaries are extracted per function, the intra-crate call graph
 /// propagates acquire-sets to a fixpoint, and every AB/BA cycle among the
 /// resulting edges becomes a `lock-order` violation.
@@ -873,7 +873,7 @@ fn find_cycles(edges: &BTreeMap<(String, String), EdgeSite>) -> Vec<Violation> {
 // ---------------------------------------------------------------------
 
 /// Run every static pass over the tree at `root`, read and lexed once:
-/// the sync-discipline rules, panic-totality on the designated decode
+/// the token rules, panic-totality on the designated decode
 /// modules, and the static lock-order cycle check. Returns all
 /// violations, sorted by file/line.
 pub fn audit_tree(root: &Path) -> Result<Vec<Violation>, String> {

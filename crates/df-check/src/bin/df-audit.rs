@@ -1,5 +1,5 @@
 //! The `df-audit` binary: every static pass over the repository's Rust
-//! sources — sync discipline ([`df_check::lint`]), decoder
+//! sources — the token rules ([`df_check::lint`]), decoder
 //! panic-totality and static lock order ([`df_check::audit`]) — exiting
 //! nonzero if any violation is found.
 //! Usage: `df-audit [repo-root]` (default `.`); `df-audit --graph

@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 //! Fixture server: one consistent lock order, `store` before `gens`.
 
-use df_check::sync::Mutex;
+use std::sync::Mutex;
 
 pub struct Srv {
     store: Mutex<u32>,

@@ -1,8 +1,7 @@
-//! Seed: a grouped import reaches `std::fs` (line 6) and `std::sync`
-//! (line 7) without ever spelling `std::fs` or `std::sync`.
+//! Seed: a grouped import reaches `std::fs` (line 6) without ever
+//! spelling `std::fs`.
 
 use std::{
     collections::{BTreeMap, BTreeSet},
     fs,
-    sync::{Arc, Mutex},
 };

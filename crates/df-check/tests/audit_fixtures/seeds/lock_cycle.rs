@@ -2,7 +2,7 @@
 //! Seed: AB/BA lock nesting — `drain` takes store then gens, `backfill`
 //! takes gens then store. The static graph gains a cycle.
 
-use df_check::sync::Mutex;
+use std::sync::Mutex;
 
 pub struct Srv {
     store: Mutex<u32>,

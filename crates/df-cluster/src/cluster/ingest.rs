@@ -153,7 +153,7 @@ impl Cluster {
             return;
         }
         let acked_now = {
-            let w = self.pending_writes.get_mut(&write_id).expect("checked");
+            let w = self.pending_writes.get_mut(&write_id).expect("present");
             if w.quorum.ready() && !w.quorum.met() {
                 self.stats.quorum_shortfalls += 1;
             }

@@ -19,8 +19,8 @@
 //!   in-process assembly uses);
 //! * [`RoundTracker`] / [`BatchReorder`] / [`WriteQuorum`] — the pure
 //!   coordination state machines (round-ordering of responses,
-//!   row-ordering of batches, quorum-ack accounting) that df-check
-//!   models under adversarial schedules;
+//!   row-ordering of batches, quorum-ack accounting), each unit-tested
+//!   under every delivery order;
 //! * [`ShardMap`] — shard → owner-list assignment (a primary plus
 //!   `replication_factor − 1` replicas), updated by handoff;
 //! * [`replication`] — the write-quorum state machine and the FNV-1a

@@ -1,5 +1,4 @@
-//! Replication primitives shared by the cluster protocol and its
-//! df-check models.
+//! Replication primitives of the cluster protocol.
 //!
 //! * [`WriteQuorum`] — the pure state machine a primary runs per
 //!   replicated span-batch write. The primary's local apply counts as
@@ -14,8 +13,9 @@
 //!   `(row_count, digest)` pairs so replicas can verify byte-identical
 //!   convergence without shipping shard contents.
 //!
-//! Both are free of I/O and clocks so `tests/df_check_models.rs` can
-//! model the quorum invariant under adversarial schedules.
+//! Both are free of I/O, clocks and threads, so the quorum invariant is a
+//! property of the order responses reach [`WriteQuorum`], and its unit
+//! tests run every order.
 
 use df_storage::SpanStore;
 use df_types::wire;
@@ -100,7 +100,7 @@ impl WriteQuorum {
 
     /// Acknowledge the requester if [`WriteQuorum::ready`]. Returns
     /// whether *this call* acknowledged — at most one call ever returns
-    /// true, which is the invariant the df-check model pins down.
+    /// true.
     pub fn try_ack(&mut self) -> bool {
         if self.ready() {
             self.acked = true;
@@ -113,21 +113,6 @@ impl WriteQuorum {
     /// Whether the requester has been acknowledged.
     pub fn acked(&self) -> bool {
         self.acked
-    }
-
-    /// Copies applied so far (the local apply plus replica acks).
-    pub fn applied(&self) -> u32 {
-        self.applied
-    }
-
-    /// Replication RPCs still in flight.
-    pub fn outstanding(&self) -> u32 {
-        self.outstanding
-    }
-
-    /// The configured quorum.
-    pub fn quorum(&self) -> u32 {
-        self.quorum
     }
 
     /// Whether every replication RPC has resolved (ack or failure).
@@ -154,7 +139,7 @@ mod tests {
         assert!(!q.settled());
         q.record_ack();
         assert!(q.settled());
-        assert_eq!(q.applied(), 3);
+        assert_eq!(q.applied, 3);
     }
 
     #[test]
@@ -172,8 +157,57 @@ mod tests {
     #[test]
     fn degenerate_quorum_of_one_acks_immediately() {
         let mut q = WriteQuorum::new(0, 1);
-        assert_eq!(q.quorum(), 1, "quorum clamps to at least 1");
+        assert_eq!(q.quorum, 1, "quorum clamps to at least 1");
         assert!(q.try_ack(), "the local apply satisfies quorum 1");
+    }
+
+    /// Every outcome and order of two replica responses, under every
+    /// quorum a primary with two co-owners can ask for: the requester is
+    /// acked exactly once, by a call that saw the quorum met or nothing
+    /// outstanding. The eager counter (ack whenever the applied count
+    /// reaches the quorum, with no at-most-once guard) must double-ack in
+    /// some run.
+    #[test]
+    fn every_response_order_acks_exactly_once() {
+        let mut eager_double_acked = false;
+        for quorum in 1..=3 {
+            for acks in [[true, true], [true, false], [false, true], [false, false]] {
+                let mut q = WriteQuorum::new(quorum, 2);
+                let mut acked = usize::from(q.try_ack());
+                for ok in acks {
+                    if ok {
+                        q.record_ack();
+                    } else {
+                        q.record_failure();
+                    }
+                    let (met, settled) = (q.met(), q.settled());
+                    if q.try_ack() {
+                        acked += 1;
+                        assert!(met || settled, "acked early: {quorum} of {acks:?}");
+                    }
+                }
+                assert_eq!(acked, 1, "quorum {quorum}, responses {acks:?}");
+                assert!(q.settled() && q.acked());
+                assert_eq!(
+                    q.met(),
+                    1 + acks.iter().filter(|&&ok| ok).count() >= quorum as usize
+                );
+
+                let mut applied = 1;
+                let eager_acks = acks
+                    .iter()
+                    .filter(|&&ok| {
+                        applied += u32::from(ok);
+                        ok && applied >= quorum
+                    })
+                    .count();
+                eager_double_acked |= eager_acks > 1;
+            }
+        }
+        assert!(
+            eager_double_acked,
+            "the eager counter must double-ack in some run"
+        );
     }
 
     #[test]

@@ -51,18 +51,16 @@
 //! cache store. So the version an entry records is exactly the corpus it
 //! vouches for: no interleaving caches a trace that misses an applied span
 //! yet records the version after it (which would be served forever — a
-//! permanently stale entry). The df-check models in
-//! `tests/df_check_models.rs` explore this under every schedule, including
-//! that reading the version after the guards drop *would* exhibit the bug.
+//! permanently stale entry). This holds by construction, not by testing
+//! schedules: `trace_cache::query` is handed `&[&SpanStore]` borrowed from
+//! the guards, reaches no lock of its own, and so cannot read the version
+//! anywhere but under them.
 
 use crate::assemble::AssembleConfig;
 use crate::router::{BatchReorder, Router};
 use crate::server::ServerStats;
 use crate::sharded::{query_shards, spill_shards, tier_occupancy, tombstone_row};
 use crate::trace_cache::{self, TraceCache};
-use df_check::sync::atomic::{AtomicUsize, Ordering};
-use df_check::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use df_check::sync::{Arc, Mutex, RwLock};
 use df_storage::{
     BufferPool, ShardPolicy, SpanQuery, SpanRef, SpanStore, SpillStats, Tier, TierConfig,
 };
@@ -71,6 +69,9 @@ use df_types::wire::{self, WireDecodeError};
 use df_types::{Span, SpanId, TimeNs};
 use std::collections::BTreeMap;
 use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 
 /// Tunables of the concurrent store.
@@ -874,6 +875,31 @@ mod tests {
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.flush()))
             .expect_err("flush() panics once the worker is dead");
         assert!(panic_message(panicked.as_ref()).contains("shard 0 ingest worker panicked"));
+    }
+
+    /// The flush barrier on the real worker step: a flush that arrives
+    /// while row 1's batch waits for row 0 is not acked until row 0 lands,
+    /// and then both rows are applied.
+    #[test]
+    fn flush_ack_waits_for_the_reorder_stash_to_drain() {
+        let slot = ShardSlot {
+            store: RwLock::new(SpanStore::new()),
+            pending: AtomicUsize::new(2),
+            failed: Mutex::new(None),
+        };
+        let policy = ShardPolicy::with_shards(1);
+        let mut state = WorkerState::default();
+        let mut rows = linked_pair(7, 1_000).into_iter();
+        let (row0, row1) = (rows.next().expect("row 0"), rows.next().expect("row 1"));
+        drain(3, &slot, &policy, &mut state, Some((1, vec![row1])));
+        let (ack, acks) = sync_channel::<u16>(1);
+        state.flushes.push(ack);
+        drain(3, &slot, &policy, &mut state, None);
+        assert!(acks.try_recv().is_err(), "acked with row 1 still stashed");
+        drain(3, &slot, &policy, &mut state, Some((0, vec![row0])));
+        assert_eq!(acks.try_recv(), Ok(3), "acked once the stash drained");
+        let store = slot.store.read().expect("shard lock poisoned");
+        assert_eq!((store.len(), slot.pending.load(Ordering::SeqCst)), (2, 0));
     }
 
     #[test]

@@ -162,8 +162,8 @@ impl Router {
 /// `offer(applied, start_row, batch)` returns the run of batches that are
 /// now contiguous with the `applied` rows and can be appended; anything
 /// from the future is stashed, anything already covered is dropped as a
-/// duplicate. Free of I/O and clocks so df-check can model it under
-/// adversarial schedules.
+/// duplicate. Free of I/O and clocks, so its output depends only on the
+/// arrival order, and the unit test runs every order.
 #[derive(Debug)]
 pub struct BatchReorder<T> {
     stash: BTreeMap<u32, Vec<T>>,
@@ -244,5 +244,51 @@ mod tests {
         assert_eq!(r.duplicates(), 1);
         // Next contiguous batch applies immediately.
         assert_eq!(r.offer(5, 5, vec![5]), vec![vec![5]]);
+
+        // Every arrival order of three batches plus a retransmission of the
+        // first ends with rows 0..5 applied in row order, nothing stashed and
+        // one duplicate dropped. Appending in arrival order instead must
+        // corrupt the row space in some order.
+        let batches = [
+            (0, vec![0, 1]),
+            (2, vec![2]),
+            (3, vec![3, 4]),
+            (0, vec![0, 1]),
+        ];
+        let mut arrival_order_broke = false;
+        for order in orders(&batches) {
+            let mut r = BatchReorder::new();
+            let mut rows: Vec<u32> = Vec::new();
+            for (start_row, batch) in order.clone() {
+                for run in r.offer(rows.len() as u32, start_row, batch) {
+                    rows.extend(run);
+                }
+            }
+            assert_eq!(rows, [0, 1, 2, 3, 4], "applied in row order: {order:?}");
+            assert_eq!((r.pending(), r.duplicates()), (0, 1), "{order:?}");
+            let naive: Vec<u32> = order.into_iter().flat_map(|(_, batch)| batch).collect();
+            arrival_order_broke |= naive[..5] != [0, 1, 2, 3, 4];
+        }
+        assert!(
+            arrival_order_broke,
+            "arrival-order append must lose in some order"
+        );
+    }
+
+    /// Every order of `items`.
+    fn orders<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
+        if items.is_empty() {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for i in 0..items.len() {
+            let mut rest = items.to_vec();
+            let first = rest.remove(i);
+            for mut order in orders(&rest) {
+                order.insert(0, first.clone());
+                out.push(order);
+            }
+        }
+        out
     }
 }

@@ -20,13 +20,13 @@ use crate::assemble::AssembleConfig;
 use crate::dictionary::TagDictionary;
 use crate::sharded::ShardedSpanStore;
 use crate::trace_cache::{self, CacheOutcome, TraceCache};
-use df_check::sync::{Arc, Mutex};
 use df_storage::{ShardPolicy, SpanQuery, SpanRef};
 use df_types::tags::ResourceInventory;
 use df_types::trace::Trace;
 use df_types::wire::{self, WireDecodeError};
 use df_types::{Span, SpanId, TimeNs};
 use std::ops::Deref;
+use std::sync::{Arc, Mutex};
 
 /// Re-aggregation matching key: the capture point + flow + protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

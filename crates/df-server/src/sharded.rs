@@ -26,7 +26,6 @@
 
 use crate::assemble::{assemble_with, AssembleConfig, JoinFacts, LocalShards};
 use crate::router::{Loc, Router};
-use df_check::sync::Arc;
 use df_storage::{
     BufferPool, ShardPolicy, SpanQuery, SpanRef, SpanStore, SpillStats, StoreStats, Tier,
     TierConfig,
@@ -36,6 +35,7 @@ use df_types::{Span, SpanId, TimeNs};
 use std::borrow::Borrow;
 use std::io;
 use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// A span corpus partitioned across [`SpanStore`] shards.
 ///

@@ -52,11 +52,11 @@
 use crate::assemble::{AssembleConfig, JoinFacts};
 use crate::router::Loc;
 use crate::sharded::{assemble_local, corpus_version};
-use df_check::sync::{Arc, Mutex};
 use df_storage::SpanStore;
 use df_types::trace::Trace;
 use df_types::SpanId;
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex};
 
 /// How one trace query was answered. The four are disjoint and
 /// [`ServerStats`](crate::ServerStats) counts each apart.
@@ -192,8 +192,12 @@ impl TraceCache {
 /// [`TraceCache::lookup`] can, and otherwise run Algorithm 1 from `loc`
 /// and cache what it built, once `finish` has run on it. Reading, checking
 /// and storing under the one pin is what makes an entry's version match
-/// the rows it vouches for. The cache lock is not held across the assembly.
-/// Returns the trace and the outcome the caller counts.
+/// the rows it vouches for, and it holds by construction: `shards` is
+/// borrowed from guards the caller holds until this returns, the version
+/// is derived from that same slice, and no shard lock is reachable from
+/// here, so no write can land between reading the version and stamping
+/// it. The cache lock is not held across the assembly. Returns the trace
+/// and the outcome the caller counts.
 pub(crate) fn query(
     cache: &Mutex<TraceCache>,
     shards: &[&SpanStore],

@@ -11,9 +11,10 @@
 //! - **Frames**: `frames` slots, each holding one decoded segment as an
 //!   `Arc<Vec<Span>>`. The frame budget is the memory ceiling.
 //! - **Pins**: a fetched page is pinned until its [`PageRef`] drops; a
-//!   pinned frame is never eviction-eligible (the df-check model test
-//!   `pinned_frame_never_evicted` pins this down by exhaustive
-//!   interleaving).
+//!   pinned frame is never eviction-eligible. Pinning and marking the
+//!   frame non-evictable happen in one critical section, and eviction
+//!   asserts the victim's pin count is zero (`tests/tiering.rs` pins a
+//!   frame through a hit and then forces the pool to look for a victim).
 //! - **LRU-K** ([O'Neil et al., SIGMOD '93]): the victim is the
 //!   evictable frame with the largest backward-K distance — frames with
 //!   fewer than K recorded accesses count as infinitely distant and are
@@ -33,13 +34,13 @@
 
 use crate::disk_sched::DiskScheduler;
 use crate::persist::{self, SpanSegment};
-use df_check::sync::{Arc, Condvar, Mutex};
 use df_types::span::Span;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io;
 use std::ops::Deref;
 use std::path::PathBuf;
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Identifier of one spilled span segment (unique within a store).
 pub type SegmentId = u64;
@@ -106,12 +107,12 @@ struct FrameHistory {
     evictable: bool,
 }
 
-/// Replacement bookkeeping, factored out of the pool so the df-check
-/// model tests can drive it directly (the K = 2 vs K = 1 hit-rate
-/// comparison drives whole pools: `tests/tiering.rs`). Not thread-safe on
-/// its own — the pool guards it with the pool mutex.
+/// Replacement bookkeeping, factored out of the pool so its unit tests
+/// can drive it directly (the K = 2 vs K = 1 hit-rate comparison drives
+/// whole pools: `tests/tiering.rs`). Not thread-safe on its own — the
+/// pool guards it with the pool mutex.
 #[derive(Debug)]
-pub struct Replacer {
+pub(crate) struct Replacer {
     k: usize,
     tick: u64,
     entries: HashMap<usize, FrameHistory>,

@@ -6,9 +6,9 @@
 //! shard locks, and a slow disk would stall every producer behind the
 //! lock. Instead, every segment read or write is queued to the
 //! scheduler thread; the requester gets a [`Completion`] it can
-//! wait on (spill waits before flipping rows cold — the page-out ordering
-//! invariant the df-check model test pins down — and a page-in waits
-//! because it cannot proceed without the bytes). Queueing decouples
+//! wait on (spill waits before flipping rows cold, so a failed write
+//! leaves its rows hot, and a page-in waits because it cannot proceed
+//! without the bytes). Queueing decouples
 //! *submission* from *service*: a spill submits every segment write up
 //! front and the encode of segment *n+1* overlaps the write of segment
 //! *n*.
@@ -21,11 +21,11 @@
 //! in the sync-scoped crates allowed to touch `std::fs` — `df-audit`
 //! enforces that confinement.
 
-use df_check::sync::atomic::{AtomicUsize, Ordering};
-use df_check::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use df_check::sync::Arc;
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
 use std::thread;
 
 /// One queued IO operation.

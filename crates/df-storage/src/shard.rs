@@ -23,11 +23,11 @@
 
 use crate::bufferpool::{BufferPool, BufferPoolConfig};
 use crate::store::{RecoverStats, SpanStore, SpillStats};
-use df_check::sync::Arc;
 use df_types::{DurationNs, Span, TimeNs};
 use std::io;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// How a sharded span corpus routes spans to shards.
 ///

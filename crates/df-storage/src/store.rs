@@ -33,7 +33,6 @@ use crate::bufferpool::{BufferPool, SegmentId};
 use crate::persist;
 use crate::posting::PostingIndex;
 use crate::shard::bucket_of;
-use df_check::sync::{Arc, Mutex};
 use df_types::span::SpanStatus;
 use df_types::{AssocKey, Span, SpanId, TimeNs};
 use std::borrow::Borrow;
@@ -41,6 +40,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::ops::Deref;
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
 /// A span-list query (the Fig. 15 "span list" request).
 #[derive(Debug, Clone, Default)]
@@ -650,11 +650,11 @@ impl SpanStore {
     ///
     /// Ordering is the load-bearing part: every segment write is queued
     /// to the pool's background [`crate::disk_sched::DiskScheduler`] and
-    /// **waited for** before any row flips Hot → Cold, so a reader that
-    /// observes a cold slot can always page the bytes back in (the
-    /// df-check page-out/page-in model test proves the inverted order
-    /// serves stale rows). If any write fails, nothing flips — orphan
-    /// segment files are harmless.
+    /// **waited for** before any row flips Hot → Cold, so a cold slot can
+    /// always page its bytes back in. If any write fails, nothing flips —
+    /// orphan segment files are harmless. No reader sees a row mid-spill:
+    /// this takes `&mut self`, and the sharded and concurrent stores call
+    /// it through a write guard.
     ///
     /// Spill is content-neutral: indexes and row numbering are untouched,
     /// so probes, queries, and assembly see the same corpus (the tiered

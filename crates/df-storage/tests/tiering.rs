@@ -4,7 +4,6 @@
 //! bounded by the pool's frame count), and LRU-K's scan resistance over
 //! real segment files.
 
-use df_check::sync::Arc;
 use df_storage::persist;
 use df_storage::{BufferPool, BufferPoolConfig, SpanQuery, SpanStore};
 use df_types::ids::{FlowId, PseudoThreadId, SpanId, SysTraceId, XRequestId};
@@ -13,6 +12,7 @@ use df_types::span::{Span, SpanKind, SpanStatus, TapSide};
 use df_types::{AssocKey, TimeNs};
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Barrier};
 
 /// Unique per-test temp dir, removed on drop.
 struct TestDir {
@@ -263,8 +263,12 @@ fn all_pinned_pool_serves_reads_through_the_bypass_path() {
         paths.push(id);
     }
 
-    let pinned = pool.fetch(paths[0]).expect("first segment pages in");
-    assert_eq!(pinned.len(), 1);
+    // Pin the first segment through a hit: the frame was evictable while
+    // unpinned, so only the pin's own bookkeeping keeps it from being the
+    // victim below.
+    drop(pool.fetch(paths[0]).expect("first segment pages in"));
+    let pinned = pool.fetch(paths[0]).expect("first segment is resident");
+    assert_eq!((pool.stats().hits, pinned.len()), (1, 1));
     // The only frame is pinned: reading the other segment cannot evict,
     // so read_span falls back to a direct scheduler read.
     let s = pool.read_span(paths[1], 0);
@@ -277,6 +281,94 @@ fn all_pinned_pool_serves_reads_through_the_bypass_path() {
     // With the pin released the second segment evicts the first normally.
     let _second = pool.fetch(paths[1]).expect("evicts the unpinned frame");
     assert!(pool.stats().evictions >= 1);
+}
+
+/// Write `spans` as one segment file at `path` and register it with `pool`.
+fn register_segment(pool: &BufferPool, path: PathBuf, spans: &[Span]) -> u64 {
+    let rows: Vec<u32> = (0..spans.len() as u32).collect();
+    std::fs::write(&path, persist::encode_span_segment(spans, &rows)).expect("segment written");
+    let id = pool.alloc_segment();
+    pool.register(id, path);
+    id
+}
+
+/// Fetch `seg` from `threads` threads released at once; every result, in
+/// thread order.
+fn fetch_at_once(pool: &BufferPool, seg: u64, threads: usize) -> Vec<Result<Vec<Span>, String>> {
+    let start = Barrier::new(threads);
+    std::thread::scope(|s| {
+        let fetchers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    let page = pool.fetch(seg).map_err(|e| e.to_string())?;
+                    Ok(page.to_vec())
+                })
+            })
+            .collect();
+        fetchers
+            .into_iter()
+            .map(|t| t.join().expect("fetcher panicked"))
+            .collect()
+    })
+}
+
+/// Concurrent fetchers of one cold segment share a single page-in: the
+/// first installs a `Loading` slot and the rest wait on the pool condvar.
+#[test]
+fn concurrent_fetchers_of_one_cold_segment_share_one_page_in() {
+    const THREADS: usize = 4;
+    let dir = test_dir("loading");
+    let pool = BufferPool::new(BufferPoolConfig::with_frames(4));
+    for seg in 0..4u64 {
+        let spans = [span(2 * seg), span(2 * seg + 1)];
+        let path = dir.path().join(format!("seg{seg}.dfspan"));
+        let id = register_segment(&pool, path, &spans);
+        let before = pool.stats();
+        for got in fetch_at_once(&pool, id, THREADS) {
+            assert_eq!(got.expect("segment pages in"), spans, "segment {seg}");
+        }
+        let wave = pool.stats();
+        assert_eq!(
+            wave.misses - before.misses,
+            1,
+            "one page-in for segment {seg}"
+        );
+        assert_eq!(wave.hits - before.hits, THREADS - 1, "the rest were hits");
+        for _ in 0..THREADS {
+            assert_eq!(&*pool.fetch(id).expect("resident"), spans);
+        }
+        let later = pool.stats();
+        assert_eq!(
+            (later.hits - wave.hits, later.misses),
+            (THREADS, wave.misses)
+        );
+    }
+    assert_eq!(pool.stats().evictions, 0);
+}
+
+/// A page-in that fails wakes every waiter with an error and gives its
+/// frame back: the one-frame pool then pages another segment in without
+/// evicting, and fetching the lost segment again fails instead of hanging.
+#[test]
+fn failed_page_in_errs_every_waiter_and_frees_its_frame() {
+    let dir = test_dir("loading-fails");
+    let pool = BufferPool::new(BufferPoolConfig::with_frames(1));
+    let lost_path = dir.path().join("lost.dfspan");
+    let lost = register_segment(&pool, lost_path.clone(), &[span(0)]);
+    let kept = register_segment(&pool, dir.path().join("kept.dfspan"), &[span(1)]);
+    std::fs::remove_file(&lost_path).expect("segment deleted");
+    for got in fetch_at_once(&pool, lost, 4) {
+        assert!(got.is_err(), "a waiter was served a deleted segment");
+    }
+    assert_eq!(
+        pool.resident_frames(),
+        0,
+        "the failed frame went back to free"
+    );
+    assert_eq!(&*pool.fetch(kept).expect("pages in"), [span(1)]);
+    assert_eq!(pool.stats().evictions, 0, "no eviction was needed");
+    assert!(pool.fetch(lost).is_err());
 }
 
 #[test]
