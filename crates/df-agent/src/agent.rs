@@ -11,7 +11,7 @@
 //! metrics and the phase-1 smart-encoded tags and counts it.
 
 use crate::ebpf::{DeepFlowSyscallProgram, DeepFlowTlsProgram, SharedProgram};
-use crate::flow_table::FlowTable;
+use crate::flow_table::{slot, FlowTable};
 use crate::net_spans::{NetSpanBuilder, TapContext, PACKET_FLOW_BIT};
 use crate::pseudo_thread::PseudoThreadTracker;
 use crate::session::{SessionAggregator, SessionOutcome};
@@ -102,10 +102,11 @@ pub struct Agent {
     /// The agent's flow table (public: examples query it directly, like the
     /// §4.1.2 operators inspecting ARP counts per interface).
     pub flows: FlowTable,
-    /// L7 metrics per (process, endpoint), aggregated from sys spans — the
-    /// request-rate/error-rate/latency series DeepFlow exports alongside
-    /// traces (§3.4 tag-based correlation feeds these to dashboards).
-    l7_metrics: HashMap<(String, String), L7Metrics>,
+    /// L7 metrics per process, then per endpoint, aggregated from sys
+    /// spans — the request-rate/error-rate/latency series DeepFlow exports
+    /// alongside traces (§3.4 tag-based correlation feeds these to
+    /// dashboards). Nested so that a known pair is found by `&str`.
+    l7_metrics: HashMap<String, HashMap<String, L7Metrics>>,
     stats: AgentStats,
     out: Vec<Span>,
 }
@@ -142,8 +143,7 @@ impl Agent {
 
     /// L7 metrics for one (process, endpoint) pair.
     pub fn l7_metrics(&self, process: &str, endpoint: &str) -> Option<&L7Metrics> {
-        self.l7_metrics
-            .get(&(process.to_string(), endpoint.to_string()))
+        self.l7_metrics.get(process)?.get(endpoint)
     }
 
     /// Attach the syscall program to all ten ABIs (enter + exit) as
@@ -327,13 +327,8 @@ impl Agent {
         };
         *counter += 1;
         if span.kind == SpanKind::Sys && span.status != SpanStatus::ResponseOnly {
-            let series = self
-                .l7_metrics
-                .entry((
-                    span.process_name.clone().unwrap_or_default(),
-                    span.endpoint.clone(),
-                ))
-                .or_default();
+            let process = span.process_name.as_deref().unwrap_or_default();
+            let series = slot(slot(&mut self.l7_metrics, process), &span.endpoint);
             if span.status == SpanStatus::Incomplete {
                 series.record_timeout();
             } else {

@@ -8,7 +8,7 @@
 
 use df_types::net::TcpFlags;
 use df_types::packet::{ArpOp, Frame, Segment};
-use df_types::{DurationNs, FiveTuple, FlowMetrics, TimeNs};
+use df_types::{DurationNs, FiveTuple, FlowMetrics, IntMap, TimeNs};
 use std::collections::HashMap;
 
 #[derive(Debug, Default)]
@@ -19,14 +19,29 @@ struct FlowState {
     client: Option<(std::net::Ipv4Addr, u16)>,
 }
 
+/// One tapped interface: its flows and its ARP counters.
+#[derive(Debug, Default)]
+struct Interface {
+    flows: IntMap<FiveTuple, FlowState>,
+    arp_requests: u64,
+    arp_replies: u64,
+}
+
 /// Per-interface, per-flow metric accumulation. One table per agent.
+/// Keyed by interface first, so a frame on a known interface finds its
+/// flow by `&str` and allocates nothing.
 #[derive(Debug, Default)]
 pub struct FlowTable {
-    flows: HashMap<(String, FiveTuple), FlowState>,
-    /// ARP requests observed per interface (the §4.1.2 signal).
-    pub arp_requests: HashMap<String, u64>,
-    /// ARP replies observed per interface.
-    pub arp_replies: HashMap<String, u64>,
+    interfaces: HashMap<String, Interface>,
+}
+
+/// `map[key]`, inserted as `V::default()` the first time, with the key
+/// copied only then.
+pub(crate) fn slot<'a, V: Default>(map: &'a mut HashMap<String, V>, key: &str) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_owned(), V::default());
+    }
+    map.get_mut(key).expect("inserted above")
 }
 
 impl FlowTable {
@@ -37,21 +52,18 @@ impl FlowTable {
 
     /// Account one captured frame.
     pub fn observe(&mut self, interface: &str, frame: &Frame, ts: TimeNs) {
+        let iface = slot(&mut self.interfaces, interface);
         match frame {
-            Frame::Arp { op, .. } => {
-                let counter = match op {
-                    ArpOp::Request => &mut self.arp_requests,
-                    ArpOp::Reply => &mut self.arp_replies,
-                };
-                *counter.entry(interface.to_string()).or_default() += 1;
-            }
-            Frame::Segment(seg) => self.observe_segment(interface, seg, ts),
+            Frame::Arp { op, .. } => match op {
+                ArpOp::Request => iface.arp_requests += 1,
+                ArpOp::Reply => iface.arp_replies += 1,
+            },
+            Frame::Segment(seg) => Self::observe_segment(iface, seg, ts),
         }
     }
 
-    fn observe_segment(&mut self, interface: &str, seg: &Segment, ts: TimeNs) {
-        let key = (interface.to_string(), seg.five_tuple.canonical());
-        let st = self.flows.entry(key).or_default();
+    fn observe_segment(iface: &mut Interface, seg: &Segment, ts: TimeNs) {
+        let st = iface.flows.entry(seg.five_tuple.canonical()).or_default();
         // Client = whoever sent the SYN (or, failing that, the first frame).
         if st.client.is_none() && !(seg.flags.syn && seg.flags.ack) {
             st.client = Some((seg.five_tuple.src_ip, seg.five_tuple.src_port));
@@ -99,46 +111,53 @@ impl FlowTable {
 
     /// Metrics snapshot for a flow on an interface.
     pub fn metrics(&self, interface: &str, tuple: &FiveTuple) -> Option<FlowMetrics> {
-        self.flows
-            .get(&(interface.to_string(), tuple.canonical()))
-            .map(|s| s.metrics)
+        let iface = self.interfaces.get(interface)?;
+        iface.flows.get(&tuple.canonical()).map(|s| s.metrics)
     }
 
     /// Merged metrics for a flow across every interface this agent taps.
     pub fn metrics_any_interface(&self, tuple: &FiveTuple) -> Option<FlowMetrics> {
         let canon = tuple.canonical();
-        let mut out: Option<FlowMetrics> = None;
-        for ((_, t), st) in &self.flows {
-            if *t == canon {
-                match &mut out {
-                    Some(m) => m.merge(&st.metrics),
-                    None => out = Some(st.metrics),
-                }
-            }
+        let mut found = self.interfaces.values().filter_map(|i| i.flows.get(&canon));
+        let mut out = found.next()?.metrics;
+        for st in found {
+            out.merge(&st.metrics);
         }
-        out
+        Some(out)
     }
 
-    /// Flows tracked.
+    /// Flows tracked, counted once per interface that saw them.
     pub fn len(&self) -> usize {
-        self.flows.len()
+        self.interfaces.values().map(|i| i.flows.len()).sum()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.len() == 0
     }
 
     /// Total ARP requests on one interface.
     pub fn arp_requests_on(&self, interface: &str) -> u64 {
-        self.arp_requests.get(interface).copied().unwrap_or(0)
+        self.interfaces.get(interface).map_or(0, |i| i.arp_requests)
+    }
+
+    /// ARP requests per interface that saw any frame (the §4.1.2 signal).
+    pub fn arp_requests(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.interfaces
+            .iter()
+            .map(|(name, i)| (name.as_str(), i.arp_requests))
+    }
+
+    /// Total ARP replies on one interface.
+    pub fn arp_replies_on(&self, interface: &str) -> u64 {
+        self.interfaces.get(interface).map_or(0, |i| i.arp_replies)
     }
 
     /// Aggregate metrics across every tracked flow (troubleshooting
     /// dashboards sum per-flow counters exactly like this).
     pub fn totals(&self) -> FlowMetrics {
         let mut out = FlowMetrics::default();
-        for st in self.flows.values() {
+        for st in self.interfaces.values().flat_map(|i| i.flows.values()) {
             out.merge(&st.metrics);
         }
         out
@@ -286,6 +305,17 @@ mod tests {
         assert_eq!(ft.arp_requests_on("phys0"), 2);
         assert_eq!(ft.arp_requests_on("eth0"), 1);
         assert_eq!(ft.arp_requests_on("veth-x"), 0);
+        ft.observe(
+            "eth0",
+            &Frame::Arp {
+                op: ArpOp::Reply,
+                sender: S,
+                target: C,
+            },
+            TimeNs(3),
+        );
+        assert_eq!(ft.arp_replies_on("eth0"), 1);
+        assert_eq!(ft.arp_replies_on("phys0"), 0);
     }
 
     #[test]

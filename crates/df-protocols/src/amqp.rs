@@ -65,9 +65,9 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
         return None;
     }
     let channel = u16::from_be_bytes([payload[1], payload[2]]);
-    let body = &payload[7..payload.len() - 1];
-    let nl = body.iter().position(|b| *b == b'\n')?;
-    let method = std::str::from_utf8(&body[..nl]).ok()?;
+    let body = payload.get(7..payload.len() - 1)?;
+    let method = body.split(|b| *b == b'\n').next().unwrap_or_default();
+    let method = String::from_utf8_lossy(method);
     let verb = method.split_whitespace().next().unwrap_or("?");
     let (msg_type, endpoint) = match verb {
         "basic.publish" | "basic.get" => (MessageType::Request, method.to_string()),

@@ -36,22 +36,27 @@ fn encode(flags: u8, status: u8, request_id: u64, body: &[u8]) -> Bytes {
     Bytes::from(out)
 }
 
-/// Does the payload look like Dubbo?
+/// Does the payload look like Dubbo? Its header carries the magic, and
+/// the body length it declares is all there.
 pub fn sniff(payload: &[u8]) -> bool {
-    payload.len() >= 16 && payload[..2] == MAGIC
+    frame(payload).is_some()
+}
+
+/// A Dubbo frame's flag byte, status, request id and body.
+fn frame(payload: &[u8]) -> Option<(u8, u8, u64, &[u8])> {
+    let (head, rest) = payload.split_first_chunk::<16>()?;
+    let [m0, m1, flags, status, id @ .., l0, l1, l2, l3] = *head;
+    if [m0, m1] != MAGIC {
+        return None;
+    }
+    let body_len = u32::from_be_bytes([l0, l1, l2, l3]) as usize;
+    Some((flags, status, u64::from_be_bytes(id), rest.get(..body_len)?))
 }
 
 /// Parse a Dubbo message.
 pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
-    if !sniff(payload) {
-        return None;
-    }
-    let is_request = payload[2] & FLAG_REQUEST != 0;
-    let status = payload[3];
-    let request_id = u64::from_be_bytes(payload[4..12].try_into().ok()?);
-    let body_len = u32::from_be_bytes(payload[12..16].try_into().ok()?) as usize;
-    let body = payload.get(16..16 + body_len)?;
-    if is_request {
+    let (flags, status, request_id, body) = frame(payload)?;
+    if flags & FLAG_REQUEST != 0 {
         let endpoint = std::str::from_utf8(body).unwrap_or("?").to_string();
         Some(MessageSummary::basic(
             L7Protocol::Dubbo,

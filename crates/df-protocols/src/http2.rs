@@ -54,58 +54,51 @@ pub fn with_preface(frame: Bytes) -> Bytes {
     Bytes::from(out)
 }
 
-/// Does the payload look like HTTP/2?
+/// Does the payload look like HTTP/2? A frame, after an optional
+/// preface, whose declared path and header lengths are all there.
 pub fn sniff(payload: &[u8]) -> bool {
-    payload.starts_with(PREFACE)
-        || (payload.len() >= 12 && payload[0] == MAGIC && (payload[1] == 1 || payload[1] == 2))
+    frame_fields(payload).is_some()
+}
+
+/// A frame's kind, stream id, status, path and raw header block.
+fn frame_fields(payload: &[u8]) -> Option<(u8, u32, u16, &str, &[u8])> {
+    let body = payload.strip_prefix(PREFACE).unwrap_or(payload);
+    let (head, rest) = body.split_first_chunk::<10>()?;
+    let [magic, kind, s0, s1, s2, s3, c0, c1, p0, p1] = *head;
+    if magic != MAGIC || !matches!(kind, 1 | 2) {
+        return None;
+    }
+    let (path, rest) = rest.split_at_checked(usize::from(u16::from_be_bytes([p0, p1])))?;
+    let ([h0, h1], rest) = rest.split_first_chunk::<2>().map(|(l, r)| (*l, r))?;
+    let hdrs = rest.get(..usize::from(u16::from_be_bytes([h0, h1])))?;
+    Some((
+        kind,
+        u32::from_be_bytes([s0, s1, s2, s3]),
+        u16::from_be_bytes([c0, c1]),
+        std::str::from_utf8(path).ok()?,
+        hdrs,
+    ))
 }
 
 /// Parse an HTTP/2 message.
 pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
-    let body = if payload.starts_with(PREFACE) {
-        &payload[PREFACE.len()..]
-    } else {
-        payload
-    };
-    if body.len() < 12 || body[0] != MAGIC {
-        return None;
-    }
-    let kind = body[1];
-    let stream_id = u32::from_be_bytes(body[2..6].try_into().ok()?);
-    let status = u16::from_be_bytes(body[6..8].try_into().ok()?);
-    let plen = u16::from_be_bytes(body[8..10].try_into().ok()?) as usize;
-    if body.len() < 10 + plen + 2 {
-        return None;
-    }
-    let path = std::str::from_utf8(&body[10..10 + plen]).ok()?;
-    let hlen_off = 10 + plen;
-    let hlen = u16::from_be_bytes(body[hlen_off..hlen_off + 2].try_into().ok()?) as usize;
-    let hdr_bytes = body.get(hlen_off + 2..hlen_off + 2 + hlen)?;
+    let (kind, stream_id, status, path, hdr_bytes) = frame_fields(payload)?;
     let headers = parse_headers(hdr_bytes);
-    match kind {
-        1 => {
-            let mut s = MessageSummary::basic(
-                L7Protocol::Http2,
-                MessageType::Request,
-                Key::Multiplexed(u64::from(stream_id)),
-                path,
-            );
-            s.headers = headers;
-            Some(s)
-        }
-        2 => {
-            let mut s = MessageSummary::basic(
-                L7Protocol::Http2,
-                MessageType::Response,
-                Key::Multiplexed(u64::from(stream_id)),
-                format!("{status}"),
-            );
-            s.status_code = Some(status);
-            s.headers = headers;
-            Some(s)
-        }
-        _ => None,
-    }
+    let key = Key::Multiplexed(u64::from(stream_id));
+    let mut s = if kind == 1 {
+        MessageSummary::basic(L7Protocol::Http2, MessageType::Request, key, path)
+    } else {
+        let mut s = MessageSummary::basic(
+            L7Protocol::Http2,
+            MessageType::Response,
+            key,
+            format!("{status}"),
+        );
+        s.status_code = Some(status);
+        s
+    };
+    s.headers = headers;
+    Some(s)
 }
 
 fn parse_headers(raw: &[u8]) -> TraceHeaders {

@@ -80,66 +80,57 @@ pub fn pingresp() -> Bytes {
     fixed(PINGRESP, 0, &[])
 }
 
-/// Does the payload look like MQTT?
+/// Does the payload look like MQTT? One whole packet of a known type,
+/// carrying the fields its type needs.
 pub fn sniff(payload: &[u8]) -> bool {
-    if payload.len() < 2 {
-        return false;
+    packet(payload).is_some()
+}
+
+/// A packet's type, its body, and the PUBLISH topic and packet id that
+/// key a session, once the framing and those fields check out.
+fn packet(payload: &[u8]) -> Option<(u8, &[u8], Key, &str)> {
+    let [first, remaining, ref body @ ..] = *payload else {
+        return None;
+    };
+    let ptype = first >> 4;
+    if !(1..=14).contains(&ptype) || usize::from(remaining) != body.len() {
+        return None;
     }
-    let ptype = payload[0] >> 4;
-    if !(1..=14).contains(&ptype) {
-        return false;
-    }
-    let remaining = payload[1] as usize;
-    remaining + 2 == payload.len() && (ptype != CONNECT || payload.get(4..8) == Some(b"MQTT"))
+    let pid = |at: usize| -> Option<Key> {
+        let [hi, lo] = *body.get(at..at + 2)? else {
+            return None;
+        };
+        Some(Key::Multiplexed(u64::from(u16::from_be_bytes([hi, lo]))))
+    };
+    let (key, topic) = match ptype {
+        CONNECT if body.get(2..6) != Some(b"MQTT") => return None,
+        PUBLISH => {
+            let [hi, lo, ref rest @ ..] = *body else {
+                return None;
+            };
+            let tlen = usize::from(u16::from_be_bytes([hi, lo]));
+            let topic = std::str::from_utf8(rest.get(..tlen)?).ok()?;
+            (pid(2 + tlen)?, topic)
+        }
+        PUBACK | SUBSCRIBE | SUBACK => (pid(0)?, ""),
+        _ => (Key::Ordered, ""),
+    };
+    Some((ptype, body, key, topic))
 }
 
 /// Parse an MQTT message.
 pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
-    if !sniff(payload) {
-        return None;
-    }
-    let ptype = payload[0] >> 4;
-    let body = &payload[2..];
-    let (msg_type, key, endpoint) = match ptype {
-        CONNECT => (MessageType::Request, Key::Ordered, "CONNECT".to_string()),
-        CONNACK => (MessageType::Response, Key::Ordered, "CONNACK".to_string()),
-        PUBLISH => {
-            let tlen = u16::from_be_bytes([*body.first()?, *body.get(1)?]) as usize;
-            let topic = std::str::from_utf8(body.get(2..2 + tlen)?).ok()?;
-            let pid = u16::from_be_bytes([*body.get(2 + tlen)?, *body.get(3 + tlen)?]);
-            (
-                MessageType::Request,
-                Key::Multiplexed(u64::from(pid)),
-                format!("PUBLISH {topic}"),
-            )
-        }
-        PUBACK => {
-            let pid = u16::from_be_bytes([*body.first()?, *body.get(1)?]);
-            (
-                MessageType::Response,
-                Key::Multiplexed(u64::from(pid)),
-                "PUBACK".to_string(),
-            )
-        }
-        SUBSCRIBE => {
-            let pid = u16::from_be_bytes([*body.first()?, *body.get(1)?]);
-            (
-                MessageType::Request,
-                Key::Multiplexed(u64::from(pid)),
-                "SUBSCRIBE".to_string(),
-            )
-        }
-        SUBACK => {
-            let pid = u16::from_be_bytes([*body.first()?, *body.get(1)?]);
-            (
-                MessageType::Response,
-                Key::Multiplexed(u64::from(pid)),
-                "SUBACK".to_string(),
-            )
-        }
-        PINGREQ => (MessageType::Request, Key::Ordered, "PINGREQ".to_string()),
-        PINGRESP => (MessageType::Response, Key::Ordered, "PINGRESP".to_string()),
-        _ => (MessageType::Unknown, Key::Ordered, format!("T{ptype}")),
+    let (ptype, body, key, topic) = packet(payload)?;
+    let (msg_type, endpoint) = match ptype {
+        CONNECT => (MessageType::Request, "CONNECT".to_string()),
+        CONNACK => (MessageType::Response, "CONNACK".to_string()),
+        PUBLISH => (MessageType::Request, format!("PUBLISH {topic}")),
+        PUBACK => (MessageType::Response, "PUBACK".to_string()),
+        SUBSCRIBE => (MessageType::Request, "SUBSCRIBE".to_string()),
+        SUBACK => (MessageType::Response, "SUBACK".to_string()),
+        PINGREQ => (MessageType::Request, "PINGREQ".to_string()),
+        PINGRESP => (MessageType::Response, "PINGRESP".to_string()),
+        _ => (MessageType::Unknown, format!("T{ptype}")),
     };
     let mut s = MessageSummary::basic(L7Protocol::Mqtt, msg_type, key, endpoint);
     // The CONNACK return code (0 = accepted) is MQTT's one status code.

@@ -3,6 +3,16 @@
 //! Packet = 3-byte little-endian length + 1-byte sequence id + body.
 //! Commands start with a command byte (COM_QUERY = 0x03); replies are OK
 //! (0x00), ERR (0xff) or a result set (column count).
+//!
+//! Every byte is read with `get` or a slice pattern: a reply cut short
+//! parses to what it still says, never to a panic.
+
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 use crate::{Key, MessageSummary};
 use bytes::Bytes;
@@ -12,6 +22,9 @@ const COM_QUERY: u8 = 0x03;
 const COM_PING: u8 = 0x0e;
 const OK_BYTE: u8 = 0x00;
 const ERR_BYTE: u8 = 0xff;
+/// The status of an ERR reply cut before its 2-byte error code: nonzero,
+/// so it is still the server's error.
+const TRUNCATED_ERR_CODE: u16 = u16::MAX;
 
 fn packet(seq: u8, body: &[u8]) -> Bytes {
     let mut out = Vec::with_capacity(4 + body.len());
@@ -55,36 +68,34 @@ pub fn result_set(columns: u8) -> Bytes {
 
 /// Does the payload look like a MySQL packet?
 pub fn sniff(payload: &[u8]) -> bool {
-    if payload.len() < 5 {
+    let [l0, l1, l2, seq, first, ..] = *payload else {
         return false;
-    }
-    let len = u32::from_le_bytes([payload[0], payload[1], payload[2], 0]) as usize;
+    };
+    let len = u32::from_le_bytes([l0, l1, l2, 0]) as usize;
     if len == 0 || len + 4 != payload.len() {
         return false;
     }
-    let seq = payload[3];
     // Commands use seq 0; replies small seqs.
     if seq > 8 {
         return false;
     }
-    let first = payload[4];
     matches!(first, COM_QUERY | COM_PING | OK_BYTE | ERR_BYTE) || first <= 32
 }
 
-/// Parse a MySQL message. `from_client` disambiguates OK (0x00) replies from
-/// sequence-0 commands when the direction is known; pass `None` to rely on
-/// the sequence id.
+/// Parse a MySQL message. The sequence id tells a command (seq 0) from a
+/// server reply.
 pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
     if !sniff(payload) {
         return None;
     }
-    let seq = payload[3];
-    let first = payload[4];
+    let [_, _, _, seq, first, ref rest @ ..] = *payload else {
+        return None;
+    };
     if seq == 0 {
         // Client command.
         let endpoint = match first {
             COM_QUERY => {
-                let sql = std::str::from_utf8(&payload[5..]).unwrap_or("?");
+                let sql = std::str::from_utf8(rest).unwrap_or("?");
                 sql.split_whitespace()
                     .next()
                     .unwrap_or("QUERY")
@@ -111,16 +122,21 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
             _ => "RESULT".to_string(),
         },
     );
-    if first == ERR_BYTE {
-        let code = u16::from_le_bytes([payload[5], payload[6]]);
-        s.status_code = Some(code);
-    } else {
-        s.status_code = Some(0);
-    }
+    s.status_code = Some(match (first, rest) {
+        (ERR_BYTE, [lo, hi, ..]) => u16::from_le_bytes([*lo, *hi]),
+        (ERR_BYTE, _) => TRUNCATED_ERR_CODE,
+        _ => 0,
+    });
     Some(s)
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 mod tests {
     use super::*;
     use df_types::SpanStatus;
@@ -143,6 +159,17 @@ mod tests {
         let r = parse(&err(1213, "Deadlock found")).unwrap();
         assert_eq!(r.status(), SpanStatus::ServerError);
         assert_eq!(r.status_code, Some(1213));
+    }
+
+    /// A well-framed ERR reply whose body stops before the error code
+    /// (found by the mutation property: it panicked on `payload[6]`).
+    #[test]
+    fn err_reply_cut_before_its_code_is_still_a_server_error() {
+        let r = parse(&[2, 0, 0, 1, 0xff, 0xfe]).expect("framed reply");
+        assert_eq!(r.msg_type, MessageType::Response);
+        assert_eq!(r.status(), SpanStatus::ServerError);
+        let r = parse(&[1, 0, 0, 1, 0xff]).expect("framed reply");
+        assert_eq!(r.status(), SpanStatus::ServerError);
     }
 
     #[test]

@@ -57,11 +57,13 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
     match payload[0] {
         b'*' => {
             // Command: first bulk string is the verb.
-            let text = std::str::from_utf8(payload).ok()?;
-            let mut lines = text.split("\r\n");
-            lines.next()?; // *N
-            lines.next()?; // $len
-            let verb = lines.next().unwrap_or("?").to_ascii_uppercase();
+            let text = String::from_utf8_lossy(payload);
+            // *N, $len, then the verb.
+            let verb = text
+                .split("\r\n")
+                .nth(2)
+                .unwrap_or("?")
+                .to_ascii_uppercase();
             // Key, if present, labels the endpoint (GET product:1 → GET).
             Some(MessageSummary::basic(
                 L7Protocol::Redis,

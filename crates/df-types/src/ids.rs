@@ -104,10 +104,7 @@ impl OtelTraceId {
 
     /// Parse the 32-hex-digit wire form.
     pub fn from_hex(s: &str) -> Option<Self> {
-        if s.len() != 32 {
-            return None;
-        }
-        u128::from_str_radix(s, 16).ok().map(OtelTraceId)
+        decode_hex(s, 32, None).map(OtelTraceId)
     }
 }
 
@@ -129,10 +126,7 @@ impl OtelSpanId {
 
     /// Parse the 16-hex-digit wire form.
     pub fn from_hex(s: &str) -> Option<Self> {
-        if s.len() != 16 {
-            return None;
-        }
-        u64::from_str_radix(s, 16).ok().map(OtelSpanId)
+        decode_hex(s, 16, None).map(|v| OtelSpanId(v as u64))
     }
 }
 
@@ -162,13 +156,9 @@ impl XRequestId {
         )
     }
 
-    /// Parse the UUID-ish wire form.
+    /// Parse the UUID-ish wire form: 32 hex digits, `-` anywhere.
     pub fn from_wire(s: &str) -> Option<Self> {
-        let hex: String = s.chars().filter(|c| *c != '-').collect();
-        if hex.len() != 32 {
-            return None;
-        }
-        u128::from_str_radix(&hex, 16).ok().map(XRequestId)
+        decode_hex(s, 32, Some(b'-')).map(XRequestId)
     }
 }
 
@@ -176,6 +166,31 @@ impl fmt::Display for XRequestId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "xreq-{}", self.to_wire())
     }
+}
+
+/// Decode exactly `digits` (≤ 32) hex digits of `s`, either case, in
+/// place, ignoring every `skip` byte. Anything else, a sign included,
+/// rejects the input.
+fn decode_hex(s: &str, digits: usize, skip: Option<u8>) -> Option<u128> {
+    let mut value = 0u128;
+    let mut seen = 0;
+    for &b in s.as_bytes() {
+        if Some(b) == skip {
+            continue;
+        }
+        let nibble = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            b'A'..=b'F' => b - b'A' + 10,
+            _ => return None,
+        };
+        if seen == digits {
+            return None;
+        }
+        value = value << 4 | u128::from(nibble);
+        seen += 1;
+    }
+    (seen == digits).then_some(value)
 }
 
 /// A simple monotonically increasing id allocator, used by subsystems that
@@ -245,6 +260,76 @@ mod tests {
         assert_eq!(wire.len(), 36); // uuid shape
         assert_eq!(XRequestId::from_wire(&wire), Some(id));
         assert_eq!(XRequestId::from_wire("not-a-uuid"), None);
+    }
+
+    /// The decoders' previous definition, the differential's oracle:
+    /// drop the `-`s (X-Request-ID only), check the digit count, then
+    /// `from_str_radix`.
+    fn by_radix(s: &str, digits: usize, dashes: bool) -> Option<u128> {
+        let hex: String = s.chars().filter(|c| !dashes || *c != '-').collect();
+        if hex.len() != digits {
+            return None;
+        }
+        u128::from_str_radix(&hex, 16).ok()
+    }
+
+    /// Mostly hex digits of both cases, then `-`, `+` and non-hex bytes.
+    fn pick(i: usize) -> char {
+        const HEX: &[u8] = b"0123456789abcdefABCDEF";
+        match i {
+            0..=189 => char::from(HEX[i % HEX.len()]),
+            190..=194 => '-',
+            195..=196 => '+',
+            197 => 'g',
+            198 => ' ',
+            _ => 'é',
+        }
+    }
+
+    proptest::proptest! {
+        /// Every prefix of a drawn string, and the prefix with a `+` in
+        /// front, decodes as `from_str_radix` does, except that a `+` sign
+        /// is refused (see the test below).
+        #[test]
+        fn in_place_decoders_match_from_str_radix(
+            picks in proptest::collection::vec(0..200usize, 40),
+        ) {
+            let text: String = picks.into_iter().map(pick).collect();
+            for (end, _) in text.char_indices().chain([(text.len(), ' ')]) {
+                for s in [&text[..end], &format!("+{}", &text[..end])] {
+                    let want = |v: Option<u128>| v.filter(|_| !s.contains('+'));
+                    proptest::prop_assert_eq!(
+                        OtelTraceId::from_hex(s),
+                        want(by_radix(s, 32, false)).map(OtelTraceId),
+                        "{s:?}"
+                    );
+                    proptest::prop_assert_eq!(
+                        OtelSpanId::from_hex(s),
+                        want(by_radix(s, 16, false)).map(|v| OtelSpanId(v as u64)),
+                        "{s:?}"
+                    );
+                    proptest::prop_assert_eq!(
+                        XRequestId::from_wire(s),
+                        want(by_radix(s, 32, true)).map(XRequestId),
+                        "{s:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `from_str_radix` takes a leading `+`, so the old decoders accepted
+    /// `+` and 31 digits as an id. The wire forms are bare hex: refused.
+    #[test]
+    fn a_plus_sign_is_not_a_hex_digit() {
+        let trace = format!("+{}", "f".repeat(31));
+        assert!(by_radix(&trace, 32, false).is_some());
+        assert_eq!(OtelTraceId::from_hex(&trace), None);
+        assert_eq!(OtelSpanId::from_hex(&format!("+{}", "1".repeat(15))), None);
+        assert_eq!(
+            XRequestId::from_wire("+0000000-0000-0000-0000-000000000000"),
+            None
+        );
     }
 
     #[test]

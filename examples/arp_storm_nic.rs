@@ -75,10 +75,9 @@ fn main() {
             .to_string();
         let veth: u64 = agent
             .flows
-            .arp_requests
-            .iter()
+            .arp_requests()
             .filter(|(k, _)| k.starts_with("veth"))
-            .map(|(_, v)| *v)
+            .map(|(_, v)| v)
             .sum();
         let eth = agent.flows.arp_requests_on("eth0");
         let phys = agent.flows.arp_requests_on("phys0");

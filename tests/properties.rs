@@ -2,7 +2,6 @@
 
 use deepflow::agent::session::{SessionAggregator, SessionOutcome};
 use deepflow::kernel::{ReadOutcome, Socket};
-use deepflow::protocols::inference;
 use deepflow::types::net::TcpFlags;
 use deepflow::types::packet::Segment;
 use deepflow::types::{
@@ -13,24 +12,6 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
 proptest! {
-    /// No parser panics on arbitrary bytes, and inference never claims a
-    /// protocol it then fails to parse.
-    #[test]
-    fn inference_is_total_and_self_consistent(payload in proptest::collection::vec(any::<u8>(), 0..512)) {
-        if let Some(proto) = inference::infer_protocol(&payload) {
-            // A sniffed protocol must parse its own bytes (no half-claims).
-            let parsed = inference::parse_message(proto, &payload);
-            prop_assert!(
-                parsed.is_some(),
-                "sniffer claimed {proto} but parser rejected"
-            );
-        }
-        // Every concrete parser is panic-free on arbitrary input.
-        for proto in L7Protocol::ALL {
-            let _ = inference::parse_message(proto, &payload);
-        }
-    }
-
     /// TCP reassembly delivers exactly the sent byte stream once, whatever
     /// the segment arrival order and duplication pattern.
     #[test]
