@@ -277,6 +277,10 @@ impl Agent {
             // re-aggregate it against the Incomplete span (§3.3.1
             // server-side re-aggregation).
             SessionOutcome::OrphanResponse(response) => self.emit_sys(None, Some(response)),
+            // A reused multiplexed id pushed out a request still waiting:
+            // its response can no longer be told apart, so it leaves now
+            // as an Incomplete span, as it would have at expiry.
+            SessionOutcome::Displaced(request) => self.emit_sys(Some(request), None),
             SessionOutcome::Stored | SessionOutcome::Ignored(_) => {}
         }
     }
@@ -629,6 +633,62 @@ mod tests {
         assert_eq!(spans[0].status, SpanStatus::Incomplete);
         assert_eq!(spans[0].endpoint, "GET /hang");
         assert_eq!(agent_a.stats().incomplete_spans, 1);
+    }
+
+    /// Two DNS queries reuse one transaction id on one flow before the
+    /// single answer: the answer pairs with the second, and the first
+    /// leaves as an Incomplete span instead of vanishing.
+    #[test]
+    fn reused_dns_id_ships_the_displaced_query_as_incomplete() {
+        use df_protocols::dns;
+        use df_types::SyscallAbi;
+        let mut w = world();
+        let mut agent_a = Agent::new(AgentConfig::for_node(w.ka.node()));
+        agent_a.install(&mut w.ka).unwrap();
+
+        let (spid, stid) = w.kb.procs.spawn_process("coredns");
+        let sfd = w.kb.socket(spid, TransportProtocol::Udp).unwrap();
+        w.kb.bind(spid, sfd, IP_B, 53).unwrap();
+        let (cpid, ctid) = w.ka.procs.spawn_process("resolver");
+        let cfd = w.ka.socket(cpid, TransportProtocol::Udp).unwrap();
+        w.ka.connect(ctid, cpid, cfd, IP_A, (IP_B, 53))
+            .unwrap_complete();
+        for (i, name) in ["first.local", "second.local"].into_iter().enumerate() {
+            let t = TimeNs::from_millis(1 + i as u64);
+            w.ka.sys_write(ctid, cpid, cfd, dns::query(7, name), t)
+                .unwrap_complete();
+        }
+        pump(&mut w, TimeNs::from_millis(2));
+        let t3 = TimeNs::from_millis(3);
+        let (query, _) =
+            w.kb.syscall_recv(stid, spid, sfd, 512, SyscallAbi::Recvfrom, t3)
+                .unwrap_complete();
+        let answer = dns::answer(7, "second.local", dns::RCODE_OK);
+        w.kb.syscall_send(stid, spid, sfd, answer, SyscallAbi::Sendto, query.peer, t3)
+            .unwrap_complete();
+        pump(&mut w, t3);
+        let t4 = TimeNs::from_millis(4);
+        w.ka.sys_read(ctid, cpid, cfd, 512, t4).unwrap_complete();
+
+        let spans = poll_checked(
+            &mut agent_a,
+            &mut w.ka,
+            &mut w.fabric,
+            TimeNs::from_millis(5),
+        );
+        let shape: Vec<_> = spans
+            .iter()
+            .map(|s| (s.status, s.endpoint.as_str()))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (SpanStatus::Incomplete, "A first.local"),
+                (SpanStatus::Ok, "A second.local"),
+            ]
+        );
+        let stats = agent_a.stats();
+        assert_eq!((stats.incomplete_spans, stats.sys_spans), (1, 1));
     }
 
     #[test]

@@ -67,7 +67,8 @@ impl NetSpanBuilder {
     }
 
     /// Offer one captured frame, classified with the agent's `inference`
-    /// engine; may complete a span. The capture's owned `interface` label
+    /// engine; may complete a span, or ship the request a reused id
+    /// displaced as an incomplete one. The capture's owned `interface` label
     /// travels with the message and ends up in the span's capture point.
     pub fn offer(
         &mut self,
@@ -107,6 +108,9 @@ impl NetSpanBuilder {
             SessionOutcome::Matched { request, response }
             | SessionOutcome::OutOfWindow { request, response } => {
                 Some(self.build(request.0, request.1, Some(response.1)))
+            }
+            SessionOutcome::Displaced((interface, request)) => {
+                Some(self.build(interface, request, None))
             }
             _ => None,
         }
@@ -374,6 +378,22 @@ mod tests {
         assert_eq!(span.tcp_seq_resp, None);
         // sanity: parse typed them correctly
         assert_eq!(span.endpoint, "A svc.local");
+    }
+
+    #[test]
+    fn reused_dns_id_on_a_tap_ships_the_displaced_query() {
+        let (mut b, mut e) = builder();
+        let q = |name| seg(true, 1, df_protocols::dns::query(9, name));
+        assert!(b
+            .offer(&mut e, "eth0".into(), &q("first.local"), TimeNs(0))
+            .is_none());
+        let span = b
+            .offer(&mut e, "eth0".into(), &q("second.local"), TimeNs(1))
+            .expect("the displaced query leaves at once");
+        assert_eq!(span.status, SpanStatus::Incomplete);
+        assert_eq!(span.endpoint, "A first.local");
+        assert_eq!(span.capture.tap_side, TapSide::ClientNodeNic);
+        assert_eq!(b.sessions.pending(), 1);
     }
 
     #[test]

@@ -42,6 +42,11 @@ pub enum SessionOutcome<M> {
         /// The response message.
         response: M,
     },
+    /// A multiplexed request reused the id of a request still pending on
+    /// its flow (a DNS transaction id wrapping, an AMQP channel sending
+    /// twice before its reply). The new request takes the slot; the one it
+    /// displaced is returned, to leave as an Incomplete span.
+    Displaced(M),
     /// A response with no pending request.
     OrphanResponse(M),
     /// One-way / unclassifiable message: not aggregated.
@@ -63,6 +68,8 @@ pub struct SessionAggregator<M> {
     pub out_of_window: u64,
     /// Orphan responses seen.
     pub orphans: u64,
+    /// Pending requests displaced by a request reusing their id.
+    pub displaced: u64,
 }
 
 impl<M> Default for SessionAggregator<M> {
@@ -82,6 +89,7 @@ impl<M> SessionAggregator<M> {
             matched: 0,
             out_of_window: 0,
             orphans: 0,
+            displaced: 0,
         }
     }
 
@@ -98,14 +106,18 @@ impl<M> SessionAggregator<M> {
             MessageType::Request => {
                 let pending = Pending { item, ts };
                 match key {
-                    SessionKey::Multiplexed(id) => {
-                        self.mux.insert((flow_key, id), pending);
-                    }
+                    SessionKey::Multiplexed(id) => match self.mux.insert((flow_key, id), pending) {
+                        Some(displaced) => {
+                            self.displaced += 1;
+                            SessionOutcome::Displaced(displaced.item)
+                        }
+                        None => SessionOutcome::Stored,
+                    },
                     SessionKey::Ordered => {
                         self.fifo.entry(flow_key).or_default().push_back(pending);
+                        SessionOutcome::Stored
                     }
                 }
-                SessionOutcome::Stored
             }
             MessageType::Response => {
                 let found = match key {
@@ -363,11 +375,25 @@ mod tests {
     #[test]
     fn duplicate_multiplexed_id_replaces_request() {
         // A client reusing an id before the response (retry) replaces the
-        // pending entry; the response pairs with the retry.
+        // pending entry and gets the displaced request back, so nothing is
+        // lost; the response pairs with the retry.
         let mut a = agg();
-        a.offer(1, SessionKey::Multiplexed(5), Request, TimeNs(10), "try1");
-        a.offer(1, SessionKey::Multiplexed(5), Request, TimeNs(20), "try2");
-        let m = a.offer(1, SessionKey::Multiplexed(5), Response, TimeNs(30), "resp");
+        let key = SessionKey::Multiplexed(5);
+        assert_eq!(
+            a.offer(1, key, Request, TimeNs(10), "try1"),
+            SessionOutcome::Stored
+        );
+        assert_eq!(
+            a.offer(1, key, Request, TimeNs(20), "try2"),
+            SessionOutcome::Displaced("try1")
+        );
+        assert_eq!((a.pending(), a.displaced), (1, 1));
+        // The same id on another flow displaces nothing.
+        assert_eq!(
+            a.offer(2, key, Request, TimeNs(20), "other-flow"),
+            SessionOutcome::Stored
+        );
+        let m = a.offer(1, key, Response, TimeNs(30), "resp");
         assert_eq!(
             m,
             SessionOutcome::Matched {

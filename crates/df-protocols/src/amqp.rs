@@ -6,6 +6,13 @@
 //! paired `basic.ack` when publisher confirms are on), and
 //! `basic.get`/`basic.get-ok`.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+
 use crate::{Key, MessageSummary};
 use bytes::Bytes;
 use df_types::{L7Protocol, MessageType};
@@ -53,19 +60,26 @@ pub fn get_empty(channel: u16) -> Bytes {
 
 /// Does the payload look like an AMQP method frame?
 pub fn sniff(payload: &[u8]) -> bool {
-    payload.len() >= 9 && payload[0] == FRAME_METHOD && payload[payload.len() - 1] == FRAME_END && {
-        let size = u32::from_be_bytes([payload[3], payload[4], payload[5], payload[6]]) as usize;
-        size + 8 == payload.len() && payload[7..].starts_with(b"basic.")
-    }
+    method_frame(payload).is_some()
+}
+
+/// A whole method frame's channel and body (the method line, then the
+/// payload): the declared size is the body's, and the method is `basic.*`.
+fn method_frame(payload: &[u8]) -> Option<(u16, &[u8])> {
+    let [FRAME_METHOD, c0, c1, s0, s1, s2, s3, rest @ ..] = payload else {
+        return None;
+    };
+    let [body @ .., FRAME_END] = rest else {
+        return None;
+    };
+    let size = u32::from_be_bytes([*s0, *s1, *s2, *s3]) as usize;
+    (size == body.len() && body.starts_with(b"basic."))
+        .then_some((u16::from_be_bytes([*c0, *c1]), body))
 }
 
 /// Parse an AMQP method frame.
 pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
-    if !sniff(payload) {
-        return None;
-    }
-    let channel = u16::from_be_bytes([payload[1], payload[2]]);
-    let body = payload.get(7..payload.len() - 1)?;
+    let (channel, body) = method_frame(payload)?;
     let method = body.split(|b| *b == b'\n').next().unwrap_or_default();
     let method = String::from_utf8_lossy(method);
     let verb = method.split_whitespace().next().unwrap_or("?");
@@ -85,6 +99,12 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 mod tests {
     use super::*;
 

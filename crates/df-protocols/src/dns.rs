@@ -4,6 +4,13 @@
 //! distinguishing attribute ("IDs in DNS headers", §3.3.1). We encode a
 //! faithful 12-byte header plus a QNAME in standard label form.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+
 use crate::{Key, MessageSummary};
 use bytes::Bytes;
 use df_types::{L7Protocol, MessageType};
@@ -71,25 +78,29 @@ fn read_qname(buf: &[u8]) -> Option<String> {
 
 /// Does the payload look like DNS?
 pub fn sniff(payload: &[u8]) -> bool {
+    question(payload).is_some()
+}
+
+/// A standard query's transaction id, flags and one question name.
+fn question(payload: &[u8]) -> Option<(u16, u16, String)> {
     if payload.len() < 17 {
-        return false;
+        return None;
     }
-    let qdcount = u16::from_be_bytes([payload[4], payload[5]]);
-    let flags = u16::from_be_bytes([payload[2], payload[3]]);
+    let (head, rest) = payload.split_first_chunk::<12>()?;
+    let [t0, t1, f0, f1, q0, q1, ..] = *head;
+    let flags = u16::from_be_bytes([f0, f1]);
     let opcode = (flags >> 11) & 0xf;
-    qdcount == 1 && opcode == 0 && read_qname(&payload[12..]).is_some()
+    if u16::from_be_bytes([q0, q1]) != 1 || opcode != 0 {
+        return None;
+    }
+    Some((u16::from_be_bytes([t0, t1]), flags, read_qname(rest)?))
 }
 
 /// Parse a DNS message.
 pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
-    if !sniff(payload) {
-        return None;
-    }
-    let txn = u16::from_be_bytes([payload[0], payload[1]]);
-    let flags = u16::from_be_bytes([payload[2], payload[3]]);
+    let (txn, flags, name) = question(payload)?;
     let is_response = flags & 0x8000 != 0;
     let rcode = (flags & 0x000f) as u8;
-    let name = read_qname(&payload[12..])?;
     let mut s = MessageSummary::basic(
         L7Protocol::Dns,
         if is_response {
@@ -107,6 +118,12 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 mod tests {
     use super::*;
     use df_types::SpanStatus;

@@ -160,19 +160,8 @@ impl<'a> Head<'a> {
             .values
             .map(|v| std::str::from_utf8(v?).ok().map(str::trim));
         let mut h = TraceHeaders::default();
-        // W3C traceparent: version-traceid-spanid-flags
         if let Some(tp) = traceparent {
-            let mut parts = tp.split('-');
-            if let (Some(_), Some(trace), Some(span), Some(_), None) = (
-                parts.next(),
-                parts.next(),
-                parts.next(),
-                parts.next(),
-                parts.next(),
-            ) {
-                h.trace_id = OtelTraceId::from_hex(trace);
-                h.span_id = OtelSpanId::from_hex(span);
-            }
+            h.set_traceparent(tp);
         }
         // Zipkin B3 single header: traceid-spanid-sampled-parentspanid
         if h.trace_id.is_none() {

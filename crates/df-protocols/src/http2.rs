@@ -11,9 +11,16 @@
 //! The embedded stream id is exactly the "distinguishing attribute" §3.3.1
 //! names for parallel-protocol session aggregation.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+
 use crate::{Key, MessageSummary, TraceHeaders};
 use bytes::Bytes;
-use df_types::{L7Protocol, MessageType, OtelSpanId, OtelTraceId, XRequestId};
+use df_types::{L7Protocol, MessageType, XRequestId};
 
 /// The RFC 7540 client connection preface.
 pub const PREFACE: &[u8] = b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n";
@@ -113,13 +120,7 @@ fn parse_headers(raw: &[u8]) -> TraceHeaders {
         let k = k.trim().to_ascii_lowercase();
         let v = v.trim();
         match k.as_str() {
-            "traceparent" => {
-                let parts: Vec<&str> = v.split('-').collect();
-                if parts.len() == 4 {
-                    h.trace_id = OtelTraceId::from_hex(parts[1]);
-                    h.span_id = OtelSpanId::from_hex(parts[2]);
-                }
-            }
+            "traceparent" => h.set_traceparent(v),
             "x-request-id" => h.x_request_id = XRequestId::from_wire(v),
             _ => {}
         }
@@ -128,8 +129,15 @@ fn parse_headers(raw: &[u8]) -> TraceHeaders {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 mod tests {
     use super::*;
+    use df_types::{OtelSpanId, OtelTraceId};
 
     #[test]
     fn request_response_round_trip_with_stream_id() {

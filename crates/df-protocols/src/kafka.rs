@@ -4,6 +4,13 @@
 //! [i16 client_id_len][client_id]`; response: `[i32 size]
 //! [i32 correlation_id][i16 error_code]`.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+
 use crate::{Key, MessageSummary};
 use bytes::Bytes;
 use df_types::{L7Protocol, MessageType};
@@ -48,56 +55,71 @@ pub fn response(correlation_id: i32, error_code: i16) -> Bytes {
 
 /// Does the payload look like Kafka?
 pub fn sniff(payload: &[u8]) -> bool {
-    if payload.len() < 10 {
-        return false;
-    }
-    let size = i32::from_be_bytes(payload[..4].try_into().unwrap());
-    size > 0
-        && (size as usize) + 4 == payload.len()
-        && is_request_shape(payload) | is_response_shape(payload)
+    message(payload).is_some()
 }
 
-fn is_request_shape(payload: &[u8]) -> bool {
-    if payload.len() < 14 {
-        return false;
-    }
-    let api_key = i16::from_be_bytes([payload[4], payload[5]]);
-    let api_version = i16::from_be_bytes([payload[6], payload[7]]);
-    (0..=67).contains(&api_key) && (0..=15).contains(&api_version)
+/// A sized message, read by its shape: a 6-byte body is a response
+/// (correlation id, error code); a body of 10 bytes or more is a request
+/// (api key and version in range, correlation id).
+enum Message {
+    Request { api_key: i16, corr: i32 },
+    Response { corr: i32, err: i16 },
 }
 
-fn is_response_shape(payload: &[u8]) -> bool {
-    payload.len() == 10
+fn message(payload: &[u8]) -> Option<Message> {
+    let (size, body) = payload.split_first_chunk::<4>()?;
+    let size = i32::from_be_bytes(*size);
+    if size <= 0 || size as usize != body.len() {
+        return None;
+    }
+    match *body {
+        [c0, c1, c2, c3, e0, e1] => Some(Message::Response {
+            corr: i32::from_be_bytes([c0, c1, c2, c3]),
+            err: i16::from_be_bytes([e0, e1]),
+        }),
+        [k0, k1, v0, v1, c0, c1, c2, c3, _, _, ..] => {
+            let api_key = i16::from_be_bytes([k0, k1]);
+            let api_version = i16::from_be_bytes([v0, v1]);
+            ((0..=67).contains(&api_key) && (0..=15).contains(&api_version)).then_some(
+                Message::Request {
+                    api_key,
+                    corr: i32::from_be_bytes([c0, c1, c2, c3]),
+                },
+            )
+        }
+        _ => None,
+    }
 }
 
 /// Parse a Kafka message.
 pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
-    if !sniff(payload) {
-        return None;
-    }
-    if is_response_shape(payload) {
-        let corr = i32::from_be_bytes(payload[4..8].try_into().ok()?);
-        let err = i16::from_be_bytes(payload[8..10].try_into().ok()?);
-        let mut s = MessageSummary::basic(
+    Some(match message(payload)? {
+        Message::Response { corr, err } => {
+            let mut s = MessageSummary::basic(
+                L7Protocol::Kafka,
+                MessageType::Response,
+                Key::Multiplexed(corr as u32 as u64),
+                if err == 0 { "OK" } else { "ERR" },
+            );
+            s.status_code = Some(err as u16);
+            s
+        }
+        Message::Request { api_key, corr } => MessageSummary::basic(
             L7Protocol::Kafka,
-            MessageType::Response,
+            MessageType::Request,
             Key::Multiplexed(corr as u32 as u64),
-            if err == 0 { "OK" } else { "ERR" },
-        );
-        s.status_code = Some(err as u16);
-        return Some(s);
-    }
-    let api_key = i16::from_be_bytes(payload[4..6].try_into().ok()?);
-    let corr = i32::from_be_bytes(payload[8..12].try_into().ok()?);
-    Some(MessageSummary::basic(
-        L7Protocol::Kafka,
-        MessageType::Request,
-        Key::Multiplexed(corr as u32 as u64),
-        api_name(api_key),
-    ))
+            api_name(api_key),
+        ),
+    })
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 mod tests {
     use super::*;
     use df_types::SpanStatus;

@@ -53,6 +53,25 @@ pub struct TraceHeaders {
     pub x_request_id: Option<XRequestId>,
 }
 
+impl TraceHeaders {
+    /// Take the trace and span ids from a W3C `traceparent` value
+    /// (`version-traceid-spanid-flags`); a value of any other shape sets
+    /// nothing.
+    pub(crate) fn set_traceparent(&mut self, value: &str) {
+        let mut parts = value.split('-');
+        if let (Some(_), Some(trace), Some(span), Some(_), None) = (
+            parts.next(),
+            parts.next(),
+            parts.next(),
+            parts.next(),
+            parts.next(),
+        ) {
+            self.trace_id = OtelTraceId::from_hex(trace);
+            self.span_id = OtelSpanId::from_hex(span);
+        }
+    }
+}
+
 /// Re-exported for codec implementations.
 pub(crate) use df_types::l7::SessionKey as Key;
 

@@ -1,5 +1,12 @@
 //! Redis RESP — pipelined; request/response matched by order.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+
 use crate::{Key, MessageSummary};
 use bytes::Bytes;
 use df_types::{L7Protocol, MessageType};
@@ -38,12 +45,9 @@ pub fn error(msg: &str) -> Bytes {
 
 /// Does the payload look like RESP?
 pub fn sniff(payload: &[u8]) -> bool {
-    if payload.len() < 4 {
-        return false;
-    }
-    match payload[0] {
-        b'*' | b'$' => payload[1] == b'-' || payload[1].is_ascii_digit(),
-        b'+' | b'-' | b':' => payload.ends_with(b"\r\n"),
+    match payload {
+        [b'*' | b'$', second, _, _, ..] => *second == b'-' || second.is_ascii_digit(),
+        [b'+' | b'-' | b':', _, _, _, ..] => payload.ends_with(b"\r\n"),
         _ => false,
     }
 }
@@ -54,8 +58,8 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
     if !sniff(payload) {
         return None;
     }
-    match payload[0] {
-        b'*' => {
+    match payload {
+        [b'*', ..] => {
             // Command: first bulk string is the verb.
             let text = String::from_utf8_lossy(payload);
             // *N, $len, then the verb.
@@ -72,7 +76,7 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
                 verb,
             ))
         }
-        b'-' => {
+        [b'-', ..] => {
             let mut s = MessageSummary::basic(
                 L7Protocol::Redis,
                 MessageType::Response,
@@ -92,6 +96,12 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 mod tests {
     use super::*;
     use df_types::SpanStatus;

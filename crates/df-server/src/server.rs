@@ -111,13 +111,17 @@ pub struct Server {
 
 impl Server {
     /// Server over a resource inventory (Fig. 8 ①–③ already collected),
-    /// with the default sharding policy.
+    /// holding one shard. The server probes its shards one after another
+    /// on the calling thread, so a second shard only multiplies the finds
+    /// per association key and the answers a span list merges; the
+    /// owners that shard are those with a thread or a node per shard.
     pub fn new(inventory: &ResourceInventory) -> Self {
-        Self::with_policy(inventory, ShardPolicy::default())
+        Self::with_policy(inventory, ShardPolicy::single())
     }
 
     /// Server with an explicit sharding policy (shard count,
-    /// tombstone-eviction threshold, per-shard row cap).
+    /// tombstone-eviction threshold, per-shard row cap): the multi-shard
+    /// seam the differential tests drive.
     pub fn with_policy(inventory: &ResourceInventory, policy: ShardPolicy) -> Self {
         Server {
             store: ShardedSpanStore::new(policy),
@@ -398,6 +402,12 @@ mod tests {
         }
     }
 
+    /// A server of the default single shard and one of four: the cache
+    /// and stats rules must not depend on how the corpus is split.
+    fn servers() -> [Server; 2] {
+        [1, 4].map(|shards| Server::with_policy(&inventory(), ShardPolicy::with_shards(shards)))
+    }
+
     fn span(req_ns: u64, duration: u64) -> Span {
         let ip = Ipv4Addr::new(10, 1, 0, 1);
         let mut s = Span::synthetic(TapSide::ClientProcess, req_ns, req_ns + duration);
@@ -483,70 +493,74 @@ mod tests {
 
     #[test]
     fn trace_cache_counters_track_hit_miss_invalidation() {
-        let mut srv = Server::new(&inventory());
-        let a = srv.ingest(span(100, 500));
-        srv.ingest(span(150, 100));
-        let cold = srv.trace(a);
-        let warm = srv.trace(a);
-        assert!(Arc::ptr_eq(&cold, &warm), "a hit is the stored allocation");
-        let mut late = span(200, 100);
-        late.capture.tap_side = TapSide::ServerProcess;
-        srv.ingest(late); // shares the trace's TCP sequence
-        let refreshed = srv.trace(a);
-        assert_eq!(refreshed.len(), 3);
-        assert!(!Arc::ptr_eq(&cold, &refreshed), "re-assembled anew");
-        assert_eq!(srv.stats().cache_counters(), (1, 1, 0, 1));
+        for mut srv in servers() {
+            let a = srv.ingest(span(100, 500));
+            srv.ingest(span(150, 100));
+            let cold = srv.trace(a);
+            let warm = srv.trace(a);
+            assert!(Arc::ptr_eq(&cold, &warm), "a hit is the stored allocation");
+            let mut late = span(200, 100);
+            late.capture.tap_side = TapSide::ServerProcess;
+            srv.ingest(late); // shares the trace's TCP sequence
+            let refreshed = srv.trace(a);
+            assert_eq!(refreshed.len(), 3);
+            assert!(!Arc::ptr_eq(&cold, &refreshed), "re-assembled anew");
+            assert_eq!(srv.stats().cache_counters(), (1, 1, 0, 1));
+        }
     }
 
     #[test]
     fn trace_cache_counters_tell_revalidation_from_invalidation() {
-        let mut srv = Server::new(&inventory());
-        let a = srv.ingest(span(100, 500));
-        srv.ingest(span(150, 100));
-        let cold = srv.trace(a);
-        let mut unrelated = span(200, 100);
-        (unrelated.tcp_seq_req, unrelated.tcp_seq_resp) = (Some(77), Some(78));
-        srv.ingest(unrelated); // shares no key
-        assert!(Arc::ptr_eq(&srv.trace(a), &cold), "the entry was kept");
-        assert_eq!(srv.stats().cache_counters(), (1, 1, 1, 0));
-        srv.ingest(span(250, 100)); // shares the trace's TCP sequence
-        let longer = srv.trace(a);
-        assert_eq!(longer.len(), 3, "a longer trace");
-        assert!(!Arc::ptr_eq(&longer, &cold), "re-assembled anew");
-        assert_eq!(srv.stats().cache_counters(), (1, 1, 1, 1));
+        for mut srv in servers() {
+            let a = srv.ingest(span(100, 500));
+            srv.ingest(span(150, 100));
+            let cold = srv.trace(a);
+            let mut unrelated = span(200, 100);
+            (unrelated.tcp_seq_req, unrelated.tcp_seq_resp) = (Some(77), Some(78));
+            srv.ingest(unrelated); // shares no key
+            assert!(Arc::ptr_eq(&srv.trace(a), &cold), "the entry was kept");
+            assert_eq!(srv.stats().cache_counters(), (1, 1, 1, 0));
+            srv.ingest(span(250, 100)); // shares the trace's TCP sequence
+            let longer = srv.trace(a);
+            assert_eq!(longer.len(), 3, "a longer trace");
+            assert!(!Arc::ptr_eq(&longer, &cold), "re-assembled anew");
+            assert_eq!(srv.stats().cache_counters(), (1, 1, 1, 1));
+        }
     }
 
     #[test]
     fn stats_snapshot_is_coherent_mid_workload() {
-        let mut srv = Server::new(&inventory());
-        let a = srv.ingest(span(100, 500));
-        for _ in 0..7 {
-            srv.trace(a);
-            srv.stats().cache_counters(); // checks the sum
+        for mut srv in servers() {
+            let a = srv.ingest(span(100, 500));
+            for _ in 0..7 {
+                srv.trace(a);
+                srv.stats().cache_counters(); // checks the sum
+            }
         }
     }
 
     #[test]
     fn re_aggregation_reunites_and_compacts() {
-        let mut srv = Server::new(&inventory());
-        let mut req = span(100, 0);
-        req.status = SpanStatus::Incomplete;
-        req.tcp_seq_resp = None;
-        let req_id = srv.ingest(req);
-        let mut frag = span(100, 900);
-        frag.status = SpanStatus::ResponseOnly;
-        frag.resp_time = TimeNs(1_000);
-        let frag_id = srv.ingest(frag);
+        for mut srv in servers() {
+            let mut req = span(100, 0);
+            req.status = SpanStatus::Incomplete;
+            req.tcp_seq_resp = None;
+            let req_id = srv.ingest(req);
+            let mut frag = span(100, 900);
+            frag.status = SpanStatus::ResponseOnly;
+            frag.resp_time = TimeNs(1_000);
+            let frag_id = srv.ingest(frag);
 
-        assert_eq!(srv.re_aggregate(), 1);
-        assert_eq!(srv.stats().re_aggregated, 1);
-        let merged = srv.store().get(req_id).unwrap();
-        assert_eq!(merged.status, SpanStatus::Ok);
-        assert!(srv.store().is_tombstoned(frag_id));
-        assert_eq!(
-            srv.store().pending_evictions(),
-            0,
-            "re-aggregation pass compacts eagerly"
-        );
+            assert_eq!(srv.re_aggregate(), 1);
+            assert_eq!(srv.stats().re_aggregated, 1);
+            let merged = srv.store().get(req_id).unwrap();
+            assert_eq!(merged.status, SpanStatus::Ok);
+            assert!(srv.store().is_tombstoned(frag_id));
+            assert_eq!(
+                srv.store().pending_evictions(),
+                0,
+                "re-aggregation pass compacts eagerly"
+            );
+        }
     }
 }

@@ -16,6 +16,17 @@ use df_types::{Span, SpanId, TimeNs};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// The server's shard counts under test: its default single shard, and
+/// four, spread over by [`span`]'s source ports.
+const SHARDS: [usize; 2] = [1, 4];
+
+fn server(shards: usize) -> Server {
+    Server::with_policy(
+        &ResourceInventory::default(),
+        ShardPolicy::with_shards(shards),
+    )
+}
+
 fn view(t: &Trace) -> Vec<(SpanId, Option<SpanId>, SpanStatus, TimeNs)> {
     let row = |s: &df_types::trace::AssembledSpan| {
         (s.span.span_id, s.parent, s.span.status, s.span.resp_time)
@@ -70,9 +81,9 @@ fn mirror_edits(srv: &Server, store: &ConcurrentShardedStore, ids: &[SpanId]) {
 }
 
 /// One corpus through both stacks; `[server, concurrent]` counters.
-fn run(seed: u64, domain: u64, cfg: &AssembleConfig) -> [ServerStats; 2] {
+fn run(shards: usize, seed: u64, domain: u64, cfg: &AssembleConfig) -> [ServerStats; 2] {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut srv = Server::new(&ResourceInventory::default());
+    let mut srv = server(shards);
     let mut store = ConcurrentShardedStore::new(ShardPolicy::default());
     srv.set_assemble_config(cfg.clone());
     store.set_assemble_config(cfg.clone());
@@ -90,7 +101,7 @@ fn run(seed: u64, domain: u64, cfg: &AssembleConfig) -> [ServerStats; 2] {
         for _ in 0..6 {
             let start = pick(&mut rng, &ids);
             let fresh = view(&assemble_trace_sharded(srv.store(), start, cfg));
-            let at = format!("seed {seed} domain {domain} step {step} {start:?}");
+            let at = format!("{shards} shards seed {seed} domain {domain} step {step} {start:?}");
             assert_eq!(view(&srv.trace(start)), fresh, "server, {at}");
             let served = store.query_trace(start);
             assert_eq!(view(&served), fresh, "concurrent, {at}");
@@ -106,10 +117,13 @@ fn cached_traces_equal_fresh_assembly_after_every_step() {
         iterations,
         ..AssembleConfig::default()
     };
-    for seed in 1..=4 {
+    for (shards, seed) in SHARDS
+        .into_iter()
+        .flat_map(|n| (1..=4).map(move |s| (n, s)))
+    {
         let mut fired = [(0, 0); 2]; // (revalidations, invalidations) per stack
         for domain in [6, 30, 200, 5_000] {
-            let stats = run(seed, domain, &AssembleConfig::default());
+            let stats = run(shards, seed, domain, &AssembleConfig::default());
             for (sum, st) in fired.iter_mut().zip(stats) {
                 let served = st.cache_hits + st.cache_misses + st.cache_invalidations;
                 assert_eq!(st.trace_queries, served, "{st:?}");
@@ -117,11 +131,14 @@ fn cached_traces_equal_fresh_assembly_after_every_step() {
                 sum.1 += st.cache_invalidations;
             }
             // A search that stops at a cap records no facts.
-            run(seed, domain, &capped(5, 30));
-            run(seed, domain, &capped(10_000, 1));
+            run(shards, seed, domain, &capped(5, 30));
+            run(shards, seed, domain, &capped(10_000, 1));
         }
         let both = fired.iter().all(|&(kept, dropped)| kept > 0 && dropped > 0);
-        assert!(both, "seed {seed}: an arm never fired: {fired:?}");
+        assert!(
+            both,
+            "{shards} shards seed {seed}: an arm never fired: {fired:?}"
+        );
     }
 }
 
@@ -130,48 +147,52 @@ fn cached_traces_equal_fresh_assembly_after_every_step() {
 /// value and only the edit count says the lists changed.
 #[test]
 fn an_eviction_and_an_insert_that_cancel_in_the_posting_total_still_invalidate() {
-    let mut srv = Server::new(&ResourceInventory::default());
-    let on_thread = |side, req, resp| {
-        let mut s = Span::synthetic(side, req, resp);
-        s.pseudo_thread_id = Some(PseudoThreadId(7));
-        s
-    };
-    let start = srv.ingest(on_thread(TapSide::ServerProcess, 1_000, 9_000));
-    let mut request = Span::synthetic(TapSide::ClientProcess, 2_000, 2_000);
-    request.status = SpanStatus::Incomplete;
-    srv.ingest(request);
-    let mut fragment = on_thread(TapSide::ClientProcess, 2_000, 3_000);
-    fragment.status = SpanStatus::ResponseOnly;
-    srv.ingest(fragment);
-    assert_eq!(srv.trace(start).len(), 2, "the start and the fragment");
-    assert_eq!(srv.re_aggregate(), 1, "merged, tombstoned, evicted");
-    let late = srv.ingest(on_thread(TapSide::ClientProcess, 4_000, 5_000));
-    let members: Vec<SpanId> = view(&srv.trace(start)).iter().map(|m| m.0).collect();
-    assert_eq!(
-        members,
-        [late, start],
-        "the fragment went, the late one came"
-    );
-    assert_eq!(srv.stats().cache_invalidations, 1);
+    for shards in SHARDS {
+        let mut srv = server(shards);
+        let on_thread = |side, req, resp| {
+            let mut s = Span::synthetic(side, req, resp);
+            s.pseudo_thread_id = Some(PseudoThreadId(7));
+            s
+        };
+        let start = srv.ingest(on_thread(TapSide::ServerProcess, 1_000, 9_000));
+        let mut request = Span::synthetic(TapSide::ClientProcess, 2_000, 2_000);
+        request.status = SpanStatus::Incomplete;
+        srv.ingest(request);
+        let mut fragment = on_thread(TapSide::ClientProcess, 2_000, 3_000);
+        fragment.status = SpanStatus::ResponseOnly;
+        srv.ingest(fragment);
+        assert_eq!(srv.trace(start).len(), 2, "the start and the fragment");
+        assert_eq!(srv.re_aggregate(), 1, "merged, tombstoned, evicted");
+        let late = srv.ingest(on_thread(TapSide::ClientProcess, 4_000, 5_000));
+        let members: Vec<SpanId> = view(&srv.trace(start)).iter().map(|m| m.0).collect();
+        assert_eq!(
+            members,
+            [late, start],
+            "the fragment went, the late one came"
+        );
+        assert_eq!(srv.stats().cache_invalidations, 1);
+    }
 }
 
 /// A config change drops what the old config built: a trace cached under
 /// the default is re-assembled under `max_spans: 1`, on both stacks.
 #[test]
 fn a_config_change_is_not_served_the_old_configs_trace() {
-    let mut srv = Server::new(&ResourceInventory::default());
-    let mut store = ConcurrentShardedStore::new(ShardPolicy::default());
-    let start = cache_a_linked_pair(&mut srv, &store);
-    let one = AssembleConfig {
-        max_spans: 1,
-        ..AssembleConfig::default()
-    };
-    srv.set_assemble_config(one.clone());
-    store.set_assemble_config(one.clone());
-    let fresh = view(&assemble_trace_sharded(srv.store(), start, &one));
-    assert_eq!(fresh.len(), 1);
-    assert_eq!(view(&srv.trace(start)), fresh, "server");
-    assert_eq!(view(&store.query_trace(start)), fresh, "concurrent");
+    for shards in SHARDS {
+        let mut srv = server(shards);
+        let mut store = ConcurrentShardedStore::new(ShardPolicy::default());
+        let start = cache_a_linked_pair(&mut srv, &store);
+        let one = AssembleConfig {
+            max_spans: 1,
+            ..AssembleConfig::default()
+        };
+        srv.set_assemble_config(one.clone());
+        store.set_assemble_config(one.clone());
+        let fresh = view(&assemble_trace_sharded(srv.store(), start, &one));
+        assert_eq!(fresh.len(), 1);
+        assert_eq!(view(&srv.trace(start)), fresh, "server");
+        assert_eq!(view(&store.query_trace(start)), fresh, "concurrent");
+    }
 }
 
 fn on_seq_7(side: TapSide, req: u64) -> Span {
@@ -200,22 +221,24 @@ fn cache_a_linked_pair(srv: &mut Server, store: &ConcurrentShardedStore) -> Span
 /// member, on both stacks.
 #[test]
 fn a_span_sharing_a_key_seconds_later_joins_the_cached_trace() {
-    let mut srv = Server::new(&ResourceInventory::default());
-    let store = ConcurrentShardedStore::new(ShardPolicy::default());
-    let start = cache_a_linked_pair(&mut srv, &store);
-    let late = on_seq_7(TapSide::ServerPodNic, 5_000_000_000);
-    store.insert_batch(vec![late.clone()]);
-    srv.ingest(late);
-    store.flush();
-    let fresh = view(&assemble_trace_sharded(
-        srv.store(),
-        start,
-        &AssembleConfig::default(),
-    ));
-    assert_eq!(fresh.len(), 3, "Algorithm 1 joins the late span");
-    assert_eq!(view(&srv.trace(start)), fresh, "server");
-    assert_eq!(view(&store.query_trace(start)), fresh, "concurrent");
-    for st in [srv.stats(), store.stats()] {
-        assert_eq!(st.cache_invalidations, 1, "{st:?}");
+    for shards in SHARDS {
+        let mut srv = server(shards);
+        let store = ConcurrentShardedStore::new(ShardPolicy::default());
+        let start = cache_a_linked_pair(&mut srv, &store);
+        let late = on_seq_7(TapSide::ServerPodNic, 5_000_000_000);
+        store.insert_batch(vec![late.clone()]);
+        srv.ingest(late);
+        store.flush();
+        let fresh = view(&assemble_trace_sharded(
+            srv.store(),
+            start,
+            &AssembleConfig::default(),
+        ));
+        assert_eq!(fresh.len(), 3, "Algorithm 1 joins the late span");
+        assert_eq!(view(&srv.trace(start)), fresh, "server");
+        assert_eq!(view(&store.query_trace(start)), fresh, "concurrent");
+        for st in [srv.stats(), store.stats()] {
+            assert_eq!(st.cache_invalidations, 1, "{st:?}");
+        }
     }
 }

@@ -17,6 +17,15 @@
 //! the original store row ids. A file is valid iff
 //! [`decode_span_segment`] accepts it; there is no separate header check.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use df_types::{wire, Span};
 use std::fs;
 use std::io;
@@ -193,6 +202,7 @@ pub fn scan_span_segments(dir: &Path, shard: u16) -> io::Result<Vec<PathBuf>> {
 /// paths (process id + a per-process counter), and the directory is
 /// removed when the guard drops — even on assertion failure.
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 pub(crate) fn test_dir(tag: &str) -> TestDir {
     // Uniqueness: the tag is unique per call site, the pid separates
     // parallel test *processes*, and the nanosecond stamp guards against
@@ -228,6 +238,14 @@ impl Drop for TestDir {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
     use df_types::ids::*;

@@ -2,8 +2,9 @@
 //!
 //! The paper's deployment stores spans from many nodes in a ClickHouse
 //! cluster; this crate's [`SpanStore`] is the single-node
-//! analogue. To scale the corpus past one store, the server partitions it
-//! into shards and [`ShardPolicy`] decides, per span, which shard owns it:
+//! analogue. To scale the corpus past one store, an owner that works on
+//! shards in parallel (the threaded store, the cluster) partitions it into
+//! shards and [`ShardPolicy`] decides, per span, which shard owns it:
 //!
 //! * **Routing key** — the hash of the span's *canonical* flow five-tuple
 //!   (FNV-1a over addresses, ports, protocol). Both directions of a

@@ -55,6 +55,15 @@
 //! `rpc_kind_table_matches_the_codec` holds it to [`RpcBody::kind`] and
 //! to the decoder, kind byte by kind byte.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::span::{AssocKey, Span};
 use crate::wire::{self, put_varint_u128, put_varint_u64, Cursor, WireDecodeError};
 use bytes::Bytes;
@@ -727,6 +736,14 @@ fn split_header(payload: &[u8]) -> Result<(u64, u8, usize, &[u8]), RpcDecodeErro
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
     use crate::span::TapSide;

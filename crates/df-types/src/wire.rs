@@ -52,6 +52,15 @@
 //! assert_eq!(back, vec![a, b]);
 //! ```
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::ids::{
     AgentId, FlowId, NodeId, OtelSpanId, OtelTraceId, Pid, PseudoThreadId, SpanId, SysTraceId, Tid,
     XRequestId,
@@ -277,7 +286,7 @@ fn zigzag(n: i128) -> u128 {
 }
 
 fn unzigzag(z: u128) -> i128 {
-    ((z >> 1) as i128) ^ -((z & 1) as i128)
+    ((z >> 1) as i128) ^ ((z & 1) as i128).wrapping_neg()
 }
 
 // ---------------------------------------------------------------------------
@@ -432,7 +441,7 @@ impl WireEncoder {
         }
         put_varint_u64(out, endpoint_id as u64);
         put_varint_u64(out, span.req_time.0);
-        let delta = span.resp_time.0 as i128 - span.req_time.0 as i128;
+        let delta = i128::from(span.resp_time.0).saturating_sub(i128::from(span.req_time.0));
         put_varint_u128(out, zigzag(delta));
         out.push(match span.status {
             SpanStatus::Ok => 0,
@@ -623,6 +632,11 @@ impl<'a> Cursor<'a> {
 
     /// LEB128 decode with a bit-width cap; rejects encodings that shift
     /// significant bits past `max_bits`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "shift < max_bits <= 128 at both sites, checked first; a saturating \
+                  add in this loop made DFW1 decode measurably slower"
+    )]
     pub(crate) fn varint(
         &mut self,
         max_bits: u32,
@@ -737,7 +751,9 @@ impl<'a> WireBatch<'a> {
     pub fn decode_all(&self) -> Result<Vec<Span>, WireDecodeError> {
         // Capacity capped by input size (a record is ≥28 bytes) so a
         // hostile count can't force a huge allocation.
-        let mut out = Vec::with_capacity((self.count as usize).min(self.records.len() / 28 + 1));
+        let mut out = Vec::with_capacity(
+            (self.count as usize).min((self.records.len() / 28).saturating_add(1)),
+        );
         let mut iter = self.spans();
         for span in iter.by_ref() {
             out.push(span?);
@@ -841,13 +857,13 @@ impl<'a> WireBatch<'a> {
         let endpoint = self.dict_str(cur.varint_u32("endpoint")?)?.to_owned();
         let req_time = TimeNs(cur.varint_u64("req_time")?);
         let delta = unzigzag(cur.varint_u128("resp_delta")?);
-        let resp = req_time.0 as i128 + delta;
-        if !(0..=u64::MAX as i128).contains(&resp) {
-            return Err(WireDecodeError::BadVarint {
+        let resp = i128::from(req_time.0)
+            .checked_add(delta)
+            .and_then(|t| u64::try_from(t).ok())
+            .ok_or(WireDecodeError::BadVarint {
                 context: "resp_delta",
-            });
-        }
-        let resp_time = TimeNs(resp as u64);
+            })?;
+        let resp_time = TimeNs(resp);
         let status = match cur.u8("status")? {
             0 => SpanStatus::Ok,
             1 => SpanStatus::ClientError,
@@ -971,7 +987,8 @@ impl<'a> WireBatch<'a> {
         };
 
         let custom_len = cur.varint_u32("custom_tag_count")? as usize;
-        let mut custom = Vec::with_capacity(custom_len.min(cur.remaining() / 2 + 1));
+        let mut custom =
+            Vec::with_capacity(custom_len.min((cur.remaining() / 2).saturating_add(1)));
         for _ in 0..custom_len {
             let k = self.dict_str(cur.varint_u32("custom_tag_key")?)?;
             let v = self.dict_str(cur.varint_u32("custom_tag_value")?)?;
@@ -1134,6 +1151,7 @@ pub fn peek_span_count(bytes: &[u8]) -> Result<u64, WireDecodeError> {
 /// first cell and the backticked name in its second. Header and
 /// separator rows have no number and are skipped.
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 pub(crate) fn doc_table<'d>(doc: &'d str, table: &str) -> Vec<(u32, &'d str)> {
     let marker = |side: &str| format!("<!-- {table}:{side} -->");
     let (_, rest) = doc.split_once(&marker("BEGIN")).expect("BEGIN marker");
@@ -1146,6 +1164,14 @@ pub(crate) fn doc_table<'d>(doc: &'d str, table: &str) -> Vec<(u32, &'d str)> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
     use crate::span::TapSide;
@@ -1288,6 +1314,29 @@ mod tests {
             let one = std::slice::from_ref(&s);
             assert_eq!(decode_batch(&encode_batch(one)).unwrap(), vec![s]);
         }
+    }
+
+    #[test]
+    fn rejects_resp_delta_past_the_time_range() {
+        // req_time u64::MAX, then a delta of i128::MAX: the sum is past
+        // every TimeNs and past i128 too — an error, not an overflow.
+        let span = Span::synthetic(TapSide::ClientProcess, u64::MAX, u64::MAX);
+        let bytes = encode_batch(&[span]);
+        let req_then_zero_delta = [[0xff; 9].as_slice(), &[0x01, 0x00]].concat();
+        let at = bytes
+            .windows(11)
+            .position(|w| w == req_then_zero_delta)
+            .expect("req_time u64::MAX, then delta 0");
+        let mut delta = Vec::new();
+        put_varint_u128(&mut delta, zigzag(i128::MAX));
+        let mut bad = bytes.clone();
+        bad.splice(at + 10..at + 11, delta);
+        assert_eq!(
+            decode_batch(&bad),
+            Err(WireDecodeError::BadVarint {
+                context: "resp_delta"
+            })
+        );
     }
 
     #[test]

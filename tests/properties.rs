@@ -84,6 +84,7 @@ proptest! {
         let mut sent_requests = 0u64;
         let mut matched = 0u64;
         let mut out_of_window = 0u64;
+        let mut displaced = 0u64;
         let mut t = 0u64;
         for (i, (flow, is_req, key)) in ops.iter().enumerate() {
             t += 1_000_000; // 1ms apart
@@ -98,13 +99,18 @@ proptest! {
                 SessionOutcome::Stored => sent_requests += 1,
                 SessionOutcome::Matched { .. } => matched += 1,
                 SessionOutcome::OutOfWindow { .. } => out_of_window += 1,
+                // A reused multiplexed id stores the new request and hands
+                // back the one it replaced.
+                SessionOutcome::Displaced(_) => {
+                    sent_requests += 1;
+                    displaced += 1;
+                }
                 SessionOutcome::OrphanResponse(_) | SessionOutcome::Ignored(_) => {}
             }
         }
         let pending = agg.pending() as u64;
-        // Multiplexed re-keying can *replace* a pending request (retry
-        // semantics), so pending + matched + replaced == sent.
-        prop_assert!(matched + out_of_window + pending <= sent_requests);
+        prop_assert_eq!(matched + out_of_window + displaced + pending, sent_requests);
+        prop_assert_eq!(displaced, agg.displaced);
         let drained = agg.drain_pending().len() as u64;
         prop_assert_eq!(drained, pending);
         prop_assert_eq!(agg.pending(), 0);
