@@ -48,26 +48,60 @@ for json in $(git ls-files 'results/*.json'); do
   esac
 done
 
+# The workspace lints (docs/LINTS.md) reach a crate only through its
+# manifest's opt-in, so a new crate that forgets it would compile unsafe
+# code unnoticed.
+echo "==> the workspace lints and the source-rule attributes are in place"
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+  awk '/^\[/ { in_lints = ($0 == "[lints]") } in_lints && /^workspace *= *true *$/ { found = 1 }
+       END { exit !found }' "$manifest" \
+    || { echo "$manifest: no [lints] section with workspace = true" >&2; exit 1; }
+done
+# The source rules also live in crate-root and module attributes, and
+# deleting one compiles clean: check that each is still in place. Every
+# product crate root forbids unsafe code (the workspace level is only
+# deny, which a module could allow).
+for lib in crates/*/src/lib.rs; do
+  grep -qx '#!\[forbid(unsafe_code)\]' "$lib" \
+    || { echo "$lib: no #![forbid(unsafe_code)]" >&2; exit 1; }
+done
+# require_deny FILE LINT...: FILE's #![deny(..)] block names each clippy LINT.
+require_deny() {
+  local file=$1 block lint
+  shift
+  block=$(awk '/^#!\[deny\(/ { on = 1 } on { print } on && /\)\]/ { on = 0 }' "$file")
+  for lint in "$@"; do
+    grep -qw "clippy::$lint" <<<"$block" \
+      || { echo "$file: its #![deny(..)] lacks clippy::$lint (docs/LINTS.md)" >&2; exit 1; }
+  done
+}
+for decoder in crates/df-types/src/wire.rs crates/df-types/src/rpc.rs crates/df-storage/src/persist.rs; do
+  require_deny "$decoder" indexing_slicing arithmetic_side_effects unwrap_used expect_used panic \
+    unreachable todo unimplemented panic_in_result_fn allow_attributes_without_reason
+done
+for parser in crates/df-protocols/src/lib.rs crates/df-agent/src/lib.rs; do
+  require_deny "$parser" indexing_slicing unwrap_used expect_used panic todo unimplemented \
+    allow_attributes_without_reason
+done
+for sync in crates/df-server/src/lib.rs crates/df-storage/src/lib.rs crates/df-cluster/src/lib.rs; do
+  require_deny "$sync" unwrap_used disallowed_methods disallowed_types
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# The static passes, one binary over one read of the Rust sources
-# (docs/LINTS.md): the lock-unwrap, forbid-unsafe and fs-confinement
-# rules, decoder panic-totality over wire.rs/rpc.rs/persist.rs, and the
-# static lock-order graph over production sources (AB/BA cycles fail).
-# The format documents under docs/ are checked by `cargo test` below,
-# each by a test beside its codec.
-echo "==> df-audit (lock-unwrap/forbid-unsafe/fs-confinement, panic-totality, lock-order)"
-cargo run -q -p df-check --bin df-audit -- .
-# The lock-order graph's edges are a reviewed file, like the example
-# goldens: a new or lost nesting fails here until docs/LOCK_ORDER.txt is
-# regenerated with the command below (minus the diff).
-cargo run -q -p df-check --bin df-audit -- --graph . | sed 's/  (via .*//' \
-  | diff -u docs/LOCK_ORDER.txt - \
-  || { echo "df-audit --graph: lock-order edges differ from docs/LOCK_ORDER.txt" >&2; exit 1; }
+# The one source check rustc and clippy cannot make (docs/LINTS.md): the
+# static lock-order graph over the production sources of df-server,
+# df-storage and df-cluster. df-audit prints its edges and fails on an
+# AB/BA cycle; the edges are a reviewed file, like the example goldens,
+# so a new or lost nesting fails here until docs/LOCK_ORDER.txt is
+# regenerated with the same command.
+echo "==> df-audit (static lock-order graph)"
+cargo run -q -p df-check --bin df-audit -- . | diff -u docs/LOCK_ORDER.txt - \
+  || { echo "df-audit: a lock-order cycle, or edges that differ from docs/LOCK_ORDER.txt" >&2; exit 1; }
 
 echo "==> cargo test"
 cargo test --workspace -q

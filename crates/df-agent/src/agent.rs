@@ -11,11 +11,11 @@
 //! metrics and the phase-1 smart-encoded tags and counts it.
 
 use crate::ebpf::{DeepFlowSyscallProgram, DeepFlowTlsProgram, SharedProgram};
-use crate::flow_table::{slot, FlowTable};
+use crate::flow_table::{with_slot, FlowTable};
 use crate::net_spans::{NetSpanBuilder, TapContext, PACKET_FLOW_BIT};
 use crate::pseudo_thread::PseudoThreadTracker;
 use crate::session::{SessionAggregator, SessionOutcome};
-use crate::span_builder::{build_span, Observed};
+use crate::span_builder::{build_span, Halves, Observed};
 use crate::systrace::SystraceTracker;
 use df_kernel::hooks::{AttachPoint, KernelEvent, ProbeKind};
 use df_kernel::{Kernel, VerifierError};
@@ -213,7 +213,7 @@ impl Agent {
 
         // 4. Expiry: overdue requests become Incomplete spans.
         for req in self.sessions.expire(now) {
-            self.emit_sys(Some(req), None);
+            self.emit_sys(Halves::Request(req));
         }
         for span in self.net.expire(now) {
             self.emit(span);
@@ -266,32 +266,32 @@ impl Agent {
         let observed = Observed::from_syscall(msg, parse, systrace, pseudo);
         match self.sessions.offer(flow_key, key, mtype, ts, observed) {
             SessionOutcome::Matched { request, response } => {
-                self.emit_sys(Some(request), Some(response));
+                self.emit_sys(Halves::Both(request, response));
             }
             SessionOutcome::OutOfWindow { request, response } => {
                 self.stats.out_of_window += 1;
-                self.emit_sys(Some(request), Some(response));
+                self.emit_sys(Halves::Both(request, response));
             }
             // The request already expired out of the time window. Ship the
             // response as a ResponseOnly fragment so the server can
             // re-aggregate it against the Incomplete span (§3.3.1
             // server-side re-aggregation).
-            SessionOutcome::OrphanResponse(response) => self.emit_sys(None, Some(response)),
+            SessionOutcome::OrphanResponse(response) => self.emit_sys(Halves::Response(response)),
             // A reused multiplexed id pushed out a request still waiting:
             // its response can no longer be told apart, so it leaves now
             // as an Incomplete span, as it would have at expiry.
-            SessionOutcome::Displaced(request) => self.emit_sys(Some(request), None),
+            SessionOutcome::Displaced(request) => self.emit_sys(Halves::Request(request)),
             SessionOutcome::Stored | SessionOutcome::Ignored(_) => {}
         }
     }
 
     /// Build and emit the sys span of a session. The observed process is
     /// the client when it *sends* the request or *receives* the response.
-    fn emit_sys(&mut self, req: Option<Observed>, resp: Option<Observed>) {
-        let direction = |m: &Option<Observed>| Some(m.as_ref()?.process.as_ref()?.direction);
-        let client_side = match direction(&req) {
+    fn emit_sys(&mut self, halves: Halves) {
+        let direction = |m: Option<&Observed>| Some(m?.process.as_ref()?.direction);
+        let client_side = match direction(halves.request()) {
             Some(sent_request) => sent_request == Direction::Egress,
-            None => direction(&resp) == Some(Direction::Ingress),
+            None => direction(halves.response()) == Some(Direction::Ingress),
         };
         let capture = CapturePoint {
             node: self.cfg.node,
@@ -302,7 +302,7 @@ impl Agent {
             },
             interface: None,
         };
-        self.emit(build_span(self.id, capture, req, resp));
+        self.emit(build_span(self.id, capture, halves));
     }
 
     /// The one exit of [`Self::poll`]: every span gets its flow metrics and
@@ -332,16 +332,19 @@ impl Agent {
         *counter += 1;
         if span.kind == SpanKind::Sys && span.status != SpanStatus::ResponseOnly {
             let process = span.process_name.as_deref().unwrap_or_default();
-            let series = slot(slot(&mut self.l7_metrics, process), &span.endpoint);
-            if span.status == SpanStatus::Incomplete {
-                series.record_timeout();
-            } else {
-                series.record_session(
-                    span.duration(),
-                    span.status == SpanStatus::ClientError,
-                    span.status == SpanStatus::ServerError,
-                );
-            }
+            with_slot(&mut self.l7_metrics, process, |endpoints| {
+                with_slot(endpoints, &span.endpoint, |series| {
+                    if span.status == SpanStatus::Incomplete {
+                        series.record_timeout();
+                    } else {
+                        series.record_session(
+                            span.duration(),
+                            span.status == SpanStatus::ClientError,
+                            span.status == SpanStatus::ServerError,
+                        );
+                    }
+                })
+            });
         }
         self.out.push(span);
     }

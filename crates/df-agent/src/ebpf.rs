@@ -20,7 +20,7 @@ use df_types::message::{
 };
 use df_types::{Direction, MessageData, Pid, Tid, TimeNs};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The exit half of the join, shared by both programs: combine the stashed
 /// enter time with the exit context into one [`MessageData`] and push it.
@@ -43,7 +43,7 @@ fn emit_message(
     }
     let payload = ctx
         .payload
-        .map(|p| Bytes::copy_from_slice(&p[..p.len().min(snap_len)]))
+        .map(|p| Bytes::copy_from_slice(p.get(..snap_len).unwrap_or(p)))
         .unwrap_or_default();
     ring.push(KernelEvent::Message(MessageData {
         program: ProgramInfo {
@@ -257,7 +257,12 @@ impl<P: BpfProgram> BpfProgram for SharedProgram<P> {
     }
 
     fn run(&mut self, ctx: &HookContext<'_>, ring: &mut PerfRingBuffer<KernelEvent>) {
-        self.inner.lock().expect("uncontended").run(ctx, ring);
+        // A panic inside one run leaves the program's maps as that run
+        // left them; the next hook carries on with them.
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .run(ctx, ring);
     }
 }
 

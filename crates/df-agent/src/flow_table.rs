@@ -35,13 +35,19 @@ pub struct FlowTable {
     interfaces: HashMap<String, Interface>,
 }
 
-/// `map[key]`, inserted as `V::default()` the first time, with the key
-/// copied only then.
-pub(crate) fn slot<'a, V: Default>(map: &'a mut HashMap<String, V>, key: &str) -> &'a mut V {
-    if !map.contains_key(key) {
-        map.insert(key.to_owned(), V::default());
+/// `f(&mut map[key])`, the slot inserted as `V::default()` the first
+/// time, with the key copied only then. A closure rather than a returned
+/// `&mut V`: the borrow checker does not let a function return the hit
+/// of `get_mut` and insert on the miss.
+pub(crate) fn with_slot<V: Default, R>(
+    map: &mut HashMap<String, V>,
+    key: &str,
+    f: impl FnOnce(&mut V) -> R,
+) -> R {
+    if let Some(v) = map.get_mut(key) {
+        return f(v);
     }
-    map.get_mut(key).expect("inserted above")
+    f(map.entry(key.to_owned()).or_default())
 }
 
 impl FlowTable {
@@ -52,14 +58,13 @@ impl FlowTable {
 
     /// Account one captured frame.
     pub fn observe(&mut self, interface: &str, frame: &Frame, ts: TimeNs) {
-        let iface = slot(&mut self.interfaces, interface);
-        match frame {
+        with_slot(&mut self.interfaces, interface, |iface| match frame {
             Frame::Arp { op, .. } => match op {
                 ArpOp::Request => iface.arp_requests += 1,
                 ArpOp::Reply => iface.arp_replies += 1,
             },
             Frame::Segment(seg) => Self::observe_segment(iface, seg, ts),
-        }
+        });
     }
 
     fn observe_segment(iface: &mut Interface, seg: &Segment, ts: TimeNs) {

@@ -30,6 +30,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The agent runs beside every traced service and reads what it sends: no
+// indexing, unwrap, expect, panic, todo or unimplemented in product code
+// (test code is exempt through clippy.toml's allow-*-in-tests).
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod agent;
 pub mod ebpf;

@@ -9,7 +9,7 @@
 //! Fig. 11's operators see exactly which infrastructure element misbehaved.
 
 use crate::session::{SessionAggregator, SessionOutcome};
-use crate::span_builder::{build_span, hash2, Observed};
+use crate::span_builder::{build_span, hash2, Halves, Observed};
 use df_net::taps::TapKind;
 use df_protocols::inference::InferenceEngine;
 use df_types::packet::Frame;
@@ -138,7 +138,7 @@ impl NetSpanBuilder {
             tap_side: self.resolve_tap_side(&interface, client_ip),
             interface: Some(interface),
         };
-        build_span(self.agent, capture, Some(req), resp)
+        build_span(self.agent, capture, Halves::of_request(req, resp))
     }
 
     fn resolve_tap_side(&self, interface: &str, client_ip: Ipv4Addr) -> TapSide {

@@ -3,7 +3,7 @@
 //! Every capture source — syscall kprobes/tracepoints, TLS uprobes, cBPF
 //! packet taps — is normalised into an [`Observed`] message, sessions of
 //! them are aggregated by [`crate::session`], and [`build_span`] turns a
-//! request, a response, or both into a [`Span`]. What differs per source
+//! request, a response, or both ([`Halves`]) into a [`Span`]. What differs per source
 //! (where the capture point comes from, which flow-metrics lookup
 //! applies) stays with the callers; every span field is derived here.
 
@@ -93,6 +93,64 @@ impl Observed {
     }
 }
 
+/// The halves of one session a span is built from: a request, a
+/// response, or both, never neither.
+#[derive(Debug)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "moved once into build_span, as the two halves were before; a box would allocate per span"
+)]
+pub(crate) enum Halves {
+    /// Both halves: a completed span whose status comes from the response.
+    Both(Observed, Observed),
+    /// A request alone: its response never came (`Incomplete`, §3.3.1).
+    Request(Observed),
+    /// A response alone: a `ResponseOnly` fragment for server-side
+    /// re-aggregation.
+    Response(Observed),
+}
+
+impl Halves {
+    /// A request with the response, if one matched it.
+    pub fn of_request(req: Observed, resp: Option<Observed>) -> Self {
+        match resp {
+            Some(resp) => Halves::Both(req, resp),
+            None => Halves::Request(req),
+        }
+    }
+
+    /// The request half, if there is one.
+    pub fn request(&self) -> Option<&Observed> {
+        match self {
+            Halves::Both(req, _) | Halves::Request(req) => Some(req),
+            Halves::Response(_) => None,
+        }
+    }
+
+    /// The response half, if there is one.
+    pub fn response(&self) -> Option<&Observed> {
+        match self {
+            Halves::Both(_, resp) | Halves::Response(resp) => Some(resp),
+            Halves::Request(_) => None,
+        }
+    }
+
+    /// The request when there is one, else the response.
+    fn first(&self) -> &Observed {
+        match self {
+            Halves::Both(req, _) | Halves::Request(req) => req,
+            Halves::Response(resp) => resp,
+        }
+    }
+
+    fn into_first(self) -> Observed {
+        match self {
+            Halves::Both(req, _) | Halves::Request(req) => req,
+            Halves::Response(resp) => resp,
+        }
+    }
+}
+
 /// Build the span of one session observed at `capture`: both halves give a
 /// completed span whose status comes from the response parse, a request
 /// alone an `Incomplete` one (its response never came, §3.3.1), a response
@@ -108,19 +166,14 @@ impl Observed {
 // frame, not copied per hop (out of line it cost `Agent::poll` a measured
 // 1.6 %).
 #[inline]
-pub(crate) fn build_span(
-    agent: AgentId,
-    capture: CapturePoint,
-    req: Option<Observed>,
-    resp: Option<Observed>,
-) -> Span {
-    let (q, r) = (req.as_ref(), resp.as_ref());
-    let status = match (q, r) {
-        (Some(_), None) => SpanStatus::Incomplete,
-        (None, _) => SpanStatus::ResponseOnly,
-        (Some(_), Some(r)) => r.parse.status(),
+pub(crate) fn build_span(agent: AgentId, capture: CapturePoint, halves: Halves) -> Span {
+    let (q, r) = (halves.request(), halves.response());
+    let status = match &halves {
+        Halves::Request(_) => SpanStatus::Incomplete,
+        Halves::Response(_) => SpanStatus::ResponseOnly,
+        Halves::Both(_, resp) => resp.parse.status(),
     };
-    let first = q.or(r).expect("a span has a request, a response, or both");
+    let first = halves.first();
     let five_tuple = match q {
         Some(request) => request.tuple,
         None => first.tuple.reversed(),
@@ -137,7 +190,7 @@ pub(crate) fn build_span(
     let (systrace_id_req, systrace_id_resp) = (systrace_id(q), systrace_id(r));
     let pseudo_thread_id = pseudo_thread_id(q).or(pseudo_thread_id(r));
     // Identity fields come from the request when there is one.
-    let Observed { parse, process, .. } = req.or(resp).expect("checked above");
+    let Observed { parse, process, .. } = halves.into_first();
     let is_sys = process.is_some();
     Span {
         span_id: SpanId(0),

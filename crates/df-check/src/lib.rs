@@ -1,39 +1,31 @@
 #![forbid(unsafe_code)]
-//! # df-check — the static passes over the DeepFlow tree
+//! # df-check — the static lock-order graph of the DeepFlow tree
 //!
-//! Every decoder parses bytes nobody vetted, and every lock nesting is a
-//! deadlock waiting for its mirror image. This crate reads the tree's
-//! Rust source and checks both, in two layers:
+//! Every lock nesting is a deadlock waiting for its mirror image, and no
+//! rustc or clippy lint sees one across function calls. This crate reads
+//! the tree's Rust source and derives the order in which its production
+//! code takes locks, in two layers:
 //!
 //! 1. **[`syntax`] — the one reader of the source tree.** A directory
 //!    walk that reads each first-party `*.rs` file once, a lexer whose
-//!    tokens carry their line (comments dropped, string literals kept as
+//!    tokens carry their line (comments dropped, literals kept as
 //!    tokens), and a brace-matched item scan that finds `fn` bodies and is
-//!    the only judge of what is test code. No rustc internals; every
-//!    static pass is a function over its tokens and reports through its
-//!    one `Violation` type.
+//!    the only judge of what is test code. No rustc internals.
 //!
-//! 2. **The static passes — [`lint`] and [`audit`]**, run together
-//!    by the `df-audit` binary (one `ci.sh` stage; rule catalogue in
-//!    `docs/LINTS.md`). [`lint`] is token rules: no
-//!    `.lock().unwrap()`-style lock unwraps outside test code,
-//!    `#![forbid(unsafe_code)]` in every first-party crate root, `std::fs`
-//!    confined to the tiering layer. [`audit`] is panic-totality of the
-//!    designated total-decode modules (no `unwrap`/`panic!`, no slice
-//!    indexing, no unchecked length arithmetic — with a
-//!    justification-required `// df-audit: allow(...)` escape) and a
-//!    static lock-order graph over the production sources, derived from
-//!    `.lock()`/`.read()`/`.write()` call sites and call-graph
-//!    propagation (AB/BA cycles fail CI; `ci.sh` also diffs its edges
-//!    against the reviewed `docs/LOCK_ORDER.txt`). The format documents
-//!    under `docs/` are not read here: each is checked by a plain test
-//!    beside its codec (`df_types::{wire, rpc}`, `df_storage::persist`).
+//! 2. **[`lock_order`] — the static lock-order graph**, run by the
+//!    `df-audit` binary (one `ci.sh` stage; see `docs/LINTS.md`). It is
+//!    derived from `.lock()`/`.read()`/`.write()` call sites and
+//!    call-graph propagation over the production sources of the
+//!    sync-scoped crates. An AB/BA cycle fails CI, and `ci.sh` diffs the
+//!    printed edges against the reviewed `docs/LOCK_ORDER.txt`.
 //!
-//! The crate's tests exercise each static rule against seeded fixture
-//! trees (`tests/audit_fixture.rs`). Runtime concurrency invariants are
-//! not checked here: each is a plain test on the real type, listed in
-//! `docs/ARCHITECTURE.md` § "Correctness tooling".
+//! The tree's other source rules are rustc and clippy lints
+//! (`unsafe_code`, `clippy::unwrap_used`, `disallowed_methods`, the
+//! decoders' deny lists; tabled in `docs/LINTS.md`). The crate's tests
+//! run the binary over a seeded fixture tree (`tests/audit_fixture.rs`).
+//! Runtime concurrency invariants are not checked here: each is a plain
+//! test on the real type, listed in `docs/ARCHITECTURE.md` § "Correctness
+//! tooling".
 
-pub mod audit;
-pub mod lint;
+pub mod lock_order;
 pub mod syntax;

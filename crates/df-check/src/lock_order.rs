@@ -1,31 +1,14 @@
-//! The structure-aware static passes, and [`audit_tree`], which runs
-//! every static pass — these and [`crate::lint`] — over one parsed tree
-//! for the `df-audit` binary.
+//! The static lock-order graph (`lock-order`), the one pass `df-audit`
+//! runs.
 //!
-//! All of them read the tree through [`crate::syntax`]:
+//! Per-function lock-acquisition summaries are extracted from `.lock()`,
+//! `.read()` and `.write()` call sites (matched by name), guards are
+//! tracked through `let` bindings, `drop`s and block scopes, and the
+//! summaries are propagated over an intra-crate call-graph approximation
+//! into a global lock-order graph over the production sources of
+//! [`SYNC_SCOPED_CRATES`]. Any AB/BA cycle in that graph is a violation.
 //!
-//! 1. **Panic-totality** (`decode-panic`, `decode-index`,
-//!    `decode-arith`): the designated total-decode modules
-//!    (`df_types::wire`, `df_types::rpc`, `df_storage::persist`) sit in
-//!    the ingest path of every traced service, so a panicking decoder is
-//!    an outage multiplier. Outside `#[cfg(test)]` code those files may
-//!    not call `unwrap`/`expect`/`panic!`-family macros, may not index
-//!    slices directly (`buf[i]`, `&buf[a..b]`), and may not do unchecked
-//!    `+`/`-`/`*` arithmetic on length-typed expressions — use
-//!    `get(..)`, `split_first`, `checked_*`/`saturating_*` instead. A
-//!    `// df-audit: allow(<rule>) — <justification>` comment on the
-//!    violating line (or the line above) suppresses one rule, and fails
-//!    the audit itself when the justification is empty.
-//!
-//! 2. **Static lock-order** (`lock-order`): per-function
-//!    lock-acquisition summaries are extracted from `.lock()`,
-//!    `.read()` and `.write()` call sites (matched by name), guards are
-//!    tracked through `let` bindings and block scopes, and the summaries
-//!    are propagated over an intra-crate call-graph approximation into a
-//!    global lock-order graph over the production sources. Any AB/BA
-//!    cycle in that graph fails the audit.
-//!
-//! The analyses are deliberately heuristic (no rustc internals, no type
+//! The analysis is deliberately heuristic (no rustc internals, no type
 //! information): names are resolved within one crate, method names that
 //! collide with std collection methods are never treated as calls, and
 //! cross-crate edges are invisible. The graph can therefore both miss a
@@ -33,54 +16,12 @@
 //! type's method); `docs/LOCK_ORDER.txt` pins the edges it derives today,
 //! so either kind of change to the graph is a reviewed diff.
 
-use crate::lint::SYNC_SCOPED_CRATES;
 use crate::syntax::{self, close_of, is_keyword, seq, FnItem, Source, Token, TokenKind, Violation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-/// Files subject to the panic-totality pass, relative to the repo root:
-/// the wire codec, the RPC envelope/body codec, and the segment codec —
-/// everything that parses bytes off the network or disk.
-pub const DECODE_TOTAL_FILES: &[&str] = &[
-    "crates/df-types/src/wire.rs",
-    "crates/df-types/src/rpc.rs",
-    "crates/df-storage/src/persist.rs",
-];
-
-/// Rules a `df-audit: allow(...)` directive may name.
-pub const ALLOWABLE_RULES: &[&str] = &["decode-panic", "decode-index", "decode-arith"];
-
-/// Identifiers treated as length-typed for the `decode-arith` rule.
-const LEN_IDENTS: &[&str] = &[
-    "cap",
-    "count",
-    "idx",
-    "index",
-    "len",
-    "n",
-    "off",
-    "offset",
-    "pos",
-    "remaining",
-    "size",
-];
-
-/// Method calls that return a length directly.
-const LEN_CALLS: &[&str] = &["capacity", "len", "remaining"];
-
-/// Macros whose invocation can panic.
-const PANIC_MACROS: &[&str] = &[
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "debug_assert",
-    "debug_assert_eq",
-    "debug_assert_ne",
-    "panic",
-    "todo",
-    "unimplemented",
-    "unreachable",
-];
+/// The crates that take locks: the graph covers their `src/`.
+pub const SYNC_SCOPED_CRATES: &[&str] = &["df-server", "df-storage", "df-cluster"];
 
 /// Method names never treated as intra-crate calls by the lock-order
 /// pass: std collection/iterator/option vocabulary that would otherwise
@@ -236,249 +177,6 @@ const CALL_DENYLIST: &[&str] = &[
     "write",
     "zip",
 ];
-
-// ---------------------------------------------------------------------
-// Allow directives
-// ---------------------------------------------------------------------
-
-/// One parsed `// df-audit: allow(<rule>) — <justification>` directive.
-#[derive(Debug)]
-struct Allow {
-    rule: String,
-    line: usize,
-    justified: bool,
-}
-
-/// Parse every allow directive. Directives live in comments, which the
-/// lexer drops, so this is the one scan over the raw text, line by line.
-/// Malformed directives and empty justifications are violations in their
-/// own right — an unexplained escape is worse than none.
-fn parse_allows(src: &Source<'_>) -> (Vec<Allow>, Vec<Violation>) {
-    let mut allows = Vec::new();
-    let mut violations = Vec::new();
-    for (idx, raw) in src.text.lines().enumerate() {
-        let line = idx + 1;
-        let Some(at) = raw.find("df-audit:") else {
-            continue;
-        };
-        let rest = raw[at + "df-audit:".len()..].trim_start();
-        let bad = |message: String| src.violation(line, "audit-allow", message);
-        let Some(args) = rest.strip_prefix("allow(") else {
-            violations.push(bad(
-                "malformed df-audit directive; expected `df-audit: allow(<rule>) — \
-                 <justification>`"
-                    .to_string(),
-            ));
-            continue;
-        };
-        let Some(close) = args.find(')') else {
-            violations.push(bad("unclosed df-audit: allow( directive".to_string()));
-            continue;
-        };
-        let rule = args[..close].trim().to_string();
-        if !ALLOWABLE_RULES.contains(&rule.as_str()) {
-            violations.push(bad(format!(
-                "unknown rule {rule:?} in df-audit allow; known rules: {ALLOWABLE_RULES:?}"
-            )));
-            continue;
-        }
-        let justification = args[close + 1..]
-            .trim_start_matches(|c: char| c.is_whitespace() || matches!(c, '—' | '–' | '-' | ':'))
-            .trim();
-        let justified = !justification.is_empty();
-        if !justified {
-            violations.push(bad(format!(
-                "df-audit allow({rule}) has an empty justification; explain why the rule \
-                 does not apply here"
-            )));
-        }
-        allows.push(Allow {
-            rule,
-            line,
-            justified,
-        });
-    }
-    (allows, violations)
-}
-
-fn allowed(allows: &[Allow], rule: &str, line: usize) -> bool {
-    allows
-        .iter()
-        .any(|a| a.justified && a.rule == rule && (a.line == line || a.line + 1 == line))
-}
-
-// ---------------------------------------------------------------------
-// Pass 1: panic-totality
-// ---------------------------------------------------------------------
-
-/// Audit one designated total-decode file. Test code
-/// ([`Source::is_test`]) is exempt; justified allow directives suppress
-/// individual findings.
-pub fn audit_decode(src: &Source<'_>) -> Vec<Violation> {
-    let (allows, mut out) = parse_allows(src);
-    let toks = &src.tokens;
-    let mut push = |rule: &'static str, line: usize, message: String| {
-        if !allowed(&allows, rule, line) {
-            out.push(src.violation(line, rule, message));
-        }
-    };
-
-    for (i, t) in toks.iter().enumerate() {
-        if src.is_test(i) {
-            continue;
-        }
-        let prev = i.checked_sub(1).map(|p| toks[p]);
-        let next = toks.get(i + 1).copied();
-        match t.kind {
-            TokenKind::Ident => {
-                let is_call = next.is_some_and(|n| n.text == "(");
-                let is_method = prev.is_some_and(|p| p.text == ".");
-                if is_method && is_call && matches!(t.text, "unwrap" | "expect") {
-                    push(
-                        "decode-panic",
-                        t.line,
-                        format!(
-                            ".{}() in a total-decode module can panic on malformed input; \
-                             return the decode error instead",
-                            t.text
-                        ),
-                    );
-                }
-                if PANIC_MACROS.contains(&t.text) && next.is_some_and(|n| n.text == "!") {
-                    push(
-                        "decode-panic",
-                        t.line,
-                        format!(
-                            "{}! in a total-decode module; decoders must be total — return \
-                             an error for every input",
-                            t.text
-                        ),
-                    );
-                }
-            }
-            TokenKind::Punct => {
-                // Direct indexing: `expr[...]` where expr ends in an
-                // identifier, `)` or `]`. `#[attr]`, `![...]`, types like
-                // `[u8; 4]` and `vec![…]` all fail the prefix test.
-                if t.text == "[" {
-                    let postfix = prev.is_some_and(|p| match p.kind {
-                        TokenKind::Ident => !is_keyword(p.text),
-                        _ => p.text == ")" || p.text == "]",
-                    });
-                    if postfix {
-                        push(
-                            "decode-index",
-                            t.line,
-                            "direct slice/array indexing can panic on malformed input; use \
-                             .get(..) / .split_first() / fixed-size reads"
-                                .to_string(),
-                        );
-                    }
-                }
-                if matches!(t.text, "+" | "-" | "*") {
-                    let binary = prev.is_some_and(|p| match p.kind {
-                        TokenKind::Ident => !is_keyword(p.text),
-                        TokenKind::Number | TokenKind::Char => true,
-                        _ => p.text == ")" || p.text == "]",
-                    });
-                    if binary && (len_operand_left(toks, i) || len_operand_right(toks, i)) {
-                        push(
-                            "decode-arith",
-                            t.line,
-                            format!(
-                                "unchecked `{}` on a length-typed expression can overflow on \
-                                 malformed input; use checked_*/saturating_* arithmetic",
-                                t.text
-                            ),
-                        );
-                    }
-                }
-                if matches!(t.text, "+=" | "-=" | "*=") {
-                    let lhs_len = prev.is_some_and(|p| {
-                        p.kind == TokenKind::Ident && LEN_IDENTS.contains(&p.text)
-                    });
-                    if lhs_len {
-                        push(
-                            "decode-arith",
-                            t.line,
-                            format!(
-                                "unchecked `{}` on a length-typed variable can overflow on \
-                                 malformed input; use checked_*/saturating_* arithmetic",
-                                t.text
-                            ),
-                        );
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Is the operand to the left of the operator at token index `i`
-/// length-typed — a length-ish identifier or a `.len()`-style call?
-fn len_operand_left(toks: &[Token<'_>], i: usize) -> bool {
-    let Some(p) = i.checked_sub(1) else {
-        return false;
-    };
-    match toks[p].kind {
-        TokenKind::Ident => LEN_IDENTS.contains(&toks[p].text),
-        TokenKind::Punct if toks[p].text == ")" => {
-            // Walk back to the matching `(`; a call like `.len()` makes
-            // the operand length-typed.
-            let mut depth = 0isize;
-            let mut j = p;
-            loop {
-                match toks[j].text {
-                    ")" => depth += 1,
-                    "(" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                if j == 0 {
-                    return false;
-                }
-                j -= 1;
-            }
-            j >= 2
-                && toks[j - 1].kind == TokenKind::Ident
-                && LEN_CALLS.contains(&toks[j - 1].text)
-                && toks[j - 2].text == "."
-        }
-        _ => false,
-    }
-}
-
-/// Is the operand to the right of the operator at token index `i`
-/// length-typed?
-fn len_operand_right(toks: &[Token<'_>], i: usize) -> bool {
-    let Some(n) = toks.get(i + 1) else {
-        return false;
-    };
-    if n.kind != TokenKind::Ident {
-        return false;
-    }
-    if LEN_IDENTS.contains(&n.text) {
-        return true;
-    }
-    // Follow a field/method chain: `rest.len()`, `self.buf.len()`.
-    let mut j = i + 1;
-    while toks.get(j + 1).is_some_and(|t| t.text == ".")
-        && toks.get(j + 2).is_some_and(|t| t.kind == TokenKind::Ident)
-    {
-        j += 2;
-    }
-    j > i + 1 && LEN_CALLS.contains(&toks[j].text) && toks.get(j + 1).is_some_and(|t| t.text == "(")
-}
-
-// ---------------------------------------------------------------------
-// Pass 2: static lock-order
-// ---------------------------------------------------------------------
 
 /// Where a static lock-order edge was induced.
 #[derive(Debug, Clone)]
@@ -683,30 +381,24 @@ fn chain_keeps_guard(toks: &[Token<'_>], mut i: usize) -> bool {
     true
 }
 
-/// Build the static lock-order graph for the tree under `root` (reads
-/// the tree; [`lock_graph`] is the same analysis over a parsed one).
-pub fn analyze_locks(root: &Path) -> Result<LockAnalysis, String> {
-    let files = syntax::walk(root)?;
-    Ok(lock_graph(&syntax::parse_tree(&files)))
-}
-
-/// Build the static lock-order graph of a parsed tree.
+/// Build the static lock-order graph of the tree under `root`.
 ///
 /// The files that feed it are the lock-taking production code: the
 /// non-test functions in the `src` of [`SYNC_SCOPED_CRATES`].
 /// Summaries are extracted per function, the intra-crate call graph
 /// propagates acquire-sets to a fixpoint, and every AB/BA cycle among the
 /// resulting edges becomes a `lock-order` violation.
-pub fn lock_graph(tree: &[Source<'_>]) -> LockAnalysis {
+pub fn analyze_locks(root: &Path) -> Result<LockAnalysis, String> {
     let mut summaries: Vec<FnSummary> = Vec::new();
     let mut analysis = LockAnalysis::default();
-    for src in tree {
+    for file in syntax::walk(root)? {
+        let src = Source::parse(&file.rel, &file.text);
         let (krate, dir) = src.scope();
         if dir != "src" || !SYNC_SCOPED_CRATES.contains(&krate) {
             continue;
         }
         for item in src.fns.iter().filter(|f| !f.in_test) {
-            summaries.push(summarize_fn(item, src, krate));
+            summaries.push(summarize_fn(item, &src, krate));
         }
     }
 
@@ -791,7 +483,7 @@ pub fn lock_graph(tree: &[Source<'_>]) -> LockAnalysis {
     }
 
     analysis.violations = find_cycles(&analysis.edges);
-    analysis
+    Ok(analysis)
 }
 
 /// Every AB/BA (or longer) cycle in the edge set, one violation per
@@ -868,130 +560,9 @@ fn find_cycles(edges: &BTreeMap<(String, String), EdgeSite>) -> Vec<Violation> {
     out
 }
 
-// ---------------------------------------------------------------------
-// Tree entry point
-// ---------------------------------------------------------------------
-
-/// Run every static pass over the tree at `root`, read and lexed once:
-/// the token rules, panic-totality on the designated decode
-/// modules, and the static lock-order cycle check. Returns all
-/// violations, sorted by file/line.
-pub fn audit_tree(root: &Path) -> Result<Vec<Violation>, String> {
-    let files = syntax::walk(root)?;
-    let tree = syntax::parse_tree(&files);
-    let mut out = crate::lint::lint_tree(&tree);
-    for rel in DECODE_TOTAL_FILES {
-        out.extend(audit_decode(syntax::find(&tree, rel)?));
-    }
-    out.extend(lock_graph(&tree).violations);
-    out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn decode_violations(src: &str) -> Vec<Violation> {
-        audit_decode(&Source::parse("x.rs", src))
-    }
-
-    #[test]
-    fn flags_unwrap_expect_and_panic_macros() {
-        let v = decode_violations(
-            "fn f(b: &[u8]) -> u8 { b.first().copied().unwrap() }\n\
-             fn g() { panic!(\"no\") }\n\
-             fn h(x: Option<u8>) -> u8 { x.expect(\"set\") }\n\
-             fn k(n: usize) { assert!(n > 0); }",
-        );
-        let rules: Vec<_> = v.iter().map(|v| (v.rule, v.line)).collect();
-        assert_eq!(
-            rules,
-            vec![
-                ("decode-panic", 1),
-                ("decode-panic", 2),
-                ("decode-panic", 3),
-                ("decode-panic", 4)
-            ],
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn flags_direct_indexing_but_not_types_or_attrs() {
-        let v = decode_violations(
-            "#[derive(Debug)]\n\
-             struct S { a: [u8; 4] }\n\
-             fn f(b: &[u8]) -> u8 { b[0] }\n\
-             fn g(b: &[u8]) -> &[u8] { &b[1..] }\n\
-             fn h() -> Vec<u8> { vec![0; 4] }",
-        );
-        let rules: Vec<_> = v.iter().map(|v| (v.rule, v.line)).collect();
-        assert_eq!(
-            rules,
-            vec![("decode-index", 3), ("decode-index", 4)],
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn flags_length_arithmetic_but_not_plain_constants() {
-        let v = decode_violations(
-            "fn f(s: &str) -> usize { s.len() + 5 }\n\
-             fn g(n: usize) -> usize { n * 20 }\n\
-             fn h(pos: usize) -> usize { pos - 1 }\n\
-             fn k() -> usize { 8 * 1024 }\n\
-             fn m(x: usize) -> usize { x.checked_mul(4).unwrap_or(0) }",
-        );
-        let rules: Vec<_> = v.iter().map(|v| (v.rule, v.line)).collect();
-        assert_eq!(
-            rules,
-            vec![
-                ("decode-arith", 1),
-                ("decode-arith", 2),
-                ("decode-arith", 3)
-            ],
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn compound_assign_on_length_vars_flagged() {
-        let v = decode_violations("fn f(pos: &mut usize) { *pos += 1; }");
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "decode-arith");
-    }
-
-    #[test]
-    fn test_code_is_exempt() {
-        let v = decode_violations(
-            "#[cfg(test)]\nmod tests {\n fn f(b: &[u8]) -> u8 { b[0] }\n}\n\
-             #[test]\nfn t() { assert!(true) }",
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn justified_allow_suppresses_unjustified_fails() {
-        let ok = "// df-audit: allow(decode-index) — header length checked 3 lines up\n\
-                  fn f(b: &[u8]) -> u8 { b[0] }";
-        assert!(decode_violations(ok).is_empty());
-
-        let same_line =
-            "fn f(b: &[u8]) -> u8 { b[0] } // df-audit: allow(decode-index) — checked above";
-        assert!(decode_violations(same_line).is_empty());
-
-        let empty = "// df-audit: allow(decode-index)\nfn f(b: &[u8]) -> u8 { b[0] }";
-        let v = decode_violations(empty);
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().any(|v| v.rule == "audit-allow"));
-        assert!(v.iter().any(|v| v.rule == "decode-index"));
-
-        let unknown = "// df-audit: allow(decode-everything) — because\nfn f() {}";
-        let v = decode_violations(unknown);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "audit-allow");
-    }
 
     fn summaries_for(src: &str) -> Vec<FnSummary> {
         let src = Source::parse("f.rs", src);

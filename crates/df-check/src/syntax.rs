@@ -1,25 +1,24 @@
-//! How the static checks read a repository tree. Everything
-//! [`crate::lint`] and [`crate::audit`] know about Rust source they learn
-//! here: [`walk`] reads each `*.rs` file under `crates/` once, [`lex`]
-//! turns it into tokens that carry their line (comments dropped, string
-//! and char literals kept whole as one token each), and [`Source::parse`]
-//! adds the brace-matched item scan — the `fn` items and the single
-//! judgement of which tokens are test code.
-//! The passes are functions over `&Source` tokens and report through the
-//! one [`Violation`] type.
+//! How the lock-order pass reads a repository tree. Everything
+//! [`crate::lock_order`] knows about Rust source it learns here: [`walk`]
+//! reads each `*.rs` file under `crates/` once, [`lex`] turns it into
+//! tokens that carry their line (comments dropped, string and char
+//! literals kept whole as one token each), and [`Source::parse`] adds the
+//! brace-matched item scan — the `fn` items and the single judgement of
+//! which of them are test code. Findings are reported through the one
+//! [`Violation`] type.
 //!
 //! This is deliberately *not* a Rust parser (std-only, no rustc
-//! internals): it understands exactly as much structure as the passes
-//! need — token classes, bracket nesting, item boundaries — and nothing
-//! more. The passes built on it are heuristic by design; their fixtures,
-//! and the lock-order edges pinned in `docs/LOCK_ORDER.txt`, are what
-//! keep the heuristics honest.
+//! internals): it understands exactly as much structure as the pass
+//! needs — token classes, bracket nesting, item boundaries — and nothing
+//! more. The pass built on it is heuristic by design; its fixture, and
+//! the lock-order edges pinned in `docs/LOCK_ORDER.txt`, are what keep
+//! the heuristics honest.
 
 use std::fmt;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-/// One finding of any static pass; prints as `file:line: [rule] message`.
+/// One finding; prints as `file:line: [rule] message`.
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// Repo-relative path of the offending file.
@@ -49,10 +48,9 @@ pub enum TokenKind {
     Ident,
     /// Numeric literal (`42`, `0xFF`, `1_000`).
     Number,
-    /// String literal of any flavour (`"a"`, `b"a"`, `r#"a"#`, `br"a"`).
-    Str,
-    /// Char or byte literal (`'x'`, `b'\n'`).
-    Char,
+    /// String, char or byte literal of any flavour (`"a"`, `b"a"`,
+    /// `r#"a"#`, `'x'`, `b'\n'`).
+    Literal,
     /// Punctuation; multi-character operators are one token (`::`, `->`,
     /// `=>`, `..=`, `+=`, `<<`, …).
     Punct,
@@ -107,16 +105,16 @@ fn quoted_end(b: &[u8], mut i: usize, quote: u8) -> usize {
 }
 
 /// If a string or byte literal starts at `i` (`"…"`, `b"…"`, `b'…'`,
-/// `r"…"`, `r#"…"#`, `br#"…"#`), its kind and end; `None` when the `b` /
-/// `r` there begins an identifier (`r#try` included).
-fn literal_at(b: &[u8], i: usize) -> Option<(TokenKind, usize)> {
+/// `r"…"`, `r#"…"#`, `br#"…"#`), its end; `None` when the `b` / `r`
+/// there begins an identifier (`r#try` included).
+fn literal_at(b: &[u8], i: usize) -> Option<usize> {
     let mut j = i;
     if b[j] == b'b' {
         j += 1;
     }
     match *b.get(j)? {
-        b'"' => Some((TokenKind::Str, quoted_end(b, j + 1, b'"'))),
-        b'\'' if j > i => Some((TokenKind::Char, quoted_end(b, j + 1, b'\''))),
+        b'"' => Some(quoted_end(b, j + 1, b'"')),
+        b'\'' if j > i => Some(quoted_end(b, j + 1, b'\'')),
         b'r' => {
             let hashes = b[j + 1..].iter().take_while(|&&c| c == b'#').count();
             let open = j + 1 + hashes;
@@ -130,11 +128,11 @@ fn literal_at(b: &[u8], i: usize) -> Option<(TokenKind, usize)> {
                 let closes =
                     b[k] == b'"' && b[k + 1..].iter().take_while(|&&c| c == b'#').count() >= hashes;
                 if closes {
-                    return Some((TokenKind::Str, k + 1 + hashes));
+                    return Some(k + 1 + hashes);
                 }
                 k += 1;
             }
-            Some((TokenKind::Str, b.len()))
+            Some(b.len())
         }
         _ => None,
     }
@@ -173,15 +171,15 @@ pub fn lex(src: &str) -> Vec<Token<'_>> {
                     i += 1;
                 }
             }
-        } else if let Some((k, end)) = literal_at(b, i) {
-            kind = Some(k);
+        } else if let Some(end) = literal_at(b, i) {
+            kind = Some(TokenKind::Literal);
             i = end;
         } else if c == b'\'' {
             // Char literal vs lifetime: a literal is an escape, or one
             // (possibly multi-byte) char directly followed by the tick.
             let first = src[i + 1..].chars().next().map_or(0, char::len_utf8);
             if b.get(i + 1) == Some(&b'\\') || b.get(i + 1 + first) == Some(&b'\'') {
-                kind = Some(TokenKind::Char);
+                kind = Some(TokenKind::Literal);
                 i = quoted_end(b, i + 1, b'\'');
             } else {
                 i += 1;
@@ -190,7 +188,7 @@ pub fn lex(src: &str) -> Vec<Token<'_>> {
         } else if is_ident_byte(c) {
             // Numbers swallow alphanumerics and `_` (covers 0xFF, 1u32,
             // 1_000; `2.5` lexes as Number(2), Punct(.), Number(5), which
-            // is fine for our purposes: a float never carries a length).
+            // is fine: a number is never a lock name or a call).
             kind = Some(if c.is_ascii_digit() {
                 TokenKind::Number
             } else {
@@ -271,7 +269,10 @@ pub struct FnItem<'a> {
     /// Token-index range of the body, *exclusive* of the outer braces.
     pub body: Range<usize>,
     /// True when the item carries `#[test]` / `#[cfg(test)]` itself or
-    /// sits inside an item that does.
+    /// sits inside an item that does (attributes may be stacked after
+    /// it). Such an attribute covers its own item — up to its `;` or the
+    /// close of its first brace block — and nothing after it. The only
+    /// judge of what is test code.
     pub in_test: bool,
 }
 
@@ -280,21 +281,18 @@ pub struct FnItem<'a> {
 pub struct Source<'a> {
     /// Repo-relative path, `/`-separated (`crates/df-server/src/lib.rs`).
     pub rel: &'a str,
-    /// The raw text; only the `// df-audit: allow(..)` directive scan
-    /// reads it, because directives live in comments.
-    pub text: &'a str,
     pub tokens: Vec<Token<'a>>,
     /// Every `fn` with a body, nested ones included, in source order.
     pub fns: Vec<FnItem<'a>>,
-    /// Per token: is it test code? See [`Source::is_test`].
-    test: Vec<bool>,
 }
 
 impl<'a> Source<'a> {
     /// Lex `text` and scan its items.
     pub fn parse(rel: &'a str, text: &'a str) -> Source<'a> {
         let tokens = lex(text);
-        let mut test = vec![false; tokens.len()];
+        // Tokens before this index that follow a test-marking attribute
+        // are test code (test items nest, so one bound suffices).
+        let mut test_until = 0;
         let mut fns = Vec::new();
         let mut i = 0;
         while i < tokens.len() {
@@ -303,7 +301,6 @@ impl<'a> Source<'a> {
                 // sit on. A test-marking attribute covers that item — up
                 // to its `;` or the close of its first brace block — and
                 // nothing after it.
-                let start = i;
                 let mut marks_test = false;
                 while seq(&tokens, i, &["#", "["]) {
                     let close = close_of(&tokens, i + 1);
@@ -317,7 +314,7 @@ impl<'a> Source<'a> {
                         Some(semi) => semi,
                         None => tokens.len(),
                     };
-                    test[start..(end + 1).min(tokens.len())].fill(true);
+                    test_until = test_until.max(end + 1);
                 }
                 continue;
             }
@@ -330,26 +327,13 @@ impl<'a> Source<'a> {
                     fns.push(FnItem {
                         name: name.text,
                         body: open + 1..close_of(&tokens, open),
-                        in_test: test[i + 1],
+                        in_test: i < test_until,
                     });
                 }
             }
             i += 1;
         }
-        Source {
-            rel,
-            text,
-            tokens,
-            fns,
-            test,
-        }
-    }
-
-    /// Is token `i` test code — inside an item carrying `#[test]` or
-    /// `#[cfg(test)]` (attributes and signature included)? The only
-    /// judge of that question for every pass.
-    pub fn is_test(&self, i: usize) -> bool {
-        self.test[i]
+        Source { rel, tokens, fns }
     }
 
     /// `(crate, top-level directory)` for a file under
@@ -360,21 +344,6 @@ impl<'a> Source<'a> {
         match (parts.next(), parts.next(), parts.next(), parts.next()) {
             (Some("crates"), Some(krate), Some(dir), Some(_)) => (krate, dir),
             _ => ("", ""),
-        }
-    }
-
-    /// The last path component.
-    pub fn file_name(&self) -> &'a str {
-        self.rel.rsplit('/').next().unwrap_or(self.rel)
-    }
-
-    /// A finding in this file.
-    pub fn violation(&self, line: usize, rule: &'static str, message: String) -> Violation {
-        Violation {
-            file: PathBuf::from(self.rel),
-            line,
-            rule,
-            message,
         }
     }
 }
@@ -412,21 +381,6 @@ pub fn walk(root: &Path) -> Result<Vec<File>, String> {
     }
     files.sort_by(|a, b| Path::new(&a.rel).cmp(Path::new(&b.rel)));
     Ok(files)
-}
-
-/// Lex and scan every file [`walk`] read.
-pub fn parse_tree(files: &[File]) -> Vec<Source<'_>> {
-    files
-        .iter()
-        .map(|f| Source::parse(&f.rel, &f.text))
-        .collect()
-}
-
-/// The file at repo-relative path `rel`, or an error naming it.
-pub fn find<'t, 'a>(tree: &'t [Source<'a>], rel: &str) -> Result<&'t Source<'a>, String> {
-    tree.iter()
-        .find(|s| s.rel == rel)
-        .ok_or_else(|| format!("{rel}: no such file in the tree"))
 }
 
 #[cfg(test)]
@@ -467,10 +421,13 @@ mod tests {
     }
 
     #[test]
-    fn string_literals_survive_as_one_str_token_each() {
+    fn string_literals_survive_as_one_literal_token_each() {
         let src = r####"f("std::sync {", b"by\"te", r"raw\", r#"ha"sh"#, br##"two"#"##, r#try)"####;
         let toks = lex(src);
-        let strs: Vec<_> = toks.iter().filter(|t| t.kind == TokenKind::Str).collect();
+        let strs: Vec<_> = toks
+            .iter()
+            .filter(|t| t.kind == TokenKind::Literal)
+            .collect();
         let literals: Vec<_> = strs.iter().map(|t| t.text).collect();
         assert_eq!(
             literals,
@@ -494,7 +451,10 @@ mod tests {
         let toks = lex(
             r"fn f<'a>(x: &'a str) -> char { if x == 'x' || y == b'\'' { '\n' } else { 'é' } }",
         );
-        let chars: Vec<_> = toks.iter().filter(|t| t.kind == TokenKind::Char).collect();
+        let chars: Vec<_> = toks
+            .iter()
+            .filter(|t| t.kind == TokenKind::Literal)
+            .collect();
         let chars: Vec<_> = chars.iter().map(|t| t.text).collect();
         assert_eq!(chars, ["'x'", r"b'\''", r"'\n'", "'é'"]);
         assert!(!toks.iter().any(|t| t.text == "a" || t.text == "'"));
@@ -541,7 +501,7 @@ mod tests {
                    trait T { fn decl(&self) -> u32; fn with_default(&self) -> u32 { 1 } }\n\
                    fn nest() { fn inner() { let x = 1; } inner(); }";
         let s = Source::parse("crates/df-types/src/wire.rs", src);
-        assert_eq!((s.scope(), s.file_name()), (("df-types", "src"), "wire.rs"));
+        assert_eq!(s.scope(), ("df-types", "src"));
         assert_eq!(Source::parse("x.rs", "").scope(), ("", ""));
         let names: Vec<_> = s.fns.iter().map(|f| f.name).collect();
         assert_eq!(names, ["outer", "g", "with_default", "nest", "inner"]);
@@ -568,15 +528,8 @@ mod tests {
         let s = Source::parse("x.rs", src);
         let in_test = |name| s.fns.iter().find(|f| f.name == name).unwrap().in_test;
         assert!(in_test("t") && in_test("helper"));
-        assert!(!in_test("prod") && !in_test("also_prod"));
-        let test_lines: Vec<_> = (0..s.tokens.len())
-            .filter(|&i| s.is_test(i))
-            .map(|i| s.tokens[i].line)
-            .collect();
-        assert_eq!(test_lines.first(), Some(&1));
-        assert_eq!(test_lines.last(), Some(&9));
         assert!(
-            !test_lines.contains(&10),
+            !in_test("prod") && !in_test("also_prod"),
             "prod() follows brace-less test items"
         );
     }

@@ -4,13 +4,6 @@
 //! distinguishing attribute ("IDs in DNS headers", §3.3.1). We encode a
 //! faithful 12-byte header plus a QNAME in standard label form.
 
-#![deny(
-    clippy::indexing_slicing,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic
-)]
-
 use crate::{Key, MessageSummary};
 use bytes::Bytes;
 use df_types::{L7Protocol, MessageType};
@@ -118,12 +111,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::indexing_slicing,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic
-)]
 mod tests {
     use super::*;
     use df_types::SpanStatus;

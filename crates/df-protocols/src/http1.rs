@@ -10,13 +10,6 @@
 //! it goes. Only the start line and the matched values are decoded, so the
 //! body, binary or cut short, never costs a message its status or headers.
 
-#![deny(
-    clippy::indexing_slicing,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic
-)]
-
 use crate::{Key, MessageSummary, TraceHeaders};
 use bytes::Bytes;
 use df_types::{L7Protocol, MessageType, OtelSpanId, OtelTraceId, XRequestId};
@@ -253,12 +246,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::indexing_slicing,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic
-)]
 mod tests {
     use super::*;
     use df_types::SpanStatus;

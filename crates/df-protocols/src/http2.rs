@@ -11,13 +11,6 @@
 //! The embedded stream id is exactly the "distinguishing attribute" §3.3.1
 //! names for parallel-protocol session aggregation.
 
-#![deny(
-    clippy::indexing_slicing,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic
-)]
-
 use crate::{Key, MessageSummary, TraceHeaders};
 use bytes::Bytes;
 use df_types::{L7Protocol, MessageType, XRequestId};
@@ -129,12 +122,6 @@ fn parse_headers(raw: &[u8]) -> TraceHeaders {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::indexing_slicing,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic
-)]
 mod tests {
     use super::*;
     use df_types::{OtelSpanId, OtelTraceId};

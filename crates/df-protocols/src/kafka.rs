@@ -4,13 +4,6 @@
 //! [i16 client_id_len][client_id]`; response: `[i32 size]
 //! [i32 correlation_id][i16 error_code]`.
 
-#![deny(
-    clippy::indexing_slicing,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic
-)]
-
 use crate::{Key, MessageSummary};
 use bytes::Bytes;
 use df_types::{L7Protocol, MessageType};
@@ -114,12 +107,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::indexing_slicing,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic
-)]
 mod tests {
     use super::*;
     use df_types::SpanStatus;

@@ -1,12 +1,5 @@
 //! Redis RESP — pipelined; request/response matched by order.
 
-#![deny(
-    clippy::indexing_slicing,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic
-)]
-
 use crate::{Key, MessageSummary};
 use bytes::Bytes;
 use df_types::{L7Protocol, MessageType};
@@ -96,12 +89,6 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::indexing_slicing,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic
-)]
 mod tests {
     use super::*;
     use df_types::SpanStatus;

@@ -18,8 +18,15 @@
 //! MPSC queue, one completion channel per request.
 //!
 //! Together with [`crate::persist`], this module is one of the two places
-//! in the sync-scoped crates allowed to touch `std::fs` — `df-audit`
-//! enforces that confinement.
+//! in the sync-scoped crates allowed to touch `std::fs` — clippy's
+//! `disallowed_methods`/`disallowed_types`, denied at the crate root,
+//! enforce that confinement.
+
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the disk scheduler is one of the two storage IO modules (with persist.rs)"
+)]
 
 use std::io;
 use std::path::PathBuf;

@@ -23,6 +23,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A poisoned lock fails with an `expect` naming the invariant that died,
+// never a bare unwrap; file IO stays in the storage IO modules
+// (`disallowed-methods`/`-types` in clippy.toml, docs/LINTS.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::disallowed_methods,
+    clippy::disallowed_types
+)]
 
 pub mod bufferpool;
 pub mod disk_sched;

@@ -23,7 +23,16 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::allow_attributes_without_reason
+)]
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the segment codec is one of the two storage IO modules (with disk_sched.rs)"
 )]
 
 use df_types::{wire, Span};
@@ -67,7 +76,6 @@ pub fn encode_span_segment<'a>(spans: impl IntoIterator<Item = &'a Span>, rows: 
     for span in spans {
         enc.push(span);
     }
-    // df-audit: allow(decode-panic) — encode-side API contract on in-process data, not wire input
     assert_eq!(
         enc.span_count(),
         rows.len() as u64,
@@ -202,7 +210,6 @@ pub fn scan_span_segments(dir: &Path, shard: u16) -> io::Result<Vec<PathBuf>> {
 /// paths (process id + a per-process counter), and the directory is
 /// removed when the guard drops — even on assertion failure.
 #[cfg(test)]
-#[allow(clippy::expect_used)]
 pub(crate) fn test_dir(tag: &str) -> TestDir {
     // Uniqueness: the tag is unique per call site, the pid separates
     // parallel test *processes*, and the nanosecond stamp guards against
@@ -239,12 +246,9 @@ impl Drop for TestDir {
 
 #[cfg(test)]
 #[allow(
-    clippy::indexing_slicing,
     clippy::arithmetic_side_effects,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    reason = "test code; clippy.toml's allow-*-in-tests covers the other four"
 )]
 mod tests {
     use super::*;

@@ -61,7 +61,11 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::allow_attributes_without_reason
 )]
 
 use crate::span::{AssocKey, Span};
@@ -737,12 +741,9 @@ fn split_header(payload: &[u8]) -> Result<(u64, u8, usize, &[u8]), RpcDecodeErro
 
 #[cfg(test)]
 #[allow(
-    clippy::indexing_slicing,
     clippy::arithmetic_side_effects,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    reason = "test code; clippy.toml's allow-*-in-tests covers the other four"
 )]
 mod tests {
     use super::*;

@@ -58,7 +58,11 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::allow_attributes_without_reason
 )]
 
 use crate::ids::{
@@ -1151,7 +1155,6 @@ pub fn peek_span_count(bytes: &[u8]) -> Result<u64, WireDecodeError> {
 /// first cell and the backticked name in its second. Header and
 /// separator rows have no number and are skipped.
 #[cfg(test)]
-#[allow(clippy::expect_used)]
 pub(crate) fn doc_table<'d>(doc: &'d str, table: &str) -> Vec<(u32, &'d str)> {
     let marker = |side: &str| format!("<!-- {table}:{side} -->");
     let (_, rest) = doc.split_once(&marker("BEGIN")).expect("BEGIN marker");
@@ -1165,12 +1168,9 @@ pub(crate) fn doc_table<'d>(doc: &'d str, table: &str) -> Vec<(u32, &'d str)> {
 
 #[cfg(test)]
 #[allow(
-    clippy::indexing_slicing,
     clippy::arithmetic_side_effects,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    reason = "test code; clippy.toml's allow-*-in-tests covers the other four"
 )]
 mod tests {
     use super::*;
