@@ -85,6 +85,7 @@ use df_types::rpc::CandidateKeys;
 use df_types::span::{Span, SpanKind, TapSide};
 use df_types::trace::{AssembledSpan, Trace};
 use df_types::{AssocKey, DurationNs, IntSet, OtelSpanId, SpanId};
+use std::borrow::Borrow;
 
 /// Assembly tunables.
 #[derive(Debug, Clone)]
@@ -125,17 +126,19 @@ pub trait ShardProbe {
 
 /// The in-process prober: the shards are right here, index-aligned with
 /// [`Loc::shard`], and rows are borrowed straight from them (a cold row
-/// pages in when its keys are expanded — the Phase 1 page-in path).
-pub struct LocalShards<'a> {
+/// pages in when its keys are expanded — the Phase 1 page-in path). `S`
+/// is how the owner holds a shard: the shard itself, or a borrow of it.
+pub struct LocalShards<'a, S> {
     /// The shards.
-    pub shards: &'a [&'a SpanStore],
+    pub shards: &'a [S],
     /// Posting entries under every key probed so far, over all shards.
     pub postings: u64,
 }
 
-impl ShardProbe for LocalShards<'_> {
+impl<S: Borrow<SpanStore>> ShardProbe for LocalShards<'_, S> {
     fn span_at(&self, loc: Loc) -> SpanRef<'_> {
         self.shards[loc.shard as usize]
+            .borrow()
             .span_at(loc.row)
             .expect("member rows exist")
     }
@@ -143,7 +146,7 @@ impl ShardProbe for LocalShards<'_> {
     fn probe_round(&mut self, _round: u32, keys: &CandidateKeys, seen: &IntSet<Loc>) -> Vec<Loc> {
         let mut found = Vec::new();
         for (si, shard) in self.shards.iter().enumerate() {
-            self.postings += probe_shard(si as u16, shard, keys, seen, &mut found) as u64;
+            self.postings += probe_shard(si as u16, shard.borrow(), keys, seen, &mut found) as u64;
         }
         found
     }
@@ -165,9 +168,9 @@ pub struct JoinFacts {
 impl JoinFacts {
     /// Whether `shards` — the whole corpus the search ran over — still
     /// stand as recorded.
-    pub fn hold<'a>(&self, shards: impl IntoIterator<Item = &'a SpanStore>) -> bool {
+    pub fn hold(&self, shards: &[impl Borrow<SpanStore>]) -> bool {
         let (mut postings, mut edits) = (0, 0);
-        for shard in shards {
+        for shard in shards.iter().map(Borrow::borrow) {
             edits += shard.edits();
             postings += (self.keys.iter())
                 .map(|&key| shard.find(key).len() as u64)

@@ -276,8 +276,9 @@ impl ConcurrentShardedStore {
     }
 
     /// Store with hot/cold tiering enabled: one [`Tier`] — one
-    /// [`BufferPool`], one frame budget, one background disk scheduler —
-    /// shared by every shard.
+    /// [`BufferPool`], one frame budget — shared by every shard. A
+    /// page-in and a spill do their file IO on the calling thread, under
+    /// the shard guard it holds.
     pub fn with_tiering(policy: ShardPolicy, cfg: ConcurrentConfig, tier: TierConfig) -> Self {
         let mut store = Self::with_config(policy, cfg);
         store.tier = Some(Tier::new(tier));

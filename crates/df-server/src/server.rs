@@ -226,7 +226,7 @@ impl Server {
         };
         let (shards, loc) = (self.store.shards(), self.store.loc(start));
         let (trace, outcome) =
-            trace_cache::query(&self.cache, &shards, loc, start, &self.assemble_cfg, label);
+            trace_cache::query(&self.cache, shards, loc, start, &self.assemble_cfg, label);
         self.stats
             .lock()
             .expect("stats lock poisoned")

@@ -82,11 +82,10 @@ impl ShardedSpanStore {
     }
 
     /// Enable hot/cold tiering: one [`Tier`] — one [`BufferPool`], one
-    /// frame budget, one background disk scheduler — shared by every
-    /// shard. Idempotent per store: a second call keeps the tier (and the
-    /// catalog of segments already spilled through it) and ignores the
-    /// later config. Returns the pool so callers can inspect
-    /// [`BufferPool::stats`].
+    /// frame budget — shared by every shard. Idempotent per store: a
+    /// second call keeps the tier (and the catalog of segments already
+    /// spilled through it) and ignores the later config. Returns the pool
+    /// so callers can inspect [`BufferPool::stats`].
     pub fn enable_tiering(&mut self, cfg: TierConfig) -> Arc<BufferPool> {
         Arc::clone(self.tier.get_or_insert_with(|| Tier::new(cfg)).pool())
     }
@@ -261,8 +260,8 @@ impl ShardedSpanStore {
     }
 
     /// The shards, in [`Loc::shard`] order: the `&self` borrow pins them.
-    pub(crate) fn shards(&self) -> Vec<&SpanStore> {
-        self.shards.iter().collect()
+    pub(crate) fn shards(&self) -> &[SpanStore] {
+        &self.shards
     }
 
     /// Where `id` was routed, if it was.
@@ -271,10 +270,10 @@ impl ShardedSpanStore {
     }
 }
 
-/// [`ShardedSpanStore::version`] of any owner's shards: a borrow, or the
-/// concurrent store's read guards.
-pub(crate) fn corpus_version<'a>(shards: impl IntoIterator<Item = &'a SpanStore>) -> u64 {
-    (shards.into_iter())
+/// [`ShardedSpanStore::version`] of any owner's shards: the shards
+/// themselves, or borrows of them (the concurrent store's read guards).
+pub(crate) fn corpus_version(shards: &[impl Borrow<SpanStore>]) -> u64 {
+    (shards.iter().map(Borrow::borrow))
         .map(|s| s.len() as u64 + s.edits())
         .sum()
 }
@@ -335,7 +334,7 @@ pub(crate) fn tombstone_row(shard: &mut SpanStore, policy: &ShardPolicy, row: u3
 /// trace come the [`JoinFacts`] of its search, when that reached a fixed
 /// point.
 pub(crate) fn assemble_local(
-    shards: &[&SpanStore],
+    shards: &[impl Borrow<SpanStore>],
     loc: Option<Loc>,
     start: SpanId,
     cfg: &AssembleConfig,
@@ -343,7 +342,7 @@ pub(crate) fn assemble_local(
     let Some(loc) = loc else {
         return Default::default();
     };
-    let home = shards[loc.shard as usize];
+    let home = shards[loc.shard as usize].borrow();
     if home.len() as u32 <= loc.row || home.is_tombstoned(start) {
         return Default::default();
     }
@@ -355,7 +354,7 @@ pub(crate) fn assemble_local(
     let facts = keys.map(|keys| JoinFacts {
         keys,
         postings: probe.postings,
-        edits: shards.iter().map(|s| s.edits()).sum(),
+        edits: shards.iter().map(|s| s.borrow().edits()).sum(),
     });
     (trace, facts)
 }
@@ -370,7 +369,7 @@ pub fn assemble_trace_sharded(
     start: SpanId,
     cfg: &AssembleConfig,
 ) -> Trace {
-    assemble_local(&store.shards(), store.loc(start), start, cfg).0
+    assemble_local(store.shards(), store.loc(start), start, cfg).0
 }
 
 #[cfg(test)]

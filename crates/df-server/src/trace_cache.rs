@@ -55,6 +55,7 @@ use crate::sharded::{assemble_local, corpus_version};
 use df_storage::SpanStore;
 use df_types::trace::Trace;
 use df_types::SpanId;
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -132,14 +133,14 @@ impl TraceCache {
         &mut self,
         start: SpanId,
         version: u64,
-        shards: &[&SpanStore],
+        shards: &[impl Borrow<SpanStore>],
     ) -> Result<(Arc<Trace>, CacheOutcome), CacheOutcome> {
         let Some(entry) = self.entries.get_mut(&start) else {
             return Err(CacheOutcome::Miss);
         };
         let outcome = if entry.version == version {
             CacheOutcome::Hit
-        } else if (entry.facts.as_ref()).is_some_and(|f| f.hold(shards.iter().copied())) {
+        } else if (entry.facts.as_ref()).is_some_and(|f| f.hold(shards)) {
             entry.version = version;
             CacheOutcome::Revalidated
         } else {
@@ -200,13 +201,13 @@ impl TraceCache {
 /// and the outcome the caller counts.
 pub(crate) fn query(
     cache: &Mutex<TraceCache>,
-    shards: &[&SpanStore],
+    shards: &[impl Borrow<SpanStore>],
     loc: Option<Loc>,
     start: SpanId,
     cfg: &AssembleConfig,
     finish: impl FnOnce(&mut Trace),
 ) -> (Arc<Trace>, CacheOutcome) {
-    let version = corpus_version(shards.iter().copied());
+    let version = corpus_version(shards);
     let looked = cache
         .lock()
         .expect("cache lock poisoned")
@@ -250,8 +251,8 @@ mod tests {
         store: &ShardedSpanStore,
         start: SpanId,
     ) -> (Arc<Trace>, CacheOutcome) {
-        let (shards, cfg) = (store.shards(), AssembleConfig::default());
-        query(cache, &shards, store.loc(start), start, &cfg, |_| {})
+        let cfg = AssembleConfig::default();
+        query(cache, store.shards(), store.loc(start), start, &cfg, |_| {})
     }
 
     #[test]
@@ -336,6 +337,9 @@ mod tests {
         assert_eq!(ask(&cache, &store, firsts[0]).1, Miss, "oldest evicted");
     }
 
+    /// The corpus of a lookup that never reaches the facts check.
+    const NO_SHARDS: &[SpanStore] = &[];
+
     #[test]
     fn invalidate_and_restore_cycles_keep_one_fifo_slot_per_start() {
         let trace = sample_trace();
@@ -345,7 +349,7 @@ mod tests {
         };
         // Version `n`: every cached entry is behind it, and none has facts.
         let cycle = |cache: &mut TraceCache, n: u64| {
-            let gone = cache.lookup(SpanId(n % 8), n, &[]).unwrap_err();
+            let gone = cache.lookup(SpanId(n % 8), n, NO_SHARDS).unwrap_err();
             assert_eq!(gone, if n < 8 { Miss } else { Invalidated });
             cache.store(SpanId(n % 8), trace.clone(), n, None);
         };
@@ -355,7 +359,7 @@ mod tests {
         // newest, so filling the cache evicts start 1 instead.
         cycle(&mut cache, 10_000);
         cache.store(SpanId(8), trace.clone(), 10_000, None);
-        let hit = |c: &mut TraceCache, id| c.lookup(id, 10_000, &[]).is_ok();
+        let hit = |c: &mut TraceCache, id| c.lookup(id, 10_000, NO_SHARDS).is_ok();
         assert!(hit(&mut cache, SpanId(0)) && hit(&mut cache, SpanId(8)));
         assert!(!hit(&mut cache, SpanId(1)));
     }

@@ -24,22 +24,21 @@
 //!   survives. `K = 1` degenerates to plain LRU, the baseline
 //!   `tests/tiering.rs` compares hit rates against.
 //! - **Miss handling**: a miss inserts a `Loading` placeholder and does
-//!   the read *outside* the pool lock via the background
-//!   [`DiskScheduler`]; concurrent fetchers of the same segment wait on a
+//!   the read *outside* the pool lock, on the fetching thread
+//!   ([`DiskIo`]); concurrent fetchers of the same segment wait on a
 //!   condvar instead of issuing duplicate IO.
 //! - **One loader**: every segment file — a page-in, an all-pinned
 //!   bypass read, a crash-recovery adoption — is read and decoded by
 //!   `BufferPool::load`; a frame keeps the decoded spans, recovery also
 //!   takes the row numbers.
 
-use crate::disk_sched::DiskScheduler;
-use crate::persist::{self, SpanSegment};
+use crate::persist::{self, DiskIo, SpanSegment};
 use df_types::span::Span;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io;
 use std::ops::Deref;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Identifier of one spilled span segment (unique within a store).
@@ -52,17 +51,11 @@ pub struct BufferPoolConfig {
     pub frames: usize,
     /// K for LRU-K (1 is plain LRU).
     pub k: usize,
-    /// Disk-scheduler queue depth.
-    pub queue_depth: usize,
 }
 
 impl Default for BufferPoolConfig {
     fn default() -> Self {
-        BufferPoolConfig {
-            frames: 64,
-            k: 2,
-            queue_depth: 128,
-        }
+        BufferPoolConfig { frames: 64, k: 2 }
     }
 }
 
@@ -230,17 +223,17 @@ struct Inner {
 #[derive(Debug)]
 pub struct BufferPool {
     cfg: BufferPoolConfig,
-    sched: DiskScheduler,
+    disk: DiskIo,
     inner: Mutex<Inner>,
     cv: Condvar,
 }
 
 impl BufferPool {
-    /// Pool with the given config and a fresh background disk scheduler.
+    /// Pool with the given config.
     pub fn new(cfg: BufferPoolConfig) -> Self {
         let frames = cfg.frames.max(1);
         BufferPool {
-            sched: DiskScheduler::new(cfg.queue_depth),
+            disk: DiskIo::default(),
             inner: Mutex::new(Inner {
                 frames: (0..frames).map(|_| None).collect(),
                 free: (0..frames).rev().collect(),
@@ -270,19 +263,17 @@ impl BufferPool {
         inner.catalog.insert(seg, path);
     }
 
-    /// The pool's background disk scheduler (spill writes go through it
-    /// so ingest never does file IO inline).
-    pub fn scheduler(&self) -> &DiskScheduler {
-        &self.sched
+    /// The counted file IO every segment read and spill write goes
+    /// through, on the calling thread.
+    pub fn scheduler(&self) -> &DiskIo {
+        &self.disk
     }
 
-    /// The one segment loader: read the file at `path` on the disk
-    /// scheduler's thread and decode it. Page-in, the all-pinned bypass
-    /// and crash recovery all come through here, so a file is a valid
-    /// segment exactly when this returns `Ok`.
-    pub(crate) fn load(&self, path: PathBuf) -> io::Result<SpanSegment> {
-        let bytes = self.sched.read(path).wait()?;
-        persist::decode_span_segment(&bytes)
+    /// The one segment loader: read the file at `path` and decode it.
+    /// Page-in, the all-pinned bypass and crash recovery all come through
+    /// here, so a file is a valid segment exactly when this returns `Ok`.
+    pub(crate) fn load(&self, path: &Path) -> io::Result<SpanSegment> {
+        persist::decode_span_segment(&self.disk.read(path)?)
     }
 
     /// Fetch `seg`, paging it in if necessary. The returned [`PageRef`]
@@ -339,7 +330,7 @@ impl BufferPool {
         drop(inner);
 
         // Page-in outside the pool lock.
-        let loaded = self.load(path);
+        let loaded = self.load(&path);
 
         let mut inner = self.inner.lock().expect("buffer pool lock poisoned");
         match loaded {
@@ -394,7 +385,7 @@ impl BufferPool {
                         .cloned()
                         .unwrap_or_else(|| panic!("unknown segment id {seg}"))
                 };
-                self.load(path)
+                self.load(&path)
                     .unwrap_or_else(|e| panic!("cold segment {seg} unreadable: {e}"))
                     .spans
                     .get(offset as usize)

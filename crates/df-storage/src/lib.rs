@@ -17,14 +17,14 @@
 //! span segments — a DFW1 batch plus the spans' row numbers, nothing
 //! else ([`persist`]) — and page back on demand through a fixed-budget
 //! buffer pool with LRU-K eviction ([`bufferpool`]), whose one segment
-//! loader also serves crash recovery and whose file IO runs on a
-//! background disk-scheduler thread ([`disk_sched`]) so ingest workers
-//! never block on disk.
+//! loader also serves crash recovery. Segment file IO runs on the
+//! calling thread ([`persist::DiskIo`]): a page-in blocks its reader and
+//! a spill its writer, each under the shard lock it holds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // A poisoned lock fails with an `expect` naming the invariant that died,
-// never a bare unwrap; file IO stays in the storage IO modules
+// never a bare unwrap; file IO stays in `persist.rs`
 // (`disallowed-methods`/`-types` in clippy.toml, docs/LINTS.md).
 #![deny(
     clippy::unwrap_used,
@@ -33,13 +33,12 @@
 )]
 
 pub mod bufferpool;
-pub mod disk_sched;
 pub mod persist;
 mod posting;
 pub mod shard;
 pub mod store;
 
 pub use bufferpool::{BufferPool, BufferPoolConfig, PoolStats, SegmentId};
-pub use disk_sched::DiskScheduler;
+pub use persist::{DiskIo, DiskStats};
 pub use shard::{ShardPolicy, Tier, TierConfig};
 pub use store::{ColdRef, RecoverStats, SpanQuery, SpanRef, SpanStore, SpillStats, StoreStats};

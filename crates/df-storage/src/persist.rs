@@ -16,6 +16,7 @@
 //! Sections, in [`SPAN_SEGMENT_SECTIONS`] order: the DFW1 span batch and
 //! the original store row ids. A file is valid iff
 //! [`decode_span_segment`] accepts it; there is no separate header check.
+//! The cold tier's file IO, [`DiskIo`], lives here too.
 
 #![deny(
     clippy::indexing_slicing,
@@ -32,13 +33,14 @@
 #![allow(
     clippy::disallowed_methods,
     clippy::disallowed_types,
-    reason = "the segment codec is one of the two storage IO modules (with disk_sched.rs)"
+    reason = "persist.rs is the one std::fs module of the sync-scoped crates"
 )]
 
 use df_types::{wire, Span};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Magic prefixing span segment files (the cold tier's page unit).
 pub const SPAN_SEGMENT_MAGIC: &[u8; 8] = b"DFSPANS1";
@@ -174,6 +176,62 @@ pub fn decode_span_segment(bytes: &[u8]) -> io::Result<SpanSegment> {
         .collect::<io::Result<Vec<u32>>>()?;
 
     Ok(SpanSegment { spans, rows })
+}
+
+/// Snapshot of [`DiskIo`]'s counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DiskStats {
+    /// Whole-file reads that succeeded.
+    pub reads: usize,
+    /// Whole-file writes that succeeded.
+    pub writes: usize,
+    /// Total bytes read.
+    pub read_bytes: usize,
+    /// Total bytes written.
+    pub written_bytes: usize,
+}
+
+/// The cold tier's segment file IO, whole-file and counted. It runs on
+/// the calling thread, under whatever lock that thread holds: a page-in
+/// under a shard's read lock, a spill under its write lock.
+#[derive(Debug, Default)]
+pub struct DiskIo {
+    reads: AtomicUsize,
+    writes: AtomicUsize,
+    read_bytes: AtomicUsize,
+    written_bytes: AtomicUsize,
+}
+
+impl DiskIo {
+    /// Read the whole file at `path`.
+    pub fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        let bytes = fs::read(path)?;
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.read_bytes.fetch_add(bytes.len(), Ordering::Relaxed);
+        Ok(bytes)
+    }
+
+    /// Create or overwrite the file at `path` with `bytes`, creating its
+    /// parent directories first.
+    pub fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        if let Some(parent) = path.parent() {
+            fs::create_dir_all(parent)?;
+        }
+        fs::write(path, bytes)?;
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.written_bytes.fetch_add(bytes.len(), Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// The counters: monotonic, failed IO not counted.
+    pub fn stats(&self) -> DiskStats {
+        DiskStats {
+            reads: self.reads.load(Ordering::Relaxed),
+            writes: self.writes.load(Ordering::Relaxed),
+            read_bytes: self.read_bytes.load(Ordering::Relaxed),
+            written_bytes: self.written_bytes.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// The crash-recovery catalog scan: shard `shard`'s candidate segment
@@ -327,6 +385,26 @@ mod tests {
         );
         let spans_at = SPAN_SEGMENT_HEADER_LEN + 8;
         assert_eq!(&bytes[spans_at..spans_at + batch.len()], &batch[..]);
+    }
+
+    #[test]
+    fn disk_io_round_trips_creating_parents_and_counts() {
+        let dir = test_dir("disk-io-rw");
+        let path = dir.path().join("nested/dir/blob.bin");
+        let disk = DiskIo::default();
+        disk.write(&path, &[1, 2, 3, 4]).expect("write");
+        assert_eq!(disk.read(&path).expect("read"), vec![1, 2, 3, 4]);
+        let st = disk.stats();
+        assert_eq!((st.reads, st.writes), (1, 1));
+        assert_eq!((st.read_bytes, st.written_bytes), (4, 4));
+    }
+
+    #[test]
+    fn disk_io_read_of_a_missing_file_is_an_error() {
+        let dir = test_dir("disk-io-missing");
+        let disk = DiskIo::default();
+        assert!(disk.read(&dir.path().join("nope.bin")).is_err());
+        assert_eq!(disk.stats(), DiskStats::default(), "not counted");
     }
 
     fn assert_invalid(bytes: &[u8], why: &str) {

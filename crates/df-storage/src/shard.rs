@@ -111,10 +111,10 @@ pub(crate) fn bucket_of(t: TimeNs) -> u64 {
 
 /// How a sharded corpus tiers spans between RAM and disk.
 ///
-/// One [`crate::BufferPool`] (and so one frame budget and one background
-/// disk scheduler) is shared by every shard; `dir` is where the spilled
-/// segment files live, and `hot_buckets` is the spill horizon: buckets
-/// older than the newest `hot_buckets` buckets are eligible to spill.
+/// One [`crate::BufferPool`] (and so one frame budget) is shared by every
+/// shard; `dir` is where the spilled segment files live, and
+/// `hot_buckets` is the spill horizon: buckets older than the newest
+/// `hot_buckets` buckets are eligible to spill.
 #[derive(Debug, Clone)]
 pub struct TierConfig {
     /// Directory holding this store's segment files.
@@ -152,13 +152,14 @@ impl TierConfig {
 }
 
 /// The hot/cold tier of one corpus: the [`BufferPool`] every shard of the
-/// corpus pages through (one frame budget, one background disk scheduler)
-/// and the [`TierConfig`] it was built from. Every owner of shards — the
-/// sharded store, the concurrent store, a cluster node — holds at most
-/// one and spills and recovers its shards through it (either attaches
-/// the pool to the shard as its cold reader). No directory is made up
-/// front: the disk scheduler creates a segment's parents when it writes,
-/// and a recovery scan reads a missing directory as empty.
+/// corpus pages through (one frame budget) and the [`TierConfig`] it was
+/// built from. Every owner of shards — the sharded store, the concurrent
+/// store, a cluster node — holds at most one and spills and recovers its
+/// shards through it (either attaches the pool to the shard as its cold
+/// reader). A tier owns no thread: a spill writes its segments, and a
+/// page-in reads one, on the caller's thread, under the shard lock the
+/// caller holds. No directory is made up front: a segment write creates
+/// its parents, and a recovery scan reads a missing directory as empty.
 #[derive(Debug)]
 pub struct Tier {
     pool: Arc<BufferPool>,

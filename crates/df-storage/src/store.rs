@@ -452,9 +452,9 @@ impl SpanStore {
         let mut removed = 0usize;
         let mut keys = Vec::new();
         for &row in &rows {
-            // A cold row pages in here — eviction is a background
-            // compaction, so the page-in cost is off the ingest/probe
-            // paths.
+            // A cold row pages in here, on the compacting thread — in the
+            // concurrent store, the ingest worker whose tombstone reached
+            // the threshold.
             let span = self.span_at(row).expect("pending-evict row exists");
             span.for_each_assoc_key(|key| keys.push(key));
             drop(span);
@@ -648,13 +648,13 @@ impl SpanStore {
     /// disk, one segment per one-second time bucket, flipping the rows
     /// cold.
     ///
-    /// Ordering is the load-bearing part: every segment write is queued
-    /// to the pool's background [`crate::disk_sched::DiskScheduler`] and
-    /// **waited for** before any row flips Hot → Cold, so a cold slot can
-    /// always page its bytes back in. If any write fails, nothing flips —
-    /// orphan segment files are harmless. No reader sees a row mid-spill:
-    /// this takes `&mut self`, and the sharded and concurrent stores call
-    /// it through a write guard.
+    /// Ordering is the load-bearing part: every segment is written before
+    /// any row flips Hot → Cold, so a cold slot can always page its bytes
+    /// back in. The first failed write returns with no row flipped —
+    /// segment files already written are orphans, and harmless. The
+    /// writes run on the calling thread, and no reader sees a row
+    /// mid-spill: this takes `&mut self`, and the sharded and concurrent
+    /// stores call it through a write guard.
     ///
     /// Spill is content-neutral: indexes and row numbering are untouched,
     /// so probes, queries, and assembly see the same corpus (the tiered
@@ -672,9 +672,7 @@ impl SpanStore {
         dir: &Path,
         shard: u16,
     ) -> io::Result<SpillStats> {
-        if self.cold_reader.is_none() {
-            self.cold_reader = Some(Arc::clone(pool));
-        }
+        self.cold_reader.get_or_insert_with(|| Arc::clone(pool));
         // Group spillable hot rows by time bucket (BTreeMap: segments
         // come out in bucket order, deterministically).
         let mut buckets: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
@@ -690,45 +688,28 @@ impl SpanStore {
                 .or_default()
                 .push(row as u32);
         }
-        if buckets.is_empty() {
-            return Ok(SpillStats::default());
-        }
 
-        // Phase 1: encode and queue every segment write up front — the
-        // encode of bucket n+1 overlaps the disk write of bucket n.
-        let mut pending = Vec::with_capacity(buckets.len());
+        // Step 1: encode and write each bucket's segment, one at a time.
+        // Nothing has flipped yet, so a failure leaves the store fully hot.
+        let mut written = Vec::with_capacity(buckets.len());
         let mut stats = SpillStats::default();
         for (bucket, rows) in buckets {
             let spans = rows.iter().map(|&row| match &self.rows[row as usize] {
                 RowSlot::Hot(s) => &**s,
                 RowSlot::Cold(_) => unreachable!("grouped rows are hot"),
             });
+            let bytes = persist::encode_span_segment(spans, &rows);
             let segment = pool.alloc_segment();
             let path = dir.join(format!(
                 "shard{shard:04}-b{bucket:012}-seg{segment:08}.dfspan"
             ));
-            let bytes = persist::encode_span_segment(spans, &rows);
+            pool.scheduler().write(&path, &bytes)?;
             stats.bytes += bytes.len() as u64;
-            let completion = pool.scheduler().write(path.clone(), bytes);
-            pending.push((segment, path, rows, completion));
+            written.push((segment, path, rows));
         }
 
-        // Phase 2: wait for every write to be durably serviced. Nothing
-        // has flipped yet, so a failure leaves the store fully hot.
-        let mut written = Vec::with_capacity(pending.len());
-        let mut failure: Option<io::Error> = None;
-        for (segment, path, rows, completion) in pending {
-            match completion.wait() {
-                Ok(_) => written.push((segment, path, rows)),
-                Err(e) => failure = Some(failure.unwrap_or(e)),
-            }
-        }
-        if let Some(e) = failure {
-            return Err(e);
-        }
-
-        // Phase 3: writes are on disk — register the segments and flip
-        // the rows cold. Only now can a reader observe a Cold slot.
+        // Step 2: every segment is on disk — register them and flip the
+        // rows cold. Only now can a reader observe a Cold slot.
         for (segment, path, rows) in written {
             pool.register(segment, path);
             for (offset, &row) in rows.iter().enumerate() {
@@ -782,7 +763,7 @@ impl SpanStore {
         // contiguous-prefix walk below is ordered.
         let mut recovered: BTreeMap<u32, (SegmentId, u32, Span)> = BTreeMap::new();
         for path in persist::scan_span_segments(dir, shard)? {
-            let Ok(seg) = pool.load(path.clone()) else {
+            let Ok(seg) = pool.load(&path) else {
                 stats.rejected_segments += 1;
                 continue;
             };

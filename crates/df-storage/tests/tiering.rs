@@ -244,6 +244,35 @@ fn repeated_spill_is_idempotent_and_new_buckets_spill_later() {
 }
 
 #[test]
+fn a_failed_spill_flips_no_row() {
+    let dir = test_dir("failed-spill");
+    // The tier directory is a regular file, so every segment write fails;
+    // or bucket 1's segment path is a directory, so only bucket 0's lands.
+    let not_a_dir = dir.path().join("file");
+    std::fs::write(&not_a_dir, b"").expect("file written");
+    let squatted = dir.path().join("squatted");
+    std::fs::create_dir_all(squatted.join("shard0000-b000000000001-seg00000001.dfspan"))
+        .expect("squatter made");
+    let all = SpanQuery::window(TimeNs(0), TimeNs(u64::MAX));
+    let ids = |st: &SpanStore| st.query(&all).iter().map(|s| s.span_id).collect::<Vec<_>>();
+    for (tier, landed) in [(not_a_dir, 0), (squatted, 1)] {
+        let (hot, mut tiered) = tiered_pair(400);
+        let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_frames(4)));
+        let spilled = tiered.spill_before(TimeNs(2_000_000_000), &pool, &tier, 0);
+        assert!(spilled.is_err(), "{tier:?}: a write failed");
+        assert_eq!(tiered.cold_rows(), 0, "{tier:?}: no row flipped");
+        assert_eq!(pool.scheduler().stats().writes, landed);
+        for row in 0..hot.len() as u32 {
+            assert_eq!(
+                *tiered.span_at(row).expect("row"),
+                *hot.span_at(row).expect("row")
+            );
+        }
+        assert_eq!(ids(&tiered), ids(&hot));
+    }
+}
+
+#[test]
 fn all_pinned_pool_serves_reads_through_the_bypass_path() {
     let dir = test_dir("bypass");
     let pool = BufferPool::new(BufferPoolConfig::with_frames(1));
@@ -255,8 +284,7 @@ fn all_pinned_pool_serves_reads_through_the_bypass_path() {
         let bytes = persist::encode_span_segment(&spans, &[seg as u32]);
         let path = dir.path().join(format!("seg{seg}.dfspan"));
         pool.scheduler()
-            .write(path.clone(), bytes)
-            .wait()
+            .write(&path, &bytes)
             .expect("segment written");
         let id = pool.alloc_segment();
         pool.register(id, path.clone());
@@ -612,11 +640,7 @@ fn lru_k_pool_keeps_the_hot_set_across_scans_where_lru_does_not() {
     // The pool's counters and the hot-set hits of the workload under
     // replacer depth `k`.
     let run = |k: usize| {
-        let pool = BufferPool::new(BufferPoolConfig {
-            frames: 16,
-            k,
-            queue_depth: 64,
-        });
+        let pool = BufferPool::new(BufferPoolConfig { frames: 16, k });
         let ids: Vec<u64> = paths
             .iter()
             .map(|p| {

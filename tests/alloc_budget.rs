@@ -67,11 +67,10 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 /// A `Server::trace` cache hit hands back the cached `Arc<Trace>` and
-/// copies nothing. Its one allocation is the `Vec<&SpanStore>` of shard
-/// borrows that `Server::trace` collects before the cache lookup (one
-/// element: `Server::new` holds one shard).
+/// allocates nothing: the shards reach the cache lookup as the store's
+/// own slice, not a collected list of borrows.
 #[test]
-fn a_trace_cache_hit_allocates_only_the_shard_list() {
+fn a_trace_cache_hit_allocates_nothing() {
     let mut server = Server::new(&ResourceInventory::default());
     let mut client = Span::synthetic(TapSide::ClientProcess, 1_000, 1_500);
     let mut callee = Span::synthetic(TapSide::ServerProcess, 1_010, 1_490);
@@ -83,5 +82,28 @@ fn a_trace_cache_hit_allocates_only_the_shard_list() {
 
     let (_, allocated) = allocations(|| server.trace(ids[0]));
     assert_eq!(server.stats().cache_hits, 1, "the second query hits");
-    assert_eq!(allocated, 1, "a cache hit allocates the shard list only");
+    assert_eq!(allocated, 0, "a cache hit allocates nothing");
+}
+
+/// A span list over hot rows lends the stored spans: one query allocates
+/// its result vectors, whose count grows as they double, never a copy
+/// per row. Pinned at two sizes, after a warm-up query has sorted the
+/// time index.
+#[test]
+fn a_span_list_over_hot_rows_copies_no_row() {
+    for (rows, budget) in [(100u64, 8), (1_000, 12)] {
+        let mut server = Server::new(&ResourceInventory::default());
+        let spans =
+            (0..rows).map(|i| Span::synthetic(TapSide::ClientProcess, 1_000 + i, 2_000 + i));
+        server.ingest_batch(spans.collect());
+        let all = SpanQuery {
+            limit: usize::MAX,
+            ..SpanQuery::default()
+        };
+        assert_eq!(server.span_list(&all).len(), rows as usize);
+
+        let (listed, allocated) = allocations(|| server.span_list(&all).len());
+        assert_eq!(listed, rows as usize);
+        assert_eq!(allocated, budget, "{rows} rows");
+    }
 }
