@@ -122,9 +122,9 @@ echo "==> cargo test"
 cargo test --workspace -q
 
 # The concurrency suites (per-shard ingest workers, trace cache under the
-# shard read locks, buffer-pool fetchers sharing one page-in) re-run with
-# forced test-thread parallelism so their threads contend with other test
-# threads for real.
+# shard read locks, buffer-pool fetchers sharing one page-in or waiting
+# for a frame) re-run with forced test-thread parallelism so their
+# threads contend with other test threads for real.
 echo "==> concurrency tests under RUST_TEST_THREADS=8"
 RUST_TEST_THREADS=8 cargo test -q --test concurrency
 RUST_TEST_THREADS=8 cargo test -q -p df-server concurrent::

@@ -111,7 +111,7 @@ impl ShardedSpanStore {
     pub fn spill_auto(&mut self) -> io::Result<SpillStats> {
         let tier = self.tier.as_ref().ok_or_else(Tier::not_enabled)?;
         let newest = (self.shards.iter())
-            .flat_map(|s| (0..s.len() as u32).filter_map(|row| s.req_time_at(row)))
+            .filter_map(SpanStore::newest_req_time)
             .max();
         match newest.and_then(|t| tier.watermark(t)) {
             Some(watermark) => self.spill_before(watermark),

@@ -15,11 +15,12 @@
 //!
 //! Memory is bounded by **tiering**: cold time buckets spill to disk as
 //! span segments — a DFW1 batch plus the spans' row numbers, nothing
-//! else ([`persist`]) — and page back on demand through a fixed-budget
-//! buffer pool with LRU-K eviction ([`bufferpool`]), whose one segment
-//! loader also serves crash recovery. Segment file IO runs on the
-//! calling thread ([`persist::DiskIo`]): a page-in blocks its reader and
-//! a spill its writer, each under the shard lock it holds.
+//! else ([`persist`]) — and page back on demand through a bounded
+//! buffer pool with LRU-K eviction that lends decoded segments as `Arc`s
+//! ([`bufferpool`]), whose one segment loader also serves crash
+//! recovery. Segment file IO runs on the calling thread
+//! ([`persist::DiskIo`]): a page-in blocks its reader and a spill its
+//! writer, each under the shard lock it holds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

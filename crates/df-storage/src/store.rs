@@ -237,7 +237,7 @@ impl RecoverStats {
 /// a sharded corpus receives spans whose (globally unique) ids were
 /// assigned by the owner ([`SpanStore::insert_routed`]); the owner keeps
 /// the id → (shard, row) map and talks to the shard in row terms
-/// ([`SpanStore::get_row`], [`SpanStore::tombstone_row`],
+/// ([`SpanStore::span_at`], [`SpanStore::tombstone_row`],
 /// [`SpanStore::complete_span_row`]). The two regimes must not be mixed in
 /// one store.
 #[derive(Debug, Default)]
@@ -265,6 +265,8 @@ pub struct SpanStore {
     pending_evict: Vec<u32>,
     /// See [`SpanStore::edits`].
     edits: u64,
+    /// See [`SpanStore::newest_req_time`].
+    newest_req: Option<TimeNs>,
 }
 
 impl SpanStore {
@@ -276,16 +278,6 @@ impl SpanStore {
     /// The span id stored at a given row.
     pub fn id_at(row: u32) -> SpanId {
         SpanId(u64::from(row) + 1)
-    }
-
-    /// Fetch a **hot** row by index. Returns `None` for out-of-range rows
-    /// *and* for rows spilled to the cold tier — tier-aware callers want
-    /// [`SpanStore::span_at`], which pages cold rows back in.
-    pub fn get_row(&self, row: u32) -> Option<&Span> {
-        match self.rows.get(row as usize)? {
-            RowSlot::Hot(s) => Some(s),
-            RowSlot::Cold(_) => None,
-        }
     }
 
     /// Fetch any row by index, paging it in from the cold tier if needed:
@@ -317,13 +309,11 @@ impl SpanStore {
         }
     }
 
-    /// The request time stored at `row`, whatever its tier; never pages
-    /// in (bucket accounting on the ingest path must stay cheap).
-    pub fn req_time_at(&self, row: u32) -> Option<TimeNs> {
-        match self.rows.get(row as usize)? {
-            RowSlot::Hot(s) => Some(s.req_time),
-            RowSlot::Cold(c) => Some(c.req_time),
-        }
+    /// The newest request time this store has indexed, over hot, cold
+    /// and tombstoned rows alike (eviction does not lower it); `None`
+    /// while the store is empty. Never pages in.
+    pub fn newest_req_time(&self) -> Option<TimeNs> {
+        self.newest_req
     }
 
     /// Number of rows currently hot (span resident inline).
@@ -566,8 +556,10 @@ impl SpanStore {
         }
     }
 
-    /// Append a time-index entry, tracking sortedness.
+    /// Append a time-index entry, tracking sortedness and the newest
+    /// request time.
     fn push_time_entry(&mut self, ts: u64, row: u32) {
+        self.newest_req = self.newest_req.max(Some(TimeNs(ts)));
         let idx = self.time_index.get_mut().expect("time index lock poisoned");
         if let Some((last, _)) = idx.entries.last() {
             if *last > ts {
@@ -818,17 +810,6 @@ const _: () = {
     assert_send_sync::<SpanStore>();
 };
 
-/// Row-addressed access for callers that know the row exists **and is
-/// hot** (an untiered sharded store's routing table guarantees both).
-/// Panics on an out-of-range or cold row — tier-aware callers use
-/// [`SpanStore::span_at`].
-impl std::ops::Index<u32> for SpanStore {
-    type Output = Span;
-    fn index(&self, row: u32) -> &Span {
-        self.get_row(row).expect("routed row exists and is hot")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -883,6 +864,33 @@ mod tests {
             "spilled and paged in"
         );
         assert_eq!(st.edits(), 4, "spill and page-in are content-neutral");
+    }
+
+    /// The running max agrees with a walk over every row — hot, cold,
+    /// tombstoned and evicted, recovered — and eviction never lowers it.
+    #[test]
+    fn newest_req_time_is_the_max_over_every_row() {
+        let walk = |st: &SpanStore| st.iter().map(|s| s.req_time).max();
+        let mut st = SpanStore::new();
+        assert_eq!((st.newest_req_time(), walk(&st)), (None, None));
+        let ids = st.insert_batch([300u64, 900, 100, 500].map(span).to_vec());
+        assert_eq!(st.newest_req_time(), Some(TimeNs(900)));
+        let dir = persist::test_dir("newest");
+        let pool = Arc::new(BufferPool::new(crate::BufferPoolConfig::with_frames(1)));
+        st.spill_before(TimeNs(1_000), &pool, dir.path(), 0)
+            .expect("spill succeeds");
+        st.tombstone(ids[1]);
+        st.evict_tombstoned();
+        st.insert(span(200));
+        assert_eq!(st.cold_rows(), 4);
+        assert_eq!(st.newest_req_time(), Some(TimeNs(900)));
+        assert_eq!(st.newest_req_time(), walk(&st));
+        let mut revived = SpanStore::new();
+        revived
+            .recover_cold_segments(&pool, dir.path(), 0)
+            .expect("recovery succeeds");
+        assert_eq!(revived.newest_req_time(), Some(TimeNs(900)));
+        assert_eq!(revived.newest_req_time(), walk(&revived));
     }
 
     #[test]

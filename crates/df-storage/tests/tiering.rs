@@ -1,8 +1,8 @@
 //! Integration tests for the tiered hot/cold span store: spill, page-in
 //! through the buffer pool, query equivalence against an all-hot oracle,
 //! the frame-budget acceptance check (≥1M spans ingested, resident set
-//! bounded by the pool's frame count), and LRU-K's scan resistance over
-//! real segment files.
+//! bounded by the pool's frame count), and the pool's lending, waiting
+//! and single page-in over real segment files.
 
 use df_storage::persist;
 use df_storage::{BufferPool, BufferPoolConfig, SpanQuery, SpanStore};
@@ -272,43 +272,25 @@ fn a_failed_spill_flips_no_row() {
     }
 }
 
+/// Eviction drops the pool's reference to a segment, not the reader's:
+/// a one-frame pool evicts the segment a reader still holds to page in
+/// another, and the held `Arc` keeps reading the spans it was lent.
 #[test]
-fn all_pinned_pool_serves_reads_through_the_bypass_path() {
-    let dir = test_dir("bypass");
+fn a_lent_segment_outlives_the_eviction_of_its_frame() {
+    let dir = test_dir("lent");
     let pool = BufferPool::new(BufferPoolConfig::with_frames(1));
+    let ids: Vec<u64> = (0..2u64)
+        .map(|seg| {
+            let path = dir.path().join(format!("seg{seg}.dfspan"));
+            register_segment(&pool, path, &[span(seg)])
+        })
+        .collect();
 
-    // Two one-span segments behind a one-frame pool.
-    let mut paths = Vec::new();
-    for seg in 0..2u64 {
-        let spans = vec![span(seg)];
-        let bytes = persist::encode_span_segment(&spans, &[seg as u32]);
-        let path = dir.path().join(format!("seg{seg}.dfspan"));
-        pool.scheduler()
-            .write(&path, &bytes)
-            .expect("segment written");
-        let id = pool.alloc_segment();
-        pool.register(id, path.clone());
-        paths.push(id);
-    }
-
-    // Pin the first segment through a hit: the frame was evictable while
-    // unpinned, so only the pin's own bookkeeping keeps it from being the
-    // victim below.
-    drop(pool.fetch(paths[0]).expect("first segment pages in"));
-    let pinned = pool.fetch(paths[0]).expect("first segment is resident");
-    assert_eq!((pool.stats().hits, pinned.len()), (1, 1));
-    // The only frame is pinned: reading the other segment cannot evict,
-    // so read_span falls back to a direct scheduler read.
-    let s = pool.read_span(paths[1], 0);
+    let held = pool.fetch(ids[0]).expect("first segment pages in");
+    let s = pool.read_span(ids[1], 0);
     assert_eq!(s.flow_id, FlowId(1));
-    let stats = pool.stats();
-    assert_eq!(stats.bypass_reads, 1, "bypass read counted");
-    assert_eq!(pool.resident_frames(), 1);
-    drop(pinned);
-
-    // With the pin released the second segment evicts the first normally.
-    let _second = pool.fetch(paths[1]).expect("evicts the unpinned frame");
-    assert!(pool.stats().evictions >= 1);
+    assert_eq!((pool.stats().evictions, pool.resident_frames()), (1, 1));
+    assert_eq!(*held, [span(0)], "the held segment still reads span 0");
 }
 
 /// Write `spans` as one segment file at `path` and register it with `pool`.
@@ -322,15 +304,18 @@ fn register_segment(pool: &BufferPool, path: PathBuf, spans: &[Span]) -> u64 {
 
 /// Fetch `seg` from `threads` threads released at once; every result, in
 /// thread order.
-fn fetch_at_once(pool: &BufferPool, seg: u64, threads: usize) -> Vec<Result<Vec<Span>, String>> {
+fn fetch_at_once(
+    pool: &BufferPool,
+    seg: u64,
+    threads: usize,
+) -> Vec<Result<Arc<Vec<Span>>, String>> {
     let start = Barrier::new(threads);
     std::thread::scope(|s| {
         let fetchers: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(|| {
                     start.wait();
-                    let page = pool.fetch(seg).map_err(|e| e.to_string())?;
-                    Ok(page.to_vec())
+                    pool.fetch(seg).map_err(|e| e.to_string())
                 })
             })
             .collect();
@@ -342,7 +327,7 @@ fn fetch_at_once(pool: &BufferPool, seg: u64, threads: usize) -> Vec<Result<Vec<
 }
 
 /// Concurrent fetchers of one cold segment share a single page-in: the
-/// first installs a `Loading` slot and the rest wait on the pool condvar.
+/// first marks the segment loading and the rest wait on the pool condvar.
 #[test]
 fn concurrent_fetchers_of_one_cold_segment_share_one_page_in() {
     const THREADS: usize = 4;
@@ -354,7 +339,7 @@ fn concurrent_fetchers_of_one_cold_segment_share_one_page_in() {
         let id = register_segment(&pool, path, &spans);
         let before = pool.stats();
         for got in fetch_at_once(&pool, id, THREADS) {
-            assert_eq!(got.expect("segment pages in"), spans, "segment {seg}");
+            assert_eq!(*got.expect("segment pages in"), spans, "segment {seg}");
         }
         let wave = pool.stats();
         assert_eq!(
@@ -364,7 +349,7 @@ fn concurrent_fetchers_of_one_cold_segment_share_one_page_in() {
         );
         assert_eq!(wave.hits - before.hits, THREADS - 1, "the rest were hits");
         for _ in 0..THREADS {
-            assert_eq!(&*pool.fetch(id).expect("resident"), spans);
+            assert_eq!(*pool.fetch(id).expect("resident"), spans);
         }
         let later = pool.stats();
         assert_eq!(
@@ -392,11 +377,40 @@ fn failed_page_in_errs_every_waiter_and_frees_its_frame() {
     assert_eq!(
         pool.resident_frames(),
         0,
-        "the failed frame went back to free"
+        "the failed load gave its frame back"
     );
-    assert_eq!(&*pool.fetch(kept).expect("pages in"), [span(1)]);
+    assert_eq!(*pool.fetch(kept).expect("pages in"), [span(1)]);
     assert_eq!(pool.stats().evictions, 0, "no eviction was needed");
     assert!(pool.fetch(lost).is_err());
+}
+
+/// More fetchers than frames: each waits for a frame to finish loading
+/// instead of overrunning the budget, and every read is right.
+#[test]
+fn fetchers_outnumbering_frames_wait_for_a_frame() {
+    const THREADS: u64 = 4;
+    let dir = test_dir("frame-wait");
+    let pool = BufferPool::new(BufferPoolConfig::with_frames(1));
+    let ids: Vec<u64> = (0..THREADS)
+        .map(|seg| {
+            let path = dir.path().join(format!("seg{seg}.dfspan"));
+            register_segment(&pool, path, &[span(seg)])
+        })
+        .collect();
+    let start = Barrier::new(THREADS as usize);
+    std::thread::scope(|s| {
+        for (seg, &id) in ids.iter().enumerate() {
+            let (pool, start) = (&pool, &start);
+            s.spawn(move || {
+                start.wait();
+                for _ in 0..50 {
+                    assert_eq!(*pool.fetch(id).expect("pages in"), [span(seg as u64)]);
+                    assert!(pool.resident_frames() <= 1, "resident within budget");
+                }
+            });
+        }
+    });
+    assert_eq!(pool.resident_frames(), 1);
 }
 
 #[test]
@@ -612,76 +626,4 @@ fn million_span_ingest_stays_within_frame_budget() {
         ps.evictions >= 3,
         "the pool recycled frames to stay in budget"
     );
-}
-
-/// LRU-K earns its complexity at the pool level, over real segment
-/// files: a hot set of 8 segments point-queried every round (twice, so
-/// it crosses the K = 2 threshold), interleaved with one-pass scans over
-/// 48 cold segments — three times the 16-frame budget. Under K = 2 the
-/// scan pages never reach K accesses and evict each other; under plain
-/// LRU (K = 1) every scan flushes the hot set. The rates are `PoolStats`
-/// counters of a single-threaded access sequence, so they are pinned.
-#[test]
-fn lru_k_pool_keeps_the_hot_set_across_scans_where_lru_does_not() {
-    const HOT: usize = 8;
-    const SCAN: usize = 48;
-    const ROUNDS: usize = 10;
-    let dir = test_dir("scan-resistance");
-    let paths: Vec<PathBuf> = (0..(HOT + SCAN) as u64)
-        .map(|seg| {
-            let spans = vec![span(2 * seg), span(2 * seg + 1)];
-            let path = dir.path().join(format!("seg{seg:04}.dfspan"));
-            std::fs::write(&path, persist::encode_span_segment(&spans, &[0, 1]))
-                .expect("segment written");
-            path
-        })
-        .collect();
-
-    // The pool's counters and the hot-set hits of the workload under
-    // replacer depth `k`.
-    let run = |k: usize| {
-        let pool = BufferPool::new(BufferPoolConfig { frames: 16, k });
-        let ids: Vec<u64> = paths
-            .iter()
-            .map(|p| {
-                let id = pool.alloc_segment();
-                pool.register(id, p.clone());
-                id
-            })
-            .collect();
-        let (hot, scan) = ids.split_at(HOT);
-        // Fetch one segment; true when it was resident.
-        let hit = |seg: u64| {
-            let before = pool.stats().misses;
-            assert_eq!(pool.fetch(seg).expect("segment pages in").len(), 2);
-            pool.stats().misses == before
-        };
-        let mut hot_hits = 0;
-        for _round in 0..ROUNDS {
-            hot_hits += hot.iter().filter(|&&h| hit(h)).count();
-            hot_hits += hot.iter().filter(|&&h| hit(h)).count();
-            for &s in scan {
-                hit(s);
-            }
-            hot_hits += hot.iter().filter(|&&h| hit(h)).count();
-        }
-        (pool.stats(), hot_hits)
-    };
-
-    let hot_accesses = 3 * HOT * ROUNDS;
-    let (lru_k, lru_k_hot) = run(2);
-    let (lru, lru_hot) = run(1);
-    assert!(
-        lru_k.hits > lru.hits,
-        "LRU-K must out-hit LRU: {lru_k:?} vs {lru:?}"
-    );
-    assert!(
-        lru_k_hot * 10 > hot_accesses * 9,
-        "LRU-K must keep the hot set resident across scans: {lru_k_hot} of {hot_accesses}"
-    );
-    // 232/720 = 32.2 % overall and 232/240 = 96.7 % of hot accesses (only
-    // the first round's 8 cold faults miss) against 152/720 = 21.1 % and
-    // 152/240 = 63.3 %: every hit there is, is a hot-set hit.
-    assert_eq!((lru_k.hits, lru_k.misses, lru_k_hot), (232, 488, 232));
-    assert_eq!((lru.hits, lru.misses, lru_hot), (152, 568, 152));
 }

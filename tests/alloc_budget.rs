@@ -11,9 +11,11 @@
 )]
 
 use deepflow::prelude::*;
+use deepflow::storage::{BufferPool, BufferPoolConfig, SpanStore};
 use deepflow::types::ResourceInventory;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     /// Allocations (`alloc`, `alloc_zeroed`, `realloc`) made on this thread.
@@ -106,4 +108,26 @@ fn a_span_list_over_hot_rows_copies_no_row() {
         assert_eq!(listed, rows as usize);
         assert_eq!(allocated, budget, "{rows} rows");
     }
+}
+
+/// A cold row read from a resident segment copies that one row out of
+/// the segment the pool lends: the boxed span and its endpoint string,
+/// never the page. Pinned after a warm-up read has paged the segment in.
+#[test]
+fn a_cold_row_read_from_a_resident_segment_copies_one_row() {
+    let dir = std::env::temp_dir().join(format!("df-alloc-budget-{}", std::process::id()));
+    let mut store = SpanStore::new();
+    let spans = (0..10u64).map(|i| Span::synthetic(TapSide::ClientProcess, 1_000 + i, 2_000 + i));
+    store.insert_batch(spans.collect());
+    let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_frames(1)));
+    let spilled = store.spill_before(TimeNs(u64::MAX), &pool, &dir, 0);
+    let read = |row| store.span_at(row).expect("row exists").req_time;
+    let warm = spilled.map(|_| read(3));
+    let (hit, allocated) = allocations(|| read(3));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(warm.expect("spill succeeds"), TimeNs(1_003));
+    assert_eq!((hit, store.cold_rows()), (TimeNs(1_003), 10));
+    let stats = pool.stats();
+    assert_eq!((stats.misses, stats.hits), (1, 1), "the second read hits");
+    assert_eq!(allocated, 2, "a resident cold row costs one span copy");
 }
