@@ -13,6 +13,7 @@
 //! `call` the drivers (assembly, anti-entropy) wait on.
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use df_net::fabric::Delivery;
@@ -315,7 +316,10 @@ impl Cluster {
                 let candidates = self.nodes[idx]
                     .probe(&keys, &IntSet::default())
                     .into_iter()
-                    .map(|(Loc { shard, row }, span)| CandidateSpan { shard, row, span })
+                    .map(|(Loc { shard, row }, span)| {
+                        let span = Arc::unwrap_or_clone(span);
+                        CandidateSpan { shard, row, span }
+                    })
                     .collect();
                 Some(RpcBody::CandidateResponse { round, candidates })
             }

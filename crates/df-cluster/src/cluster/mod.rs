@@ -24,6 +24,7 @@
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use df_net::fabric::{Delivery, Fabric, FabricConfig};
 use df_net::faults::Fault;
@@ -188,7 +189,7 @@ struct NodeState {
 impl NodeState {
     /// Probe every shard copy this node holds with a round's keys,
     /// capturing each candidate's span alongside its location.
-    fn probe(&self, keys: &CandidateKeys, seen: &IntSet<Loc>) -> Vec<(Loc, Span)> {
+    fn probe(&self, keys: &CandidateKeys, seen: &IntSet<Loc>) -> Vec<(Loc, Arc<Span>)> {
         let mut found = Vec::new();
         for (&si, store) in &self.shards {
             probe_shard(si, store, keys, seen, &mut found);
@@ -196,8 +197,8 @@ impl NodeState {
         found
             .into_iter()
             .map(|loc| {
-                let span = self.shards[&loc.shard].span_at(loc.row);
-                (loc, span.expect("probed row resident").into_owned())
+                let span = self.shards[&loc.shard].shared_at(loc.row);
+                (loc, span.expect("probed row resident"))
             })
             .collect()
     }

@@ -13,6 +13,7 @@
 //! degrades nothing.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use df_server::{assemble_with, Loc, ShardProbe};
 use df_storage::SpanRef;
@@ -73,14 +74,14 @@ impl Cluster {
 /// The remote prober of [`assemble_with`]: one query's view of the
 /// cluster from the coordinator. Local shard copies are probed in-process,
 /// every other node over a `CandidateRequest` RPC; candidate spans travel
-/// with the responses and are kept here, since the coordinator cannot
-/// borrow rows it does not hold.
+/// with the responses and are kept here, shared, since the coordinator
+/// cannot borrow rows it does not hold. The trace shares them in turn.
 struct RemoteProbe<'a> {
     cluster: &'a mut Cluster,
     /// Ownership as of query entry.
     map: ShardMap,
     /// The start span plus every candidate any round returned.
-    span_of: HashMap<Loc, Span>,
+    span_of: HashMap<Loc, Arc<Span>>,
     /// Nodes that failed an RPC of this query (not asked again).
     failed_nodes: HashSet<usize>,
     /// Shards no live copy could answer for.
@@ -107,7 +108,7 @@ impl RemoteProbe<'_> {
     /// coordinator's own copy is read in-process). `Ok(None)` from one
     /// copy falls through to the next — a lagging replica must not hide
     /// a row its co-owner holds.
-    fn fetch_span(&mut self, Loc { shard, row }: Loc) -> Option<Span> {
+    fn fetch_span(&mut self, Loc { shard, row }: Loc) -> Option<Arc<Span>> {
         let mut answered = false;
         for owner in self.map.owners_of(shard).to_vec() {
             if self.failed_nodes.contains(&owner) {
@@ -115,8 +116,8 @@ impl RemoteProbe<'_> {
             }
             if owner == 0 {
                 let local = self.cluster.nodes[0].shards.get(&shard);
-                match local.and_then(|s| s.span_at(row)) {
-                    Some(s) => return Some(s.into_owned()),
+                match local.and_then(|s| s.shared_at(row)) {
+                    Some(s) => return Some(s),
                     None => {
                         answered = true;
                         continue;
@@ -127,7 +128,7 @@ impl RemoteProbe<'_> {
                 .cluster
                 .call(0, owner, RpcBody::SpanFetch { shard, row })
             {
-                Some(RpcBody::SpanFetchResponse { span: Some(s), .. }) => return Some(*s),
+                Some(RpcBody::SpanFetchResponse { span: Some(s), .. }) => return Some(s.into()),
                 Some(RpcBody::SpanFetchResponse { span: None, .. }) => answered = true,
                 _ => {
                     self.failed_nodes.insert(owner);
@@ -148,6 +149,10 @@ impl RemoteProbe<'_> {
 impl ShardProbe for RemoteProbe<'_> {
     fn span_at(&self, loc: Loc) -> SpanRef<'_> {
         SpanRef::Borrowed(&self.span_of[&loc])
+    }
+
+    fn shared_at(&self, loc: Loc) -> Arc<Span> {
+        Arc::clone(&self.span_of[&loc])
     }
 
     fn probe_round(&mut self, round: u32, keys: &CandidateKeys, seen: &IntSet<Loc>) -> Vec<Loc> {
@@ -186,7 +191,7 @@ impl ShardProbe for RemoteProbe<'_> {
                 })) if self.tracker.accept(round, id) => {
                     candidates.extend(found.into_iter().map(|c| {
                         let (shard, row) = (c.shard, c.row);
-                        (Loc { shard, row }, c.span)
+                        (Loc { shard, row }, Arc::new(c.span))
                     }));
                 }
                 _ => {

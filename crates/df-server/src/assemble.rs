@@ -67,12 +67,14 @@
 //!
 //! Phase 3 (line 25): sort parents-first, siblings by request time.
 //!
-//! Phases 2 and 3 run on the member spans *borrowed* from the shards, a
-//! span named by its position in `(req_time, span_id)` order: parents are
-//! positions, an exchange is a run of positions sorted by a key that
-//! borrows the endpoint, and a child list built in position order is
-//! already in sibling order. Phase 3 makes the one deep copy of each
-//! member, in trace order; before it, only a cold row paged in is owned.
+//! Phase 1 borrows each row it expands ([`ShardProbe::span_at`]). When it
+//! ends, each member is taken shared ([`ShardProbe::shared_at`]): a hot
+//! row costs a reference count, a cold row the one copy paged in. Phases
+//! 2 and 3 run on `&Span` borrowed from those `Arc`s, a span named by its
+//! position in `(req_time, span_id)` order: parents are positions, an
+//! exchange is a run of positions sorted by a key that borrows the
+//! endpoint, and a child list built in position order is already in
+//! sibling order. The trace keeps the `Arc`s, so no member is copied.
 //!
 //! [`assemble_trace_reference`] keeps the original full-rescan / full-scan
 //! formulation (with the same tombstone, dedup and truncation semantics)
@@ -86,6 +88,7 @@ use df_types::span::{Span, SpanKind, TapSide};
 use df_types::trace::{AssembledSpan, Trace};
 use df_types::{AssocKey, DurationNs, IntSet, OtelSpanId, SpanId};
 use std::borrow::Borrow;
+use std::sync::Arc;
 
 /// Assembly tunables.
 #[derive(Debug, Clone)]
@@ -118,6 +121,10 @@ pub trait ShardProbe {
     /// [`ShardProbe::probe_round`] returned.
     fn span_at(&self, loc: Loc) -> SpanRef<'_>;
 
+    /// The span at `loc`, shared: what the trace keeps of each member,
+    /// taken once per member when Phase 1 ends.
+    fn shared_at(&self, loc: Loc) -> Arc<Span>;
+
     /// Run round `round`'s new keys against every shard and return the
     /// matching locations in ascending shard order. Locations in `seen`
     /// may be left out; the driver drops them (and repeats) either way.
@@ -140,6 +147,13 @@ impl<S: Borrow<SpanStore>> ShardProbe for LocalShards<'_, S> {
         self.shards[loc.shard as usize]
             .borrow()
             .span_at(loc.row)
+            .expect("member rows exist")
+    }
+
+    fn shared_at(&self, loc: Loc) -> Arc<Span> {
+        self.shards[loc.shard as usize]
+            .borrow()
+            .shared_at(loc.row)
             .expect("member rows exist")
     }
 
@@ -230,7 +244,7 @@ pub fn probe_shard(
 /// is membership only; `members`/`frontier` are `Vec`s merged in ascending
 /// shard order, so discovery order — and with it the member set under the
 /// `max_spans` cap — is the same for every prober. Phases 2 and 3 run on
-/// the member spans as the prober lends them.
+/// the member spans as the prober shares them.
 pub fn assemble_with<P: ShardProbe>(
     prober: &mut P,
     start: Loc,
@@ -273,9 +287,9 @@ pub fn assemble_with<P: ShardProbe>(
         members.extend_from_slice(&next);
         frontier = next;
     }
-    let spans: Vec<SpanRef<'_>> = members.iter().map(|&loc| prober.span_at(loc)).collect();
+    let spans = members.iter().map(|&loc| prober.shared_at(loc)).collect();
     let keys = fixed_point.then(|| expanded.into_iter().collect());
-    let trace = assemble_members(&spans, start_id, cfg, set_parents_indexed);
+    let trace = assemble_members(spans, start_id, cfg, set_parents_indexed);
     (trace, rounds, keys)
 }
 
@@ -348,29 +362,30 @@ pub fn assemble_trace_reference(store: &SpanStore, start: SpanId, cfg: &Assemble
             break; // fixed point
         }
     }
-    let spans: Vec<SpanRef<'_>> = set.iter().filter_map(|&row| store.span_at(row)).collect();
-    assemble_members(&spans, start, cfg, set_parents_reference)
+    let spans = set.iter().filter_map(|&row| store.shared_at(row)).collect();
+    assemble_members(spans, start, cfg, set_parents_reference)
 }
 
-/// Phases 2 and 3 over the member spans, borrowed: sort and truncate
-/// (retaining `start`), assign parents with `set_parents`, sort the tree.
-/// Both formulations share everything but `set_parents`.
+/// Phases 2 and 3 over the shared member spans: sort and truncate
+/// (retaining `start`), assign parents with `set_parents` on the spans
+/// borrowed, sort the tree. Both formulations share everything but
+/// `set_parents`.
 fn assemble_members(
-    members: &[SpanRef<'_>],
+    members: Vec<Arc<Span>>,
     start: SpanId,
     cfg: &AssembleConfig,
     set_parents: fn(&[&Span], &AssembleConfig) -> Vec<Option<usize>>,
 ) -> Trace {
-    let members = members.iter().map(|s| &**s).collect();
-    let spans = sort_and_truncate(members, start, cfg.max_spans);
-    sort_trace(&spans, &set_parents(&spans, cfg))
+    let members = sort_and_truncate(members, start, cfg.max_spans);
+    let spans: Vec<&Span> = members.iter().map(|s| &**s).collect();
+    sort_trace(&members, &set_parents(&spans, cfg))
 }
 
 /// Sort the member spans by `(req_time, span_id)` — the order a position
 /// names — and truncate deterministically to `max_spans`, always retaining
 /// the start span. A start kept past the cut sorts after every span kept,
 /// so the order holds.
-fn sort_and_truncate(mut spans: Vec<&Span>, start: SpanId, max_spans: usize) -> Vec<&Span> {
+fn sort_and_truncate(mut spans: Vec<Arc<Span>>, start: SpanId, max_spans: usize) -> Vec<Arc<Span>> {
     spans.sort_unstable_by_key(|s| (s.req_time, s.span_id));
     if spans.len() > max_spans {
         let start_pos = spans
@@ -753,7 +768,7 @@ fn drop_cycles(parent: &mut [Option<usize>]) {
 
 /// Phase 3: depth-first, parents before children, siblings by
 /// `(req_time, span_id)`.
-fn sort_trace(spans: &[&Span], parent: &[Option<usize>]) -> Trace {
+fn sort_trace(spans: &[Arc<Span>], parent: &[Option<usize>]) -> Trace {
     // Child lists as first-child / next-sibling links, the roots under
     // `n`. Built back to front, every list is in position order.
     let n = spans.len();
@@ -769,15 +784,14 @@ fn sort_trace(spans: &[&Span], parent: &[Option<usize>]) -> Trace {
         stack.extend(first[i]);
     }
     debug_assert_eq!(order.len(), n, "acyclic parents reach every span");
-    // The one deep copy of each member, made in trace order on purpose:
-    // the copies' heap data is then laid out in the order every later copy
-    // of the cached trace walks (moving the members' own allocations in
-    // instead measured +8 % on a cached requery, results/pr24_benchmark.md).
+    // Each member is the store's row, shared, not copied. Sharing once
+    // measured +8 % on a cached requery (results/pr24_benchmark.md), but
+    // then every hit copied the cached trace; a hit now reads no member,
+    // and sharing re-measured −2.3 % on a `query_preloaded` requery (7 of
+    // 10 pairs better) and −37 % / −49 % on `wire_ingest` /
+    // `bookinfo_e2e` (results/pr43_benchmark.md).
     let assembled = (order.iter())
-        .map(|&i| AssembledSpan {
-            parent: parent[i].map(|p| spans[p].span_id),
-            span: spans[i].clone(),
-        })
+        .map(|&i| AssembledSpan::new(Arc::clone(&spans[i]), parent[i].map(|p| spans[p].span_id)))
         .collect();
     Trace { spans: assembled }
 }

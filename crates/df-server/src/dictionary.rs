@@ -8,6 +8,7 @@
 use df_types::tags::{ResourceInventory, ResourceTags};
 use df_types::IntMap;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A string interner: one per tag family.
 #[derive(Debug, Default, Clone)]
@@ -64,7 +65,8 @@ struct IpEntry {
     vpc_id: Option<u32>,
     subnet_id: Option<u32>,
     cluster_id: Option<u32>,
-    labels: Vec<(String, String)>,
+    /// Shared with every trace member joined to it (phase 3).
+    labels: Arc<[(String, String)]>,
 }
 
 /// The dictionary.
@@ -121,7 +123,7 @@ impl TagDictionary {
             entry.namespace_id = Some(d.namespaces.intern(&p.namespace));
             entry.workload_id = Some(d.workloads.intern(&p.workload));
             entry.service_id = Some(d.services.intern(&p.service));
-            entry.labels = p.labels.clone();
+            entry.labels = p.labels.as_slice().into();
             d.by_ip.insert(p.ip, entry);
         }
         d
@@ -150,10 +152,14 @@ impl TagDictionary {
     /// Phase 3 (Fig. 8 ⑧): self-defined labels for an IP, joined only at
     /// query time.
     pub fn labels_for_ip(&self, ip: u32) -> &[(String, String)] {
-        self.by_ip
-            .get(&ip)
-            .map(|e| e.labels.as_slice())
-            .unwrap_or(&[])
+        self.by_ip.get(&ip).map_or(&[], |e| &e.labels)
+    }
+
+    /// [`TagDictionary::labels_for_ip`], shared: what a trace member keeps
+    /// beside its span. `None` for an IP without labels.
+    pub fn shared_labels(&self, ip: u32) -> Option<Arc<[(String, String)]>> {
+        let labels = &self.by_ip.get(&ip)?.labels;
+        (!labels.is_empty()).then(|| Arc::clone(labels))
     }
 
     /// Pod name for a smart-encoded pod id (display).
@@ -288,6 +294,10 @@ mod tests {
         );
         assert!(d.labels_for_ip(0x0a010002).is_empty());
         assert!(d.labels_for_ip(0x01020304).is_empty());
+        let shared = d.shared_labels(0x0a010001).expect("labelled pod");
+        assert_eq!(*shared, *d.labels_for_ip(0x0a010001));
+        assert!(d.shared_labels(0x0a010002).is_none(), "no labels, no Arc");
+        assert!(d.shared_labels(0x01020304).is_none());
     }
 
     #[test]

@@ -215,13 +215,14 @@ impl Server {
 
     /// Trace query: Algorithm 1 from a user-chosen span (Fig. 15's
     /// "trace"), answered through the incremental trace cache. Returns the
-    /// cache's shared trace, with the phase-3 label join applied to every
-    /// span once, when the trace was built; the span store itself holds
-    /// no labels.
+    /// cache's shared trace. Each member shares its stored row and, set
+    /// once when the trace was built, the dictionary's phase-3 labels for
+    /// its IP ([`AssembledSpan::label`](df_types::AssembledSpan::label));
+    /// the span store itself holds no labels.
     pub fn trace(&self, start: SpanId) -> Arc<Trace> {
         let label = |trace: &mut Trace| {
             for s in &mut trace.spans {
-                join_labels(&self.dict, &mut s.span);
+                s.labels = (s.span.tags.resource.ip).and_then(|ip| self.dict.shared_labels(ip));
             }
         };
         let (shards, loc) = (self.store.shards(), self.store.loc(start));
@@ -345,11 +346,11 @@ pub struct Listed<'a> {
 
 impl Listed<'_> {
     /// The label under `key`: the span's own value wins, and the
-    /// dictionary fills in a key the span lacks — the precedence
-    /// [`Server::trace`]'s joined labels have.
+    /// dictionary fills in a key the span lacks — the rule
+    /// [`Server::trace`]'s members read theirs by
+    /// ([`TagSet::label_joined`](df_types::TagSet::label_joined)).
     pub fn label(&self, key: &str) -> Option<&str> {
-        let joined = || self.labels.iter().find(|(k, _)| k == key);
-        (self.span.tags.label(key)).or_else(|| joined().map(|(_, v)| v.as_str()))
+        self.span.tags.label_joined(self.labels, key)
     }
 }
 
@@ -358,16 +359,6 @@ impl Deref for Listed<'_> {
 
     fn deref(&self) -> &Span {
         &self.span
-    }
-}
-
-fn join_labels(dict: &TagDictionary, span: &mut Span) {
-    if let Some(ip) = span.tags.resource.ip {
-        for (k, v) in dict.labels_for_ip(ip) {
-            if span.tags.label(k).is_none() {
-                span.tags.custom.push((k.clone(), v.clone()));
-            }
-        }
     }
 }
 
@@ -474,9 +465,10 @@ mod tests {
             let trace = srv.trace(a);
             assert_eq!(trace.len(), 2);
             assert!(trace.is_well_formed());
-            // Joined once, when the trace was built: no hit joins again.
-            let once = [("version".to_string(), "v3".to_string())];
-            assert!((trace.spans.iter()).all(|s| s.span.tags.custom == once));
+            for s in &trace.spans {
+                assert_eq!(s.label("version"), Some("v3"), "joined beside the span");
+                assert!(s.span.tags.custom.is_empty(), "shared as stored");
+            }
         }
         assert_eq!(srv.stats().cache_counters(), (1, 2, 0, 0));
     }
@@ -536,6 +528,45 @@ mod tests {
                 srv.trace(a);
                 srv.stats().cache_counters(); // checks the sum
             }
+        }
+    }
+
+    /// A cached trace shares the stored rows, so a completion must copy a
+    /// shared row instead of writing into the trace: the held trace keeps
+    /// its `Incomplete` snapshot, and the next query re-assembles from
+    /// the completed row.
+    #[test]
+    fn completing_a_shared_row_leaves_the_cached_trace_as_it_was() {
+        for mut srv in servers() {
+            let mut req = span(100, 0);
+            req.status = SpanStatus::Incomplete;
+            req.tcp_seq_resp = None;
+            let req_id = srv.ingest(req);
+            let mut frag = span(100, 900);
+            frag.status = SpanStatus::ResponseOnly;
+            frag.resp_time = TimeNs(1_000);
+            srv.ingest(frag);
+            let row = |srv: &Server| {
+                let loc = srv.store().loc(req_id).expect("routed");
+                let shard = &srv.store().shards()[loc.shard as usize];
+                shard.shared_at(loc.row).expect("row exists")
+            };
+            let member = |t: &Trace| {
+                let s = t.spans.iter().find(|s| s.span.span_id == req_id);
+                Arc::clone(&s.expect("the request is a member").span)
+            };
+
+            let cached = srv.trace(req_id);
+            assert!(Arc::ptr_eq(&row(&srv), &member(&cached)), "shared");
+            assert_eq!(srv.re_aggregate(), 1);
+            assert_eq!(member(&cached).status, SpanStatus::Incomplete);
+            assert!(!Arc::ptr_eq(&row(&srv), &member(&cached)), "copied");
+
+            let fresh = srv.trace(req_id);
+            assert_eq!(srv.stats().cache_counters(), (1, 0, 0, 1));
+            assert_eq!(member(&fresh).status, SpanStatus::Ok);
+            assert_eq!(member(&fresh).resp_time, TimeNs(1_000));
+            assert!(Arc::ptr_eq(&row(&srv), &member(&fresh)));
         }
     }
 

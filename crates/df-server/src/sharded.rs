@@ -157,17 +157,17 @@ impl ShardedSpanStore {
     /// Insert one span: assign the next global id and route it to its
     /// shard. Returns the id.
     ///
-    /// The span is boxed here, once: the box is the row the shard keeps
-    /// (`Span` is 576 bytes; every by-value hop would copy it again).
+    /// The router stamps the id first, then the span moves into its
+    /// `Arc`, once: the `Arc` is the row the shard keeps (`Span` is 576
+    /// bytes; every by-value hop would copy it again).
     ///
     /// This path never panics on routing-table pressure: a full preferred
     /// shard is *clamped* to the least-loaded one instead (see
     /// [`ShardedSpanStore::routing_clamped`]).
-    pub fn insert(&mut self, span: Span) -> SpanId {
-        let mut span = Box::new(span);
+    pub fn insert(&mut self, mut span: Span) -> SpanId {
         let loc = self.router.assign(&mut span);
         let id = span.span_id;
-        let row = self.shards[loc.shard as usize].insert_routed(span);
+        let row = self.shards[loc.shard as usize].insert_routed(Arc::new(span));
         debug_assert_eq!(row, loc.row, "router and shard agree on the row");
         id
     }

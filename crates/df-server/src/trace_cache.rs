@@ -42,12 +42,15 @@
 //! a re-assembly, never a wrong answer.
 //!
 //! `finish` is what the caller does to every answer, done once per
-//! assembly instead of once per query: the server joins the phase-3
-//! labels there (its dictionary is fixed at construction, so a label
-//! joined at store time is the label a later join would produce), and the
-//! concurrent store passes a no-op. Cached traces are handed out as
-//! [`Arc<Trace>`] and both callers return that `Arc` as is, so a warm hit
-//! is a lookup and a pointer clone, end to end.
+//! assembly instead of once per query: the server hands each member the
+//! dictionary's shared phase-3 labels for its IP there (its dictionary is
+//! fixed at construction, so labels joined at store time are the labels a
+//! later join would produce), and the concurrent store passes a no-op.
+//! A cached trace shares its members with the store's rows, so it costs
+//! reference counts, not copies; a row it shares that is later completed
+//! is copied first, and the completion's edit drops the entry. Cached
+//! traces are handed out as [`Arc<Trace>`] and both callers return that
+//! `Arc` as is, so a warm hit is a lookup and a pointer clone, end to end.
 
 use crate::assemble::{AssembleConfig, JoinFacts};
 use crate::router::Loc;

@@ -17,17 +17,21 @@
 //!
 //! # Hot/cold tiering
 //!
-//! A row is either **hot** (the [`Span`] lives inline) or **cold** (the
-//! span was spilled to a disk segment by [`SpanStore::spill_before`] and
-//! only a [`ColdRef`] — segment id, in-segment offset, span id, request
-//! time — remains resident). Everything that needs the full span goes
-//! through [`SpanStore::span_at`], which returns a [`SpanRef`]: borrowed
-//! for hot rows (the zero-copy fast path), owned for cold rows (a page-in
-//! through the shared [`BufferPool`]). The association and time indexes
-//! keep cold rows, so [`SpanStore::find`] probes and time-window scans are
-//! tier-blind; only *materialising* a cold row costs a pool fetch. Spill never reorders, renumbers, or drops rows — it is
-//! extensionally invisible to assembly, which the tiered differential
-//! proptests pin down.
+//! A row is either **hot** (the [`Span`] lives in memory, behind an
+//! `Arc`) or **cold** (the span was spilled to a disk segment by
+//! [`SpanStore::spill_before`] and only a [`ColdRef`] — segment id,
+//! in-segment offset, span id, request time — remains resident).
+//! Everything that needs the full span goes through
+//! [`SpanStore::span_at`], which returns a [`SpanRef`]: borrowed for hot
+//! rows (the zero-copy fast path), owned for cold rows (a page-in through
+//! the shared [`BufferPool`]). [`SpanStore::shared_at`] hands out a hot
+//! row's `Arc` itself, for a reader that keeps the row past the borrow,
+//! as an assembled trace does. The association and time indexes keep
+//! cold rows, so [`SpanStore::find`] probes and time-window scans are
+//! tier-blind; only *materialising* a cold row costs a pool fetch. Spill
+//! never reorders, renumbers, or drops rows — it is extensionally
+//! invisible to assembly, which the tiered differential proptests pin
+//! down.
 
 use crate::bufferpool::{BufferPool, SegmentId};
 use crate::persist;
@@ -177,10 +181,11 @@ pub struct ColdRef {
     pub req_time: TimeNs,
 }
 
-/// One row slot: the span inline, or a cold stub.
+/// One row slot: the span, shared with every trace that holds it, or a
+/// cold stub.
 #[derive(Debug, Clone)]
 enum RowSlot {
-    Hot(Box<Span>),
+    Hot(Arc<Span>),
     Cold(ColdRef),
 }
 
@@ -242,8 +247,9 @@ impl RecoverStats {
 /// one store.
 #[derive(Debug, Default)]
 pub struct SpanStore {
-    /// Row slots: hot spans are boxed so a cold slot costs only the
-    /// [`ColdRef`] stub, not a full `Span` footprint.
+    /// Row slots: hot spans sit behind an `Arc`, so a cold slot costs only
+    /// the [`ColdRef`] stub, not a full `Span` footprint, and a trace
+    /// shares a row instead of copying it.
     rows: Vec<RowSlot>,
     /// Pool that pages cold rows back in; set by the first spill or by
     /// recovery (a sharded owner hands every shard the same pool).
@@ -289,14 +295,25 @@ impl SpanStore {
     pub fn span_at(&self, row: u32) -> Option<SpanRef<'_>> {
         match self.rows.get(row as usize)? {
             RowSlot::Hot(s) => Some(SpanRef::Borrowed(s)),
-            RowSlot::Cold(c) => {
-                let pool = self.cold_reader.as_ref();
-                let pool = pool.expect("cold rows require an attached cold reader");
-                Some(SpanRef::Owned(Box::new(
-                    pool.read_span(c.segment, c.offset),
-                )))
-            }
+            RowSlot::Cold(c) => Some(SpanRef::Owned(Box::new(self.page_in(c)))),
         }
+    }
+
+    /// The span at `row`, shared: a hot row costs a reference count, a
+    /// cold row the one copy [`SpanStore::span_at`] pages in. Panics as
+    /// [`SpanStore::span_at`] does.
+    pub fn shared_at(&self, row: u32) -> Option<Arc<Span>> {
+        match self.rows.get(row as usize)? {
+            RowSlot::Hot(s) => Some(Arc::clone(s)),
+            RowSlot::Cold(c) => Some(Arc::new(self.page_in(c))),
+        }
+    }
+
+    /// A copy of the cold row `c`, read through the attached pool.
+    fn page_in(&self, c: &ColdRef) -> Span {
+        let pool = self.cold_reader.as_ref();
+        let pool = pool.expect("cold rows require an attached cold reader");
+        pool.read_span(c.segment, c.offset)
     }
 
     /// The span id stored at `row`, whatever its tier. Cold rows keep the
@@ -353,6 +370,9 @@ impl SpanStore {
         if span.status != SpanStatus::Incomplete {
             return false;
         }
+        // A row a cached trace still shares is copied here, once; that
+        // trace's entry falls with the edit counted below.
+        let span = Arc::make_mut(span);
         let mut indexed = Vec::new();
         span.for_each_assoc_key(|key| indexed.push(key));
         span.resp_time = resp.resp_time;
@@ -459,21 +479,20 @@ impl SpanStore {
     }
 
     /// Insert a span, assigning its id. Returns the id.
-    pub fn insert(&mut self, span: Span) -> SpanId {
-        let mut span = Box::new(span);
+    pub fn insert(&mut self, mut span: Span) -> SpanId {
         let id = Self::id_at(self.rows.len() as u32);
         span.span_id = id;
-        self.index_and_push(span);
+        self.index_and_push(Arc::new(span));
         id
     }
 
     /// Insert a span that already carries an externally assigned id (one
     /// shard of a sharded corpus — the owner maps that id to the returned
     /// row). The span is indexed exactly like [`SpanStore::insert`]; only
-    /// id assignment is skipped. The box is the row: the owner allocates it
-    /// once, as the span leaves its decoded batch, and it is never copied
-    /// again.
-    pub fn insert_routed(&mut self, span: Box<Span>) -> u32 {
+    /// id assignment is skipped. The `Arc` is the row: the owner allocates
+    /// it once, as the span leaves its decoded batch, and it is never
+    /// copied again.
+    pub fn insert_routed(&mut self, span: Arc<Span>) -> u32 {
         let row = self.rows.len() as u32;
         self.index_and_push(span);
         row
@@ -488,7 +507,7 @@ impl SpanStore {
         let first = self.rows.len() as u32;
         self.reserve(spans.len());
         for span in spans {
-            self.index_and_push(Box::new(span));
+            self.index_and_push(Arc::new(span));
         }
         first
     }
@@ -510,7 +529,7 @@ impl SpanStore {
 
     /// Index every association attribute of `span` and append it, keeping
     /// whatever `span_id` it carries.
-    fn index_and_push(&mut self, span: Box<Span>) {
+    fn index_and_push(&mut self, span: Arc<Span>) {
         let row = self.rows.len() as u32;
         span.for_each_assoc_key(|key| self.index(key, row));
         self.push_time_entry(span.req_time.as_nanos(), row);
@@ -1108,7 +1127,7 @@ mod tests {
         let rows: Vec<u32> = spans
             .iter()
             .cloned()
-            .map(|s| one.insert_routed(Box::new(s)))
+            .map(|s| one.insert_routed(Arc::new(s)))
             .collect();
         let first = bulk.insert_routed_batch(spans);
         assert_eq!(first, 0);

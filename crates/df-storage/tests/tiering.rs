@@ -272,6 +272,31 @@ fn a_failed_spill_flips_no_row() {
     }
 }
 
+/// A trace holds its members as the rows [`SpanStore::shared_at`] hands
+/// out. Spill flips those rows cold and drops the store's reference, not
+/// the trace's: every member held from before the spill still reads its
+/// span, and a read after it pages a copy in from the segment.
+#[test]
+fn rows_shared_before_a_spill_still_read_after_they_flip_cold() {
+    let dir = test_dir("shared");
+    let (hot, mut tiered) = tiered_pair(200);
+    let members: Vec<Arc<Span>> = (0..200)
+        .map(|row| tiered.shared_at(row).expect("row exists"))
+        .collect();
+    let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_frames(2)));
+    let stats = tiered
+        .spill_before(TimeNs(u64::MAX), &pool, dir.path(), 0)
+        .expect("spill succeeds");
+    assert_eq!((stats.spans, tiered.cold_rows()), (200, 200));
+    for (row, member) in (0..200).zip(&members) {
+        let want = hot.span_at(row).expect("oracle row");
+        assert_eq!(**member, *want, "row {row} held across the spill");
+        let paged = tiered.shared_at(row).expect("cold row pages in");
+        assert_eq!(*paged, *want);
+        assert!(!Arc::ptr_eq(&paged, member), "a cold read is a fresh copy");
+    }
+}
+
 /// Eviction drops the pool's reference to a segment, not the reader's:
 /// a one-frame pool evicts the segment a reader still holds to page in
 /// another, and the held `Arc` keeps reading the spans it was lent.

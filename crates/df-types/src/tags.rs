@@ -150,8 +150,9 @@ impl ResourceTags {
 pub struct TagSet {
     /// Smart-encoded resource block.
     pub resource: ResourceTags,
-    /// Self-defined labels, resolved at query time (phase 3). Empty in
-    /// storage; populated on query results.
+    /// Self-defined labels the span itself carries. The dictionary's
+    /// labels (phase 3) are never copied in: a query result carries them
+    /// beside the stored span, read with [`TagSet::label_joined`].
     pub custom: Vec<(String, String)>,
 }
 
@@ -168,6 +169,18 @@ impl TagSet {
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// The label under `key` on a query result: the span's own value
+    /// first, then the one in `joined` — the labels the dictionary holds
+    /// for the span's IP, joined at query time (phase 3, Fig. 8 ⑧).
+    pub fn label_joined<'a>(
+        &'a self,
+        joined: &'a [(String, String)],
+        key: &str,
+    ) -> Option<&'a str> {
+        let joined = || joined.iter().find(|(k, _)| k == key);
+        (self.label(key)).or_else(|| joined().map(|(_, v)| v.as_str()))
     }
 }
 
@@ -247,6 +260,10 @@ mod tests {
             .with_label("commit", "abc123");
         assert_eq!(t.label("version"), Some("v1.2.3"));
         assert_eq!(t.label("missing"), None);
+        let joined = [("version".into(), "v9".into()), ("team".into(), "a".into())];
+        assert_eq!(t.label_joined(&joined, "version"), Some("v1.2.3"));
+        assert_eq!(t.label_joined(&joined, "team"), Some("a"), "then joined");
+        assert_eq!(t.label_joined(&joined, "missing"), None);
     }
 
     #[test]

@@ -4,22 +4,45 @@
 use crate::ids::SpanId;
 use crate::span::Span;
 use crate::time::{DurationNs, TimeNs};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A span plus its resolved parent, as produced by the parent-setting phase
 /// of Algorithm 1 (lines 18–24).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssembledSpan {
-    /// The span.
-    pub span: Span,
+    /// The span, shared with the store's row it was read from: a trace
+    /// holds a reference count per member, not a copy.
+    pub span: Arc<Span>,
     /// Parent span id within the same trace, if any.
     pub parent: Option<SpanId>,
+    /// The self-defined labels joined beside the span at query time
+    /// (phase 3, Fig. 8 ⑧), shared from the tag dictionary; read them
+    /// through [`AssembledSpan::label`].
+    pub labels: Option<Arc<[(String, String)]>>,
+}
+
+impl AssembledSpan {
+    /// A member with no joined labels.
+    pub fn new(span: Arc<Span>, parent: Option<SpanId>) -> Self {
+        AssembledSpan {
+            span,
+            parent,
+            labels: None,
+        }
+    }
+
+    /// The label under `key`: the span's own value first, then the joined
+    /// one ([`TagSet::label_joined`](crate::tags::TagSet::label_joined)).
+    pub fn label(&self, key: &str) -> Option<&str> {
+        let joined = self.labels.as_deref().unwrap_or_default();
+        self.span.tags.label_joined(joined, key)
+    }
 }
 
 /// An assembled distributed trace: spans sorted by time and parent
 /// relationship (Algorithm 1, line 25).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     /// Spans in display order (parents before children, then by start time).
     pub spans: Vec<AssembledSpan>,
@@ -170,18 +193,9 @@ mod tests {
         // B serves (span 3, child of 2).
         Trace {
             spans: vec![
-                AssembledSpan {
-                    span: mk_span(1, 0, 100),
-                    parent: None,
-                },
-                AssembledSpan {
-                    span: mk_span(2, 10, 80),
-                    parent: Some(SpanId(1)),
-                },
-                AssembledSpan {
-                    span: mk_span(3, 20, 70),
-                    parent: Some(SpanId(2)),
-                },
+                AssembledSpan::new(Arc::new(mk_span(1, 0, 100)), None),
+                AssembledSpan::new(Arc::new(mk_span(2, 10, 80)), Some(SpanId(1))),
+                AssembledSpan::new(Arc::new(mk_span(3, 20, 70)), Some(SpanId(2))),
             ],
         }
     }
@@ -215,7 +229,7 @@ mod tests {
         assert!(!t2.is_well_formed());
         // duplicate ids
         let mut t3 = three_span_trace();
-        t3.spans[1].span.span_id = SpanId(1);
+        Arc::make_mut(&mut t3.spans[1].span).span_id = SpanId(1);
         assert!(!t3.is_well_formed());
     }
 

@@ -87,6 +87,28 @@ fn a_trace_cache_hit_allocates_nothing() {
     assert_eq!(allocated, 0, "a cache hit allocates nothing");
 }
 
+/// A cold `Server::trace` shares each member's stored row and copies
+/// none: its allocations grow with the member count only as its vectors
+/// double. Pinned at two sizes of one exchange, every member on one TCP
+/// sequence.
+#[test]
+fn a_cold_trace_copies_no_member() {
+    for (members, budget) in [(32u64, 39), (128, 47)] {
+        let mut server = Server::new(&ResourceInventory::default());
+        let spans = (0..members).map(|i| {
+            let mut span = Span::synthetic(TapSide::ClientProcess, 1_000 + i, 2_000 + i);
+            span.tcp_seq_req = Some(7);
+            span
+        });
+        let ids = server.ingest_batch(spans.collect());
+
+        let (trace, allocated) = allocations(|| server.trace(ids[0]));
+        assert_eq!(trace.len(), members as usize, "one exchange");
+        assert_eq!(server.stats().cache_misses, 1, "the query is cold");
+        assert_eq!(allocated, budget, "{members} members");
+    }
+}
+
 /// A span list over hot rows lends the stored spans: one query allocates
 /// its result vectors, whose count grows as they double, never a copy
 /// per row. Pinned at two sizes, after a warm-up query has sorted the

@@ -111,12 +111,19 @@ fn smart_encoded_tags_let_users_filter_by_pod() {
     });
     assert!(!reviews_spans.is_empty(), "pod filter finds reviews spans");
     // Query-time label join (phase 3): the reviews pod carries version=v2.
-    assert!(
-        reviews_spans
-            .iter()
-            .any(|s| s.label("version") == Some("v2")),
-        "self-defined labels joined at query time"
-    );
+    let labelled = reviews_spans
+        .iter()
+        .find(|s| s.label("version") == Some("v2"))
+        .expect("self-defined labels joined at query time");
+    // A trace joins them the same way, beside the row it shares: the
+    // stored span itself stays label-free.
+    let start = labelled.span_id;
+    let trace = df.server.trace(start);
+    let member = trace.spans.iter().find(|s| s.span.span_id == start);
+    let member = member.expect("the start is a member");
+    assert_eq!(member.label("version"), Some("v2"));
+    let stored = df.server.store().get(start).expect("stored");
+    assert!(stored.tags.custom.is_empty(), "labels are never copied in");
 }
 
 #[test]
