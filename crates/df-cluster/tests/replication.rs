@@ -4,38 +4,10 @@
 
 use df_cluster::{Cluster, ClusterConfig};
 use df_server::ConcurrentShardedStore;
+use df_storage::persist::test_dir;
 use df_storage::ShardPolicy;
 use df_types::span::TapSide;
 use df_types::{DurationNs, Span, TimeNs};
-use std::path::{Path, PathBuf};
-
-/// Unique per-test temp dir, removed on drop.
-struct TestDir {
-    path: PathBuf,
-}
-
-fn test_dir(tag: &str) -> TestDir {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .expect("clock after epoch")
-        .subsec_nanos();
-    let path =
-        std::env::temp_dir().join(format!("df-cluster-{tag}-{}-{nanos}", std::process::id()));
-    std::fs::create_dir_all(&path).expect("create test dir");
-    TestDir { path }
-}
-
-impl TestDir {
-    fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for TestDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.path);
-    }
-}
 
 /// A small linked corpus: pairs of client/server spans joined by tcp
 /// sequence, spread across shards by their five-tuples.

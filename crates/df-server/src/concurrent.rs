@@ -1,10 +1,11 @@
 //! [`ConcurrentShardedStore`] — the shard boundary taken across threads.
 //!
 //! Each shard is an independently locked unit owned by a **per-shard
-//! ingest worker thread**, so ingest parallelises across shards while
-//! queries run concurrently against a consistent snapshot — mirroring how
-//! the paper's collector keeps absorbing agent traffic while Algorithm 1
-//! assembles on demand (§5).
+//! ingest worker thread**, so index apply runs on the workers while
+//! producers decode and route the next batch, and queries run
+//! concurrently against a consistent snapshot — mirroring how the paper's
+//! collector keeps absorbing agent traffic while Algorithm 1 assembles on
+//! demand (§5).
 //!
 //! ## Topology
 //!
@@ -21,23 +22,25 @@
 //!   locations — identical to what the single-threaded
 //!   [`ShardedSpanStore`](crate::sharded::ShardedSpanStore) assigns for
 //!   the same call order, which is what makes the differential
-//!   determinism tests possible. Held only for cheap work; channel sends
-//!   happen outside it.
+//!   determinism tests possible. The channel sends happen under it too,
+//!   so each shard's queue receives its sub-batches in row order, and a
+//!   row op is queued only after the batch holding its row.
 //! * **Bounded channels**: each shard's queue holds at most
 //!   [`ConcurrentConfig::queue_depth`] messages; a full queue blocks the
-//!   producer (backpressure) instead of growing without bound.
+//!   producer (backpressure) instead of growing without bound. A blocked
+//!   producer holds the route lock, so the other producers wait behind it.
 //! * **Workers**: each worker owns the `&mut` side of its shard behind an
-//!   `RwLock`, applying batches with the amortised
-//!   [`SpanStore::insert_routed_batch`]. Because sends happen outside the
-//!   routing lock, two producers' batches can arrive out of row order; the
-//!   worker's [`BatchReorder`] stashes early batches and releases them
-//!   strictly in row order, so shard contents are independent of arrival
-//!   races.
+//!   `RwLock` and applies each message as it dequeues it: a batch with the
+//!   amortised [`SpanStore::insert_routed_batch`], after asserting that
+//!   it starts at the shard's next row, and a row op at once. A batch out
+//!   of row order is a routing bug, and it kills the worker loudly
+//!   ([`WorkerPanic`]) instead of misplacing rows.
 //! * **Flush barrier**: [`ConcurrentShardedStore::flush`] queues one
-//!   clone of an ack sender to every shard and returns once every worker
-//!   has applied everything enqueued before it and acked — tests and
-//!   benches get read-your-writes visibility on demand. A worker that
-//!   dies drops its clone unacked, which the flusher sees as a disconnect
+//!   clone of an ack sender to every shard. A worker acks when it dequeues
+//!   its clone, by which time it has applied everything queued before it;
+//!   `flush` returns once every worker has acked — tests and benches get
+//!   read-your-writes visibility on demand. A worker that dies drops its
+//!   clone unacked, which the flusher sees as a disconnect
 //!   ([`WorkerPanic`]), never as a hang.
 //!
 //! ## Version ordering (the exactness invariant)
@@ -57,23 +60,18 @@
 //! anywhere but under them.
 
 use crate::assemble::AssembleConfig;
-use crate::router::{BatchReorder, Router};
+use crate::router::Router;
 use crate::server::ServerStats;
-use crate::sharded::{query_shards, spill_shards, tier_occupancy, tombstone_row};
+use crate::sharded::tombstone_row;
 use crate::trace_cache::{self, TraceCache};
-use df_storage::{
-    BufferPool, ShardPolicy, SpanQuery, SpanRef, SpanStore, SpillStats, Tier, TierConfig,
-};
+use df_storage::{ShardPolicy, SpanRef, SpanStore};
 use df_types::trace::Trace;
 use df_types::wire::{self, WireDecodeError};
-use df_types::{Span, SpanId, TimeNs};
-use std::collections::BTreeMap;
-use std::io;
+use df_types::{Span, SpanId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
-
 /// Tunables of the concurrent store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConcurrentConfig {
@@ -103,10 +101,10 @@ enum RowOp {
 enum ShardMsg {
     /// A routed batch whose rows start at `start_row` (contiguous).
     Batch { start_row: u32, spans: Vec<Span> },
-    /// A row-addressed mutation (applies once the row exists).
+    /// A row-addressed mutation of a row already applied.
     Op { row: u32, op: RowOp },
-    /// Flush barrier: the worker sends its shard index once everything
-    /// before the message is applied. Dropped unsent if the worker dies.
+    /// Flush barrier: the worker sends its shard index when it dequeues
+    /// the message. Dropped unsent if the worker dies.
     Flush(SyncSender<u16>),
     /// Test hook ([`ConcurrentShardedStore::inject_worker_panic`]): the
     /// worker panics on receipt, simulating a crashed ingest op.
@@ -180,19 +178,6 @@ struct ShardSlot {
     failed: Mutex<Option<String>>,
 }
 
-/// Per-worker reorder state: batches and ops that arrived before the rows
-/// they target (sends happen outside the routing lock, so two producers'
-/// messages can arrive out of row order).
-#[derive(Debug, Default)]
-struct WorkerState {
-    /// Early batches, released in row order.
-    batches: BatchReorder<Span>,
-    /// Early row ops, keyed by target row (arrival order kept per row).
-    ops: BTreeMap<u32, Vec<RowOp>>,
-    /// Flush acks deferred until the reorder buffers drain.
-    flushes: Vec<SyncSender<u16>>,
-}
-
 /// A span corpus partitioned across per-worker-owned [`SpanStore`] shards,
 /// ingesting through bounded per-shard queues. See the module docs for the
 /// channel topology, the flush barrier and the staleness contract.
@@ -219,7 +204,6 @@ struct WorkerState {
 /// ```
 #[derive(Debug)]
 pub struct ConcurrentShardedStore {
-    policy: ShardPolicy,
     assemble_cfg: AssembleConfig,
     slots: Vec<Arc<ShardSlot>>,
     senders: Vec<SyncSender<ShardMsg>>,
@@ -227,9 +211,6 @@ pub struct ConcurrentShardedStore {
     route: Mutex<Router>,
     cache: Mutex<TraceCache>,
     stats: Mutex<ServerStats>,
-    /// Hot/cold tiering, if enabled via
-    /// [`ConcurrentShardedStore::with_tiering`].
-    tier: Option<Tier>,
 }
 
 impl ConcurrentShardedStore {
@@ -264,54 +245,13 @@ impl ConcurrentShardedStore {
         }
         ConcurrentShardedStore {
             route: Mutex::new(router),
-            policy,
             assemble_cfg: AssembleConfig::default(),
             slots,
             senders,
             workers,
             cache: Mutex::new(TraceCache::new()),
             stats: Mutex::new(ServerStats::default()),
-            tier: None,
         }
-    }
-
-    /// Store with hot/cold tiering enabled: one [`Tier`] — one
-    /// [`BufferPool`], one frame budget — shared by every shard. A
-    /// page-in and a spill do their file IO on the calling thread, under
-    /// the shard guard it holds.
-    pub fn with_tiering(policy: ShardPolicy, cfg: ConcurrentConfig, tier: TierConfig) -> Self {
-        let mut store = Self::with_config(policy, cfg);
-        store.tier = Some(Tier::new(tier));
-        store
-    }
-
-    /// The shared buffer pool, if tiering is enabled.
-    pub fn buffer_pool(&self) -> Option<&Arc<BufferPool>> {
-        self.tier.as_ref().map(Tier::pool)
-    }
-
-    /// Spill every applied, completed span older than `watermark` to the
-    /// cold tier (one segment per shard × time bucket), taking each
-    /// shard's write lock in turn — exactly the locking discipline
-    /// [`ConcurrentShardedStore::evict_tombstoned`] uses. Queued-but-
-    /// unapplied spans are untouched (they spill on a later pass once
-    /// applied). Spill is content-neutral: **the corpus version stands
-    /// still**, so cached traces stay hits — the tiering tests assert a
-    /// cached trace survives a spill of its own buckets.
-    pub fn spill_before(&self, watermark: TimeNs) -> io::Result<SpillStats> {
-        let tier = self.tier.as_ref().ok_or_else(Tier::not_enabled)?;
-        let shards = (self.slots.iter()).map(|s| s.store.write().expect("shard lock poisoned"));
-        spill_shards(tier, watermark, shards)
-    }
-
-    /// Rows currently resident (hot) vs spilled (cold), across shards.
-    pub fn tier_occupancy(&self) -> (usize, usize) {
-        tier_occupancy((self.slots.iter()).map(|s| s.store.read().expect("shard lock poisoned")))
-    }
-
-    /// The routing policy this store was built with.
-    pub fn policy(&self) -> &ShardPolicy {
-        &self.policy
     }
 
     /// Override assembly tunables. Cached traces were built under the old
@@ -319,11 +259,6 @@ impl ConcurrentShardedStore {
     pub fn set_assemble_config(&mut self, cfg: AssembleConfig) {
         self.assemble_cfg = cfg;
         *self.cache.get_mut().expect("cache lock poisoned") = TraceCache::new();
-    }
-
-    /// Number of shards (== ingest workers).
-    pub fn shard_count(&self) -> usize {
-        self.slots.len()
     }
 
     /// Spans routed (ids assigned), including spans still in queues.
@@ -375,10 +310,10 @@ impl ConcurrentShardedStore {
     /// Insert a batch (what an agent ships per flush): ids and `(shard,
     /// row)` locations are assigned under the routing lock — globally
     /// sequential, identical to the single-threaded store for the same
-    /// call order — then each shard's sub-batch is enqueued to its worker.
-    /// Blocks only when a target shard's queue is full (backpressure).
-    /// Spans become query-visible when their worker applies them; call
-    /// [`Self::flush`] for a visibility barrier.
+    /// call order — and each shard's sub-batch is enqueued to its worker
+    /// before the lock is released. Blocks only when a target shard's
+    /// queue is full (backpressure). Spans become query-visible when their
+    /// worker applies them; call [`Self::flush`] for a visibility barrier.
     pub fn insert_batch(&self, spans: Vec<Span>) -> Vec<SpanId> {
         self.try_insert_batch(spans)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -392,10 +327,10 @@ impl ConcurrentShardedStore {
         if spans.is_empty() {
             return Ok(Vec::new());
         }
-        // Routing lock released before the potentially-blocking sends.
-        let (ids, subs) = self.route.lock().expect("route lock poisoned").split(spans);
         let mut enqueued = 0u64;
-        let mut first_err: Option<WorkerPanic> = None;
+        let mut dead = None;
+        let mut route = self.route.lock().expect("route lock poisoned");
+        let (ids, subs) = route.split(spans);
         for sub in subs {
             let (si, n) = (sub.shard as usize, sub.spans.len());
             let msg = ShardMsg::Batch {
@@ -404,19 +339,19 @@ impl ConcurrentShardedStore {
             };
             self.slots[si].pending.fetch_add(n, Ordering::AcqRel);
             if self.senders[si].send(msg).is_err() {
-                // The worker is gone: undo the gauge and report the cause.
+                // The worker is gone: undo the gauge; report it after the
+                // route guard drops.
                 self.slots[si].pending.fetch_sub(n, Ordering::AcqRel);
-                if first_err.is_none() {
-                    first_err = Some(self.worker_panic(si));
-                }
+                dead.get_or_insert(si);
                 continue;
             }
             enqueued += n as u64;
         }
+        drop(route);
         self.stats.lock().expect("stats lock poisoned").ingested += enqueued;
-        match first_err {
+        match dead {
             None => Ok(ids),
-            Some(e) => Err(e),
+            Some(si) => Err(self.worker_panic(si)),
         }
     }
 
@@ -433,6 +368,7 @@ impl ConcurrentShardedStore {
 
     /// The error for a shard whose worker disconnected, preferring the
     /// panic message the worker recorded before dropping its receiver.
+    /// Never called under the route lock: a panic here must not poison it.
     fn worker_panic(&self, shard: usize) -> WorkerPanic {
         let message = self.slots[shard]
             .failed
@@ -444,9 +380,9 @@ impl ConcurrentShardedStore {
     }
 
     /// Hide a span from queries. The tombstone is routed through the
-    /// owning shard's ingest queue so it is ordered after the insert it
-    /// races against; eviction compaction triggers in the worker once the
-    /// shard crosses [`ShardPolicy::evict_threshold`].
+    /// owning shard's ingest queue, behind the batch that holds its row;
+    /// eviction compaction triggers in the worker once the shard crosses
+    /// [`ShardPolicy::evict_threshold`].
     pub fn tombstone(&self, id: SpanId) {
         self.send_op(id, RowOp::Tombstone);
     }
@@ -458,18 +394,18 @@ impl ConcurrentShardedStore {
         self.send_op(id, RowOp::Complete(Box::new(resp)));
     }
 
-    /// Enqueue a row op to the shard owning `id` (no-op for unknown ids).
+    /// Enqueue a row op to the shard owning `id` (no-op for unknown ids),
+    /// under the route lock, so it queues behind the batch holding its row.
     fn send_op(&self, id: SpanId, op: RowOp) {
-        let loc = self.route.lock().expect("route lock poisoned").loc(id);
-        let Some(loc) = loc else {
+        let route = self.route.lock().expect("route lock poisoned");
+        let Some(loc) = route.loc(id) else {
             return;
         };
         let si = loc.shard as usize;
         self.slots[si].pending.fetch_add(1, Ordering::AcqRel);
-        if self.senders[si]
-            .send(ShardMsg::Op { row: loc.row, op })
-            .is_err()
-        {
+        let sent = self.senders[si].send(ShardMsg::Op { row: loc.row, op });
+        drop(route);
+        if sent.is_err() {
             self.slots[si].pending.fetch_sub(1, Ordering::AcqRel);
             panic!("{}", self.worker_panic(si));
         }
@@ -493,9 +429,9 @@ impl ConcurrentShardedStore {
             let _ = tx.send(ShardMsg::Flush(ack.clone()));
         }
         drop(ack);
-        // Every clone ends acked or dropped (stashed or queued in a dying
-        // worker, or handed back above): the loop ends, and a shard that
-        // never acked lost its worker.
+        // Every clone ends acked or dropped (queued in a dying worker, or
+        // handed back above): the loop ends, and a shard that never acked
+        // lost its worker.
         let mut acked = 0u64;
         while let Ok(si) = acks.recv() {
             acked |= 1 << si;
@@ -553,17 +489,6 @@ impl ConcurrentShardedStore {
             .sum()
     }
 
-    /// Span-list query over applied spans: each shard answers under its
-    /// read lock; results merge by `(req_time, span_id)` and re-cap at
-    /// `limit`.
-    pub fn query(&self, q: &SpanQuery) -> Vec<Span> {
-        self.stats.lock().expect("stats lock poisoned").list_queries += 1;
-        query_shards(self.slots.iter(), q, |slot, out| {
-            let shard = slot.store.read().expect("shard lock poisoned");
-            out.extend(shard.query(q).into_iter().map(SpanRef::into_owned));
-        })
-    }
-
     /// Trace query through the cache ([`crate::trace_cache`]), answered
     /// while **every** shard read lock is held — from reading the corpus
     /// version through the re-stamp or the cache store — so the version an
@@ -597,39 +522,53 @@ impl Drop for ConcurrentShardedStore {
     }
 }
 
-/// The per-shard ingest worker: applies batches strictly in row order
-/// (stashing early arrivals), applies row ops once their row exists, and
-/// acknowledges flush barriers once its reorder buffers are empty.
+/// The per-shard ingest worker: applies each message as it dequeues it.
+/// The queue is in row order (producers send under the route lock), so a
+/// batch starts at the shard's next row, a row op finds its row applied,
+/// and a flush ack follows everything queued before it.
 ///
 /// A panic anywhere in the message loop is caught so the worker can die
 /// loudly instead of silently: the panic message is recorded on the slot
-/// *before* the stashed flush acks and the receiver drop, so a flusher or
-/// producer that observes the disconnect can report the cause.
+/// *before* the receiver drops, so a flusher or producer that observes the
+/// disconnect can report the cause.
 fn worker_loop(si: usize, slot: Arc<ShardSlot>, policy: ShardPolicy, rx: Receiver<ShardMsg>) {
-    let mut state = WorkerState::default();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         while let Ok(msg) = rx.recv() {
-            let batch = match msg {
-                ShardMsg::Batch { start_row, spans } => Some((start_row, spans)),
+            match msg {
+                ShardMsg::Batch { start_row, spans } => {
+                    let applied = spans.len();
+                    let mut store = slot.store.write().expect("shard lock poisoned");
+                    assert_eq!(
+                        start_row as usize,
+                        store.len(),
+                        "shard {si}: batch out of row order"
+                    );
+                    store.insert_routed_batch(spans);
+                    slot.pending.fetch_sub(applied, Ordering::AcqRel);
+                }
                 ShardMsg::Op { row, op } => {
-                    state.ops.entry(row).or_default().push(op);
-                    None
+                    let mut store = slot.store.write().expect("shard lock poisoned");
+                    match op {
+                        RowOp::Tombstone => tombstone_row(&mut store, &policy, row),
+                        RowOp::Complete(resp) => {
+                            store.complete_span_row(row, &resp);
+                        }
+                    }
+                    slot.pending.fetch_sub(1, Ordering::AcqRel);
                 }
                 ShardMsg::Flush(ack) => {
-                    state.flushes.push(ack);
-                    None
+                    // The flusher holds the receiver until every clone is gone.
+                    let _ = ack.send(si as u16);
                 }
                 ShardMsg::Panic => panic!("injected worker panic (test hook)"),
-            };
-            drain(si as u16, &slot, &policy, &mut state, batch);
+            }
         }
     }));
     if let Err(payload) = outcome {
         *slot.failed.lock().expect("failed flag poisoned") = Some(panic_message(payload.as_ref()));
     }
-    // Returning drops `state` and `rx`: unacked flush senders (stashed or
-    // still queued) disconnect their flusher, and senders blocked on a
-    // full queue wake with an error.
+    // Returning drops `rx`: unacked flush senders still queued disconnect
+    // their flusher, and senders blocked on a full queue wake with an error.
 }
 
 /// Best-effort text of a caught panic payload.
@@ -640,54 +579,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Apply everything `batch` makes ready, under the shard write lock: the
-/// batches the reorder buffer releases (contiguous, in row order), then
-/// row ops whose rows exist.
-fn drain(
-    si: u16,
-    slot: &ShardSlot,
-    policy: &ShardPolicy,
-    state: &mut WorkerState,
-    batch: Option<(u32, Vec<Span>)>,
-) {
-    {
-        let mut store = slot.store.write().expect("shard lock poisoned");
-        let runs = batch.map_or_else(Vec::new, |(start_row, spans)| {
-            state.batches.offer(store.len() as u32, start_row, spans)
-        });
-        for spans in runs {
-            let applied = spans.len();
-            store.insert_routed_batch(spans);
-            slot.pending.fetch_sub(applied, Ordering::AcqRel);
-        }
-        // Row ops: apply any whose target row has been applied.
-        let applied_rows = store.len() as u32;
-        let ready: Vec<u32> = state
-            .ops
-            .range(..applied_rows)
-            .map(|(&row, _)| row)
-            .collect();
-        for row in ready {
-            let ops = state.ops.remove(&row).expect("ready row present");
-            for op in ops {
-                match op {
-                    RowOp::Tombstone => tombstone_row(&mut store, policy, row),
-                    RowOp::Complete(resp) => {
-                        store.complete_span_row(row, &resp);
-                    }
-                }
-                slot.pending.fetch_sub(1, Ordering::AcqRel);
-            }
-        }
-    }
-    if state.batches.pending() == 0 && state.ops.is_empty() {
-        for ack in state.flushes.drain(..) {
-            // The flusher holds the receiver until every clone is gone.
-            let _ = ack.send(si);
-        }
     }
 }
 
@@ -754,27 +645,6 @@ mod tests {
         assert!(store.is_tombstoned(other[1]));
         assert!(!store.is_tombstoned(other[0]));
         assert_eq!(store.pending(), 0);
-    }
-
-    #[test]
-    fn query_merges_shards_in_time_id_order() {
-        let store = ConcurrentShardedStore::new(ShardPolicy::with_shards(4));
-        for i in 0..8u32 {
-            store.insert_batch(linked_pair(i + 1, 1_000 + u64::from(i) * 10));
-        }
-        store.flush();
-        let q = SpanQuery::window(TimeNs(0), TimeNs(1_000_000));
-        let got = store.query(&q);
-        assert_eq!(got.len(), 16);
-        let mut keys: Vec<_> = got.iter().map(|s| (s.req_time, s.span_id)).collect();
-        let sorted = {
-            let mut k = keys.clone();
-            k.sort();
-            k
-        };
-        assert_eq!(keys, sorted, "merged results ordered by (req_time, id)");
-        keys.dedup();
-        assert_eq!(keys.len(), 16, "no duplicates across shards");
     }
 
     #[test]
@@ -872,35 +742,26 @@ mod tests {
             .expect_err("a sub-batch for the dead shard must error");
         assert_eq!(err.shard, 0);
         assert!(err.message.contains("injected worker panic"), "{err}");
+        // The error was built after the route guard dropped: the route
+        // lock is not poisoned, so lookups still answer.
+        assert_eq!(store.len(), 2 + 128);
+        assert!(store.get(ids[0]).is_some());
+        // A row op aimed at the dead shard panics, outside the guard too.
+        // After the barrier every span still missing sits on the dead shard.
+        assert!(store.try_flush().is_err());
+        let on_dead = (1..=store.len() as u64)
+            .map(SpanId)
+            .find(|&id| store.get(id).is_none())
+            .expect("a span routed to the dead shard");
+        let panicked =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.tombstone(on_dead)))
+                .expect_err("a tombstone for the dead shard panics");
+        assert!(panic_message(panicked.as_ref()).contains("injected worker panic"));
+        assert_eq!(store.len(), 2 + 128, "the route lock survived the panic");
         // The panicking wrapper surfaces the same message.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.flush()))
             .expect_err("flush() panics once the worker is dead");
         assert!(panic_message(panicked.as_ref()).contains("shard 0 ingest worker panicked"));
-    }
-
-    /// The flush barrier on the real worker step: a flush that arrives
-    /// while row 1's batch waits for row 0 is not acked until row 0 lands,
-    /// and then both rows are applied.
-    #[test]
-    fn flush_ack_waits_for_the_reorder_stash_to_drain() {
-        let slot = ShardSlot {
-            store: RwLock::new(SpanStore::new()),
-            pending: AtomicUsize::new(2),
-            failed: Mutex::new(None),
-        };
-        let policy = ShardPolicy::with_shards(1);
-        let mut state = WorkerState::default();
-        let mut rows = linked_pair(7, 1_000).into_iter();
-        let (row0, row1) = (rows.next().expect("row 0"), rows.next().expect("row 1"));
-        drain(3, &slot, &policy, &mut state, Some((1, vec![row1])));
-        let (ack, acks) = sync_channel::<u16>(1);
-        state.flushes.push(ack);
-        drain(3, &slot, &policy, &mut state, None);
-        assert!(acks.try_recv().is_err(), "acked with row 1 still stashed");
-        drain(3, &slot, &policy, &mut state, Some((0, vec![row0])));
-        assert_eq!(acks.try_recv(), Ok(3), "acked once the stash drained");
-        let store = slot.store.read().expect("shard lock poisoned");
-        assert_eq!((store.len(), slot.pending.load(Ordering::SeqCst)), (2, 0));
     }
 
     #[test]

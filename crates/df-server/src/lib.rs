@@ -15,8 +15,8 @@
 //!   then time/parent sorting;
 //! * [`router`] — the one [`Router`] (global ids, shard pick, id →
 //!   `(shard, row)` table, batch → per-shard split) and the
-//!   [`BatchReorder`] that re-serialises sub-batches on the receiving
-//!   side;
+//!   [`BatchReorder`] that re-serialises sub-batches a network delivered
+//!   out of order;
 //! * [`sharded`] — the span corpus partitioned into
 //!   [`SpanStore`](df_storage::SpanStore) shards per
 //!   [`ShardPolicy`](df_storage::ShardPolicy), with
@@ -25,8 +25,9 @@
 //!   span and exact: an entry is served at the corpus version it was
 //!   stamped with, or re-stamped when the keys it joined on stand still;
 //! * [`concurrent`] — the shard boundary taken across threads: one ingest
-//!   worker per shard behind bounded queues, trace queries through the
-//!   same cache under the shard read locks;
+//!   worker per shard behind bounded queues that producers fill in row
+//!   order under the route lock, trace queries through the same cache
+//!   under the shard read locks;
 //! * [`server`] — the facade: ingest (phase-2 enrichment + routed store
 //!   insert), span-list queries, cached trace queries, coherent stats.
 //!

@@ -13,9 +13,10 @@
 //! never asked to translate ids themselves.
 //!
 //! [`Router::split`] cuts an ingest batch into per-shard sub-batches whose
-//! rows are contiguous; [`BatchReorder`] is its receiving end, putting
-//! sub-batches that raced each other over a queue or a network back into
-//! row order before they touch the shard.
+//! rows are contiguous. The threaded store sends them under its routing
+//! lock, so its queues stay in row order; [`BatchReorder`] is the
+//! cluster's receiving end, putting sub-batches that raced each other over
+//! the network back into row order before they touch the shard.
 
 use df_storage::ShardPolicy;
 use df_types::{Span, SpanId};

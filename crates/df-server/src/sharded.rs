@@ -34,7 +34,6 @@ use df_types::trace::Trace;
 use df_types::{Span, SpanId, TimeNs};
 use std::borrow::Borrow;
 use std::io;
-use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// A span corpus partitioned across [`SpanStore`] shards.
@@ -100,7 +99,11 @@ impl ShardedSpanStore {
     /// which case no row of the failing shard flips cold).
     pub fn spill_before(&mut self, watermark: TimeNs) -> io::Result<SpillStats> {
         let tier = self.tier.as_ref().ok_or_else(Tier::not_enabled)?;
-        spill_shards(tier, watermark, self.shards.iter_mut())
+        let mut total = SpillStats::default();
+        for (si, shard) in self.shards.iter_mut().enumerate() {
+            total.merge(tier.spill(shard, watermark, si as u16)?);
+        }
+        Ok(total)
     }
 
     /// Spill by the configured horizon ([`Tier::watermark`]): everything
@@ -121,17 +124,7 @@ impl ShardedSpanStore {
 
     /// Rows currently resident (hot) vs spilled (cold), across shards.
     pub fn tier_occupancy(&self) -> (usize, usize) {
-        tier_occupancy(self.shards.iter())
-    }
-
-    /// The routing policy this store was built with.
-    pub fn policy(&self) -> &ShardPolicy {
-        self.router.policy()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        (self.shards.iter()).fold((0, 0), |(h, c), s| (h + s.hot_rows(), c + s.cold_rows()))
     }
 
     /// Spans per shard, in shard order (the server's shard-size stats).
@@ -237,9 +230,13 @@ impl ShardedSpanStore {
     /// `(req_time, span_id)` — the same order a single store yields for
     /// the same corpus — and re-capped at `limit`.
     pub fn query(&self, q: &SpanQuery) -> Vec<SpanRef<'_>> {
-        query_shards(self.shards.iter(), q, |shard, out| {
-            out.extend(shard.query(q))
-        })
+        let mut merged = Vec::new();
+        for shard in &self.shards {
+            merged.extend(shard.query(q));
+        }
+        merged.sort_by_key(|s| (s.req_time, s.span_id));
+        merged.truncate(q.limit);
+        merged
     }
 
     /// Iterate all spans in global-id order (diagnostics, re-aggregation).
@@ -276,46 +273,6 @@ pub(crate) fn corpus_version(shards: &[impl Borrow<SpanStore>]) -> u64 {
     (shards.iter().map(Borrow::borrow))
         .map(|s| s.len() as u64 + s.edits())
         .sum()
-}
-
-/// The spill loop of every shard owner: each of `shards` in turn, in
-/// [`Loc::shard`] order (a write guard the iterator yields drops before
-/// the next is taken), spills what is older than `watermark`.
-pub(crate) fn spill_shards(
-    tier: &Tier,
-    watermark: TimeNs,
-    shards: impl Iterator<Item = impl DerefMut<Target = SpanStore>>,
-) -> io::Result<SpillStats> {
-    let mut total = SpillStats::default();
-    for (si, mut shard) in shards.enumerate() {
-        total.merge(tier.spill(&mut shard, watermark, si as u16)?);
-    }
-    Ok(total)
-}
-
-/// Rows resident (hot) vs spilled (cold), summed over `shards`.
-pub(crate) fn tier_occupancy(
-    shards: impl Iterator<Item = impl Deref<Target = SpanStore>>,
-) -> (usize, usize) {
-    shards.fold((0, 0), |(h, c), s| (h + s.hot_rows(), c + s.cold_rows()))
-}
-
-/// The span-list merge of every shard owner: `answer` appends the matches
-/// of each shard, and the answers merge by `(req_time, span_id)` — the
-/// order a single store yields for the same corpus — re-capped at
-/// `q.limit`.
-pub(crate) fn query_shards<S, T: Borrow<Span>>(
-    shards: impl Iterator<Item = S>,
-    q: &SpanQuery,
-    mut answer: impl FnMut(S, &mut Vec<T>),
-) -> Vec<T> {
-    let mut merged = Vec::new();
-    for shard in shards {
-        answer(shard, &mut merged);
-    }
-    merged.sort_by_key(|s| (s.borrow().req_time, s.borrow().span_id));
-    merged.truncate(q.limit);
-    merged
 }
 
 /// The tombstone rule of every shard owner: hide `row` and compact the

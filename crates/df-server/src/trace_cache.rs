@@ -229,9 +229,9 @@ pub(crate) fn query(
 mod tests {
     use super::*;
     use crate::sharded::{assemble_trace_sharded, ShardedSpanStore};
-    use df_storage::ShardPolicy;
+    use df_storage::{ShardPolicy, TierConfig};
     use df_types::span::TapSide;
-    use df_types::Span;
+    use df_types::{Span, TimeNs};
     use CacheOutcome::{Hit, Invalidated, Miss, Revalidated};
 
     fn linked_pair(seq: u32, base_ns: u64) -> Vec<Span> {
@@ -304,6 +304,38 @@ mod tests {
         let (t2, outcome) = ask(&cache, &store, ids[0]);
         assert_eq!(outcome, Invalidated);
         assert_eq!(t2.len(), 1, "tombstoned member gone after re-assembly");
+    }
+
+    /// Spill is content-neutral: the corpus version stands still, so a
+    /// trace cached before a spill of its own buckets is served as is
+    /// after it, and equals a fresh assembly that pages its rows back in.
+    #[test]
+    fn cached_trace_survives_a_spill_of_its_own_buckets() {
+        let dir = df_storage::persist::test_dir("trace-cache-spill");
+        let mut store = ShardedSpanStore::new(ShardPolicy::with_shards(2));
+        let mut spans = linked_pair(7, 1_000);
+        spans.push(on_seq(7));
+        let ids = store.insert_batch(spans);
+        let pool = store.enable_tiering(TierConfig::new(dir.path()));
+        let cache = Mutex::new(TraceCache::new());
+        let (cached, outcome) = ask(&cache, &store, ids[0]);
+        assert_eq!((cached.len(), outcome), (3, Miss));
+
+        let spilled = store.spill_before(TimeNs(u64::MAX)).expect("spill");
+        assert_eq!(spilled.spans, ids.len(), "the trace's buckets spilled");
+        assert_eq!(store.tier_occupancy(), (0, ids.len()));
+        let (served, outcome) = ask(&cache, &store, ids[0]);
+        assert_eq!(outcome, Hit, "a Hit, not Revalidated");
+        assert!(Arc::ptr_eq(&cached, &served));
+
+        let cold = assemble_trace_sharded(&store, ids[0], &AssembleConfig::default());
+        let edges =
+            |t: &Trace| -> Vec<_> { t.spans.iter().map(|s| (s.span.span_id, s.parent)).collect() };
+        assert_eq!(edges(&served), edges(&cold));
+        assert!(
+            pool.stats().misses > 0,
+            "the cold assembly paged in through the pool"
+        );
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! under randomized corpora, watermarks (hot/cold splits that straddle
 //! traces), tombstone masks, and span caps.
 //!
-//! Also pins the trace-cache interaction: spilling is content-neutral,
-//! so the corpus version does not move and a cached trace stays a hit
-//! across a spill of its own buckets.
+//! Also pins that spilling is content-neutral: the corpus version does
+//! not move (the trace cache's unit tests check that a cached trace stays
+//! a hit across a spill of its own buckets).
 
 use df_server::sharded::assemble_trace_sharded;
-use df_server::{AssembleConfig, ConcurrentConfig, ConcurrentShardedStore, ShardedSpanStore};
+use df_server::{AssembleConfig, ShardedSpanStore};
+use df_storage::persist::test_dir;
 use df_storage::{BufferPoolConfig, ShardPolicy, TierConfig};
 use df_types::ids::{FlowId, NodeId, Pid, SysTraceId, XRequestId};
 use df_types::span::TapSide;
@@ -18,30 +19,6 @@ use df_types::trace::Trace;
 use df_types::{FiveTuple, Span, SpanId, TimeNs};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
-use std::path::PathBuf;
-
-/// Unique per-test temp dir for segment files, removed on drop.
-struct TestDir {
-    path: PathBuf,
-}
-
-fn test_dir(tag: &str) -> TestDir {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .expect("clock after epoch")
-        .subsec_nanos();
-    let path = std::env::temp_dir().join(format!(
-        "df-tiered-diff-{tag}-{}-{nanos}",
-        std::process::id()
-    ));
-    TestDir { path }
-}
-
-impl Drop for TestDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.path);
-    }
-}
 
 /// Random corpus with deliberately small association-key spaces so spans
 /// chain into multi-span traces, spread over ~4 one-second buckets so a
@@ -102,10 +79,9 @@ fn edges(t: &Trace) -> Vec<(SpanId, Option<SpanId>)> {
     e
 }
 
-/// The core differential: same corpus into an all-hot oracle, a tiered
-/// store and a tiered threaded store; spill both tiered stores at
-/// `watermark_ms`; they must spill the same segments, and every start
-/// span must assemble identically on all three.
+/// The core differential: same corpus into an all-hot oracle and a tiered
+/// store; spill the tiered store at `watermark_ms`; every start span must
+/// assemble identically on both.
 fn assert_tiered_matches_oracle(
     tag: &str,
     spans: Vec<Span>,
@@ -119,43 +95,28 @@ fn assert_tiered_matches_oracle(
 
     let mut oracle = ShardedSpanStore::new(policy);
     let mut tiered = ShardedSpanStore::new(policy);
-    // 3 frames: tighter than the cold-bucket count → real eviction.
-    let pool =
-        |sub: &str| TierConfig::new(dir.path.join(sub)).with_pool(BufferPoolConfig::with_frames(3));
     let cfg = AssembleConfig {
         max_spans,
         ..AssembleConfig::default()
     };
-    let mut threaded =
-        ConcurrentShardedStore::with_tiering(policy, ConcurrentConfig::default(), pool("threaded"));
-    threaded.set_assemble_config(cfg.clone());
     let ids_a = oracle.insert_batch(spans.clone());
-    let ids_b = tiered.insert_batch(spans.clone());
-    let ids_c = threaded.insert_batch(spans);
+    let ids_b = tiered.insert_batch(spans);
     assert_eq!(ids_a, ids_b, "tiering must not disturb id assignment");
-    assert_eq!(ids_a, ids_c, "nor must threading");
 
     if let Some(k) = tombstone_every {
         for &id in ids_a.iter().filter(|id| id.raw() % k == 0) {
             oracle.tombstone(id);
             tiered.tombstone(id);
-            threaded.tombstone(id);
         }
     }
-    threaded.flush();
 
-    tiered.enable_tiering(pool("sharded"));
+    // 3 frames: tighter than the cold-bucket count → real eviction.
+    tiered.enable_tiering(TierConfig::new(dir.path()).with_pool(BufferPoolConfig::with_frames(3)));
     let watermark = TimeNs(watermark_ms * 1_000_000);
     let stats = tiered.spill_before(watermark).expect("spill succeeds");
     let (hot, cold) = tiered.tier_occupancy();
     assert_eq!(cold, stats.spans, "flip count matches spill stats");
     assert_eq!(hot + cold, oracle.len());
-    assert_eq!(
-        threaded.spill_before(watermark).expect("spill succeeds"),
-        stats,
-        "both stores spill the same segments"
-    );
-    assert_eq!(threaded.tier_occupancy(), (hot, cold));
 
     for &id in &ids_a {
         let want = edges(&assemble_trace_sharded(&oracle, id, &cfg));
@@ -165,11 +126,6 @@ fn assert_tiered_matches_oracle(
             want,
             edges(&assemble_trace_sharded(&tiered, id, &cfg)),
             "tiered assembly diverged from all-hot oracle at {context}"
-        );
-        assert_eq!(
-            want,
-            edges(&threaded.query_trace(id)),
-            "threaded tiered assembly diverged from all-hot oracle at {context}"
         );
     }
 }
@@ -191,7 +147,7 @@ fn spill_and_page_in_leave_the_corpus_version_standing() {
     let dir = test_dir("version");
     let mut st = ShardedSpanStore::new(ShardPolicy::with_shards(2));
     let ids = st.insert_batch(corpus(7, 80));
-    st.enable_tiering(TierConfig::new(&dir.path));
+    st.enable_tiering(TierConfig::new(dir.path()));
     let before = st.version();
     let stats = st.spill_before(TimeNs(3_000_000_000)).expect("spill");
     assert!(stats.spans > 0, "something actually spilled");
@@ -211,10 +167,10 @@ fn enabling_tiering_twice_keeps_the_spilled_segments_readable() {
     let dir = test_dir("twice");
     let mut st = ShardedSpanStore::new(ShardPolicy::with_shards(2));
     let ids = st.insert_batch(corpus(11, 32));
-    let first = st.enable_tiering(TierConfig::new(dir.path.join("first")));
+    let first = st.enable_tiering(TierConfig::new(dir.path().join("first")));
     let stats = st.spill_before(TimeNs(u64::MAX)).expect("spill");
     assert_eq!(stats.spans, ids.len());
-    let second = st.enable_tiering(TierConfig::new(dir.path.join("second")));
+    let second = st.enable_tiering(TierConfig::new(dir.path().join("second")));
     assert!(
         std::sync::Arc::ptr_eq(&first, &second),
         "one pool per store"
@@ -222,49 +178,7 @@ fn enabling_tiering_twice_keeps_the_spilled_segments_readable() {
     for &id in &ids {
         assert_eq!(st.get(id).expect("cold span pages back in").span_id, id);
     }
-    assert!(!dir.path.join("second").exists(), "later config ignored");
-}
-
-#[test]
-fn cached_trace_survives_a_spill_of_its_own_buckets() {
-    let dir = test_dir("cache");
-    let store = ConcurrentShardedStore::with_tiering(
-        ShardPolicy::with_shards(2),
-        ConcurrentConfig::default(),
-        TierConfig::new(&dir.path),
-    );
-    let ids = store.insert_batch(corpus(9, 100));
-    store.flush();
-
-    let start = ids[0];
-    let first = store.query_trace(start); // miss → cached
-    let again = store.query_trace(start); // hit
-    let s = store.stats();
-    assert_eq!(s.cache_misses, 1);
-    assert_eq!(s.cache_hits, 1);
-
-    let stats = store.spill_before(TimeNs(5_000_000_000)).expect("spill");
-    assert!(stats.spans > 0, "the trace's buckets actually spilled");
-    let (_, cold) = store.tier_occupancy();
-    assert_eq!(cold, stats.spans);
-
-    // Spill left the corpus version standing, so the cached trace is
-    // still a hit, without a key check — and a fresh (cold-serving)
-    // assembly agrees with it.
-    let after = store.query_trace(start);
-    let s = store.stats();
-    assert_eq!(s.cache_hits, 2, "cache entry survived the spill");
-    assert_eq!(s.cache_revalidations, 0, "a Hit, not Revalidated");
-    assert_eq!(s.cache_invalidations, 0);
-    assert_eq!(edges(&first), edges(&again));
-    assert_eq!(edges(&first), edges(&after));
-
-    // The pool serviced real page-ins for post-spill reads.
-    for &id in &ids {
-        assert!(store.get(id).is_some());
-    }
-    let pool = store.buffer_pool().expect("tiering enabled");
-    assert!(pool.stats().misses > 0, "cold reads went through the pool");
+    assert!(!dir.path().join("second").exists(), "later config ignored");
 }
 
 proptest! {

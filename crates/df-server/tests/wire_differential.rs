@@ -70,12 +70,9 @@ fn corpus(seed: u64, n: usize) -> Vec<Span> {
 
 /// Drain a store into a canonical, id-ordered span list.
 fn full_scan(store: &ConcurrentShardedStore) -> Vec<Span> {
-    let mut spans = store.query(&SpanQuery {
-        limit: usize::MAX,
-        ..Default::default()
-    });
-    spans.sort_by_key(|s| s.span_id);
-    spans
+    (1..=store.len() as u64)
+        .map(|id| store.get(SpanId(id)).expect("applied after flush"))
+        .collect()
 }
 
 /// The core differential: batches through the struct path on one store,

@@ -263,39 +263,36 @@ pub fn scan_span_segments(dir: &Path, shard: u16) -> io::Result<Vec<PathBuf>> {
     Ok(candidates)
 }
 
-/// Unique-per-test temp directory with drop cleanup, for crate-internal
-/// tests that touch the filesystem. Parallel test runs get distinct
-/// paths (process id + a per-process counter), and the directory is
-/// removed when the guard drops — even on assertion failure.
-#[cfg(test)]
-pub(crate) fn test_dir(tag: &str) -> TestDir {
-    // Uniqueness: the tag is unique per call site, the pid separates
-    // parallel test *processes*, and the nanosecond stamp guards against
-    // a stale dir surviving a previous crashed run.
+/// Unique-per-test temp directory with drop cleanup, for tests that touch
+/// the filesystem — this crate's and those of the crates above it, whose
+/// library code may not call `std::fs`. Parallel test processes get
+/// distinct paths (tag + process id + a nanosecond stamp), and the
+/// directory is removed when the guard drops — even on assertion failure.
+/// A directory that cannot be made shows as the test's first failed write.
+#[doc(hidden)]
+pub fn test_dir(tag: &str) -> TestDir {
     let stamp = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
-        .expect("clock after epoch")
-        .subsec_nanos();
-    let path =
-        std::env::temp_dir().join(format!("df-storage-{tag}-{}-{stamp}", std::process::id()));
-    fs::create_dir_all(&path).expect("create test dir");
+        .map_or(0, |d| d.subsec_nanos());
+    let path = std::env::temp_dir().join(format!("df-{tag}-{}-{stamp}", std::process::id()));
+    let _ = fs::create_dir_all(&path);
     TestDir { path }
 }
 
 /// Guard returned by [`test_dir`].
-#[cfg(test)]
-pub(crate) struct TestDir {
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct TestDir {
     path: PathBuf,
 }
 
-#[cfg(test)]
 impl TestDir {
-    pub(crate) fn path(&self) -> &Path {
+    /// The directory.
+    pub fn path(&self) -> &Path {
         &self.path
     }
 }
 
-#[cfg(test)]
 impl Drop for TestDir {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.path);

@@ -609,6 +609,11 @@ impl SpanStore {
     /// Tier-aware: the time index covers cold rows, which page in as
     /// they are materialised (tombstones are filtered by resident id
     /// first, so hidden cold rows cost nothing).
+    ///
+    /// Lock order: a cold row pages in through the buffer pool's lock
+    /// while the time-index lock is held (`time_index -> inner` in
+    /// `docs/LOCK_ORDER.txt`). That order cannot invert, because the pool
+    /// never calls back into a store.
     pub fn query(&self, q: &SpanQuery) -> Vec<SpanRef<'_>> {
         let mut idx = self.time_index.lock().expect("time index lock poisoned");
         if !idx.sorted {

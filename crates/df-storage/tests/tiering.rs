@@ -4,43 +4,15 @@
 //! bounded by the pool's frame count), and the pool's lending, waiting
 //! and single page-in over real segment files.
 
-use df_storage::persist;
+use df_storage::persist::{self, test_dir};
 use df_storage::{BufferPool, BufferPoolConfig, SpanQuery, SpanStore};
 use df_types::ids::{FlowId, PseudoThreadId, SpanId, SysTraceId, XRequestId};
 use df_types::net::FiveTuple;
 use df_types::span::{Span, SpanKind, SpanStatus, TapSide};
 use df_types::{AssocKey, TimeNs};
 use std::net::Ipv4Addr;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
-
-/// Unique per-test temp dir, removed on drop.
-struct TestDir {
-    path: PathBuf,
-}
-
-fn test_dir(tag: &str) -> TestDir {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .expect("clock after epoch")
-        .subsec_nanos();
-    let path =
-        std::env::temp_dir().join(format!("df-tiering-{tag}-{}-{nanos}", std::process::id()));
-    std::fs::create_dir_all(&path).expect("create test dir");
-    TestDir { path }
-}
-
-impl TestDir {
-    fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for TestDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.path);
-    }
-}
 
 /// A span with deterministic association keys so the hash indexes carry
 /// real entries.

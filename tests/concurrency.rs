@@ -9,7 +9,7 @@
 use deepflow::server::assemble::{assemble_trace_reference, AssembleConfig};
 use deepflow::server::concurrent::{ConcurrentConfig, ConcurrentShardedStore};
 use deepflow::server::sharded::ShardedSpanStore;
-use deepflow::storage::{ShardPolicy, SpanQuery, SpanStore};
+use deepflow::storage::{ShardPolicy, SpanStore};
 use deepflow::types::span::{SpanStatus, TapSide};
 use deepflow::types::{FiveTuple, Span, SpanId, TimeNs, Trace};
 use rand::rngs::SmallRng;
@@ -76,7 +76,7 @@ fn edges(t: &Trace) -> Vec<(SpanId, Option<SpanId>)> {
 
 /// Concurrent ingest of a shuffled corpus is bit-for-bit the single-
 /// threaded result at 1, 4 and 8 workers: same ids, same shard layout,
-/// same query answers, same assembled traces — differentially against
+/// same rows, same assembled traces — differentially against
 /// both `ShardedSpanStore` and the single-store Algorithm 1 reference.
 #[test]
 fn concurrent_ingest_is_deterministic_across_worker_counts() {
@@ -124,12 +124,6 @@ fn concurrent_ingest_is_deterministic_across_worker_counts() {
             assert_eq!(got.span_id, id);
             assert_eq!(got, *sharded.get(id).expect("oracle has id"));
         }
-
-        // Windowed queries agree with the single-threaded sharded store.
-        let q = SpanQuery::window(TimeNs(0), TimeNs(500_000));
-        let got: Vec<SpanId> = store.query(&q).iter().map(|s| s.span_id).collect();
-        let want: Vec<SpanId> = sharded.query(&q).iter().map(|s| s.span_id).collect();
-        assert_eq!(got, want, "{workers} workers: query order");
 
         // Assembly from a sample of start spans matches the reference
         // formulation of Algorithm 1 on the unsharded oracle.
