@@ -121,6 +121,12 @@ cargo run -q -p df-check --bin df-audit -- . | diff -u docs/LOCK_ORDER.txt - \
 echo "==> cargo test"
 cargo test --workspace -q
 
+# The counted rows (tests/alloc_budget.rs): exact allocation and live-byte
+# counts that do not move with the host. Each budget prints one `ledger:`
+# line, shown here so every log carries the rows a change moved.
+echo "==> counted rows (tests/alloc_budget.rs)"
+cargo test -q --test alloc_budget -- --nocapture --test-threads=1 | grep -o 'ledger:.*'
+
 # The concurrency suites (per-shard ingest workers, trace cache under the
 # shard read locks, buffer-pool fetchers sharing one page-in or waiting
 # for a frame) re-run with forced test-thread parallelism so their

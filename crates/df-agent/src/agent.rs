@@ -23,9 +23,11 @@ use df_net::fabric::Fabric;
 use df_protocols::inference::{CustomProtocol, InferenceEngine};
 use df_types::span::{CapturePoint, Span, SpanKind, SpanStatus, TapSide};
 use df_types::{
-    AgentId, Direction, DurationNs, L7Metrics, L7Protocol, MessageData, NodeId, SyscallAbi, TimeNs,
+    AgentId, Direction, DurationNs, IntMap, L7Metrics, L7Protocol, MessageData, NodeId, Pid,
+    SyscallAbi, TimeNs,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Agent configuration.
 #[derive(Debug, Clone)]
@@ -98,6 +100,8 @@ pub struct Agent {
     systrace: SystraceTracker,
     pseudo: PseudoThreadTracker,
     sessions: SessionAggregator<Observed>,
+    /// Each observed process's name, shared by its spans.
+    process_names: IntMap<Pid, Arc<str>>,
     net: NetSpanBuilder,
     /// The agent's flow table (public: examples query it directly, like the
     /// §4.1.2 operators inspecting ARP counts per interface).
@@ -121,6 +125,7 @@ impl Agent {
             systrace: SystraceTracker::with_namespace(cfg.node.raw()),
             pseudo: PseudoThreadTracker::with_namespace(cfg.node.raw()),
             sessions: SessionAggregator::new(cfg.session_slot),
+            process_names: IntMap::default(),
             net,
             flows: FlowTable::new(),
             l7_metrics: HashMap::new(),
@@ -263,7 +268,8 @@ impl Agent {
         };
         // Session aggregation (Figure 6 phase 3).
         let (key, mtype, ts) = (parse.session_key, parse.msg_type, msg.capture_ns());
-        let observed = Observed::from_syscall(msg, parse, systrace, pseudo);
+        let name = self.process_name(msg.program.pid, &msg.program.process_name);
+        let observed = Observed::from_syscall(msg, parse, systrace, pseudo, name);
         match self.sessions.offer(flow_key, key, mtype, ts, observed) {
             SessionOutcome::Matched { request, response } => {
                 self.emit_sys(Halves::Both(request, response));
@@ -282,6 +288,19 @@ impl Agent {
             // as an Incomplete span, as it would have at expiry.
             SessionOutcome::Displaced(request) => self.emit_sys(Halves::Request(request)),
             SessionOutcome::Stored | SessionOutcome::Ignored(_) => {}
+        }
+    }
+
+    /// The shared name of process `pid`: the `Arc` this agent holds for
+    /// it, made anew only when the kernel reports a new name for the pid.
+    fn process_name(&mut self, pid: Pid, name: &str) -> Arc<str> {
+        match self.process_names.get(&pid) {
+            Some(known) if **known == *name => Arc::clone(known),
+            _ => {
+                let fresh: Arc<str> = name.into();
+                self.process_names.insert(pid, Arc::clone(&fresh));
+                fresh
+            }
         }
     }
 

@@ -17,6 +17,7 @@ use df_types::span::{CapturePoint, Span, TapSide};
 use df_types::{AgentId, DurationNs, FiveTuple, MessageType, NodeId, TimeNs};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Set on every packet-path flow key and clear on every syscall-path one,
 /// so the two sources never alias in the shared inference engine's cache.
@@ -38,7 +39,9 @@ pub struct NetSpanBuilder {
     agent: AgentId,
     /// Pending requests, each remembering the interface it was seen on.
     sessions: SessionAggregator<(String, Observed)>,
-    taps: HashMap<String, TapContext>,
+    /// Each tapped interface's context under its name, which the spans
+    /// captured there share.
+    taps: HashMap<Arc<str>, TapContext>,
     /// Flow → client endpoint (set by SYN or first request).
     flow_client: HashMap<FiveTuple, (Ipv4Addr, u16)>,
     /// Frames whose payload could not be classified (continuations etc.).
@@ -63,7 +66,7 @@ impl NetSpanBuilder {
 
     /// Register the context for an interface this agent taps.
     pub fn register_tap(&mut self, interface: &str, ctx: TapContext) {
-        self.taps.insert(interface.to_string(), ctx);
+        self.taps.insert(interface.into(), ctx);
     }
 
     /// Offer one captured frame, classified with the agent's `inference`
@@ -133,18 +136,21 @@ impl NetSpanBuilder {
             Some((ip, _)) => *ip,
             None => req.tuple.src_ip,
         };
+        let (tap_side, interface) = match self.taps.get_key_value(interface.as_str()) {
+            Some((name, ctx)) => (Self::tap_side(ctx, client_ip), Arc::clone(name)),
+            // An unregistered tap: a mid-path observer.
+            None => (TapSide::Gateway, interface.into()),
+        };
         let capture = CapturePoint {
             node: self.node,
-            tap_side: self.resolve_tap_side(&interface, client_ip),
+            tap_side,
             interface: Some(interface),
         };
         build_span(self.agent, capture, Halves::of_request(req, resp))
     }
 
-    fn resolve_tap_side(&self, interface: &str, client_ip: Ipv4Addr) -> TapSide {
-        let Some(ctx) = self.taps.get(interface) else {
-            return TapSide::Gateway; // unregistered tap: mid-path observer
-        };
+    /// The side a span captured on the tap of `ctx` was seen at.
+    fn tap_side(ctx: &TapContext, client_ip: Ipv4Addr) -> TapSide {
         let client_local = ctx.local_ips.contains(&client_ip);
         match ctx.kind {
             TapKind::PodVeth => {

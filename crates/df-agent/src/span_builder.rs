@@ -17,6 +17,7 @@ use df_types::{
 };
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// The process-side block only syscall and uprobe captures can fill in.
 #[derive(Debug)]
@@ -25,7 +26,7 @@ pub(crate) struct ProcessContext {
     pub direction: Direction,
     pid: Pid,
     tid: Tid,
-    process_name: String,
+    process_name: Arc<str>,
     systrace_id: SysTraceId,
     pseudo_thread_id: Option<PseudoThreadId>,
 }
@@ -61,12 +62,13 @@ impl Observed {
     }
 
     /// A message captured at a syscall or uprobe, with its intra-component
-    /// association ids already assigned.
+    /// association ids already assigned and its process's shared name.
     pub fn from_syscall(
         msg: MessageData,
         parse: ParsedMessage,
         systrace_id: SysTraceId,
         pseudo_thread_id: Option<PseudoThreadId>,
+        process_name: Arc<str>,
     ) -> Self {
         // `MessageData` tuples are local-first; on the wire the sender is.
         let tuple = match msg.tracing.direction {
@@ -79,7 +81,7 @@ impl Observed {
                 direction: msg.tracing.direction,
                 pid: msg.program.pid,
                 tid: msg.program.tid,
-                process_name: msg.program.process_name,
+                process_name,
                 systrace_id,
                 pseudo_thread_id,
             }),

@@ -125,7 +125,7 @@ impl IntrusiveTracer {
             resp_bytes: 0,
             pid: None,
             tid: None,
-            process_name: Some(open.service.clone()),
+            process_name: Some(open.service.as_str().into()),
             systrace_id_req: None,
             systrace_id_resp: None,
             pseudo_thread_id: None,

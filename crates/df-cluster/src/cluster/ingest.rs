@@ -20,8 +20,9 @@
 
 use bytes::Bytes;
 use df_types::rpc::{RpcBody, RpcEnvelope};
-use df_types::wire::{self, WireDecodeError};
+use df_types::wire::{self, WireBatch, WireDecodeError};
 use df_types::{Span, SpanId};
+use std::sync::Arc;
 
 use super::ladder::RpcPurpose;
 use super::{Cluster, NodeState};
@@ -63,8 +64,19 @@ pub(super) struct Ship {
     pub(super) done: bool,
 }
 
+/// A shipped batch's spans, each in the `Arc` its shard keeps; none if
+/// the batch does not decode (the caller drops it).
+pub(super) fn rows_of(batch: &[u8]) -> Vec<Arc<Span>> {
+    (WireBatch::parse(batch).and_then(|b| b.decode_rows(|_| {}))).unwrap_or_default()
+}
+
 impl Cluster {
-    pub(super) fn apply_batch(node: &mut NodeState, shard: u16, start_row: u32, spans: Vec<Span>) {
+    pub(super) fn apply_batch(
+        node: &mut NodeState,
+        shard: u16,
+        start_row: u32,
+        spans: Vec<Arc<Span>>,
+    ) {
         let Some(store) = node.shards.get_mut(&shard) else {
             return; // shard handed off; the stale batch is dropped
         };
@@ -223,7 +235,7 @@ impl Cluster {
         if owner == 0 {
             // The coordinator itself owns a copy: apply in-process, then
             // replicate to the co-owners before declaring the ship done.
-            let spans = wire::decode_batch(&batch).unwrap_or_default();
+            let spans = rows_of(&batch);
             let count = spans.len() as u32;
             Self::apply_batch(&mut self.nodes[0], shard, start_row, spans);
             if !self.begin_write(0, shard, start_row, count, batch, WriteReply::Ship(ship_id)) {
@@ -251,6 +263,11 @@ impl Cluster {
     /// fails over through the shard's owner list before any span is
     /// counted lost.
     pub fn ingest(&mut self, spans: Vec<Span>) -> Vec<SpanId> {
+        self.ingest_rows(spans.into_iter().map(Arc::new).collect())
+    }
+
+    /// [`Cluster::ingest`] of spans already in their rows' `Arc`s.
+    fn ingest_rows(&mut self, spans: Vec<Arc<Span>>) -> Vec<SpanId> {
         if spans.is_empty() {
             return Vec::new();
         }
@@ -289,7 +306,7 @@ impl Cluster {
     /// bound for remote owners are re-framed (routing splits the batch),
     /// encoded once, and retried verbatim.
     pub fn ingest_wire(&mut self, batch: &[u8]) -> Result<Vec<SpanId>, WireDecodeError> {
-        Ok(self.ingest(wire::decode_batch(batch)?))
+        Ok(self.ingest_rows(WireBatch::parse(batch)?.decode_rows(|_| {})?))
     }
 
     fn run_until_ships_settled(&mut self, ids: &[u64]) {

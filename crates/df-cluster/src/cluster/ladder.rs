@@ -15,11 +15,11 @@
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
+use super::ingest;
 use bytes::Bytes;
 use df_net::fabric::Delivery;
 use df_server::Loc;
 use df_types::rpc::{CandidateSpan, RpcBody, RpcEnvelope};
-use df_types::wire;
 use df_types::{DurationNs, FiveTuple, IntSet, Segment, TcpFlags};
 
 use super::ingest::WriteReply;
@@ -279,7 +279,7 @@ impl Cluster {
                 // The envelope decoder validated the DFW1 header; a batch
                 // that still fails to decode here is dropped (and acked
                 // with count 0) rather than crashing the node.
-                let spans = wire::decode_batch(&batch).unwrap_or_default();
+                let spans = ingest::rows_of(&batch);
                 let count = spans.len() as u32;
                 Self::apply_batch(&mut self.nodes[idx], shard, start_row, spans);
                 if self.begin_write(
@@ -303,7 +303,7 @@ impl Cluster {
                 start_row,
                 wire: batch,
             } => {
-                let spans = wire::decode_batch(&batch).unwrap_or_default();
+                let spans = ingest::rows_of(&batch);
                 let count = spans.len() as u32;
                 Self::apply_batch(&mut self.nodes[idx], shard, start_row, spans);
                 Some(RpcBody::ReplicateAck {

@@ -181,7 +181,7 @@ struct NodeState {
     ip: Ipv4Addr,
     alive: bool,
     shards: BTreeMap<u16, SpanStore>,
-    reorder: HashMap<u16, BatchReorder<Span>>,
+    reorder: HashMap<u16, BatchReorder<Arc<Span>>>,
     /// Spill and recovery state, made on first use (see `repair`).
     tier: Option<Tier>,
 }

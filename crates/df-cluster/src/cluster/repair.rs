@@ -17,9 +17,9 @@
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 
+use super::ingest;
 use df_storage::{RecoverStats, SpanStore, SpillStats, Tier, TierConfig};
 use df_types::rpc::RpcBody;
-use df_types::wire;
 use df_types::{DurationNs, TimeNs};
 
 use super::{AntiEntropyReport, Cluster, EventKind, NodeState, ANTI_ENTROPY_PULL_MAX};
@@ -94,7 +94,7 @@ impl Cluster {
                             report.unreachable += 1;
                             break;
                         };
-                        let spans = wire::decode_batch(&wire).unwrap_or_default();
+                        let spans = ingest::rows_of(&wire);
                         if spans.is_empty() {
                             break; // the peer had nothing servable there
                         }

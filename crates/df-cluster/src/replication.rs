@@ -126,6 +126,7 @@ mod tests {
     use super::*;
     use df_types::span::TapSide;
     use df_types::Span;
+    use std::sync::Arc;
 
     #[test]
     fn quorum_acks_exactly_once_when_met() {
@@ -222,9 +223,10 @@ mod tests {
         let mut s2 = Span::synthetic(TapSide::ServerProcess, 2_000, 8_000);
         s2.span_id = df_types::SpanId(8);
 
-        a.insert_routed_batch(vec![s1.clone(), s2.clone()]);
+        let (s1, s2) = (Arc::new(s1), Arc::new(s2));
+        a.insert_routed_batch(vec![Arc::clone(&s1), Arc::clone(&s2)]);
         assert_ne!(shard_digest(&a), shard_digest(&b), "content must show");
-        b.insert_routed_batch(vec![s1, s2.clone()]);
+        b.insert_routed_batch(vec![s1, Arc::clone(&s2)]);
         assert_eq!(shard_digest(&a), shard_digest(&b), "same rows, same digest");
 
         b.insert_routed_batch(vec![s2]);

@@ -216,10 +216,9 @@ pub fn probe_shard(
             if seen.contains(&loc) || !local.insert(row) {
                 continue;
             }
-            // The id is resident even for cold rows, so the tombstone
-            // filter never pages in — probing stays IO-free.
-            let id = shard.stored_id(row).expect("indexed row exists");
-            if !shard.is_tombstoned(id) {
+            // A tombstone is a bit per row, whatever the row's tier: the
+            // filter reads no span, so probing stays IO-free.
+            if !shard.is_tombstoned_row(row) {
                 found.push(loc);
             }
         }
@@ -353,11 +352,7 @@ pub fn assemble_trace_reference(store: &SpanStore, start: SpanId, cfg: &Assemble
             }
         }
         let before = set.len();
-        set.extend(
-            found
-                .into_iter()
-                .filter(|&r| !store.is_tombstoned(SpanStore::id_at(r))),
-        );
+        set.extend(found.into_iter().filter(|&r| !store.is_tombstoned_row(r)));
         if set.len() == before {
             break; // fixed point
         }

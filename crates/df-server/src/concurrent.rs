@@ -66,7 +66,7 @@ use crate::sharded::tombstone_row;
 use crate::trace_cache::{self, TraceCache};
 use df_storage::{ShardPolicy, SpanRef, SpanStore};
 use df_types::trace::Trace;
-use df_types::wire::{self, WireDecodeError};
+use df_types::wire::{WireBatch, WireDecodeError};
 use df_types::{Span, SpanId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -100,7 +100,10 @@ enum RowOp {
 #[derive(Debug)]
 enum ShardMsg {
     /// A routed batch whose rows start at `start_row` (contiguous).
-    Batch { start_row: u32, spans: Vec<Span> },
+    Batch {
+        start_row: u32,
+        spans: Vec<Arc<Span>>,
+    },
     /// A row-addressed mutation of a row already applied.
     Op { row: u32, op: RowOp },
     /// Flush barrier: the worker sends its shard index when it dequeues
@@ -324,6 +327,13 @@ impl ConcurrentShardedStore {
     /// are still enqueued; spans bound for the dead shard are dropped
     /// (their ids stay assigned but will never become visible).
     pub fn try_insert_batch(&self, spans: Vec<Span>) -> Result<Vec<SpanId>, WorkerPanic> {
+        self.try_insert_rows(spans.into_iter().map(Arc::new).collect())
+    }
+
+    /// [`Self::try_insert_batch`] of spans already in the `Arc`s their
+    /// shards will keep: the producer allocates each row, and the worker
+    /// appends it.
+    fn try_insert_rows(&self, spans: Vec<Arc<Span>>) -> Result<Vec<SpanId>, WorkerPanic> {
         if spans.is_empty() {
             return Ok(Vec::new());
         }
@@ -359,11 +369,13 @@ impl ConcurrentShardedStore {
     /// whole frame is decoded *before* any routing state is touched, so a
     /// malformed batch is rejected without assigning ids — shard state
     /// after a failed call is byte-identical to never having called it.
-    /// Decoded spans then take the normal [`Self::try_insert_batch`] path.
+    /// Each span is decoded straight into its row's `Arc`
+    /// ([`WireBatch::decode_rows`]), then takes the normal
+    /// [`Self::try_insert_batch`] path.
     pub fn ingest_wire(&self, batch: &[u8]) -> Result<Vec<SpanId>, WireIngestError> {
-        let spans = wire::decode_batch(batch).map_err(WireIngestError::Decode)?;
-        self.try_insert_batch(spans)
-            .map_err(WireIngestError::Worker)
+        let rows = (WireBatch::parse(batch).and_then(|b| b.decode_rows(|_| {})))
+            .map_err(WireIngestError::Decode)?;
+        self.try_insert_rows(rows).map_err(WireIngestError::Worker)
     }
 
     /// The error for a shard whose worker disconnected, preferring the
@@ -471,7 +483,7 @@ impl ConcurrentShardedStore {
             .store
             .read()
             .expect("shard lock poisoned")
-            .is_tombstoned(id)
+            .is_tombstoned_row(loc.row)
     }
 
     /// Compact tombstoned rows out of every shard's indexes immediately

@@ -21,6 +21,7 @@
 use df_storage::ShardPolicy;
 use df_types::{Span, SpanId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Location of a span inside a sharded corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,16 +40,19 @@ pub struct SubBatch {
     pub shard: u16,
     /// Row of the first span.
     pub start_row: u32,
-    /// The spans, ids already assigned, in batch order.
-    pub spans: Vec<Span>,
+    /// The rows the shard will keep, ids already assigned, in batch order.
+    pub spans: Vec<Arc<Span>>,
 }
 
 /// Id assignment and shard routing for one corpus.
 #[derive(Debug)]
 pub struct Router {
     policy: ShardPolicy,
-    /// Global id − 1 → location.
+    /// Global id − 1 → location. Empty under one shard, where id `n` is
+    /// always row `n − 1` of shard 0 and a table would only cost memory.
     route: Vec<Loc>,
+    /// Spans routed so far.
+    routed: usize,
     /// Next row per shard.
     shard_rows: Vec<u32>,
     clamped: u64,
@@ -61,6 +65,7 @@ impl Router {
         policy.shards = policy.shards.clamp(1, 64);
         Router {
             route: Vec::new(),
+            routed: 0,
             shard_rows: vec![0; policy.shards],
             clamped: 0,
             policy,
@@ -74,12 +79,17 @@ impl Router {
 
     /// Spans routed so far.
     pub fn len(&self) -> usize {
-        self.route.len()
+        self.routed
     }
 
     /// Whether nothing has been routed.
     pub fn is_empty(&self) -> bool {
-        self.route.is_empty()
+        self.routed == 0
+    }
+
+    /// Whether the corpus has one shard, so routes need no table.
+    fn tableless(&self) -> bool {
+        self.policy.shards == 1
     }
 
     /// Spans routed away from their preferred shard because it had reached
@@ -91,30 +101,45 @@ impl Router {
 
     /// Where `id` lives, if it was ever routed.
     pub fn loc(&self, id: SpanId) -> Option<Loc> {
-        let idx = id.raw().checked_sub(1)? as usize;
+        let idx = usize::try_from(id.raw().checked_sub(1)?).ok()?;
+        if idx >= self.routed {
+            return None;
+        }
+        if self.tableless() {
+            return Some(Loc {
+                shard: 0,
+                row: idx as u32,
+            });
+        }
         self.route.get(idx).copied()
     }
 
     /// Every location, in global-id order.
-    pub(crate) fn locs(&self) -> &[Loc] {
-        &self.route
+    pub(crate) fn locs(&self) -> impl Iterator<Item = Loc> + '_ {
+        (1..=self.routed as u64).filter_map(|id| self.loc(SpanId(id)))
     }
 
     /// Make room for `n` more routes (a batch is about to be assigned).
     pub(crate) fn reserve(&mut self, n: usize) {
-        self.route.reserve(n);
+        if !self.tableless() {
+            self.route.reserve(n);
+        }
     }
 
-    /// Route one span: stamp the next global id on it and hand out the
-    /// next row of its shard.
+    /// Route one row: stamp the next global id on it, in place (a row
+    /// fresh from decode is unshared, so nothing is copied), and hand out
+    /// the next row of its shard.
     #[inline]
-    pub(crate) fn assign(&mut self, span: &mut Span) -> Loc {
-        span.span_id = SpanId(self.route.len() as u64 + 1);
+    pub(crate) fn assign(&mut self, span: &mut Arc<Span>) -> Loc {
+        Arc::make_mut(span).span_id = SpanId(self.routed as u64 + 1);
         let shard = self.pick_shard(self.policy.route(span));
         let row = &mut self.shard_rows[shard as usize];
         let loc = Loc { shard, row: *row };
         *row += 1;
-        self.route.push(loc);
+        self.routed += 1;
+        if !self.tableless() {
+            self.route.push(loc);
+        }
         loc
     }
 
@@ -137,7 +162,7 @@ impl Router {
 
     /// Route a whole batch: ids in batch order, plus the non-empty
     /// per-shard sub-batches in ascending shard order.
-    pub fn split(&mut self, spans: Vec<Span>) -> (Vec<SpanId>, Vec<SubBatch>) {
+    pub fn split(&mut self, spans: Vec<Arc<Span>>) -> (Vec<SpanId>, Vec<SubBatch>) {
         let mut ids = Vec::with_capacity(spans.len());
         let mut per_shard: Vec<Option<SubBatch>> = self.shard_rows.iter().map(|_| None).collect();
         self.reserve(spans.len());

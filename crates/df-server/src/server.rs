@@ -23,8 +23,8 @@ use crate::trace_cache::{self, CacheOutcome, TraceCache};
 use df_storage::{ShardPolicy, SpanQuery, SpanRef};
 use df_types::tags::ResourceInventory;
 use df_types::trace::Trace;
-use df_types::wire::{self, WireDecodeError};
-use df_types::{Span, SpanId, TimeNs};
+use df_types::wire::{WireBatch, WireDecodeError};
+use df_types::{IntMap, Span, SpanId, TimeNs};
 use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
@@ -174,29 +174,38 @@ impl Server {
     /// (smart-encoding phase 2, Fig. 8 ⑦), then insert through the store's
     /// batched path, which routes each
     /// span to its shard and defers time-index ordering to the next query.
-    pub fn ingest_batch(&mut self, mut spans: Vec<Span>) -> Vec<SpanId> {
+    pub fn ingest_batch(&mut self, spans: Vec<Span>) -> Vec<SpanId> {
         let mut enriched = 0u64;
-        for span in &mut spans {
-            self.dict.enrich(&mut span.tags.resource);
-            if span.tags.resource.is_enriched() {
-                enriched += 1;
-            }
-        }
-        {
-            let mut st = self.stats.lock().expect("stats lock poisoned");
-            st.ingested += spans.len() as u64;
-            st.enriched += enriched;
-        }
-        self.store.insert_batch(spans)
+        let rows = (spans.into_iter())
+            .map(|mut span| {
+                enriched += u64::from(enrich(&self.dict, &mut span));
+                Arc::new(span)
+            })
+            .collect();
+        self.insert_rows(rows, enriched)
     }
 
     /// Ingest a DFW1-encoded span batch as shipped on the wire (see
-    /// [`df_types::wire`]): decode the whole frame first — a malformed
-    /// batch is rejected with the store and stats untouched — then take
-    /// the normal [`Self::ingest_batch`] enrich + insert path.
+    /// [`df_types::wire`]): each span is enriched as it leaves the
+    /// decoder and moves into the `Arc` its shard keeps
+    /// ([`WireBatch::decode_rows`]), then takes the store's batched
+    /// insert. The whole frame decodes before anything is stored: a
+    /// malformed batch is rejected with the store and stats untouched.
     pub fn ingest_wire(&mut self, batch: &[u8]) -> Result<Vec<SpanId>, WireDecodeError> {
-        let spans = wire::decode_batch(batch)?;
-        Ok(self.ingest_batch(spans))
+        let mut enriched = 0u64;
+        let rows = WireBatch::parse(batch)?
+            .decode_rows(|span| enriched += u64::from(enrich(&self.dict, span)))?;
+        Ok(self.insert_rows(rows, enriched))
+    }
+
+    /// Count a batch of `enriched` prepared rows, then store them.
+    fn insert_rows(&mut self, rows: Vec<Arc<Span>>, enriched: u64) -> Vec<SpanId> {
+        {
+            let mut st = self.stats.lock().expect("stats lock poisoned");
+            st.ingested += rows.len() as u64;
+            st.enriched += enriched;
+        }
+        self.store.insert_rows(rows)
     }
 
     /// Span-list query (Fig. 15's "span list"): the stored rows, lent, each
@@ -258,10 +267,9 @@ impl Server {
     /// were reunited.
     pub fn re_aggregate(&mut self) -> usize {
         use df_types::span::SpanStatus;
-        use std::collections::HashMap;
         // Collect candidates (ids only; the store stays borrowable).
-        let mut incomplete: HashMap<ReaggKey, Vec<(df_types::TimeNs, SpanId)>> = HashMap::new();
-        let mut fragments: HashMap<ReaggKey, Vec<(df_types::TimeNs, SpanId)>> = HashMap::new();
+        let mut incomplete: IntMap<ReaggKey, Vec<(TimeNs, SpanId)>> = IntMap::default();
+        let mut fragments: IntMap<ReaggKey, Vec<(TimeNs, SpanId)>> = IntMap::default();
         for span in self.store.iter() {
             if self.store.is_tombstoned(span.span_id) {
                 continue;
@@ -331,6 +339,13 @@ impl Server {
         };
         self.span_list(&q)
     }
+}
+
+/// Smart-encoding phase 2 (Fig. 8 ⑦) on one span: whether the dictionary
+/// knew its IP.
+fn enrich(dict: &TagDictionary, span: &mut Span) -> bool {
+    dict.enrich(&mut span.tags.resource);
+    span.tags.resource.is_enriched()
 }
 
 /// One [`Server::span_list`] row: the stored span as the store lends it,

@@ -148,19 +148,23 @@ impl ShardedSpanStore {
     }
 
     /// Insert one span: assign the next global id and route it to its
-    /// shard. Returns the id.
-    ///
-    /// The router stamps the id first, then the span moves into its
-    /// `Arc`, once: the `Arc` is the row the shard keeps (`Span` is 576
-    /// bytes; every by-value hop would copy it again).
+    /// shard. Returns the id. The span moves into its `Arc` once: the
+    /// `Arc` is the row the shard keeps.
     ///
     /// This path never panics on routing-table pressure: a full preferred
     /// shard is *clamped* to the least-loaded one instead (see
     /// [`ShardedSpanStore::routing_clamped`]).
-    pub fn insert(&mut self, mut span: Span) -> SpanId {
+    pub fn insert(&mut self, span: Span) -> SpanId {
+        self.insert_row(Arc::new(span))
+    }
+
+    /// [`Self::insert`] of a span already in the `Arc` the shard will
+    /// keep, as [`df_types::WireBatch::decode_rows`] hands it out: the
+    /// router stamps the id in place, and the `Arc` moves into the shard.
+    fn insert_row(&mut self, mut span: Arc<Span>) -> SpanId {
         let loc = self.router.assign(&mut span);
         let id = span.span_id;
-        let row = self.shards[loc.shard as usize].insert_routed(Arc::new(span));
+        let row = self.shards[loc.shard as usize].insert_routed(span);
         debug_assert_eq!(row, loc.row, "router and shard agree on the row");
         id
     }
@@ -180,6 +184,12 @@ impl ShardedSpanStore {
         spans.into_iter().map(|s| self.insert(s)).collect()
     }
 
+    /// [`Self::insert_batch`] of spans already in their rows' `Arc`s.
+    pub(crate) fn insert_rows(&mut self, rows: Vec<Arc<Span>>) -> Vec<SpanId> {
+        self.router.reserve(rows.len());
+        rows.into_iter().map(|r| self.insert_row(r)).collect()
+    }
+
     /// Fetch by global id (tier-aware: a cold span pages in and is
     /// returned owned; hot spans stay borrowed).
     pub fn get(&self, id: SpanId) -> Option<SpanRef<'_>> {
@@ -191,7 +201,7 @@ impl ShardedSpanStore {
     pub fn is_tombstoned(&self, id: SpanId) -> bool {
         self.router
             .loc(id)
-            .is_some_and(|l| self.shards[l.shard as usize].is_tombstoned(id))
+            .is_some_and(|l| self.shards[l.shard as usize].is_tombstoned_row(l.row))
     }
 
     /// Hide a span from queries, compacting the owning shard's indexes
@@ -228,8 +238,12 @@ impl ShardedSpanStore {
 
     /// Span-list query: each shard answers locally, results are merged by
     /// `(req_time, span_id)` — the same order a single store yields for
-    /// the same corpus — and re-capped at `limit`.
+    /// the same corpus — and re-capped at `limit`. One shard's answer is
+    /// already in that order and under that cap, and is returned as built.
     pub fn query(&self, q: &SpanQuery) -> Vec<SpanRef<'_>> {
+        if let [shard] = &self.shards[..] {
+            return shard.query(q);
+        }
         let mut merged = Vec::new();
         for shard in &self.shards {
             merged.extend(shard.query(q));
@@ -242,7 +256,7 @@ impl ShardedSpanStore {
     /// Iterate all spans in global-id order (diagnostics, re-aggregation).
     /// Tier-aware: cold spans page in as the iterator reaches them.
     pub fn iter(&self) -> impl Iterator<Item = SpanRef<'_>> + '_ {
-        self.router.locs().iter().map(move |loc| {
+        self.router.locs().map(move |loc| {
             self.shards[loc.shard as usize]
                 .span_at(loc.row)
                 .expect("routed row exists")
@@ -300,7 +314,7 @@ pub(crate) fn assemble_local(
         return Default::default();
     };
     let home = shards[loc.shard as usize].borrow();
-    if home.len() as u32 <= loc.row || home.is_tombstoned(start) {
+    if home.len() as u32 <= loc.row || home.is_tombstoned_row(loc.row) {
         return Default::default();
     }
     let mut probe = LocalShards {

@@ -57,9 +57,9 @@ use crate::router::Loc;
 use crate::sharded::{assemble_local, corpus_version};
 use df_storage::SpanStore;
 use df_types::trace::Trace;
-use df_types::SpanId;
+use df_types::{IntMap, SpanId};
 use std::borrow::Borrow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// How one trace query was answered. The four are disjoint and
@@ -92,7 +92,7 @@ struct CacheEntry {
 /// the exactness contract.
 #[derive(Debug)]
 pub struct TraceCache {
-    entries: HashMap<SpanId, CacheEntry>,
+    entries: IntMap<SpanId, CacheEntry>,
     /// The cached keys, each once, oldest store first: capacity eviction
     /// is FIFO.
     order: VecDeque<SpanId>,
@@ -103,7 +103,7 @@ pub struct TraceCache {
 impl Default for TraceCache {
     fn default() -> Self {
         TraceCache {
-            entries: HashMap::new(),
+            entries: IntMap::default(),
             order: VecDeque::new(),
             max_entries: 1024,
         }

@@ -2,8 +2,8 @@
 //! stored rows with the dictionary's labels beside them; it must answer
 //! what a plain formulation answers — every live stored span that matches
 //! the query, copied, in `(req_time, span_id)` order, capped, with the
-//! labels of its IP joined in wherever the span lacks the key — at 1 and
-//! 4 shards, after re-aggregation has tombstoned fragments, and over a
+//! labels of its IP joined in wherever the span lacks the key — at 1, 4
+//! and 16 shards, after re-aggregation has tombstoned fragments, and over a
 //! tiered store whose old rows page in from disk.
 
 use df_server::{Listed, Server, ShardedSpanStore, TagDictionary};
@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
 // A lent row stays two words: a variant holding a `Span` inline would
-// make every listed row a 576-byte copy again.
+// make every listed row a 560-byte copy again.
 const _: () = assert!(std::mem::size_of::<SpanRef<'static>>() <= 16);
 
 /// Every label key the corpus or the inventory uses, plus one neither does.
@@ -202,10 +202,12 @@ fn assert_server_matches(seed: u64, shards: usize) {
     assert_rows_match(&server.error_spans(from, to), &want);
 }
 
+/// One shard hands back its own answer unmerged; more are merged.
 #[test]
-fn span_list_matches_the_plain_answer_at_one_and_four_shards() {
+fn span_list_matches_the_plain_answer_at_one_four_and_sixteen_shards() {
     assert_server_matches(1, 1);
     assert_server_matches(2, 4);
+    assert_server_matches(4, 16);
 }
 
 #[test]

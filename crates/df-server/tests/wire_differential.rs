@@ -56,7 +56,7 @@ fn corpus(seed: u64, n: usize) -> Vec<Span> {
                 req_bytes: rng.next_u64() % 4096,
                 resp_bytes: rng.next_u64() % 65536,
                 pid: Some(Pid((rng.next_u64() % 100) as u32)),
-                process_name: Some(format!("svc-{}", i % 3)),
+                process_name: Some(format!("svc-{}", i % 3).into()),
                 systrace_id_req: Some(SysTraceId(rng.next_u64() % 8)),
                 x_request_id_req: Some(XRequestId(rng.next_u128() % 4)),
                 tcp_seq_req: Some((rng.next_u64() % 10) as u32),

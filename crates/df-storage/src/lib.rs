@@ -42,4 +42,4 @@ pub mod store;
 pub use bufferpool::{BufferPool, BufferPoolConfig, PoolStats, SegmentId};
 pub use persist::{DiskIo, DiskStats};
 pub use shard::{ShardPolicy, Tier, TierConfig};
-pub use store::{ColdRef, RecoverStats, SpanQuery, SpanRef, SpanStore, SpillStats, StoreStats};
+pub use store::{RecoverStats, SpanQuery, SpanRef, SpanStore, SpillStats, StoreStats};

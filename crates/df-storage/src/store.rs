@@ -19,8 +19,10 @@
 //!
 //! A row is either **hot** (the [`Span`] lives in memory, behind an
 //! `Arc`) or **cold** (the span was spilled to a disk segment by
-//! [`SpanStore::spill_before`] and only a [`ColdRef`] — segment id,
-//! in-segment offset, span id, request time — remains resident).
+//! [`SpanStore::spill_before`] and only its address — segment id and
+//! in-segment offset — remains resident). Either way the row slot is 16
+//! bytes, and tombstones are a bitset over rows, so no filter reads a span
+//! to hide it.
 //! Everything that needs the full span goes through
 //! [`SpanStore::span_at`], which returns a [`SpanRef`]: borrowed for hot
 //! rows (the zero-copy fast path), owned for cold rows (a page-in through
@@ -40,7 +42,7 @@ use crate::shard::bucket_of;
 use df_types::span::SpanStatus;
 use df_types::{AssocKey, Span, SpanId, TimeNs};
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::ops::Deref;
 use std::path::Path;
@@ -104,7 +106,7 @@ impl SpanQuery {
 
 /// A stored span as the store lends it: borrowed from a hot row (or from
 /// whatever the caller already holds), or owned after a cold page-in. Two
-/// words, so a span list moves pointers, not 576-byte `Span`s.
+/// words, so a span list moves pointers, not 560-byte `Span`s.
 #[derive(Debug)]
 pub enum SpanRef<'a> {
     /// A span that lives elsewhere for `'a`.
@@ -166,28 +168,22 @@ impl Default for TimeIndex {
     }
 }
 
-/// Resident stub of a spilled span: enough to route probes (id, request
-/// time) without touching disk, plus the address of the full span in the
-/// cold tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ColdRef {
-    /// Segment holding the span.
-    pub segment: SegmentId,
-    /// Offset of the span within the segment's span section.
-    pub offset: u32,
-    /// The span's id (kept resident so tombstone checks never page in).
-    pub span_id: SpanId,
-    /// The span's request time (kept resident for bucket accounting).
-    pub req_time: TimeNs,
-}
-
-/// One row slot: the span, shared with every trace that holds it, or a
-/// cold stub.
+/// One row slot: the span, shared with every trace that holds it, or the
+/// address of a spilled span in the cold tier. The fields are the
+/// variant's own, not a struct's, so they pack beside the tag.
 #[derive(Debug, Clone)]
 enum RowSlot {
     Hot(Arc<Span>),
-    Cold(ColdRef),
+    Cold {
+        /// Segment holding the span.
+        segment: SegmentId,
+        /// Offset of the span within the segment's span section.
+        offset: u32,
+    },
 }
+
+// A slot is paid per stored row, hot or cold.
+const _: () = assert!(std::mem::size_of::<RowSlot>() <= 16);
 
 /// What one [`SpanStore::spill_before`] call moved to the cold tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -248,7 +244,7 @@ impl RecoverStats {
 #[derive(Debug, Default)]
 pub struct SpanStore {
     /// Row slots: hot spans sit behind an `Arc`, so a cold slot costs only
-    /// the [`ColdRef`] stub, not a full `Span` footprint, and a trace
+    /// its segment address, not a full `Span` footprint, and a trace
     /// shares a row instead of copying it.
     rows: Vec<RowSlot>,
     /// Pool that pages cold rows back in; set by the first spill or by
@@ -264,8 +260,13 @@ pub struct SpanStore {
     /// `(key, row)` entries across the five association indexes.
     index_entries: usize,
     time_index: Mutex<TimeIndex>,
-    /// Spans consumed by server-side re-aggregation; hidden from queries.
-    tombstones: std::collections::HashSet<SpanId>,
+    /// Rows consumed by server-side re-aggregation, one bit per row;
+    /// hidden from queries.
+    tombstones: Vec<u64>,
+    /// Ids tombstoned while no row held them (the standalone regime's
+    /// [`SpanStore::tombstone`]): hidden all the same, and a row later
+    /// inserted under one is born tombstoned.
+    unknown_tombstones: BTreeSet<SpanId>,
     /// Tombstoned rows whose index entries have not been compacted away
     /// yet (drained by [`SpanStore::evict_tombstoned`]).
     pending_evict: Vec<u32>,
@@ -295,7 +296,9 @@ impl SpanStore {
     pub fn span_at(&self, row: u32) -> Option<SpanRef<'_>> {
         match self.rows.get(row as usize)? {
             RowSlot::Hot(s) => Some(SpanRef::Borrowed(s)),
-            RowSlot::Cold(c) => Some(SpanRef::Owned(Box::new(self.page_in(c)))),
+            &RowSlot::Cold { segment, offset } => {
+                Some(SpanRef::Owned(Box::new(self.page_in(segment, offset))))
+            }
         }
     }
 
@@ -305,25 +308,16 @@ impl SpanStore {
     pub fn shared_at(&self, row: u32) -> Option<Arc<Span>> {
         match self.rows.get(row as usize)? {
             RowSlot::Hot(s) => Some(Arc::clone(s)),
-            RowSlot::Cold(c) => Some(Arc::new(self.page_in(c))),
+            &RowSlot::Cold { segment, offset } => Some(Arc::new(self.page_in(segment, offset))),
         }
     }
 
-    /// A copy of the cold row `c`, read through the attached pool.
-    fn page_in(&self, c: &ColdRef) -> Span {
+    /// A copy of the cold row at `offset` of `segment`, read through the
+    /// attached pool.
+    fn page_in(&self, segment: SegmentId, offset: u32) -> Span {
         let pool = self.cold_reader.as_ref();
         let pool = pool.expect("cold rows require an attached cold reader");
-        pool.read_span(c.segment, c.offset)
-    }
-
-    /// The span id stored at `row`, whatever its tier. Cold rows keep the
-    /// id resident, so this never pages in — it is the probe-path filter
-    /// (tombstones, dedup) that must stay cheap.
-    pub fn stored_id(&self, row: u32) -> Option<SpanId> {
-        match self.rows.get(row as usize)? {
-            RowSlot::Hot(s) => Some(s.span_id),
-            RowSlot::Cold(c) => Some(c.span_id),
-        }
+        pool.read_span(segment, offset)
     }
 
     /// The newest request time this store has indexed, over hot, cold
@@ -349,14 +343,14 @@ impl SpanStore {
     /// values the request side already indexed (same dedup `insert`
     /// applies, so a span never appears twice in one index bucket).
     pub fn complete_span(&mut self, id: SpanId, resp: &Span) -> bool {
-        let Some(row) = id.raw().checked_sub(1) else {
-            return false;
-        };
-        let row = row as u32;
-        if self.stored_id(row) != Some(id) {
-            return false;
-        }
-        self.complete_span_row(row, resp)
+        self.own_row(id)
+            .is_some_and(|row| self.complete_span_row(row, resp))
+    }
+
+    /// The row a standalone store assigned `id` to, if it holds one.
+    fn own_row(&self, id: SpanId) -> Option<u32> {
+        let row = u32::try_from(id.raw().checked_sub(1)?).ok()?;
+        ((row as usize) < self.rows.len()).then_some(row)
     }
 
     /// Row-addressed [`SpanStore::complete_span`] for stores whose ids were
@@ -400,34 +394,51 @@ impl SpanStore {
     /// row is remembered for the next [`SpanStore::evict_tombstoned`]
     /// compaction.
     pub fn tombstone(&mut self, id: SpanId) {
-        if let Some(row) = id.raw().checked_sub(1) {
-            let row = row as u32;
-            if self.stored_id(row) == Some(id) {
-                self.tombstone_row(row);
-                return;
+        match self.own_row(id) {
+            Some(row) => self.tombstone_row(row),
+            // Unknown id: hide it anyway (idempotent), nothing to evict.
+            None => {
+                if self.unknown_tombstones.insert(id) {
+                    self.edits += 1;
+                }
             }
-        }
-        // Unknown id: hide it anyway (idempotent), nothing to evict.
-        if self.tombstones.insert(id) {
-            self.edits += 1;
         }
     }
 
     /// Row-addressed [`SpanStore::tombstone`] for stores whose ids were
     /// assigned externally (see the type-level docs on id regimes).
     pub fn tombstone_row(&mut self, row: u32) {
-        let Some(id) = self.stored_id(row) else {
-            return;
-        };
-        if self.tombstones.insert(id) {
+        if (row as usize) < self.rows.len() && self.set_tombstone_bit(row) {
             self.pending_evict.push(row);
             self.edits += 1;
         }
     }
 
-    /// Whether a span is tombstoned.
+    /// Set `row`'s tombstone bit; whether it was clear.
+    fn set_tombstone_bit(&mut self, row: u32) -> bool {
+        let (word, bit) = ((row / 64) as usize, 1u64 << (row % 64));
+        if self.tombstones.len() <= word {
+            self.tombstones.resize(word + 1, 0);
+        }
+        let was_clear = self.tombstones[word] & bit == 0;
+        self.tombstones[word] |= bit;
+        was_clear
+    }
+
+    /// Whether the span a standalone store holds (or once was asked to
+    /// hide) under `id` is tombstoned. A shard of a sharded corpus is
+    /// asked by row: [`SpanStore::is_tombstoned_row`].
     pub fn is_tombstoned(&self, id: SpanId) -> bool {
-        self.tombstones.contains(&id)
+        match self.own_row(id) {
+            Some(row) => self.is_tombstoned_row(row),
+            None => self.unknown_tombstones.contains(&id),
+        }
+    }
+
+    /// Whether `row` is tombstoned: one bit, whatever the row's tier.
+    #[inline]
+    pub fn is_tombstoned_row(&self, row: u32) -> bool {
+        bit(&self.tombstones, row)
     }
 
     /// Tombstoned rows whose index entries are still awaiting compaction.
@@ -472,17 +483,20 @@ impl SpanStore {
                 removed += self.unindex(key, row);
             }
         }
-        let dead: std::collections::HashSet<u32> = rows.into_iter().collect();
         let idx = self.time_index.get_mut().expect("time index lock poisoned");
-        idx.entries.retain(|&(_, row)| !dead.contains(&row));
+        idx.entries.retain(|&(_, row)| !bit(&self.tombstones, row));
         removed
     }
 
     /// Insert a span, assigning its id. Returns the id.
     pub fn insert(&mut self, mut span: Span) -> SpanId {
-        let id = Self::id_at(self.rows.len() as u32);
+        let row = self.rows.len() as u32;
+        let id = Self::id_at(row);
         span.span_id = id;
         self.index_and_push(Arc::new(span));
+        if self.unknown_tombstones.remove(&id) {
+            self.set_tombstone_bit(row);
+        }
         id
     }
 
@@ -503,11 +517,11 @@ impl SpanStore {
     /// reserving row and time-index capacity once. Returns the row of the
     /// first appended span; rows are contiguous from there, which is the
     /// contract the sharded routing table relies on.
-    pub fn insert_routed_batch(&mut self, spans: Vec<Span>) -> u32 {
+    pub fn insert_routed_batch(&mut self, spans: Vec<Arc<Span>>) -> u32 {
         let first = self.rows.len() as u32;
         self.reserve(spans.len());
         for span in spans {
-            self.index_and_push(Arc::new(span));
+            self.index_and_push(span);
         }
         first
     }
@@ -607,7 +621,7 @@ impl SpanStore {
     /// Span-list query (time window + filters). Sorts the time index
     /// lazily under its lock, so concurrent readers share one sort.
     /// Tier-aware: the time index covers cold rows, which page in as
-    /// they are materialised (tombstones are filtered by resident id
+    /// they are materialised (tombstones are filtered by their row bit
     /// first, so hidden cold rows cost nothing).
     ///
     /// Lock order: a cold row pages in through the buffer pool's lock
@@ -634,8 +648,7 @@ impl SpanStore {
                     break;
                 }
             }
-            let id = self.stored_id(row).expect("time-indexed row exists");
-            if self.tombstones.contains(&id) {
+            if self.is_tombstoned_row(row) {
                 continue;
             }
             let span = self.span_at(row).expect("time-indexed row exists");
@@ -677,7 +690,7 @@ impl SpanStore {
     /// differential proptests pin this down). Incomplete spans stay hot
     /// so late responses can still merge ([`SpanStore::complete_span_row`]
     /// does not reach into the cold tier); tombstoned spans may spill —
-    /// they are filtered by resident id either way.
+    /// they are filtered by their row bit either way.
     ///
     /// `shard` only namespaces the segment file names so shards sharing
     /// `dir` never collide.
@@ -712,7 +725,7 @@ impl SpanStore {
         for (bucket, rows) in buckets {
             let spans = rows.iter().map(|&row| match &self.rows[row as usize] {
                 RowSlot::Hot(s) => &**s,
-                RowSlot::Cold(_) => unreachable!("grouped rows are hot"),
+                RowSlot::Cold { .. } => unreachable!("grouped rows are hot"),
             });
             let bytes = persist::encode_span_segment(spans, &rows);
             let segment = pool.alloc_segment();
@@ -729,17 +742,8 @@ impl SpanStore {
         for (segment, path, rows) in written {
             pool.register(segment, path);
             for (offset, &row) in rows.iter().enumerate() {
-                let slot = &mut self.rows[row as usize];
-                let RowSlot::Hot(span) = slot else {
-                    unreachable!("spilled rows are hot until the flip");
-                };
-                let cold = ColdRef {
-                    segment,
-                    offset: offset as u32,
-                    span_id: span.span_id,
-                    req_time: span.req_time,
-                };
-                *slot = RowSlot::Cold(cold);
+                let offset = offset as u32;
+                self.rows[row as usize] = RowSlot::Cold { segment, offset };
                 self.cold_count += 1;
                 stats.spans += 1;
             }
@@ -805,20 +809,20 @@ impl SpanStore {
         stats.rows = next as usize;
         for row in 0..next {
             let (segment, offset, span) = recovered.remove(&row).expect("row in prefix");
-            let cold = ColdRef {
-                segment,
-                offset,
-                span_id: span.span_id,
-                req_time: span.req_time,
-            };
             span.for_each_assoc_key(|key| self.index(key, row));
             self.push_time_entry(span.req_time.as_nanos(), row);
-            self.rows.push(RowSlot::Cold(cold));
+            self.rows.push(RowSlot::Cold { segment, offset });
             self.cold_count += 1;
         }
         self.cold_reader = Some(Arc::clone(pool));
         Ok(stats)
     }
+}
+
+/// Bit `row` of a row bitset.
+#[inline]
+fn bit(words: &[u64], row: u32) -> bool {
+    (words.get((row / 64) as usize)).is_some_and(|w| w >> (row % 64) & 1 == 1)
 }
 
 // Interior-mutability audit (the concurrent sharded store shares shards
@@ -915,6 +919,69 @@ mod tests {
             .expect("recovery succeeds");
         assert_eq!(revived.newest_req_time(), Some(TimeNs(900)));
         assert_eq!(revived.newest_req_time(), walk(&revived));
+    }
+
+    /// Tombstones are a bit per row: they hide rows across a word boundary
+    /// through eviction and spill (a hidden cold row is filtered without a
+    /// page-in), and recovery rebuilds rows, not tombstones. An id no row
+    /// holds is hidden all the same, once, and a row later stored under
+    /// it is born hidden.
+    #[test]
+    fn tombstone_bits_survive_evict_and_spill_and_recovery_starts_clear() {
+        let mut st = SpanStore::new();
+        let ids = st.insert_batch((0..130u64).map(|t| span(t * 10)).collect());
+        let hidden = [0usize, 63, 64, 129];
+        for &i in &hidden {
+            st.tombstone(ids[i]);
+        }
+        let visible = |st: &SpanStore| {
+            let q = SpanQuery::window(TimeNs(0), TimeNs(u64::MAX));
+            st.query(&q).iter().map(|s| s.span_id).collect::<Vec<_>>()
+        };
+        let want: Vec<SpanId> = (ids.iter().enumerate())
+            .filter(|(i, _)| !hidden.contains(i))
+            .map(|(_, &id)| id)
+            .collect();
+        assert_eq!(visible(&st), want);
+        assert!(ids.iter().enumerate().all(|(i, &id)| {
+            st.is_tombstoned(id) == hidden.contains(&i)
+                && st.is_tombstoned_row(i as u32) == hidden.contains(&i)
+        }));
+        assert_eq!(st.evict_tombstoned(), 0, "the synthetic spans index no key");
+        assert_eq!((st.pending_evictions(), visible(&st)), (0, want.clone()));
+
+        let dir = persist::test_dir("tombstone-bits");
+        let pool = Arc::new(BufferPool::new(crate::BufferPoolConfig::with_frames(4)));
+        st.spill_before(TimeNs(u64::MAX), &pool, dir.path(), 0)
+            .expect("spill succeeds");
+        assert_eq!(st.cold_rows(), 130);
+        assert!(hidden.iter().all(|&i| st.is_tombstoned(ids[i])));
+        let first = SpanQuery::window(TimeNs(0), TimeNs(1));
+        assert!(st.query(&first).is_empty(), "row 0 is hidden");
+        assert_eq!(pool.stats().misses, 0, "and filtered without a page-in");
+        assert_eq!(visible(&st), want);
+
+        let mut revived = SpanStore::new();
+        revived
+            .recover_cold_segments(&pool, dir.path(), 0)
+            .expect("recovery succeeds");
+        assert_eq!(visible(&revived), ids, "recovery rebuilds rows only");
+
+        let mut st = SpanStore::new();
+        st.insert_batch(vec![span(100), span(200)]);
+        let edits = st.edits();
+        st.tombstone(SpanId(4));
+        st.tombstone(SpanId(4));
+        assert_eq!(st.edits(), edits + 1, "an unknown id is hidden once");
+        assert!(st.is_tombstoned(SpanId(4)) && !st.is_tombstoned(SpanId(3)));
+        st.insert_batch(vec![span(300), span(400)]);
+        assert!(st.is_tombstoned(SpanId(4)) && st.is_tombstoned_row(3));
+        let times: Vec<u64> = (st
+            .query(&SpanQuery::window(TimeNs(0), TimeNs(1_000)))
+            .iter())
+        .map(|s| s.req_time.as_nanos())
+        .collect();
+        assert_eq!(times, [100, 200, 300], "the row stored under it is hidden");
     }
 
     #[test]
@@ -1134,7 +1201,7 @@ mod tests {
             .cloned()
             .map(|s| one.insert_routed(Arc::new(s)))
             .collect();
-        let first = bulk.insert_routed_batch(spans);
+        let first = bulk.insert_routed_batch(spans.into_iter().map(Arc::new).collect());
         assert_eq!(first, 0);
         assert_eq!(rows, vec![0, 1, 2], "rows are contiguous");
         assert_eq!(one.len(), bulk.len());

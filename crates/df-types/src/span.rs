@@ -18,6 +18,7 @@ use crate::tags::TagSet;
 use crate::time::{DurationNs, TimeNs};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// What produced the span (paper Figure 5 and §3.2.1 extensions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -130,14 +131,15 @@ impl fmt::Display for TapSide {
 
 /// Identifies the exact capture point: node + tap side (+ optional interface
 /// name for network taps).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CapturePoint {
     /// The node whose agent produced the span.
     pub node: NodeId,
     /// The side/layer of the capture.
     pub tap_side: TapSide,
-    /// Interface name for net spans (`"eth0"`, `"veth-ab12"`, ...).
-    pub interface: Option<String>,
+    /// Interface name for net spans (`"eth0"`, `"veth-ab12"`, ...), shared
+    /// by every span of a decoded batch or an agent's tap that names it.
+    pub interface: Option<Arc<str>>,
 }
 
 /// Outcome of the exchange.
@@ -296,7 +298,7 @@ impl AssocKey {
 }
 
 /// One observed request/response session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Storage-assigned id (0 until persisted).
     pub span_id: SpanId,
@@ -333,8 +335,9 @@ pub struct Span {
     pub pid: Option<Pid>,
     /// Observed thread id.
     pub tid: Option<Tid>,
-    /// Observed process name.
-    pub process_name: Option<String>,
+    /// Observed process name, shared by every span of a decoded batch or
+    /// an agent that names the process.
+    pub process_name: Option<Arc<str>>,
 
     // ---- implicit-context association attributes (Algorithm 1 joins) ----
     /// Systrace id carried by the request message.
@@ -479,6 +482,9 @@ impl Span {
         shared
     }
 }
+
+// A stored row is one `Span`: a byte here is a byte per span held.
+const _: () = assert!(std::mem::size_of::<Span>() <= 560);
 
 #[cfg(test)]
 mod tests {

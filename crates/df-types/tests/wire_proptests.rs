@@ -148,7 +148,7 @@ fn arb_span(rng: &mut TestRng) -> Span {
         capture: CapturePoint {
             node: NodeId(rng.next_u64() as u32),
             tap_side: TAP_SIDES[(rng.next_u64() % 11) as usize],
-            interface: opt(rng, arb_string),
+            interface: opt(rng, |r| arb_string(r).into()),
         },
         agent: AgentId(rng.next_u64() as u32),
         flow_id: FlowId(rng.next_u64()),
@@ -172,7 +172,7 @@ fn arb_span(rng: &mut TestRng) -> Span {
         resp_bytes: rng.next_u64(),
         pid: opt(rng, |r| Pid(r.next_u64() as u32)),
         tid: opt(rng, |r| Tid(r.next_u64() as u32)),
-        process_name: opt(rng, arb_string),
+        process_name: opt(rng, |r| arb_string(r).into()),
         systrace_id_req: opt(rng, |r| SysTraceId(r.next_u64())),
         systrace_id_resp: opt(rng, |r| SysTraceId(r.next_u64())),
         pseudo_thread_id: opt(rng, |r| PseudoThreadId(r.next_u64())),

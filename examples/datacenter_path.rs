@@ -104,11 +104,7 @@ fn main() {
             format!(
                 "{} ({})",
                 s.span.capture.tap_side,
-                s.span
-                    .capture
-                    .interface
-                    .clone()
-                    .unwrap_or_else(|| "process".to_string())
+                s.span.capture.interface.as_deref().unwrap_or("process")
             )
         })
         .collect();
