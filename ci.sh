@@ -101,22 +101,20 @@ if [ "$fs_allowers" != "crates/df-storage/src/persist.rs" ]; then
     "$fs_allowers" >&2
   exit 1
 fi
+# The lock rule (docs/LINTS.md): the same lint keeps every lock site of
+# those crates on df_check, whose debug builds assert that no lock is
+# taken while another is held. A method dropped from clippy.toml would
+# let a std lock call bypass the count unseen.
+for method in Mutex::lock RwLock::read RwLock::write Condvar::wait; do
+  grep -q "path = \"std::sync::$method\"" clippy.toml \
+    || { echo "clippy.toml: disallowed-methods lacks std::sync::$method (docs/LINTS.md)" >&2; exit 1; }
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
-
-# The one source check rustc and clippy cannot make (docs/LINTS.md): the
-# static lock-order graph over the production sources of df-server,
-# df-storage and df-cluster. df-audit prints its edges and fails on an
-# AB/BA cycle; the edges are a reviewed file, like the example goldens,
-# so a new or lost nesting fails here until docs/LOCK_ORDER.txt is
-# regenerated with the same command.
-echo "==> df-audit (static lock-order graph)"
-cargo run -q -p df-check --bin df-audit -- . | diff -u docs/LOCK_ORDER.txt - \
-  || { echo "df-audit: a lock-order cycle, or edges that differ from docs/LOCK_ORDER.txt" >&2; exit 1; }
 
 echo "==> cargo test"
 cargo test --workspace -q
@@ -127,10 +125,11 @@ cargo test --workspace -q
 echo "==> counted rows (tests/alloc_budget.rs)"
 cargo test -q --test alloc_budget -- --nocapture --test-threads=1 | grep -o 'ledger:.*'
 
-# The concurrency suites (per-shard ingest workers, trace cache under the
-# shard read locks, buffer-pool fetchers sharing one page-in or waiting
-# for a frame) re-run with forced test-thread parallelism so their
-# threads contend with other test threads for real.
+# The concurrency suites (per-shard ingest workers, the trace cache beside
+# the shard read locks, buffer-pool fetchers sharing one page-in or
+# waiting for a frame) re-run with forced test-thread parallelism so their
+# threads contend with other test threads for real. They are debug builds,
+# so df_check asserts on every acquisition that no other guard is held.
 echo "==> concurrency tests under RUST_TEST_THREADS=8"
 RUST_TEST_THREADS=8 cargo test -q --test concurrency
 RUST_TEST_THREADS=8 cargo test -q -p df-server concurrent::

@@ -163,7 +163,7 @@ impl Halves {
 /// carried by packet-path spans and left `None` on syscall-path spans, as
 /// before the builders were merged. Carrying it on both would change the
 /// bytes of every instrumented-app sys span; that belongs with the
-/// front-half hardening (ROADMAP item 6(a)), not with a refactor.
+/// front-half hardening (ROADMAP item 5), not with a refactor.
 // Inlined so the several-hundred-byte `Span` is built once in the caller's
 // frame, not copied per hop (out of line it cost `Agent::poll` a measured
 // 1.6 %).

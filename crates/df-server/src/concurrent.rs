@@ -49,28 +49,29 @@
 //! is read off the shards themselves (the sum of their row and edit
 //! counts, [`crate::trace_cache`]): a worker moves it by applying a row
 //! under its shard's write lock, with no second counter to update. A trace
-//! query takes **every** shard read lock first and holds them from reading
-//! the version, through the key check or Phase 1, to the re-stamp or the
-//! cache store. So the version an entry records is exactly the corpus it
+//! query reads the version and does the key check or Phase 1 under one
+//! [`df_check::read_all`] of **every** shard read lock, releases them, and
+//! only then locks the cache to store or re-stamp the entry with that
+//! version. So the version an entry records is exactly the corpus it
 //! vouches for: no interleaving caches a trace that misses an applied span
 //! yet records the version after it (which would be served forever — a
-//! permanently stale entry). This holds by construction, not by testing
-//! schedules: `trace_cache::query` is handed `&[&SpanStore]` borrowed from
-//! the guards, reaches no lock of its own, and so cannot read the version
-//! anywhere but under them.
+//! permanently stale entry). This holds by construction: the version and
+//! the rows come from one guard set. No lock is taken under another: the
+//! route, shard, cache and stats locks are each released before the next.
 
 use crate::assemble::AssembleConfig;
 use crate::router::Router;
 use crate::server::ServerStats;
 use crate::sharded::tombstone_row;
 use crate::trace_cache::{self, TraceCache};
+use df_check::Held;
 use df_storage::{ShardPolicy, SpanRef, SpanStore};
 use df_types::trace::Trace;
 use df_types::wire::{WireBatch, WireDecodeError};
 use df_types::{Span, SpanId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::thread;
 /// Tunables of the concurrent store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,7 +179,7 @@ struct ShardSlot {
     pending: AtomicUsize,
     /// The worker's panic message, recorded before its receiver drops so
     /// that producers observing the disconnect can report the cause.
-    failed: Mutex<Option<String>>,
+    failed: OnceLock<String>,
 }
 
 /// A span corpus partitioned across per-worker-owned [`SpanStore`] shards,
@@ -234,7 +235,7 @@ impl ConcurrentShardedStore {
             let slot = Arc::new(ShardSlot {
                 store: RwLock::new(SpanStore::new()),
                 pending: AtomicUsize::new(0),
-                failed: Mutex::new(None),
+                failed: OnceLock::new(),
             });
             let (tx, rx) = sync_channel::<ShardMsg>(cfg.queue_depth.max(1));
             let worker_slot = Arc::clone(&slot);
@@ -264,9 +265,19 @@ impl ConcurrentShardedStore {
         *self.cache.get_mut().expect("cache lock poisoned") = TraceCache::new();
     }
 
+    /// The routing table, under its lock.
+    fn router(&self) -> Held<MutexGuard<'_, Router>> {
+        df_check::lock(&self.route).expect("route lock poisoned")
+    }
+
+    /// The counters, under their lock.
+    fn counters(&self) -> Held<MutexGuard<'_, ServerStats>> {
+        df_check::lock(&self.stats).expect("stats lock poisoned")
+    }
+
     /// Spans routed (ids assigned), including spans still in queues.
     pub fn len(&self) -> usize {
-        self.route.lock().expect("route lock poisoned").len()
+        self.router().len()
     }
 
     /// Whether no span has been routed yet.
@@ -287,21 +298,21 @@ impl ConcurrentShardedStore {
     pub fn shard_sizes(&self) -> Vec<usize> {
         self.slots
             .iter()
-            .map(|s| s.store.read().expect("shard lock poisoned").len())
+            .map(|s| df_check::read(&s.store).expect("shard lock poisoned").len())
             .collect()
     }
 
     /// Spans routed away from their preferred shard because it was at
     /// [`ShardPolicy::max_shard_rows`] (soft-cap clamp; nothing is lost).
     pub fn routing_clamped(&self) -> u64 {
-        self.route.lock().expect("route lock poisoned").clamped()
+        self.router().clamped()
     }
 
     /// A coherent snapshot of the counters: every snapshot satisfies
     /// `trace_queries == cache_hits + cache_misses + cache_invalidations`
     /// (all counters of one query move under one lock acquisition).
     pub fn stats(&self) -> ServerStats {
-        *self.stats.lock().expect("stats lock poisoned")
+        *self.counters()
     }
 
     /// Insert one span. Equivalent to a one-span [`Self::insert_batch`]
@@ -339,7 +350,7 @@ impl ConcurrentShardedStore {
         }
         let mut enqueued = 0u64;
         let mut dead = None;
-        let mut route = self.route.lock().expect("route lock poisoned");
+        let mut route = self.router();
         let (ids, subs) = route.split(spans);
         for sub in subs {
             let (si, n) = (sub.shard as usize, sub.spans.len());
@@ -358,7 +369,7 @@ impl ConcurrentShardedStore {
             enqueued += n as u64;
         }
         drop(route);
-        self.stats.lock().expect("stats lock poisoned").ingested += enqueued;
+        self.counters().ingested += enqueued;
         match dead {
             None => Ok(ids),
             Some(si) => Err(self.worker_panic(si)),
@@ -382,11 +393,7 @@ impl ConcurrentShardedStore {
     /// panic message the worker recorded before dropping its receiver.
     /// Never called under the route lock: a panic here must not poison it.
     fn worker_panic(&self, shard: usize) -> WorkerPanic {
-        let message = self.slots[shard]
-            .failed
-            .lock()
-            .expect("failed flag poisoned")
-            .clone()
+        let message = (self.slots[shard].failed.get().cloned())
             .unwrap_or_else(|| "worker disconnected".to_string());
         WorkerPanic { shard, message }
     }
@@ -409,7 +416,7 @@ impl ConcurrentShardedStore {
     /// Enqueue a row op to the shard owning `id` (no-op for unknown ids),
     /// under the route lock, so it queues behind the batch holding its row.
     fn send_op(&self, id: SpanId, op: RowOp) {
-        let route = self.route.lock().expect("route lock poisoned");
+        let route = self.router();
         let Some(loc) = route.loc(id) else {
             return;
         };
@@ -465,25 +472,23 @@ impl ConcurrentShardedStore {
     /// Fetch an *applied* span by global id (spans still in a queue return
     /// `None` until flushed).
     pub fn get(&self, id: SpanId) -> Option<Span> {
-        let loc = self.route.lock().expect("route lock poisoned").loc(id)?;
-        self.slots[loc.shard as usize]
-            .store
-            .read()
-            .expect("shard lock poisoned")
-            .span_at(loc.row)
-            .map(SpanRef::into_owned)
+        (self.at_row(id, |shard, row| shard.span_at(row).map(SpanRef::into_owned))).flatten()
     }
 
     /// Whether an applied span is tombstoned.
     pub fn is_tombstoned(&self, id: SpanId) -> bool {
-        let Some(loc) = self.route.lock().expect("route lock poisoned").loc(id) else {
-            return false;
-        };
-        self.slots[loc.shard as usize]
-            .store
-            .read()
-            .expect("shard lock poisoned")
-            .is_tombstoned_row(loc.row)
+        self.at_row(id, SpanStore::is_tombstoned_row) == Some(true)
+    }
+
+    /// `f` of the shard and row `id` was routed to, under the shard's read
+    /// lock, taken once the route lock is released.
+    fn at_row<R>(&self, id: SpanId, f: impl FnOnce(&SpanStore, u32) -> R) -> Option<R> {
+        let loc = self.router().loc(id)?;
+        let shard = &self.slots[loc.shard as usize].store;
+        Some(f(
+            &df_check::read(shard).expect("shard lock poisoned"),
+            loc.row,
+        ))
     }
 
     /// Compact tombstoned rows out of every shard's indexes immediately
@@ -493,33 +498,26 @@ impl ConcurrentShardedStore {
         self.slots
             .iter()
             .map(|s| {
-                s.store
-                    .write()
+                df_check::write(&s.store)
                     .expect("shard lock poisoned")
                     .evict_tombstoned()
             })
             .sum()
     }
 
-    /// Trace query through the cache ([`crate::trace_cache`]), answered
-    /// while **every** shard read lock is held — from reading the corpus
-    /// version through the re-stamp or the cache store — so the version an
-    /// entry records exactly matches the rows it vouches for (module docs:
-    /// the exactness invariant). The stats count hit / miss / invalidation
-    /// disjointly.
+    /// Trace query through the cache ([`crate::trace_cache`]): the corpus
+    /// version, the facts check and the assembly are read with **every**
+    /// shard read lock held, and the cache is locked only once they are
+    /// released (module docs: the exactness invariant). The stats count
+    /// hit / revalidation / miss / invalidation disjointly.
     pub fn query_trace(&self, start: SpanId) -> Arc<Trace> {
-        let loc = self.route.lock().expect("route lock poisoned").loc(start);
-        let guards: Vec<_> = (self.slots.iter())
-            .map(|s| s.store.read().expect("shard lock poisoned"))
-            .collect();
-        let shards: Vec<&SpanStore> = guards.iter().map(|g| &**g).collect();
+        let loc = self.router().loc(start);
+        let pin = || {
+            df_check::read_all(self.slots.iter().map(|s| &s.store)).expect("shard lock poisoned")
+        };
         let (trace, outcome) =
-            trace_cache::query(&self.cache, &shards, loc, start, &self.assemble_cfg, |_| {});
-        drop(guards);
-        self.stats
-            .lock()
-            .expect("stats lock poisoned")
-            .count(outcome);
+            trace_cache::query(&self.cache, pin, loc, start, &self.assemble_cfg, |_| {});
+        self.counters().count(outcome);
         trace
     }
 }
@@ -549,7 +547,7 @@ fn worker_loop(si: usize, slot: Arc<ShardSlot>, policy: ShardPolicy, rx: Receive
             match msg {
                 ShardMsg::Batch { start_row, spans } => {
                     let applied = spans.len();
-                    let mut store = slot.store.write().expect("shard lock poisoned");
+                    let mut store = df_check::write(&slot.store).expect("shard lock poisoned");
                     assert_eq!(
                         start_row as usize,
                         store.len(),
@@ -559,7 +557,7 @@ fn worker_loop(si: usize, slot: Arc<ShardSlot>, policy: ShardPolicy, rx: Receive
                     slot.pending.fetch_sub(applied, Ordering::AcqRel);
                 }
                 ShardMsg::Op { row, op } => {
-                    let mut store = slot.store.write().expect("shard lock poisoned");
+                    let mut store = df_check::write(&slot.store).expect("shard lock poisoned");
                     match op {
                         RowOp::Tombstone => tombstone_row(&mut store, &policy, row),
                         RowOp::Complete(resp) => {
@@ -577,7 +575,7 @@ fn worker_loop(si: usize, slot: Arc<ShardSlot>, policy: ShardPolicy, rx: Receive
         }
     }));
     if let Err(payload) = outcome {
-        *slot.failed.lock().expect("failed flag poisoned") = Some(panic_message(payload.as_ref()));
+        let _ = slot.failed.set(panic_message(payload.as_ref()));
     }
     // Returning drops `rx`: unacked flush senders still queued disconnect
     // their flusher, and senders blocked on a full queue wake with an error.

@@ -20,13 +20,14 @@ use crate::assemble::AssembleConfig;
 use crate::dictionary::TagDictionary;
 use crate::sharded::ShardedSpanStore;
 use crate::trace_cache::{self, CacheOutcome, TraceCache};
+use df_check::Held;
 use df_storage::{ShardPolicy, SpanQuery, SpanRef};
 use df_types::tags::ResourceInventory;
 use df_types::trace::Trace;
 use df_types::wire::{WireBatch, WireDecodeError};
 use df_types::{IntMap, Span, SpanId, TimeNs};
 use std::ops::Deref;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Re-aggregation matching key: the capture point + flow + protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,7 +148,12 @@ impl Server {
 
     /// A coherent snapshot of the counters (module docs).
     pub fn stats(&self) -> ServerStats {
-        *self.stats.lock().expect("stats lock poisoned")
+        *self.counters()
+    }
+
+    /// The counters, under their lock.
+    fn counters(&self) -> Held<MutexGuard<'_, ServerStats>> {
+        df_check::lock(&self.stats).expect("stats lock poisoned")
     }
 
     /// Spans stored.
@@ -172,8 +178,8 @@ impl Server {
 
     /// Ingest a batch (what an agent ships per flush): enrich every span
     /// (smart-encoding phase 2, Fig. 8 ⑦), then insert through the store's
-    /// batched path, which routes each
-    /// span to its shard and defers time-index ordering to the next query.
+    /// batched path, which routes each span to its shard and settles each
+    /// shard's time index once, at the end.
     pub fn ingest_batch(&mut self, spans: Vec<Span>) -> Vec<SpanId> {
         let mut enriched = 0u64;
         let rows = (spans.into_iter())
@@ -201,7 +207,7 @@ impl Server {
     /// Count a batch of `enriched` prepared rows, then store them.
     fn insert_rows(&mut self, rows: Vec<Arc<Span>>, enriched: u64) -> Vec<SpanId> {
         {
-            let mut st = self.stats.lock().expect("stats lock poisoned");
+            let mut st = self.counters();
             st.ingested += rows.len() as u64;
             st.enriched += enriched;
         }
@@ -211,7 +217,7 @@ impl Server {
     /// Span-list query (Fig. 15's "span list"): the stored rows, lent, each
     /// with its phase-3 labels (Fig. 8 ⑧) beside it ([`Listed::label`]).
     pub fn span_list(&self, query: &SpanQuery) -> Vec<Listed<'_>> {
-        self.stats.lock().expect("stats lock poisoned").list_queries += 1;
+        self.counters().list_queries += 1;
         let labels =
             |s: &Span| (s.tags.resource.ip).map_or(&[][..], |ip| self.dict.labels_for_ip(ip));
         (self.store.query(query).into_iter())
@@ -234,13 +240,11 @@ impl Server {
                 s.labels = (s.span.tags.resource.ip).and_then(|ip| self.dict.shared_labels(ip));
             }
         };
-        let (shards, loc) = (self.store.shards(), self.store.loc(start));
+        let pin = || self.store.shards();
+        let loc = self.store.loc(start);
         let (trace, outcome) =
-            trace_cache::query(&self.cache, shards, loc, start, &self.assemble_cfg, label);
-        self.stats
-            .lock()
-            .expect("stats lock poisoned")
-            .count(outcome);
+            trace_cache::query(&self.cache, pin, loc, start, &self.assemble_cfg, label);
+        self.counters().count(outcome);
         trace
     }
 
@@ -249,7 +253,7 @@ impl Server {
     /// they are interested in, such as time-consuming invocations").
     pub fn slowest_span(&self, from: TimeNs, to: TimeNs) -> Option<SpanId> {
         let q = SpanQuery::window(from, to);
-        self.stats.lock().expect("stats lock poisoned").list_queries += 1;
+        self.counters().list_queries += 1;
         self.store
             .query(&q)
             .into_iter()
@@ -324,10 +328,7 @@ impl Server {
         // Re-aggregation tombstones in bulk: compact immediately rather
         // than waiting for the per-shard threshold.
         self.store.evict_tombstoned();
-        self.stats
-            .lock()
-            .expect("stats lock poisoned")
-            .re_aggregated += merged as u64;
+        self.counters().re_aggregated += merged as u64;
         merged
     }
 

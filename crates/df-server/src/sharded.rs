@@ -160,7 +160,8 @@ impl ShardedSpanStore {
 
     /// [`Self::insert`] of a span already in the `Arc` the shard will
     /// keep, as [`df_types::WireBatch::decode_rows`] hands it out: the
-    /// router stamps the id in place, and the `Arc` moves into the shard.
+    /// router stamps the id in place, and the `Arc` moves into the shard,
+    /// whose time index settles as [`SpanStore::insert`] does.
     fn insert_row(&mut self, mut span: Arc<Span>) -> SpanId {
         let loc = self.router.assign(&mut span);
         let id = span.span_id;
@@ -180,14 +181,20 @@ impl ShardedSpanStore {
     /// Insert a batch (what an agent ships per flush): each span is routed
     /// independently; ids are assigned in batch order.
     pub fn insert_batch(&mut self, spans: Vec<Span>) -> Vec<SpanId> {
-        self.router.reserve(spans.len());
-        spans.into_iter().map(|s| self.insert(s)).collect()
+        self.insert_all(spans.into_iter().map(Arc::new))
     }
 
     /// [`Self::insert_batch`] of spans already in their rows' `Arc`s.
     pub(crate) fn insert_rows(&mut self, rows: Vec<Arc<Span>>) -> Vec<SpanId> {
+        self.insert_all(rows.into_iter())
+    }
+
+    /// Route every row, then settle each shard's time index.
+    fn insert_all(&mut self, rows: impl ExactSizeIterator<Item = Arc<Span>>) -> Vec<SpanId> {
         self.router.reserve(rows.len());
-        rows.into_iter().map(|r| self.insert_row(r)).collect()
+        let ids = rows.map(|r| self.insert_row(r)).collect();
+        self.shards.iter_mut().for_each(SpanStore::settle);
+        ids
     }
 
     /// Fetch by global id (tier-aware: a cold span pages in and is

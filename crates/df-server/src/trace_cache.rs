@@ -19,8 +19,9 @@
 //! ## Exactness contract
 //!
 //! Every trace query is answered by one function, `trace_cache::query`,
-//! with every shard pinned (a borrow of the store, or all of the
-//! concurrent store's read guards):
+//! against the corpus version read with every shard pinned (a borrow of
+//! the store, or all of the concurrent store's read guards), never under
+//! the cache lock:
 //!
 //! * version equal: nothing was written since, the entry is served
 //!   ([`CacheOutcome::Hit`]);
@@ -28,12 +29,14 @@
 //!   can only have grown, so an equal posting total means no list under
 //!   any key the trace joined on changed — no span Phase 1 could reach has
 //!   arrived and no member was altered. The entry is re-stamped with the
-//!   current version and served ([`CacheOutcome::Revalidated`]);
-//! * else the entry is dropped ([`CacheOutcome::Invalidated`]) — an entry
-//!   without facts (Phase 1 stopped at `iterations` or `max_spans`) falls
-//!   with the first write — or there was none ([`CacheOutcome::Miss`]), and
-//!   Algorithm 1 runs, the caller's `finish` step completes the fresh
-//!   trace, and it is cached at the current version.
+//!   version the facts were checked at and served
+//!   ([`CacheOutcome::Revalidated`]);
+//! * else the entry is replaced ([`CacheOutcome::Invalidated`]) — an
+//!   entry without facts (Phase 1 stopped at `iterations` or `max_spans`)
+//!   falls with the first write — or there was none
+//!   ([`CacheOutcome::Miss`]), and Algorithm 1 runs, the caller's `finish`
+//!   step completes the fresh trace, and it is cached at the version read
+//!   under the pin it ran in.
 //!
 //! So the cache is **exact**: after any write, a served trace equals a
 //! fresh Algorithm 1 run over the same corpus. It errs only one way — the
@@ -60,6 +63,7 @@ use df_types::trace::Trace;
 use df_types::{IntMap, SpanId};
 use std::borrow::Borrow;
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
 /// How one trace query was answered. The four are disjoint and
@@ -73,7 +77,7 @@ pub enum CacheOutcome {
     /// the current version and served.
     Revalidated,
     /// Entry present, the corpus written since, and nothing vouched for
-    /// the trace: the entry was dropped and Algorithm 1 ran.
+    /// the trace: Algorithm 1 ran, and its trace replaced the entry.
     Invalidated,
     /// No entry for this start span: Algorithm 1 ran.
     Miss,
@@ -126,39 +130,42 @@ impl TraceCache {
         self.entries.is_empty()
     }
 
-    /// The check of the module docs, for a caller that pins `shards` — the
-    /// whole corpus, standing at `version`. `Ok`: the entry and how it was
-    /// served, [`CacheOutcome::Hit`] or, re-stamped,
-    /// [`CacheOutcome::Revalidated`]. `Err`: why Algorithm 1 must run,
-    /// [`CacheOutcome::Miss`] or — the entry is dropped —
-    /// [`CacheOutcome::Invalidated`].
+    /// The entry for `start`, if it is stamped at `version` (a
+    /// [`CacheOutcome::Hit`]). Otherwise why not: `Err(None)`, no entry;
+    /// `Err(Some((trace, facts)))`, an entry stamped at another version,
+    /// with the facts, if it has any, that can still vouch for its trace.
+    /// They are lent, not copied: until [`TraceCache::restamp`] hands them
+    /// back, a reader racing for the same start finds no facts and
+    /// re-assembles.
     pub(crate) fn lookup(
         &mut self,
         start: SpanId,
         version: u64,
-        shards: &[impl Borrow<SpanStore>],
-    ) -> Result<(Arc<Trace>, CacheOutcome), CacheOutcome> {
-        let Some(entry) = self.entries.get_mut(&start) else {
-            return Err(CacheOutcome::Miss);
-        };
-        let outcome = if entry.version == version {
-            CacheOutcome::Hit
-        } else if (entry.facts.as_ref()).is_some_and(|f| f.hold(shards)) {
-            entry.version = version;
-            CacheOutcome::Revalidated
-        } else {
-            self.entries.remove(&start);
-            self.order.retain(|&cached| cached != start);
-            return Err(CacheOutcome::Invalidated);
-        };
-        Ok((Arc::clone(&entry.trace), outcome))
+    ) -> Result<Arc<Trace>, Option<Stale>> {
+        match self.entries.get_mut(&start) {
+            Some(entry) if entry.version == version => Ok(Arc::clone(&entry.trace)),
+            Some(entry) => Err(Some((Arc::clone(&entry.trace), entry.facts.take()))),
+            None => Err(None),
+        }
+    }
+
+    /// Stamp `start`'s entry with `version` and give it back its `facts`,
+    /// if it still holds `trace`, the trace those facts held for at that
+    /// version; an entry stored since is left as it is.
+    fn restamp(&mut self, start: SpanId, trace: &Arc<Trace>, version: u64, facts: JoinFacts) {
+        if let Some(entry) = self.entries.get_mut(&start) {
+            if Arc::ptr_eq(&entry.trace, trace) {
+                (entry.version, entry.facts) = (version, Some(facts));
+            }
+        }
     }
 
     /// Cache a trace freshly assembled at corpus `version`, with the
     /// `facts` of its search (`None`: the entry falls with the first
-    /// write), and return it as an [`Arc`]. An empty trace is returned
-    /// un-cached: it is cheap to recompute and usually transient — the
-    /// start span may simply not be stored yet.
+    /// write), in place of any entry for `start`, and return it as an
+    /// [`Arc`]. An empty trace is returned un-cached: it is cheap to
+    /// recompute and usually transient — the start span may simply not be
+    /// stored yet.
     pub(crate) fn store(
         &mut self,
         start: SpanId,
@@ -167,19 +174,19 @@ impl TraceCache {
         facts: Option<JoinFacts>,
     ) -> Arc<Trace> {
         let trace = Arc::new(trace);
+        // A replaced entry gives up its place in the FIFO.
+        if self.entries.remove(&start).is_some() {
+            self.order.retain(|&cached| cached != start);
+        }
         if trace.is_empty() {
             return trace;
         }
-        // A start already cached (two readers missed it together) keeps
-        // its place in the FIFO.
-        if !self.entries.contains_key(&start) {
-            if self.entries.len() >= self.max_entries {
-                if let Some(oldest) = self.order.pop_front() {
-                    self.entries.remove(&oldest);
-                }
+        if self.entries.len() >= self.max_entries {
+            if let Some(oldest) = self.order.pop_front() {
+                self.entries.remove(&oldest);
             }
-            self.order.push_back(start);
         }
+        self.order.push_back(start);
         let entry = CacheEntry {
             trace: Arc::clone(&trace),
             version,
@@ -190,38 +197,65 @@ impl TraceCache {
     }
 }
 
-/// One trace query, with every shard of the corpus pinned in `shards`
-/// ([`Loc::shard`] order) so that nothing is written until it returns:
-/// read the corpus version, serve the entry for `start` if
-/// [`TraceCache::lookup`] can, and otherwise run Algorithm 1 from `loc`
-/// and cache what it built, once `finish` has run on it. Reading, checking
-/// and storing under the one pin is what makes an entry's version match
-/// the rows it vouches for, and it holds by construction: `shards` is
-/// borrowed from guards the caller holds until this returns, the version
-/// is derived from that same slice, and no shard lock is reachable from
-/// here, so no write can land between reading the version and stamping
-/// it. The cache lock is not held across the assembly. Returns the trace
-/// and the outcome the caller counts.
-pub(crate) fn query(
+/// A cached trace stamped at another version, and the facts of its search.
+pub(crate) type Stale = (Arc<Trace>, Option<JoinFacts>);
+
+/// One trace query. `pin` pins every shard of the corpus, in
+/// [`Loc::shard`] order, for as long as what it returns lives: a borrow of
+/// the in-process store, or the concurrent store's read guards taken as
+/// one. The pin and the cache lock are taken one after the other, never
+/// one under the other:
+///
+/// 1. pinned, read the corpus version;
+/// 2. locked, serve the entry for `start` if it is stamped at that version
+///    ([`TraceCache::lookup`]), or borrow the stale entry's facts;
+/// 3. pinned again, read the version, then check the stale entry's facts
+///    or, failing them, run Algorithm 1 from `loc` (and then `finish`);
+/// 4. locked, re-stamp the entry or store the fresh trace at step 3's
+///    version.
+///
+/// Step 3 reads the version and the rows it checks or assembles under one
+/// pin, so the version an entry records matches the rows it vouches for
+/// (the module docs' exactness). A hit needs no second pin: its stamp
+/// equals a version read under a pin, so the corpus stood then as it did
+/// when the entry was stamped. A store that lands over a newer entry only
+/// costs the next query a check. Returns the trace and the outcome the
+/// caller counts.
+pub(crate) fn query<P, S>(
     cache: &Mutex<TraceCache>,
-    shards: &[impl Borrow<SpanStore>],
+    pin: impl Fn() -> P,
     loc: Option<Loc>,
     start: SpanId,
     cfg: &AssembleConfig,
     finish: impl FnOnce(&mut Trace),
-) -> (Arc<Trace>, CacheOutcome) {
-    let version = corpus_version(shards);
-    let looked = cache
-        .lock()
+) -> (Arc<Trace>, CacheOutcome)
+where
+    P: Deref<Target = [S]>,
+    S: Borrow<SpanStore>,
+{
+    let version = corpus_version(&pin());
+    let looked = df_check::lock(cache)
         .expect("cache lock poisoned")
-        .lookup(start, version, shards);
-    let outcome = match looked {
-        Ok(served) => return served,
-        Err(outcome) => outcome,
+        .lookup(start, version);
+    let (stale, outcome) = match looked {
+        Ok(trace) => return (trace, CacheOutcome::Hit),
+        Err(None) => (None, CacheOutcome::Miss),
+        Err(Some(stale)) => (Some(stale), CacheOutcome::Invalidated),
     };
-    let (mut trace, facts) = assemble_local(shards, loc, start, cfg);
+    let pinned = pin();
+    let version = corpus_version(&pinned);
+    if let Some((trace, Some(facts))) = stale {
+        if facts.hold(&pinned) {
+            drop(pinned);
+            (df_check::lock(cache).expect("cache lock poisoned"))
+                .restamp(start, &trace, version, facts);
+            return (trace, CacheOutcome::Revalidated);
+        }
+    }
+    let (mut trace, facts) = assemble_local(&pinned, loc, start, cfg);
+    drop(pinned);
     finish(&mut trace);
-    let mut cache = cache.lock().expect("cache lock poisoned");
+    let mut cache = df_check::lock(cache).expect("cache lock poisoned");
     (cache.store(start, trace, version, facts), outcome)
 }
 
@@ -255,7 +289,14 @@ mod tests {
         start: SpanId,
     ) -> (Arc<Trace>, CacheOutcome) {
         let cfg = AssembleConfig::default();
-        query(cache, store.shards(), store.loc(start), start, &cfg, |_| {})
+        query(
+            cache,
+            || store.shards(),
+            store.loc(start),
+            start,
+            &cfg,
+            |_| {},
+        )
     }
 
     #[test]
@@ -367,13 +408,10 @@ mod tests {
         for &s in &firsts {
             ask(&cache, &store, s);
         }
-        assert_eq!(cache.lock().unwrap().len(), 2);
+        assert_eq!(df_check::lock(&cache).unwrap().len(), 2);
         assert_eq!(ask(&cache, &store, firsts[2]).1, Hit);
         assert_eq!(ask(&cache, &store, firsts[0]).1, Miss, "oldest evicted");
     }
-
-    /// The corpus of a lookup that never reaches the facts check.
-    const NO_SHARDS: &[SpanStore] = &[];
 
     #[test]
     fn invalidate_and_restore_cycles_keep_one_fifo_slot_per_start() {
@@ -384,8 +422,8 @@ mod tests {
         };
         // Version `n`: every cached entry is behind it, and none has facts.
         let cycle = |cache: &mut TraceCache, n: u64| {
-            let gone = cache.lookup(SpanId(n % 8), n, NO_SHARDS).unwrap_err();
-            assert_eq!(gone, if n < 8 { Miss } else { Invalidated });
+            let stale = cache.lookup(SpanId(n % 8), n).expect_err("never a hit");
+            assert_eq!(stale.is_some(), n >= 8, "cached from the second lap");
             cache.store(SpanId(n % 8), trace.clone(), n, None);
         };
         (0..10_000).for_each(|n| cycle(&mut cache, n));
@@ -394,7 +432,7 @@ mod tests {
         // newest, so filling the cache evicts start 1 instead.
         cycle(&mut cache, 10_000);
         cache.store(SpanId(8), trace.clone(), 10_000, None);
-        let hit = |c: &mut TraceCache, id| c.lookup(id, 10_000, NO_SHARDS).is_ok();
+        let hit = |c: &mut TraceCache, id| c.lookup(id, 10_000).is_ok();
         assert!(hit(&mut cache, SpanId(0)) && hit(&mut cache, SpanId(8)));
         assert!(!hit(&mut cache, SpanId(1)));
     }

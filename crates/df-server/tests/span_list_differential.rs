@@ -3,8 +3,9 @@
 //! what a plain formulation answers — every live stored span that matches
 //! the query, copied, in `(req_time, span_id)` order, capped, with the
 //! labels of its IP joined in wherever the span lacks the key — at 1, 4
-//! and 16 shards, after re-aggregation has tombstoned fragments, and over a
-//! tiered store whose old rows page in from disk.
+//! and 16 shards, after every batch of a shuffled backfill, after
+//! re-aggregation has tombstoned fragments, and over a tiered store whose
+//! old rows page in from disk.
 
 use df_server::{Listed, Server, ShardedSpanStore, TagDictionary};
 use df_storage::{ShardPolicy, SpanQuery, SpanRef, TierConfig};
@@ -174,24 +175,34 @@ fn assert_rows_match(rows: &[Listed<'_>], want: &[(Span, Span)]) {
     }
 }
 
-/// Ingest `spans` over the wire into a server of `shards` shards and
-/// check every query, before and after re-aggregation.
+/// Every query against the plain answer.
+fn assert_queries_match(server: &Server) {
+    for q in &queries() {
+        let want = reference(server.store(), server.dictionary(), q);
+        assert_rows_match(&server.span_list(q), &want);
+    }
+}
+
+/// Ingest the corpus over the wire into a server of `shards` shards, its
+/// batches shuffled as a backfill arrives, and check every query after
+/// each batch — each settles the time index on its way in, and a list
+/// between batches sees the merge — then after re-aggregation.
 fn assert_server_matches(seed: u64, shards: usize) {
     let mut server = Server::with_policy(&inventory(), ShardPolicy::with_shards(shards));
-    for batch in corpus(seed, 240).chunks(50) {
+    let spans = corpus(seed, 240);
+    let mut batches: Vec<&[Span]> = spans.chunks(50).collect();
+    let mut rng = TestRng::for_case("span-list-backfill", seed);
+    for i in (1..batches.len()).rev() {
+        batches.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+    }
+    for batch in batches {
         server
             .ingest_wire(&df_types::wire::encode_batch(batch))
             .expect("valid batch");
-    }
-    for q in &queries() {
-        let want = reference(server.store(), server.dictionary(), q);
-        assert_rows_match(&server.span_list(q), &want);
+        assert_queries_match(&server);
     }
     assert!(server.re_aggregate() > 0, "fragments were tombstoned");
-    for q in &queries() {
-        let want = reference(server.store(), server.dictionary(), q);
-        assert_rows_match(&server.span_list(q), &want);
-    }
+    assert_queries_match(&server);
     // The convenience wrapper is the errors-only list.
     let (from, to) = (TimeNs(0), TimeNs(u64::MAX));
     let errors = SpanQuery {

@@ -193,7 +193,7 @@ impl BufferPool {
     /// Allocate a fresh segment id (the spiller names the file, then
     /// [`BufferPool::register`]s it).
     pub fn alloc_segment(&self) -> SegmentId {
-        let mut inner = self.inner.lock().expect("buffer pool lock poisoned");
+        let mut inner = df_check::lock(&self.inner).expect("buffer pool lock poisoned");
         let seg = inner.next_segment;
         inner.next_segment += 1;
         seg
@@ -201,7 +201,7 @@ impl BufferPool {
 
     /// Record where `seg` lives on disk. Must happen before any fetch.
     pub fn register(&self, seg: SegmentId, path: PathBuf) {
-        let mut inner = self.inner.lock().expect("buffer pool lock poisoned");
+        let mut inner = df_check::lock(&self.inner).expect("buffer pool lock poisoned");
         inner.catalog.insert(seg, path);
     }
 
@@ -221,7 +221,7 @@ impl BufferPool {
     /// Fetch `seg`'s decoded spans, paging them in if necessary. The
     /// returned `Arc` stays valid after the pool evicts the segment.
     pub fn fetch(&self, seg: SegmentId) -> Result<Arc<Vec<Span>>, PoolError> {
-        let mut inner = self.inner.lock().expect("buffer pool lock poisoned");
+        let mut inner = df_check::lock(&self.inner).expect("buffer pool lock poisoned");
         let path = loop {
             if let Some(spans) = inner.resident.get(&seg).cloned() {
                 inner.stats.hits += 1;
@@ -246,7 +246,7 @@ impl BufferPool {
             // Another fetcher is paging `seg` in, or every frame is
             // mid-load: wait for a load to end rather than duplicating IO
             // or overrunning the budget.
-            inner = self.cv.wait(inner).expect("buffer pool lock poisoned");
+            inner = df_check::wait(&self.cv, inner).expect("buffer pool lock poisoned");
         };
         inner.loading.insert(seg);
         inner.stats.misses += 1;
@@ -255,7 +255,7 @@ impl BufferPool {
         // Page-in outside the pool lock.
         let loaded = self.load(&path);
 
-        let mut inner = self.inner.lock().expect("buffer pool lock poisoned");
+        let mut inner = df_check::lock(&self.inner).expect("buffer pool lock poisoned");
         inner.loading.remove(&seg);
         self.cv.notify_all();
         let spans = Arc::new(loaded.map_err(PoolError::Io)?.spans);
@@ -278,7 +278,7 @@ impl BufferPool {
 
     /// Number of decoded segments the pool currently keeps.
     pub fn resident_frames(&self) -> usize {
-        let inner = self.inner.lock().expect("buffer pool lock poisoned");
+        let inner = df_check::lock(&self.inner).expect("buffer pool lock poisoned");
         inner.resident.len()
     }
 
@@ -289,7 +289,9 @@ impl BufferPool {
 
     /// Snapshot of hit/miss/eviction counters.
     pub fn stats(&self) -> PoolStats {
-        self.inner.lock().expect("buffer pool lock poisoned").stats
+        df_check::lock(&self.inner)
+            .expect("buffer pool lock poisoned")
+            .stats
     }
 }
 
@@ -370,7 +372,7 @@ mod tests {
         // replacer depth `k`.
         let run = |k: usize| {
             let pool = BufferPool::new(BufferPoolConfig::with_frames(16));
-            pool.inner.lock().expect("pool lock").replacer = Replacer::new(k);
+            df_check::lock(&pool.inner).expect("pool lock").replacer = Replacer::new(k);
             let ids: Vec<u64> = (files.iter())
                 .map(|(path, bytes)| {
                     pool.scheduler()

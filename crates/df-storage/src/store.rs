@@ -9,11 +9,10 @@
 //! the iterative search terminate in interactive time (Fig. 15).
 //!
 //! Probes return borrowed row slices (`&[u32]`) so the assembly hot loop
-//! never allocates per probe. The time index lives behind a mutex and is
-//! sorted lazily, so `query` works through a shared reference: read paths
-//! (span list, trace assembly) never need `&mut SpanStore`, and batch
-//! ingest ([`SpanStore::insert_batch`]) defers the sort cost to the next
-//! query instead of paying it per span.
+//! never allocates per probe. The writers keep the time index sorted (a
+//! batch merges its run in once, at its end), so `query` borrows it
+//! through a shared reference: read paths (span list, trace assembly)
+//! never need `&mut SpanStore`, and the store has no lock.
 //!
 //! # Hot/cold tiering
 //!
@@ -46,7 +45,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::ops::Deref;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A span-list query (the Fig. 15 "span list" request).
 #[derive(Debug, Clone, Default)]
@@ -151,20 +150,75 @@ pub struct StoreStats {
     pub index_entries: usize,
 }
 
-/// `(req_time_ns, row)` pairs, appended on ingest and sorted lazily at the
-/// next query. Lives behind a mutex so queries can sort through `&self`.
-#[derive(Debug)]
+/// `(req_time_ns, row)` pairs, sorted up to `settled`. An append in order
+/// is settled as it lands; a batch settles the rest of its run
+/// ([`TimeIndex::settle`]) before it returns.
+#[derive(Debug, Default)]
 struct TimeIndex {
     entries: Vec<(u64, u32)>,
-    sorted: bool,
+    /// Length of the sorted prefix: the entries past it await a settle.
+    settled: usize,
 }
 
-impl Default for TimeIndex {
-    fn default() -> Self {
-        TimeIndex {
-            entries: Vec::new(),
-            sorted: true,
+/// Entries [`merge_runs`] buffers per step, on the stack (8 KiB).
+const MERGE_CHUNK: usize = 512;
+
+impl TimeIndex {
+    /// Append `entry`, settled at once if nothing is pending and it sorts
+    /// last.
+    fn push(&mut self, entry: (u64, u32)) {
+        let in_order = self.settled == self.entries.len()
+            && self.entries.last().is_none_or(|&last| last <= entry);
+        self.entries.push(entry);
+        self.settled += usize::from(in_order);
+    }
+
+    /// Sort the entries appended since the last settle, then merge them
+    /// into place. The merge touches only the suffix from the first settled
+    /// entry later than the new run's earliest, so in-order ingest merges
+    /// nothing. Neither step allocates: a stable sort's scratch buffer
+    /// would cost ingest an allocation per out-of-order batch.
+    fn settle(&mut self) {
+        let settled = std::mem::replace(&mut self.settled, self.entries.len());
+        let fresh = &mut self.entries[settled..];
+        fresh.sort_unstable();
+        let Some(&earliest) = fresh.first() else {
+            return;
+        };
+        let from = self.entries[..settled].partition_point(|&e| e < earliest);
+        merge_runs(&mut self.entries[from..], settled - from);
+    }
+}
+
+/// Merge the sorted runs `v[..mid]` and `v[mid..]` in place, with a
+/// fixed stack buffer. Each step takes the right run's last chunk `C` and
+/// the left run's entries above `C`'s first (`H`): it rotates `H` past the
+/// rest of the right run, merges `H` and `C` backward into the tail, and
+/// goes on with what is left before them. A step moves `H`, `C` and the
+/// right run's remainder once, so merging `b` new entries into `a` costs
+/// about `a + b²/(2·MERGE_CHUNK)` moves.
+fn merge_runs(v: &mut [(u64, u32)], mut mid: usize) {
+    let mut end = v.len();
+    while 0 < mid && mid < end {
+        let mut buf = [(0u64, 0u32); MERGE_CHUNK];
+        let chunk = (end - mid).min(MERGE_CHUNK);
+        let c = end - chunk;
+        let high = v[..mid].partition_point(|&e| e < v[c]);
+        v[high..c].rotate_left(mid - high);
+        let h = c - (mid - high);
+        buf[..chunk].copy_from_slice(&v[c..end]);
+        let (mut i, mut j) = (c, chunk);
+        while j > 0 {
+            end -= 1;
+            if i > h && v[i - 1] > buf[j - 1] {
+                i -= 1;
+                v[end] = v[i];
+            } else {
+                j -= 1;
+                v[end] = buf[j];
+            }
         }
+        (mid, end) = (high, h);
     }
 }
 
@@ -259,7 +313,7 @@ pub struct SpanStore {
     by_otel_trace: PostingIndex<u128>,
     /// `(key, row)` entries across the five association indexes.
     index_entries: usize,
-    time_index: Mutex<TimeIndex>,
+    time_index: TimeIndex,
     /// Rows consumed by server-side re-aggregation, one bit per row;
     /// hidden from queries.
     tombstones: Vec<u64>,
@@ -483,12 +537,17 @@ impl SpanStore {
                 removed += self.unindex(key, row);
             }
         }
-        let idx = self.time_index.get_mut().expect("time index lock poisoned");
+        let idx = &mut self.time_index;
+        idx.settle();
         idx.entries.retain(|&(_, row)| !bit(&self.tombstones, row));
+        idx.settled = idx.entries.len();
         removed
     }
 
-    /// Insert a span, assigning its id. Returns the id.
+    /// Insert a span, assigning its id. Returns the id. A span older than
+    /// the newest indexed one leaves its time-index entry unsettled (see
+    /// [`SpanStore::query`]) until a batch write or [`SpanStore::settle`]:
+    /// merging one entry costs a move of every later one.
     pub fn insert(&mut self, mut span: Span) -> SpanId {
         let row = self.rows.len() as u32;
         let id = Self::id_at(row);
@@ -505,7 +564,8 @@ impl SpanStore {
     /// row). The span is indexed exactly like [`SpanStore::insert`]; only
     /// id assignment is skipped. The `Arc` is the row: the owner allocates
     /// it once, as the span leaves its decoded batch, and it is never
-    /// copied again.
+    /// copied again. Settles like [`SpanStore::insert`]: an owner routing
+    /// a batch one span at a time calls [`SpanStore::settle`] at its end.
     pub fn insert_routed(&mut self, span: Arc<Span>) -> u32 {
         let row = self.rows.len() as u32;
         self.index_and_push(span);
@@ -523,22 +583,29 @@ impl SpanStore {
         for span in spans {
             self.index_and_push(span);
         }
+        self.time_index.settle();
         first
     }
 
     /// Insert a batch (what an agent ships per flush). Index maintenance is
-    /// append-only here; the time index is re-sorted lazily by the next
-    /// query, so ingest cost doesn't scale with query-side ordering.
+    /// append-only, and the time index is settled once, at the end.
     pub fn insert_batch(&mut self, spans: Vec<Span>) -> Vec<SpanId> {
         self.reserve(spans.len());
-        spans.into_iter().map(|span| self.insert(span)).collect()
+        let ids = spans.into_iter().map(|span| self.insert(span)).collect();
+        self.time_index.settle();
+        ids
+    }
+
+    /// Merge the time-index entries single-span inserts left unsettled;
+    /// every batch write settles itself.
+    pub fn settle(&mut self) {
+        self.time_index.settle();
     }
 
     /// Make room for `n` more rows and time-index entries.
     fn reserve(&mut self, n: usize) {
         self.rows.reserve(n);
-        let idx = self.time_index.get_mut().expect("time index lock poisoned");
-        idx.entries.reserve(n);
+        self.time_index.entries.reserve(n);
     }
 
     /// Index every association attribute of `span` and append it, keeping
@@ -589,17 +656,10 @@ impl SpanStore {
         }
     }
 
-    /// Append a time-index entry, tracking sortedness and the newest
-    /// request time.
+    /// Append a time-index entry, tracking the newest request time.
     fn push_time_entry(&mut self, ts: u64, row: u32) {
         self.newest_req = self.newest_req.max(Some(TimeNs(ts)));
-        let idx = self.time_index.get_mut().expect("time index lock poisoned");
-        if let Some((last, _)) = idx.entries.last() {
-            if *last > ts {
-                idx.sorted = false;
-            }
-        }
-        idx.entries.push((ts, row));
+        self.time_index.push((ts, row));
     }
 
     /// Fetch by id (tier-aware: cold spans page in).
@@ -618,21 +678,16 @@ impl SpanStore {
         self.rows.is_empty()
     }
 
-    /// Span-list query (time window + filters). Sorts the time index
-    /// lazily under its lock, so concurrent readers share one sort.
-    /// Tier-aware: the time index covers cold rows, which page in as
-    /// they are materialised (tombstones are filtered by their row bit
-    /// first, so hidden cold rows cost nothing).
-    ///
-    /// Lock order: a cold row pages in through the buffer pool's lock
-    /// while the time-index lock is held (`time_index -> inner` in
-    /// `docs/LOCK_ORDER.txt`). That order cannot invert, because the pool
-    /// never calls back into a store.
+    /// Span-list query (time window + filters), over the time index its
+    /// writers sorted. Tier-aware: the time index covers cold rows, which
+    /// page in as they are materialised, each under the buffer pool's lock
+    /// alone (tombstones are filtered by their row bit first, so hidden
+    /// cold rows cost nothing). While single-span inserts have left
+    /// entries unsettled, the query scans every row and sorts its answer.
     pub fn query(&self, q: &SpanQuery) -> Vec<SpanRef<'_>> {
-        let mut idx = self.time_index.lock().expect("time index lock poisoned");
-        if !idx.sorted {
-            idx.entries.sort_unstable();
-            idx.sorted = true;
+        let idx = &self.time_index;
+        if idx.settled < idx.entries.len() {
+            return self.query_unsettled(q);
         }
         let start = match q.from {
             Some(f) => idx.entries.partition_point(|(ts, _)| *ts < f.as_nanos()),
@@ -656,6 +711,18 @@ impl SpanStore {
                 out.push(span);
             }
         }
+        out
+    }
+
+    /// [`SpanStore::query`] while single-span inserts have left entries
+    /// unsettled: every live row that matches, sorted as the index lists.
+    #[cold]
+    fn query_unsettled(&self, q: &SpanQuery) -> Vec<SpanRef<'_>> {
+        let live = (0..self.rows.len() as u32).filter(|&row| !self.is_tombstoned_row(row));
+        let spans = live.map(|row| self.span_at(row).expect("row in range"));
+        let mut out: Vec<_> = spans.filter(|span| q.matches(span)).collect();
+        out.sort_by_key(|s| (s.req_time, s.span_id));
+        out.truncate(q.limit);
         out
     }
 
@@ -814,6 +881,7 @@ impl SpanStore {
             self.rows.push(RowSlot::Cold { segment, offset });
             self.cold_count += 1;
         }
+        self.time_index.settle();
         self.cold_reader = Some(Arc::clone(pool));
         Ok(stats)
     }
@@ -826,13 +894,13 @@ fn bit(words: &[u64], row: u32) -> bool {
 }
 
 // Interior-mutability audit (the concurrent sharded store shares shards
-// across threads): the only interior mutability in `SpanStore` is the
-// lazily-sorted time index behind its `Mutex` — every other field is
-// mutated through `&mut self` only. `SpanStore` is therefore `Send + Sync`
-// by composition, and the concurrent store may hand `&SpanStore` to scoped
-// probe threads while a worker thread owns the `&mut` side behind an
-// `RwLock`. The assertion makes that load-bearing property a compile error
-// to lose (e.g. by adding a `Cell` or `Rc` field).
+// across threads): `SpanStore` has none — every field, the time index
+// included, is mutated through `&mut self` only. `SpanStore` is therefore
+// `Send + Sync` by composition, and the concurrent store may hand
+// `&SpanStore` to scoped probe threads while a worker thread owns the
+// `&mut` side behind an `RwLock`. The assertion makes that load-bearing
+// property a compile error to lose (e.g. by adding a `Cell` or `Rc`
+// field).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SpanStore>();
@@ -1017,7 +1085,7 @@ mod tests {
         for t in [500u64, 100, 300, 200, 400] {
             st.insert(span(t));
         }
-        // Query through a shared reference: lazy sort happens internally.
+        // Out-of-order single inserts: the query scans the unsettled rows.
         let st = &st;
         let got = st.query(&SpanQuery::window(TimeNs(150), TimeNs(450)));
         let times: Vec<u64> = got.iter().map(|s| s.req_time.as_nanos()).collect();
@@ -1180,6 +1248,39 @@ mod tests {
         // sweep finds the bucket already gone.
         assert_eq!(st.evict_tombstoned(), 1);
         assert!(st.find(AssocKey::TcpSeq(5)).is_empty());
+    }
+
+    /// Settling merges each batch into the index as one sort of the whole
+    /// index would order it: batches in order, overlapping, entirely
+    /// earlier, and longer than the merge's stack chunk.
+    #[test]
+    fn settle_orders_the_index_as_a_full_sort_would() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut idx = TimeIndex::default();
+        let batches = [
+            (0, 1_000),
+            (900, 200),
+            (0, 3 * MERGE_CHUNK + 7),
+            (5_000, 50),
+        ];
+        for (base, len) in batches {
+            for _ in 0..len {
+                let row = idx.entries.len() as u32;
+                idx.push((base + next() % 2_000, row));
+            }
+            idx.settle();
+            let mut want = idx.entries.clone();
+            want.sort_unstable();
+            assert_eq!(idx.entries, want, "after a batch of {len} from {base}");
+        }
+        idx.settle();
+        assert_eq!(idx.settled, idx.entries.len(), "an empty settle");
     }
 
     #[test]

@@ -143,8 +143,8 @@ fn a_cold_trace_copies_no_member() {
 
 /// A span list over hot rows lends the stored spans: one query allocates
 /// its result vectors, whose count grows as they double, never a copy
-/// per row. Pinned at two sizes, after a warm-up query has sorted the
-/// time index.
+/// per row. Pinned at two sizes, after a warm-up query (ingest left the
+/// time index sorted, so the warm-up only checks the count).
 #[test]
 fn a_span_list_over_hot_rows_copies_no_row() {
     for (rows, budget) in [(100u64, 7), (1_000, 10)] {
