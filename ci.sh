@@ -75,7 +75,8 @@ require_deny() {
       || { echo "$file: its #![deny(..)] lacks clippy::$lint (docs/LINTS.md)" >&2; exit 1; }
   done
 }
-for decoder in crates/df-types/src/wire.rs crates/df-types/src/rpc.rs crates/df-storage/src/persist.rs; do
+for decoder in crates/df-types/src/wire/{mod,decode,dict}.rs crates/df-types/src/rpc.rs \
+  crates/df-storage/src/persist.rs; do
   require_deny "$decoder" indexing_slicing arithmetic_side_effects unwrap_used expect_used panic \
     unreachable todo unimplemented panic_in_result_fn allow_attributes_without_reason
 done
