@@ -1,10 +1,21 @@
-//! Allocation budgets: exact allocation counts for paths that are fast
-//! because they do not copy, and the live heap bytes a stored span costs.
-//! A copy put back fails `cargo test` here, where timed runs on a noisy
-//! host would need tens of pairs to show it. The counting global
-//! allocator below counts per thread, so tests running in parallel do not
-//! mix their counts. Each budget prints one `ledger:` line (shown with
-//! `--nocapture`; `ci.sh` prints them in every log).
+//! The counted cost ledger: exact allocation counts for paths that are
+//! fast because they do not copy, the live heap bytes a stored span
+//! costs, and the codec's bytes and allocations per span. A copy put back
+//! fails `cargo test` here, where timed runs on a noisy host would need
+//! tens of pairs to show it. The counting global allocator below counts
+//! per thread, so tests running in parallel do not mix their counts.
+//!
+//! Every row is committed in `BENCH_counts.json` at the workspace root,
+//! and a row that differs from the file fails either way: above it is a
+//! regression, below it is a gain the file must record, so each gain
+//! shows in the diff of the change that made it. Rewrite the file with
+//!
+//! ```text
+//! cargo test --test alloc_budget -- --ignored bless_bench_counts
+//! ```
+//!
+//! Each row also prints one `ledger:` line (shown with `--nocapture`;
+//! `ci.sh` prints them in every log).
 
 #![allow(
     unsafe_code,
@@ -15,10 +26,11 @@
 use deepflow::mesh::apps;
 use deepflow::prelude::*;
 use deepflow::storage::{BufferPool, BufferPoolConfig, SpanStore};
-use deepflow::types::ResourceInventory;
+use deepflow::types::{wire, ResourceInventory};
+use serde_json::{json, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::fmt::Display;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 thread_local! {
@@ -90,9 +102,96 @@ fn heap<R>(f: impl FnOnce() -> R) -> (R, u64, i64) {
     (out, allocated, LIVE_BYTES.with(Cell::get) - before)
 }
 
-/// Print one counted row of the cost ledger.
-fn ledger(row: &str, value: impl Display) {
-    println!("ledger: {row} = {value}");
+/// One counted row of the ledger.
+struct Row {
+    name: String,
+    value: f64,
+    unit: &'static str,
+    corpus: &'static str,
+    /// The simulation seed of the corpus; `None` for hand-built spans.
+    seed: Option<u64>,
+}
+
+/// The corpus of every hand-built row: `Span::synthetic` spans.
+const SYNTHETIC: &str = "Span::synthetic spans built by the test";
+/// The seeded Bookinfo run's DFW batches (100 RPS for 2 s, polled every
+/// 100 ms: the 7 200-span stream `tests/zero_code_tracing.rs` pins).
+const BOOKINFO: &str = "Bookinfo, 100 RPS for 2 s, agents polled every 100 ms (7 200 spans)";
+/// `apps::bookinfo`'s simulation seed.
+const BOOKINFO_SEED: u64 = 0xb00c;
+
+fn row(name: impl Into<String>, value: impl Into<f64>, unit: &'static str) -> Row {
+    Row {
+        name: name.into(),
+        value: value.into(),
+        unit,
+        corpus: SYNTHETIC,
+        seed: None,
+    }
+}
+
+/// A row per span of the seeded Bookinfo stream, to three decimals.
+fn per_span(name: &str, total: u64, unit: &'static str) -> Row {
+    Row {
+        value: (total as f64 * 1_000.0 / 7_200.0).round() / 1_000.0,
+        corpus: BOOKINFO,
+        seed: Some(BOOKINFO_SEED),
+        ..row(name, 0, unit)
+    }
+}
+
+fn counts_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_counts.json")
+}
+
+/// Print each row as a `ledger:` line and compare it with the committed
+/// file: a row that differs, either way, fails.
+fn check(rows: &[Row]) {
+    let text = std::fs::read_to_string(counts_path()).expect("BENCH_counts.json at the root");
+    let file: Value = serde_json::from_str(&text).expect("BENCH_counts.json is JSON");
+    let committed = file.as_array().expect("an array of rows");
+    for row in rows {
+        println!("ledger: {} = {}", row.name, row.value);
+        let entry = committed
+            .iter()
+            .find(|c| c["row"].as_str() == Some(&row.name));
+        let value = entry.and_then(|c| c["value"].as_f64());
+        assert_eq!(
+            Some(row.value),
+            value,
+            "{}: counted here against BENCH_counts.json; if the change is meant, rewrite \
+             the file with `cargo test --test alloc_budget -- --ignored bless_bench_counts`",
+            row.name
+        );
+    }
+}
+
+/// Rewrite `BENCH_counts.json` from this tree's counts.
+#[test]
+#[ignore = "rewrites BENCH_counts.json; run it when a change moves a row on purpose"]
+fn bless_bench_counts() {
+    let rows = [
+        trace_cache_hit(),
+        cold_traces(),
+        span_lists(),
+        cold_row_read(),
+        wire_ingest(),
+        codec(),
+    ];
+    let lines: Vec<String> = (rows.iter().flatten())
+        .map(|r| {
+            // Whole counts print as integers.
+            let value = match r.value.fract() == 0.0 {
+                true => json!(r.value as i64),
+                false => json!(r.value),
+            };
+            let row = json!({"row": r.name.as_str(), "value": value, "unit": r.unit,
+                             "corpus": r.corpus, "seed": r.seed});
+            serde_json::to_string(&row).expect("prints")
+        })
+        .collect();
+    let text = format!("[\n  {}\n]\n", lines.join(",\n  "));
+    std::fs::write(counts_path(), text).expect("BENCH_counts.json is writable");
 }
 
 /// A `Server::trace` cache hit hands back the cached `Arc<Trace>` and
@@ -100,6 +199,10 @@ fn ledger(row: &str, value: impl Display) {
 /// own slice, not a collected list of borrows.
 #[test]
 fn a_trace_cache_hit_allocates_nothing() {
+    check(&trace_cache_hit());
+}
+
+fn trace_cache_hit() -> Vec<Row> {
     let mut server = Server::new(&ResourceInventory::default());
     let mut client = Span::synthetic(TapSide::ClientProcess, 1_000, 1_500);
     let mut callee = Span::synthetic(TapSide::ServerProcess, 1_010, 1_490);
@@ -110,18 +213,25 @@ fn a_trace_cache_hit_allocates_nothing() {
     assert_eq!(cold.spans.len(), 2, "the pair joins on its TCP sequence");
 
     let (_, allocated) = allocations(|| server.trace(ids[0]));
-    ledger("trace_cache.hit_allocations", allocated);
     assert_eq!(server.stats().cache_hits, 1, "the second query hits");
-    assert_eq!(allocated, 0, "a cache hit allocates nothing");
+    vec![row(
+        "trace_cache.hit_allocations",
+        allocated as u32,
+        "allocations",
+    )]
 }
 
 /// A cold `Server::trace` shares each member's stored row and copies
 /// none: its allocations grow with the member count only as its vectors
-/// double. Pinned at two sizes of one exchange, every member on one TCP
+/// double. Counted at two sizes of one exchange, every member on one TCP
 /// sequence.
 #[test]
 fn a_cold_trace_copies_no_member() {
-    for (members, budget) in [(32u64, 39), (128, 47)] {
+    check(&cold_traces());
+}
+
+fn cold_traces() -> Vec<Row> {
+    let count = |members: u64| {
         let mut server = Server::new(&ResourceInventory::default());
         let spans = (0..members).map(|i| {
             let mut span = Span::synthetic(TapSide::ClientProcess, 1_000 + i, 2_000 + i);
@@ -131,23 +241,25 @@ fn a_cold_trace_copies_no_member() {
         let ids = server.ingest_batch(spans.collect());
 
         let (trace, allocated) = allocations(|| server.trace(ids[0]));
-        ledger(
-            &format!("trace.cold_allocations_{members}_members"),
-            allocated,
-        );
         assert_eq!(trace.len(), members as usize, "one exchange");
         assert_eq!(server.stats().cache_misses, 1, "the query is cold");
-        assert_eq!(allocated, budget, "{members} members");
-    }
+        let name = format!("trace.cold_allocations_{members}_members");
+        row(name, allocated as u32, "allocations")
+    };
+    vec![count(32), count(128)]
 }
 
 /// A span list over hot rows lends the stored spans: one query allocates
 /// its result vectors, whose count grows as they double, never a copy
-/// per row. Pinned at two sizes, after a warm-up query (ingest left the
+/// per row. Counted at two sizes, after a warm-up query (ingest left the
 /// time index sorted, so the warm-up only checks the count).
 #[test]
 fn a_span_list_over_hot_rows_copies_no_row() {
-    for (rows, budget) in [(100u64, 7), (1_000, 10)] {
+    check(&span_lists());
+}
+
+fn span_lists() -> Vec<Row> {
+    let count = |rows: u64| {
         let mut server = Server::new(&ResourceInventory::default());
         let spans =
             (0..rows).map(|i| Span::synthetic(TapSide::ClientProcess, 1_000 + i, 2_000 + i));
@@ -159,17 +271,22 @@ fn a_span_list_over_hot_rows_copies_no_row() {
         assert_eq!(server.span_list(&all).len(), rows as usize);
 
         let (listed, allocated) = allocations(|| server.span_list(&all).len());
-        ledger(&format!("span_list.allocations_{rows}_rows"), allocated);
         assert_eq!(listed, rows as usize);
-        assert_eq!(allocated, budget, "{rows} rows");
-    }
+        let name = format!("span_list.allocations_{rows}_rows");
+        row(name, allocated as u32, "allocations")
+    };
+    vec![count(100), count(1_000)]
 }
 
 /// A cold row read from a resident segment copies that one row out of
 /// the segment the pool lends: the boxed span and its endpoint string,
-/// never the page. Pinned after a warm-up read has paged the segment in.
+/// never the page. Counted after a warm-up read has paged the segment in.
 #[test]
 fn a_cold_row_read_from_a_resident_segment_copies_one_row() {
+    check(&cold_row_read());
+}
+
+fn cold_row_read() -> Vec<Row> {
     let dir = std::env::temp_dir().join(format!("df-alloc-budget-{}", std::process::id()));
     let mut store = SpanStore::new();
     let spans = (0..10u64).map(|i| Span::synthetic(TapSide::ClientProcess, 1_000 + i, 2_000 + i));
@@ -179,24 +296,20 @@ fn a_cold_row_read_from_a_resident_segment_copies_one_row() {
     let read = |row| store.span_at(row).expect("row exists").req_time;
     let warm = spilled.map(|_| read(3));
     let (hit, allocated) = allocations(|| read(3));
-    ledger("cold_row_read.allocations", allocated);
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(warm.expect("spill succeeds"), TimeNs(1_003));
     assert_eq!((hit, store.cold_rows()), (TimeNs(1_003), 10));
     let stats = pool.stats();
     assert_eq!((stats.misses, stats.hits), (1, 1), "the second read hits");
-    assert_eq!(allocated, 2, "a resident cold row costs one span copy");
+    vec![row(
+        "cold_row_read.allocations",
+        allocated as u32,
+        "allocations",
+    )]
 }
 
-/// `Server::ingest_wire` over the seeded Bookinfo run's DFW1 batches (100
-/// RPS for 2 s, polled every 100 ms: the 7 200-span stream
-/// `tests/zero_code_tracing.rs` pins byte for byte), into a fresh server:
-/// the allocations it makes and the heap bytes it keeps, per span stored.
-/// Each span is decoded into the `Arc` its shard keeps, and the process
-/// and interface names of a batch are shared, so a span costs its row, its
-/// endpoint string and, rarely, its custom tags.
-#[test]
-fn wire_ingest_of_the_seeded_bookinfo_run() {
+/// The seeded Bookinfo run's DFW batches, as the agents emit them.
+fn bookinfo_batches() -> (Vec<Vec<u8>>, ResourceInventory) {
     let mut make_tracer = || apps::no_tracer();
     let (mut world, _handles) = apps::bookinfo(100.0, DurationNs::from_secs(2), &mut make_tracer);
     let mut df = Deployment::install(&mut world).expect("programs verify");
@@ -209,7 +322,22 @@ fn wire_ingest_of_the_seeded_bookinfo_run() {
             batches.extend(agent.poll_wire(kernel, &mut world.fabric, now));
         }
     }
-    let mut server = Server::new(&world.fabric.topology.resource_inventory());
+    (batches, world.fabric.topology.resource_inventory())
+}
+
+/// `Server::ingest_wire` over the seeded Bookinfo run's batches, into a
+/// fresh server: the allocations it makes and the heap bytes it keeps.
+/// Each span is decoded into the `Arc` its shard keeps, and the process
+/// and interface names of a batch are shared, so a span costs its row, its
+/// endpoint string and, rarely, its custom tags.
+#[test]
+fn wire_ingest_of_the_seeded_bookinfo_run() {
+    check(&wire_ingest());
+}
+
+fn wire_ingest() -> Vec<Row> {
+    let (batches, inventory) = bookinfo_batches();
+    let mut server = Server::new(&inventory);
 
     let (spans, allocated, live) = heap(|| {
         (batches.iter())
@@ -217,15 +345,50 @@ fn wire_ingest_of_the_seeded_bookinfo_run() {
             .sum::<usize>()
     });
     assert_eq!(spans, 7_200, "the seeded stream");
-    let per_span = |n: f64| format!("{:.3}", n / spans as f64);
-    ledger(
-        "ingest_wire.allocations_per_span",
-        per_span(allocated as f64),
-    );
-    ledger("ingest_wire.live_bytes_per_span", per_span(live as f64));
-    assert_eq!((allocated, live), (INGEST_ALLOCATIONS, INGEST_LIVE_BYTES));
+    let seeded = |name, value: f64, unit| Row {
+        corpus: BOOKINFO,
+        seed: Some(BOOKINFO_SEED),
+        ..row(name, value, unit)
+    };
+    vec![
+        seeded("ingest_wire.allocations", allocated as f64, "allocations"),
+        seeded("ingest_wire.live_bytes", live as f64, "B"),
+    ]
 }
 
-/// [`wire_ingest_of_the_seeded_bookinfo_run`]'s exact counts.
-const INGEST_ALLOCATIONS: u64 = 15_922;
-const INGEST_LIVE_BYTES: i64 = 5_105_760;
+/// The codec on the seeded Bookinfo stream: the bytes a span costs on the
+/// wire, and the allocations per span of `encode_batch` (re-encoding each
+/// batch's spans) and of `decode_batch`.
+#[test]
+fn the_codec_on_the_seeded_bookinfo_stream() {
+    check(&codec());
+}
+
+fn codec() -> Vec<Row> {
+    let (batches, _) = bookinfo_batches();
+    let decode = |b: &Vec<u8>| wire::decode_batch(b).expect("own batch decodes");
+    let (decoded, decode_allocations) =
+        allocations(|| batches.iter().map(|b| decode(b).len()).sum::<usize>());
+    let spans: Vec<Vec<Span>> = batches.iter().map(decode).collect();
+    let (bytes, encode_allocations) = allocations(|| {
+        (spans.iter())
+            .map(|s| wire::encode_batch(s).len() as u64)
+            .sum::<u64>()
+    });
+    assert_eq!(decoded, 7_200, "the seeded stream");
+    let wire_bytes: u64 = batches.iter().map(|b| b.len() as u64).sum();
+    assert_eq!(bytes, wire_bytes, "a batch re-encodes to its own bytes");
+    vec![
+        per_span("wire.bytes_per_span", wire_bytes, "B/span"),
+        per_span(
+            "wire.encode_allocations_per_span",
+            encode_allocations,
+            "allocations/span",
+        ),
+        per_span(
+            "wire.decode_allocations_per_span",
+            decode_allocations,
+            "allocations/span",
+        ),
+    ]
+}

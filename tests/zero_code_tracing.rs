@@ -184,17 +184,27 @@ fn agents_observe_flow_metrics_alongside_traces() {
     assert_eq!(anomalous, 0, "healthy bookinfo shows no network anomalies");
 }
 
-/// The agent pipeline's byte-level golden: healthy Bookinfo at 100 RPS for
-/// 2 s, polled every 100 ms over the DFW1 wire path, hashed with FNV-1a-64.
-/// Any change to what `Agent::poll` emits on the healthy path — a field, an
-/// order, a tag — moves the digest (ROADMAP 3(a)'s "span output
-/// byte-identical on the seeded run" instrument).
+/// FNV-1a-64 of `bytes`, folded into `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    (bytes.iter()).fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The agent pipeline's golden: healthy Bookinfo at 100 RPS for 2 s,
+/// polled every 100 ms over the DFW wire path. Two FNV-1a-64 digests: one
+/// of the bytes, which moves with the encoding, and one of each decoded
+/// span's `Debug` text, which does not. Any change to what `Agent::poll`
+/// emits on the healthy path — a field, an order, a tag — moves the span
+/// digest (ROADMAP 3(a)'s "span output byte-identical on the seeded run"
+/// instrument); a codec change moves only the bytes.
 #[test]
 fn seeded_bookinfo_wire_stream_is_byte_identical() {
     let mut make_tracer = || apps::no_tracer();
     let (mut world, _handles) = apps::bookinfo(100.0, DurationNs::from_secs(2), &mut make_tracer);
     let mut df = Deployment::install(&mut world).expect("programs verify");
-    let (mut spans, mut bytes, mut fnv) = (0u64, 0usize, 0xcbf2_9ce4_8422_2325u64);
+    let basis = 0xcbf2_9ce4_8422_2325u64;
+    let (mut spans, mut bytes, mut wire_fnv, mut span_fnv) = (0u64, 0usize, basis, basis);
     for step in 1..=30 {
         let now = TimeNs::from_millis(step * 100);
         world.run_until(now);
@@ -205,13 +215,15 @@ fn seeded_bookinfo_wire_stream_is_byte_identical() {
             };
             spans += deepflow::types::wire::peek_span_count(&batch).expect("header parses");
             bytes += batch.len();
-            for b in batch {
-                fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            wire_fnv = fnv1a(wire_fnv, &batch);
+            for span in deepflow::types::wire::decode_batch(&batch).expect("own batch decodes") {
+                span_fnv = fnv1a(span_fnv, format!("{span:?}").as_bytes());
             }
         }
     }
+    let hex = |h: u64| format!("{h:016x}");
     assert_eq!(
-        (spans, bytes, format!("{fnv:016x}").as_str()),
-        (7_200, 721_469, "db5da4cf892b7f67")
+        (spans, bytes, hex(wire_fnv).as_str(), hex(span_fnv).as_str()),
+        (7_200, 721_469, "db5da4cf892b7f67", "e69462741667376c")
     );
 }
