@@ -1,5 +1,5 @@
 //! The tag dictionary: every string a batch carries, once, in first-use
-//! order. [`Interner`] builds it at encode time; [`Dict`] reads it back as
+//! order. [`Table`] builds it at encode time; [`Dict`] reads it back as
 //! slices of the input.
 
 #![deny(
@@ -17,48 +17,66 @@
 
 use super::decode::Cursor;
 use super::{put_varint_u64, WireDecodeError};
+use crate::hash::IntMap;
+use std::borrow::Borrow;
 use std::cell::OnceCell;
-use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
-/// Encode side: each distinct string gets the next id the first time it
-/// is interned.
-#[derive(Debug, Default)]
-pub(super) struct Interner {
-    dict: Vec<String>,
-    index: HashMap<String, u32>,
+/// Encode side of a per-batch table: each distinct key gets the next id
+/// the first time it is seen, and its entry's bytes are written then, so
+/// the table is in first-use order whatever the map's seed. The map's
+/// key is the one owned copy of an entry.
+#[derive(Debug)]
+pub(super) struct Table<K> {
+    index: IntMap<K, u32>,
+    bytes: Vec<u8>,
 }
 
-impl Interner {
-    pub(super) fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.index.get(s) {
+impl<K> Default for Table<K> {
+    fn default() -> Self {
+        Table {
+            index: IntMap::default(),
+            bytes: Vec::new(),
+        }
+    }
+}
+
+impl<K: Hash + Eq> Table<K> {
+    /// The id of `key`, writing its entry with `write` on first use.
+    pub(super) fn id<Q>(&mut self, key: &Q, write: impl FnOnce(&mut Vec<u8>)) -> u32
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        if let Some(&id) = self.index.get(key) {
             return id;
         }
-        let id = self.dict.len() as u32;
-        self.dict.push(s.to_owned());
-        self.index.insert(s.to_owned(), id);
+        let id = self.index.len() as u32;
+        write(&mut self.bytes);
+        self.index.insert(key.to_owned(), id);
         id
     }
 
-    /// An estimate of the section's encoded size, for sizing the frame —
-    /// saturating so a pathological dictionary can at worst under-reserve,
-    /// never wrap.
-    pub(super) fn size_hint(&self) -> usize {
-        self.dict
-            .iter()
-            .map(|s| s.len().saturating_add(5))
-            .fold(0usize, usize::saturating_add)
+    /// Append the table: its entry count, then its entries in id order.
+    pub(super) fn write(&self, out: &mut Vec<u8>) {
+        put_varint_u64(out, self.index.len() as u64);
+        out.extend_from_slice(&self.bytes);
     }
 
-    /// Append the section: the entry count, then each entry as a length
-    /// and its UTF-8 bytes, in id order.
-    pub(super) fn write(&self, out: &mut Vec<u8>) {
-        put_varint_u64(out, self.dict.len() as u64);
-        for s in &self.dict {
-            put_varint_u64(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
+    /// The entries' encoded size, for sizing the frame.
+    pub(super) fn size_hint(&self) -> usize {
+        self.bytes.len().saturating_add(5)
     }
+}
+
+/// The id of `s` in the string dictionary; an entry is its length and
+/// its UTF-8 bytes.
+pub(super) fn intern(strings: &mut Table<String>, s: &str) -> u32 {
+    strings.id(s, |out| {
+        put_varint_u64(out, s.len() as u64);
+        out.extend_from_slice(s.as_bytes());
+    })
 }
 
 /// Decode side: the entries as slices of the input, and each entry as a

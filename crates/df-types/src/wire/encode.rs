@@ -1,6 +1,6 @@
 //! The DFW1 encoder: span records behind the tag dictionary.
 
-use super::dict::Interner;
+use super::dict::{intern, Table};
 use super::*;
 use crate::l7::L7Protocol;
 use crate::net::TransportProtocol;
@@ -15,7 +15,7 @@ use std::borrow::Borrow;
 /// For the common whole-slice case use [`encode_batch`].
 #[derive(Debug, Default)]
 pub struct WireEncoder {
-    strings: Interner,
+    strings: Table<String>,
     records: Vec<u8>,
     count: u64,
 }
@@ -95,14 +95,17 @@ impl WireEncoder {
             .capture
             .interface
             .as_deref()
-            .map(|s| self.strings.intern(s));
-        let endpoint_id = self.strings.intern(&span.endpoint);
-        let process_name_id = span.process_name.as_deref().map(|s| self.strings.intern(s));
+            .map(|s| intern(&mut self.strings, s));
+        let endpoint_id = intern(&mut self.strings, &span.endpoint);
+        let process_name_id = span
+            .process_name
+            .as_deref()
+            .map(|s| intern(&mut self.strings, s));
         let custom_ids: Vec<(u32, u32)> = span
             .tags
             .custom
             .iter()
-            .map(|(k, v)| (self.strings.intern(k), self.strings.intern(v)))
+            .map(|(k, v)| (intern(&mut self.strings, k), intern(&mut self.strings, v)))
             .collect();
 
         let out = &mut self.records;
