@@ -14,7 +14,7 @@
 //! `evict_tombstoned`) an embedded shard needs.
 //!
 //! Memory is bounded by **tiering**: cold time buckets spill to disk as
-//! span segments — a DFW1 batch plus the spans' row numbers, nothing
+//! span segments — a DFW batch plus the spans' row numbers, nothing
 //! else ([`persist`]) — and page back on demand through a bounded
 //! buffer pool with LRU-K eviction that lends decoded segments as `Arc`s
 //! ([`bufferpool`]), whose one segment loader also serves crash

@@ -1,7 +1,7 @@
 //! Span segments: the cold tier's on-disk page unit.
 //!
 //! A *span segment* is what the tiered store spills and pages: one cold
-//! time bucket's spans as a DFW1 batch plus the original store row of
+//! time bucket's spans as a DFW batch plus the original store row of
 //! each span. Nothing else is stored — the association and time indexes
 //! stay resident across a spill, and crash recovery rebuilds them from
 //! the decoded spans. The layout is normative — see
@@ -13,7 +13,7 @@
 //! body = section_count × ( section_len u64 LE | section bytes )
 //! ```
 //!
-//! Sections, in [`SPAN_SEGMENT_SECTIONS`] order: the DFW1 span batch and
+//! Sections, in [`SPAN_SEGMENT_SECTIONS`] order: the DFW span batch and
 //! the original store row ids. A file is valid iff
 //! [`decode_span_segment`] accepts it; there is no separate header check.
 //! The cold tier's file IO, [`DiskIo`], lives here too.
@@ -122,7 +122,7 @@ fn le_u64(b: &[u8], what: &'static str) -> io::Result<u64> {
 /// Decode a span segment produced by [`encode_span_segment`]. Total:
 /// bad magic, a foreign version (version 1 included), a wrong section
 /// count, a declared length that disagrees with the bytes given, a
-/// truncated or over-long section and any DFW1 error all come back as
+/// truncated or over-long section and any DFW error all come back as
 /// `InvalidData`.
 pub fn decode_span_segment(bytes: &[u8]) -> io::Result<SpanSegment> {
     if bytes.get(..8) != Some(SPAN_SEGMENT_MAGIC.as_slice()) {
@@ -160,7 +160,7 @@ pub fn decode_span_segment(bytes: &[u8]) -> io::Result<SpanSegment> {
     }
 
     let spans = wire::decode_batch(span_bytes)
-        .map_err(|e| invalid(&format!("span segment DFW1 batch invalid: {e:?}")))?;
+        .map_err(|e| invalid(&format!("span segment DFW batch invalid: {e:?}")))?;
 
     let count = le_u32(row_bytes.get(..4).unwrap_or(&[]), "rows section truncated")? as usize;
     let data = row_bytes.get(4..).unwrap_or(&[]);
@@ -364,7 +364,7 @@ mod tests {
         assert_eq!(doc_table(doc, "SEGMENT_SECTIONS"), sections);
     }
 
-    /// The size law: a segment is the header, the DFW1 batch and the row
+    /// The size law: a segment is the header, the DFW batch and the row
     /// numbers, each section behind its length — and nothing else.
     #[test]
     fn span_segment_round_trips_and_is_exactly_batch_plus_rows() {

@@ -72,7 +72,7 @@ fn spill_flips_old_buckets_and_preserves_every_read_path() {
         .expect("spill succeeds");
     assert_eq!(stats.segments, 2, "one segment per cold bucket");
     assert_eq!(stats.spans, 200);
-    // The size law: a segment is its header, the bucket's DFW1 batch and
+    // The size law: a segment is its header, the bucket's DFW batch and
     // the row numbers, each section behind a u64 length — nothing else.
     let law: usize = [0..100u64, 100..200]
         .into_iter()
@@ -425,22 +425,27 @@ fn crash_recovery_reregisters_segments_and_rebuilds_reads() {
     drop(first);
     drop(pool); // crash: all in-memory state gone
 
-    // Plant a corrupt file and two foreign-version segments (the retired
-    // v1 and a future v3, otherwise well-formed) matching the shard's
-    // naming scheme: recovery must count them, not die on them.
+    // Plant a corrupt file, two foreign-version segments (the retired v1
+    // and a future v3, otherwise well-formed) and a segment holding a
+    // version-1 DFW batch (its version byte follows the header, the
+    // section length and the batch's magic), matching the shard's naming
+    // scheme: recovery must count them, not die on them.
     std::fs::write(
         dir.path()
             .join("shard0007-b000000000099-seg00009999.dfspan"),
         b"torn spill",
     )
     .expect("write corrupt file");
-    for version in [1u8, 3] {
+    let batch_version = persist::SPAN_SEGMENT_HEADER_LEN + 8 + 4;
+    for (seg, (at, version)) in [(8, 1u8), (8, 3), (batch_version, 1)]
+        .into_iter()
+        .enumerate()
+    {
         let mut foreign = persist::encode_span_segment(&[span(300)], &[300]);
-        foreign[8] = version;
+        foreign[at] = version;
         std::fs::write(
-            dir.path().join(format!(
-                "shard0007-b000000000003-seg0000999{version}.dfspan"
-            )),
+            dir.path()
+                .join(format!("shard0007-b000000000003-seg0000999{seg}.dfspan")),
             foreign,
         )
         .expect("write foreign-version file");
@@ -453,7 +458,7 @@ fn crash_recovery_reregisters_segments_and_rebuilds_reads() {
         .recover_cold_segments(&pool, dir.path(), 7)
         .expect("recovery succeeds");
     assert_eq!(recovered.segments, 3, "every DFSPANS1 file re-registered");
-    assert_eq!(recovered.rejected_segments, 3, "corrupt + foreign counted");
+    assert_eq!(recovered.rejected_segments, 4, "corrupt + foreign counted");
     assert_eq!(recovered.rows, 300);
     assert_eq!(recovered.orphan_rows, 0);
     assert_eq!(revived.len(), 300);

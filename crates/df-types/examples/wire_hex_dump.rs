@@ -1,4 +1,4 @@
-//! Print the worked DFW1 example used by `docs/WIRE_FORMAT.md`: a real
+//! Print the worked DFW example used by `docs/WIRE_FORMAT.md`: a real
 //! two-span batch, hex-dumped with 16 bytes per line. Regenerate the
 //! doc's hex block with:
 //!

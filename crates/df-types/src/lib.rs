@@ -23,7 +23,7 @@
 //! * [`rpc`] — the cluster RPC vocabulary ([`RpcEnvelope`], span-batch
 //!   shipping and Phase 1 candidate-set probes) framed into fabric-segment
 //!   payloads;
-//! * [`wire`] — **DFW1**, the binary span-batch wire format (normative
+//! * [`wire`] — **DFW**, the binary span-batch wire format (normative
 //!   spec in `docs/WIRE_FORMAT.md`): the interning encoder agents use and
 //!   the zero-copy batch decoder the ingest path runs on;
 //! * [`tags`] — the resource-tag model used by tag-based correlation and

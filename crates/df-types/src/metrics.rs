@@ -10,7 +10,7 @@ use crate::time::DurationNs;
 use serde::{Deserialize, Serialize};
 
 /// L4 flow metrics, maintained per flow per capture point by the flow table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct FlowMetrics {
     /// Packets sent client→server.
     pub packets_tx: u64,

@@ -21,7 +21,7 @@
 //!   lives on another node.
 //! * **Replication** — a shard primary forwards each accepted batch to
 //!   the shard's replicas as [`RpcBody::ReplicateBatch`] (the agent's
-//!   DFW1 bytes carried verbatim, same layout as a span batch) and
+//!   DFW bytes carried verbatim, same layout as a span batch) and
 //!   collects [`RpcBody::ReplicateAck`]s; the primary acks the agent
 //!   only once its write quorum is met.
 //! * **Anti-entropy** — replicas compare per-shard
@@ -37,7 +37,7 @@
 //! An envelope serialises to a fabric-segment payload as a fixed 17-byte
 //! header — magic `DFR1`, `rpc_id` (u64 LE), a kind byte, body length
 //! (u32 LE) — followed by a **binary body**. Span payloads travel as
-//! [DFW1 batches](crate::wire) (see `docs/WIRE_FORMAT.md`); the remaining
+//! [DFW batches](crate::wire) (see `docs/WIRE_FORMAT.md`); the remaining
 //! fields are fixed-width little-endian integers and LEB128 varints. A
 //! [`RpcBody::SpanBatch`] body carries the sender's encoded batch
 //! *verbatim* — a node forwarding or retrying a batch never re-encodes
@@ -156,7 +156,7 @@ pub struct CandidateSpan {
 #[derive(Debug, Clone, PartialEq)]
 pub enum RpcBody {
     /// Ship a contiguous run of routed spans to the shard's owner. The
-    /// spans travel as one DFW1 batch carried verbatim (the spans inside
+    /// spans travel as one DFW batch carried verbatim (the spans inside
     /// hold their already-assigned global ids); `start_row` is the row
     /// the first span must land on (idempotency anchor).
     SpanBatch {
@@ -164,7 +164,7 @@ pub enum RpcBody {
         shard: u16,
         /// Row the first span lands on.
         start_row: u32,
-        /// The DFW1-encoded batch, exactly as the sender produced it.
+        /// The DFW-encoded batch, exactly as the sender produced it.
         /// Build with [`RpcBody::span_batch`], unpack with
         /// [`wire::decode_batch`]; [`wire::peek_span_count`] reads the
         /// span count without decoding.
@@ -187,7 +187,7 @@ pub enum RpcBody {
         keys: CandidateKeys,
     },
     /// The receiver's new candidate rows for a probe round. On the wire
-    /// the spans travel as one shared-dictionary DFW1 batch followed by a
+    /// the spans travel as one shared-dictionary DFW batch followed by a
     /// `(shard, row)` address pair per span, in batch order.
     CandidateResponse {
         /// Round this responds to.
@@ -205,7 +205,7 @@ pub enum RpcBody {
     },
     /// Answer to a [`RpcBody::SpanFetch`]; `None` when the row does not
     /// exist (or is tombstoned) on the receiver. A present span travels
-    /// as a single-span DFW1 batch.
+    /// as a single-span DFW batch.
     SpanFetchResponse {
         /// Echoed shard.
         shard: u16,
@@ -223,7 +223,7 @@ pub enum RpcBody {
         shard: u16,
         /// Row the first span lands on.
         start_row: u32,
-        /// The DFW1-encoded batch, forwarded verbatim — never re-encoded
+        /// The DFW-encoded batch, forwarded verbatim — never re-encoded
         /// between the agent and the last replica.
         wire: Bytes,
     },
@@ -250,7 +250,7 @@ pub enum RpcBody {
         /// Applied rows (the contiguous prefix; stashed out-of-order
         /// batches beyond the first gap do not count).
         rows: u32,
-        /// FNV-1a digest folded over the applied rows' DFW1 encodings.
+        /// FNV-1a digest folded over the applied rows' DFW encodings.
         digest: u64,
     },
     /// Pull a contiguous row range from a peer replica (anti-entropy
@@ -264,14 +264,14 @@ pub enum RpcBody {
         max_rows: u32,
     },
     /// Answer to a [`RpcBody::RowRangeRequest`]: the rows the peer
-    /// actually holds from `start_row`, as one DFW1 batch (possibly
+    /// actually holds from `start_row`, as one DFW batch (possibly
     /// empty, possibly shorter than asked).
     RowRangeResponse {
         /// Echoed shard.
         shard: u16,
         /// Row the first returned span sits on.
         start_row: u32,
-        /// The DFW1-encoded rows.
+        /// The DFW-encoded rows.
         wire: Bytes,
     },
 }
@@ -295,7 +295,7 @@ impl RpcBody {
         }
     }
 
-    /// Build a [`RpcBody::SpanBatch`], encoding `spans` as one DFW1
+    /// Build a [`RpcBody::SpanBatch`], encoding `spans` as one DFW
     /// batch. The resulting bytes are what travels — retries and
     /// forwards reuse them verbatim.
     pub fn span_batch(shard: u16, start_row: u32, spans: &[Span]) -> RpcBody {
@@ -307,7 +307,7 @@ impl RpcBody {
     }
 
     /// Build a [`RpcBody::RowRangeResponse`], encoding `spans` as one
-    /// DFW1 batch.
+    /// DFW batch.
     pub fn row_range_response(shard: u16, start_row: u32, spans: &[Span]) -> RpcBody {
         RpcBody::RowRangeResponse {
             shard,
@@ -458,7 +458,7 @@ pub enum RpcDecodeError {
         /// The unassigned kind byte.
         kind: u8,
     },
-    /// An embedded DFW1 span payload declares a wire-format version this
+    /// An embedded DFW span payload declares a wire-format version this
     /// decoder does not speak.
     BadVersion {
         /// The version byte the payload carried.
@@ -468,7 +468,7 @@ pub enum RpcDecodeError {
     /// varint, bad discriminant, malformed embedded span batch...). The
     /// inner [`WireDecodeError`] names the failing field.
     Body(WireDecodeError),
-    /// An embedded DFW1 batch holds a different number of spans than the
+    /// An embedded DFW batch holds a different number of spans than the
     /// body declares around it.
     BodyCountMismatch {
         /// Spans the body structure declares.
@@ -488,7 +488,7 @@ impl fmt::Display for RpcDecodeError {
             }
             RpcDecodeError::BadKind { kind } => write!(f, "unknown RPC kind {kind}"),
             RpcDecodeError::BadVersion { found } => {
-                write!(f, "embedded span payload speaks DFW1 version {found}")
+                write!(f, "embedded span payload speaks DFW version {found}")
             }
             RpcDecodeError::Body(e) => write!(f, "bad RPC body: {e}"),
             RpcDecodeError::BodyCountMismatch { declared, got } => {
@@ -542,7 +542,7 @@ fn read_u64_le(cur: &mut Cursor<'_>, ctx: &'static str) -> Result<u64, WireDecod
     Ok(u64::from_le_bytes(b))
 }
 
-/// Read a `shard + start_row + verbatim DFW1 batch` body (the shared
+/// Read a `shard + start_row + verbatim DFW batch` body (the shared
 /// shape of span-batch, replicate-batch, and row-range-response bodies),
 /// validating the embedded batch header at the envelope boundary.
 fn read_verbatim_batch(cur: &mut Cursor<'_>) -> Result<(u16, u32, Bytes), RpcDecodeError> {
@@ -553,7 +553,7 @@ fn read_verbatim_batch(cur: &mut Cursor<'_>) -> Result<(u16, u32, Bytes), RpcDec
     Ok((shard, start_row, Bytes::copy_from_slice(raw)))
 }
 
-/// Read a length-prefixed embedded DFW1 batch and decode it fully.
+/// Read a length-prefixed embedded DFW batch and decode it fully.
 fn read_embedded_batch(cur: &mut Cursor<'_>) -> Result<Vec<Span>, RpcDecodeError> {
     let len = cur.varint_u64("batch_len")? as usize;
     let raw = cur.take(len, "batch")?;
@@ -564,7 +564,7 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<RpcBody, RpcDecodeError> {
     let mut cur = Cursor::new(body);
     let decoded = match kind {
         1 => {
-            // The batch travels verbatim; validate the DFW1 header now so
+            // The batch travels verbatim; validate the DFW header now so
             // a corrupt or foreign-version payload fails at the envelope
             // boundary, not deep inside ingest.
             let (shard, start_row, wire) = read_verbatim_batch(&mut cur)?;
@@ -1070,7 +1070,7 @@ mod tests {
             body: RpcBody::span_batch(0, 0, std::slice::from_ref(&span)),
         };
         let mut payload = env.encode().to_vec();
-        // The DFW1 version byte sits right after the batch's magic, which
+        // The DFW version byte sits right after the batch's magic, which
         // itself follows the 17-byte header + shard (2) + start_row (4).
         let version_off = RPC_HEADER_LEN + 6 + 4;
         assert_eq!(payload[version_off], wire::WIRE_VERSION);

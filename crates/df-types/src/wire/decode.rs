@@ -1,4 +1,4 @@
-//! The DFW1 decoder: a bounds-checked cursor, [`WireBatch`] over one
+//! The DFW decoder: a bounds-checked cursor, [`WireBatch`] over one
 //! frame, and the record parse behind [`WireBatch::spans`] and
 //! [`WireBatch::decode_rows`].
 
@@ -15,19 +15,15 @@
     clippy::allow_attributes_without_reason
 )]
 
-use super::dict::Dict;
+use super::dict::Tables;
 use super::*;
 use crate::ids::{
-    AgentId, FlowId, NodeId, OtelSpanId, OtelTraceId, Pid, PseudoThreadId, SpanId, SysTraceId, Tid,
-    XRequestId,
+    OtelSpanId, OtelTraceId, Pid, PseudoThreadId, SpanId, SysTraceId, Tid, XRequestId,
 };
 use crate::l7::L7Protocol;
-use crate::metrics::FlowMetrics;
-use crate::net::{FiveTuple, TransportProtocol};
 use crate::span::{CapturePoint, Span, SpanKind, SpanStatus};
 use crate::tags::{ResourceTags, TagSet};
-use crate::time::{DurationNs, TimeNs};
-use std::net::Ipv4Addr;
+use crate::time::TimeNs;
 use std::sync::Arc;
 
 #[derive(Clone)]
@@ -82,7 +78,7 @@ impl<'a> Cursor<'a> {
     #[expect(
         clippy::arithmetic_side_effects,
         reason = "shift < max_bits <= 128 at both sites, checked first; a saturating \
-                  add in this loop made DFW1 decode measurably slower"
+                  add in this loop made DFW decode measurably slower"
     )]
     pub(crate) fn varint(
         &mut self,
@@ -126,13 +122,13 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// A parsed DFW1 batch borrowing the input buffer: header validated, tag
-/// dictionary indexed zero-copy (`&str` slices into the input), span
-/// records still raw bytes. Iterate with [`WireBatch::spans`] or
+/// A parsed DFW batch borrowing the input buffer: header validated, tag
+/// dictionary indexed zero-copy (`&str` slices into the input), flow and
+/// metrics tables decoded, span records still raw bytes. Iterate with [`WireBatch::spans`] or
 /// materialise everything with [`WireBatch::decode_all`].
 pub struct WireBatch<'a> {
     count: u64,
-    dict: Dict<'a>,
+    pub(super) tables: Tables<'a>,
     pub(super) records: &'a [u8],
 }
 
@@ -144,7 +140,8 @@ pub struct WireBatch<'a> {
 const DECODE_GROUP: usize = 64;
 
 impl<'a> WireBatch<'a> {
-    /// Validate the magic, version, span count and tag dictionary.
+    /// Validate the magic, version and span count, and read the tag
+    /// dictionary and the flow and metrics tables.
     /// Record bytes are not touched yet; per-span errors surface from the
     /// iterator.
     pub fn parse(bytes: &'a [u8]) -> Result<WireBatch<'a>, WireDecodeError> {
@@ -161,10 +158,10 @@ impl<'a> WireBatch<'a> {
             return Err(WireDecodeError::BadVersion { found: version });
         }
         let count = cur.varint_u64("span_count")?;
-        let dict = Dict::parse(&mut cur)?;
+        let tables = Tables::parse(&mut cur)?;
         Ok(WireBatch {
             count,
-            dict,
+            tables,
             records: cur.rest(),
         })
     }
@@ -176,7 +173,7 @@ impl<'a> WireBatch<'a> {
 
     /// The batch's interned strings, in dictionary order (zero-copy).
     pub fn dict(&self) -> &[&'a str] {
-        self.dict.strs()
+        self.tables.strs()
     }
 
     /// Iterate the span records. Each item is a decoded [`Span`] or the
@@ -229,22 +226,23 @@ impl<'a> WireBatch<'a> {
         Ok(rows)
     }
 
-    /// The declared span count, capped by input size (a record is ≥28
+    /// The declared span count, capped by input size (a record is ≥14
     /// bytes) so a hostile count can't force a huge allocation.
     fn capacity(&self) -> usize {
-        (self.count as usize).min((self.records.len() / 28).saturating_add(1))
+        (self.count as usize).min((self.records.len() / 14).saturating_add(1))
     }
 
     fn decode_record(&self, cur: &mut Cursor<'a>) -> Result<Span, WireDecodeError> {
         let span_id = SpanId(cur.varint_u64("span_id")?);
         let flags = cur.varint_u32("flags")?;
-        if flags & !F_KNOWN != 0 {
-            // Unknown presence bits would desynchronise the parse: the
-            // fields they announce have widths this version cannot know.
-            return Err(WireDecodeError::BadEnum {
-                field: "flags",
-                value: (flags >> 16) as u8,
-            });
+        let has = |bit: u32| flags & bit != 0;
+        // Unknown presence bits would desynchronise the parse: the fields
+        // they announce have widths this version cannot know.
+        let xreq = flags & (F_XREQ_REQ | F_XREQ_RESP | F_XREQ_RESP_SAME);
+        if flags & !F_KNOWN != 0
+            || (has(F_XREQ_RESP_SAME) && xreq != (F_XREQ_REQ | F_XREQ_RESP_SAME))
+        {
+            return Err(WireDecodeError::BadFlags { flags });
         }
         let kind_tap = cur.u8("kind_tap")?;
         let kind = match kind_tap >> 4 {
@@ -265,37 +263,10 @@ impl<'a> WireBatch<'a> {
                     field: "tap_side",
                     value: kind_tap & 0x0f,
                 })?;
-        let node = NodeId(cur.varint_u32("node")?);
-        let interface = if flags & F_INTERFACE != 0 {
-            Some(self.dict.shared_name(cur.varint_u32("interface")?)?)
-        } else {
-            None
-        };
-        let agent = AgentId(cur.varint_u32("agent")?);
-        let flow_id = FlowId(cur.varint_u64("flow_id")?);
-        let &[s0, s1, s2, s3, d0, d1, d2, d3, sp0, sp1, dp0, dp1, proto] =
-            cur.take(13, "five_tuple")?
-        else {
-            return Err(WireDecodeError::Truncated {
-                context: "five_tuple",
-            });
-        };
-        let five_tuple = FiveTuple {
-            src_ip: Ipv4Addr::new(s0, s1, s2, s3),
-            dst_ip: Ipv4Addr::new(d0, d1, d2, d3),
-            src_port: u16::from_le_bytes([sp0, sp1]),
-            dst_port: u16::from_le_bytes([dp0, dp1]),
-            protocol: match proto {
-                0 => TransportProtocol::Tcp,
-                1 => TransportProtocol::Udp,
-                v => {
-                    return Err(WireDecodeError::BadEnum {
-                        field: "transport_protocol",
-                        value: v,
-                    })
-                }
-            },
-        };
+        let flow = *self.tables.flow(cur.varint_u32("flow")?)?;
+        let interface = has(F_INTERFACE)
+            .then(|| self.tables.shared_name(cur.varint_u32("interface")?))
+            .transpose()?;
         let l7_protocol = match cur.u8("l7_protocol")? {
             0 => L7Protocol::Http1,
             1 => L7Protocol::Http2,
@@ -316,7 +287,7 @@ impl<'a> WireBatch<'a> {
                 })
             }
         };
-        let endpoint = self.dict.get(cur.varint_u32("endpoint")?)?.to_owned();
+        let endpoint = self.tables.get(cur.varint_u32("endpoint")?)?.to_owned();
         let req_time = TimeNs(cur.varint_u64("req_time")?);
         let delta = unzigzag(cur.varint_u128("resp_delta")?);
         let resp = i128::from(req_time.0)
@@ -339,78 +310,53 @@ impl<'a> WireBatch<'a> {
                 })
             }
         };
-        let status_code = if flags & F_STATUS_CODE != 0 {
-            Some(cur.varint_u16("status_code")?)
-        } else {
-            None
-        };
+        let status_code = has(F_STATUS_CODE)
+            .then(|| cur.varint_u16("status_code"))
+            .transpose()?;
         let req_bytes = cur.varint_u64("req_bytes")?;
         let resp_bytes = cur.varint_u64("resp_bytes")?;
-        let pid = if flags & F_PID != 0 {
-            Some(Pid(cur.varint_u32("pid")?))
-        } else {
-            None
+        let pid = has(F_PID)
+            .then(|| cur.varint_u32("pid").map(Pid))
+            .transpose()?;
+        let tid = has(F_TID)
+            .then(|| cur.varint_u32("tid").map(Tid))
+            .transpose()?;
+        let process_name = has(F_PROCESS_NAME)
+            .then(|| self.tables.shared_name(cur.varint_u32("process_name")?))
+            .transpose()?;
+        let systrace_id_req = has(F_SYSTRACE_REQ)
+            .then(|| cur.varint_u64("systrace_id_req").map(SysTraceId))
+            .transpose()?;
+        let systrace_id_resp = has(F_SYSTRACE_RESP)
+            .then(|| cur.varint_u64("systrace_id_resp").map(SysTraceId))
+            .transpose()?;
+        let pseudo_thread_id = has(F_PSEUDO_THREAD)
+            .then(|| cur.varint_u64("pseudo_thread_id").map(PseudoThreadId))
+            .transpose()?;
+        let x_request_id_req = has(F_XREQ_REQ)
+            .then(|| cur.varint_u128("x_request_id_req").map(XRequestId))
+            .transpose()?;
+        let x_request_id_resp = match has(F_XREQ_RESP_SAME) {
+            true => x_request_id_req,
+            false => (has(F_XREQ_RESP))
+                .then(|| cur.varint_u128("x_request_id_resp").map(XRequestId))
+                .transpose()?,
         };
-        let tid = if flags & F_TID != 0 {
-            Some(Tid(cur.varint_u32("tid")?))
-        } else {
-            None
-        };
-        let process_name = if flags & F_PROCESS_NAME != 0 {
-            Some(self.dict.shared_name(cur.varint_u32("process_name")?)?)
-        } else {
-            None
-        };
-        let systrace_id_req = if flags & F_SYSTRACE_REQ != 0 {
-            Some(SysTraceId(cur.varint_u64("systrace_id_req")?))
-        } else {
-            None
-        };
-        let systrace_id_resp = if flags & F_SYSTRACE_RESP != 0 {
-            Some(SysTraceId(cur.varint_u64("systrace_id_resp")?))
-        } else {
-            None
-        };
-        let pseudo_thread_id = if flags & F_PSEUDO_THREAD != 0 {
-            Some(PseudoThreadId(cur.varint_u64("pseudo_thread_id")?))
-        } else {
-            None
-        };
-        let x_request_id_req = if flags & F_XREQ_REQ != 0 {
-            Some(XRequestId(cur.varint_u128("x_request_id_req")?))
-        } else {
-            None
-        };
-        let x_request_id_resp = if flags & F_XREQ_RESP != 0 {
-            Some(XRequestId(cur.varint_u128("x_request_id_resp")?))
-        } else {
-            None
-        };
-        let tcp_seq_req = if flags & F_TCP_SEQ_REQ != 0 {
-            Some(cur.varint_u32("tcp_seq_req")?)
-        } else {
-            None
-        };
-        let tcp_seq_resp = if flags & F_TCP_SEQ_RESP != 0 {
-            Some(cur.varint_u32("tcp_seq_resp")?)
-        } else {
-            None
-        };
-        let otel_trace_id = if flags & F_OTEL_TRACE != 0 {
-            Some(OtelTraceId(cur.varint_u128("otel_trace_id")?))
-        } else {
-            None
-        };
-        let otel_span_id = if flags & F_OTEL_SPAN != 0 {
-            Some(OtelSpanId(cur.varint_u64("otel_span_id")?))
-        } else {
-            None
-        };
-        let otel_parent_span_id = if flags & F_OTEL_PARENT != 0 {
-            Some(OtelSpanId(cur.varint_u64("otel_parent_span_id")?))
-        } else {
-            None
-        };
+        let tcp_seq_req = has(F_TCP_SEQ_REQ)
+            .then(|| cur.varint_u32("tcp_seq_req"))
+            .transpose()?;
+        let tcp_seq_resp = has(F_TCP_SEQ_RESP)
+            .then(|| cur.varint_u32("tcp_seq_resp"))
+            .transpose()?;
+        let otel_trace_id = has(F_OTEL_TRACE)
+            .then(|| cur.varint_u128("otel_trace_id").map(OtelTraceId))
+            .transpose()?;
+        let otel_span_id = has(F_OTEL_SPAN)
+            .then(|| cur.varint_u64("otel_span_id").map(OtelSpanId))
+            .transpose()?;
+        let otel_parent_span_id = has(F_OTEL_PARENT)
+            .then(|| cur.varint_u64("otel_parent_span_id").map(OtelSpanId))
+            .transpose()?;
 
         let &[rt0, rt1] = cur.take(2, "resource_tags")? else {
             return Err(WireDecodeError::Truncated {
@@ -451,60 +397,30 @@ impl<'a> WireBatch<'a> {
         let mut custom =
             Vec::with_capacity(custom_len.min((cur.remaining() / 2).saturating_add(1)));
         for _ in 0..custom_len {
-            let k = self.dict.get(cur.varint_u32("custom_tag_key")?)?;
-            let v = self.dict.get(cur.varint_u32("custom_tag_value")?)?;
+            let k = self.tables.get(cur.varint_u32("custom_tag_key")?)?;
+            let v = self.tables.get(cur.varint_u32("custom_tag_value")?)?;
             custom.push((k.to_owned(), v.to_owned()));
         }
 
-        let flow_metrics = if flags & F_FLOW_METRICS != 0 {
-            let packets_tx = cur.varint_u64("fm_packets_tx")?;
-            let packets_rx = cur.varint_u64("fm_packets_rx")?;
-            let bytes_tx = cur.varint_u64("fm_bytes_tx")?;
-            let bytes_rx = cur.varint_u64("fm_bytes_rx")?;
-            let retransmissions = cur.varint_u64("fm_retransmissions")?;
-            let resets = cur.varint_u64("fm_resets")?;
-            let zero_windows = cur.varint_u64("fm_zero_windows")?;
-            let syn_retries = cur.varint_u64("fm_syn_retries")?;
-            let rtt = DurationNs(cur.varint_u64("fm_rtt")?);
-            let srt = DurationNs(cur.varint_u64("fm_srt")?);
-            let established = match cur.u8("fm_established")? {
-                0 => false,
-                1 => true,
-                v => {
-                    return Err(WireDecodeError::BadEnum {
-                        field: "fm_established",
-                        value: v,
-                    })
-                }
-            };
-            Some(FlowMetrics {
-                packets_tx,
-                packets_rx,
-                bytes_tx,
-                bytes_rx,
-                retransmissions,
-                resets,
-                zero_windows,
-                syn_retries,
-                rtt,
-                srt,
-                established,
+        let flow_metrics = (has(F_FLOW_METRICS))
+            .then(|| {
+                self.tables
+                    .metrics(cur.varint_u32("flow_metrics")?)
+                    .copied()
             })
-        } else {
-            None
-        };
+            .transpose()?;
 
         Ok(Span {
             span_id,
             kind,
             capture: CapturePoint {
-                node,
+                node: flow.node,
                 tap_side,
                 interface,
             },
-            agent,
-            flow_id,
-            five_tuple,
+            agent: flow.agent,
+            flow_id: flow.flow_id,
+            five_tuple: flow.five_tuple,
             l7_protocol,
             endpoint,
             req_time,
@@ -582,7 +498,7 @@ impl Iterator for WireSpanIter<'_, '_> {
     }
 }
 
-/// Decode a whole DFW1 batch into spans. Convenience over
+/// Decode a whole DFW batch into spans. Convenience over
 /// [`WireBatch::parse`] + [`WireBatch::decode_all`].
 pub fn decode_batch(bytes: &[u8]) -> Result<Vec<Span>, WireDecodeError> {
     WireBatch::parse(bytes)?.decode_all()

@@ -1,21 +1,23 @@
-//! The DFW1 encoder: span records behind the tag dictionary.
+//! The DFW encoder: span records behind the batch's tables.
 
-use super::dict::{intern, Table};
+use super::dict::{intern, write_metrics, Flow, Table};
 use super::*;
 use crate::l7::L7Protocol;
-use crate::net::TransportProtocol;
+use crate::metrics::FlowMetrics;
 use crate::span::{Span, SpanKind, SpanStatus};
 use std::borrow::Borrow;
 
-/// Incremental DFW1 encoder: push spans one at a time, interning every
-/// string into the batch dictionary, then [`WireEncoder::finish`] to
-/// assemble the frame. Encoding is infallible by construction — every
+/// Incremental DFW encoder: push spans one at a time, interning every
+/// string, flow context and flow-metrics snapshot into the batch's
+/// tables, then [`WireEncoder::finish`] to assemble the frame. Encoding is infallible by construction — every
 /// `Span` value has exactly one encoding.
 ///
 /// For the common whole-slice case use [`encode_batch`].
 #[derive(Debug, Default)]
 pub struct WireEncoder {
     strings: Table<String>,
+    flows: Table<Flow>,
+    metrics: Table<FlowMetrics>,
     records: Vec<u8>,
     count: u64,
 }
@@ -36,59 +38,33 @@ impl WireEncoder {
         self.count == 0
     }
 
-    /// Append one span record, interning its strings.
+    /// Append one span record, interning its strings, its flow context and
+    /// its flow-metrics snapshot.
     pub fn push(&mut self, span: &Span) {
         self.count = self.count.saturating_add(1);
 
-        let mut flags = 0u32;
-        if span.capture.interface.is_some() {
-            flags |= F_INTERFACE;
-        }
-        if span.status_code.is_some() {
-            flags |= F_STATUS_CODE;
-        }
-        if span.pid.is_some() {
-            flags |= F_PID;
-        }
-        if span.tid.is_some() {
-            flags |= F_TID;
-        }
-        if span.process_name.is_some() {
-            flags |= F_PROCESS_NAME;
-        }
-        if span.systrace_id_req.is_some() {
-            flags |= F_SYSTRACE_REQ;
-        }
-        if span.systrace_id_resp.is_some() {
-            flags |= F_SYSTRACE_RESP;
-        }
-        if span.pseudo_thread_id.is_some() {
-            flags |= F_PSEUDO_THREAD;
-        }
-        if span.x_request_id_req.is_some() {
-            flags |= F_XREQ_REQ;
-        }
-        if span.x_request_id_resp.is_some() {
-            flags |= F_XREQ_RESP;
-        }
-        if span.tcp_seq_req.is_some() {
-            flags |= F_TCP_SEQ_REQ;
-        }
-        if span.tcp_seq_resp.is_some() {
-            flags |= F_TCP_SEQ_RESP;
-        }
-        if span.otel_trace_id.is_some() {
-            flags |= F_OTEL_TRACE;
-        }
-        if span.otel_span_id.is_some() {
-            flags |= F_OTEL_SPAN;
-        }
-        if span.otel_parent_span_id.is_some() {
-            flags |= F_OTEL_PARENT;
-        }
-        if span.flow_metrics.is_some() {
-            flags |= F_FLOW_METRICS;
-        }
+        let resp_same =
+            span.x_request_id_req.is_some() && span.x_request_id_resp == span.x_request_id_req;
+        let flags = [
+            (span.capture.interface.is_some(), F_INTERFACE),
+            (span.status_code.is_some(), F_STATUS_CODE),
+            (span.pid.is_some(), F_PID),
+            (span.tid.is_some(), F_TID),
+            (span.process_name.is_some(), F_PROCESS_NAME),
+            (span.systrace_id_req.is_some(), F_SYSTRACE_REQ),
+            (span.systrace_id_resp.is_some(), F_SYSTRACE_RESP),
+            (span.pseudo_thread_id.is_some(), F_PSEUDO_THREAD),
+            (span.x_request_id_req.is_some(), F_XREQ_REQ),
+            (span.x_request_id_resp.is_some() && !resp_same, F_XREQ_RESP),
+            (resp_same, F_XREQ_RESP_SAME),
+            (span.tcp_seq_req.is_some(), F_TCP_SEQ_REQ),
+            (span.tcp_seq_resp.is_some(), F_TCP_SEQ_RESP),
+            (span.otel_trace_id.is_some(), F_OTEL_TRACE),
+            (span.otel_span_id.is_some(), F_OTEL_SPAN),
+            (span.otel_parent_span_id.is_some(), F_OTEL_PARENT),
+            (span.flow_metrics.is_some(), F_FLOW_METRICS),
+        ];
+        let flags = (flags.iter()).fold(0u32, |all, &(set, bit)| if set { all | bit } else { all });
 
         // Interning must happen before borrowing `records` mutably below.
         let interface_id = span
@@ -107,6 +83,15 @@ impl WireEncoder {
             .iter()
             .map(|(k, v)| (intern(&mut self.strings, k), intern(&mut self.strings, v)))
             .collect();
+        let flow = Flow {
+            agent: span.agent,
+            node: span.capture.node,
+            flow_id: span.flow_id,
+            five_tuple: span.five_tuple,
+        };
+        let flow_id = self.flows.id(&flow, |out| flow.write(out));
+        let metrics_id = (span.flow_metrics.as_ref())
+            .map(|fm| self.metrics.id(fm, |out| write_metrics(out, fm)));
 
         let out = &mut self.records;
         put_varint_u64(out, span.span_id.0);
@@ -117,21 +102,10 @@ impl WireEncoder {
             SpanKind::App => 2,
         };
         out.push((kind_code << 4) | span.capture.tap_side.path_rank());
-        put_varint_u64(out, span.capture.node.0 as u64);
+        put_varint_u64(out, flow_id as u64);
         if let Some(id) = interface_id {
             put_varint_u64(out, id as u64);
         }
-        put_varint_u64(out, span.agent.0 as u64);
-        put_varint_u64(out, span.flow_id.0);
-        let ft = &span.five_tuple;
-        out.extend_from_slice(&ft.src_ip.octets());
-        out.extend_from_slice(&ft.dst_ip.octets());
-        out.extend_from_slice(&ft.src_port.to_le_bytes());
-        out.extend_from_slice(&ft.dst_port.to_le_bytes());
-        out.push(match ft.protocol {
-            TransportProtocol::Tcp => 0,
-            TransportProtocol::Udp => 1,
-        });
         match span.l7_protocol {
             L7Protocol::Http1 => out.push(0),
             L7Protocol::Http2 => out.push(1),
@@ -186,7 +160,7 @@ impl WireEncoder {
         if let Some(v) = span.x_request_id_req {
             put_varint_u128(out, v.0);
         }
-        if let Some(v) = span.x_request_id_resp {
+        if let (Some(v), false) = (span.x_request_id_resp, resp_same) {
             put_varint_u128(out, v.0);
         }
         if let Some(v) = span.tcp_seq_req {
@@ -237,39 +211,35 @@ impl WireEncoder {
             put_varint_u64(out, v as u64);
         }
 
-        if let Some(fm) = &span.flow_metrics {
-            put_varint_u64(out, fm.packets_tx);
-            put_varint_u64(out, fm.packets_rx);
-            put_varint_u64(out, fm.bytes_tx);
-            put_varint_u64(out, fm.bytes_rx);
-            put_varint_u64(out, fm.retransmissions);
-            put_varint_u64(out, fm.resets);
-            put_varint_u64(out, fm.zero_windows);
-            put_varint_u64(out, fm.syn_retries);
-            put_varint_u64(out, fm.rtt.0);
-            put_varint_u64(out, fm.srt.0);
-            out.push(fm.established as u8);
+        if let Some(id) = metrics_id {
+            put_varint_u64(out, id as u64);
         }
     }
 
     /// Assemble the frame: magic, version, span count, tag dictionary,
-    /// then the accumulated records.
+    /// the flow and metrics tables' counts and entries, then the
+    /// accumulated records.
     pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            (WIRE_PREFIX_LEN + 10)
-                .saturating_add(self.strings.size_hint())
-                .saturating_add(self.records.len()),
-        );
+        let tables = [&self.strings.bytes, &self.flows.bytes, &self.metrics.bytes];
+        let size = (tables.iter().map(|t| t.len()))
+            .fold(WIRE_PREFIX_LEN + 25, usize::saturating_add)
+            .saturating_add(self.records.len());
+        let mut out = Vec::with_capacity(size);
         out.extend_from_slice(WIRE_MAGIC);
         out.push(WIRE_VERSION);
         put_varint_u64(&mut out, self.count);
-        self.strings.write(&mut out);
+        put_varint_u64(&mut out, self.strings.len());
+        out.extend_from_slice(&self.strings.bytes);
+        put_varint_u64(&mut out, self.flows.len());
+        put_varint_u64(&mut out, self.metrics.len());
+        out.extend_from_slice(&self.flows.bytes);
+        out.extend_from_slice(&self.metrics.bytes);
         out.extend_from_slice(&self.records);
         out
     }
 }
 
-/// Encode a slice of spans, owned or shared rows, as one DFW1 batch.
+/// Encode a slice of spans, owned or shared rows, as one DFW batch.
 pub fn encode_batch<S: Borrow<Span>>(spans: &[S]) -> Vec<u8> {
     let mut enc = WireEncoder::new();
     for span in spans {

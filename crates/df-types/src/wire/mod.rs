@@ -1,9 +1,9 @@
-//! **DFW1** — the binary span-batch wire format.
+//! **DFW** (magic `DFW1`, version 2) — the binary span-batch wire format.
 //!
 //! Agents ship span batches to trace servers as compact bytes, not
 //! constructed structs: the paper's millions-of-spans/sec-per-node ingest
 //! rate depends on a cheap decode path feeding the columnar smart-encoded
-//! store. DFW1 is that byte layout. The normative spec lives in
+//! store. DFW is that byte layout. The normative spec lives in
 //! `docs/WIRE_FORMAT.md`; this module is the reference implementation, and
 //! its test `wire_format_doc_matches_the_codec` asserts the doc's magic,
 //! version, field order and presence bits match [`WIRE_MAGIC`],
@@ -12,7 +12,8 @@
 //! ## Frame shape
 //!
 //! ```text
-//! "DFW1" | version u8 | span_count varint | tag dictionary | span records
+//! "DFW1" | version u8 | span_count varint | tag dictionary
+//!        | flow_count | metrics_count | flow table | metrics table | span records
 //! ```
 //!
 //! * All multi-byte integers are **LEB128 varints** unless a field is
@@ -24,6 +25,11 @@
 //!   id, so repeated strings cost one varint per use and arrive server-side
 //!   as small dense integers — ready for the SmartInt tag columns without
 //!   per-span string hashing (paper §3.4 smart encoding).
+//! * The **flow table** holds each `(agent, node, flow_id, five_tuple)` a
+//!   record names once, and the **metrics table** each distinct
+//!   `FlowMetrics` snapshot; a record names each by a varint index, and a
+//!   repeated X-Request-ID is a presence bit. Decoding copies a span's
+//!   flow context and snapshot out of the tables, decoded once per batch.
 //! * Each **span record** is a fixed field order ([`FIELD_ORDER`]): hot
 //!   fixed-width routing/timestamp fields first, optional association keys
 //!   behind a presence bitmap, variable-length tag and metric sections
@@ -82,13 +88,13 @@ pub use encode::{encode_batch, WireEncoder};
 use crate::span::TapSide;
 use std::fmt;
 
-/// Magic prefixing every DFW1 batch.
+/// Magic prefixing every DFW batch, whatever its version.
 pub const WIRE_MAGIC: &[u8; 4] = b"DFW1";
 
 /// Current wire-format version. Decoders reject any other value with
 /// [`WireDecodeError::BadVersion`]; see `docs/WIRE_FORMAT.md` for the
 /// evolution rules.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Fixed prefix length: magic (4) + version (1). The span count that
 /// follows is a varint, so the full header is variable-length.
@@ -97,15 +103,12 @@ pub const WIRE_PREFIX_LEN: usize = 5;
 /// The span-record field order, normative and version-locked.
 /// `docs/WIRE_FORMAT.md` lists exactly these fields in exactly this
 /// order (a test checks it); changing it requires a version bump.
-pub const FIELD_ORDER: [&str; 32] = [
+pub const FIELD_ORDER: [&str; 29] = [
     "span_id",
     "flags",
     "kind_tap",
-    "node",
+    "flow",
     "interface",
-    "agent",
-    "flow_id",
-    "five_tuple",
     "l7_protocol",
     "endpoint",
     "req_time",
@@ -149,7 +152,10 @@ const F_OTEL_TRACE: u32 = 1 << 12;
 const F_OTEL_SPAN: u32 = 1 << 13;
 const F_OTEL_PARENT: u32 = 1 << 14;
 const F_FLOW_METRICS: u32 = 1 << 15;
-const F_KNOWN: u32 = (1 << 16) - 1;
+/// `x_request_id_resp` equals `x_request_id_req` and is not written; valid
+/// only with [`F_XREQ_REQ`] set and [`F_XREQ_RESP`] clear.
+const F_XREQ_RESP_SAME: u32 = 1 << 16;
+const F_KNOWN: u32 = (1 << 17) - 1;
 
 /// [`TapSide`] variants indexed by [`TapSide::path_rank`] — the wire code.
 const TAP_SIDES: [TapSide; 11] = [
@@ -166,7 +172,7 @@ const TAP_SIDES: [TapSide; 11] = [
     TapSide::ServerApp,
 ];
 
-/// Why a byte buffer failed to decode as a DFW1 batch.
+/// Why a byte buffer failed to decode as a DFW batch.
 ///
 /// Every variant carries enough context to point at the failing field;
 /// none of the decode paths panic on hostile input.
@@ -213,6 +219,22 @@ pub enum WireDecodeError {
         /// Number of entries the dictionary declared.
         len: u32,
     },
+    /// A record references entry `index` of the flow or metrics table,
+    /// but the table only holds `len` entries.
+    BadTableIndex {
+        /// `"flows"` or `"metrics"`.
+        table: &'static str,
+        /// The out-of-range index.
+        index: u32,
+        /// Number of entries the table declared.
+        len: u32,
+    },
+    /// A record's presence bitmap sets a reserved bit, or sets
+    /// `F_XREQ_RESP_SAME` without `F_XREQ_REQ` or beside `F_XREQ_RESP`.
+    BadFlags {
+        /// The bitmap as read.
+        flags: u32,
+    },
     /// Bytes remain after the last declared span record.
     TrailingBytes {
         /// How many undeclared bytes follow the final record.
@@ -227,7 +249,7 @@ impl fmt::Display for WireDecodeError {
             WireDecodeError::BadVersion { found } => {
                 write!(
                     f,
-                    "unsupported DFW1 version {found} (expected {WIRE_VERSION})"
+                    "unsupported DFW version {found} (expected {WIRE_VERSION})"
                 )
             }
             WireDecodeError::Truncated { context } => {
@@ -247,6 +269,12 @@ impl fmt::Display for WireDecodeError {
                     f,
                     "dictionary id {index} out of range (dictionary holds {len})"
                 )
+            }
+            WireDecodeError::BadTableIndex { table, index, len } => {
+                write!(f, "{table} index {index} out of range (table holds {len})")
+            }
+            WireDecodeError::BadFlags { flags } => {
+                write!(f, "presence bitmap {flags:#x} is not valid in this version")
             }
             WireDecodeError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after the last span record")
@@ -321,7 +349,7 @@ pub(crate) fn doc_table<'d>(doc: &'d str, table: &str) -> Vec<(u32, &'d str)> {
 mod tests {
     use super::*;
     use crate::ids::{
-        OtelSpanId, OtelTraceId, Pid, PseudoThreadId, SpanId, SysTraceId, Tid, XRequestId,
+        FlowId, OtelSpanId, OtelTraceId, Pid, PseudoThreadId, SpanId, SysTraceId, Tid, XRequestId,
     };
     use crate::l7::L7Protocol;
     use crate::metrics::FlowMetrics;
@@ -331,7 +359,7 @@ mod tests {
 
     /// Every presence bit, named as `docs/WIRE_FORMAT.md` names it. Their
     /// OR must be `F_KNOWN`, so a new bit cannot be left off this list.
-    const PRESENCE_BITS: [(&str, u32); 16] = [
+    const PRESENCE_BITS: [(&str, u32); 17] = [
         ("F_INTERFACE", F_INTERFACE),
         ("F_STATUS_CODE", F_STATUS_CODE),
         ("F_PID", F_PID),
@@ -348,6 +376,7 @@ mod tests {
         ("F_OTEL_SPAN", F_OTEL_SPAN),
         ("F_OTEL_PARENT", F_OTEL_PARENT),
         ("F_FLOW_METRICS", F_FLOW_METRICS),
+        ("F_XREQ_RESP_SAME", F_XREQ_RESP_SAME),
     ];
 
     /// The normative document agrees with the codec: magic, version, the
@@ -457,7 +486,8 @@ mod tests {
     #[test]
     fn round_trips_empty_batch() {
         let bytes = encode_batch::<Span>(&[]);
-        assert_eq!(bytes.len(), WIRE_PREFIX_LEN + 2);
+        // Span count and the three table counts, each a zero byte.
+        assert_eq!(bytes.len(), WIRE_PREFIX_LEN + 4);
         assert_eq!(decode_batch(&bytes).expect("decodes"), Vec::<Span>::new());
         assert_eq!(peek_span_count(&bytes), Ok(0));
     }
@@ -477,15 +507,7 @@ mod tests {
         );
     }
 
-    #[test]
-    fn resp_before_req_survives() {
-        // Response-only fragments can carry resp_time < req_time.
-        let mut s = Span::synthetic(TapSide::ServerProcess, 9_000, 2_000);
-        s.status = SpanStatus::ResponseOnly;
-        let back = decode_batch(&encode_batch(&[s.clone()])).expect("decodes");
-        assert_eq!(back, vec![s]);
-    }
-
+    /// Response-only fragments can carry resp_time < req_time.
     #[test]
     fn extreme_times_survive() {
         for (req, resp) in [(0, u64::MAX), (u64::MAX, 0), (u64::MAX, u64::MAX)] {
@@ -525,14 +547,15 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert_eq!(decode_batch(&bad), Err(WireDecodeError::BadMagic));
-        let mut vers = bytes.clone();
-        vers[4] = WIRE_VERSION + 1;
-        assert_eq!(
-            decode_batch(&vers),
-            Err(WireDecodeError::BadVersion {
-                found: WIRE_VERSION + 1
-            })
-        );
+        // Version 1, the retired layout, and a future one.
+        for found in [1, WIRE_VERSION + 1] {
+            let mut vers = bytes.clone();
+            vers[4] = found;
+            assert_eq!(
+                decode_batch(&vers),
+                Err(WireDecodeError::BadVersion { found })
+            );
+        }
         for cut in 0..bytes.len() {
             let r = decode_batch(&bytes[..cut]);
             assert!(r.is_err(), "prefix of {cut} bytes must not decode");
@@ -549,48 +572,106 @@ mod tests {
         );
     }
 
-    #[test]
-    fn rejects_dict_index_out_of_range() {
-        // A single-span batch whose endpoint id points past the dictionary.
-        let mut s = Span::synthetic(TapSide::ClientProcess, 1, 2);
-        s.endpoint = String::new();
-        let mut bytes = encode_batch(&[s]);
-        // The record's endpoint varint is the id 0; the dictionary holds one
-        // entry. Flip the id to 9 (single-byte varint, position: find it by
-        // decoding structure — endpoint is right after the fixed 13-byte
-        // five-tuple + l7 byte from the record start).
-        let parsed = WireBatch::parse(&bytes).unwrap();
-        let record_off = bytes.len() - parsed.records.len();
-        drop(parsed);
-        // span_id(1) flags(1) kind_tap(1) node(1) agent(1) flow_id(1)
-        // five_tuple(13) l7(1) endpoint(1).
-        let endpoint_off = record_off + 1 + 1 + 1 + 1 + 1 + 1 + 13 + 1;
-        assert_eq!(bytes[endpoint_off], 0);
-        bytes[endpoint_off] = 9;
-        assert_eq!(
-            decode_batch(&bytes),
-            Err(WireDecodeError::BadDictIndex { index: 9, len: 1 })
-        );
+    /// A one-span batch of `span` and the offset of its record.
+    fn one_record(span: &Span) -> (Vec<u8>, usize) {
+        let bytes = encode_batch(std::slice::from_ref(span));
+        let records = WireBatch::parse(&bytes).unwrap().records.len();
+        (bytes.clone(), bytes.len() - records)
+    }
+
+    /// A synthetic span's record with its one-byte flags varint (bit 1
+    /// alone) replaced by `flags`.
+    fn with_flags(flags: u32) -> Vec<u8> {
+        let (mut bytes, record) = one_record(&Span::synthetic(TapSide::ClientProcess, 1, 2));
+        assert_eq!(bytes[record + 1], F_STATUS_CODE as u8);
+        let mut varint = Vec::new();
+        put_varint_u64(&mut varint, flags.into());
+        bytes.splice(record + 1..record + 2, varint);
+        bytes
     }
 
     #[test]
-    fn rejects_unknown_flag_bits() {
-        let mut s = Span::synthetic(TapSide::ClientProcess, 1, 2);
-        s.endpoint = String::new();
-        let mut bytes = encode_batch(&[s]);
-        let parsed = WireBatch::parse(&bytes).unwrap();
-        let record_off = bytes.len() - parsed.records.len();
-        drop(parsed);
-        // flags is the second varint in the record (after span_id = 0);
-        // synthetic spans set only F_STATUS_CODE (bit 1).
-        let flags_off = record_off + 1;
-        assert_eq!(bytes[flags_off], 0x02);
-        // Add bit 16 (first unknown bit): varint of 0x10002 = 0x82 0x80 0x04.
-        bytes.splice(flags_off..flags_off + 1, [0x82u8, 0x80, 0x04]);
-        assert!(matches!(
+    fn rejects_an_index_past_its_table() {
+        // span_id(1) flags(1) kind_tap(1) flow(1) l7(1) endpoint(1).
+        let (bytes, record) = one_record(&Span::synthetic(TapSide::ClientProcess, 1, 2));
+        let past = |at: usize, index: u8| {
+            let mut bad = bytes.clone();
+            assert_eq!(bad[at], 0);
+            bad[at] = index;
+            decode_batch(&bad)
+        };
+        let flows = |index| WireDecodeError::BadTableIndex {
+            table: "flows",
+            index,
+            len: 1,
+        };
+        assert_eq!(past(record + 3, 1), Err(flows(1)));
+        assert_eq!(past(record + 3, 9), Err(flows(9)));
+        assert_eq!(
+            past(record + 5, 9),
+            Err(WireDecodeError::BadDictIndex { index: 9, len: 1 })
+        );
+        // The metrics index is the record's last field.
+        let mut span = Span::synthetic(TapSide::ClientProcess, 1, 2);
+        span.flow_metrics = Some(FlowMetrics::default());
+        let mut bytes = encode_batch(&[span]);
+        *bytes.last_mut().unwrap() = 1;
+        assert_eq!(
             decode_batch(&bytes),
-            Err(WireDecodeError::BadEnum { field: "flags", .. })
-        ));
+            Err(WireDecodeError::BadTableIndex {
+                table: "metrics",
+                index: 1,
+                len: 1
+            })
+        );
+    }
+
+    /// A table count the rest of the frame cannot hold is refused before
+    /// anything is sized by it: `u32::MAX` slots would not fit in memory.
+    #[test]
+    fn rejects_a_table_count_past_the_bytes_left() {
+        for counts in [
+            [0xff, 0xff, 0xff, 0xff, 0x0f, 0x00],
+            [0x00, 0xff, 0xff, 0xff, 0xff, 0x0f],
+        ] {
+            let frame = [&WIRE_MAGIC[..], &[WIRE_VERSION, 0, 0], &counts, &[0; 64]].concat();
+            assert_eq!(
+                decode_batch(&frame),
+                Err(WireDecodeError::Truncated { context: "tables" })
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_reserved_and_contradictory_flags() {
+        let same = F_XREQ_RESP_SAME | F_STATUS_CODE;
+        for flags in [
+            1 << 17 | F_STATUS_CODE,
+            same,
+            same | F_XREQ_REQ | F_XREQ_RESP,
+        ] {
+            assert_eq!(
+                decode_batch(&with_flags(flags)),
+                Err(WireDecodeError::BadFlags { flags })
+            );
+        }
+    }
+
+    /// Spans that share a flow, a metrics snapshot and a request id carry
+    /// each once, and decode to what was encoded.
+    #[test]
+    fn shared_flows_snapshots_and_request_ids_are_written_once() {
+        let mut spans = vec![rich_span(), rich_span(), rich_span()];
+        spans[1].x_request_id_resp = spans[1].x_request_id_req;
+        spans[2].flow_id = FlowId(9);
+        let bytes = encode_batch(&spans);
+        let batch = WireBatch::parse(&bytes).unwrap();
+        assert_eq!((batch.tables.flows, batch.tables.metrics), (2, 1));
+        assert_eq!(batch.decode_all().unwrap(), spans);
+        let mut other = spans.clone();
+        other[1].x_request_id_resp = Some(XRequestId(u128::MAX - 1));
+        // The repeated id costs nothing; a different one its 19 bytes.
+        assert_eq!(encode_batch(&other).len(), bytes.len() + 19);
     }
 
     #[test]
@@ -656,15 +737,5 @@ mod tests {
             peek_span_count(b"DFW1"),
             Err(WireDecodeError::Truncated { context: "version" })
         );
-    }
-
-    #[test]
-    fn streaming_iterator_matches_decode_all() {
-        let spans = vec![rich_span(), Span::synthetic(TapSide::ClientApp, 1, 2)];
-        let bytes = encode_batch(&spans);
-        let batch = WireBatch::parse(&bytes).unwrap();
-        let streamed: Vec<Span> = batch.spans().map(|r| r.unwrap()).collect();
-        assert_eq!(streamed, spans);
-        assert_eq!(batch.decode_all().unwrap(), spans);
     }
 }

@@ -1,10 +1,11 @@
-//! Property tests for the DFW1 wire format (`df_types::wire`).
+//! Property tests for the DFW wire format (`df_types::wire`).
 //!
 //! Three families:
 //!
 //! 1. **Round-trip**: any batch of arbitrary spans — every optional field,
-//!    tag, status, protocol, and flow-metrics shape — survives
-//!    encode → decode byte-for-byte equal.
+//!    tag, status, protocol, and flow-metrics shape, with flows, snapshots
+//!    and request ids shared within the batch — survives encode → decode
+//!    byte-for-byte equal.
 //! 2. **Robustness**: the decoder never panics. Arbitrary garbage,
 //!    truncations of valid frames, and single-byte corruptions must all
 //!    come back as `Ok` or a structured [`WireDecodeError`] — no panics,
@@ -191,10 +192,34 @@ fn arb_span(rng: &mut TestRng) -> Span {
     }
 }
 
+/// Up to `max` spans. As in an agent's batches, spans share their flow
+/// context or their flow-metrics snapshot with an earlier span, and echo
+/// the request's X-Request-ID as the response's, so every table path and
+/// `F_XREQ_RESP_SAME` round-trip.
 fn arb_batch(seed: u64, max: u64) -> Vec<Span> {
     let mut rng = TestRng::for_case("wire-span-gen", seed);
     let n = rng.next_u64() % (max + 1);
-    (0..n).map(|_| arb_span(&mut rng)).collect()
+    let mut spans: Vec<Span> = Vec::new();
+    for _ in 0..n {
+        let mut span = arb_span(&mut rng);
+        let pick = rng.next_u64();
+        if let Some(earlier) = spans.get((pick >> 8) as usize % spans.len().max(1)) {
+            if pick & 1 != 0 {
+                span.agent = earlier.agent;
+                span.capture.node = earlier.capture.node;
+                span.flow_id = earlier.flow_id;
+                span.five_tuple = earlier.five_tuple;
+            }
+            if pick & 2 != 0 {
+                span.flow_metrics = earlier.flow_metrics;
+            }
+        }
+        if pick & 4 != 0 {
+            span.x_request_id_resp = span.x_request_id_req;
+        }
+        spans.push(span);
+    }
+    spans
 }
 
 proptest! {

@@ -102,42 +102,12 @@ fn heap<R>(f: impl FnOnce() -> R) -> (R, u64, i64) {
     (out, allocated, LIVE_BYTES.with(Cell::get) - before)
 }
 
-/// One counted row of the ledger.
-struct Row {
-    name: String,
-    value: f64,
-    unit: &'static str,
-    corpus: &'static str,
-    /// The simulation seed of the corpus; `None` for hand-built spans.
-    seed: Option<u64>,
-}
+/// One counted row: its name, value and unit, and whether its corpus is
+/// the seeded Bookinfo run (else `Span::synthetic` spans the test builds).
+struct Row(String, f64, &'static str, bool);
 
-/// The corpus of every hand-built row: `Span::synthetic` spans.
-const SYNTHETIC: &str = "Span::synthetic spans built by the test";
-/// The seeded Bookinfo run's DFW batches (100 RPS for 2 s, polled every
-/// 100 ms: the 7 200-span stream `tests/zero_code_tracing.rs` pins).
-const BOOKINFO: &str = "Bookinfo, 100 RPS for 2 s, agents polled every 100 ms (7 200 spans)";
-/// `apps::bookinfo`'s simulation seed.
-const BOOKINFO_SEED: u64 = 0xb00c;
-
-fn row(name: impl Into<String>, value: impl Into<f64>, unit: &'static str) -> Row {
-    Row {
-        name: name.into(),
-        value: value.into(),
-        unit,
-        corpus: SYNTHETIC,
-        seed: None,
-    }
-}
-
-/// A row per span of the seeded Bookinfo stream, to three decimals.
-fn per_span(name: &str, total: u64, unit: &'static str) -> Row {
-    Row {
-        value: (total as f64 * 1_000.0 / 7_200.0).round() / 1_000.0,
-        corpus: BOOKINFO,
-        seed: Some(BOOKINFO_SEED),
-        ..row(name, 0, unit)
-    }
+fn row(name: impl Into<String>, value: u64, unit: &'static str) -> Row {
+    Row(name.into(), value as f64, unit, false)
 }
 
 fn counts_path() -> PathBuf {
@@ -150,23 +120,19 @@ fn check(rows: &[Row]) {
     let text = std::fs::read_to_string(counts_path()).expect("BENCH_counts.json at the root");
     let file: Value = serde_json::from_str(&text).expect("BENCH_counts.json is JSON");
     let committed = file.as_array().expect("an array of rows");
-    for row in rows {
-        println!("ledger: {} = {}", row.name, row.value);
-        let entry = committed
-            .iter()
-            .find(|c| c["row"].as_str() == Some(&row.name));
-        let value = entry.and_then(|c| c["value"].as_f64());
+    for Row(name, value, ..) in rows {
+        println!("ledger: {name} = {value}");
+        let entry = committed.iter().find(|c| c["row"].as_str() == Some(name));
         assert_eq!(
-            Some(row.value),
-            value,
-            "{}: counted here against BENCH_counts.json; if the change is meant, rewrite \
-             the file with `cargo test --test alloc_budget -- --ignored bless_bench_counts`",
-            row.name
+            Some(*value),
+            entry.and_then(|c| c["value"].as_f64()),
+            "{name}: counted here against BENCH_counts.json; if the change is meant, rewrite \
+             the file with `cargo test --test alloc_budget -- --ignored bless_bench_counts`"
         );
     }
 }
 
-/// Rewrite `BENCH_counts.json` from this tree's counts.
+/// Rewrite `BENCH_counts.json` from this tree's counts, one row a line.
 #[test]
 #[ignore = "rewrites BENCH_counts.json; run it when a change moves a row on purpose"]
 fn bless_bench_counts() {
@@ -179,20 +145,28 @@ fn bless_bench_counts() {
         codec(),
     ];
     let lines: Vec<String> = (rows.iter().flatten())
-        .map(|r| {
+        .map(|Row(name, value, unit, bookinfo)| {
             // Whole counts print as integers.
-            let value = match r.value.fract() == 0.0 {
-                true => json!(r.value as i64),
-                false => json!(r.value),
+            let value = match value.fract() == 0.0 {
+                true => json!(*value as i64),
+                false => json!(value),
             };
-            let row = json!({"row": r.name.as_str(), "value": value, "unit": r.unit,
-                             "corpus": r.corpus, "seed": r.seed});
+            let (corpus, seed) = match bookinfo {
+                true => (BOOKINFO, Some(0xb00c_u64)), // `apps::bookinfo`'s seed
+                false => ("Span::synthetic spans built by the test", None),
+            };
+            let row = json!({"row": name.as_str(), "value": value, "unit": unit,
+                             "corpus": corpus, "seed": seed});
             serde_json::to_string(&row).expect("prints")
         })
         .collect();
     let text = format!("[\n  {}\n]\n", lines.join(",\n  "));
     std::fs::write(counts_path(), text).expect("BENCH_counts.json is writable");
 }
+
+/// The seeded Bookinfo run's DFW batches: the 7 200-span stream
+/// `tests/zero_code_tracing.rs` pins.
+const BOOKINFO: &str = "Bookinfo, 100 RPS for 2 s, agents polled every 100 ms (7 200 spans)";
 
 /// A `Server::trace` cache hit hands back the cached `Arc<Trace>` and
 /// allocates nothing: the shards reach the cache lookup as the store's
@@ -214,11 +188,7 @@ fn trace_cache_hit() -> Vec<Row> {
 
     let (_, allocated) = allocations(|| server.trace(ids[0]));
     assert_eq!(server.stats().cache_hits, 1, "the second query hits");
-    vec![row(
-        "trace_cache.hit_allocations",
-        allocated as u32,
-        "allocations",
-    )]
+    vec![row("trace_cache.hit_allocations", allocated, "allocations")]
 }
 
 /// A cold `Server::trace` shares each member's stored row and copies
@@ -244,7 +214,7 @@ fn cold_traces() -> Vec<Row> {
         assert_eq!(trace.len(), members as usize, "one exchange");
         assert_eq!(server.stats().cache_misses, 1, "the query is cold");
         let name = format!("trace.cold_allocations_{members}_members");
-        row(name, allocated as u32, "allocations")
+        row(name, allocated, "allocations")
     };
     vec![count(32), count(128)]
 }
@@ -273,7 +243,7 @@ fn span_lists() -> Vec<Row> {
         let (listed, allocated) = allocations(|| server.span_list(&all).len());
         assert_eq!(listed, rows as usize);
         let name = format!("span_list.allocations_{rows}_rows");
-        row(name, allocated as u32, "allocations")
+        row(name, allocated, "allocations")
     };
     vec![count(100), count(1_000)]
 }
@@ -301,11 +271,7 @@ fn cold_row_read() -> Vec<Row> {
     assert_eq!((hit, store.cold_rows()), (TimeNs(1_003), 10));
     let stats = pool.stats();
     assert_eq!((stats.misses, stats.hits), (1, 1), "the second read hits");
-    vec![row(
-        "cold_row_read.allocations",
-        allocated as u32,
-        "allocations",
-    )]
+    vec![row("cold_row_read.allocations", allocated, "allocations")]
 }
 
 /// The seeded Bookinfo run's DFW batches, as the agents emit them.
@@ -345,14 +311,14 @@ fn wire_ingest() -> Vec<Row> {
             .sum::<usize>()
     });
     assert_eq!(spans, 7_200, "the seeded stream");
-    let seeded = |name, value: f64, unit| Row {
-        corpus: BOOKINFO,
-        seed: Some(BOOKINFO_SEED),
-        ..row(name, value, unit)
-    };
     vec![
-        seeded("ingest_wire.allocations", allocated as f64, "allocations"),
-        seeded("ingest_wire.live_bytes", live as f64, "B"),
+        Row(
+            "ingest_wire.allocations".into(),
+            allocated as f64,
+            "allocations",
+            true,
+        ),
+        Row("ingest_wire.live_bytes".into(), live as f64, "B", true),
     ]
 }
 
@@ -378,6 +344,11 @@ fn codec() -> Vec<Row> {
     assert_eq!(decoded, 7_200, "the seeded stream");
     let wire_bytes: u64 = batches.iter().map(|b| b.len() as u64).sum();
     assert_eq!(bytes, wire_bytes, "a batch re-encodes to its own bytes");
+    // Per span, to three decimals.
+    let per_span = |name: &str, total: u64, unit| {
+        let value = (total as f64 * 1_000.0 / 7_200.0).round() / 1_000.0;
+        Row(name.into(), value, unit, true)
+    };
     vec![
         per_span("wire.bytes_per_span", wire_bytes, "B/span"),
         per_span(

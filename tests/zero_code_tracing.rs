@@ -224,6 +224,6 @@ fn seeded_bookinfo_wire_stream_is_byte_identical() {
     let hex = |h: u64| format!("{h:016x}");
     assert_eq!(
         (spans, bytes, hex(wire_fnv).as_str(), hex(span_fnv).as_str()),
-        (7_200, 721_469, "db5da4cf892b7f67", "e69462741667376c")
+        (7_200, 481_800, "2ae1cfb781ad4430", "e69462741667376c")
     );
 }
