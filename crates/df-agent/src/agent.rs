@@ -227,7 +227,7 @@ impl Agent {
         std::mem::take(&mut self.out)
     }
 
-    /// [`Self::poll`], but the drained spans leave as one DFW-encoded
+    /// [`Self::poll`], but the drained spans leave as one DFW1-encoded
     /// batch (see [`df_types::wire`]) — the bytes an agent actually ships
     /// to its trace server. String tags are interned into the batch's tag
     /// dictionary once here, at encode time. Returns `None` when the poll

@@ -8,7 +8,7 @@
 //!   batches land in row order and every copy of the shard stays
 //!   byte-identical to the oracle's.
 //! * **Replication**: with `replication_factor ≥ 2` each shard has a
-//!   primary plus R−1 replicas. The primary forwards the verbatim DFW
+//!   primary plus R−1 replicas. The primary forwards the verbatim DFW1
 //!   bytes to its co-owners as [`RpcBody::ReplicateBatch`] and
 //!   acknowledges the ingest RPC only once a configurable write quorum
 //!   of copies ([`WriteQuorum`], tracked per [`PendingWrite`]) has
@@ -54,7 +54,7 @@ pub(super) struct Ship {
     shard: u16,
     start_row: u32,
     count: u32,
-    /// The DFW batch bytes, encoded once; every owner attempt and
+    /// The DFW1 batch bytes, encoded once; every owner attempt and
     /// every replication forward carries them verbatim.
     wire: Bytes,
     /// Owner snapshot at ingest time, primary first.
@@ -301,7 +301,7 @@ impl Cluster {
         ids
     }
 
-    /// Ingest a DFW-encoded batch as an agent would deliver it: decode,
+    /// Ingest a DFW1-encoded batch as an agent would deliver it: decode,
     /// then route exactly like [`Cluster::ingest`]. Per-shard sub-batches
     /// bound for remote owners are re-framed (routing splits the batch),
     /// encoded once, and retried verbatim.

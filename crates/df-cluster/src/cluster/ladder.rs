@@ -276,7 +276,7 @@ impl Cluster {
                 start_row,
                 wire: batch,
             } => {
-                // The envelope decoder validated the DFW header; a batch
+                // The envelope decoder validated the DFW1 header; a batch
                 // that still fails to decode here is dropped (and acked
                 // with count 0) rather than crashing the node.
                 let spans = ingest::rows_of(&batch);

@@ -25,7 +25,7 @@ pub const EMPTY_DIGEST: u64 = 0xcbf2_9ce4_8422_2325;
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over every row's single-span DFW encoding, in row order.
+/// FNV-1a over every row's single-span DFW1 encoding, in row order.
 ///
 /// Two stores with equal digests and equal row counts hold
 /// byte-identical span data: the digest folds the same bytes the wire

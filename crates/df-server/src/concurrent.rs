@@ -141,12 +141,12 @@ impl std::fmt::Display for WorkerPanic {
 impl std::error::Error for WorkerPanic {}
 
 /// Error from the wire ingest path
-/// ([`ConcurrentShardedStore::ingest_wire`]): either the DFW batch was
+/// ([`ConcurrentShardedStore::ingest_wire`]): either the DFW1 batch was
 /// malformed (rejected before any routing state changed — no ids were
 /// assigned) or a shard worker had crashed.
 #[derive(Debug)]
 pub enum WireIngestError {
-    /// The batch bytes failed DFW decoding; the store is untouched.
+    /// The batch bytes failed DFW1 decoding; the store is untouched.
     Decode(WireDecodeError),
     /// The batch decoded but a shard ingest worker was dead; ids were
     /// assigned and healthy shards received their sub-batches.
@@ -376,7 +376,7 @@ impl ConcurrentShardedStore {
         }
     }
 
-    /// Ingest a DFW-encoded span batch (see [`df_types::wire`]): the
+    /// Ingest a DFW1-encoded span batch (see [`df_types::wire`]): the
     /// whole frame is decoded *before* any routing state is touched, so a
     /// malformed batch is rejected without assigning ids — shard state
     /// after a failed call is byte-identical to never having called it.

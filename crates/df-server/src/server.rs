@@ -191,7 +191,7 @@ impl Server {
         self.insert_rows(rows, enriched)
     }
 
-    /// Ingest a DFW-encoded span batch as shipped on the wire (see
+    /// Ingest a DFW1-encoded span batch as shipped on the wire (see
     /// [`df_types::wire`]): each span is enriched as it leaves the
     /// decoder and moves into the `Arc` its shard keeps
     /// ([`WireBatch::decode_rows`]), then takes the store's batched

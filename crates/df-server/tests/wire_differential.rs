@@ -1,4 +1,4 @@
-//! Differential tests for the DFW wire ingest path: shipping a batch as
+//! Differential tests for the DFW1 wire ingest path: shipping a batch as
 //! encoded bytes through [`ConcurrentShardedStore::ingest_wire`] /
 //! [`Server::ingest_wire`] must leave the store in *exactly* the state
 //! that handing the same spans to the struct path does — same ids, same
@@ -76,7 +76,7 @@ fn full_scan(store: &ConcurrentShardedStore) -> Vec<Span> {
 }
 
 /// The core differential: batches through the struct path on one store,
-/// the same batches DFW-encoded through the wire path on another —
+/// the same batches DFW1-encoded through the wire path on another —
 /// every observable (ids, shard layout, scans, per-id gets, and the
 /// re-encoded bytes of the final state) must be identical.
 fn assert_wire_matches_struct(policy: fn() -> ShardPolicy, batches: &[Vec<Span>]) {
@@ -98,7 +98,7 @@ fn assert_wire_matches_struct(policy: fn() -> ShardPolicy, batches: &[Vec<Span>]
     let b = full_scan(&wire_store);
     assert_eq!(a, b, "scan results diverged");
     // Byte-identical: re-encoding the final state from both stores
-    // produces the same DFW bytes.
+    // produces the same DFW1 bytes.
     assert_eq!(wire::encode_batch(&a), wire::encode_batch(&b));
     for span in &a {
         assert_eq!(struct_store.get(span.span_id), wire_store.get(span.span_id));

@@ -71,13 +71,15 @@ impl<K: Hash + Eq> Table<K> {
     }
 }
 
-/// The id of `s` in the string dictionary; an entry is its length and
-/// its UTF-8 bytes.
-pub(super) fn intern(strings: &mut Table<String>, s: &str) -> u32 {
-    strings.id(s, |out| {
-        put_varint_u64(out, s.len() as u64);
-        out.extend_from_slice(s.as_bytes());
-    })
+impl Table<String> {
+    /// The id of `s` in the string dictionary; an entry is its length and
+    /// its UTF-8 bytes.
+    pub(super) fn intern(&mut self, s: &str) -> u32 {
+        self.id(s, |out| {
+            put_varint_u64(out, s.len() as u64);
+            out.extend_from_slice(s.as_bytes());
+        })
+    }
 }
 
 /// One flow-table entry: the context every span of one flow seen at one

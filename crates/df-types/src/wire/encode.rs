@@ -1,6 +1,6 @@
 //! The DFW encoder: span records behind the batch's tables.
 
-use super::dict::{intern, write_metrics, Flow, Table};
+use super::dict::{write_metrics, Flow, Table};
 use super::*;
 use crate::l7::L7Protocol;
 use crate::metrics::FlowMetrics;
@@ -9,8 +9,9 @@ use std::borrow::Borrow;
 
 /// Incremental DFW encoder: push spans one at a time, interning every
 /// string, flow context and flow-metrics snapshot into the batch's
-/// tables, then [`WireEncoder::finish`] to assemble the frame. Encoding is infallible by construction — every
-/// `Span` value has exactly one encoding.
+/// tables, then [`WireEncoder::finish`] to assemble the frame. Encoding
+/// is infallible by construction — every `Span` value has exactly one
+/// encoding.
 ///
 /// For the common whole-slice case use [`encode_batch`].
 #[derive(Debug, Default)]
@@ -71,17 +72,14 @@ impl WireEncoder {
             .capture
             .interface
             .as_deref()
-            .map(|s| intern(&mut self.strings, s));
-        let endpoint_id = intern(&mut self.strings, &span.endpoint);
-        let process_name_id = span
-            .process_name
-            .as_deref()
-            .map(|s| intern(&mut self.strings, s));
+            .map(|s| self.strings.intern(s));
+        let endpoint_id = self.strings.intern(&span.endpoint);
+        let process_name_id = span.process_name.as_deref().map(|s| self.strings.intern(s));
         let custom_ids: Vec<(u32, u32)> = span
             .tags
             .custom
             .iter()
-            .map(|(k, v)| (intern(&mut self.strings, k), intern(&mut self.strings, v)))
+            .map(|(k, v)| (self.strings.intern(k), self.strings.intern(v)))
             .collect();
         let flow = Flow {
             agent: span.agent,

@@ -575,8 +575,8 @@ mod tests {
     /// A one-span batch of `span` and the offset of its record.
     fn one_record(span: &Span) -> (Vec<u8>, usize) {
         let bytes = encode_batch(std::slice::from_ref(span));
-        let records = WireBatch::parse(&bytes).unwrap().records.len();
-        (bytes.clone(), bytes.len() - records)
+        let record = bytes.len() - WireBatch::parse(&bytes).unwrap().records.len();
+        (bytes, record)
     }
 
     /// A synthetic span's record with its one-byte flags varint (bit 1
@@ -590,39 +590,32 @@ mod tests {
         bytes
     }
 
+    /// Each index is checked against its own table, including a flow index
+    /// that would land on the metrics table's first entry.
     #[test]
     fn rejects_an_index_past_its_table() {
-        // span_id(1) flags(1) kind_tap(1) flow(1) l7(1) endpoint(1).
-        let (bytes, record) = one_record(&Span::synthetic(TapSide::ClientProcess, 1, 2));
+        let mut span = Span::synthetic(TapSide::ClientProcess, 1, 2);
+        span.flow_metrics = Some(FlowMetrics::default());
+        // span_id(1) flags(3) kind_tap(1) flow(1) l7(1) endpoint(1) ...
+        // metrics(1), the record's last field.
+        let (bytes, record) = one_record(&span);
         let past = |at: usize, index: u8| {
             let mut bad = bytes.clone();
             assert_eq!(bad[at], 0);
             bad[at] = index;
             decode_batch(&bad)
         };
-        let flows = |index| WireDecodeError::BadTableIndex {
-            table: "flows",
+        let table = |table, index| WireDecodeError::BadTableIndex {
+            table,
             index,
             len: 1,
         };
-        assert_eq!(past(record + 3, 1), Err(flows(1)));
-        assert_eq!(past(record + 3, 9), Err(flows(9)));
+        assert_eq!(past(record + 5, 1), Err(table("flows", 1)));
+        assert_eq!(past(record + 5, 9), Err(table("flows", 9)));
+        assert_eq!(past(bytes.len() - 1, 1), Err(table("metrics", 1)));
         assert_eq!(
-            past(record + 5, 9),
+            past(record + 7, 9),
             Err(WireDecodeError::BadDictIndex { index: 9, len: 1 })
-        );
-        // The metrics index is the record's last field.
-        let mut span = Span::synthetic(TapSide::ClientProcess, 1, 2);
-        span.flow_metrics = Some(FlowMetrics::default());
-        let mut bytes = encode_batch(&[span]);
-        *bytes.last_mut().unwrap() = 1;
-        assert_eq!(
-            decode_batch(&bytes),
-            Err(WireDecodeError::BadTableIndex {
-                table: "metrics",
-                index: 1,
-                len: 1
-            })
         );
     }
 

@@ -88,7 +88,7 @@ impl Deployment {
     }
 
     /// Poll every agent once and ship the spans to the server over the
-    /// DFW wire path: each agent encodes its batch ([`Agent::poll_wire`])
+    /// DFW1 wire path: each agent encodes its batch ([`Agent::poll_wire`])
     /// and the server decodes it ([`Server::ingest_wire`]) — the bytes that
     /// would cross the network in a real deployment. Returns how many spans
     /// were shipped.
