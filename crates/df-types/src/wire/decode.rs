@@ -172,7 +172,7 @@ impl<'a> WireBatch<'a> {
     }
 
     /// The batch's interned strings, in dictionary order (zero-copy).
-    pub fn dict(&self) -> &[&'a str] {
+    pub fn dict(&self) -> impl ExactSizeIterator<Item = &'a str> + '_ {
         self.tables.strs()
     }
 

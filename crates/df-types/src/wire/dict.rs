@@ -50,6 +50,14 @@ impl<K> Default for Table<K> {
 }
 
 impl<K: Hash + Eq> Table<K> {
+    /// A table with room for `entries` entries of `bytes` bytes in all.
+    pub(super) fn with_capacity(entries: usize, bytes: usize) -> Self {
+        Table {
+            index: IntMap::with_capacity_and_hasher(entries, Default::default()),
+            bytes: Vec::with_capacity(bytes),
+        }
+    }
+
     /// The id of `key`, writing its entry with `write` on first use.
     pub(super) fn id<Q>(&mut self, key: &Q, write: impl FnOnce(&mut Vec<u8>)) -> u32
     where
@@ -195,20 +203,20 @@ fn parse_metrics(cur: &mut Cursor<'_>) -> Result<FlowMetrics, WireDecodeError> {
 const FLOW_MIN_BYTES: u64 = 16;
 const METRICS_MIN_BYTES: u64 = 11;
 
-/// A decode-side table slot; the variant says which table it belongs to.
+/// A flow- or metrics-table slot; the variant says which table it
+/// belongs to.
 enum Slot {
-    Name(OnceCell<Arc<str>>),
     Flow(Flow),
     Metrics(FlowMetrics),
 }
 
-/// Decode side: the dictionary's entries as slices of the input, and in
-/// one allocation sized once, a shared name per entry (made the first
-/// time a record names it as one), then the flow table, then the metrics
-/// table. With the dictionary's own vector, that is the two allocations
-/// a batch's tables cost, however many rows they hold.
+/// Decode side, in two allocations sized once however many rows the
+/// tables hold: each dictionary entry as a slice of the input beside its
+/// shared name (made the first time a record names it as one), and the
+/// flow table followed by the metrics table. A dictionary entry, which
+/// can take one input byte, costs its 32-byte cell and no table slot.
 pub(super) struct Tables<'a> {
-    strs: Vec<&'a str>,
+    dict: Vec<(&'a str, OnceCell<Arc<str>>)>,
     slots: Vec<Slot>,
     pub(super) flows: u32,
     pub(super) metrics: u32,
@@ -220,12 +228,12 @@ impl<'a> Tables<'a> {
         let dict_len = cur.varint_u32("dict_count")?;
         // Hostile counts cannot force huge allocations: capacity is capped
         // by what the remaining bytes could possibly hold (≥1 byte/entry).
-        let mut strs = Vec::with_capacity((dict_len as usize).min(cur.remaining()));
+        let mut dict = Vec::with_capacity((dict_len as usize).min(cur.remaining()));
         for index in 0..dict_len {
             let len = cur.varint_u32("dict_entry_len")? as usize;
             let raw = cur.take(len, "dict_entry")?;
             let s = std::str::from_utf8(raw).map_err(|_| WireDecodeError::BadUtf8 { index })?;
-            strs.push(s);
+            dict.push((s, OnceCell::new()));
         }
         let flows = cur.varint_u32("flow_count")?;
         let metrics = cur.varint_u32("metrics_count")?;
@@ -236,11 +244,7 @@ impl<'a> Tables<'a> {
         if least > cur.remaining() as u64 {
             return Err(WireDecodeError::Truncated { context: "tables" });
         }
-        let len = (strs.len())
-            .saturating_add(flows as usize)
-            .saturating_add(metrics as usize);
-        let mut slots = Vec::with_capacity(len);
-        slots.extend(strs.iter().map(|_| Slot::Name(OnceCell::new())));
+        let mut slots = Vec::with_capacity((flows as usize).saturating_add(metrics as usize));
         for _ in 0..flows {
             slots.push(Slot::Flow(Flow::parse(cur)?));
         }
@@ -248,44 +252,42 @@ impl<'a> Tables<'a> {
             slots.push(Slot::Metrics(parse_metrics(cur)?));
         }
         Ok(Tables {
-            strs,
+            dict,
             slots,
             flows,
             metrics,
         })
     }
 
-    pub(super) fn strs(&self) -> &[&'a str] {
-        &self.strs
+    /// The dictionary's entries, in order.
+    pub(super) fn strs(&self) -> impl ExactSizeIterator<Item = &'a str> + '_ {
+        self.dict.iter().map(|&(s, _)| s)
+    }
+
+    fn entry(&self, index: u32) -> Result<&(&'a str, OnceCell<Arc<str>>), WireDecodeError> {
+        self.dict
+            .get(index as usize)
+            .ok_or(WireDecodeError::BadDictIndex {
+                index,
+                len: self.dict.len() as u32,
+            })
     }
 
     pub(super) fn get(&self, index: u32) -> Result<&'a str, WireDecodeError> {
-        self.strs
-            .get(index as usize)
-            .copied()
-            .ok_or(WireDecodeError::BadDictIndex {
-                index,
-                len: self.strs.len() as u32,
-            })
+        Ok(self.entry(index)?.0)
     }
 
     /// Entry `index` as a shared name: the spans of the batch that name it
     /// share one allocation.
     pub(super) fn shared_name(&self, index: u32) -> Result<Arc<str>, WireDecodeError> {
-        let name = self.get(index)?;
-        Ok(match self.slots.get(index as usize) {
-            Some(Slot::Name(cell)) => Arc::clone(cell.get_or_init(|| Arc::from(name))),
-            _ => Arc::from(name),
-        })
+        let (name, cell) = self.entry(index)?;
+        Ok(Arc::clone(cell.get_or_init(|| Arc::from(*name))))
     }
 
-    /// Flow-table entry `index`. An index past the table reaches a slot of
-    /// another table, or none, so the slot's variant is the bounds check.
+    /// Flow-table entry `index`. An index past the table reaches a
+    /// metrics slot, or none, so the slot's variant is the bounds check.
     pub(super) fn flow(&self, index: u32) -> Result<&Flow, WireDecodeError> {
-        match self
-            .slots
-            .get(self.strs.len().saturating_add(index as usize))
-        {
+        match self.slots.get(index as usize) {
             Some(Slot::Flow(flow)) => Ok(flow),
             _ => Err(WireDecodeError::BadTableIndex {
                 table: "flows",
@@ -297,8 +299,8 @@ impl<'a> Tables<'a> {
 
     /// Metrics-table entry `index`.
     pub(super) fn metrics(&self, index: u32) -> Result<&FlowMetrics, WireDecodeError> {
-        let base = self.strs.len().saturating_add(self.flows as usize);
-        match self.slots.get(base.saturating_add(index as usize)) {
+        let at = (self.flows as usize).saturating_add(index as usize);
+        match self.slots.get(at) {
             Some(Slot::Metrics(metrics)) => Ok(metrics),
             _ => Err(WireDecodeError::BadTableIndex {
                 table: "metrics",

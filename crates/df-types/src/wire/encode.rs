@@ -29,6 +29,20 @@ impl WireEncoder {
         WireEncoder::default()
     }
 
+    /// An encoder with room for `spans` spans: 64 record bytes each, and a
+    /// flow and a snapshot per two spans at 24 bytes each (an agent's batch
+    /// holds one per 3.6), so a typical batch grows none of its tables.
+    fn with_capacity(spans: usize) -> WireEncoder {
+        let entries = spans.div_ceil(2);
+        WireEncoder {
+            strings: Table::default(),
+            flows: Table::with_capacity(entries, entries.saturating_mul(24)),
+            metrics: Table::with_capacity(entries, entries.saturating_mul(24)),
+            records: Vec::with_capacity(spans.saturating_mul(64)),
+            count: 0,
+        }
+    }
+
     /// Spans pushed so far.
     pub fn span_count(&self) -> u64 {
         self.count
@@ -239,7 +253,7 @@ impl WireEncoder {
 
 /// Encode a slice of spans, owned or shared rows, as one DFW batch.
 pub fn encode_batch<S: Borrow<Span>>(spans: &[S]) -> Vec<u8> {
-    let mut enc = WireEncoder::new();
+    let mut enc = WireEncoder::with_capacity(spans.len());
     for span in spans {
         enc.push(span.borrow());
     }

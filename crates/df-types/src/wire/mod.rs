@@ -501,13 +501,21 @@ mod tests {
         // "GET /", "veth-ab12", "mysqld", "team", "checkout", "tier".
         assert_eq!(parsed.dict().len(), 6);
         assert_eq!(
-            parsed.dict().iter().filter(|s| **s == "checkout").count(),
+            parsed.dict().filter(|s| *s == "checkout").count(),
             1,
             "repeated value interned once"
         );
     }
 
-    /// Response-only fragments can carry resp_time < req_time.
+    #[test]
+    fn resp_before_req_survives() {
+        // Response-only fragments can carry resp_time < req_time.
+        let mut s = Span::synthetic(TapSide::ServerProcess, 9_000, 2_000);
+        s.status = SpanStatus::ResponseOnly;
+        let back = decode_batch(&encode_batch(&[s.clone()])).expect("decodes");
+        assert_eq!(back, vec![s]);
+    }
+
     #[test]
     fn extreme_times_survive() {
         for (req, resp) in [(0, u64::MAX), (u64::MAX, 0), (u64::MAX, u64::MAX)] {
@@ -730,5 +738,15 @@ mod tests {
             peek_span_count(b"DFW1"),
             Err(WireDecodeError::Truncated { context: "version" })
         );
+    }
+
+    #[test]
+    fn streaming_iterator_matches_decode_all() {
+        let spans = vec![rich_span(), Span::synthetic(TapSide::ClientApp, 1, 2)];
+        let bytes = encode_batch(&spans);
+        let batch = WireBatch::parse(&bytes).unwrap();
+        let streamed: Vec<Span> = batch.spans().map(|r| r.unwrap()).collect();
+        assert_eq!(streamed, spans);
+        assert_eq!(batch.decode_all().unwrap(), spans);
     }
 }

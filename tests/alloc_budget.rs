@@ -1,6 +1,6 @@
 //! The counted cost ledger: exact allocation counts for paths that are
 //! fast because they do not copy, the live heap bytes a stored span
-//! costs, and the codec's bytes and allocations per span. A copy put back
+//! costs, and the codec's bytes and allocations. A copy put back
 //! fails `cargo test` here, where timed runs on a noisy host would need
 //! tens of pairs to show it. The counting global allocator below counts
 //! per thread, so tests running in parallel do not mix their counts.
@@ -27,7 +27,7 @@ use deepflow::mesh::apps;
 use deepflow::prelude::*;
 use deepflow::storage::{BufferPool, BufferPoolConfig, SpanStore};
 use deepflow::types::{wire, ResourceInventory};
-use serde_json::{json, Value};
+use serde_json::json;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -102,32 +102,62 @@ fn heap<R>(f: impl FnOnce() -> R) -> (R, u64, i64) {
     (out, allocated, LIVE_BYTES.with(Cell::get) - before)
 }
 
-/// One counted row: its name, value and unit, and whether its corpus is
-/// the seeded Bookinfo run (else `Span::synthetic` spans the test builds).
-struct Row(String, f64, &'static str, bool);
+/// A row's corpus and, for a seeded run, its seed.
+type Corpus = (&'static str, Option<u64>);
+
+const SYNTHETIC: Corpus = ("Span::synthetic spans built by the test", None);
+
+/// The seeded Bookinfo run's DFW batches: the 7 200-span stream
+/// `tests/zero_code_tracing.rs` pins (`apps::bookinfo`'s seed).
+const BOOKINFO: Corpus = (
+    "Bookinfo, 100 RPS for 2 s, agents polled every 100 ms (7 200 spans)",
+    Some(0xb00c),
+);
+
+/// One counted row, exact: its name, value, unit and corpus.
+struct Row(String, i64, &'static str, Corpus);
 
 fn row(name: impl Into<String>, value: u64, unit: &'static str) -> Row {
-    Row(name.into(), value as f64, unit, false)
+    Row(name.into(), value as i64, unit, SYNTHETIC)
 }
+
+impl Row {
+    /// The row as `BENCH_counts.json` holds it, one line.
+    fn line(&self) -> String {
+        let Row(name, value, unit, (corpus, seed)) = self;
+        let row = json!({"row": name, "value": value, "unit": unit,
+                         "corpus": corpus, "seed": *seed});
+        serde_json::to_string(&row).expect("prints")
+    }
+}
+
+/// Every counted group, in file order.
+const GROUPS: [fn() -> Vec<Row>; 6] = [
+    trace_cache_hit,
+    cold_traces,
+    span_lists,
+    cold_row_read,
+    wire_ingest,
+    codec,
+];
 
 fn counts_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_counts.json")
 }
 
-/// Print each row as a `ledger:` line and compare it with the committed
-/// file: a row that differs, either way, fails.
+/// Print each row as a `ledger:` line (per span too, on the Bookinfo
+/// stream) and require its exact line in the committed file: a row that
+/// differs, either way, fails.
 fn check(rows: &[Row]) {
     let text = std::fs::read_to_string(counts_path()).expect("BENCH_counts.json at the root");
-    let file: Value = serde_json::from_str(&text).expect("BENCH_counts.json is JSON");
-    let committed = file.as_array().expect("an array of rows");
-    for Row(name, value, ..) in rows {
-        println!("ledger: {name} = {value}");
-        let entry = committed.iter().find(|c| c["row"].as_str() == Some(name));
-        assert_eq!(
-            Some(*value),
-            entry.and_then(|c| c["value"].as_f64()),
-            "{name}: counted here against BENCH_counts.json; if the change is meant, rewrite \
-             the file with `cargo test --test alloc_budget -- --ignored bless_bench_counts`"
+    for row @ Row(name, value, ..) in rows {
+        let per_span =
+            (row.3 == BOOKINFO).then(|| format!(" ({:.3} per span)", *value as f64 / 7_200.0));
+        println!("ledger: {name} = {value}{}", per_span.unwrap_or_default());
+        assert!(
+            text.lines().any(|l| l.trim_end_matches(',').trim() == row.line()),
+            "{name} = {value} is not the row in BENCH_counts.json; if the change is meant, \
+             rewrite the file with `cargo test --test alloc_budget -- --ignored bless_bench_counts`"
         );
     }
 }
@@ -136,37 +166,14 @@ fn check(rows: &[Row]) {
 #[test]
 #[ignore = "rewrites BENCH_counts.json; run it when a change moves a row on purpose"]
 fn bless_bench_counts() {
-    let rows = [
-        trace_cache_hit(),
-        cold_traces(),
-        span_lists(),
-        cold_row_read(),
-        wire_ingest(),
-        codec(),
-    ];
-    let lines: Vec<String> = (rows.iter().flatten())
-        .map(|Row(name, value, unit, bookinfo)| {
-            // Whole counts print as integers.
-            let value = match value.fract() == 0.0 {
-                true => json!(*value as i64),
-                false => json!(value),
-            };
-            let (corpus, seed) = match bookinfo {
-                true => (BOOKINFO, Some(0xb00c_u64)), // `apps::bookinfo`'s seed
-                false => ("Span::synthetic spans built by the test", None),
-            };
-            let row = json!({"row": name.as_str(), "value": value, "unit": unit,
-                             "corpus": corpus, "seed": seed});
-            serde_json::to_string(&row).expect("prints")
-        })
+    let lines: Vec<String> = GROUPS
+        .iter()
+        .flat_map(|group| group())
+        .map(|r| r.line())
         .collect();
     let text = format!("[\n  {}\n]\n", lines.join(",\n  "));
     std::fs::write(counts_path(), text).expect("BENCH_counts.json is writable");
 }
-
-/// The seeded Bookinfo run's DFW batches: the 7 200-span stream
-/// `tests/zero_code_tracing.rs` pins.
-const BOOKINFO: &str = "Bookinfo, 100 RPS for 2 s, agents polled every 100 ms (7 200 spans)";
 
 /// A `Server::trace` cache hit hands back the cached `Arc<Trace>` and
 /// allocates nothing: the shards reach the cache lookup as the store's
@@ -314,17 +321,17 @@ fn wire_ingest() -> Vec<Row> {
     vec![
         Row(
             "ingest_wire.allocations".into(),
-            allocated as f64,
+            allocated as i64,
             "allocations",
-            true,
+            BOOKINFO,
         ),
-        Row("ingest_wire.live_bytes".into(), live as f64, "B", true),
+        Row("ingest_wire.live_bytes".into(), live, "B", BOOKINFO),
     ]
 }
 
-/// The codec on the seeded Bookinfo stream: the bytes a span costs on the
-/// wire, and the allocations per span of `encode_batch` (re-encoding each
-/// batch's spans) and of `decode_batch`.
+/// The codec on the seeded Bookinfo stream: the bytes its DFW batches
+/// take, and the allocations of `encode_batch` (re-encoding each batch's
+/// spans) and of `decode_batch`.
 #[test]
 fn the_codec_on_the_seeded_bookinfo_stream() {
     check(&codec());
@@ -336,30 +343,41 @@ fn codec() -> Vec<Row> {
     let (decoded, decode_allocations) =
         allocations(|| batches.iter().map(|b| decode(b).len()).sum::<usize>());
     let spans: Vec<Vec<Span>> = batches.iter().map(decode).collect();
-    let (bytes, encode_allocations) = allocations(|| {
-        (spans.iter())
-            .map(|s| wire::encode_batch(s).len() as u64)
-            .sum::<u64>()
-    });
+    let same = |(s, b): (&Vec<Span>, &Vec<u8>)| wire::encode_batch(s) == *b;
+    let (all_same, encode_allocations) = allocations(|| spans.iter().zip(&batches).all(same));
     assert_eq!(decoded, 7_200, "the seeded stream");
-    let wire_bytes: u64 = batches.iter().map(|b| b.len() as u64).sum();
-    assert_eq!(bytes, wire_bytes, "a batch re-encodes to its own bytes");
-    // Per span, to three decimals.
-    let per_span = |name: &str, total: u64, unit| {
-        let value = (total as f64 * 1_000.0 / 7_200.0).round() / 1_000.0;
-        Row(name.into(), value, unit, true)
-    };
+    assert!(all_same, "a batch re-encodes to its own bytes");
+    let bytes = batches.iter().map(Vec::len).sum::<usize>();
     vec![
-        per_span("wire.bytes_per_span", wire_bytes, "B/span"),
-        per_span(
-            "wire.encode_allocations_per_span",
-            encode_allocations,
-            "allocations/span",
+        Row("wire.bytes".into(), bytes as i64, "B", BOOKINFO),
+        Row(
+            "wire.encode_allocations".into(),
+            encode_allocations as i64,
+            "allocations",
+            BOOKINFO,
         ),
-        per_span(
-            "wire.decode_allocations_per_span",
-            decode_allocations,
-            "allocations/span",
+        Row(
+            "wire.decode_allocations".into(),
+            decode_allocations as i64,
+            "allocations",
+            BOOKINFO,
         ),
     ]
+}
+
+/// A frame of empty dictionary entries, one input byte each, costs the
+/// decoder a bounded number of heap bytes per input byte: an entry takes
+/// its 32-byte cell and no table slot.
+#[test]
+fn a_dictionary_of_empty_entries_allocates_a_bounded_amount_per_input_byte() {
+    let entries = 4_096u32;
+    let mut frame = [&wire::WIRE_MAGIC[..], &[wire::WIRE_VERSION, 0]].concat();
+    frame.extend([0x80, 0x20]); // the entry count, 4 096 as a varint
+    frame.resize(frame.len() + entries as usize, 0); // each entry's zero length
+    frame.extend([0, 0]); // no flows, no metrics
+    let (batch, _, live) = heap(|| wire::WireBatch::parse(&frame).expect("parses"));
+    assert_eq!(batch.dict().len(), entries as usize);
+    let per_byte = live as f64 / frame.len() as f64;
+    println!("ledger: wire.parse_bytes_per_input_byte_of_empty_entries = {per_byte:.1}");
+    assert!(per_byte <= 32.0, "{per_byte:.1} B per input byte");
 }
