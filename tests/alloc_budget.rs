@@ -378,6 +378,5 @@ fn a_dictionary_of_empty_entries_allocates_a_bounded_amount_per_input_byte() {
     let (batch, _, live) = heap(|| wire::WireBatch::parse(&frame).expect("parses"));
     assert_eq!(batch.dict().len(), entries as usize);
     let per_byte = live as f64 / frame.len() as f64;
-    println!("ledger: wire.parse_bytes_per_input_byte_of_empty_entries = {per_byte:.1}");
     assert!(per_byte <= 32.0, "{per_byte:.1} B per input byte");
 }
