@@ -146,18 +146,7 @@ impl<'a> WireBatch<'a> {
     /// iterator.
     pub fn parse(bytes: &'a [u8]) -> Result<WireBatch<'a>, WireDecodeError> {
         let mut cur = Cursor::new(bytes);
-        if cur
-            .take(4, "magic")
-            .map_err(|_| WireDecodeError::BadMagic)?
-            != WIRE_MAGIC
-        {
-            return Err(WireDecodeError::BadMagic);
-        }
-        let version = cur.u8("version")?;
-        if version != WIRE_VERSION {
-            return Err(WireDecodeError::BadVersion { found: version });
-        }
-        let count = cur.varint_u64("span_count")?;
+        let count = header(&mut cur)?;
         let tables = Tables::parse(&mut cur)?;
         Ok(WireBatch {
             count,
@@ -508,12 +497,12 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Vec<Span>, WireDecodeError> {
 /// dictionary or records — how forwarding nodes account spans in a batch
 /// they never decode.
 pub fn peek_span_count(bytes: &[u8]) -> Result<u64, WireDecodeError> {
-    let mut cur = Cursor::new(bytes);
-    if cur
-        .take(4, "magic")
-        .map_err(|_| WireDecodeError::BadMagic)?
-        != WIRE_MAGIC
-    {
+    header(&mut Cursor::new(bytes))
+}
+
+/// Check the magic and the version, and read the span count.
+fn header(cur: &mut Cursor<'_>) -> Result<u64, WireDecodeError> {
+    if cur.take(4, "magic").ok() != Some(WIRE_MAGIC.as_slice()) {
         return Err(WireDecodeError::BadMagic);
     }
     let version = cur.u8("version")?;

@@ -121,6 +121,11 @@ fn row(name: impl Into<String>, value: u64, unit: &'static str) -> Row {
     Row(name.into(), value as i64, unit, SYNTHETIC)
 }
 
+/// A row counted on the seeded Bookinfo stream.
+fn seeded(name: &str, value: i64, unit: &'static str) -> Row {
+    Row(name.into(), value, unit, BOOKINFO)
+}
+
 impl Row {
     /// The row as `BENCH_counts.json` holds it, one line.
     fn line(&self) -> String {
@@ -319,13 +324,8 @@ fn wire_ingest() -> Vec<Row> {
     });
     assert_eq!(spans, 7_200, "the seeded stream");
     vec![
-        Row(
-            "ingest_wire.allocations".into(),
-            allocated as i64,
-            "allocations",
-            BOOKINFO,
-        ),
-        Row("ingest_wire.live_bytes".into(), live, "B", BOOKINFO),
+        seeded("ingest_wire.allocations", allocated as i64, "allocations"),
+        seeded("ingest_wire.live_bytes", live, "B"),
     ]
 }
 
@@ -340,28 +340,18 @@ fn the_codec_on_the_seeded_bookinfo_stream() {
 fn codec() -> Vec<Row> {
     let (batches, _) = bookinfo_batches();
     let decode = |b: &Vec<u8>| wire::decode_batch(b).expect("own batch decodes");
-    let (decoded, decode_allocations) =
+    let (decoded, decoding) =
         allocations(|| batches.iter().map(|b| decode(b).len()).sum::<usize>());
     let spans: Vec<Vec<Span>> = batches.iter().map(decode).collect();
     let same = |(s, b): (&Vec<Span>, &Vec<u8>)| wire::encode_batch(s) == *b;
-    let (all_same, encode_allocations) = allocations(|| spans.iter().zip(&batches).all(same));
+    let (all_same, encoding) = allocations(|| spans.iter().zip(&batches).all(same));
     assert_eq!(decoded, 7_200, "the seeded stream");
     assert!(all_same, "a batch re-encodes to its own bytes");
     let bytes = batches.iter().map(Vec::len).sum::<usize>();
     vec![
-        Row("wire.bytes".into(), bytes as i64, "B", BOOKINFO),
-        Row(
-            "wire.encode_allocations".into(),
-            encode_allocations as i64,
-            "allocations",
-            BOOKINFO,
-        ),
-        Row(
-            "wire.decode_allocations".into(),
-            decode_allocations as i64,
-            "allocations",
-            BOOKINFO,
-        ),
+        seeded("wire.bytes", bytes as i64, "B"),
+        seeded("wire.encode_allocations", encoding as i64, "allocations"),
+        seeded("wire.decode_allocations", decoding as i64, "allocations"),
     ]
 }
 
