@@ -125,6 +125,12 @@ cargo test --workspace -q
 # line, shown here so every log carries the rows a change moved.
 echo "==> counted rows (tests/alloc_budget.rs)"
 cargo test -q --test alloc_budget -- --nocapture --test-threads=1 | grep -o 'ledger:.*'
+# How the committed rows moved against the parent commit, so a log shows
+# what a change did to the ledger. Print-only: the rows above are the gate.
+if git rev-parse -q --verify 'HEAD^' >/dev/null; then
+  echo "==> BENCH_counts.json against HEAD^ (print-only)"
+  diff <(git show 'HEAD^:BENCH_counts.json' 2>/dev/null) BENCH_counts.json || true
+fi
 
 # The concurrency suites (per-shard ingest workers, the trace cache beside
 # the shard read locks, buffer-pool fetchers sharing one page-in or

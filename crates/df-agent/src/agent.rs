@@ -11,7 +11,7 @@
 //! metrics and the phase-1 smart-encoded tags and counts it.
 
 use crate::ebpf::{DeepFlowSyscallProgram, DeepFlowTlsProgram, SharedProgram};
-use crate::flow_table::{with_slot, FlowTable};
+use crate::flow_table::{with_slot, FlowTable, NameMap};
 use crate::net_spans::{NetSpanBuilder, TapContext, PACKET_FLOW_BIT};
 use crate::pseudo_thread::PseudoThreadTracker;
 use crate::session::{SessionAggregator, SessionOutcome};
@@ -23,8 +23,7 @@ use df_net::fabric::Fabric;
 use df_protocols::inference::{CustomProtocol, InferenceEngine};
 use df_types::span::{CapturePoint, Span, SpanKind, SpanStatus, TapSide};
 use df_types::{
-    AgentId, Direction, DurationNs, IntMap, L7Metrics, L7Protocol, MessageData, NodeId, Pid,
-    SyscallAbi, TimeNs,
+    AgentId, Direction, DurationNs, L7Metrics, L7Protocol, MessageData, NodeId, SyscallAbi, TimeNs,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -100,8 +99,6 @@ pub struct Agent {
     systrace: SystraceTracker,
     pseudo: PseudoThreadTracker,
     sessions: SessionAggregator<Observed>,
-    /// Each observed process's name, shared by its spans.
-    process_names: IntMap<Pid, Arc<str>>,
     net: NetSpanBuilder,
     /// The agent's flow table (public: examples query it directly, like the
     /// §4.1.2 operators inspecting ARP counts per interface).
@@ -109,8 +106,9 @@ pub struct Agent {
     /// L7 metrics per process, then per endpoint, aggregated from sys
     /// spans — the request-rate/error-rate/latency series DeepFlow exports
     /// alongside traces (§3.4 tag-based correlation feeds these to
-    /// dashboards). Nested so that a known pair is found by `&str`.
-    l7_metrics: HashMap<String, HashMap<String, L7Metrics>>,
+    /// dashboards). Per process under its shared name, then per endpoint,
+    /// so that a known pair is found without a copy.
+    l7_metrics: NameMap<HashMap<String, L7Metrics>>,
     stats: AgentStats,
     out: Vec<Span>,
 }
@@ -125,10 +123,9 @@ impl Agent {
             systrace: SystraceTracker::with_namespace(cfg.node.raw()),
             pseudo: PseudoThreadTracker::with_namespace(cfg.node.raw()),
             sessions: SessionAggregator::new(cfg.session_slot),
-            process_names: IntMap::default(),
             net,
             flows: FlowTable::new(),
-            l7_metrics: HashMap::new(),
+            l7_metrics: NameMap::default(),
             stats: AgentStats::default(),
             out: Vec::new(),
             id,
@@ -268,8 +265,7 @@ impl Agent {
         };
         // Session aggregation (Figure 6 phase 3).
         let (key, mtype, ts) = (parse.session_key, parse.msg_type, msg.capture_ns());
-        let name = self.process_name(msg.program.pid, &msg.program.process_name);
-        let observed = Observed::from_syscall(msg, parse, systrace, pseudo, name);
+        let observed = Observed::from_syscall(msg, parse, systrace, pseudo);
         match self.sessions.offer(flow_key, key, mtype, ts, observed) {
             SessionOutcome::Matched { request, response } => {
                 self.emit_sys(Halves::Both(request, response));
@@ -288,19 +284,6 @@ impl Agent {
             // as an Incomplete span, as it would have at expiry.
             SessionOutcome::Displaced(request) => self.emit_sys(Halves::Request(request)),
             SessionOutcome::Stored | SessionOutcome::Ignored(_) => {}
-        }
-    }
-
-    /// The shared name of process `pid`: the `Arc` this agent holds for
-    /// it, made anew only when the kernel reports a new name for the pid.
-    fn process_name(&mut self, pid: Pid, name: &str) -> Arc<str> {
-        match self.process_names.get(&pid) {
-            Some(known) if **known == *name => Arc::clone(known),
-            _ => {
-                let fresh: Arc<str> = name.into();
-                self.process_names.insert(pid, Arc::clone(&fresh));
-                fresh
-            }
         }
     }
 
@@ -349,20 +332,19 @@ impl Agent {
             (_, _) => &mut self.stats.sys_spans,
         };
         *counter += 1;
-        if span.kind == SpanKind::Sys && span.status != SpanStatus::ResponseOnly {
-            let process = span.process_name.as_deref().unwrap_or_default();
-            with_slot(&mut self.l7_metrics, process, |endpoints| {
-                with_slot(endpoints, &span.endpoint, |series| {
-                    if span.status == SpanStatus::Incomplete {
-                        series.record_timeout();
-                    } else {
-                        series.record_session(
-                            span.duration(),
-                            span.status == SpanStatus::ClientError,
-                            span.status == SpanStatus::ServerError,
-                        );
-                    }
-                })
+        let process = span.process_name.as_ref();
+        if let Some(process) = process.filter(|_| span.status != SpanStatus::ResponseOnly) {
+            let endpoints = self.l7_metrics.entry(Arc::clone(process)).or_default();
+            with_slot(endpoints, &span.endpoint, |series| {
+                if span.status == SpanStatus::Incomplete {
+                    series.record_timeout();
+                } else {
+                    series.record_session(
+                        span.duration(),
+                        span.status == SpanStatus::ClientError,
+                        span.status == SpanStatus::ServerError,
+                    );
+                }
             });
         }
         self.out.push(span);

@@ -15,11 +15,8 @@ use bytes::Bytes;
 use df_kernel::hooks::{BpfProgram, HookContext, HookPhase, KernelEvent};
 use df_kernel::ringbuf::PerfRingBuffer;
 use df_kernel::verifier::{Helper, ProgramSpec};
-use df_types::message::{
-    CaptureSource, MessageContext, NetworkInfo, ProgramInfo, SyscallInfo, TracingInfo,
-};
-use df_types::{Direction, MessageData, Pid, Tid, TimeNs};
-use std::collections::HashMap;
+use df_types::message::{CaptureSource, NetworkInfo, ProgramInfo, SyscallInfo, TracingInfo};
+use df_types::{Direction, IntMap, MessageData, Pid, Tid, TimeNs};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// The exit half of the join, shared by both programs: combine the stashed
@@ -50,7 +47,7 @@ fn emit_message(
             pid: ctx.pid,
             tid: ctx.tid,
             coroutine: ctx.coroutine,
-            process_name: ctx.process_name.to_string(),
+            process_name: Arc::clone(ctx.process_name),
         },
         network: NetworkInfo {
             socket_id,
@@ -69,7 +66,6 @@ fn emit_message(
             payload,
             first_syscall,
         },
-        context: MessageContext::default(),
     }))
 }
 
@@ -77,7 +73,7 @@ fn emit_message(
 pub struct DeepFlowSyscallProgram {
     spec: ProgramSpec,
     /// The BPF-map analogue: (pid, tid) → stashed enter time.
-    enter_map: HashMap<(Pid, Tid), TimeNs>,
+    enter_map: IntMap<(Pid, Tid), TimeNs>,
     /// Messages emitted.
     pub emitted: u64,
     /// Exits with no matching enter (should stay zero; counted defensively).
@@ -108,7 +104,7 @@ impl DeepFlowSyscallProgram {
                 ],
                 unchecked_memory_access: false,
             },
-            enter_map: HashMap::new(),
+            enter_map: IntMap::default(),
             emitted: 0,
             orphan_exits: 0,
             snap_len,
@@ -161,7 +157,7 @@ impl BpfProgram for DeepFlowSyscallProgram {
 /// original payload prior to TLS encryption").
 pub struct DeepFlowTlsProgram {
     spec: ProgramSpec,
-    enter_map: HashMap<(Pid, Tid), TimeNs>,
+    enter_map: IntMap<(Pid, Tid), TimeNs>,
     snap_len: usize,
     /// Messages emitted.
     pub emitted: u64,
@@ -184,7 +180,7 @@ impl DeepFlowTlsProgram {
                 ],
                 unchecked_memory_access: false,
             },
-            enter_map: HashMap::new(),
+            enter_map: IntMap::default(),
             snap_len,
             emitted: 0,
         }
@@ -306,6 +302,7 @@ mod tests {
     use super::*;
     use df_types::{FiveTuple, NodeId, SocketId, SyscallAbi};
     use std::net::Ipv4Addr;
+    use std::sync::LazyLock;
 
     fn ctx<'a>(
         phase: HookPhase,
@@ -313,6 +310,7 @@ mod tests {
         payload: Option<&'a [u8]>,
         byte_len: usize,
     ) -> HookContext<'a> {
+        static NAME: LazyLock<Arc<str>> = LazyLock::new(|| "svc".into());
         HookContext {
             phase,
             abi: Some(SyscallAbi::Read),
@@ -321,7 +319,7 @@ mod tests {
             pid: Pid(1),
             tid: Tid(2),
             coroutine: None,
-            process_name: "svc",
+            process_name: &NAME,
             node: NodeId(1),
             socket_id: Some(SocketId(5)),
             five_tuple: Some(FiveTuple::tcp(

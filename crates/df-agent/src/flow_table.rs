@@ -8,8 +8,9 @@
 
 use df_types::net::TcpFlags;
 use df_types::packet::{ArpOp, Frame, Segment};
-use df_types::{DurationNs, FiveTuple, FlowMetrics, IntMap, TimeNs};
+use df_types::{DurationNs, FiveTuple, FlowMetrics, IntHasher, IntMap, TimeNs};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 #[derive(Debug, Default)]
 struct FlowState {
@@ -28,12 +29,18 @@ struct Interface {
 }
 
 /// Per-interface, per-flow metric accumulation. One table per agent.
-/// Keyed by interface first, so a frame on a known interface finds its
-/// flow by `&str` and allocates nothing.
+/// Interface first, each under the name the capture source shares, so a
+/// frame on a known interface finds its flow with one short probe and
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub struct FlowTable {
-    interfaces: HashMap<String, Interface>,
+    interfaces: NameMap<Interface>,
 }
+
+/// A map keyed by a shared name. [`IntHasher`] reads the text eight bytes
+/// a round, a few multiplies where SipHash runs its rounds, and a new key
+/// clones the `Arc`, not the text.
+pub(crate) type NameMap<V> = HashMap<Arc<str>, V, IntHasher>;
 
 /// `f(&mut map[key])`, the slot inserted as `V::default()` the first
 /// time, with the key copied only then. A closure rather than a returned
@@ -57,14 +64,15 @@ impl FlowTable {
     }
 
     /// Account one captured frame.
-    pub fn observe(&mut self, interface: &str, frame: &Frame, ts: TimeNs) {
-        with_slot(&mut self.interfaces, interface, |iface| match frame {
+    pub fn observe(&mut self, interface: &Arc<str>, frame: &Frame, ts: TimeNs) {
+        let iface = self.interfaces.entry(Arc::clone(interface)).or_default();
+        match frame {
             Frame::Arp { op, .. } => match op {
                 ArpOp::Request => iface.arp_requests += 1,
                 ArpOp::Reply => iface.arp_replies += 1,
             },
             Frame::Segment(seg) => Self::observe_segment(iface, seg, ts),
-        });
+        }
     }
 
     fn observe_segment(iface: &mut Interface, seg: &Segment, ts: TimeNs) {
@@ -150,7 +158,7 @@ impl FlowTable {
     pub fn arp_requests(&self) -> impl Iterator<Item = (&str, u64)> {
         self.interfaces
             .iter()
-            .map(|(name, i)| (name.as_str(), i.arp_requests))
+            .map(|(name, i)| (&**name, i.arp_requests))
     }
 
     /// Total ARP replies on one interface.
@@ -199,22 +207,22 @@ mod tests {
     fn handshake_yields_rtt_and_direction_split() {
         let mut ft = FlowTable::new();
         ft.observe(
-            "eth0",
+            &"eth0".into(),
             &Frame::Segment(seg(true, TcpFlags::SYN, b"", 100)),
             TimeNs(0),
         );
         ft.observe(
-            "eth0",
+            &"eth0".into(),
             &Frame::Segment(seg(false, TcpFlags::SYN_ACK, b"", 100)),
             TimeNs(500_000),
         );
         ft.observe(
-            "eth0",
+            &"eth0".into(),
             &Frame::Segment(seg(true, TcpFlags::PSH_ACK, b"req", 100)),
             TimeNs(600_000),
         );
         ft.observe(
-            "eth0",
+            &"eth0".into(),
             &Frame::Segment(seg(false, TcpFlags::PSH_ACK, b"response", 100)),
             TimeNs(900_000),
         );
@@ -236,13 +244,13 @@ mod tests {
         let mut retx = seg(true, TcpFlags::PSH_ACK, b"data", 100);
         retx.is_retransmission = true;
         ft.observe(
-            "eth0",
+            &"eth0".into(),
             &Frame::Segment(seg(true, TcpFlags::PSH_ACK, b"data", 100)),
             TimeNs(0),
         );
-        ft.observe("eth0", &Frame::Segment(retx), TimeNs(1));
+        ft.observe(&"eth0".into(), &Frame::Segment(retx), TimeNs(1));
         ft.observe(
-            "eth0",
+            &"eth0".into(),
             &Frame::Segment(seg(false, TcpFlags::RST, b"", 0)),
             TimeNs(2),
         );
@@ -259,7 +267,7 @@ mod tests {
         let mut ft = FlowTable::new();
         for t in [0u64, 1_000_000, 3_000_000] {
             ft.observe(
-                "eth0",
+                &"eth0".into(),
                 &Frame::Segment(seg(true, TcpFlags::SYN, b"", 100)),
                 TimeNs(t),
             );
@@ -274,18 +282,18 @@ mod tests {
     fn zero_window_advertisements_counted() {
         let mut ft = FlowTable::new();
         ft.observe(
-            "eth0",
+            &"eth0".into(),
             &Frame::Segment(seg(true, TcpFlags::PSH_ACK, b"x", 100)),
             TimeNs(0),
         );
         // Receiver advertises zero window (backlogged consumer).
         ft.observe(
-            "eth0",
+            &"eth0".into(),
             &Frame::Segment(seg(false, TcpFlags::ACK, b"", 0)),
             TimeNs(1),
         );
         ft.observe(
-            "eth0",
+            &"eth0".into(),
             &Frame::Segment(seg(false, TcpFlags::ACK, b"", 0)),
             TimeNs(2),
         );
@@ -304,14 +312,14 @@ mod tests {
             sender: C,
             target: S,
         };
-        ft.observe("phys0", &req, TimeNs(0));
-        ft.observe("phys0", &req, TimeNs(1));
-        ft.observe("eth0", &req, TimeNs(2));
+        ft.observe(&"phys0".into(), &req, TimeNs(0));
+        ft.observe(&"phys0".into(), &req, TimeNs(1));
+        ft.observe(&"eth0".into(), &req, TimeNs(2));
         assert_eq!(ft.arp_requests_on("phys0"), 2);
         assert_eq!(ft.arp_requests_on("eth0"), 1);
         assert_eq!(ft.arp_requests_on("veth-x"), 0);
         ft.observe(
-            "eth0",
+            &"eth0".into(),
             &Frame::Arp {
                 op: ArpOp::Reply,
                 sender: S,
@@ -327,12 +335,12 @@ mod tests {
     fn interfaces_keep_separate_flow_entries_but_merge_on_demand() {
         let mut ft = FlowTable::new();
         ft.observe(
-            "eth0",
+            &"eth0".into(),
             &Frame::Segment(seg(true, TcpFlags::PSH_ACK, b"ab", 100)),
             TimeNs(0),
         );
         ft.observe(
-            "phys0",
+            &"phys0".into(),
             &Frame::Segment(seg(true, TcpFlags::PSH_ACK, b"ab", 100)),
             TimeNs(1),
         );
@@ -347,12 +355,12 @@ mod tests {
     fn both_orientations_hit_the_same_flow() {
         let mut ft = FlowTable::new();
         ft.observe(
-            "eth0",
+            &"eth0".into(),
             &Frame::Segment(seg(true, TcpFlags::PSH_ACK, b"req", 100)),
             TimeNs(0),
         );
         ft.observe(
-            "eth0",
+            &"eth0".into(),
             &Frame::Segment(seg(false, TcpFlags::PSH_ACK, b"resp", 100)),
             TimeNs(1),
         );

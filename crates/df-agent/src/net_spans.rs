@@ -8,14 +8,15 @@
 //! request/response pair *per capture point*, the hop-by-hop spans that let
 //! Fig. 11's operators see exactly which infrastructure element misbehaved.
 
+use crate::flow_table::NameMap;
 use crate::session::{SessionAggregator, SessionOutcome};
 use crate::span_builder::{build_span, hash2, Halves, Observed};
 use df_net::taps::TapKind;
 use df_protocols::inference::InferenceEngine;
 use df_types::packet::Frame;
 use df_types::span::{CapturePoint, Span, TapSide};
-use df_types::{AgentId, DurationNs, FiveTuple, MessageType, NodeId, TimeNs};
-use std::collections::{HashMap, HashSet};
+use df_types::{AgentId, DurationNs, FiveTuple, IntMap, MessageType, NodeId, TimeNs};
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -38,16 +39,23 @@ pub struct NetSpanBuilder {
     node: NodeId,
     agent: AgentId,
     /// Pending requests, each remembering the interface it was seen on.
-    sessions: SessionAggregator<(String, Observed)>,
-    /// Each tapped interface's context under its name, which the spans
-    /// captured there share.
-    taps: HashMap<Arc<str>, TapContext>,
+    sessions: SessionAggregator<(Arc<str>, Observed)>,
+    /// Each interface seen or registered, under its name.
+    taps: NameMap<Tap>,
     /// Flow → client endpoint (set by SYN or first request).
-    flow_client: HashMap<FiveTuple, (Ipv4Addr, u16)>,
+    flow_client: IntMap<FiveTuple, (Ipv4Addr, u16)>,
     /// Frames whose payload could not be classified (continuations etc.).
     pub unparsed_frames: u64,
     /// Spans produced.
     pub spans_built: u64,
+}
+
+/// One interface of this agent: its number, fixed for the builder's life,
+/// which packet flow keys mix in, and its context once registered.
+#[derive(Debug)]
+struct Tap {
+    number: usize,
+    ctx: Option<TapContext>,
 }
 
 impl NetSpanBuilder {
@@ -57,8 +65,8 @@ impl NetSpanBuilder {
             node,
             agent,
             sessions: SessionAggregator::new(slot),
-            taps: HashMap::new(),
-            flow_client: HashMap::new(),
+            taps: NameMap::default(),
+            flow_client: IntMap::default(),
             unparsed_frames: 0,
             spans_built: 0,
         }
@@ -66,17 +74,25 @@ impl NetSpanBuilder {
 
     /// Register the context for an interface this agent taps.
     pub fn register_tap(&mut self, interface: &str, ctx: TapContext) {
-        self.taps.insert(interface.into(), ctx);
+        self.tap(&interface.into()).ctx = Some(ctx);
     }
 
-    /// Offer one captured frame, classified with the agent's `inference`
-    /// engine; may complete a span, or ship the request a reused id
-    /// displaced as an incomplete one. The capture's owned `interface` label
-    /// travels with the message and ends up in the span's capture point.
+    /// The interface named `name`, numbered the first time it is seen.
+    fn tap(&mut self, name: &Arc<str>) -> &mut Tap {
+        let number = self.taps.len();
+        let fresh = || Tap { number, ctx: None };
+        self.taps.entry(Arc::clone(name)).or_insert_with(fresh)
+    }
+
+    /// Offer one frame captured on `interface`, classified with the
+    /// agent's `inference` engine; may complete a span, or ship the request
+    /// a reused id displaced as an incomplete one. The capture's shared
+    /// `interface` name travels with the message and ends up in the span's
+    /// capture point.
     pub fn offer(
         &mut self,
         inference: &mut InferenceEngine,
-        interface: String,
+        interface: Arc<str>,
         frame: &Frame,
         ts: TimeNs,
     ) -> Option<Span> {
@@ -93,7 +109,7 @@ impl NetSpanBuilder {
         if seg.payload.is_empty() {
             return None;
         }
-        let flow_key = hash2(&interface, canon) | PACKET_FLOW_BIT;
+        let flow_key = hash2(self.tap(&interface).number, canon) | PACKET_FLOW_BIT;
         let Some(parse) = inference.parse_for(flow_key, &seg.payload) else {
             self.unparsed_frames += 1;
             return None;
@@ -129,17 +145,17 @@ impl NetSpanBuilder {
             .collect()
     }
 
-    fn build(&mut self, interface: String, req: Observed, resp: Option<Observed>) -> Span {
+    fn build(&mut self, interface: Arc<str>, req: Observed, resp: Option<Observed>) -> Span {
         self.spans_built += 1;
         // The request's sender is the client unless a SYN said otherwise.
         let client_ip = match self.flow_client.get(&req.tuple.canonical()) {
             Some((ip, _)) => *ip,
             None => req.tuple.src_ip,
         };
-        let (tap_side, interface) = match self.taps.get_key_value(interface.as_str()) {
-            Some((name, ctx)) => (Self::tap_side(ctx, client_ip), Arc::clone(name)),
+        let tap_side = match self.taps.get(&interface).and_then(|t| t.ctx.as_ref()) {
+            Some(ctx) => Self::tap_side(ctx, client_ip),
             // An unregistered tap: a mid-path observer.
-            None => (TapSide::Gateway, interface.into()),
+            None => TapSide::Gateway,
         };
         let capture = CapturePoint {
             node: self.node,
@@ -151,30 +167,16 @@ impl NetSpanBuilder {
 
     /// The side a span captured on the tap of `ctx` was seen at.
     fn tap_side(ctx: &TapContext, client_ip: Ipv4Addr) -> TapSide {
-        let client_local = ctx.local_ips.contains(&client_ip);
-        match ctx.kind {
-            TapKind::PodVeth => {
-                if client_local {
-                    TapSide::ClientPodNic
-                } else {
-                    TapSide::ServerPodNic
-                }
-            }
-            TapKind::NodeNic => {
-                if client_local {
-                    TapSide::ClientNodeNic
-                } else {
-                    TapSide::ServerNodeNic
-                }
-            }
-            TapKind::PhysNic => {
-                if client_local {
-                    TapSide::ClientHypervisor
-                } else {
-                    TapSide::ServerHypervisor
-                }
-            }
-            TapKind::TorMirror | TapKind::Gateway => TapSide::Gateway,
+        let (client, server) = match ctx.kind {
+            TapKind::PodVeth => (TapSide::ClientPodNic, TapSide::ServerPodNic),
+            TapKind::NodeNic => (TapSide::ClientNodeNic, TapSide::ServerNodeNic),
+            TapKind::PhysNic => (TapSide::ClientHypervisor, TapSide::ServerHypervisor),
+            TapKind::TorMirror | TapKind::Gateway => return TapSide::Gateway,
+        };
+        if ctx.local_ips.contains(&client_ip) {
+            client
+        } else {
+            server
         }
     }
 }
@@ -209,6 +211,16 @@ mod tests {
         })
     }
 
+    /// `b.offer` of a frame captured on `eth0`.
+    fn offer(
+        b: &mut NetSpanBuilder,
+        e: &mut InferenceEngine,
+        f: &Frame,
+        t: TimeNs,
+    ) -> Option<Span> {
+        b.offer(e, "eth0".into(), f, t)
+    }
+
     fn builder() -> (NetSpanBuilder, InferenceEngine) {
         let mut b = NetSpanBuilder::new(NodeId(1), AgentId(1), DurationNs::from_secs(60));
         b.register_tap(
@@ -226,12 +238,9 @@ mod tests {
         let (mut b, mut e) = builder();
         let req = http1::request("GET", "/reviews/1", &[], b"");
         let resp = http1::response(200, &[], b"ok");
-        assert!(b
-            .offer(&mut e, "eth0".into(), &seg(true, 1000, req), TimeNs(100))
-            .is_none());
-        let span = b
-            .offer(&mut e, "eth0".into(), &seg(false, 2000, resp), TimeNs(900))
-            .expect("span completed");
+        assert!(offer(&mut b, &mut e, &seg(true, 1000, req), TimeNs(100)).is_none());
+        let span =
+            offer(&mut b, &mut e, &seg(false, 2000, resp), TimeNs(900)).expect("span completed");
         assert_eq!(span.kind, SpanKind::Net);
         assert_eq!(span.capture.tap_side, TapSide::ClientNodeNic);
         assert_eq!(span.endpoint, "GET /reviews/1");
@@ -253,40 +262,38 @@ mod tests {
                 local_ips: [S].into_iter().collect(), // server's node
             },
         );
-        b.offer(
+        offer(
+            &mut b,
             &mut e,
-            "eth0".into(),
             &seg(true, 1, http1::request("GET", "/", &[], b"")),
             TimeNs(0),
         );
-        let span = b
-            .offer(
-                &mut e,
-                "eth0".into(),
-                &seg(false, 2, http1::response(200, &[], b"")),
-                TimeNs(10),
-            )
-            .unwrap();
+        let span = offer(
+            &mut b,
+            &mut e,
+            &seg(false, 2, http1::response(200, &[], b"")),
+            TimeNs(10),
+        )
+        .unwrap();
         assert_eq!(span.capture.tap_side, TapSide::ServerNodeNic);
     }
 
     #[test]
     fn error_response_sets_span_status() {
         let (mut b, mut e) = builder();
-        b.offer(
+        offer(
+            &mut b,
             &mut e,
-            "eth0".into(),
             &seg(true, 1, http1::request("GET", "/broken", &[], b"")),
             TimeNs(0),
         );
-        let span = b
-            .offer(
-                &mut e,
-                "eth0".into(),
-                &seg(false, 2, http1::response(404, &[], b"")),
-                TimeNs(10),
-            )
-            .unwrap();
+        let span = offer(
+            &mut b,
+            &mut e,
+            &seg(false, 2, http1::response(404, &[], b"")),
+            TimeNs(10),
+        )
+        .unwrap();
         assert_eq!(span.status, SpanStatus::ClientError);
         assert_eq!(span.status_code, Some(404));
     }
@@ -304,25 +311,24 @@ mod tests {
             payload: Bytes::new(),
             is_retransmission: false,
         });
-        assert!(b.offer(&mut e, "eth0".into(), &syn, TimeNs(0)).is_none());
+        assert!(offer(&mut b, &mut e, &syn, TimeNs(0)).is_none());
         // junk payload
-        assert!(b
-            .offer(
-                &mut e,
-                "eth0".into(),
-                &seg(true, 1, Bytes::from_static(b"\x00\x01garbage")),
-                TimeNs(1)
-            )
-            .is_none());
+        assert!(offer(
+            &mut b,
+            &mut e,
+            &seg(true, 1, Bytes::from_static(b"\x00\x01garbage")),
+            TimeNs(1)
+        )
+        .is_none());
         assert_eq!(b.unparsed_frames, 1);
     }
 
     #[test]
     fn expire_produces_incomplete_net_spans() {
         let (mut b, mut e) = builder();
-        b.offer(
+        offer(
+            &mut b,
             &mut e,
-            "eth0".into(),
             &seg(true, 1, http1::request("GET", "/hang", &[], b"")),
             TimeNs::from_secs(0),
         );
@@ -340,15 +346,14 @@ mod tests {
         let (mut b, mut e) = builder();
         let xid = df_types::XRequestId(0x1234_5678_9abc_def0_1111_2222_3333_4444);
         let req = http1::request("GET", "/", &[("X-Request-ID".into(), xid.to_wire())], b"");
-        b.offer(&mut e, "eth0".into(), &seg(true, 1, req), TimeNs(0));
-        let span = b
-            .offer(
-                &mut e,
-                "eth0".into(),
-                &seg(false, 2, http1::response(200, &[], b"")),
-                TimeNs(1),
-            )
-            .unwrap();
+        offer(&mut b, &mut e, &seg(true, 1, req), TimeNs(0));
+        let span = offer(
+            &mut b,
+            &mut e,
+            &seg(false, 2, http1::response(200, &[], b"")),
+            TimeNs(1),
+        )
+        .unwrap();
         assert_eq!(span.x_request_id_req, Some(xid));
     }
 
@@ -373,12 +378,8 @@ mod tests {
                 is_retransmission: false,
             })
         };
-        assert!(b
-            .offer(&mut e, "eth0".into(), &mk(true, q), TimeNs(0))
-            .is_none());
-        let span = b
-            .offer(&mut e, "eth0".into(), &mk(false, a), TimeNs(5))
-            .unwrap();
+        assert!(offer(&mut b, &mut e, &mk(true, q), TimeNs(0)).is_none());
+        let span = offer(&mut b, &mut e, &mk(false, a), TimeNs(5)).unwrap();
         assert_eq!(span.l7_protocol, L7Protocol::Dns);
         assert_eq!(span.tcp_seq_req, None);
         assert_eq!(span.tcp_seq_resp, None);
@@ -390,11 +391,8 @@ mod tests {
     fn reused_dns_id_on_a_tap_ships_the_displaced_query() {
         let (mut b, mut e) = builder();
         let q = |name| seg(true, 1, df_protocols::dns::query(9, name));
-        assert!(b
-            .offer(&mut e, "eth0".into(), &q("first.local"), TimeNs(0))
-            .is_none());
-        let span = b
-            .offer(&mut e, "eth0".into(), &q("second.local"), TimeNs(1))
+        assert!(offer(&mut b, &mut e, &q("first.local"), TimeNs(0)).is_none());
+        let span = offer(&mut b, &mut e, &q("second.local"), TimeNs(1))
             .expect("the displaced query leaves at once");
         assert_eq!(span.status, SpanStatus::Incomplete);
         assert_eq!(span.endpoint, "A first.local");
@@ -408,8 +406,8 @@ mod tests {
         // DNS over TCP keeps its sequence numbers.
         let q = df_protocols::dns::query(9, "svc.local");
         let a = df_protocols::dns::answer(9, "svc.local", df_protocols::dns::RCODE_OK);
-        b.offer(&mut e, "eth0".into(), &seg(true, 700, q), TimeNs(0));
-        let span = b.offer(&mut e, "eth0".into(), &seg(false, 800, a), TimeNs(5));
+        offer(&mut b, &mut e, &seg(true, 700, q), TimeNs(0));
+        let span = offer(&mut b, &mut e, &seg(false, 800, a), TimeNs(5));
         let span = span.expect("dns over tcp pairs");
         assert_eq!(span.l7_protocol, L7Protocol::Dns);
         assert_eq!(
@@ -425,11 +423,9 @@ mod tests {
             Frame::Segment(s)
         };
         let req = udp(true, http1::request("GET", "/udp", &[], b""));
-        b.offer(&mut e, "eth0".into(), &req, TimeNs(10));
+        offer(&mut b, &mut e, &req, TimeNs(10));
         let resp = udp(false, http1::response(200, &[], b""));
-        let span = b
-            .offer(&mut e, "eth0".into(), &resp, TimeNs(15))
-            .expect("pairs");
+        let span = offer(&mut b, &mut e, &resp, TimeNs(15)).expect("pairs");
         assert_eq!(span.l7_protocol, L7Protocol::Http1);
         assert_eq!((span.tcp_seq_req, span.tcp_seq_resp), (None, None));
     }

@@ -7,15 +7,14 @@
 //! [`PseudoThreadId`], which Algorithm 1 joins on just like a thread id.
 
 use df_kernel::process::CoroutineEvent;
-use df_types::{CoroutineId, Pid, PseudoThreadId};
-use std::collections::HashMap;
+use df_types::{CoroutineId, IntMap, Pid, PseudoThreadId};
 
 /// Tracks coroutine ancestry per process and maps coroutines to
 /// pseudo-thread ids.
 #[derive(Debug, Default)]
 pub struct PseudoThreadTracker {
-    parent: HashMap<(Pid, CoroutineId), Option<CoroutineId>>,
-    assigned: HashMap<(Pid, CoroutineId), PseudoThreadId>,
+    parent: IntMap<(Pid, CoroutineId), Option<CoroutineId>>,
+    assigned: IntMap<(Pid, CoroutineId), PseudoThreadId>,
     next_id: u64,
 }
 

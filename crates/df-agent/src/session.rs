@@ -8,8 +8,8 @@
 //! be queried"; anything farther apart is flagged for server-side
 //! re-aggregation.
 
-use df_types::{DurationNs, MessageType, SessionKey, TimeNs};
-use std::collections::{HashMap, VecDeque};
+use df_types::{DurationNs, IntMap, MessageType, SessionKey, TimeNs};
+use std::collections::VecDeque;
 
 /// Default slot width — "DeepFlow presently sets the duration of each time
 /// slot to 60 seconds".
@@ -19,6 +19,21 @@ pub const DEFAULT_SLOT: DurationNs = DurationNs(60 * 1_000_000_000);
 struct Pending<M> {
     item: M,
     ts: TimeNs,
+}
+
+/// A pipelined flow's pending requests, oldest first. A flow rarely has
+/// more than one in flight, so the first waits inline and the `VecDeque`
+/// (empty while the first slot is) allocates only for a second.
+#[derive(Debug)]
+struct Fifo<M>(Option<Pending<M>>, VecDeque<Pending<M>>);
+
+impl<M> Fifo<M> {
+    fn pop_front_if(&mut self, take: impl FnOnce(&Pending<M>) -> bool) -> Option<Pending<M>> {
+        if !take(self.0.as_ref()?) {
+            return None;
+        }
+        std::mem::replace(&mut self.0, self.1.pop_front())
+    }
 }
 
 /// What happened when a message was offered.
@@ -59,9 +74,9 @@ pub enum SessionOutcome<M> {
 pub struct SessionAggregator<M> {
     slot: DurationNs,
     /// Multiplexed protocols: (flow, embedded id) → pending request.
-    mux: HashMap<(u64, u64), Pending<M>>,
+    mux: IntMap<(u64, u64), Pending<M>>,
     /// Pipelined protocols: flow → FIFO of pending requests.
-    fifo: HashMap<u64, VecDeque<Pending<M>>>,
+    fifo: IntMap<u64, Fifo<M>>,
     /// Sessions matched in-window.
     pub matched: u64,
     /// Sessions matched out-of-window.
@@ -84,8 +99,8 @@ impl<M> SessionAggregator<M> {
         assert!(slot.as_nanos() > 0, "slot width must be positive");
         SessionAggregator {
             slot,
-            mux: HashMap::new(),
-            fifo: HashMap::new(),
+            mux: IntMap::default(),
+            fifo: IntMap::default(),
             matched: 0,
             out_of_window: 0,
             orphans: 0,
@@ -114,7 +129,11 @@ impl<M> SessionAggregator<M> {
                         None => SessionOutcome::Stored,
                     },
                     SessionKey::Ordered => {
-                        self.fifo.entry(flow_key).or_default().push_back(pending);
+                        let fifo = self.fifo.entry(flow_key);
+                        match fifo.or_insert_with(|| Fifo(None, VecDeque::new())) {
+                            Fifo(head @ None, _) => *head = Some(pending),
+                            Fifo(Some(_), rest) => rest.push_back(pending),
+                        }
                         SessionOutcome::Stored
                     }
                 }
@@ -123,7 +142,8 @@ impl<M> SessionAggregator<M> {
                 let found = match key {
                     SessionKey::Multiplexed(id) => self.mux.remove(&(flow_key, id)),
                     SessionKey::Ordered => {
-                        self.fifo.get_mut(&flow_key).and_then(VecDeque::pop_front)
+                        let fifo = self.fifo.get_mut(&flow_key);
+                        fifo.and_then(|q| q.pop_front_if(|_| true))
                     }
                 };
                 match found {
@@ -182,14 +202,15 @@ impl<M> SessionAggregator<M> {
                 taken.push(((p.ts, flow, None), p.item));
             }
         }
-        self.fifo.retain(|_, q| !q.is_empty());
+        self.fifo.retain(|_, q| q.0.is_some());
         taken.sort_by_key(|(order, _)| *order);
         taken.into_iter().map(|(_, item)| item).collect()
     }
 
     /// Requests currently pending.
     pub fn pending(&self) -> usize {
-        self.mux.len() + self.fifo.values().map(VecDeque::len).sum::<usize>()
+        let queued = |Fifo(head, rest): &Fifo<M>| head.iter().len() + rest.len();
+        self.mux.len() + self.fifo.values().map(queued).sum::<usize>()
     }
 }
 

@@ -62,13 +62,12 @@ impl Observed {
     }
 
     /// A message captured at a syscall or uprobe, with its intra-component
-    /// association ids already assigned and its process's shared name.
+    /// association ids already assigned.
     pub fn from_syscall(
         msg: MessageData,
         parse: ParsedMessage,
         systrace_id: SysTraceId,
         pseudo_thread_id: Option<PseudoThreadId>,
-        process_name: Arc<str>,
     ) -> Self {
         // `MessageData` tuples are local-first; on the wire the sender is.
         let tuple = match msg.tracing.direction {
@@ -81,7 +80,7 @@ impl Observed {
                 direction: msg.tracing.direction,
                 pid: msg.program.pid,
                 tid: msg.program.tid,
-                process_name,
+                process_name: msg.program.process_name,
                 systrace_id,
                 pseudo_thread_id,
             }),
@@ -193,7 +192,7 @@ pub(crate) fn build_span(agent: AgentId, capture: CapturePoint, halves: Halves) 
     let pseudo_thread_id = pseudo_thread_id(q).or(pseudo_thread_id(r));
     // Identity fields come from the request when there is one.
     let Observed { parse, process, .. } = halves.into_first();
-    let is_sys = process.is_some();
+    let (is_sys, headers) = (process.is_some(), parse.headers);
     Span {
         span_id: SpanId(0),
         kind: if is_sys { SpanKind::Sys } else { SpanKind::Net },
@@ -202,7 +201,7 @@ pub(crate) fn build_span(agent: AgentId, capture: CapturePoint, halves: Halves) 
         flow_id: FlowId(hash2("flow", five_tuple.canonical())),
         five_tuple,
         l7_protocol: parse.protocol,
-        endpoint: parse.endpoint,
+        endpoint: parse.into_endpoint(),
         req_time,
         resp_time,
         status,
@@ -218,9 +217,9 @@ pub(crate) fn build_span(agent: AgentId, capture: CapturePoint, halves: Halves) 
         x_request_id_resp,
         tcp_seq_req,
         tcp_seq_resp,
-        otel_trace_id: parse.headers.trace_id,
-        otel_span_id: parse.headers.span_id,
-        otel_parent_span_id: parse.headers.parent_span_id.filter(|_| !is_sys),
+        otel_trace_id: headers.trace_id,
+        otel_span_id: headers.span_id,
+        otel_parent_span_id: headers.parent_span_id.filter(|_| !is_sys),
         process_name: process.map(|p| p.process_name),
         tags: TagSet::default(),
         flow_metrics: None,

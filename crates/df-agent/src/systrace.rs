@@ -9,8 +9,7 @@
 //! thread reuse (Figure 7(b)): a new request on the same socket flips the
 //! direction on the *same* socket, breaking the chain.
 
-use df_types::{Direction, Pid, SocketId, SysTraceId, Tid, TimeNs};
-use std::collections::HashMap;
+use df_types::{Direction, IntMap, Pid, SocketId, SysTraceId, Tid, TimeNs};
 
 #[derive(Debug, Clone, Copy)]
 struct LastMessage {
@@ -23,7 +22,7 @@ struct LastMessage {
 /// Per-thread systrace chain state.
 #[derive(Debug, Default)]
 pub struct SystraceTracker {
-    last: HashMap<(Pid, Tid), LastMessage>,
+    last: IntMap<(Pid, Tid), LastMessage>,
     next_id: u64,
     /// Chains continued (diagnostics).
     pub chained: u64,

@@ -14,11 +14,13 @@ use df_kernel::hooks::{
 };
 use df_types::{FiveTuple, NodeId, Pid, SocketId, SyscallAbi, Tid, TimeNs};
 use std::net::Ipv4Addr;
+use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 const ITERS: u32 = 100_000;
 
 fn ctx<'a>(abi: SyscallAbi, phase: HookPhase, payload: &'a [u8]) -> HookContext<'a> {
+    static NAME: LazyLock<Arc<str>> = LazyLock::new(|| "bench".into());
     HookContext {
         phase,
         abi: Some(abi),
@@ -27,7 +29,7 @@ fn ctx<'a>(abi: SyscallAbi, phase: HookPhase, payload: &'a [u8]) -> HookContext<
         pid: Pid(1),
         tid: Tid(1),
         coroutine: None,
-        process_name: "bench",
+        process_name: &NAME,
         node: NodeId(1),
         socket_id: Some(SocketId(1)),
         five_tuple: Some(FiveTuple::tcp(

@@ -78,9 +78,27 @@ pub fn save_json(name: &str, value: &serde_json::Value) {
         return;
     }
     let path = dir.join(format!("{name}.json"));
-    if let Ok(body) = serde_json::to_string_pretty(value) {
+    if let Ok(body) = serde_json::to_string_pretty(&canonical(value)) {
         let _ = fs::write(&path, body);
         println!("\n[saved results/{name}.json]");
+    }
+}
+
+/// `value` as `save_json` writes it: every object's keys sorted and every
+/// float rounded to six decimal places, so that an unchanged figure
+/// regenerates byte-identical whatever order its harness built it in.
+fn canonical(value: &serde_json::Value) -> serde_json::Value {
+    use serde_json::Value;
+    match value {
+        Value::Object(fields) => {
+            let mut fields = fields.clone();
+            fields.iter_mut().for_each(|(_, v)| *v = canonical(v));
+            fields.sort_by(|a, b| a.0.cmp(&b.0));
+            Value::Object(fields)
+        }
+        Value::Array(items) => Value::Array(items.iter().map(canonical).collect()),
+        Value::F(x) => Value::F((x * 1e6).round() / 1e6),
+        other => other.clone(),
     }
 }
 
@@ -110,6 +128,16 @@ mod tests {
         );
         bars(&[("x".into(), 1.0), ("y".into(), 0.0)], "u");
         compare("m", 10.0, 12.0, 2.0);
+    }
+
+    #[test]
+    fn saved_json_sorts_keys_and_fixes_floats() {
+        let a = serde_json::json!({"b": 1.000_000_4, "a": {"d": [0.1, 2], "c": null}});
+        let b = serde_json::json!({"a": {"c": null, "d": [0.100_000_1, 2]}, "b": 1.0});
+        let written = |v| serde_json::to_string(&canonical(v)).expect("prints");
+        assert_eq!(written(&a), written(&a));
+        assert_eq!(written(&b), r#"{"a":{"c":null,"d":[0.1,2]},"b":1.0}"#);
+        assert_eq!(written(&a), written(&b));
     }
 
     #[test]

@@ -21,6 +21,7 @@ use crate::verifier::{self, ProgramSpec, VerifierError};
 use df_types::message::MessageData;
 use df_types::time::{DurationNs, TimeNs};
 use df_types::{CoroutineId, Direction, FiveTuple, NodeId, Pid, SocketId, SyscallAbi, Tid};
+use std::sync::Arc;
 
 /// How a program is attached (determines base overhead; Figure 13(a)
 /// contrasts kprobe and tracepoint costs, 13(b) adds uprobes).
@@ -78,8 +79,8 @@ pub struct HookContext<'a> {
     pub tid: Tid,
     /// Current coroutine on the thread, if any.
     pub coroutine: Option<CoroutineId>,
-    /// Process name.
-    pub process_name: &'a str,
+    /// Process name, lent: a program keeps it by cloning the `Arc`.
+    pub process_name: &'a Arc<str>,
     /// Node id (for the agent's capture metadata).
     pub node: NodeId,
     /// Globally unique socket id, when the operation touches a socket.
@@ -303,6 +304,7 @@ impl std::fmt::Debug for HookEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::LazyLock;
 
     /// Counts its own firings; the simplest useful program.
     struct Counter {
@@ -333,6 +335,7 @@ mod tests {
     }
 
     fn ctx(phase: HookPhase) -> HookContext<'static> {
+        static NAME: LazyLock<Arc<str>> = LazyLock::new(|| "test".into());
         HookContext {
             phase,
             abi: Some(SyscallAbi::Read),
@@ -341,7 +344,7 @@ mod tests {
             pid: Pid(1),
             tid: Tid(1),
             coroutine: None,
-            process_name: "test",
+            process_name: &NAME,
             node: NodeId(1),
             socket_id: Some(SocketId(1)),
             five_tuple: None,

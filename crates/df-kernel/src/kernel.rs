@@ -21,6 +21,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// File descriptor.
 pub type Fd = u32;
@@ -1058,11 +1059,11 @@ impl Kernel {
         Ok(())
     }
 
-    fn process_name(&self, pid: Pid) -> String {
+    /// The process's shared name: a reference count, not a copy.
+    fn process_name(&self, pid: Pid) -> Arc<str> {
         self.procs
             .process(pid)
-            .map(|p| p.name.clone())
-            .unwrap_or_else(|| "?".to_string())
+            .map_or_else(|| "?".into(), |p| Arc::clone(&p.name))
     }
 
     fn set_thread_state(&mut self, tid: Tid, state: ThreadState) {

@@ -8,6 +8,7 @@
 
 use df_types::{CoroutineId, Pid, Tid};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Scheduling state of a thread as the mesh event loop sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,8 +42,9 @@ pub struct Thread {
 pub struct Process {
     /// Process id.
     pub pid: Pid,
-    /// Executable name (`comm`).
-    pub name: String,
+    /// Executable name (`comm`), shared by every event the process's hooks
+    /// emit.
+    pub name: Arc<str>,
     /// Threads belonging to the process.
     pub threads: Vec<Tid>,
 }
@@ -114,7 +116,7 @@ impl ProcessTable {
             pid,
             Process {
                 pid,
-                name: name.to_string(),
+                name: name.into(),
                 threads: vec![tid],
             },
         );
@@ -234,7 +236,7 @@ mod tests {
         let (p2, t2) = t.spawn_process("redis");
         assert_ne!(p1, p2);
         assert_ne!(t1, t2);
-        assert_eq!(t.process(p1).unwrap().name, "nginx");
+        assert_eq!(&*t.process(p1).unwrap().name, "nginx");
         assert_eq!(t.thread(t1).unwrap().pid, p1);
         assert_eq!(t.process_count(), 2);
     }

@@ -474,7 +474,7 @@ fn read_request(svc: &mut Service, ctx: &mut Ctx<'_>, w: usize, conn: Fd, t: &mu
             // Status: error-endpoint fault injection.
             let mut status = 200u16;
             for (substr, code) in &svc.spec.error_endpoints {
-                if parse.endpoint.contains(substr.as_str()) {
+                if parse.endpoint().contains(substr.as_str()) {
                     status = *code;
                 }
             }
@@ -482,7 +482,7 @@ fn read_request(svc: &mut Service, ctx: &mut Ctx<'_>, w: usize, conn: Fd, t: &mu
             let server_token =
                 svc.spec
                     .tracer
-                    .on_request(&svc.spec.name, &parse.endpoint, &parse.headers, *t);
+                    .on_request(&svc.spec.name, &parse.endpoint(), &parse.headers, *t);
             let tracer_cost = svc.spec.tracer.overhead_per_op();
             // Coroutine runtime: each request runs in a fresh coroutine.
             let coroutine = if svc.spec.runtime == RuntimeKind::Coroutines {
@@ -494,7 +494,7 @@ fn read_request(svc: &mut Service, ctx: &mut Ctx<'_>, w: usize, conn: Fd, t: &mu
                 None
             };
             let req = ReqCtx {
-                endpoint: parse.endpoint.clone(),
+                endpoint: parse.endpoint().into_owned(),
                 key: parse.session_key,
                 headers_in: parse.headers,
                 status,

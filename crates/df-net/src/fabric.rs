@@ -395,7 +395,7 @@ fn insert_gateway_hop(hops: &mut Vec<Hop>, name: String) {
             element: ElementId::L4Gw(name.clone()),
             kind: HopKind::L4Gateway,
             node: None,
-            interface: format!("gw-{name}"),
+            interface: format!("gw-{name}").into(),
         },
     );
 }

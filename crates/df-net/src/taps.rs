@@ -10,6 +10,7 @@
 use df_types::packet::{CapturedFrame, Frame};
 use df_types::{NodeId, TimeNs, TransportProtocol};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::topology::ElementId;
 
@@ -128,15 +129,16 @@ impl TapRegistry {
         self.taps.remove(element).is_some()
     }
 
-    /// Offer a frame traversing `element` at `ts` on `interface`.
-    pub fn observe(&mut self, element: &ElementId, interface: &str, frame: &Frame, ts: TimeNs) {
+    /// Offer a frame traversing `element` at `ts` on the interface `name`,
+    /// whose shared `Arc` a capture keeps.
+    pub fn observe(&mut self, element: &ElementId, name: &Arc<str>, frame: &Frame, ts: TimeNs) {
         if let Some(tap) = self.taps.get_mut(element) {
             tap.observed += 1;
             if tap.filter.matches(frame) {
                 tap.matched += 1;
                 tap.captured.push(CapturedFrame {
                     ts,
-                    interface: interface.to_string(),
+                    interface: Arc::clone(name),
                     frame: tap.filter.snap(frame),
                 });
             }
@@ -200,12 +202,12 @@ mod tests {
         let mut reg = TapRegistry::new();
         let el = ElementId::NodeNic(NodeId(1));
         reg.install(el.clone(), NodeId(1), TapKind::NodeNic, TapFilter::all());
-        reg.observe(&el, "eth0", &seg_frame(80, b"hello"), TimeNs(5));
-        reg.observe(&el, "eth0", &arp_frame(), TimeNs(6));
+        reg.observe(&el, &"eth0".into(), &seg_frame(80, b"hello"), TimeNs(5));
+        reg.observe(&el, &"eth0".into(), &arp_frame(), TimeNs(6));
         // untapped element: ignored
         reg.observe(
             &ElementId::NodeNic(NodeId(9)),
-            "eth0",
+            &"eth0".into(),
             &seg_frame(80, b"x"),
             TimeNs(7),
         );
@@ -227,8 +229,8 @@ mod tests {
             ..TapFilter::all()
         };
         reg.install(el.clone(), NodeId(2), TapKind::TorMirror, filter);
-        reg.observe(&el, "tor", &seg_frame(80, b"in"), TimeNs(1));
-        reg.observe(&el, "tor", &seg_frame(443, b"out"), TimeNs(2));
+        reg.observe(&el, &"tor".into(), &seg_frame(80, b"in"), TimeNs(1));
+        reg.observe(&el, &"tor".into(), &seg_frame(443, b"out"), TimeNs(2));
         let got = reg.drain_for_node(NodeId(2));
         assert_eq!(got.len(), 1);
         assert_eq!(reg.stats(&el), Some((2, 1)));
@@ -243,7 +245,7 @@ mod tests {
             ..TapFilter::all()
         };
         reg.install(el.clone(), NodeId(1), TapKind::PodVeth, filter);
-        reg.observe(&el, "veth", &seg_frame(80, b"abcdefgh"), TimeNs(1));
+        reg.observe(&el, &"veth".into(), &seg_frame(80, b"abcdefgh"), TimeNs(1));
         let got = reg.drain_for_node(NodeId(1));
         match &got[0].1.frame {
             Frame::Segment(s) => assert_eq!(&s.payload[..], b"abcd"),
@@ -260,7 +262,7 @@ mod tests {
             ..TapFilter::all()
         };
         reg.install(el.clone(), NodeId(3), TapKind::PhysNic, filter);
-        reg.observe(&el, "phys0", &arp_frame(), TimeNs(1));
+        reg.observe(&el, &"phys0".into(), &arp_frame(), TimeNs(1));
         assert!(reg.drain_for_node(NodeId(3)).is_empty());
     }
 
@@ -271,8 +273,8 @@ mod tests {
         let e2 = ElementId::PhysNic(NodeId(1));
         reg.install(e1.clone(), NodeId(1), TapKind::NodeNic, TapFilter::all());
         reg.install(e2.clone(), NodeId(1), TapKind::PhysNic, TapFilter::all());
-        reg.observe(&e2, "phys0", &seg_frame(80, b"b"), TimeNs(20));
-        reg.observe(&e1, "eth0", &seg_frame(80, b"a"), TimeNs(10));
+        reg.observe(&e2, &"phys0".into(), &seg_frame(80, b"b"), TimeNs(20));
+        reg.observe(&e1, &"eth0".into(), &seg_frame(80, b"a"), TimeNs(10));
         let got = reg.drain_for_node(NodeId(1));
         assert_eq!(got[0].1.ts, TimeNs(10));
         assert_eq!(got[1].1.ts, TimeNs(20));

@@ -16,6 +16,12 @@ use df_types::{DurationNs, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::{Arc, LazyLock};
+
+/// The node-NIC and physical-NIC labels, one shared name each for every
+/// route and capture.
+static ETH0: LazyLock<Arc<str>> = LazyLock::new(|| "eth0".into());
+static PHYS0: LazyLock<Arc<str>> = LazyLock::new(|| "phys0".into());
 
 /// Identifies a fault-injectable / tappable infrastructure element.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -54,7 +60,7 @@ pub enum HopKind {
 }
 
 /// One step of a route.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hop {
     /// The element traversed.
     pub element: ElementId,
@@ -63,13 +69,15 @@ pub struct Hop {
     /// Node whose agent can tap this hop (ToR mirrors are assigned to a
     /// dedicated capture node, Fig. 18).
     pub node: Option<NodeId>,
-    /// Interface label for captures.
-    pub interface: String,
+    /// Interface label for captures, shared by every route through it.
+    pub interface: Arc<str>,
 }
 
 #[derive(Debug, Clone)]
 struct Pod {
     name: String,
+    /// `veth-<name>`, the label of the pod's veth hops.
+    veth: Arc<str>,
     node: NodeId,
     namespace: String,
     workload: String,
@@ -94,6 +102,8 @@ struct Node {
 
 #[derive(Debug, Clone)]
 struct Rack {
+    /// `tor-<rack>`, the label of the rack's ToR hops.
+    tor: Arc<str>,
     /// Node hosting the ToR mirror tap, if mirroring is enabled (Fig. 18).
     mirror_node: Option<NodeId>,
 }
@@ -144,9 +154,10 @@ impl Topology {
             },
         );
         self.node_by_ip.insert(ip, id);
-        self.racks
-            .entry(rack.to_string())
-            .or_insert(Rack { mirror_node: None });
+        self.racks.entry(rack.to_string()).or_insert_with(|| Rack {
+            tor: format!("tor-{rack}").into(),
+            mirror_node: None,
+        });
         id
     }
 
@@ -178,6 +189,7 @@ impl Topology {
             ip,
             Pod {
                 name: name.to_string(),
+                veth: format!("veth-{name}").into(),
                 node,
                 namespace: namespace.to_string(),
                 workload: workload.to_string(),
@@ -253,7 +265,7 @@ impl Topology {
                 element: ElementId::PodVeth(src),
                 kind: HopKind::SrcPodVeth,
                 node: Some(src_node),
-                interface: format!("veth-{}", self.pods[&src].name),
+                interface: Arc::clone(&self.pods[&src].veth),
             });
         }
         if src_node == dst_node {
@@ -263,7 +275,7 @@ impl Topology {
                     element: ElementId::PodVeth(dst),
                     kind: HopKind::DstPodVeth,
                     node: Some(dst_node),
-                    interface: format!("veth-{}", self.pods[&dst].name),
+                    interface: Arc::clone(&self.pods[&dst].veth),
                 });
             }
             return Some(hops);
@@ -273,54 +285,55 @@ impl Topology {
             element: ElementId::NodeNic(src_node),
             kind: HopKind::SrcNodeNic,
             node: Some(src_node),
-            interface: "eth0".to_string(),
+            interface: Arc::clone(&ETH0),
         });
         if self.nodes[&src_node].has_phys_nic {
             hops.push(Hop {
                 element: ElementId::PhysNic(src_node),
                 kind: HopKind::SrcPhysNic,
                 node: Some(src_node),
-                interface: "phys0".to_string(),
+                interface: Arc::clone(&PHYS0),
             });
         }
         // ToR hop(s): src rack, then dst rack if different.
-        let src_rack = self.nodes[&src_node].rack.clone();
-        let dst_rack = self.nodes[&dst_node].rack.clone();
-        hops.push(self.tor_hop(&src_rack));
+        let src_rack = &self.nodes[&src_node].rack;
+        let dst_rack = &self.nodes[&dst_node].rack;
+        hops.push(self.tor_hop(src_rack));
         if dst_rack != src_rack {
-            hops.push(self.tor_hop(&dst_rack));
+            hops.push(self.tor_hop(dst_rack));
         }
         if self.nodes[&dst_node].has_phys_nic {
             hops.push(Hop {
                 element: ElementId::PhysNic(dst_node),
                 kind: HopKind::DstPhysNic,
                 node: Some(dst_node),
-                interface: "phys0".to_string(),
+                interface: Arc::clone(&PHYS0),
             });
         }
         hops.push(Hop {
             element: ElementId::NodeNic(dst_node),
             kind: HopKind::DstNodeNic,
             node: Some(dst_node),
-            interface: "eth0".to_string(),
+            interface: Arc::clone(&ETH0),
         });
         if self.is_pod_ip(dst) {
             hops.push(Hop {
                 element: ElementId::PodVeth(dst),
                 kind: HopKind::DstPodVeth,
                 node: Some(dst_node),
-                interface: format!("veth-{}", self.pods[&dst].name),
+                interface: Arc::clone(&self.pods[&dst].veth),
             });
         }
         Some(hops)
     }
 
     fn tor_hop(&self, rack: &str) -> Hop {
+        let known = self.racks.get(rack);
         Hop {
             element: ElementId::Tor(rack.to_string()),
             kind: HopKind::Tor,
-            node: self.racks.get(rack).and_then(|r| r.mirror_node),
-            interface: format!("tor-{rack}"),
+            node: known.and_then(|r| r.mirror_node),
+            interface: known.map_or_else(|| format!("tor-{rack}").into(), |r| Arc::clone(&r.tor)),
         }
     }
 

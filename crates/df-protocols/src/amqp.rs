@@ -101,7 +101,7 @@ mod tests {
         assert!(sniff(&p));
         let parsed = parse(&p).unwrap();
         assert_eq!(parsed.msg_type, MessageType::Request);
-        assert_eq!(parsed.endpoint, "basic.publish orders");
+        assert_eq!(parsed.endpoint(), "basic.publish orders");
         assert_eq!(parsed.session_key, Key::Multiplexed(3));
 
         let a = parse(&ack(3)).unwrap();

@@ -122,7 +122,7 @@ mod tests {
         let pq = parse(&q).unwrap();
         assert_eq!(pq.msg_type, MessageType::Request);
         assert_eq!(pq.session_key, Key::Multiplexed(0x1234));
-        assert_eq!(pq.endpoint, "A reviews.default.svc.cluster.local");
+        assert_eq!(pq.endpoint(), "A reviews.default.svc.cluster.local");
 
         let a = answer(0x1234, "reviews.default.svc.cluster.local", RCODE_OK);
         let pa = parse(&a).unwrap();

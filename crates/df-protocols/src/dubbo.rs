@@ -87,7 +87,7 @@ mod tests {
         assert!(sniff(&req));
         let p = parse(&req).unwrap();
         assert_eq!(p.msg_type, MessageType::Request);
-        assert_eq!(p.endpoint, "com.acme.OrderService/placeOrder");
+        assert_eq!(p.endpoint(), "com.acme.OrderService/placeOrder");
         assert_eq!(p.session_key, Key::Multiplexed(555));
 
         let resp = response(555, STATUS_OK, b"{}");

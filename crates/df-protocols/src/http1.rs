@@ -13,6 +13,7 @@
 use crate::{Key, MessageSummary, TraceHeaders};
 use bytes::Bytes;
 use df_types::{L7Protocol, MessageType, OtelSpanId, OtelTraceId, XRequestId};
+use std::borrow::Cow;
 
 const METHODS: [&str; 7] = ["GET", "POST", "PUT", "DELETE", "HEAD", "PATCH", "OPTIONS"];
 
@@ -57,7 +58,7 @@ pub fn response(status: u16, headers: &[(String, String)], body: &[u8]) -> Bytes
 /// payload claimed here is one [`parse`] accepts.
 pub fn sniff(payload: &[u8]) -> bool {
     if payload.starts_with(b"HTTP/1.") {
-        return status_code(start_line(payload)).is_some();
+        return status_code(split_line(payload).0).is_some();
     }
     is_request(payload)
 }
@@ -92,29 +93,21 @@ struct Head<'a> {
 }
 
 impl<'a> Head<'a> {
-    /// Split the lines once and stop at the first `\r\n\r\n`. A line
-    /// ended by `\n` loses one `\r` before it, as `str::lines` does.
+    /// Split the lines once, eight bytes a step ([`split_line`]), and stop
+    /// at the first `\r\n\r\n`. A line keeps its `\r`: the start line's
+    /// words and the header values are read with it trimmed as whitespace,
+    /// and a name ends at its colon.
     fn scan(payload: &'a [u8]) -> Self {
-        let mut lines = payload.split(|&b| b == b'\n').peekable();
-        let mut head = Head::default();
-        let mut after_crlf = false;
-        let mut first = true;
-        while let Some(raw) = lines.next() {
-            let ended = lines.peek().is_some();
-            if after_crlf && ended && raw == b"\r" {
+        let (start, mut rest) = split_line(payload);
+        let (mut head, mut after_crlf) = (Head::default(), start.ends_with(b"\r"));
+        head.start = start;
+        while let Some(tail) = rest.get(1..) {
+            let (line, next) = split_line(tail);
+            if after_crlf && line == b"\r" {
                 break;
             }
-            let line = match raw.strip_suffix(b"\r") {
-                Some(line) if ended => line,
-                _ => raw,
-            };
-            if first {
-                head.start = line;
-                first = false;
-            } else {
-                head.header(line);
-            }
-            after_crlf = ended && raw.ends_with(b"\r");
+            head.header(line);
+            (after_crlf, rest) = (line.ends_with(b"\r"), next);
         }
         head
     }
@@ -122,6 +115,11 @@ impl<'a> Head<'a> {
     /// Record `line`'s value if it is the first of a tracing header.
     /// Names match case-insensitively once trimmed, as `str::trim` would.
     fn header(&mut self, line: &'a [u8]) {
+        // Every tracing header's name starts with `t`, `b` or `x`.
+        let first = line.first().copied().unwrap_or_default();
+        if first.is_ascii_alphanumeric() && !b"tbxTBX".contains(&first) {
+            return;
+        }
         let mut halves = line.splitn(2, |&b| b == b':');
         let (Some(name), Some(value)) = (halves.next(), halves.next()) else {
             return;
@@ -184,24 +182,60 @@ impl<'a> Head<'a> {
     }
 }
 
-/// The payload's first line, without its line ending.
-fn start_line(payload: &[u8]) -> &[u8] {
-    match payload.iter().position(|&b| b == b'\n') {
-        Some(at) => {
-            let line = payload.split_at(at).0;
-            line.strip_suffix(b"\r").unwrap_or(line)
+/// `bytes` split before its first `\n`, or whole. Eight bytes are tested
+/// at a time: a word XOR eight `\n`s has a zero byte where `\n` was, and
+/// the borrow trick marks the lowest zero byte exactly (only bytes above
+/// it can be marked falsely).
+fn split_line(bytes: &[u8]) -> (&[u8], &[u8]) {
+    const LF: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().unwrap_or_default()) ^ LF;
+        let zero = x.wrapping_sub(0x0101_0101_0101_0101) & !x & 0x8080_8080_8080_8080;
+        if zero != 0 {
+            return bytes.split_at(i * 8 + zero.trailing_zeros() as usize / 8);
         }
-        None => payload,
     }
+    let tail = words.remainder();
+    let at = tail.iter().position(|&b| b == b'\n').unwrap_or(tail.len());
+    bytes.split_at(bytes.len() - tail.len() + at)
 }
 
-/// A response start line's status code: its second word.
+/// A start line's first two words, as `str::split_whitespace` reads them.
+/// An ASCII line is cut in place at the six ASCII bytes `char::is_whitespace`
+/// accepts; any other goes through `from_utf8_lossy`, whose whitespace also
+/// has non-ASCII spaces, and its words are copied.
+fn first_words(start: &[u8]) -> [Option<Cow<'_, str>>; 2] {
+    if !start.is_ascii() {
+        let text = String::from_utf8_lossy(start);
+        let mut words = text.split_whitespace();
+        return [(); 2].map(|()| words.next().map(|w| Cow::Owned(w.to_owned())));
+    }
+    let space = |b: &u8| matches!(b, b' ' | b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r');
+    let mut rest = start;
+    [(); 2].map(|()| {
+        let word = rest.get(rest.iter().position(|b| !space(b))?..)?;
+        let (word, tail) = word.split_at(word.iter().position(space).unwrap_or(word.len()));
+        rest = tail;
+        std::str::from_utf8(word).ok().map(Cow::Borrowed)
+    })
+}
+
+/// A response start line's status code: its second word, as `u16`'s
+/// `FromStr` reads it.
 fn status_code(start: &[u8]) -> Option<u16> {
-    String::from_utf8_lossy(start)
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()
+    let [_, code] = first_words(start);
+    code?.parse().ok()
+}
+
+/// A request's endpoint, `"{method} {path}"` with `/` for a missing path,
+/// built in one exact-capacity `String`.
+fn endpoint(start: &[u8]) -> Option<String> {
+    let [method, path] = first_words(start);
+    let (method, path) = (method?, path.unwrap_or(Cow::Borrowed("/")));
+    let mut out = String::with_capacity(method.len() + 1 + path.len());
+    out.extend([&*method, " ", &*path]);
+    Some(out)
 }
 
 /// Pull the tracing headers out of an HTTP/1.1 head section.
@@ -219,26 +253,14 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
     }
     let head = Head::scan(payload);
     let mut s = if response {
-        // Response: HTTP/1.1 <code> <reason>
-        let code = status_code(head.start)?;
-        let mut s = MessageSummary::basic(
-            L7Protocol::Http1,
-            MessageType::Response,
-            Key::Ordered,
-            code.to_string(),
-        );
-        s.status_code = Some(code);
-        s
+        // Response: HTTP/1.1 <code> <reason>.
+        MessageSummary::http_response(L7Protocol::Http1, Key::Ordered, status_code(head.start)?)
     } else {
-        let start = String::from_utf8_lossy(head.start);
-        let mut words = start.split_whitespace();
-        let method = words.next()?;
-        let path = words.next().unwrap_or("/");
         MessageSummary::basic(
             L7Protocol::Http1,
             MessageType::Request,
             Key::Ordered,
-            format!("{method} {path}"),
+            endpoint(head.start)?,
         )
     };
     s.headers = head.trace_headers();
@@ -256,7 +278,7 @@ mod tests {
         assert!(sniff(&req));
         let p = parse(&req).unwrap();
         assert_eq!(p.msg_type, MessageType::Request);
-        assert_eq!(p.endpoint, "GET /api/v1/products");
+        assert_eq!(p.endpoint(), "GET /api/v1/products");
         assert_eq!(p.session_key, Key::Ordered);
         assert!(p.status_code.is_none());
     }
@@ -371,7 +393,7 @@ mod tests {
         assert!(sniff(&req));
         let p = parse(&req).expect("binary body");
         assert_eq!(p.msg_type, MessageType::Request);
-        assert_eq!(p.endpoint, "POST /upload");
+        assert_eq!(p.endpoint(), "POST /upload");
     }
 
     #[test]
@@ -401,7 +423,7 @@ mod tests {
         let snapped = &req[..req.len() - 1];
         assert!(std::str::from_utf8(snapped).is_err());
         let p = parse(snapped).expect("cut body");
-        assert_eq!(p.endpoint, "PUT /r");
+        assert_eq!(p.endpoint(), "PUT /r");
         assert_eq!(p.headers.x_request_id, Some(xid));
     }
 

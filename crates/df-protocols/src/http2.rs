@@ -88,14 +88,7 @@ pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
     let mut s = if kind == 1 {
         MessageSummary::basic(L7Protocol::Http2, MessageType::Request, key, path)
     } else {
-        let mut s = MessageSummary::basic(
-            L7Protocol::Http2,
-            MessageType::Response,
-            key,
-            format!("{status}"),
-        );
-        s.status_code = Some(status);
-        s
+        MessageSummary::http_response(L7Protocol::Http2, key, status)
     };
     s.headers = headers;
     Some(s)
@@ -133,13 +126,14 @@ mod tests {
         let p = parse(&req).unwrap();
         assert_eq!(p.msg_type, MessageType::Request);
         assert_eq!(p.session_key, Key::Multiplexed(7));
-        assert_eq!(p.endpoint, "POST /grpc.Svc/Call");
+        assert_eq!(p.endpoint(), "POST /grpc.Svc/Call");
 
         let resp = response(7, 200, &[]);
         let p2 = parse(&resp).unwrap();
         assert_eq!(p2.msg_type, MessageType::Response);
         assert_eq!(p2.session_key, Key::Multiplexed(7));
         assert_eq!(p2.status_code, Some(200));
+        assert_eq!(p2.endpoint(), "200");
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! measured at L4.
 
 use crate::{amqp, dns, dubbo, http1, http2, kafka, mqtt, mysql, redis, MessageSummary};
-use df_types::L7Protocol;
-use std::collections::HashMap;
+use df_types::{IntMap, L7Protocol};
 
 /// Re-export: a fully parsed message.
 pub type ParsedMessage = MessageSummary;
@@ -90,13 +89,13 @@ fn parse<'a>(
 
 /// Try every built-in sniffer, returning the first protocol that matches.
 pub fn infer_protocol(payload: &[u8]) -> Option<L7Protocol> {
-    infer(BUILTIN.into_iter(), payload)
+    infer(BUILTIN.iter().copied(), payload)
 }
 
 /// Parse a message under a known built-in protocol. Custom protocols are
 /// parsed by the engine that registered them.
 pub fn parse_message(protocol: L7Protocol, payload: &[u8]) -> Option<ParsedMessage> {
-    parse(BUILTIN.into_iter(), protocol, payload)
+    parse(BUILTIN.iter().copied(), protocol, payload)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -109,7 +108,7 @@ enum CacheEntry {
 /// Per-connection inference state.
 #[derive(Debug)]
 pub struct InferenceEngine {
-    cache: HashMap<u64, CacheEntry>,
+    cache: IntMap<u64, CacheEntry>,
     max_attempts: u8,
     custom: Vec<CustomProtocol>,
     /// Successful one-shot inferences (diagnostics).
@@ -128,7 +127,7 @@ impl InferenceEngine {
     /// Engine giving each flow `max_attempts` messages to classify.
     pub fn new(max_attempts: u8) -> Self {
         InferenceEngine {
-            cache: HashMap::new(),
+            cache: IntMap::default(),
             max_attempts,
             custom: Vec::new(),
             inferences: 0,
@@ -156,7 +155,7 @@ impl InferenceEngine {
         let custom = self.custom.iter().enumerate();
         let custom = custom
             .map(|(slot, c)| -> Row<'_> { (L7Protocol::Custom(slot as u8), &*c.sniff, &*c.parse) });
-        custom.chain(BUILTIN)
+        custom.chain(BUILTIN.iter().copied())
     }
 
     /// Classify (or recall) the protocol of a flow given one message payload.
@@ -300,7 +299,7 @@ mod tests {
         let req = http1::request("POST", "/orders", &[], b"{}");
         let p = eng.parse_for(2, &req).unwrap();
         assert_eq!(p.msg_type, MessageType::Request);
-        assert_eq!(p.endpoint, "POST /orders");
+        assert_eq!(p.endpoint(), "POST /orders");
     }
 
     #[test]

@@ -117,7 +117,7 @@ mod tests {
         assert!(sniff(&req));
         let p = parse(&req).unwrap();
         assert_eq!(p.msg_type, MessageType::Request);
-        assert_eq!(p.endpoint, "Produce");
+        assert_eq!(p.endpoint(), "Produce");
         assert_eq!(p.session_key, Key::Multiplexed(99));
 
         let resp = response(99, 0);

@@ -49,6 +49,7 @@ pub use inference::{infer_protocol, parse_message, InferenceEngine, ParsedMessag
 use df_types::{
     L7Protocol, MessageType, OtelSpanId, OtelTraceId, SessionKey, SpanStatus, XRequestId,
 };
+use std::borrow::Cow;
 
 /// Tracing headers recoverable from a message (third-party span integration,
 /// paper §3.3.2).
@@ -96,8 +97,10 @@ pub struct MessageSummary {
     pub msg_type: MessageType,
     /// Session aggregation key.
     pub session_key: SessionKey,
-    /// Operation label (e.g. `GET /reviews`, `SELECT`, `PUBLISH`).
-    pub endpoint: String,
+    /// Operation label (e.g. `GET /reviews`, `SELECT`, `PUBLISH`), read
+    /// with [`Self::endpoint`]. `None` for an HTTP/1 or HTTP/2 response,
+    /// whose label is its status code, written out only when asked for.
+    endpoint: Option<String>,
     /// Protocol status code, when the message carries one.
     pub status_code: Option<u16>,
     /// Tracing headers found in the message.
@@ -116,10 +119,34 @@ impl MessageSummary {
             protocol,
             msg_type,
             session_key,
-            endpoint: endpoint.into(),
+            endpoint: Some(endpoint.into()),
             status_code: None,
             headers: TraceHeaders::default(),
         }
+    }
+
+    /// An HTTP response with status `code`, labelled by that code.
+    pub(crate) fn http_response(protocol: L7Protocol, session_key: SessionKey, code: u16) -> Self {
+        MessageSummary {
+            endpoint: None,
+            status_code: Some(code),
+            ..Self::basic(protocol, MessageType::Response, session_key, String::new())
+        }
+    }
+
+    /// The operation label: the endpoint, or an HTTP response's status code.
+    pub fn endpoint(&self) -> Cow<'_, str> {
+        match &self.endpoint {
+            Some(label) => Cow::Borrowed(label),
+            None => Cow::Owned(self.status_code.unwrap_or_default().to_string()),
+        }
+    }
+
+    /// [`Self::endpoint`], moved out. Only a `ResponseOnly` span is
+    /// labelled by a response, so only it pays for the code's string.
+    pub fn into_endpoint(self) -> String {
+        let code = self.status_code.unwrap_or_default();
+        self.endpoint.unwrap_or_else(|| code.to_string())
     }
 
     /// The outcome this message, as a response, completes its exchange

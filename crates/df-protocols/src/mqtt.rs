@@ -149,7 +149,7 @@ mod tests {
         assert!(sniff(&c));
         let p = parse(&c).unwrap();
         assert_eq!(p.msg_type, MessageType::Request);
-        assert_eq!(p.endpoint, "CONNECT");
+        assert_eq!(p.endpoint(), "CONNECT");
 
         let ok = parse(&connack(0)).unwrap();
         assert_eq!(ok.status(), SpanStatus::Ok);
@@ -164,7 +164,7 @@ mod tests {
     fn publish_puback_share_packet_id() {
         let pb = parse(&publish(321, "telemetry/temp", b"21.5")).unwrap();
         assert_eq!(pb.session_key, Key::Multiplexed(321));
-        assert_eq!(pb.endpoint, "PUBLISH telemetry/temp");
+        assert_eq!(pb.endpoint(), "PUBLISH telemetry/temp");
         let ack = parse(&puback(321)).unwrap();
         assert_eq!(ack.session_key, pb.session_key);
         assert_eq!(ack.msg_type, MessageType::Response);

@@ -134,7 +134,7 @@ mod tests {
         assert!(sniff(&q));
         let p = parse(&q).unwrap();
         assert_eq!(p.msg_type, MessageType::Request);
-        assert_eq!(p.endpoint, "SELECT");
+        assert_eq!(p.endpoint(), "SELECT");
 
         let r = parse(&ok(1)).unwrap();
         assert_eq!(r.msg_type, MessageType::Response);
@@ -163,7 +163,7 @@ mod tests {
     fn result_set_is_response() {
         let r = parse(&result_set(3)).unwrap();
         assert_eq!(r.msg_type, MessageType::Response);
-        assert_eq!(r.endpoint, "RESULT");
+        assert_eq!(r.endpoint(), "RESULT");
     }
 
     #[test]

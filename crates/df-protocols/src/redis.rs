@@ -99,7 +99,7 @@ mod tests {
         assert!(sniff(&cmd));
         let p = parse(&cmd).unwrap();
         assert_eq!(p.msg_type, MessageType::Request);
-        assert_eq!(p.endpoint, "GET");
+        assert_eq!(p.endpoint(), "GET");
         assert_eq!(p.session_key, Key::Ordered);
 
         for reply in [ok(), bulk(b"cached-value"), nil()] {

@@ -1,15 +1,18 @@
-//! `http1::parse` against the parser it replaced, on generated heads.
+//! `http1::parse` against the parsers it replaced, on generated heads.
 //!
-//! The old parser validated the whole payload as UTF-8 and then searched
-//! it once per tracing header. `before` keeps a copy of it as the oracle.
-//! Heads vary the three header families, header-name case, whitespace
+//! The multi-scan parser validated the whole payload as UTF-8 and then
+//! searched it once per tracing header. `before` keeps a copy of it as the
+//! oracle for UTF-8 payloads; on the others it dropped the message, which
+//! was the bug. `lossy_parse` keeps the start-line reading that followed
+//! it as the oracle for heads that are not UTF-8. Heads vary the start
+//! line's separators, path, non-ASCII and non-UTF-8 bytes and status code
+//! spelling, the three header families, header-name case, whitespace
 //! around names and values, duplicate headers, header order, line endings
 //! and header-like lines after the blank line, and each is checked
-//! truncated at every byte. Only UTF-8 payloads are compared: on the
-//! others the old parser dropped the message, which was the bug.
+//! truncated at every byte.
 
-use df_protocols::http1;
-use df_types::{OtelSpanId, OtelTraceId, XRequestId};
+use df_protocols::{http1, MessageSummary, TraceHeaders};
+use df_types::{MessageType, OtelSpanId, OtelTraceId, XRequestId};
 use proptest::prelude::*;
 
 /// The parser as it was, multi-scan and whole-payload UTF-8.
@@ -65,7 +68,7 @@ mod before {
         h
     }
 
-    fn sniff(payload: &[u8]) -> bool {
+    pub fn sniff(payload: &[u8]) -> bool {
         payload.starts_with(b"HTTP/1.")
             || ["GET", "POST", "PUT", "DELETE", "HEAD", "PATCH", "OPTIONS"]
                 .iter()
@@ -106,6 +109,29 @@ mod before {
         }
         None
     }
+}
+
+/// The start-line reading of the parser before the byte-level one
+/// (`from_utf8_lossy`, then `split_whitespace`), and the headers `before`
+/// finds once the head is made UTF-8.
+fn lossy_parse(payload: &[u8]) -> Option<Fields> {
+    let text = String::from_utf8_lossy(payload);
+    let mut words = text.split('\n').next()?.split_whitespace();
+    let headers = before::trace_headers(text.as_bytes());
+    if payload.starts_with(b"HTTP/1.") {
+        let code: u16 = words.nth(1)?.parse().ok()?;
+        return Some((MessageType::Response, code.to_string(), Some(code), headers));
+    }
+    let method = words.next().filter(|_| before::sniff(payload))?;
+    let endpoint = format!("{method} {}", words.next().unwrap_or("/"));
+    Some((MessageType::Request, endpoint, None, headers))
+}
+
+/// What the parsers are compared on: type, endpoint, status, headers.
+type Fields = (MessageType, String, Option<u16>, TraceHeaders);
+fn fields(m: MessageSummary) -> Fields {
+    let (msg_type, status, headers) = (m.msg_type, m.status_code, m.headers);
+    (msg_type, m.into_endpoint(), status, headers)
 }
 
 /// A stream of generated choices.
@@ -182,8 +208,39 @@ fn trace_value(name: &str, c: &mut Choices) -> String {
     }
 }
 
-/// One generated HTTP/1 message.
-fn message(c: &mut Choices) -> String {
+/// A start line's separators, non-ASCII and non-UTF-8 bytes, and status
+/// code spellings: what a byte-level reader can get wrong.
+const SEPARATORS: [&[u8]; 8] = [b" ", b" ", b" ", b"  ", b"\t", b"\x0b", b"\x0c", b" \t"];
+const ODD_BYTES: [&[u8]; 5] = [b"\xc2\xa0", b"\xc2\x85", "é".as_bytes(), b"\xff", b"\xc3"];
+const CODES: [&str; 12] = [
+    "200", "404", "503", "+200", "0200", "000200", "-200", "+", "65536", "99999", "2000000", "2x",
+];
+
+/// One generated start line, as bytes: a request's method is followed by
+/// a space, as `sniff` wants; every other separator is drawn.
+fn start_line(c: &mut Choices) -> Vec<u8> {
+    let response = c.chance(2);
+    let mut words: Vec<Vec<u8>> = if response {
+        let version = format!("HTTP/1.{}", c.below(2));
+        vec![version.into(), c.pick(&CODES).into(), b"Reason".to_vec()]
+    } else {
+        let method = c.pick(&["GET", "POST", "PUT", "DELETE", "HEAD", "PATCH", "OPTIONS"]);
+        let path = c.pick(&["/", "/reviews/1", "/api/v1/products?x=1", ""]);
+        vec![method.into(), path.into(), c.pick(&["HTTP/1.1", ""]).into()]
+    };
+    if c.chance(1) {
+        let odd = c.pick(&ODD_BYTES);
+        let word = &mut words[1 + c.below(2)];
+        let at = c.below(word.len() + 1);
+        *word = [&word[..at], odd, &word[at..]].concat();
+    }
+    let first: &[u8] = if response { c.pick(&SEPARATORS) } else { b" " };
+    let second = c.pick(&SEPARATORS);
+    [&words[0][..], first, &words[1], second, &words[2]].concat()
+}
+
+/// One generated HTTP/1 message, its start line as bytes.
+fn message(c: &mut Choices) -> Vec<u8> {
     const NAMES: [&str; 9] = [
         "traceparent",
         "b3",
@@ -197,15 +254,8 @@ fn message(c: &mut Choices) -> String {
     ];
     const SPACE: [&str; 6] = ["", "", " ", "  ", "\t", "\u{a0}"];
     const ENDS: [&str; 4] = ["\r\n", "\r\n", "\r\n", "\n"];
-    let mut out = if c.chance(2) {
-        let code = c.pick(&[200, 201, 204, 404, 500, 503]);
-        format!("HTTP/1.{} {code} Reason", c.below(2))
-    } else {
-        let method = c.pick(&["GET", "POST", "PUT", "DELETE", "HEAD", "PATCH", "OPTIONS"]);
-        let path = c.pick(&["/", "/reviews/1", "/api/v1/products?x=1", ""]);
-        format!("{method} {path} HTTP/1.1")
-    };
-    out.push_str(c.pick(&ENDS));
+    let start = start_line(c);
+    let mut out = c.pick(&ENDS).to_string();
     let mut lines = Vec::new();
     for _ in 0..c.below(9) {
         let name = c.pick(&NAMES);
@@ -244,34 +294,37 @@ fn message(c: &mut Choices) -> String {
         ));
     }
     out.push_str("{\"body\":true}");
-    out
+    [start, out.into_bytes()].concat()
 }
 
-/// Both parsers on every prefix of `payload` that is UTF-8.
-fn agree_on_every_prefix(payload: &str) -> Result<(), String> {
+/// The parsers on every prefix of `payload` that does not cut a header
+/// line's character: `before` where the prefix is UTF-8, `lossy` where its
+/// start line is not.
+fn agree_on_every_prefix(payload: &[u8]) -> Result<(), String> {
+    let start = payload.split(|&b| b == b'\n').next().map_or(0, <[u8]>::len);
     for end in 0..=payload.len() {
-        let Some(prefix) = payload.get(..end) else {
+        let prefix = &payload[..end];
+        if end > start && std::str::from_utf8(&payload[start..end]).is_err() {
+            continue;
+        }
+        let new = http1::parse(prefix);
+        let Ok(text) = std::str::from_utf8(prefix) else {
+            let lossy = String::from_utf8_lossy(prefix);
+            let headers = before::trace_headers(lossy.as_bytes());
+            prop_assert_eq!(http1::trace_headers(prefix), headers, "{:?}", lossy);
+            prop_assert_eq!(new.map(fields), lossy_parse(prefix), "{:?}", lossy);
             continue;
         };
-        let (new, old) = (
-            http1::parse(prefix.as_bytes()),
-            before::parse(prefix.as_bytes()),
-        );
-        let headers = before::trace_headers(prefix.as_bytes());
-        prop_assert_eq!(
-            http1::trace_headers(prefix.as_bytes()),
-            headers,
-            "trace_headers of {:?}",
-            prefix
-        );
+        let (old, headers) = (before::parse(prefix), before::trace_headers(prefix));
+        prop_assert_eq!(http1::trace_headers(prefix), headers, "{:?}", text);
         // The old parser read a response's status from its first 64 bytes
         // as UTF-8, so it dropped a response whose 64th byte falls inside
         // a character. The new one keeps it.
-        let window_cut = prefix.starts_with("HTTP/1.") && !prefix.is_char_boundary(end.min(64));
+        let window_cut = text.starts_with("HTTP/1.") && !text.is_char_boundary(end.min(64));
         if window_cut && old.is_none() {
-            prop_assert_eq!(new.map(|m| m.headers), Some(headers), "{:?}", prefix);
+            prop_assert_eq!(new.map(|m| m.headers), Some(headers), "{:?}", text);
         } else {
-            prop_assert_eq!(new, old, "parse of {:?}", prefix);
+            prop_assert_eq!(new.map(fields), old.map(fields), "parse of {:?}", text);
         }
     }
     Ok(())
@@ -300,8 +353,8 @@ fn generated_heads_carry_every_family() {
         let draws: Vec<u64> = (0..256).map(|_| rng.next_u64()).collect();
         let mut c = Choices(draws.into_iter());
         let payload = message(&mut c);
-        let h = http1::trace_headers(payload.as_bytes());
-        let lower = payload.to_ascii_lowercase();
+        let h = http1::trace_headers(&payload);
+        let lower = String::from_utf8_lossy(&payload).to_ascii_lowercase();
         traceparent += usize::from(h.trace_id.is_some() && lower.contains("traceparent"));
         b3 += usize::from(h.parent_span_id.is_some() && lower.contains("b3:"));
         multi += usize::from(h.span_id.is_some() && lower.contains("x-b3-spanid"));

@@ -170,27 +170,22 @@ impl fmt::Display for XRequestId {
 
 /// Decode exactly `digits` (≤ 32) hex digits of `s`, either case, in
 /// place, ignoring every `skip` byte. Anything else, a sign included,
-/// rejects the input.
+/// rejects the input. The digits shift through two `u64` halves, and the
+/// count is checked once, at the end.
 fn decode_hex(s: &str, digits: usize, skip: Option<u8>) -> Option<u128> {
-    let mut value = 0u128;
-    let mut seen = 0;
+    let (mut hi, mut lo, mut seen) = (0u64, 0u64, 0);
     for &b in s.as_bytes() {
-        if Some(b) == skip {
-            continue;
-        }
         let nibble = match b {
             b'0'..=b'9' => b - b'0',
             b'a'..=b'f' => b - b'a' + 10,
             b'A'..=b'F' => b - b'A' + 10,
+            _ if Some(b) == skip => continue,
             _ => return None,
         };
-        if seen == digits {
-            return None;
-        }
-        value = value << 4 | u128::from(nibble);
+        (hi, lo) = (hi << 4 | lo >> 60, lo << 4 | u64::from(nibble));
         seen += 1;
     }
-    (seen == digits).then_some(value)
+    (seen == digits).then_some(u128::from(hi) << 64 | u128::from(lo))
 }
 
 /// A simple monotonically increasing id allocator, used by subsystems that

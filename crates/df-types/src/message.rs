@@ -3,19 +3,16 @@
 //! Paper §3.3.1 / Figure 6, phase 1: the enter and exit halves of one
 //! instrumented syscall are associated by `(Pid, Tid)` and combined into
 //! *message data*. Phase 2 (protocol inference) and the association passes
-//! (§3.3.2) then enrich it in place — DeepFlow "injects associations as tags
-//! into the message data" rather than building separate records.
+//! (§3.3.2) then tag it: the agent carries what they derive beside the
+//! message as it is aggregated into a session.
 
-use crate::ids::{
-    CoroutineId, NodeId, OtelSpanId, OtelTraceId, Pid, PseudoThreadId, SocketId, SysTraceId, Tid,
-    XRequestId,
-};
-use crate::l7::{L7Protocol, MessageType, SessionKey};
+use crate::ids::{CoroutineId, NodeId, Pid, SocketId, Tid};
 use crate::net::{Direction, FiveTuple};
 use crate::time::TimeNs;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// The ten system call ABIs DeepFlow instruments (paper Table 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -101,7 +98,7 @@ pub enum CaptureSource {
 }
 
 /// §3.2.1 category (i): program information.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramInfo {
     /// Process id.
     pub pid: Pid,
@@ -110,8 +107,9 @@ pub struct ProgramInfo {
     /// Coroutine id, when the component runs a coroutine scheduler the agent
     /// tracks (Go-style).
     pub coroutine: Option<CoroutineId>,
-    /// Executable name (`comm`).
-    pub process_name: String,
+    /// Executable name (`comm`), the kernel's one shared copy for the
+    /// process.
+    pub process_name: Arc<str>,
 }
 
 /// §3.2.1 category (ii): network information.
@@ -156,31 +154,9 @@ pub struct SyscallInfo {
     pub first_syscall: bool,
 }
 
-/// Enrichment attached by protocol inference and the association passes.
-/// Starts all-`None`/`Unknown`; the agent fills it in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct MessageContext {
-    /// Inferred L7 protocol of the flow.
-    pub l7_protocol: Option<L7Protocol>,
-    /// Inferred message type.
-    pub message_type: Option<MessageType>,
-    /// Session-aggregation key (order-based or embedded id).
-    pub session_key: Option<SessionKey>,
-    /// Implicit intra-component correlation id (paper Figure 7).
-    pub systrace_id: Option<SysTraceId>,
-    /// Pseudo-thread id for coroutine chains.
-    pub pseudo_thread_id: Option<PseudoThreadId>,
-    /// X-Request-ID parsed from proxy-injected headers.
-    pub x_request_id: Option<XRequestId>,
-    /// Third-party trace id parsed from traceparent/B3 headers.
-    pub otel_trace_id: Option<OtelTraceId>,
-    /// Third-party span id parsed from traceparent/B3 headers.
-    pub otel_span_id: Option<OtelSpanId>,
-}
-
 /// One message observed at one capture point: the combined enter+exit record
-/// of Figure 6 phase 1, later enriched in place.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// of Figure 6 phase 1.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MessageData {
     /// Program information.
     pub program: ProgramInfo,
@@ -190,8 +166,6 @@ pub struct MessageData {
     pub tracing: TracingInfo,
     /// System call information.
     pub syscall: SyscallInfo,
-    /// Enrichment (inference + association) state.
-    pub context: MessageContext,
 }
 
 impl MessageData {
@@ -242,7 +216,6 @@ mod tests {
                 payload: Bytes::from_static(b"GET / HTTP/1.1\r\n"),
                 first_syscall: true,
             },
-            context: MessageContext::default(),
         }
     }
 
@@ -263,12 +236,5 @@ mod tests {
         let m = sample();
         assert_eq!(m.syscall_latency().as_nanos(), 2_500);
         assert_eq!(m.capture_ns(), TimeNs(3_500));
-    }
-
-    #[test]
-    fn context_starts_empty() {
-        let m = sample();
-        assert!(m.context.l7_protocol.is_none());
-        assert!(m.context.systrace_id.is_none());
     }
 }

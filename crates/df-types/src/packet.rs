@@ -15,6 +15,7 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// A TCP segment (or UDP datagram — `flags` all-false, `seq` 0) on the wire.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -112,12 +113,13 @@ impl Frame {
 
 /// A packet observation recorded by a capture tap (cBPF / AF_PACKET / port
 /// mirror). This is what NIC-side net spans are built from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapturedFrame {
     /// Virtual time of the observation.
     pub ts: TimeNs,
-    /// Interface label where the tap sits (`"eth0"`, `"veth-x"`, `"tor-mirror"`).
-    pub interface: String,
+    /// Interface label where the tap sits (`"eth0"`, `"veth-x"`,
+    /// `"tor-mirror"`), the one name the fabric shares for that interface.
+    pub interface: Arc<str>,
     /// The observed frame.
     pub frame: Frame,
 }

@@ -128,9 +128,10 @@ fn main() {
         (vec![0x6A, 0x03, 0x09], "attack request, match 9"),
     ] {
         let parsed = engine.parse_for(1, &frame).expect("spec parses the frame");
+        let endpoint = parsed.endpoint();
         println!(
-            "  {:02x?}  ->  {} {} ({})  [{what}]",
-            frame, parsed.protocol, parsed.endpoint, parsed.msg_type
+            "  {:02x?}  ->  {} {endpoint} ({})  [{what}]",
+            frame, parsed.protocol, parsed.msg_type
         );
         assert_eq!(parsed.protocol, slot);
     }
