@@ -102,6 +102,21 @@ if [ "$fs_allowers" != "crates/df-storage/src/persist.rs" ]; then
     "$fs_allowers" >&2
   exit 1
 fi
+# Unsafe code is allowed only at the two crate roots that install the
+# counting allocator (tests/support/counting_alloc.rs); the workspace
+# level is deny, so a third allow would also compile clean.
+unsafe_allowers=$(git ls-files '*.rs' | grep -v -e '^vendor/' -e '^benchmark/' | sort \
+  | while read -r file; do
+      if awk '/#!?\[(allow|expect)\(/ { on = 1 } on && /unsafe_code/ { found = 1 }
+              on && /\)\]/ { on = 0 } END { exit !found }' "$file"; then
+        echo "$file"
+      fi
+    done)
+if [ "$unsafe_allowers" != $'crates/df-bench/src/bin/fig14_storage.rs\ntests/alloc_budget.rs' ]; then
+  printf 'unsafe_code must be allowed in tests/alloc_budget.rs and the fig14_storage bin alone; allowed in:\n%s\n' \
+    "$unsafe_allowers" >&2
+  exit 1
+fi
 # The lock rule (docs/LINTS.md): the same lint keeps every lock site of
 # those crates on df_check, whose debug builds assert that no lock is
 # taken while another is held. A method dropped from clippy.toml would

@@ -6,8 +6,6 @@
 //!   print them alongside our measured counterparts;
 //! * [`report`] — plain-text table/figure rendering, shape checks, and the
 //!   one writer of `results/<name>.json` ([`report::save_json`]);
-//! * [`fig14`] — the typed columns and tag table the Fig. 14 binary
-//!   stores its tags in, under the paper's three encodings;
 //! * [`fig16`] — the end-to-end throughput/latency sweep shared by the
 //!   Fig. 16 and Fig. 19 binaries.
 //!
@@ -23,6 +21,5 @@
 #![forbid(unsafe_code)]
 
 pub mod datasets;
-pub mod fig14;
 pub mod fig16;
 pub mod report;

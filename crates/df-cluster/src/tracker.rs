@@ -8,14 +8,12 @@
 //!   only merged into the round that asked for them. Retries reuse the
 //!   original rpc id, so a late duplicate from an earlier attempt (or an
 //!   earlier *round*) is rejected instead of corrupting frontier order.
-//! * [`BatchReorder`] (defined beside the router in `df-server`, which
-//!   applies its own worker queues through it) — applies span batches to a
-//!   shard strictly in row order even when retried/reordered RPCs deliver
-//!   them out of order or twice. Row-contiguity is what keeps remote shard
-//!   contents identical to the single-process oracle.
+//! * [`BatchReorder`] — applies span batches to a shard strictly in row
+//!   order even when retried/reordered RPCs deliver them out of order or
+//!   twice. Row-contiguity is what keeps remote shard contents identical
+//!   to the single-process oracle.
 
-pub use df_server::BatchReorder;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 /// Guards Phase 1's round structure: a response is accepted only if it
 /// answers an rpc id issued for the *current* round and has not been
@@ -50,6 +48,74 @@ impl RoundTracker {
     /// asked for are refused.
     pub fn accept(&mut self, round: u32, rpc_id: u64) -> bool {
         self.current == Some(round) && self.expected.remove(&rpc_id)
+    }
+}
+
+/// Reassembles a shard's row space from possibly-reordered,
+/// possibly-duplicated sub-batches.
+///
+/// `offer(applied, start_row, batch)` returns the run of batches that are
+/// now contiguous with the `applied` rows and can be appended; anything
+/// from the future is stashed, anything already covered is dropped as a
+/// duplicate. Free of I/O and clocks, so its output depends only on the
+/// arrival order, and the unit test runs every order.
+#[derive(Debug)]
+pub struct BatchReorder<T> {
+    stash: BTreeMap<u32, Vec<T>>,
+    duplicates: u64,
+}
+
+impl<T> Default for BatchReorder<T> {
+    fn default() -> Self {
+        BatchReorder {
+            stash: BTreeMap::new(),
+            duplicates: 0,
+        }
+    }
+}
+
+impl<T> BatchReorder<T> {
+    /// Fresh reorder buffer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Offer a batch covering rows `start_row..start_row + batch.len()`
+    /// given that rows `0..applied` are already in the store. Returns the
+    /// batches (in row order) that became contiguous and must be appended
+    /// now.
+    pub fn offer(&mut self, applied: u32, start_row: u32, batch: Vec<T>) -> Vec<Vec<T>> {
+        if start_row < applied || self.stash.contains_key(&start_row) {
+            // Retransmitted RPC for rows we already hold: ack silently.
+            self.duplicates += 1;
+            return Vec::new();
+        }
+        self.stash.insert(start_row, batch);
+        let mut runs = Vec::new();
+        let mut cursor = applied;
+        while let Some(run) = self.stash.remove(&cursor) {
+            cursor += run.len() as u32;
+            runs.push(run);
+        }
+        runs
+    }
+
+    /// Batches stashed waiting for a predecessor.
+    pub fn pending(&self) -> usize {
+        self.stash.len()
+    }
+
+    /// The lowest stashed `start_row`, if any batch is waiting. Anti-
+    /// entropy uses this to bound a backfill pull: pulling past the first
+    /// stashed batch would collide with it on `start_row` and strand it
+    /// as a false duplicate.
+    pub fn first_pending_start(&self) -> Option<u32> {
+        self.stash.keys().next().copied()
+    }
+
+    /// Duplicate batches dropped.
+    pub fn duplicates(&self) -> u64 {
+        self.duplicates
     }
 }
 
@@ -127,6 +193,53 @@ mod tests {
         assert!(
             naive_merged_stale,
             "the round-agnostic merge must lose in some order"
+        );
+    }
+
+    #[test]
+    fn reorder_applies_out_of_order_and_drops_duplicates() {
+        let mut r: BatchReorder<u32> = BatchReorder::new();
+        assert_eq!(r.first_pending_start(), None);
+        // Rows 0..2 arrive late; rows 2..5 first.
+        assert!(r.offer(0, 2, vec![2, 3, 4]).is_empty());
+        assert_eq!(r.pending(), 1);
+        assert_eq!(r.first_pending_start(), Some(2));
+        let runs = r.offer(0, 0, vec![0, 1]);
+        assert_eq!(runs, vec![vec![0, 1], vec![2, 3, 4]]);
+        assert_eq!(r.pending(), 0);
+        // A retransmission of the first batch is a no-op.
+        assert!(r.offer(5, 0, vec![0, 1]).is_empty());
+        assert_eq!(r.duplicates(), 1);
+        // Next contiguous batch applies immediately.
+        assert_eq!(r.offer(5, 5, vec![5]), vec![vec![5]]);
+
+        // Every arrival order of three batches plus a retransmission of the
+        // first ends with rows 0..5 applied in row order, nothing stashed and
+        // one duplicate dropped. Appending in arrival order instead must
+        // corrupt the row space in some order.
+        let batches = [
+            (0, vec![0, 1]),
+            (2, vec![2]),
+            (3, vec![3, 4]),
+            (0, vec![0, 1]),
+        ];
+        let mut arrival_order_broke = false;
+        for order in orders(&batches) {
+            let mut r = BatchReorder::new();
+            let mut rows: Vec<u32> = Vec::new();
+            for (start_row, batch) in order.clone() {
+                for run in r.offer(rows.len() as u32, start_row, batch) {
+                    rows.extend(run);
+                }
+            }
+            assert_eq!(rows, [0, 1, 2, 3, 4], "applied in row order: {order:?}");
+            assert_eq!((r.pending(), r.duplicates()), (0, 1), "{order:?}");
+            let naive: Vec<u32> = order.into_iter().flat_map(|(_, batch)| batch).collect();
+            arrival_order_broke |= naive[..5] != [0, 1, 2, 3, 4];
+        }
+        assert!(
+            arrival_order_broke,
+            "arrival-order append must lose in some order"
         );
     }
 }

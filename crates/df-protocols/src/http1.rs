@@ -243,6 +243,17 @@ pub fn trace_headers(payload: &[u8]) -> TraceHeaders {
     Head::scan(payload).trace_headers()
 }
 
+/// The tracing headers of a bare header block of `name: value` lines, as
+/// HTTP/2's frames carry one: each line goes through the routine
+/// [`Head::scan`] reads an HTTP/1 head with.
+pub(crate) fn header_block(block: &[u8]) -> TraceHeaders {
+    let mut head = Head::default();
+    block
+        .split(|&b| b == b'\n')
+        .for_each(|line| head.header(line));
+    head.trace_headers()
+}
+
 /// Parse an HTTP/1.1 message: its start line, and its tracing headers in
 /// the same pass. The body is never read, so a binary body or a payload
 /// cut mid-character by the snap length parses like any other.

@@ -11,9 +11,9 @@
 //! The embedded stream id is exactly the "distinguishing attribute" §3.3.1
 //! names for parallel-protocol session aggregation.
 
-use crate::{Key, MessageSummary, TraceHeaders};
+use crate::{Key, MessageSummary};
 use bytes::Bytes;
-use df_types::{L7Protocol, MessageType, XRequestId};
+use df_types::{L7Protocol, MessageType};
 
 /// The RFC 7540 client connection preface.
 pub const PREFACE: &[u8] = b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n";
@@ -83,41 +83,20 @@ fn frame_fields(payload: &[u8]) -> Option<(u8, u32, u16, &str, &[u8])> {
 /// Parse an HTTP/2 message.
 pub fn parse(payload: &[u8]) -> Option<MessageSummary> {
     let (kind, stream_id, status, path, hdr_bytes) = frame_fields(payload)?;
-    let headers = parse_headers(hdr_bytes);
     let key = Key::Multiplexed(u64::from(stream_id));
     let mut s = if kind == 1 {
         MessageSummary::basic(L7Protocol::Http2, MessageType::Request, key, path)
     } else {
         MessageSummary::http_response(L7Protocol::Http2, key, status)
     };
-    s.headers = headers;
+    s.headers = crate::http1::header_block(hdr_bytes);
     Some(s)
-}
-
-fn parse_headers(raw: &[u8]) -> TraceHeaders {
-    let mut h = TraceHeaders::default();
-    let Ok(text) = std::str::from_utf8(raw) else {
-        return h;
-    };
-    for line in text.lines() {
-        let Some((k, v)) = line.split_once(':') else {
-            continue;
-        };
-        let k = k.trim().to_ascii_lowercase();
-        let v = v.trim();
-        match k.as_str() {
-            "traceparent" => h.set_traceparent(v),
-            "x-request-id" => h.x_request_id = XRequestId::from_wire(v),
-            _ => {}
-        }
-    }
-    h
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_types::{OtelSpanId, OtelTraceId};
+    use df_types::{OtelSpanId, OtelTraceId, XRequestId};
 
     #[test]
     fn request_response_round_trip_with_stream_id() {
@@ -167,6 +146,29 @@ mod tests {
         let p = parse(&req).unwrap();
         assert_eq!(p.headers.trace_id, Some(tid));
         assert_eq!(p.headers.span_id, Some(sid));
+    }
+
+    /// The header block is read line by line as HTTP/1's head is: a
+    /// stray non-UTF-8 byte in another header costs nothing, B3 is read,
+    /// and the first `X-Request-ID` wins.
+    #[test]
+    fn headers_read_as_http1_reads_them() {
+        let (tid, sid, first) = (OtelTraceId(0x51), OtelSpanId(0x52), XRequestId(1));
+        let headers = [
+            ("user-agent".into(), "curl?".into()),
+            ("b3".into(), format!("{}-{}-1", tid.to_hex(), sid.to_hex())),
+            ("X-Request-ID".into(), first.to_wire()),
+            ("x-request-id".into(), XRequestId(2).to_wire()),
+        ];
+        let mut req = request(9, "GET", "/", &headers).to_vec();
+        let stray = req.iter().position(|&b| b == b'?').expect("placeholder");
+        req[stray] = 0xff;
+        let p = parse(&req).expect("frame");
+        assert_eq!(
+            (p.headers.trace_id, p.headers.span_id),
+            (Some(tid), Some(sid))
+        );
+        assert_eq!(p.headers.x_request_id, Some(first));
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //!   where the shards are), then parent assignment under the 16 rules,
 //!   then time/parent sorting;
 //! * [`router`] — the one [`Router`] (global ids, shard pick, id →
-//!   `(shard, row)` table, batch → per-shard split) and the
-//!   [`BatchReorder`] that re-serialises sub-batches a network delivered
-//!   out of order;
+//!   `(shard, row)` table, batch → per-shard split);
 //! * [`sharded`] — the span corpus partitioned into
 //!   [`SpanStore`](df_storage::SpanStore) shards per
 //!   [`ShardPolicy`](df_storage::ShardPolicy), with
@@ -78,7 +76,7 @@ pub use assemble::{
 };
 pub use concurrent::{ConcurrentConfig, ConcurrentShardedStore, WireIngestError, WorkerPanic};
 pub use dictionary::TagDictionary;
-pub use router::{BatchReorder, Loc, Router, SubBatch};
+pub use router::{Loc, Router, SubBatch};
 pub use server::{Listed, Server, ServerStats};
 pub use sharded::{assemble_trace_sharded, ShardedSpanStore};
 pub use trace_cache::{CacheOutcome, TraceCache};

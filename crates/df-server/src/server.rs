@@ -171,6 +171,13 @@ impl Server {
         &self.store
     }
 
+    /// Mutable store access, for the cold tier
+    /// ([`ShardedSpanStore::enable_tiering`], `spill_before`): a spill
+    /// leaves the store's version, and so every cached trace, as it was.
+    pub fn store_mut(&mut self) -> &mut ShardedSpanStore {
+        &mut self.store
+    }
+
     /// Ingest one span: a batch of one.
     pub fn ingest(&mut self, span: Span) -> SpanId {
         self.ingest_batch(vec![span])[0]

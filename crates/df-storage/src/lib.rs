@@ -3,8 +3,8 @@
 //! The paper stores traces in ClickHouse. This crate is the span store the
 //! server runs Algorithm 1 against ([`store`]): a row store with hash
 //! indexes over every implicit-context attribute and a time index for
-//! span-list queries. (The three tag encodings of Fig. 14 are measured by
-//! `df_bench::fig14`, next to the figure's harness.)
+//! span-list queries. (Fig. 14's `fig14_storage` measures its tag forms on
+//! these rows and on the cold tier's segments.)
 //!
 //! At scale the corpus is partitioned: [`shard`] provides the routing
 //! policy (hash of the canonical flow five-tuple, a time-bucketed routing

@@ -62,9 +62,7 @@ pub use net::{Direction, FiveTuple, TcpFlags, TransportProtocol};
 pub use packet::{ArpOp, CapturedFrame, Frame, Segment};
 pub use rpc::{CandidateKeys, CandidateSpan, RpcBody, RpcDecodeError, RpcEnvelope};
 pub use span::{AssocKey, AssocKind, CapturePoint, Span, SpanKind, SpanStatus, TapSide};
-pub use tags::{
-    NodeResource, PodResource, ResourceInventory, ResourceTags, TagKey, TagSet, TagValue,
-};
+pub use tags::{NodeResource, PodResource, ResourceInventory, ResourceTags, TagSet};
 pub use time::{DurationNs, TimeNs};
 pub use trace::{AssembledSpan, Trace};
 pub use wire::{WireBatch, WireDecodeError, WireEncoder};

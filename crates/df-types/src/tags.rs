@@ -12,74 +12,6 @@
 //! and self-defined string labels are joined at query time (phase 3).
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// A tag key. Resource keys are a closed enum (so they can be columnar);
-/// custom keys are free-form strings.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum TagKey {
-    /// Cloud region.
-    Region,
-    /// Availability zone.
-    AvailabilityZone,
-    /// Virtual private cloud.
-    Vpc,
-    /// Subnet within a VPC.
-    Subnet,
-    /// Physical/virtual host machine.
-    Host,
-    /// Kubernetes cluster.
-    Cluster,
-    /// Kubernetes node.
-    K8sNode,
-    /// Kubernetes namespace.
-    Namespace,
-    /// Kubernetes workload (Deployment/StatefulSet...).
-    Workload,
-    /// Kubernetes service.
-    Service,
-    /// Kubernetes pod.
-    Pod,
-    /// User-defined label key.
-    Custom(String),
-}
-
-impl fmt::Display for TagKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TagKey::Region => write!(f, "region"),
-            TagKey::AvailabilityZone => write!(f, "az"),
-            TagKey::Vpc => write!(f, "vpc"),
-            TagKey::Subnet => write!(f, "subnet"),
-            TagKey::Host => write!(f, "host"),
-            TagKey::Cluster => write!(f, "cluster"),
-            TagKey::K8sNode => write!(f, "k8s.node"),
-            TagKey::Namespace => write!(f, "k8s.namespace"),
-            TagKey::Workload => write!(f, "k8s.workload"),
-            TagKey::Service => write!(f, "k8s.service"),
-            TagKey::Pod => write!(f, "k8s.pod"),
-            TagKey::Custom(k) => write!(f, "label.{k}"),
-        }
-    }
-}
-
-/// A tag value: either a resolved string or a smart-encoded integer.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TagValue {
-    /// Human-readable resolved value.
-    Str(String),
-    /// Smart-encoded dictionary id.
-    Int(u32),
-}
-
-impl fmt::Display for TagValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TagValue::Str(s) => write!(f, "{s}"),
-            TagValue::Int(i) => write!(f, "#{i}"),
-        }
-    }
-}
 
 /// The smart-encoded (integer) resource tag block attached to every span.
 ///
@@ -264,13 +196,5 @@ mod tests {
         assert_eq!(t.label_joined(&joined, "version"), Some("v1.2.3"));
         assert_eq!(t.label_joined(&joined, "team"), Some("a"), "then joined");
         assert_eq!(t.label_joined(&joined, "missing"), None);
-    }
-
-    #[test]
-    fn tag_key_display() {
-        assert_eq!(TagKey::Pod.to_string(), "k8s.pod");
-        assert_eq!(TagKey::Custom("team".into()).to_string(), "label.team");
-        assert_eq!(TagValue::Int(5).to_string(), "#5");
-        assert_eq!(TagValue::Str("x".into()).to_string(), "x");
     }
 }

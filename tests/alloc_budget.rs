@@ -2,8 +2,9 @@
 //! fast because they do not copy, the live heap bytes a stored span
 //! costs, and the codec's bytes and allocations. A copy put back
 //! fails `cargo test` here, where timed runs on a noisy host would need
-//! tens of pairs to show it. The counting global allocator below counts
-//! per thread, so tests running in parallel do not mix their counts.
+//! tens of pairs to show it. The counting global allocator
+//! (`support/counting_alloc.rs`) counts per thread, so tests running in
+//! parallel do not mix their counts.
 //!
 //! Every row is committed in `BENCH_counts.json` at the workspace root,
 //! and a row that differs from the file fails either way: above it is a
@@ -26,84 +27,17 @@
               this one only counts and forwards to System"
 )]
 
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{allocations, heap};
 use deepflow::mesh::apps;
 use deepflow::prelude::*;
 use deepflow::storage::{BufferPool, BufferPoolConfig, SpanStore};
 use deepflow::types::{wire, ResourceInventory};
 use serde_json::{json, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
-
-thread_local! {
-    /// Allocations (`alloc`, `alloc_zeroed`, `realloc`) made on this thread.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    /// Bytes this thread allocated, minus the bytes it freed.
-    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
-}
-
-/// Count an allocation of `grown` bytes that released `freed` bytes.
-fn count_one(grown: usize, freed: usize) {
-    // `try_with`: an allocation during thread teardown goes uncounted
-    // instead of panicking inside the allocator.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    count_freed(freed);
-    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + grown as i64));
-}
-
-fn count_freed(bytes: usize) {
-    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() - bytes as i64));
-}
-
-/// `System`, counting each allocation on the calling thread.
-struct Counting;
-
-// SAFETY: every method passes its arguments unchanged to `System`, which
-// keeps the `GlobalAlloc` contract; counting touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one(layout.size(), 0);
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one(layout.size(), 0);
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one(new_size, layout.size());
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count_freed(layout.size());
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
-
-/// `f`'s result and the allocations it made on this thread.
-fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
-
-/// `f`'s result, the allocations it made on this thread, and the heap
-/// bytes they left live once `f` returned.
-fn heap<R>(f: impl FnOnce() -> R) -> (R, u64, i64) {
-    let before = LIVE_BYTES.with(Cell::get);
-    let (out, allocated) = allocations(f);
-    (out, allocated, LIVE_BYTES.with(Cell::get) - before)
-}
 
 /// A row's corpus and, for a seeded run, its seed.
 type Corpus = (&'static str, Option<u64>);
